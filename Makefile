@@ -26,7 +26,7 @@ BENCH_JSON ?= BENCH_10.json
 # timings worth committing.
 BENCH_TIME ?= 1x
 
-.PHONY: fmt fmt-check vet build test bench bench-json bench-diff daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
+.PHONY: fmt fmt-check vet build test bench bench-json bench-diff bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
 
 fmt:
 	gofmt -w .
@@ -139,6 +139,13 @@ bench-diff:
 		-benchtime=$(BENCH_TIME) -benchmem ./... > $$tmp/bench.txt; \
 	$(GO) run ./cmd/benchjson -o $$tmp/new.json $$tmp/bench.txt; \
 	$(GO) run ./cmd/benchjson -diff $(BENCH_JSON) $$tmp/new.json
+
+# End-to-end benchmark: bench/ through BENCHMARK.json's own command, all
+# workloads or one (WORKLOAD=daily-session), on the default input seed or
+# SEED=N. Not part of `ci`: `go test ./bench` already smokes it at -short
+# sizes, and a full run takes minutes.
+bench-e2e:
+	bash bench/run.sh $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED))
 
 # Observability smoke: the zero-perturbation contract end to end on real
 # binaries. The same 2-day fleet scenario runs twice — observability off,

@@ -209,19 +209,12 @@ const evalBatchRows = 256
 
 // forEachDistRow streams the dataset through the predictor's network for
 // `step` in batches and calls visit with each example's index and raw
-// output distribution. The dist slice is reused between calls. The sweep
-// snapshots the step's net into its packed (SIMD) serving form once —
-// bitwise identical to the portable batched kernel behind
-// Predictor.PredictFeaturesBatch, so evaluation metrics never depend on
-// which kernel ran.
+// output distribution. The dist slice is reused between calls.
 func forEachDistRow(pred *Predictor, step int, xs [][]float64, visit func(i int, dist []float64)) {
 	rows := evalBatchRows
 	if len(xs) < rows {
 		rows = len(xs)
 	}
-	step = pred.clampStep(step)
-	packed := pred.TTP.Nets[step].NewPacked()
-	ws := packed.NewBatchWorkspace(rows)
 	dim := pred.TTP.Cfg.Dim()
 	buf := make([]float64, rows*dim)
 	dists := make([]float64, rows*abr.NumBins)
@@ -236,7 +229,7 @@ func forEachDistRow(pred *Predictor, step int, xs [][]float64, visit func(i int,
 			}
 			copy(buf[r*dim:(r+1)*dim], xs[at+r])
 		}
-		packed.PredictDistBatch(ws, buf[:b*dim], b, dists[:b*abr.NumBins])
+		pred.PredictFeaturesBatch(step, buf[:b*dim], b, dists[:b*abr.NumBins])
 		for r := 0; r < b; r++ {
 			visit(at+r, dists[r*abr.NumBins:(r+1)*abr.NumBins])
 		}

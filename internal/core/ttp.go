@@ -158,7 +158,11 @@ const (
 // feature matrix for all candidate sizes of a horizon step and runs a single
 // batched forward pass per net; the scalar PredictDist is a thin wrapper
 // over batch size 1, so both paths produce bitwise-identical distributions.
-// Not safe for concurrent use; create one per stream.
+// Every forward pass runs on the net's shared packed snapshot
+// (nn.MLP.Packed) — the same kernel, and the same snapshot, the fleet and
+// serve engines flush through — so a Predictor owns only its workspaces and
+// creating one per stream costs no transpose. Not safe for concurrent use;
+// create one per stream (any number may share one TTP).
 type Predictor struct {
 	TTP  *TTP
 	Mode Mode
@@ -229,7 +233,7 @@ func (p *Predictor) PredictDistBatch(obs *abr.Observation, step int, sizes []flo
 	p.featM = growFloats(p.featM, b*dim)
 	p.probsM = growFloats(p.probsM, b*abr.NumBins)
 	p.TTP.Cfg.AssembleBatch(p.featM, obs.History, obs.TCP, sizes)
-	p.TTP.Nets[step].PredictDistBatch(p.ws[step], p.featM, b, p.probsM)
+	p.TTP.Nets[step].Packed().PredictDistBatch(p.ws[step], p.featM, b, p.probsM)
 	for r := 0; r < b; r++ {
 		p.finishDist(dists[r*abr.NumBins:(r+1)*abr.NumBins],
 			p.probsM[r*abr.NumBins:(r+1)*abr.NumBins], sizes[r])
@@ -268,8 +272,7 @@ func (p *Predictor) finishDist(dist, probs []float64, size float64) {
 // PredictFeatures runs the TTP directly on an assembled feature vector,
 // returning the output distribution. Used by evaluation code.
 func (p *Predictor) PredictFeatures(step int, features []float64, dist []float64) {
-	step = p.clampStep(step)
-	p.TTP.Nets[step].PredictDistBatch(p.ws[step], features, 1, dist)
+	p.PredictFeaturesBatch(step, features, 1, dist)
 }
 
 // PredictFeaturesBatch scores `rows` pre-assembled feature rows (row-major
@@ -277,7 +280,7 @@ func (p *Predictor) PredictFeatures(step int, features []float64, dist []float64
 // into dists. Evaluation code uses it to sweep datasets in large batches.
 func (p *Predictor) PredictFeaturesBatch(step int, features []float64, rows int, dists []float64) {
 	step = p.clampStep(step)
-	p.TTP.Nets[step].PredictDistBatch(p.ws[step], features, rows, dists)
+	p.TTP.Nets[step].Packed().PredictDistBatch(p.ws[step], features, rows, dists)
 }
 
 // NewFugu builds the deployed Fugu scheme: stochastic MPC over the TTP's

@@ -50,7 +50,7 @@ func (s *Suite) figFleetSpec(engine string) scenario.Spec {
 // FigFleet compares the two execution engines on the same declared
 // experiment: the per-session engine runs sessions to completion one at a
 // time, the fleet engine multiplexes them in virtual time and batches TTP
-// inference across concurrent sessions through the packed-model service.
+// inference across concurrent sessions through the inference service.
 // The rows certify the engines agree byte for byte — the property that
 // lets every experiment switch engines without changing a single result —
 // and report the fleet's multiplexing shape. With Suite.Results set, both

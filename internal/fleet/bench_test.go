@@ -57,9 +57,10 @@ func runSeqWorkers(trial *experiment.Config, shardSize, workers int) (*experimen
 // deploy-mixture trial at equal worker count: the per-session engine (each
 // session to completion, inference batched only within a decision) against
 // the fleet engine (interleaved sessions, inference batched across sessions
-// through the packed-model service). The sessions/sec metrics are the
-// headline numbers; the fleet's edge comes from the InferenceService's
-// per-model packed snapshots and tick-wide batches.
+// through the inference service). Both run the same packed kernel on the
+// same cached snapshots (nn.MLP.Packed), so the sessions/sec metrics
+// compare scheduling and batching only — and 24 sessions in shards of 8
+// cannot keep two fleet workers busy (ROADMAP item 1).
 func BenchmarkFleetThroughput(b *testing.B) {
 	ttp := coreDefaultTTP()
 	const sessions, shard = 24, 8

@@ -76,7 +76,7 @@ type Stats struct {
 	Rows          int64
 	MaxBatchRows  int
 	MeanBatchRows float64
-	// ModelSnapshots is how many distinct nets the service packed.
+	// ModelSnapshots is how many distinct nets the service batched for.
 	ModelSnapshots int
 	// WallSeconds is the measured wall-clock time of the run (not
 	// deterministic; excluded from checkpoints).

@@ -26,13 +26,15 @@ var (
 // (throughput conversion, point-estimate collapse) exactly as the direct
 // path would.
 //
-// The service owns one packed snapshot (nn.PackedMLP: transposed weights,
-// SIMD kernel) per distinct net it has seen — the per-model "compiled
-// artifact" a centralized server can afford to build once and reuse across
-// every request, which ephemeral per-session predictors cannot. Snapshots
-// are keyed by net identity, so a model rotation (new *nn.MLP values)
-// naturally repacks. Rows are bitwise identical to the per-session path
-// regardless of how they are batched. Not safe for concurrent use.
+// Batches run on each net's own packed snapshot (nn.MLP.Packed: transposed
+// weights, SIMD kernel) — the one every per-session core.Predictor runs on
+// too, built once per model however many services and sessions share it.
+// What the service adds is not a faster kernel but one kernel launch per
+// net per tick instead of one per session, and the occupancy telemetry
+// that goes with it. Groups are keyed by net identity, so a model rotation
+// (new *nn.MLP values) starts new ones. Rows are bitwise identical to the
+// per-session path regardless of how they are batched. Not safe for
+// concurrent use.
 type InferenceService struct {
 	groups map[*nn.MLP]*serviceGroup
 	order  []*serviceGroup // first-use order: deterministic iteration
@@ -47,10 +49,9 @@ type InferenceService struct {
 	snapshots int
 }
 
-// serviceGroup is the per-net batch under assembly plus the packed model.
+// serviceGroup is the per-net batch under assembly.
 type serviceGroup struct {
 	net    *nn.MLP
-	packed *nn.PackedMLP
 	ws     *nn.BatchWorkspace
 	pend   []*core.PendingStep
 	rowSum int
@@ -68,11 +69,7 @@ func (s *InferenceService) Enqueue(steps []core.PendingStep) {
 		ps := &steps[i]
 		g, ok := s.groups[ps.Net]
 		if !ok {
-			g = &serviceGroup{
-				net:    ps.Net,
-				packed: ps.Net.NewPacked(),
-				ws:     ps.Net.NewBatchWorkspace(64),
-			}
+			g = &serviceGroup{net: ps.Net, ws: ps.Net.NewBatchWorkspace(64)}
 			s.groups[ps.Net] = g
 			s.order = append(s.order, g)
 			s.snapshots++
@@ -104,7 +101,7 @@ func (s *InferenceService) Flush() {
 			copy(s.feats[at*dim:(at+ps.Rows)*dim], ps.Feats[:ps.Rows*dim])
 			at += ps.Rows
 		}
-		g.packed.PredictDistBatch(g.ws, s.feats[:g.rowSum*dim], g.rowSum, s.probs[:g.rowSum*nOut])
+		g.net.Packed().PredictDistBatch(g.ws, s.feats[:g.rowSum*dim], g.rowSum, s.probs[:g.rowSum*nOut])
 		at = 0
 		for _, ps := range g.pend {
 			ps.Finish(s.probs[at*nOut : (at+ps.Rows)*nOut])

@@ -6,21 +6,23 @@
 // regression head, SGD and Adam optimizers, per-sample weighting (the
 // paper's recency-weighted training), and gob serialization.
 //
-// Inference has three paths. The scalar path (MLP.ForwardInto,
-// MLP.PredictDist with a Workspace) runs a single sample through per-layer
-// dot products. The batched path (MLP.ForwardBatchInto, MLP.PredictDistBatch
-// with a BatchWorkspace) runs B samples per call over flat row-major
-// activation matrices with a register-blocked kernel; it produces bitwise
-// identical outputs to the scalar path (same per-element summation order)
-// while amortizing weight loads across samples. Hot callers — the MPC
-// distribution fill in particular — should batch. The packed path
-// (MLP.NewPacked -> PackedMLP) is an immutable transposed-weight snapshot
-// for serving: on amd64 with AVX2/AVX-512 it runs hand-written vector
-// kernels that keep every output's ascending-input accumulation and
-// separate multiply/add roundings (no FMA), so packed results are bitwise
-// identical to the other two paths; elsewhere it falls back to the batched
-// kernel. The fleet engine's cross-session InferenceService is its main
-// consumer.
+// Inference has one entry point: MLP.Packed returns the network's packed
+// snapshot (PackedMLP: transposed weights), built on first use, shared by
+// every caller and dropped by every parameter write in this package
+// (Optimizer.Step, Pack). The TTP predictor, the fleet and serve inference
+// service, the evaluation sweeps and the Pensieve agent all run its
+// ForwardBatchInto / PredictDistBatch with a BatchWorkspace of their own.
+// On amd64 with AVX2/AVX-512 the snapshot runs hand-written vector kernels
+// that keep every output's ascending-input accumulation and separate
+// multiply/add roundings (no FMA); elsewhere it falls back to the portable
+// batched kernel (MLP.ForwardBatchInto: B samples per call over flat
+// row-major activation matrices, register-blocked). The two are bitwise
+// identical row for row, and so is the scalar path (MLP.ForwardInto with a
+// Workspace), which the per-sample trainers still use because backprop
+// reads its retained activations. Outside PackedMLP's fallback the portable
+// kernels are the differential tests' oracle, not a path to call. The
+// cache is why MLP's exported fields are read-only outside this package: a
+// weight written from elsewhere is not seen by Packed.
 //
 // Training is batched through the same kernels: Trainer.TrainClassBatch
 // runs the minibatch forward, the gradient accumulation, and the delta
@@ -30,9 +32,9 @@
 //
 // Main entry points:
 //
-//   - MLP / NewMLP: the network; Forward*, PredictDist* for inference,
-//     Save/Load (gob) for serialization. Parameters live in one contiguous
-//     slab, which is what the batched kernel exploits.
+//   - MLP / NewMLP: the network; Packed for inference, Save/Load (gob) for
+//     serialization. Parameters live in one contiguous slab, which is
+//     what the batched kernel exploits.
 //   - Trainer with an Optimizer (SGD, Adam): minibatch supervised training
 //     with optional per-sample weights.
 //   - CrossEntropy / Accuracy: batched evaluation sweeps.

@@ -4,16 +4,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // MLP is a fully-connected multi-layer perceptron. Hidden layers use ReLU;
 // the output layer is linear (interpret the outputs as logits for
 // classification or as raw values for regression).
 //
-// Fields are exported for gob serialization; treat them as read-only outside
-// this package. Do not reassign the W or B slices: they alias a single
-// contiguous parameter slab (cache-friendly for the batched kernel), and
-// replacing a slice header silently detaches it from the slab.
+// Fields are exported for gob serialization and are read-only outside this
+// package. That rule is load-bearing: inference runs on a cached packed
+// snapshot (see Packed) that only this package's writers — Optimizer.Step
+// and Pack — know to drop, so a weight written from outside leaves every
+// consumer serving the old values. Do not reassign the W or B slices
+// either: they alias a single contiguous parameter slab (cache-friendly for
+// the batched kernel), and replacing a slice header silently detaches it
+// from the slab. An MLP holds an atomic and must not be copied by value.
 type MLP struct {
 	// Sizes holds the layer widths, input first. A net with no hidden
 	// layers (len(Sizes) == 2) is an affine model — the "linear
@@ -30,6 +35,10 @@ type MLP struct {
 	// memory monotonically. Nil for models built by hand or decoded from
 	// gob until pack() runs; everything still works, just less local.
 	flat []float64
+
+	// packed caches the snapshot Packed returns. Nil after construction,
+	// Clone, gob decode and every in-package parameter write.
+	packed atomic.Pointer[PackedMLP]
 }
 
 // NewMLP constructs an MLP with He-initialized weights and zero biases.
@@ -81,6 +90,7 @@ func (m *MLP) alloc() {
 // separately (e.g. by gob decoding) into one contiguous slab. Values are
 // preserved exactly.
 func (m *MLP) pack() {
+	m.packed.Store(nil)
 	w, b := m.W, m.B
 	m.alloc()
 	for l := range w {
@@ -276,6 +286,10 @@ func (ws *BatchWorkspace) ensure(m *MLP, rows int) {
 // matrix aliases the workspace and is valid until the next batched call on
 // the same workspace. Row r of the result is bitwise identical to
 // ForwardInto on row r alone.
+//
+// This is the portable kernel: PackedMLP's fallback where there is no SIMD
+// kernel, and the oracle the differential tests hold the packed path to.
+// Inference callers use Packed().ForwardBatchInto.
 func (m *MLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int) []float64 {
 	if rows <= 0 {
 		panic(fmt.Sprintf("nn: ForwardBatchInto rows = %d, want >= 1", rows))

@@ -212,7 +212,10 @@ func TestGradientCheckCrossEntropy(t *testing.T) {
 	tr := NewTrainer(net, &nopOpt{})
 	tr.TrainClassBatch([][]float64{x}, []int{label}, nil)
 
+	// checkParam pokes parameters directly, so it is an in-package writer
+	// and owes the net what Optimizer.Step does: drop the cached snapshot.
 	lossAt := func() float64 {
+		net.packed.Store(nil)
 		return CrossEntropy(net, [][]float64{x}, []int{label})
 	}
 	const eps = 1e-6

@@ -6,20 +6,24 @@ import (
 	"puffer/internal/obs"
 )
 
-// Serving-kernel metrics (write-only; see the obs package contract).
+// Inference-kernel metrics (write-only; see the obs package contract). Every
+// engine's forward passes land here — session, fleet, serve and dist alike —
+// but a dist worker's registry dies with the worker, so the coordinator
+// sees none of its kernel time (ROADMAP item 5).
 var (
 	packedForwardNS = obs.Default.Histogram("nn_packed_forward_ns")
 	packedRowsTotal = obs.Default.Counter("nn_packed_rows_total")
 )
 
-// PackedMLP is an immutable inference-time snapshot of an MLP, prepared for
-// high-throughput batched serving: each layer's weights are copied into a
+// PackedMLP is an immutable inference-time snapshot of an MLP, and the form
+// every inference consumer runs: each layer's weights are copied into a
 // transposed slab (input-major, so a kernel sweeping 4-16 outputs at a time
 // loads unit-stride vectors), and biases and a reference clone are copied
 // alongside. Because it is a snapshot, results never depend on later
-// mutation of the source network — a centralized inference service can build
-// one PackedMLP per deployed model and reuse it across every request until
-// the model rotates.
+// mutation of the source network; MLP.Packed keeps one per network and
+// rebuilds it only after the network's parameters change, so a deployed
+// model is transposed once per rotation. Safe for concurrent use with a
+// workspace per caller.
 //
 // Forward results are bitwise identical to MLP.ForwardBatchInto row for row:
 // on amd64 with AVX2 the kernel vectorizes across outputs while keeping each
@@ -39,7 +43,30 @@ type PackedMLP struct {
 	ref *MLP
 }
 
-// NewPacked snapshots the network into its packed serving form.
+// Packed returns the network's packed snapshot, building it on first use
+// and after every parameter write (Optimizer.Step and Pack drop the cached
+// one; Clone and decoded models start without one). It is the one entry
+// point to inference: a deployed model is transposed once, however many
+// sessions, workers and evaluation sweeps share it. Safe for concurrent
+// use by readers of the same net — racing first calls build bitwise-equal
+// snapshots and all but one are discarded.
+func (m *MLP) Packed() *PackedMLP {
+	if p := m.packed.Load(); p != nil {
+		return p
+	}
+	p := m.NewPacked()
+	if m.packed.CompareAndSwap(nil, p) {
+		return p
+	}
+	if won := m.packed.Load(); won != nil {
+		return won
+	}
+	return p // the winner was dropped by a write since; p is as current
+}
+
+// NewPacked builds a fresh, uncached snapshot of the network. Callers want
+// Packed; this is its builder, and what tests and benchmarks use to hold a
+// snapshot of their own.
 func (m *MLP) NewPacked() *PackedMLP {
 	p := &PackedMLP{
 		sizes: append([]int(nil), m.Sizes...),
@@ -140,5 +167,5 @@ func (p *PackedMLP) PredictDistBatch(ws *BatchWorkspace, xs []float64, rows int,
 
 // Accelerated reports whether the packed path runs the SIMD kernel on this
 // machine (false means the snapshot falls back to the portable batched
-// kernel — still correct, just without the serving-side speedup).
+// kernel — still correct, just without the speedup).
 func Accelerated() bool { return useAVX2 }

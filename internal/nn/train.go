@@ -8,7 +8,9 @@ import (
 // Optimizer applies a gradient step to a network's parameters. Gradients are
 // mean-gradients over the batch the caller accumulated.
 type Optimizer interface {
-	// Step updates net in place given gradients shaped like net.W / net.B.
+	// Step updates net in place given gradients shaped like net.W / net.B,
+	// and drops net's cached packed snapshot, which the write made stale
+	// (the cache is unexported, so implementations live in this package).
 	Step(net *MLP, gradW, gradB [][]float64)
 }
 
@@ -47,6 +49,7 @@ func (s *SGD) Step(net *MLP, gradW, gradB [][]float64) {
 			net.B[l][i] -= s.LR * g
 		}
 	}
+	net.packed.Store(nil)
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
@@ -91,6 +94,7 @@ func (a *Adam) Step(net *MLP, gradW, gradB [][]float64) {
 		upd(net.W[l], gradW[l], a.mw[l], a.vw[l])
 		upd(net.B[l], gradB[l], a.mb[l], a.vb[l])
 	}
+	net.packed.Store(nil)
 }
 
 func zerosLike(p [][]float64) [][]float64 {
@@ -645,17 +649,15 @@ func (t *Trainer) PolicyGradStep(xs [][]float64, actions []int, advantages []flo
 const evalRows = 64
 
 // forEachLogitRow runs the dataset through net in batches and calls visit
-// with each sample's index and logit row. The sweep snapshots the net into
-// its packed (SIMD) serving form once and drives every batch through it —
-// bitwise identical to the portable batched kernel, so evaluation metrics
-// never depend on which kernel ran.
+// with each sample's index and logit row, through the net's packed snapshot
+// like every other inference consumer.
 func forEachLogitRow(net *MLP, xs [][]float64, visit func(s int, logits []float64)) {
 	rows := evalRows
 	if len(xs) < rows {
 		rows = len(xs)
 	}
 	nIn, nOut := net.InputSize(), net.OutputSize()
-	packed := net.NewPacked()
+	packed := net.Packed()
 	ws := packed.NewBatchWorkspace(rows)
 	buf := make([]float64, rows*nIn)
 	for at := 0; at < len(xs); at += rows {

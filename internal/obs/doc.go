@@ -30,4 +30,10 @@
 // no clock is read, so uninstrumented-grade performance is the zero state
 // and instrumented hot paths stay within the <2% throughput budget when
 // enabled (see BenchmarkFleetThroughput's fleet-obs variant).
+//
+// The registry is per process. The inference-kernel metrics
+// (nn_packed_forward_ns, nn_packed_rows_total) sit on every engine's
+// forward pass, but a dist worker's registry dies with the worker (and
+// workers run with recording off), so a dist run's snapshot still holds no
+// kernel timers. Shipping worker snapshots home is ROADMAP item 5.
 package obs

@@ -120,6 +120,9 @@ func TestZeroPerturbationEngines(t *testing.T) {
 
 			obsOn(t, true)
 			tr := tracingOn(t)
+			kernelRows := obs.Default.Counter("nn_packed_rows_total")
+			kernelCalls := obs.Default.Histogram("nn_packed_forward_ns")
+			rows0, calls0 := kernelRows.Value(), kernelCalls.Snapshot().Count
 			cfg := perturbConfig(t, 5, engine, 2)
 			cfg.Events = eventLog(t)
 			on, err := runner.Run(cfg)
@@ -132,6 +135,11 @@ func TestZeroPerturbationEngines(t *testing.T) {
 			}
 			if tr.Total() == 0 {
 				t.Fatal("tracing-on leg recorded no spans: the differential is vacuous")
+			}
+			// Every engine's forward passes run the packed kernel, so its
+			// timer and row counter must have been live in the on leg.
+			if kernelRows.Value() == rows0 || kernelCalls.Snapshot().Count == calls0 {
+				t.Fatalf("%s engine's on leg never recorded the kernel metrics: the differential does not cover them", engine)
 			}
 		})
 	}

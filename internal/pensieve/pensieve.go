@@ -67,7 +67,7 @@ func assembleState(dst []float64, obs *abr.Observation) {
 // picks the argmax action. Not safe for concurrent use.
 type Agent struct {
 	policy *nn.MLP
-	ws     *nn.Workspace
+	ws     *nn.BatchWorkspace
 	state  []float64
 }
 
@@ -77,7 +77,7 @@ func NewAgent(policy *nn.MLP) *Agent {
 		panic(fmt.Sprintf("pensieve: policy shape %dx%d, want %dx%d",
 			policy.InputSize(), policy.OutputSize(), StateDim, NumActions))
 	}
-	return &Agent{policy: policy, ws: policy.NewWorkspace(), state: make([]float64, StateDim)}
+	return &Agent{policy: policy, ws: policy.NewBatchWorkspace(1), state: make([]float64, StateDim)}
 }
 
 // Policy exposes the underlying policy network (read-only at inference), so
@@ -94,7 +94,7 @@ func (a *Agent) Reset() {}
 // Choose implements abr.Algorithm.
 func (a *Agent) Choose(obs *abr.Observation) int {
 	assembleState(a.state, obs)
-	logits := a.policy.ForwardInto(a.ws, a.state)
+	logits := a.policy.Packed().ForwardBatchInto(a.ws, a.state, 1)
 	q := nn.ArgMax(logits)
 	if len(obs.Horizon) > 0 && q >= len(obs.Horizon[0].Versions) {
 		q = len(obs.Horizon[0].Versions) - 1

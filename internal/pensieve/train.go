@@ -114,20 +114,16 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 		entropy := cfg.EntropyStart + (cfg.EntropyEnd-cfg.EntropyStart)*frac
 
 		// The policy is constant within an episode (the optimizer steps
-		// between episodes), so each rollout serves from a packed (SIMD)
-		// snapshot of it — bitwise identical to ForwardInto, which the
-		// portable fallback below runs (and the differential test pins).
-		var snapshot *nn.PackedMLP
-		if packedRollout {
-			snapshot = policy.NewPacked()
-		}
-
+		// between episodes and drops the snapshot), so a rollout runs on
+		// one packed snapshot — bitwise identical to ForwardInto, which
+		// the portable fallback below runs (and the differential test
+		// pins).
 		runEpisode(cfg, rng, func(obs *abr.Observation) int {
 			s := make([]float64, StateDim)
 			assembleState(s, obs)
 			var logits []float64
-			if snapshot != nil {
-				logits = snapshot.ForwardBatchInto(rollWS, s, 1)
+			if packedRollout {
+				logits = policy.Packed().ForwardBatchInto(rollWS, s, 1)
 			} else {
 				logits = policy.ForwardInto(polWS, s)
 			}

@@ -398,3 +398,33 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }
+
+// TestShutdownBeforeServe pins the other ordering: a Shutdown that ran
+// before Serve registered its listener never saw it, so Serve must notice,
+// close the listener itself and return nil instead of accepting forever.
+func TestShutdownBeforeServe(t *testing.T) {
+	srv, err := NewServer(Config{Plan: warmedPlan(t, 0), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv.Shutdown()
+
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve kept accepting after an earlier Shutdown")
+	}
+	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		t.Fatal("listener still accepting after Serve returned")
+	}
+}

@@ -174,9 +174,15 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // Serve accepts connections on ln until Shutdown. It returns nil after a
-// clean drain.
+// clean drain. A Shutdown that ran before Serve registered ln never saw it,
+// so Serve closes ln itself and returns nil at once.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	for {

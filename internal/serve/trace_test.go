@@ -79,22 +79,27 @@ func TestDecisionTraceAttribution(t *testing.T) {
 	// and everything sits inside the observed wire latency. slack absorbs
 	// the independent clock reads at each stage boundary.
 	const slack = int64(2e6) // 2ms
-	var stageSum int64
-	for _, name := range []string{"queue_wait", "prepare", "batch_residency", "finish", "reply"} {
+	inWire := func(name string) obs.Span {
 		s := byName[name]
-		stageSum += s.Dur
 		if s.Start < wire.Start-slack || s.Start+s.Dur > wire.Start+wire.Dur+slack {
 			t.Fatalf("%s [%d,+%d] outside the wire_rtt window [%d,+%d]",
 				name, s.Start, s.Dur, wire.Start, wire.Dur)
 		}
+		return s
 	}
-	sr := byName["server_request"]
+	var stageSum int64
+	for _, name := range []string{"queue_wait", "prepare", "batch_residency", "finish", "reply"} {
+		stageSum += inWire(name).Dur
+	}
+	sr := inWire("server_request")
 	if stageSum > sr.Dur+slack {
 		t.Fatalf("stage spans sum to %dns, more than the %dns server_request", stageSum, sr.Dur)
 	}
-	if got := byName["client_send"].Dur + sr.Dur; got > wire.Dur+slack {
-		t.Fatalf("client_send+server_request %dns exceed the %dns wire_rtt", got, wire.Dur)
-	}
+	// client_send and server_request are each contained, not summed: they
+	// can overlap, because client_send's end stamp is taken after Flush
+	// returns and a descheduled client goroutine runs on into the server's
+	// span.
+	inWire("client_send")
 
 	// The kernel is attributed to its flush's first traced decision, whose
 	// batch-residency window must contain it.
