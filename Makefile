@@ -20,13 +20,7 @@ SCENARIO_SCALE ?= 0.02
 # Scratch dir for the sweep smoke run's index + checkpoints.
 SWEEP_DIR ?= /tmp/puffer-sweep-smoke
 
-# Output file for the machine-readable benchmark run (cmd/benchjson).
-BENCH_JSON ?= BENCH_10.json
-# Benchtime for bench-json: 1x is smoke speed; raise (e.g. 5x, 1s) for
-# timings worth committing.
-BENCH_TIME ?= 1x
-
-.PHONY: fmt fmt-check vet build test bench bench-json bench-diff bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
+.PHONY: fmt fmt-check vet build loc test bench bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
 
 fmt:
 	gofmt -w .
@@ -42,6 +36,11 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The round's tracked size: non-test Go lines outside bench/ (ROADMAP's
+# second aim is that this number goes down).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 test:
 	$(GO) test -race ./...
@@ -116,29 +115,6 @@ sweep-smoke:
 	$$bin/puffer-sweep query -index $(SWEEP_DIR)/index.jsonl \
 		-cols name,drift.preset,engine.kind,hash > $$bin/query.out; \
 	cmp $$bin/query.out scenarios/sweeps/smoke-grid.golden
-
-# Machine-readable benchmark run: every benchmark through cmd/benchjson
-# into $(BENCH_JSON) — bench name, ns/op, allocs/op, custom metrics, plus
-# the fleet sessions/sec summary the observability contract budgets
-# regressions against.
-bench-json:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	PUFFER_BENCH_SESSIONS=$(BENCH_SESSIONS) $(GO) test -run=NoTests -bench=. \
-		-benchtime=$(BENCH_TIME) -benchmem ./... | tee $$tmp/bench.txt; \
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) $$tmp/bench.txt; \
-	echo "wrote $(BENCH_JSON)"
-
-# Advisory benchmark regression check: re-run the suite at smoke speed and
-# diff against the committed $(BENCH_JSON). Never a gate — 1x timings are
-# too noisy to block a merge on — the report is a reviewer aid.
-bench-diff:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	PUFFER_BENCH_SESSIONS=$(BENCH_SESSIONS) $(GO) test -run=NoTests -bench=. \
-		-benchtime=$(BENCH_TIME) -benchmem ./... > $$tmp/bench.txt; \
-	$(GO) run ./cmd/benchjson -o $$tmp/new.json $$tmp/bench.txt; \
-	$(GO) run ./cmd/benchjson -diff $(BENCH_JSON) $$tmp/new.json
 
 # End-to-end benchmark: bench/ through BENCHMARK.json's own command, all
 # workloads or one (WORKLOAD=daily-session), on the default input seed or

@@ -3,6 +3,7 @@
 //
 //	figures -fig 1            # the primary results table
 //	figures -fig 8 -scale 3000
+//	figures -fig 1,8,A1       # the primary experiment: one suite, three readouts
 //	figures -fig all          # everything (slow)
 //	figures -fig drift -results results/index.jsonl
 //	                          # read the warehouse; run only missing cells
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"puffer/internal/figures"
 	"puffer/internal/obscli"
@@ -36,7 +38,7 @@ func main() {
 // observability teardown always executes — log.Fatal would skip the
 // defers.
 func run() error {
-	fig := flag.String("fig", "1", "figure/section id to regenerate, or 'all'")
+	fig := flag.String("fig", "1", "figure/section ids to regenerate, comma-separated (they share one trained suite), or 'all'")
 	scale := flag.Int("scale", figures.DefaultScale, "primary experiment size in sessions")
 	seed := flag.Int64("seed", 1, "suite seed")
 	resultsPath := flag.String("results", "", "results index: scenario-backed figures (drift, fleet) read it and only launch missing cells, appending fresh records (empty: always run)")
@@ -134,7 +136,7 @@ func run() error {
 		}
 	}
 
-	ids := []string{*fig}
+	ids := strings.Split(*fig, ",")
 	if *fig == "all" {
 		ids = []string{"1", "2", "3", "4", "5", "7", "8", "9", "10", "11", "A1", "3.4", "4.6", "5.3", "drift", "fleet"}
 	}

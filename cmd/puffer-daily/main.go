@@ -105,16 +105,10 @@ func run(args []string) error {
 		logf("drift schedule: %s", sched.Signature())
 	}
 
-	var distCmd []string
-	if spec.Engine.Kind == "dist" {
-		if distCmd, err = distWorkerCommand(); err != nil {
-			return err
-		}
-	}
 	out, err := scenario.Run(spec, scenario.RunOptions{
 		Workers:          cli.workers,
 		CheckpointDir:    cli.checkpoint,
-		DistCommand:      distCmd,
+		DistCommand:      distWorkerCommand(),
 		DistShardTimeout: cli.distTimeout,
 		Logf:             logf,
 		Events:           events,

@@ -11,6 +11,7 @@ import (
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/fleet"
 	"puffer/internal/netem"
 	"puffer/internal/runner"
 	"puffer/internal/scenario"
@@ -20,7 +21,13 @@ import (
 // built its runner.Config from flags — the oracle the spec path must match.
 // It parses args with the historical flag set and applies the historical
 // preset-override semantics (flag.Visit keyed, explicit zeros included).
-func legacyConfig(t *testing.T, args []string) runner.Config {
+//
+// The engine selection left runner.Config's comparable fields when the
+// runner gained its DayEngine seam: the config carries the engine as a
+// value (what TestCLIBackCompatRunsByteIdentical runs), and the flags'
+// engine triple is returned beside it as the EngineSpec the new path must
+// resolve to.
+func legacyConfig(t *testing.T, args []string) (runner.Config, scenario.EngineSpec) {
 	t.Helper()
 	fs := flag.NewFlagSet("legacy", flag.ContinueOnError)
 	days := fs.Int("days", 3, "")
@@ -116,6 +123,13 @@ func legacyConfig(t *testing.T, args []string) runner.Config {
 		env.Paths = &netem.DriftingSampler{Base: env.Paths, Schedule: sched}
 	}
 
+	engineSpec := scenario.EngineSpec{Kind: *engine, Tick: *tick,
+		Arrival: scenario.ArrivalSpec{Process: "poisson", Rate: *arrivalRate}}
+	var engineValue runner.DayEngine // nil: the per-session fold
+	if *engine == "fleet" {
+		engineValue = fleet.DayEngine(fleet.PoissonArrivals{Rate: *arrivalRate}, *tick)
+	}
+
 	train := core.DefaultTrainConfig()
 	train.Epochs = *epochs
 	train.WindowDays = *window
@@ -125,19 +139,17 @@ func legacyConfig(t *testing.T, args []string) runner.Config {
 		SessionsPerDay: *sessions,
 		WindowDays:     *window,
 		Workers:        *workers,
-		Engine:         *engine,
-		ArrivalRate:    *arrivalRate,
-		FleetTick:      *tick,
+		Engine:         engineValue,
 		ShardSize:      *shard,
 		Seed:           *seed,
 		Retrain:        *retrain,
 		Train:          train,
-	}
+	}, engineSpec
 }
 
 // compiledConfig runs the new path: CLI args -> spec (base + overrides) ->
-// scenario.Compile.
-func compiledConfig(t *testing.T, args []string) runner.Config {
+// scenario.Compile, plus the resolved engine block scenario.Run would lower.
+func compiledConfig(t *testing.T, args []string) (runner.Config, scenario.EngineSpec) {
 	t.Helper()
 	cli, err := parseCLI(args)
 	if err != nil {
@@ -148,7 +160,7 @@ func compiledConfig(t *testing.T, args []string) runner.Config {
 		t.Fatalf("Compile(%v): %v", args, err)
 	}
 	cfg.Workers = cli.workers
-	return cfg
+	return cfg, cli.spec.WithDefaults().Engine
 }
 
 // normalize clears the fields where the spec path is deliberately more
@@ -173,6 +185,7 @@ func normalize(t *testing.T, cfg runner.Config, legacy bool) runner.Config {
 	}
 	cfg.SpecHash, cfg.SpecJSON = "", nil
 	cfg.Hidden, cfg.Horizon = nil, 0
+	cfg.Engine = nil // a func value; the engine is compared as its EngineSpec
 	cfg.Train.Seed = 0
 	return cfg
 }
@@ -203,10 +216,15 @@ func TestCLIBackCompat(t *testing.T) {
 	}
 	for _, args := range cases {
 		t.Run(joinArgs(args), func(t *testing.T) {
-			want := normalize(t, legacyConfig(t, args), true)
-			got := normalize(t, compiledConfig(t, args), false)
+			wantCfg, wantEngine := legacyConfig(t, args)
+			gotCfg, gotEngine := compiledConfig(t, args)
+			want := normalize(t, wantCfg, true)
+			got := normalize(t, gotCfg, false)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("spec-compiled config differs from legacy config\n got: %+v\nwant: %+v", got, want)
+			}
+			if gotEngine != wantEngine {
+				t.Fatalf("spec engine block differs from the legacy flags\n got: %+v\nwant: %+v", gotEngine, wantEngine)
 			}
 		})
 	}
@@ -256,7 +274,7 @@ func TestCLIBackCompatRunsByteIdentical(t *testing.T) {
 	}
 	for _, args := range cases {
 		t.Run(joinArgs(args), func(t *testing.T) {
-			legacy := legacyConfig(t, args)
+			legacy, _ := legacyConfig(t, args)
 			wantMain, err := runner.Run(legacy)
 			if err != nil {
 				t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkDistDay races one full day of the deploy-mixture trial through
-// the in-process shard fold (the session engine's hot path) against the
+// the in-process session engine (experiment.Config.RunSharded) against the
 // dist pool's worker processes, at equal parallelism. The gap is the
 // protocol's whole overhead budget: process spawn (amortized across b.N —
 // workers persist), model broadcast, blob serialization, and the
@@ -28,29 +28,8 @@ func BenchmarkDistDay(b *testing.B) {
 			trial := testTrial(sp, 0, model)
 			col := experiment.NewDatasetCollector()
 			trial.Recorder = col
-			done := make(chan *experiment.TrialAcc, workers)
-			nShards := experiment.NumShards(sp.Sessions, sp.ShardSize)
-			accs := make([]*experiment.TrialAcc, nShards)
-			shards := make(chan int)
-			for w := 0; w < workers; w++ {
-				go func() {
-					for s := range shards {
-						lo, hi := experiment.ShardRange(sp.Sessions, sp.ShardSize, s)
-						accs[s] = trial.FoldShard(lo, hi, experiment.AllPaths)
-					}
-					done <- nil
-				}()
-			}
-			for s := 0; s < nShards; s++ {
-				shards <- s
-			}
-			close(shards)
-			for w := 0; w < workers; w++ {
-				<-done
-			}
-			total := experiment.NewTrialAcc(experiment.AllPaths)
-			for _, acc := range accs {
-				total.Merge(acc)
+			if _, err := trial.RunSharded(sp.ShardSize, workers); err != nil {
+				b.Fatal(err)
 			}
 			col.Dataset()
 		}

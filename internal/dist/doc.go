@@ -1,10 +1,11 @@
 // Package dist distributes the daily loop's randomized trial across worker
-// processes: a coordinator (embedded in the runner behind Engine "dist")
-// partitions each day's sessions into the existing shard units, broadcasts
-// the day's model bytes and the canonical scenario spec over a
-// length-prefixed gob/stdio protocol, lets workers claim shards, and merges
-// the returned accumulator blobs in shard order — making the distributed
-// result byte-identical to the single-process engine at the same seeds.
+// processes: a coordinator (a Pool, which scenario.Run puts behind the
+// runner's DayEngine seam for engine.kind "dist") partitions each day's
+// sessions into the existing shard units, broadcasts the day's model bytes
+// and the canonical scenario spec over a length-prefixed gob/stdio
+// protocol, lets workers claim shards, and merges the returned accumulator
+// blobs in shard order — making the distributed result byte-identical to
+// the single-process engine at the same seeds.
 //
 // The paper's result rests on scale: Puffer's continual-learning loop
 // ingests a real deployment's stream of data and retrains nightly (§4-5).

@@ -110,8 +110,8 @@ func (p *Pool) logf(format string, args ...any) {
 // RunDay executes one day's trial across the pool: broadcast (day, model)
 // to every worker, schedule the day's shards over them (reassigning on
 // death or deadline), and merge results in shard order. The returned
-// accumulator and dataset are byte-identical to the single-process
-// engine's runDaySharded + DatasetCollector at the same seeds.
+// accumulator and dataset are byte-identical to the session engine's
+// RunSharded + DatasetCollector at the same seeds.
 func (p *Pool) RunDay(day int, model *core.TTP, sessions, shardSize int) (*experiment.TrialAcc, *core.Dataset, error) {
 	if p.closed {
 		return nil, nil, fmt.Errorf("dist: pool is closed")

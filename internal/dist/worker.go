@@ -28,8 +28,7 @@ type DayFunc func(day int, model *core.TTP) (DayTrial, error)
 
 // TrialFactory compiles the canonical spec bytes broadcast in the hello
 // frame into a DayFunc. It lives behind a function type so this package
-// never imports the scenario layer (which imports the runner, which
-// imports this package).
+// never imports the scenario layer (which imports this package).
 type TrialFactory func(spec []byte) (DayFunc, error)
 
 // Serve runs the worker side of the protocol over r/w (stdin/stdout of a

@@ -3,8 +3,11 @@ package experiment
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"puffer/internal/stats"
 )
@@ -241,6 +244,50 @@ func (cfg *Config) FoldShard(lo, hi int, filter AnalysisFilter) *TrialAcc {
 		acc.AddSession(&sess)
 	}
 	return acc
+}
+
+// RunSharded is the session engine: the trial's sessions sharded across a
+// worker pool. Each shard folds its sessions into a private TrialAcc — one
+// live SessionResult per worker, never a materialized day — and shards
+// merge in shard order so the aggregate is independent of scheduling.
+// Shard boundaries and fold order come from ShardRange/FoldShard, the
+// canonical aggregation the fleet and dist engines replicate for
+// byte-identical pooled stats. workers <= 0 means GOMAXPROCS.
+func (cfg *Config) RunSharded(shardSize, workers int) (*TrialAcc, error) {
+	if len(cfg.Schemes) == 0 {
+		return nil, fmt.Errorf("experiment: no schemes configured")
+	}
+	nShards := NumShards(cfg.Sessions, shardSize)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > nShards {
+		workers = nShards
+	}
+	accs := make([]*TrialAcc, nShards)
+	shards := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range shards {
+				lo, hi := ShardRange(cfg.Sessions, shardSize, s)
+				accs[s] = cfg.FoldShard(lo, hi, AllPaths)
+			}
+		}()
+	}
+	for s := 0; s < nShards; s++ {
+		shards <- s
+	}
+	close(shards)
+	wg.Wait()
+
+	total := NewTrialAcc(AllPaths)
+	for _, acc := range accs {
+		total.Merge(acc)
+	}
+	return total, nil
 }
 
 // sortedSchemeNames returns map keys in deterministic (sorted) order.

@@ -15,7 +15,8 @@
 // Determinism contract: a session's outcome depends only on (trial config,
 // session id) — sessions share no state, the batched kernels are bitwise
 // identical row for row regardless of batch composition, and results fold
-// into the same shard-ordered accumulators as the sequential runner — so
-// RunTrial is byte-identical to the per-session engine at the same seeds,
-// for any Tick, Workers, or arrival process. Entry point: RunTrial.
+// into the same shard-ordered accumulators as the session engine
+// (experiment.Config.RunSharded) — so RunTrial is byte-identical to it at
+// the same seeds, for any Tick, Workers, or arrival process. Entry points:
+// RunTrial, and DayEngine, which plugs it into the daily loop.
 package fleet

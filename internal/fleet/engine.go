@@ -11,6 +11,7 @@ import (
 	"puffer/internal/core"
 	"puffer/internal/experiment"
 	metrics "puffer/internal/obs"
+	"puffer/internal/runner"
 	"puffer/internal/telemetry"
 )
 
@@ -33,7 +34,7 @@ var decisionNS = metrics.Default.Histogram(MetricDecisionNS)
 // scheduling, batching, and the occupancy record — which is the engine's
 // core guarantee (see package doc).
 type Config struct {
-	// ShardSize replicates the sequential runner's aggregation shards so
+	// ShardSize replicates the session engine's aggregation shards so
 	// the pooled accumulator folds in exactly the same order (byte
 	// identity requires matching shard boundaries). Default (0): 64.
 	ShardSize int
@@ -53,29 +54,14 @@ type Config struct {
 // service's batching counters. Everything except WallSeconds is
 // deterministic for a deterministic trial.
 type Stats struct {
+	// FleetDayStats is the part of the record the daily loop checkpoints
+	// per day: occupancy summary (over the virtual-time span from first
+	// arrival to last departure), decision counts, and batch shape.
+	runner.FleetDayStats
 	// Sessions is the trial size.
 	Sessions int
-	// HorizonSeconds is the virtual-time span from first arrival to last
-	// departure.
-	HorizonSeconds float64
 	// Occupancy counts concurrently live sessions over virtual time.
 	Occupancy telemetry.ConcurrencySeries
-	// PeakConcurrent and MeanConcurrent summarize Occupancy.
-	PeakConcurrent int
-	MeanConcurrent float64
-	// Decisions counts ABR decisions; Deferred counts those that staged
-	// rows for the inference service (the NN-backed arms).
-	Decisions int64
-	Deferred  int64
-	// Flushes is how many virtual ticks executed at least one batch;
-	// Batches is per-net batches; Rows is total feature rows;
-	// MaxBatchRows is the largest single-net batch; MeanBatchRows is
-	// Rows/Batches.
-	Flushes       int
-	Batches       int
-	Rows          int64
-	MaxBatchRows  int
-	MeanBatchRows float64
 	// ModelSnapshots is how many distinct nets the service batched for.
 	ModelSnapshots int
 	// WallSeconds is the measured wall-clock time of the run (not
@@ -282,9 +268,9 @@ func Deferify(alg abr.Algorithm) *core.DeferredPredictor {
 }
 
 // RunTrial executes one randomized trial on the fleet engine and returns
-// the shard-folded accumulator — byte-identical to the sequential sharded
-// runner at the same trial config — together with the run's occupancy and
-// batching statistics.
+// the shard-folded accumulator — byte-identical to the session engine
+// (experiment.Config.RunSharded) at the same trial config — together with
+// the run's occupancy and batching statistics.
 func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stats, error) {
 	if len(trial.Schemes) == 0 {
 		return nil, nil, fmt.Errorf("fleet: no schemes configured")
@@ -400,23 +386,25 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 	}
 
 	// Fold completed sessions through the canonical sharded aggregation
-	// (shared with the sequential runner), so pooled stats are
+	// (shared with the session engine), so pooled stats are
 	// byte-identical across engines by construction.
 	total := experiment.FoldShards(n, cfg.ShardSize, experiment.AllPaths,
 		func(id int) *experiment.SessionResult { return &e.results[id] })
 
 	occ := telemetry.NewConcurrencySeries(arrivals, e.ends)
 	st := &Stats{
+		FleetDayStats: runner.FleetDayStats{
+			PeakConcurrent: occ.Peak(),
+			MeanConcurrent: occ.Mean(),
+			Decisions:      e.decisions,
+			Deferred:       e.staged,
+			Flushes:        e.svc.flushes,
+			Batches:        e.svc.batches,
+			Rows:           e.svc.rows,
+			MaxBatchRows:   e.svc.maxBatch,
+		},
 		Sessions:       n,
 		Occupancy:      occ,
-		PeakConcurrent: occ.Peak(),
-		MeanConcurrent: occ.Mean(),
-		Decisions:      e.decisions,
-		Deferred:       e.staged,
-		Flushes:        e.svc.flushes,
-		Batches:        e.svc.batches,
-		Rows:           e.svc.rows,
-		MaxBatchRows:   e.svc.maxBatch,
 		ModelSnapshots: e.svc.snapshots,
 		WallSeconds:    time.Since(start).Seconds(),
 	}
@@ -427,6 +415,36 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 		st.MeanBatchRows = float64(st.Rows) / float64(st.Batches)
 	}
 	return total, st, nil
+}
+
+// DayEngine adapts the fleet engine to the daily loop's seam: each day's
+// trial runs through RunTrial under the given arrival process and tick
+// (zero values take RunTrial's defaults), the deterministic part of the
+// run's Stats becomes the day's serving record, and the occupancy and wall
+// throughput go to the progress log.
+func DayEngine(arrivals ArrivalProcess, tick float64) runner.DayEngine {
+	return func(_ int, trial *experiment.Config, _ *core.TTP, shardSize, workers int,
+		notef func(string, ...any)) (*experiment.TrialAcc, *core.Dataset, *runner.FleetDayStats, error) {
+		col := experiment.NewDatasetCollector()
+		trial.Recorder = col
+		acc, st, err := RunTrial(trial, Config{ShardSize: shardSize, Workers: workers, Tick: tick, Arrivals: arrivals})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		notef("  fleet: peak %d concurrent (mean %.1f) over %.0fs virtual, %d flushes, mean batch %.0f rows, %.0f sessions/sec wall",
+			st.PeakConcurrent, st.MeanConcurrent, st.HorizonSeconds,
+			st.Flushes, st.MeanBatchRows, st.SessionsPerSec())
+		// Log-only registry read (a permitted wall-side consumer): the
+		// cumulative decision-latency quantiles across fleet days so far.
+		if metrics.Enabled() {
+			if snap := decisionNS.Snapshot(); snap.Count > 0 {
+				notef("  obs: decision latency p50 %v p99 %v p999 %v over %d decisions (cumulative)",
+					time.Duration(snap.Quantile(0.5)), time.Duration(snap.Quantile(0.99)),
+					time.Duration(snap.Quantile(0.999)), snap.Count)
+			}
+		}
+		return acc, col.Dataset(), &st.FleetDayStats, nil
+	}
 }
 
 // afterYield books one yielded session: completed sessions record their

@@ -16,6 +16,7 @@ import (
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/fleet"
 	"puffer/internal/obs"
 	"puffer/internal/results"
 	"puffer/internal/runner"
@@ -44,6 +45,10 @@ func tracingOn(t *testing.T) *obs.Tracer {
 	return tr
 }
 
+// engines maps the test's engine names to runner.DayEngine values (nil is
+// the runner's default per-session fold).
+var engines = map[string]runner.DayEngine{"session": nil, "fleet": fleet.DayEngine(nil, 0)}
+
 // perturbConfig is the runner testsuite's small-but-real continual
 // experiment (two days, nightly retraining, tiny nets).
 func perturbConfig(t *testing.T, seed int64, engine string, days int) runner.Config {
@@ -57,7 +62,7 @@ func perturbConfig(t *testing.T, seed int64, engine string, days int) runner.Con
 		WindowDays:     2,
 		ShardSize:      4,
 		Seed:           seed,
-		Engine:         engine,
+		Engine:         engines[engine],
 		Retrain:        true,
 		Hidden:         []int{8},
 		Horizon:        2,

@@ -6,13 +6,22 @@
 // the next day (§4.3's "retrained every day, on data collected from its own
 // deployment").
 //
-// Days are sharded: a worker pool folds each shard's sessions into private
-// mergeable accumulators (experiment.TrialAcc) that merge in shard order, so
-// aggregation streams over sessions — at most one SessionResult per worker
-// is ever materialized, and bootstrap confidence intervals are computed once
-// on the merged state. Per-day state (model, telemetry, accumulator, stats)
-// checkpoints atomically, so a killed run resumes at the last completed day
-// with byte-identical results. The checkpoint manifest is guarded by one
+// The loop runs days, not engines. How a day's sessions execute sits behind
+// one seam, DayEngine (Config.Engine): given the day's trial, the deployed
+// model, the shard size and the worker bound, an engine returns the day's
+// merged accumulator, its telemetry, and optionally a serving record. The
+// zero value is the session engine, experiment.Config.RunSharded: a worker
+// pool folds each shard's sessions into private mergeable accumulators
+// (experiment.TrialAcc) that merge in shard order, so at most one
+// SessionResult per worker is ever materialized and bootstrap confidence
+// intervals are computed once on the merged state. The fleet and dist
+// engines implement the seam from their own packages and are selected in
+// internal/scenario; this package imports neither, and keeps only the loop,
+// nightly training, checkpoints and the window.
+//
+// Per-day state (model, telemetry, accumulator, stats) checkpoints
+// atomically, so a killed run resumes at the last completed day with
+// byte-identical results. The checkpoint manifest is guarded by one
 // hash: the scenario spec's guard hash (Config.SpecHash, set by
 // internal/scenario's Compile) for spec-driven runs, or a fallback hash of
 // the runner's own result-shaping fields for directly constructed Configs;
@@ -38,8 +47,9 @@
 //     and session factories.
 //   - BootstrapSchemes / DeploySchemes: the day-0 classical mixture and
 //     the steady-state Fugu+BBA mixture.
-//   - Config.Engine ("session" or "fleet"): the execution engine for each
-//     day's trial. The fleet engine multiplexes sessions in virtual time
-//     with cross-session batched inference (internal/fleet) and records a
-//     FleetDayStats per day; results are byte-identical across engines.
+//   - DayEngine / Config.Engine: the execution engine for each day's
+//     trial (nil: the per-session fold). fleet.DayEngine multiplexes
+//     sessions in virtual time with cross-session batched inference and
+//     records a FleetDayStats per day; results are byte-identical across
+//     engines.
 package runner

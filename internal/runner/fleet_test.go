@@ -1,4 +1,4 @@
-package runner
+package runner_test
 
 import (
 	"bytes"
@@ -8,7 +8,18 @@ import (
 	"testing"
 
 	"puffer/internal/experiment"
+	"puffer/internal/fleet"
 	"puffer/internal/netem"
+	"puffer/internal/runner"
+)
+
+// An external test package: fleet implements runner.DayEngine, so it
+// imports runner, and the in-package suite cannot import it back. The
+// helpers shared with that suite come through export_test.go.
+var (
+	testConfig  = runner.TestConfig
+	fingerprint = runner.Fingerprint
+	fleetEngine = fleet.DayEngine(nil, 0)
 )
 
 // crossEngineFingerprint reduces a Result to the bytes both engines must
@@ -16,7 +27,7 @@ import (
 // model, and the sliding-window telemetry — everything except the
 // engine-specific serving record (DayStats.Fleet), which only the fleet
 // engine produces.
-func crossEngineFingerprint(t *testing.T, res *Result) []byte {
+func crossEngineFingerprint(t *testing.T, res *runner.Result) []byte {
 	t.Helper()
 	type dayCore struct {
 		Day       int
@@ -65,7 +76,7 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 			name = "drift-shift"
 		}
 		t.Run(name, func(t *testing.T) {
-			mk := func(engine string) Config {
+			mk := func(engine runner.DayEngine) runner.Config {
 				cfg := testConfig(23)
 				cfg.Engine = engine
 				if drift {
@@ -77,11 +88,11 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 				}
 				return cfg
 			}
-			seq, err := Run(mk("session"))
+			seq, err := runner.Run(mk(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			flt, err := Run(mk("fleet"))
+			flt, err := runner.Run(mk(fleetEngine))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,17 +119,17 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 // TestRunnerFleetWorkersInvariant: workers 1 vs 8 must be byte-identical
 // under the fleet engine, serving record included.
 func TestRunnerFleetWorkersInvariant(t *testing.T) {
-	mk := func(workers int) Config {
+	mk := func(workers int) runner.Config {
 		cfg := testConfig(29)
-		cfg.Engine = "fleet"
+		cfg.Engine = fleetEngine
 		cfg.Workers = workers
 		return cfg
 	}
-	a, err := Run(mk(1))
+	a, err := runner.Run(mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(mk(8))
+	b, err := runner.Run(mk(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +142,14 @@ func TestRunnerFleetWorkersInvariant(t *testing.T) {
 // TestRunnerFleetCheckpointResume: kill-and-resume under -engine fleet must
 // replay byte-identically, fleet serving records included.
 func TestRunnerFleetCheckpointResume(t *testing.T) {
-	mk := func() Config {
+	mk := func() runner.Config {
 		cfg := testConfig(31)
-		cfg.Engine = "fleet"
-		cfg.ArrivalRate = 2
+		cfg.Engine = fleet.DayEngine(fleet.PoissonArrivals{Rate: 2}, 0)
 		return cfg
 	}
 	straight := mk()
 	straight.Days = 3
-	want, err := Run(straight)
+	want, err := runner.Run(straight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func TestRunnerFleetCheckpointResume(t *testing.T) {
 	first := mk()
 	first.Days = 2
 	first.CheckpointDir = dir
-	if _, err := Run(first); err != nil {
+	if _, err := runner.Run(first); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, ".tmp-day_002"), 0o755); err != nil {
@@ -157,7 +167,7 @@ func TestRunnerFleetCheckpointResume(t *testing.T) {
 	second := mk()
 	second.Days = 3
 	second.CheckpointDir = dir
-	got, err := Run(second)
+	got, err := runner.Run(second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,24 +175,15 @@ func TestRunnerFleetCheckpointResume(t *testing.T) {
 		t.Fatal("fleet kill-and-resume differs from uninterrupted fleet run")
 	}
 	// The checkpointed day's stats must round-trip the serving record.
-	raw, err := os.ReadFile(filepath.Join(dayDir(dir, 1), statsFile))
+	raw, err := os.ReadFile(filepath.Join(runner.DayDir(dir, 1), runner.StatsFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ds DayStats
+	var ds runner.DayStats
 	if err := json.Unmarshal(raw, &ds); err != nil {
 		t.Fatal(err)
 	}
 	if ds.Fleet == nil || ds.Fleet.PeakConcurrent == 0 {
 		t.Fatalf("checkpointed day lost its fleet record: %+v", ds.Fleet)
-	}
-}
-
-// TestRunnerRejectsUnknownEngine: config validation.
-func TestRunnerRejectsUnknownEngine(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.Engine = "warp"
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("unknown engine must be rejected")
 	}
 }

@@ -3,16 +3,11 @@ package runner
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"puffer/internal/abr"
 	"puffer/internal/core"
-	"puffer/internal/dist"
 	"puffer/internal/experiment"
-	"puffer/internal/fleet"
 	"puffer/internal/obs"
 )
 
@@ -54,37 +49,11 @@ type Config struct {
 	// Workers bounds shard parallelism (worker goroutines). Default (0):
 	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-	// Engine selects each day's execution engine: "" or "session" runs
-	// the per-session sharded worker pool; "fleet" runs the virtual-time
-	// fleet engine (interleaved sessions, cross-session batched
-	// inference); "dist" runs each day's shards on a pool of worker
-	// processes (requires DistCommand and SpecJSON). Results are
-	// byte-identical across engines; only throughput and the
-	// serving-side telemetry differ.
-	Engine string
-	// DistWorkers is the "dist" engine's worker-process count. Default
-	// (0): GOMAXPROCS. Never changes results.
-	DistWorkers int
-	// DistCommand is the argv that launches one "dist" worker process
-	// speaking the dist protocol on stdin/stdout — typically the CLI's
-	// own binary in worker mode. Required when Engine is "dist".
-	DistCommand []string
-	// DistShardTimeout bounds one shard on one "dist" worker; past it
-	// the worker is presumed hung, killed, and the shard reassigned.
-	// Default (0): no deadline.
-	DistShardTimeout time.Duration
-	// ArrivalRate is the fleet engine's Poisson arrival intensity in
-	// sessions per virtual second. Default (0): 1. Ignored by the
-	// session engine; never changes results.
-	ArrivalRate float64
-	// Arrivals, when non-nil, replaces the Poisson process entirely
-	// (e.g. fleet.BurstArrivals for flash crowds). Default (nil):
-	// PoissonArrivals at ArrivalRate. Never changes results.
-	Arrivals fleet.ArrivalProcess
-	// FleetTick is the fleet engine's inference-batching tick in virtual
-	// seconds. Default (0): 0.25. Ignored by the session engine; never
-	// changes results.
-	FleetTick float64
+	// Engine executes each day's trial. Default (nil): the per-session
+	// sharded worker pool (experiment.Config.RunSharded). Results are
+	// byte-identical across engines; only scheduling and the serving-side
+	// record differ.
+	Engine DayEngine
 	// ShardSize is how many sessions each worker-pool shard covers.
 	// Default (0): 64. Results are independent of ShardSize up to
 	// floating-point reassociation of two scalar means; fix it for
@@ -128,6 +97,30 @@ type Config struct {
 	Events *obs.EventLog
 }
 
+// DayEngine executes day `day`'s randomized trial — the loop's one seam:
+// how a day's sessions run is the engine's business, what they compute is
+// not, so every engine returns the accumulator and telemetry the
+// per-session fold would, byte for byte. trial is Config.DayTrial for the
+// day, its Recorder left nil for the engine to attach; model is the
+// deployed TTP (nil on the bootstrap day), for engines that rebuild the
+// trial in another process; shardSize and workers are Config.ShardSize and
+// Config.Workers. The optional FleetDayStats becomes DayStats.Fleet, and
+// notef prints engine progress lines beneath the day's summary line.
+type DayEngine func(day int, trial *experiment.Config, model *core.TTP, shardSize, workers int,
+	notef func(format string, args ...any)) (*experiment.TrialAcc, *core.Dataset, *FleetDayStats, error)
+
+// sessionEngine is the default DayEngine: the per-session worker-pool fold.
+func sessionEngine(_ int, trial *experiment.Config, _ *core.TTP, shardSize, workers int,
+	_ func(string, ...any)) (*experiment.TrialAcc, *core.Dataset, *FleetDayStats, error) {
+	col := experiment.NewDatasetCollector()
+	trial.Recorder = col
+	acc, err := trial.RunSharded(shardSize, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return acc, col.Dataset(), nil, nil
+}
+
 // DayStats is one day's record: the trial aggregate plus the nightly phase.
 type DayStats struct {
 	Day       int
@@ -139,8 +132,8 @@ type DayStats struct {
 	Examples []int
 	// Schemes is the day's per-arm analysis.
 	Schemes []experiment.SchemeStats
-	// Fleet is the serving-side record when the day ran on the fleet
-	// engine (nil on the session engine). Every field is deterministic,
+	// Fleet is the serving-side record when the day's engine returned one
+	// (the fleet engine does; nil otherwise). Every field is deterministic,
 	// so checkpointed days replay byte-identically; wall-clock throughput
 	// is logged, never stored.
 	Fleet *FleetDayStats
@@ -276,7 +269,6 @@ type dayData struct {
 type state struct {
 	cfg    Config
 	slot   ModelSlot
-	pool   *dist.Pool // worker-process pool; only set for Engine "dist"
 	window []dayData
 	pooled *experiment.TrialAcc
 	res    *Result
@@ -306,37 +298,14 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	switch cfg.Engine {
-	case "", "session", "fleet", "dist":
-	default:
-		return nil, fmt.Errorf("runner: unknown Engine %q (want session, fleet, or dist)", cfg.Engine)
+	if cfg.Engine == nil {
+		cfg.Engine = sessionEngine
 	}
 
 	r := &state{
 		cfg:    cfg,
 		pooled: experiment.NewTrialAcc(experiment.AllPaths),
 		res:    &Result{},
-	}
-	if cfg.Engine == "dist" {
-		if len(cfg.DistCommand) == 0 {
-			return nil, fmt.Errorf("runner: Engine \"dist\" needs DistCommand (a worker argv)")
-		}
-		if len(cfg.SpecJSON) == 0 {
-			return nil, fmt.Errorf("runner: Engine \"dist\" needs SpecJSON (the canonical spec workers compile their trials from)")
-		}
-		pool, err := dist.NewPool(dist.PoolConfig{
-			Workers:      cfg.DistWorkers,
-			Command:      cfg.DistCommand,
-			Spec:         cfg.SpecJSON,
-			ShardTimeout: cfg.DistShardTimeout,
-			Logf:         cfg.Logf,
-			Events:       cfg.Events,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Close()
-		r.pool = pool
 	}
 	start := 0
 	if cfg.CheckpointDir != "" {
@@ -423,48 +392,11 @@ func (cfg *Config) DayTrial(day int, slot *ModelSlot) experiment.Config {
 // liveDay simulates day `day` and runs its nightly phase.
 func (r *state) liveDay(day int) (DayStats, *experiment.TrialAcc, *core.Dataset, error) {
 	cfg := r.cfg
-	var (
-		acc  *experiment.TrialAcc
-		data *core.Dataset
-		fst  *fleet.Stats
-		err  error
-	)
 	tTrial := obs.Now()
-	switch cfg.Engine {
-	case "dist":
-		// Workers build the same DayTrial from the broadcast (spec, day,
-		// model); the pool merges their shard blobs in shard order.
-		acc, data, err = r.pool.RunDay(day, r.slot.Load(), cfg.SessionsPerDay, cfg.ShardSize)
-	case "fleet":
-		col := experiment.NewDatasetCollector()
-		trial := cfg.DayTrial(day, &r.slot)
-		trial.Recorder = col
-		proc := cfg.Arrivals
-		if proc == nil {
-			rate := cfg.ArrivalRate
-			if rate <= 0 {
-				rate = 1
-			}
-			proc = fleet.PoissonArrivals{Rate: rate}
-		}
-		acc, fst, err = fleet.RunTrial(&trial, fleet.Config{
-			ShardSize: cfg.ShardSize,
-			Workers:   cfg.Workers,
-			Tick:      cfg.FleetTick,
-			Arrivals:  proc,
-		})
-		if err == nil {
-			data = col.Dataset()
-		}
-	default:
-		col := experiment.NewDatasetCollector()
-		trial := cfg.DayTrial(day, &r.slot)
-		trial.Recorder = col
-		acc, err = runDaySharded(&trial, cfg.ShardSize, cfg.Workers)
-		if err == nil {
-			data = col.Dataset()
-		}
-	}
+	trial := cfg.DayTrial(day, &r.slot)
+	var notes []string
+	acc, data, serving, err := cfg.Engine(day, &trial, r.slot.Load(), cfg.ShardSize, cfg.Workers,
+		func(format string, args ...any) { notes = append(notes, fmt.Sprintf(format, args...)) })
 	if err != nil {
 		return DayStats{}, nil, nil, err
 	}
@@ -477,33 +409,11 @@ func (r *state) liveDay(day int) (DayStats, *experiment.TrialAcc, *core.Dataset,
 		Day:     day,
 		Chunks:  data.NumChunks(),
 		Schemes: acc.Analyze(dayAnalysisSeed(cfg.Seed, day)),
+		Fleet:   serving,
 	}
 	cfg.Logf("day %d: %d sessions, %d chunks of telemetry", day, cfg.SessionsPerDay, ds.Chunks)
-	if fst != nil {
-		ds.Fleet = &FleetDayStats{
-			PeakConcurrent: fst.PeakConcurrent,
-			MeanConcurrent: fst.MeanConcurrent,
-			HorizonSeconds: fst.HorizonSeconds,
-			Decisions:      fst.Decisions,
-			Deferred:       fst.Deferred,
-			Flushes:        fst.Flushes,
-			Batches:        fst.Batches,
-			Rows:           fst.Rows,
-			MaxBatchRows:   fst.MaxBatchRows,
-			MeanBatchRows:  fst.MeanBatchRows,
-		}
-		cfg.Logf("  fleet: peak %d concurrent (mean %.1f) over %.0fs virtual, %d flushes, mean batch %.0f rows, %.0f sessions/sec wall",
-			fst.PeakConcurrent, fst.MeanConcurrent, fst.HorizonSeconds,
-			fst.Flushes, fst.MeanBatchRows, fst.SessionsPerSec())
-		// Log-only registry read (a permitted wall-side consumer): the
-		// cumulative decision-latency quantiles across fleet days so far.
-		if obs.Enabled() {
-			if snap := obs.Default.Histogram(fleet.MetricDecisionNS).Snapshot(); snap.Count > 0 {
-				cfg.Logf("  obs: decision latency p50 %v p99 %v p999 %v over %d decisions (cumulative)",
-					time.Duration(snap.Quantile(0.5)), time.Duration(snap.Quantile(0.99)),
-					time.Duration(snap.Quantile(0.999)), snap.Count)
-			}
-		}
+	for _, note := range notes {
+		cfg.Logf("%s", note)
 	}
 
 	// Nightly phase: bootstrap-train on day 0, warm-start-retrain when
@@ -588,49 +498,6 @@ func (r *state) nightlyTrain(day int, today *core.Dataset) (core.TrainResult, *c
 		return tr, nil, fmt.Errorf("runner: nightly training after day %d: %w", day, err)
 	}
 	return tr, model, nil
-}
-
-// runDaySharded shards the day's sessions across a worker pool. Each shard
-// folds its sessions into a private TrialAcc — one live SessionResult per
-// worker, never a materialized day — and shards merge in shard order so the
-// aggregate is independent of scheduling. Shard boundaries and fold order
-// come from experiment.ShardRange/FoldShard, the canonical aggregation the
-// fleet engine replicates for byte-identical pooled stats.
-func runDaySharded(trial *experiment.Config, shardSize, workers int) (*experiment.TrialAcc, error) {
-	if len(trial.Schemes) == 0 {
-		return nil, fmt.Errorf("runner: no schemes configured")
-	}
-	nShards := experiment.NumShards(trial.Sessions, shardSize)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nShards {
-		workers = nShards
-	}
-	accs := make([]*experiment.TrialAcc, nShards)
-	shards := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range shards {
-				lo, hi := experiment.ShardRange(trial.Sessions, shardSize, s)
-				accs[s] = trial.FoldShard(lo, hi, experiment.AllPaths)
-			}
-		}()
-	}
-	for s := 0; s < nShards; s++ {
-		shards <- s
-	}
-	close(shards)
-	wg.Wait()
-
-	total := experiment.NewTrialAcc(experiment.AllPaths)
-	for _, acc := range accs {
-		total.Merge(acc)
-	}
-	return total, nil
 }
 
 // Seed derivations: every per-day RNG gets independent seed material via the

@@ -115,14 +115,13 @@ func (s Spec) BuildEnv() (experiment.Env, error) {
 	return env, nil
 }
 
-// arrivals materializes the fleet arrival process (nil for the default
-// Poisson process, which the runner supplies from ArrivalRate).
-func (s Spec) arrivals() fleet.ArrivalProcess {
-	a := s.Engine.Arrival
+// Arrivals materializes the spec's fleet arrival process.
+func (s Spec) Arrivals() fleet.ArrivalProcess {
+	a := s.WithDefaults().Engine.Arrival
 	if a.Process == "burst" {
 		return fleet.BurstArrivals{Burst: a.Burst, Gap: a.Gap}
 	}
-	return nil
+	return fleet.PoissonArrivals{Rate: a.Rate}
 }
 
 // Compile resolves defaults, validates, and lowers the spec into the
@@ -130,7 +129,8 @@ func (s Spec) arrivals() fleet.ArrivalProcess {
 // guard hash and canonical JSON, which the runner's checkpoint manifest
 // stores: the spec itself is the guard against resuming a checkpoint under
 // a different experiment. Scheduling-only knobs (Workers, CheckpointDir,
-// Logf) are left for the caller — they never shape results.
+// Logf, and the day engine, which Run selects from engine.kind) are left
+// for the caller — they never shape results.
 func Compile(s Spec) (runner.Config, error) {
 	d := s.WithDefaults()
 	if err := d.Validate(); err != nil {
@@ -153,11 +153,6 @@ func Compile(s Spec) (runner.Config, error) {
 		Days:           d.Daily.Days,
 		SessionsPerDay: d.Daily.Sessions,
 		WindowDays:     *d.Daily.Window,
-		Engine:         d.Engine.Kind,
-		DistWorkers:    d.Engine.DistWorkers,
-		ArrivalRate:    d.Engine.Arrival.Rate,
-		Arrivals:       d.arrivals(),
-		FleetTick:      d.Engine.Tick,
 		ShardSize:      d.ShardSize,
 		Seed:           *d.Seed,
 		Retrain:        *d.Daily.Retrain,

@@ -15,10 +15,15 @@
 // under a different experiment is refused by comparing spec hashes, not
 // ad-hoc field lists.
 //
-// Entry points: Compile lowers a Spec into the runner.Config that executes
-// it; Run is the one orchestration path (main run plus the frozen-model
-// staleness companion) shared by cmd/puffer-daily, the nightly workflow,
-// the figures suite, and library callers. Lookup/Names expose the registry
+// Entry points: Compile lowers a Spec into the result-shaping
+// runner.Config; Run is the one orchestration path (main run plus the
+// frozen-model staleness companion) shared by cmd/puffer-daily, the nightly
+// workflow, the figures suite, and library callers. Run is also the one
+// place engine.kind becomes code: it lowers the string to a
+// runner.DayEngine value (nil for "session", fleet.DayEngine, or a closure
+// over a dist.Pool it builds from RunOptions and reaps on every return
+// path), so a Config compiled by hand runs on the session engine — the
+// engines are byte-identical, so that never changes a result. Lookup/Names expose the registry
 // of named built-in scenarios ("stationary", "drift-shift", "fleet-burst",
 // ...), and New with functional options (Days, Drift, Engine, ...) builds
 // specs in Go.

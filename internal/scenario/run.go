@@ -4,6 +4,10 @@ import (
 	"path/filepath"
 	"time"
 
+	"puffer/internal/core"
+	"puffer/internal/dist"
+	"puffer/internal/experiment"
+	"puffer/internal/fleet"
 	"puffer/internal/netem"
 	"puffer/internal/obs"
 	"puffer/internal/runner"
@@ -58,52 +62,87 @@ type Outcome struct {
 // workflow, and library callers all run experiments through it.
 func Run(s Spec, opt RunOptions) (*Outcome, error) {
 	d := s.WithDefaults()
-	cfg, err := Compile(d)
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	sched, err := d.Schedule()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = opt.Workers
-	cfg.Logf = opt.Logf
-	cfg.Events = opt.Events
-	cfg.CheckpointDir = checkpointFor(opt.CheckpointDir, cfg.Retrain)
-	cfg.DistCommand = opt.DistCommand
-	cfg.DistShardTimeout = opt.DistShardTimeout
+	engine, reap, err := d.dayEngine(opt)
+	if err != nil {
+		return nil, err
+	}
+	defer reap()
+	// arm runs one compiled spec — the main run or its companion — on the
+	// run's engine and scheduling options.
+	arm := func(spec Spec, checkpointDir string) (*runner.Result, error) {
+		cfg, err := Compile(spec)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Engine = engine
+		cfg.Workers = opt.Workers
+		cfg.Logf = opt.Logf
+		cfg.Events = opt.Events
+		cfg.CheckpointDir = checkpointDir
+		return runner.Run(cfg)
+	}
 
 	opt.Events.Emit("scenario_start", map[string]any{
-		"name": d.Name, "hash": d.Hash(), "days": cfg.Days, "sessions": cfg.SessionsPerDay,
+		"name": d.Name, "hash": d.Hash(), "days": d.Daily.Days, "sessions": d.Daily.Sessions,
 	})
 	out := &Outcome{Spec: d, Schedule: sched}
-	if out.Result, err = runner.Run(cfg); err != nil {
+	if out.Result, err = arm(d, checkpointFor(opt.CheckpointDir, *d.Daily.Retrain)); err != nil {
 		return nil, err
 	}
 
-	if cfg.Retrain && *d.Daily.Ablation {
+	if *d.Daily.Retrain && *d.Daily.Ablation {
 		if opt.Logf != nil {
 			opt.Logf("running frozen-model ablation (same seed, no nightly retraining)...")
 		}
 		opt.Events.Emit("ablation_start", map[string]any{"name": d.Name, "hash": d.Hash()})
 		frozen := d
 		frozen.Daily.Retrain = ptr(false)
-		fcfg, err := Compile(frozen)
-		if err != nil {
-			return nil, err
-		}
-		fcfg.Workers = opt.Workers
-		fcfg.Logf = opt.Logf
-		fcfg.Events = opt.Events
-		fcfg.CheckpointDir = frozenCheckpointDir(opt.CheckpointDir, frozen)
-		fcfg.DistCommand = opt.DistCommand
-		fcfg.DistShardTimeout = opt.DistShardTimeout
-		if out.Frozen, err = runner.Run(fcfg); err != nil {
+		if out.Frozen, err = arm(frozen, frozenCheckpointDir(opt.CheckpointDir, frozen)); err != nil {
 			return nil, err
 		}
 	}
 	opt.Events.Emit("scenario_done", map[string]any{"name": d.Name, "hash": d.Hash()})
 	return out, nil
+}
+
+// dayEngine lowers engine.kind (already validated) into the daily loop's
+// one seam — the only place the kind string selects code. The session
+// engine is the runner's zero value; the dist engine holds worker
+// processes for the whole run, main arm and companion alike (both broadcast
+// the same trials: retraining is not part of a day's trial), and reap
+// releases them — call it on every return path.
+func (s Spec) dayEngine(opt RunOptions) (engine runner.DayEngine, reap func(), err error) {
+	switch s.Engine.Kind {
+	case "fleet":
+		return fleet.DayEngine(s.Arrivals(), s.Engine.Tick), func() {}, nil
+	case "dist":
+		pool, err := dist.NewPool(dist.PoolConfig{
+			Workers:      s.Engine.DistWorkers,
+			Command:      opt.DistCommand,
+			Spec:         s.CanonicalJSON(),
+			ShardTimeout: opt.DistShardTimeout,
+			Logf:         opt.Logf,
+			Events:       opt.Events,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		// Workers build the same DayTrial from the broadcast (spec, day,
+		// model); the pool merges their shard blobs in shard order.
+		return func(day int, trial *experiment.Config, model *core.TTP, shardSize, _ int,
+			_ func(string, ...any)) (*experiment.TrialAcc, *core.Dataset, *runner.FleetDayStats, error) {
+			acc, data, err := pool.RunDay(day, model, trial.Sessions, shardSize)
+			return acc, data, nil, err
+		}, pool.Close, nil
+	}
+	return nil, func() {}, nil
 }
 
 // checkpointFor keeps the historical layout: the main run owns a

@@ -76,12 +76,8 @@ func NewPlan(spec scenario.Spec, day int) (*Plan, error) {
 		Sessions:     d.Daily.Sessions,
 		ShardSize:    d.ShardSize,
 		Tick:         d.Engine.Tick,
+		Arrivals:     d.Arrivals(),
 		Hash:         fmt.Sprintf("%s:day%d", d.Hash(), day),
-	}
-	if a := d.Engine.Arrival; a.Process == "burst" {
-		p.Arrivals = fleet.BurstArrivals{Burst: a.Burst, Gap: a.Gap}
-	} else {
-		p.Arrivals = fleet.PoissonArrivals{Rate: a.Rate}
 	}
 	// Scheme names follow the daily loop: day 0 deploys the bootstrap
 	// mixture (no model exists yet); later days deploy Fugu alongside BBA.

@@ -4,51 +4,37 @@
 // in pure Go on a simulated substrate (network paths, a fluid TCP sender,
 // a VBR encoding ladder, and a viewer-behavior model).
 //
-// The quickest way in:
+// The quickest way in is to assemble the pieces yourself: gather telemetry
+// with CollectDataset, fit a TTP with TrainTTP, wrap it in NewFugu, and race
+// it against the classical schemes with RunExperiment. See examples/ for
+// full programs; cmd/figures regenerates the paper's tables and figures.
 //
-//	suite, _ := puffer.NewSuite(puffer.DefaultScale, 1, log.Printf)
-//	rows, _ := suite.Fig1(os.Stdout) // the paper's primary results table
+// The MPC hot path is batched end to end: the TTP fills the distributions
+// for every candidate quality of a horizon step in one call (one
+// matrix-matrix pass per network layer over the whole ladder), and the
+// controller plans with an iterative, factored value iteration.
 //
-// Or assemble the pieces yourself: train a TTP with CollectDataset and
-// TrainTTP, wrap it in NewFugu, and race it against the classical schemes
-// with RunExperiment. See examples/ for full programs.
+// The platform's front door is the scenario API: every experiment — the
+// continual daily loop included — is one declarative, serializable
+// ScenarioSpec (environment, daily-loop shape, drift, engine, seed), built
+// with NewScenario options and executed with RunScenario, which also runs
+// the frozen-model staleness companion when the spec's ablation is on
+// (StalenessGaps reads the per-day gap). The spec's content hash guards
+// checkpoint directories against resuming a different experiment.
+// cmd/puffer-daily is the CLI over the same call (named scenarios, spec
+// files, checkpoints), and cmd/puffer-sweep runs grids of specs against an
+// append-only results index. Wrap an Env's path sampler in a
+// DriftingSampler (see DriftPreset) to make a hand-built deployment
+// nonstationary — the regime where the paper's daily retraining visibly
+// beats a frozen model instead of tying it.
 //
-// The MPC hot path is batched end to end: predictors implementing
-// BatchPredictor fill the distributions for every candidate quality of a
-// horizon step in one call (the TTP runs one matrix-matrix pass per network
-// layer over the whole ladder), and the controller plans with an iterative,
-// factored value iteration. Custom Algorithm implementations get the same
-// treatment by implementing BatchPredictor; plain Predictor still works via
-// a per-call fallback.
-//
-// The continual (daily) loop is RunDaily; wrap an Env's path sampler in a
-// DriftingSampler (see DriftPreset) to make the deployment nonstationary —
-// the regime where the paper's daily retraining visibly beats a frozen
-// model instead of tying it.
-//
-// The platform's front door is the scenario API: every experiment is one
-// declarative, serializable ScenarioSpec (environment, daily-loop shape,
-// drift, engine, seed), built with NewScenario options, looked up by name
-// (ScenarioByName), or parsed from a committed JSON file
-// (ParseScenarioFile), and executed with RunScenario — which also runs the
-// frozen-model staleness companion when the spec's ablation is on. The
-// spec's content hash guards checkpoint directories against resuming a
-// different experiment.
-//
-// On top of scenarios sits the sweep + results layer: a SweepSpec names a
-// base scenario plus axes over spec fields (grids or seeded-random
-// samples), and RunSweep expands it deterministically and executes only
-// the cells an append-only, content-addressed results index is missing —
-// run a grid once, query it forever with QueryResults (filter, project,
-// group-and-aggregate). cmd/puffer-sweep is the CLI over the same calls.
-//
-// Trials can also run on the fleet engine (RunFleetTrial, or
-// DailyConfig.Engine = "fleet"): a discrete-event, virtual-time multiplexer
-// that serves hundreds of interleaved sessions at once — Poisson arrivals,
+// Trials can also run on the fleet engine (RunFleetTrial, or a spec with
+// engine.kind "fleet"): a discrete-event, virtual-time multiplexer that
+// serves hundreds of interleaved sessions at once — Poisson arrivals,
 // scheme randomization at arrival, and a central InferenceService that runs
 // each horizon net's forward pass as one cross-session batch over packed
 // SIMD model snapshots. Results are byte-identical to the per-session
-// engine at the same seeds; only throughput and the occupancy record
+// engine at the same seeds; only scheduling and the occupancy record
 // differ. See ARCHITECTURE.md for the system view.
 package puffer
 
@@ -58,15 +44,10 @@ import (
 	"puffer/internal/abr"
 	"puffer/internal/core"
 	"puffer/internal/experiment"
-	"puffer/internal/figures"
 	"puffer/internal/fleet"
 	"puffer/internal/netem"
-	"puffer/internal/pensieve"
-	"puffer/internal/results"
 	"puffer/internal/runner"
 	"puffer/internal/scenario"
-	"puffer/internal/sweep"
-	"puffer/internal/telemetry"
 )
 
 // Re-exported types: the experiment harness.
@@ -85,49 +66,29 @@ type (
 	ConsortArm = experiment.ConsortArm
 	// Algorithm is the ABR decision interface.
 	Algorithm = abr.Algorithm
-	// Observation is what a server-side ABR scheme sees per decision.
-	Observation = abr.Observation
-	// Predictor supplies transmission-time distributions to the MPC.
-	Predictor = abr.Predictor
-	// BatchPredictor fills a whole horizon step's candidate sizes per
-	// call; the MPC prefers it when available.
-	BatchPredictor = abr.BatchPredictor
-	// TTPPredictor adapts a TTP to Predictor and BatchPredictor.
-	TTPPredictor = core.Predictor
 	// TTP is Fugu's Transmission Time Predictor.
 	TTP = core.TTP
 	// Dataset is TTP training telemetry.
 	Dataset = core.Dataset
 	// TrainConfig controls TTP training.
 	TrainConfig = core.TrainConfig
-	// Suite bundles trained models and regenerates the paper's figures.
-	Suite = figures.Suite
-	// DailyConfig describes a continual (multi-day, retrain-nightly)
-	// experiment.
-	DailyConfig = runner.Config
-	// DailyResult is a finished continual experiment.
+	// DailyResult is a finished continual experiment (one arm of a
+	// ScenarioOutcome).
 	DailyResult = runner.Result
-	// DayStats is one day's trial aggregate plus its nightly phase.
-	DayStats = runner.DayStats
-	// ModelSlot atomically publishes the TTP the Fugu arm serves.
-	ModelSlot = runner.ModelSlot
 	// GapRow is one day of a paired retrained-vs-frozen staleness
 	// comparison (see StalenessGaps).
 	GapRow = runner.GapRow
-	// SchemeAcc and TrialAcc are the mergeable accumulators behind sharded
-	// aggregation (fold sessions in, merge shards, analyze once).
-	SchemeAcc = experiment.SchemeAcc
-	TrialAcc  = experiment.TrialAcc
-	// PathSampler draws per-session network paths for an Env.
-	PathSampler = netem.Sampler
-	// DaySampler is a day-indexed PathSampler: the daily loop passes each
+	// TrialAcc is the mergeable accumulator behind sharded aggregation
+	// (fold sessions in, merge shards, analyze once).
+	TrialAcc = experiment.TrialAcc
+	// DaySampler is a day-indexed path sampler: the daily loop passes each
 	// experiment day to Env.Paths, so a day-aware family draws that day's
 	// sessions from that day's distribution.
 	DaySampler = netem.DaySampler
 	// DriftSchedule describes how a path population evolves over days
 	// (capacity decay, slow-share growth, outage ramps, family mixes).
 	DriftSchedule = netem.DriftSchedule
-	// DriftingSampler wraps any PathSampler with a DriftSchedule, making
+	// DriftingSampler wraps any path sampler with a DriftSchedule, making
 	// the simulated deployment nonstationary.
 	DriftingSampler = netem.DriftingSampler
 	// FleetConfig tunes the fleet engine: the discrete-event,
@@ -138,23 +99,10 @@ type (
 	// FleetStats is one fleet run's serving record: occupancy over
 	// virtual time plus the inference service's batching counters.
 	FleetStats = fleet.Stats
-	// FleetDayStats is the per-day serving record the daily loop stores
-	// when running on the fleet engine (DailyConfig.Engine = "fleet").
-	FleetDayStats = runner.FleetDayStats
 	// InferenceService executes many sessions' staged TTP fills as one
 	// cross-session batch per horizon net over packed (SIMD) model
 	// snapshots.
 	InferenceService = fleet.InferenceService
-	// ArrivalProcess draws session arrival times for the fleet engine.
-	ArrivalProcess = fleet.ArrivalProcess
-	// PoissonArrivals is the platform's natural workload model: Poisson
-	// session arrivals at a fixed intensity.
-	PoissonArrivals = fleet.PoissonArrivals
-	// BurstArrivals is a flash-crowd arrival shape (evenly spaced bursts).
-	BurstArrivals = fleet.BurstArrivals
-	// ConcurrencySeries counts concurrently live sessions over virtual
-	// time (the fleet engine's occupancy record).
-	ConcurrencySeries = telemetry.ConcurrencySeries
 	// ScenarioSpec is the single declarative description of an
 	// experiment: environment, daily-loop shape, model/training knobs,
 	// drift schedule, engine, seed, sharding — serializable as strict
@@ -172,14 +120,9 @@ type (
 	ScenarioOutcome = scenario.Outcome
 )
 
-// Analysis filters (Figure 8's two panels).
-const (
-	AllPaths  = experiment.AllPaths
-	SlowPaths = experiment.SlowPaths
-)
-
-// DefaultScale is the default primary-experiment size in sessions.
-const DefaultScale = figures.DefaultScale
+// AllPaths is the analysis filter that keeps every stream (Figure 8's
+// other panel restricts to slow paths).
+const AllPaths = experiment.AllPaths
 
 // DefaultEnv returns the deployment-like environment (heavy-tailed paths,
 // six live channels, the default viewer model).
@@ -230,13 +173,6 @@ func TrainTTP(t *TTP, data *Dataset, cfg TrainConfig) error {
 // deployed Fugu scheme.
 func NewFugu(t *TTP) Algorithm { return core.NewFugu(t) }
 
-// NewTTPPredictor wraps a trained TTP in the batch-capable predictor Fugu
-// uses (full-distribution mode), for building custom controllers on top of
-// the batched hot path.
-func NewTTPPredictor(t *TTP) *TTPPredictor {
-	return core.NewPredictor(t, core.ModeProbabilistic)
-}
-
 // NewBBA returns buffer-based control, the "simple" scheme.
 func NewBBA() Algorithm { return abr.NewBBA() }
 
@@ -253,52 +189,19 @@ func NewMPCHM() Algorithm { return abr.NewMPCHM() }
 // NewRobustMPCHM returns RobustMPC with the harmonic-mean predictor.
 func NewRobustMPCHM() Algorithm { return abr.NewRobustMPCHM() }
 
-// TrainPensieve trains the Pensieve baseline with policy-gradient RL in the
-// emulation environment and returns the deployable agent.
-func TrainPensieve(seed int64) Algorithm {
-	cfg := pensieve.DefaultTrainConfig()
-	cfg.Seed = seed
-	agent, _ := pensieve.Train(cfg)
-	return agent
-}
-
-// NewSuite builds the figure-regeneration suite: collects telemetry, trains
-// the in-situ and emulation TTPs and the Pensieve policy. scale is the
-// primary experiment's session count (DefaultScale if <= 0); logf may be
-// nil.
-func NewSuite(scale int, seed int64, logf func(string, ...any)) (*Suite, error) {
-	return figures.NewSuite(scale, seed, logf)
-}
-
 // ---------------------------------------------------------------------------
-// The front door: running experiments.
-//
-// Every way to execute an experiment is consolidated here, layered from
-// least to most declarative:
+// The front door: running experiments, from least to most declarative.
 //
 //   - RunExperiment (above): one randomized trial from an explicit Config.
 //   - RunFleetTrial: one trial on the fleet engine (virtual-time
 //     multiplexing, cross-session batched inference).
-//   - RunDaily: the continual loop from an explicit DailyConfig.
 //   - RunScenario: one declarative, serializable, content-hashed spec —
-//     what the CLI, the nightly workflow, and the figures run.
-//   - RunSweep: a grid of scenarios against the results warehouse; cells
-//     whose spec hash the index already holds are never re-run.
+//     the continual daily loop, as the CLI, the nightly workflow, and the
+//     figures run it.
 //
-// LoadResults and QueryResults read back what sweeps (and scenario-backed
-// figures) recorded. Prefer the most declarative layer that can express
-// the experiment: specs hash, checkpoint, dedup, and serialize for free.
+// Prefer the most declarative layer that can express the experiment: specs
+// hash, checkpoint, dedup, and serialize for free.
 // ---------------------------------------------------------------------------
-
-// RunDaily executes (or, with a checkpoint directory, resumes) the in-situ
-// continual experiment: each day runs a sharded randomized trial with the
-// currently-deployed schemes while telemetry is recorded, and a nightly
-// phase warm-start-retrains the TTP on a sliding window of recent days and
-// atomically rotates the new model into the Fugu arm for the next day.
-// Wrap cfg.Env.Paths in a DriftingSampler to make the deployment
-// nonstationary — the regime where daily retraining visibly beats a frozen
-// model.
-func RunDaily(cfg DailyConfig) (*DailyResult, error) { return runner.Run(cfg) }
 
 // DriftPreset returns a named nonstationarity schedule ("none", "decay",
 // "shift", or "mix") for use with DriftingSampler.
@@ -314,14 +217,9 @@ func RunFleetTrial(cfg Config, fc FleetConfig) (*TrialAcc, *FleetStats, error) {
 	return fleet.RunTrial(&cfg, fc)
 }
 
-// FleetArrivalTimes reproduces the arrival schedule the fleet engine would
-// draw for a trial with this seed — deterministic per (process, seed, n).
-func FleetArrivalTimes(proc ArrivalProcess, seed int64, n int) []float64 {
-	return fleet.ArrivalTimes(proc, seed, n)
-}
-
-// StalenessGaps aligns two seed-paired RunDaily results day by day for the
-// named arm, yielding the per-day frozen-vs-retrained stall gap.
+// StalenessGaps aligns two seed-paired daily-loop results (a
+// ScenarioOutcome's Result and Frozen) day by day for the named arm,
+// yielding the per-day frozen-vs-retrained stall gap.
 func StalenessGaps(retrained, frozen *DailyResult, scheme string) []GapRow {
 	return runner.StalenessGaps(retrained, frozen, scheme)
 }
@@ -338,107 +236,16 @@ var (
 	ScenarioDays        = scenario.Days
 	ScenarioSessions    = scenario.Sessions
 	ScenarioWindow      = scenario.Window
-	ScenarioRetrain     = scenario.Retrain
 	ScenarioAblation    = scenario.Ablation
 	ScenarioSeed        = scenario.Seed
 	ScenarioEpochs      = scenario.Epochs
 	ScenarioDriftPreset = scenario.Drift
-	ScenarioEngine      = scenario.Engine
-	ScenarioArrivals    = scenario.ArrivalRate
-	ScenarioBursts      = scenario.Bursts
 )
 
 // RunScenario compiles and executes a scenario spec — the platform's one
 // front door, shared with cmd/puffer-daily and the nightly workflow: the
 // main run, plus the frozen-model staleness companion on the same seed
-// when the spec enables its ablation. Parse a committed spec file with
-// ParseScenarioFile, look one up by name with ScenarioByName, or build one
-// with NewScenario.
+// when the spec enables its ablation.
 func RunScenario(spec ScenarioSpec, opt ScenarioRunOptions) (*ScenarioOutcome, error) {
 	return scenario.Run(spec, opt)
 }
-
-// CompileScenario lowers a spec into the DailyConfig that would execute it,
-// for callers who want to drive RunDaily themselves.
-func CompileScenario(spec ScenarioSpec) (DailyConfig, error) { return scenario.Compile(spec) }
-
-// ScenarioByName returns a registered built-in scenario ("stationary",
-// "drift-shift", "fleet-burst", ...).
-func ScenarioByName(name string) (ScenarioSpec, bool) { return scenario.Lookup(name) }
-
-// ScenarioNames lists the registered scenarios.
-func ScenarioNames() []string { return scenario.Names() }
-
-// ParseScenarioFile reads a spec from strict JSON (unknown fields are
-// rejected) — the format -dump-scenario emits.
-func ParseScenarioFile(path string) (ScenarioSpec, error) { return scenario.ParseFile(path) }
-
-// ScenarioListings catalogs the registered scenarios in sorted order, with
-// each spec's content hash and checkpoint-guard hash — what
-// puffer-daily -list-scenarios and puffer-sweep status print.
-func ScenarioListings() []scenario.Listing { return scenario.Listings() }
-
-// Re-exported types: the sweep engine and the results warehouse.
-type (
-	// SweepSpec describes a sweep: a base scenario (a registered name or
-	// an inline spec) plus axes over spec fields, expanding
-	// deterministically into content-addressed scenario cells.
-	SweepSpec = sweep.Spec
-	// SweepAxis is one sweep dimension: a value grid or a seeded-random
-	// sample over a spec field ("drift.preset", "daily.sessions", ...).
-	SweepAxis = sweep.Axis
-	// SweepCell is one expanded experiment of a sweep.
-	SweepCell = sweep.Cell
-	// SweepExecConfig is the scheduling side of RunSweep (workers, index
-	// path, checkpoint root, cell runner); nothing in it changes results.
-	SweepExecConfig = sweep.ExecConfig
-	// SweepReport summarizes an execution: which cells ran, which the
-	// index already held, which failed.
-	SweepReport = sweep.Report
-	// ResultsRecord is one finished experiment in the warehouse, keyed by
-	// its spec's content hash.
-	ResultsRecord = results.Record
-	// ResultsIndex is a loaded append-only results index.
-	ResultsIndex = results.Index
-	// ResultsQuery filters, projects, and aggregates index rows.
-	ResultsQuery = results.Query
-	// ResultsTable is a query result with deterministic row/column order.
-	ResultsTable = results.Table
-)
-
-// ParseSweepFile reads a sweep spec from strict JSON.
-func ParseSweepFile(path string) (SweepSpec, error) { return sweep.ParseFile(path) }
-
-// RunSweep expands the sweep and executes exactly the cells whose spec
-// hash ec.IndexPath is missing, across a bounded worker pool (same-guard
-// cells serialize so they can share checkpoint directories), appending
-// records to the index in expansion order — re-launching a partial sweep
-// resumes only missing cells and converges on the same index bytes
-// (modulo timing/host) as an uninterrupted run. ec.Run defaults to
-// running cells in-process; cmd/puffer-sweep substitutes a subprocess
-// runner.
-func RunSweep(sw SweepSpec, ec SweepExecConfig) (*SweepReport, error) {
-	if ec.Run == nil {
-		ec.Run = sweep.InProcess(scenario.RunOptions{Logf: ec.Logf})
-	}
-	return sweep.Execute(sw, ec)
-}
-
-// LoadResults loads a results index (a missing file is an empty index).
-func LoadResults(path string) (*ResultsIndex, error) { return results.Load(path) }
-
-// QueryResults runs one query against a results index file: predicates,
-// projection, optional group-and-aggregate, optional per-day gap rows.
-// Results depend only on the set of distinct records, never on the order
-// they were appended.
-func QueryResults(indexPath string, q ResultsQuery) (*ResultsTable, error) {
-	ix, err := results.Load(indexPath)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Query(q)
-}
-
-// ParseResultPreds parses a predicate list like
-// "drift.preset=shift,daily.sessions>=100" for ResultsQuery.Where.
-func ParseResultPreds(s string) ([]results.Pred, error) { return results.ParsePreds(s) }
