@@ -248,4 +248,5 @@ dist-smoke:
 	jq -e '[.counters[] | select(.name=="dist_shard_retries_total")] | first | .value >= 1' $$bin/metrics.json >/dev/null; \
 	echo "dist-smoke: worker-process run byte-identical to single-process, through a coordinator restart and a killed worker"
 
-ci: fmt-check vet build test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke
+# `loc` runs last so every green run ends on the round's tracked number.
+ci: fmt-check vet build test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke loc

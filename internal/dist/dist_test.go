@@ -3,10 +3,14 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -304,5 +308,39 @@ func TestFaultAttemptGating(t *testing.T) {
 	}
 	if f.Matches(FaultKill, assignMsg{Day: 0, Shard: 2, Attempt: 0}) {
 		t.Error("fault must not match another day")
+	}
+}
+
+// TestReadFrameLyingHeader: a header may claim up to maxFrame, but memory is
+// committed only as payload bytes arrive — 200 MiB claimed, 3 bytes sent,
+// then EOF is a typed short-frame error that allocated next to nothing. A
+// frame larger than the initial buffer still round-trips.
+func TestReadFrameLyingHeader(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, 200<<20)
+	stream := append(hdr, frameResult, 1, 2, 3)
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(br)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated 200 MiB frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("truncated 200 MiB frame allocated %d bytes, want < 1 MiB", grew)
+	}
+
+	big := resultMsg{Blob: bytes.Repeat([]byte{0xa5}, 300<<10)}
+	var wire bytes.Buffer
+	if err := sendFrame(bufio.NewWriter(&wire), frameResult, big); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(bufio.NewReader(&wire))
+	if err != nil || typ != frameResult {
+		t.Fatalf("300 KiB frame: type %d err %v", typ, err)
+	}
+	var got resultMsg
+	if err := decodePayload(typ, payload, &got); err != nil || !bytes.Equal(got.Blob, big.Blob) {
+		t.Fatalf("300 KiB frame did not round-trip (err %v, %d bytes)", err, len(got.Blob))
 	}
 }

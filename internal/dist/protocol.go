@@ -136,11 +136,17 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	if n == 0 || n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame length %d out of range (corrupt stream?)", n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The length is only a claim: the buffer grows with the bytes that
+	// actually arrive, so a corrupt header cannot reserve maxFrame.
+	var payload bytes.Buffer
+	payload.Grow(min(int(n-1), 64<<10))
+	if _, err := io.CopyN(&payload, r, int64(n-1)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, fmt.Errorf("dist: short %s frame: %w", frameName(hdr[4]), err)
 	}
-	return hdr[4], payload, nil
+	return hdr[4], payload.Bytes(), nil
 }
 
 // decodePayload decodes a frame's gob payload into v.

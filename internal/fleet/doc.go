@@ -12,11 +12,18 @@
 // amortizing the MPC's dominant cost across concurrent viewers instead of
 // within a single decision.
 //
+// How a decision is split around that shared flush is known to one type,
+// Staged (Prepare → someone's Flush → Finish, plus the spans and the
+// latency histogram that describe it). A fleet session holds one and parks
+// between the two halves; a connection handler of the wall-clock serving
+// layer (internal/serve) holds one and waits on its batcher instead.
+//
 // Determinism contract: a session's outcome depends only on (trial config,
 // session id) — sessions share no state, the batched kernels are bitwise
 // identical row for row regardless of batch composition, and results fold
 // into the same shard-ordered accumulators as the session engine
 // (experiment.Config.RunSharded) — so RunTrial is byte-identical to it at
 // the same seeds, for any Tick, Workers, or arrival process. Entry points:
-// RunTrial, and DayEngine, which plugs it into the daily loop.
+// RunTrial, DayEngine, which plugs it into the daily loop, and — for a
+// caller that brings its own clock — NewStaged with NewInferenceService.
 package fleet

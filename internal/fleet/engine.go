@@ -15,18 +15,11 @@ import (
 	"puffer/internal/telemetry"
 )
 
-// Registry names of the fleet metrics that wall-side consumers (the
-// runner's progress readout, the obs-smoke assertions) look up.
-const (
-	// MetricDecisionNS is the per-decision compute latency histogram: the
-	// prepare plus finish spans of one ABR decision, excluding the
-	// virtual-time park between them (wall time spent parked measures the
-	// scheduler, not the decision).
-	MetricDecisionNS = "fleet_decision_ns"
-	// MetricBatchRows is the per-net batch size histogram of the
-	// inference service.
-	MetricBatchRows = "fleet_batch_rows"
-)
+// MetricDecisionNS is the registry name of the per-decision compute latency
+// histogram: the prepare plus finish spans of one ABR decision, excluding
+// the virtual-time park between them (wall time spent parked measures the
+// scheduler, not the decision).
+const MetricDecisionNS = "fleet_decision_ns"
 
 var decisionNS = metrics.Default.Histogram(MetricDecisionNS)
 
@@ -109,13 +102,13 @@ type session struct {
 
 	resume chan struct{}
 
-	// Session-goroutine state, read by the engine only after wg.Wait.
-	alg      abr.Algorithm
-	deferred abr.DeferredAlgorithm
-	dp       *core.DeferredPredictor
-	parkT    float64
-	done     bool
-	result   experiment.SessionResult
+	// Session-goroutine state, read by the engine only after wg.Wait; rows
+	// are what the parked decision staged (nil for an arm with no TTP).
+	dec    *Staged
+	rows   []core.PendingStep
+	parkT  float64
+	done   bool
+	result experiment.SessionResult
 
 	// Trace state: seq numbers this session's decisions; curTrace/curSpan
 	// name the in-flight traced decision (0 = untraced) and are read by the
@@ -142,77 +135,33 @@ type engine struct {
 	staged    int64
 }
 
-// Decide implements experiment.DecideHook: it stages deferrable prediction
-// work, parks the session at its global virtual time, and completes the
-// decision after the engine's inference flush — returning exactly what
+// Decide implements experiment.DecideHook: it runs the pre-flush half of
+// the decision, parks the session at its global virtual time, and completes
+// the decision after the engine's inference flush — returning exactly what
 // alg.Choose(obs) would have.
 func (s *session) Decide(alg abr.Algorithm, obs *abr.Observation, now float64) int {
-	if s.alg == nil {
-		s.alg = alg
-		if d, ok := alg.(abr.DeferredAlgorithm); ok {
-			s.deferred = d
-			s.dp = Deferify(alg)
-		}
+	if s.dec == nil {
+		s.dec = NewStaged(alg)
 	}
-	t := s.arrival + now
 	// Deterministic per-session sampling picks traced decisions; the trace
 	// id is a pure function of (session id, decision seq), so tracing a run
 	// twice traces the same decisions under the same ids.
 	tr := metrics.Tracing()
 	s.curTrace, s.curSpan = 0, 0
+	var t0 int64
 	if tr != nil && tr.Sampled(int64(s.id)) {
 		s.curTrace = metrics.DecisionTraceID(int64(s.id), s.seq)
 		s.curSpan = tr.NewSpanID()
+		t0 = metrics.Now()
 	}
-	trace, root := s.curTrace, s.curSpan
 	s.seq++
-	if s.deferred != nil {
-		t0 := metrics.Now()
-		s.deferred.PrepareChoose(obs)
-		prepare := metrics.SinceNS(t0)
-		var p0 int64
-		if trace != 0 {
-			tr.Record(metrics.Span{Trace: trace, ID: tr.NewSpanID(), Parent: root,
-				Name: "prepare", Start: t0, Dur: prepare})
-			p0 = t0 + prepare
-		}
-		s.park(t)
-		t1 := metrics.Now()
-		q := s.deferred.FinishChoose(obs)
-		if t1 != 0 {
-			decisionNS.Observe(prepare + metrics.SinceNS(t1))
-		}
-		if trace != 0 {
-			tr.Record(metrics.Span{Trace: trace, ID: tr.NewSpanID(), Parent: root,
-				Name: "batch_residency", Start: p0, Dur: t1 - p0})
-			tr.Record(metrics.Span{Trace: trace, ID: tr.NewSpanID(), Parent: root,
-				Name: "finish", Start: t1, Dur: metrics.SinceNS(t1)})
-			tr.Record(metrics.Span{Trace: trace, ID: root, Name: "fleet_decision",
-				Start: t0, Dur: metrics.SinceNS(t0), Attrs: []metrics.Attr{
-					{Key: "session", Val: int64(s.id)},
-					{Key: "seq", Val: int64(s.seq - 1)},
-					{Key: "chunk", Val: int64(obs.ChunkIndex)},
-				}})
-		}
-		return q
-	}
-	var p0 int64
-	if trace != 0 {
-		p0 = metrics.Now()
-	}
-	s.park(t)
-	t1 := metrics.Now()
-	q := alg.Choose(obs)
-	if t1 != 0 {
-		decisionNS.Observe(metrics.SinceNS(t1))
-	}
-	if trace != 0 {
-		tr.Record(metrics.Span{Trace: trace, ID: tr.NewSpanID(), Parent: root,
-			Name: "batch_residency", Start: p0, Dur: t1 - p0})
-		tr.Record(metrics.Span{Trace: trace, ID: tr.NewSpanID(), Parent: root,
-			Name: "finish", Start: t1, Dur: metrics.SinceNS(t1)})
-		tr.Record(metrics.Span{Trace: trace, ID: root, Name: "fleet_decision",
-			Start: p0, Dur: metrics.SinceNS(p0), Attrs: []metrics.Attr{
+	s.rows = s.dec.Prepare(obs)
+	s.park(s.arrival + now)
+	q := s.dec.Finish(obs)
+	s.dec.Record(decisionNS, s.curTrace, s.curSpan, s.dec.PrepareEnd())
+	if s.curTrace != 0 {
+		tr.Record(metrics.Span{Trace: s.curTrace, ID: s.curSpan, Name: "fleet_decision",
+			Start: t0, Dur: metrics.SinceNS(t0), Attrs: []metrics.Attr{
 				{Key: "session", Val: int64(s.id)},
 				{Key: "seq", Val: int64(s.seq - 1)},
 				{Key: "chunk", Val: int64(obs.ChunkIndex)},
@@ -239,32 +188,6 @@ func (s *session) run() {
 	s.done = true
 	<-s.e.sem
 	s.e.wg.Done()
-}
-
-// Deferify rewires a freshly built per-session algorithm so its TTP-backed
-// predictor stages batched fills instead of running them: it unwraps
-// exploration layers, and when the MPC's predictor is the core TTP
-// predictor, swaps in a DeferredPredictor and returns it. Algorithms
-// without a TTP (BBA, the harmonic-mean MPCs) return nil and simply compute
-// at their decision points. Exported because the wall-clock serving layer
-// performs the same rewiring on its per-connection algorithms before
-// batching their rows through an InferenceService.
-func Deferify(alg abr.Algorithm) *core.DeferredPredictor {
-	for {
-		switch a := alg.(type) {
-		case *abr.Explorer:
-			alg = a.Base
-		case *abr.MPC:
-			if p, ok := a.Pred.(*core.Predictor); ok {
-				dp := core.NewDeferredPredictor(p)
-				a.Pred = dp
-				return dp
-			}
-			return nil
-		default:
-			return nil
-		}
-	}
 }
 
 // RunTrial executes one randomized trial on the fleet engine and returns
@@ -351,30 +274,9 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 		// the tick, then the batch advances in parallel to the next
 		// decision points.
 		for _, s := range batch {
-			if s.dp != nil {
-				e.svc.Enqueue(s.dp.Pending())
-			}
+			e.svc.EnqueueTraced(s.rows, s.curTrace, s.curSpan)
 		}
-		// Attribute the shared flush (and its kernel spans) to the first
-		// traced decision parked in this batch; parked sessions' curTrace is
-		// stable until they resume.
-		if tr := metrics.Tracing(); tr != nil {
-			for _, s := range batch {
-				if s.curTrace != 0 {
-					metrics.SetFlushTrace(s.curTrace, s.curSpan)
-					break
-				}
-			}
-			e.svc.Flush()
-			metrics.ClearFlushTrace()
-		} else {
-			e.svc.Flush()
-		}
-		for _, s := range batch {
-			if s.dp != nil {
-				s.dp.Clear()
-			}
-		}
+		e.svc.Flush()
 		e.wg.Add(len(batch))
 		for _, s := range batch {
 			s.resume <- struct{}{}
@@ -459,7 +361,7 @@ func (e *engine) afterYield(s *session) {
 		e.sessions[s.id] = nil // release the goroutine's session state
 		return
 	}
-	if s.dp != nil && len(s.dp.Pending()) > 0 {
+	if len(s.rows) > 0 {
 		e.staged++
 	}
 	heap.Push(&e.events, event{s.parkT, s.id})

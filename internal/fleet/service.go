@@ -41,6 +41,9 @@ type InferenceService struct {
 	feats  []float64
 	probs  []float64
 
+	// The traced decision the next flush is attributed to (EnqueueTraced).
+	trace, span uint64
+
 	// Aggregate counters (deterministic for a deterministic workload).
 	flushes   int
 	batches   int
@@ -80,9 +83,25 @@ func (s *InferenceService) Enqueue(steps []core.PendingStep) {
 	}
 }
 
+// EnqueueTraced is Enqueue for a decision that may be traced (trace != 0,
+// span its root span). One flush serves many decisions, so its infer_flush
+// span and the kernel spans inside it go to exactly one of them: the first
+// traced decision enqueued since the previous flush.
+func (s *InferenceService) EnqueueTraced(steps []core.PendingStep, trace, span uint64) {
+	if s.trace == 0 {
+		s.trace, s.span = trace, span
+	}
+	s.Enqueue(steps)
+}
+
 // Flush executes one cross-session batch per net over everything staged
 // since the previous flush and completes every step's distributions.
 func (s *InferenceService) Flush() {
+	if s.trace != 0 {
+		obs.SetFlushTrace(s.trace, s.span)
+		defer obs.ClearFlushTrace()
+		s.trace, s.span = 0, 0
+	}
 	t0 := obs.Now()
 	any := false
 	var totalRows int64

@@ -204,10 +204,10 @@ func (t *Tracer) Snapshot() []Span {
 
 // The flush-trace context attributes shared batched work — one inference
 // flush serves many sessions — to exactly one trace: the first sampled
-// decision of the batch. The engines' single flush owner (the fleet event
-// loop, the serve batcher) sets it around Flush; the inference service and
-// the packed kernel read it to parent their spans. It is wall-side state:
-// nothing result-shaping ever reads it.
+// decision of the batch. fleet.InferenceService sets it for the duration
+// of a Flush, on behalf of its single owner (the fleet event loop, the
+// serve batcher); it and the packed kernel read it to parent their spans.
+// It is wall-side state: nothing result-shaping ever reads it.
 type flushTrace struct{ trace, parent uint64 }
 
 var curFlush atomic.Pointer[flushTrace]

@@ -199,16 +199,6 @@ func (r *state) checkManifest() error {
 		return fmt.Errorf("runner: decoding manifest %s: %w", path, err)
 	}
 	if got.GuardHash == "" {
-		// Pre-scenario checkpoints pinned raw field lists (EnvPaths,
-		// SessionsPerDay, ...) instead of a guard hash. They cannot be
-		// verified against a spec, so make the migration explicit
-		// rather than failing with a generic mismatch.
-		if legacyManifest(raw) {
-			return fmt.Errorf("runner: checkpoint dir %s has a legacy (pre-scenario) manifest; "+
-				"its field-list format was replaced by the scenario guard hash and old checkpoints "+
-				"cannot be resumed — re-run the experiment into a fresh directory (the completed-day "+
-				"data under day_* remains readable)", r.cfg.CheckpointDir)
-		}
 		return fmt.Errorf("runner: checkpoint dir %s has an unrecognized manifest (no guard hash); use a fresh dir", r.cfg.CheckpointDir)
 	}
 	if got.GuardHash != want.GuardHash {
@@ -226,18 +216,6 @@ func shortHash(h string) string {
 		return h[:12]
 	}
 	return h
-}
-
-// legacyManifest recognizes the pre-scenario manifest format by its
-// distinctive field names.
-func legacyManifest(raw []byte) bool {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return false
-	}
-	_, hasEnv := m["EnvPaths"]
-	_, hasSessions := m["SessionsPerDay"]
-	return hasEnv && hasSessions
 }
 
 // manifestDiff renders what the checkpoint pinned versus what the caller

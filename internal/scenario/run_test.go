@@ -121,10 +121,10 @@ func TestScenarioResumeRejectsDifferentExperiment(t *testing.T) {
 	}
 }
 
-// TestScenarioLegacyManifestRejectedWithMigration: checkpoints written by
-// the pre-scenario field-list manifest are refused with an explicit
-// migration message, not a generic mismatch.
-func TestScenarioLegacyManifestRejectedWithMigration(t *testing.T) {
+// TestScenarioGuardlessManifestRejected: a manifest that carries no guard
+// hash (here the pre-scenario field-list format) cannot be verified against
+// a spec, so the checkpoint dir is refused rather than resumed.
+func TestScenarioGuardlessManifestRejected(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "retrain")
 	if err := os.MkdirAll(ckpt, 0o755); err != nil {
@@ -147,10 +147,10 @@ func TestScenarioLegacyManifestRejectedWithMigration(t *testing.T) {
 	}
 	_, err := Run(testSpec(11), RunOptions{CheckpointDir: dir})
 	if err == nil {
-		t.Fatal("legacy manifest must be rejected")
+		t.Fatal("a manifest without a guard hash must be rejected")
 	}
-	if !strings.Contains(err.Error(), "legacy (pre-scenario) manifest") {
-		t.Fatalf("legacy manifest rejection should say how to migrate, got: %v", err)
+	if !strings.Contains(err.Error(), "no guard hash") || !strings.Contains(err.Error(), "fresh dir") {
+		t.Fatalf("rejection should name the missing guard hash and the way out, got: %v", err)
 	}
 }
 

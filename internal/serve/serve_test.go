@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -366,6 +367,18 @@ func TestHandshakeRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectError(t, br, "decide before hello")
+
+	// A client that connects and says nothing is closed once the handshake
+	// bound (the shorter of ReadTimeout and handshakeTimeout) has passed.
+	const bound = 200 * time.Millisecond
+	_, ln = startServer(t, Config{Plan: plan, ReadTimeout: bound, Logf: t.Logf})
+	c, _ = dialRaw(t, ln.Addr().String())
+	start := time.Now()
+	c.SetReadDeadline(start.Add(10 * bound))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent connection: read returned %v after %v, want a server-side close (EOF) within %v",
+			err, time.Since(start), bound)
+	}
 }
 
 // TestShutdownDrains pins the drain contract: Shutdown evicts an idle

@@ -22,8 +22,9 @@ const (
 	// (prepare + finish spans, excluding queue wait) — the wall-clock
 	// counterpart of fleet_decision_ns.
 	MetricDecisionNS = "serve_decision_ns"
-	// MetricRequestNS is the full server-side request latency: queue wait
-	// plus batching plus compute, enqueue to reply.
+	// MetricRequestNS is the full server-side request latency: compute
+	// plus queue wait plus batching, from a decoded request to its
+	// decision (the reply write excluded).
 	MetricRequestNS = "serve_request_ns"
 	// MetricBatchSessions is the per-flush batch size in decision requests
 	// (fleet_batch_rows, fed by the shared InferenceService, keeps the
@@ -65,7 +66,8 @@ type Config struct {
 	// 1024.
 	QueueDepth int
 	// ReadTimeout evicts a connection idle longer than this between
-	// frames; WriteTimeout bounds each reply write. Defaults: 120s, 30s.
+	// frames (its first frame must also arrive within handshakeTimeout);
+	// WriteTimeout bounds each reply write. Defaults: 120s, 30s.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 	// DrainTimeout bounds how long Shutdown waits for in-flight requests
@@ -102,39 +104,34 @@ type Server struct {
 	active    atomic.Int64
 }
 
-// session is one connection's server-side state. All algorithm calls
-// happen on the batcher goroutine; the connection handler only decodes
-// requests and writes replies, synchronized through the reply channel.
+// handshakeTimeout caps the wait for a connection's first frame, so a peer
+// that connects and says nothing does not hold a handler for ReadTimeout.
+const handshakeTimeout = 10 * time.Second
+
+// session is one connection's server-side state, owned by its handler,
+// which decodes each request into obs, runs both halves of the decision on
+// dec and writes the reply. Only req is ever seen by another goroutine.
 type session struct {
-	id       int
-	scheme   string
-	alg      abr.Algorithm
-	deferred abr.DeferredAlgorithm
-	dp       *core.DeferredPredictor
-	modelID  uint32
+	id      int
+	dec     *fleet.Staged
+	modelID uint32
 
 	obs       abr.Observation
 	lastNow   float64
 	started   bool
 	decisions uint64
-	reply     chan int
+	req       pending
 }
 
-// pending is one decision request in flight between a connection handler
-// and the batcher.
+// pending is the part of a decision request the batcher sees. A connection
+// has one request in flight at a time, so it lives in the session: the
+// handler fills it, queues its address, and leaves it alone until the
+// batcher answers on reply with the stamp at which it drained the request's
+// batch from the queue (0 while recording is off).
 type pending struct {
-	sess   *session
-	now    float64
-	enq    int64 // obs.Now at enqueue
-	prepNS int64
-
-	// Trace state for a sampled decision (trace 0 = untraced). span is the
-	// server_request span id; parent is the client's root span id carried on
-	// the wire; res0 stamps the start of batch residency.
-	trace  uint64
-	span   uint64
-	parent uint64
-	res0   int64
+	rows        []core.PendingStep // staged by Prepare; nil for an arm with no TTP
+	trace, span uint64             // a sampled decision's server_request span; 0 = untraced
+	reply       chan int64         // buffered 1: the batcher never waits on a handler
 }
 
 // NewServer builds a server around a warmed plan.
@@ -295,7 +292,7 @@ func (s *Server) handle(c net.Conn) {
 	}
 
 	// Handshake.
-	c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	c.SetReadDeadline(time.Now().Add(min(s.cfg.ReadTimeout, handshakeTimeout)))
 	typ, payload, buf, err := readFrame(br, buf)
 	if err != nil {
 		return
@@ -326,15 +323,12 @@ func (s *Server) handle(c net.Conn) {
 	// Bind the session to the current model generation: the factory reads
 	// the slot and the generation is recorded under the same lock Rotate
 	// takes, so the pair can never tear.
-	sess := &session{id: h.Session, scheme: h.Scheme, reply: make(chan int, 1)}
+	sess := &session{id: h.Session, req: pending{reply: make(chan int64, 1)}}
 	s.mu.Lock()
-	sess.alg = scheme.New()
+	alg := scheme.New()
 	sess.modelID = s.modelID
 	s.mu.Unlock()
-	if d, ok := sess.alg.(abr.DeferredAlgorithm); ok {
-		sess.deferred = d
-		sess.dp = fleet.Deferify(sess.alg)
-	}
+	sess.dec = fleet.NewStaged(alg)
 	s.sessions.Add(1)
 	srvSessionsTotal.Inc()
 	srvSessionsActive.Set(float64(s.active.Add(1)))
@@ -366,12 +360,24 @@ func (s *Server) handle(c net.Conn) {
 				srvAbortedTotal.Inc()
 				return
 			}
-			p := &pending{sess: sess, now: now, enq: obs.Now()}
+			enq := obs.Now()
+			if sess.started && now < sess.lastNow {
+				srvClockViolations.Inc()
+			}
+			sess.started, sess.lastNow = true, now
+			if sess.obs.ChunkIndex == 0 {
+				// Stream start: runStream resets per-stream algorithm
+				// state before its first decision; resets are idempotent
+				// and never touch exploration RNGs, so this reproduces
+				// the inline path exactly.
+				sess.dec.Reset()
+			}
+			p := &sess.req
+			p.rows = sess.dec.Prepare(&sess.obs)
+			p.trace, p.span = 0, 0
 			tr := obs.Tracing()
 			if tr != nil && traceID != 0 {
-				p.trace = traceID
-				p.span = tr.NewSpanID()
-				p.parent = parentSpan
+				p.trace, p.span = traceID, tr.NewSpanID()
 			}
 			select {
 			case s.queue <- p:
@@ -379,7 +385,14 @@ func (s *Server) handle(c net.Conn) {
 				srvQueueFull.Inc()
 				s.queue <- p
 			}
-			q := <-sess.reply
+			drained := <-p.reply
+			q := sess.dec.Finish(&sess.obs)
+			sess.dec.Record(srvDecisionNS, p.trace, p.span, drained)
+			if enq != 0 {
+				srvRequestNS.Observe(obs.SinceNS(enq))
+			}
+			sess.decisions++
+			srvDecisionsTotal.Inc()
 			s.decisions.Add(1)
 			out = appendU32(appendI32(out[:0], q), sess.modelID)
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -393,11 +406,14 @@ func (s *Server) handle(c net.Conn) {
 			if err := bw.Flush(); err != nil {
 				return
 			}
-			if p.trace != 0 && tr != nil {
+			if p.trace != 0 {
+				queued := sess.dec.PrepareEnd()
+				tr.Record(obs.Span{Trace: p.trace, ID: tr.NewSpanID(), Parent: p.span,
+					Name: "queue_wait", Start: queued, Dur: drained - queued})
 				tr.Record(obs.Span{Trace: p.trace, ID: tr.NewSpanID(), Parent: p.span,
 					Name: "reply", Start: w0, Dur: obs.SinceNS(w0)})
-				tr.Record(obs.Span{Trace: p.trace, ID: p.span, Parent: p.parent,
-					Name: "server_request", Start: p.enq, Dur: obs.SinceNS(p.enq),
+				tr.Record(obs.Span{Trace: p.trace, ID: p.span, Parent: parentSpan,
+					Name: "server_request", Start: enq, Dur: obs.SinceNS(enq),
 					Attrs: []obs.Attr{
 						{Key: "session", Val: int64(sess.id)},
 						{Key: "chunk", Val: int64(sess.obs.ChunkIndex)},
@@ -419,109 +435,39 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// batcher is the server's single decision thread: it drains the queue in
-// greedy batches, stages every deferrable prediction into the shared
-// InferenceService, runs one batched flush per model, and completes each
-// decision — the wall-clock mirror of the fleet engine's tick loop. Owning
-// every algorithm and the service on one goroutine is what makes the
-// not-concurrency-safe InferenceService safe here.
+// batcher owns the one thing connections share, the InferenceService (not
+// safe for concurrent use): it drains the queue in greedy batches, merges
+// every request's staged rows, runs one batched flush per model, and wakes
+// each handler to finish its own decision — the wall-clock mirror of the
+// fleet engine's tick loop. It runs no algorithm code. Wake-up budget: a
+// decision costs exactly two channel operations, the handler's send on
+// queue and the batcher's send on reply, whether or not its arm has rows.
 func (s *Server) batcher() {
 	defer close(s.batcherDone)
 	svc := fleet.NewInferenceService()
 	batch := make([]*pending, 0, s.cfg.MaxBatch)
 	for p := range s.queue {
 		batch = append(batch[:0], p)
+	drain:
 		for len(batch) < s.cfg.MaxBatch {
 			select {
-			case p2, ok := <-s.queue:
+			case p, ok := <-s.queue:
 				if !ok {
-					break
+					break drain
 				}
-				batch = append(batch, p2)
-				continue
+				batch = append(batch, p)
 			default:
+				break drain
 			}
-			break
 		}
-
-		tr := obs.Tracing()
-
-		// Stage phase: per-stream reset, PrepareChoose, enqueue rows.
+		drained := obs.Now()
 		for _, p := range batch {
-			sess := p.sess
-			if sess.started && p.now < sess.lastNow {
-				srvClockViolations.Inc()
-			}
-			sess.started = true
-			sess.lastNow = p.now
-			t0 := obs.Now()
-			if sess.obs.ChunkIndex == 0 {
-				// Stream start: runStream resets per-stream algorithm
-				// state before its first decision; resets are idempotent
-				// and never touch exploration RNGs, so this reproduces
-				// the inline path exactly.
-				sess.alg.Reset()
-			}
-			if sess.deferred != nil {
-				sess.deferred.PrepareChoose(&sess.obs)
-				if sess.dp != nil {
-					svc.Enqueue(sess.dp.Pending())
-				}
-			}
-			p.prepNS = obs.SinceNS(t0)
-			if tr != nil && p.trace != 0 {
-				tr.Record(obs.Span{Trace: p.trace, ID: tr.NewSpanID(), Parent: p.span,
-					Name: "queue_wait", Start: p.enq, Dur: t0 - p.enq})
-				tr.Record(obs.Span{Trace: p.trace, ID: tr.NewSpanID(), Parent: p.span,
-					Name: "prepare", Start: t0, Dur: p.prepNS})
-				p.res0 = t0 + p.prepNS
-			}
-		}
-
-		// One batched forward pass per distinct model. The flush-trace
-		// context attributes the shared flush (and its kernel spans) to the
-		// batch's first traced decision.
-		if tr != nil {
-			for _, p := range batch {
-				if p.trace != 0 {
-					obs.SetFlushTrace(p.trace, p.span)
-					break
-				}
-			}
+			svc.EnqueueTraced(p.rows, p.trace, p.span)
 		}
 		svc.Flush()
-		if tr != nil {
-			obs.ClearFlushTrace()
-		}
 		srvBatchSessions.Observe(int64(len(batch)))
-
-		// Finish phase: complete every decision and reply.
 		for _, p := range batch {
-			sess := p.sess
-			t1 := obs.Now()
-			var q int
-			if sess.deferred != nil {
-				q = sess.deferred.FinishChoose(&sess.obs)
-			} else {
-				q = sess.alg.Choose(&sess.obs)
-			}
-			if sess.dp != nil {
-				sess.dp.Clear()
-			}
-			if t1 != 0 {
-				srvDecisionNS.Observe(p.prepNS + obs.SinceNS(t1))
-				srvRequestNS.Observe(obs.SinceNS(p.enq))
-			}
-			if tr != nil && p.trace != 0 {
-				tr.Record(obs.Span{Trace: p.trace, ID: tr.NewSpanID(), Parent: p.span,
-					Name: "batch_residency", Start: p.res0, Dur: t1 - p.res0,
-					Attrs: []obs.Attr{{Key: "batch", Val: int64(len(batch))}}})
-				tr.Record(obs.Span{Trace: p.trace, ID: tr.NewSpanID(), Parent: p.span,
-					Name: "finish", Start: t1, Dur: obs.SinceNS(t1)})
-			}
-			sess.decisions++
-			srvDecisionsTotal.Inc()
-			sess.reply <- q
+			p.reply <- drained
 		}
 	}
 }
