@@ -20,7 +20,7 @@ SCENARIO_SCALE ?= 0.02
 # Scratch dir for the sweep smoke run's index + checkpoints.
 SWEEP_DIR ?= /tmp/puffer-sweep-smoke
 
-.PHONY: fmt fmt-check vet build loc test bench bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
+.PHONY: fmt fmt-check vet build cross loc test bench bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
 
 fmt:
 	gofmt -w .
@@ -36,6 +36,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Cross-compile for a GOARCH with no assembly, so the portable bodies of the
+# nn kernel primitives (internal/nn/affine.go + affine_noasm.go) — what every
+# platform but amd64 runs — are compiled and vetted on every push.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn
 
 # The round's tracked size: non-test Go lines outside bench/ (ROADMAP's
 # second aim is that this number goes down).
@@ -249,4 +256,4 @@ dist-smoke:
 	echo "dist-smoke: worker-process run byte-identical to single-process, through a coordinator restart and a killed worker"
 
 # `loc` runs last so every green run ends on the round's tracked number.
-ci: fmt-check vet build test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke loc
+ci: fmt-check vet build cross test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke loc

@@ -8,7 +8,16 @@ import (
 
 	"puffer/internal/abr"
 	"puffer/internal/nn"
+	"puffer/internal/obs"
 	"puffer/internal/tcpsim"
+)
+
+// Retrain-phase metrics (write-only; see the obs package contract): one
+// observation per horizon step per Train, splitting the runner's
+// runner_retrain_wall_ns into building a step's examples and fitting its net.
+var (
+	trainExamplesNS = obs.Default.Histogram("core_train_examples_ns")
+	trainFitNS      = obs.Default.Histogram("core_train_fit_ns")
 )
 
 // ChunkObs is the telemetry Fugu aggregates per sent chunk: what was sent,
@@ -53,39 +62,70 @@ func (d *Dataset) MaxDay() int {
 	return m
 }
 
-// Examples materializes supervised examples for horizon step `step`:
-// features are assembled from the state at decision time i (history of
-// chunks before i, tcp_info at i, and the size of chunk i+step); the label
-// is the observed outcome of chunk i+step. Windowing and recency weights
-// follow cfg.
-func (d *Dataset) Examples(t *TTP, step int, cfg TrainConfig) (xs [][]float64, labels []int, weights []float64) {
-	fc := t.Cfg
-	maxDay := d.MaxDay()
+// exampleRows assembles the feature row of every example for horizon step
+// `step`, in stream then send order: the state at decision time i (history
+// of the chunks before i, tcp_info at i) plus the size of the target chunk
+// i+step. Targets that keep rejects are skipped (nil keeps all). It is the
+// one definition of an example's layout — the trainer and Figure 7's
+// evaluator both build on it. Rows are carved from a single slab (counted
+// first, then filled), each a view with capped capacity; targets[i] is row
+// i's target chunk, from which callers derive labels, weights and sizes.
+func (d *Dataset) exampleRows(fc FeatureConfig, step int, keep func(target *ChunkObs) bool) (xs [][]float64, targets []*ChunkObs) {
+	n := 0
+	for _, s := range d.Streams {
+		for i := step; i < len(s.Chunks); i++ {
+			if keep == nil || keep(&s.Chunks[i]) {
+				n++
+			}
+		}
+	}
+	dim := fc.Dim()
+	slab := make([]float64, n*dim)
+	xs = make([][]float64, 0, n)
+	targets = make([]*ChunkObs, 0, n)
 	hist := make([]abr.ChunkRecord, 0, fc.HistLen)
 	for _, s := range d.Streams {
 		for i := 0; i+step < len(s.Chunks); i++ {
-			target := s.Chunks[i+step]
-			if cfg.WindowDays > 0 && maxDay-target.Day >= cfg.WindowDays {
+			target := &s.Chunks[i+step]
+			if keep != nil && !keep(target) {
 				continue
 			}
 			hist = hist[:0]
-			lo := i - fc.HistLen
-			if lo < 0 {
-				lo = 0
-			}
-			for _, c := range s.Chunks[lo:i] {
+			for _, c := range s.Chunks[max(0, i-fc.HistLen):i] {
 				hist = append(hist, abr.ChunkRecord{Size: c.Size, TransTime: c.TransTime})
 			}
-			x := make([]float64, fc.Dim())
+			at := len(xs) * dim
+			x := slab[at : at+dim : at+dim]
 			fc.Assemble(x, hist, s.Chunks[i].Info, target.Size)
 			xs = append(xs, x)
-			labels = append(labels, t.Label(target.Size, target.TransTime))
-			w := 1.0
-			if cfg.RecencyBase > 0 && cfg.RecencyBase != 1 {
-				age := maxDay - target.Day
-				w = pow(cfg.RecencyBase, age)
-			}
-			weights = append(weights, w)
+			targets = append(targets, target)
+		}
+	}
+	return xs, targets
+}
+
+// Examples materializes supervised examples for horizon step `step` (see
+// exampleRows for the features); the label is the observed outcome of the
+// target chunk. Windowing and recency weights follow cfg.
+func (d *Dataset) Examples(t *TTP, step int, cfg TrainConfig) (xs [][]float64, labels []int, weights []float64) {
+	return d.examples(t, step, cfg, d.MaxDay())
+}
+
+// examples is Examples with the dataset's MaxDay supplied, so Train scans
+// for it once rather than once per horizon step.
+func (d *Dataset) examples(t *TTP, step int, cfg TrainConfig, maxDay int) (xs [][]float64, labels []int, weights []float64) {
+	var inWindow func(*ChunkObs) bool
+	if cfg.WindowDays > 0 {
+		inWindow = func(target *ChunkObs) bool { return maxDay-target.Day < cfg.WindowDays }
+	}
+	xs, targets := d.exampleRows(t.Cfg, step, inWindow)
+	labels = make([]int, len(xs))
+	weights = make([]float64, len(xs))
+	for i, target := range targets {
+		labels[i] = t.Label(target.Size, target.TransTime)
+		weights[i] = 1
+		if cfg.RecencyBase > 0 && cfg.RecencyBase != 1 {
+			weights[i] = pow(cfg.RecencyBase, maxDay-target.Day)
 		}
 	}
 	return xs, labels, weights
@@ -138,12 +178,13 @@ func Train(t *TTP, data *Dataset, cfg TrainConfig) (TrainResult, error) {
 	}
 	res := TrainResult{Loss: make([]float64, len(t.Nets)), Examples: make([]int, len(t.Nets))}
 	errs := make([]error, len(t.Nets))
+	maxDay := data.MaxDay()
 	var wg sync.WaitGroup
 	for step := range t.Nets {
 		wg.Add(1)
 		go func(step int) {
 			defer wg.Done()
-			errs[step] = trainStep(t, data, cfg, step, &res)
+			errs[step] = trainStep(t, data, cfg, maxDay, step, &res)
 		}(step)
 	}
 	wg.Wait()
@@ -156,11 +197,15 @@ func Train(t *TTP, data *Dataset, cfg TrainConfig) (TrainResult, error) {
 }
 
 // trainStep fits one horizon step's network.
-func trainStep(t *TTP, data *Dataset, cfg TrainConfig, step int, res *TrainResult) error {
-	xs, labels, weights := data.Examples(t, step, cfg)
+func trainStep(t *TTP, data *Dataset, cfg TrainConfig, maxDay, step int, res *TrainResult) error {
+	t0 := obs.Now()
+	xs, labels, weights := data.examples(t, step, cfg, maxDay)
+	trainExamplesNS.ObserveSince(t0)
 	if len(xs) == 0 {
 		return fmt.Errorf("core: no training examples for horizon step %d", step)
 	}
+	t0 = obs.Now()
+	defer trainFitNS.ObserveSince(t0)
 	res.Examples[step] = len(xs)
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(step)))
 	trainer := nn.NewTrainer(t.Nets[step], &nn.Adam{LR: cfg.LR})
@@ -236,36 +281,45 @@ func forEachDistRow(pred *Predictor, step int, xs [][]float64, visit func(i int,
 	}
 }
 
+// evalScore accumulates EvalResult's three metrics over scored examples.
+type evalScore struct {
+	ce        float64
+	hit, near int
+}
+
+// add scores one predicted distribution against its true bin.
+func (e *evalScore) add(dist []float64, label int) {
+	e.ce -= math.Log(max(dist[label], 1e-12))
+	am := nn.ArgMax(dist)
+	if am == label {
+		e.hit++
+	}
+	if am >= label-1 && am <= label+1 {
+		e.near++
+	}
+}
+
+func (e *evalScore) result(examples int) EvalResult {
+	n := float64(examples)
+	return EvalResult{CrossEntropy: e.ce / n, Accuracy: float64(e.hit) / n, Within1: float64(e.near) / n}
+}
+
 // Evaluate scores the TTP on a dataset (typically held-out) at one step.
+// For the throughput-kind TTP, labels are throughput bins and the raw output
+// distribution is over throughput bins too, so cross-entropy is comparable
+// within a kind; Figure 7 compares prediction of *transmission time* —
+// that is EvaluateTransTime.
 func Evaluate(t *TTP, data *Dataset, step int) EvalResult {
-	cfg := TrainConfig{} // no windowing or weighting for evaluation
-	xs, labels, _ := data.Examples(t, step, cfg)
+	// No windowing or weighting for evaluation.
+	xs, labels, _ := data.Examples(t, step, TrainConfig{})
 	if len(xs) == 0 {
 		return EvalResult{}
 	}
-	pred := NewPredictor(t, ModeProbabilistic)
-	var ce float64
-	var hit, near int
-	forEachDistRow(pred, step, xs, func(i int, dist []float64) {
-		// For the throughput-kind TTP, labels are throughput bins and
-		// the raw output distribution is over throughput bins too, so
-		// cross-entropy is comparable within a kind. Figure 7 compares
-		// prediction of *transmission time*, so convert when needed.
-		p := dist[labels[i]]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		ce += -ln(p)
-		am := nn.ArgMax(dist)
-		if am == labels[i] {
-			hit++
-		}
-		if am >= labels[i]-1 && am <= labels[i]+1 {
-			near++
-		}
+	var score evalScore
+	forEachDistRow(NewPredictor(t, ModeProbabilistic), step, xs, func(i int, dist []float64) {
+		score.add(dist, labels[i])
 	})
-	n := float64(len(xs))
-	return EvalResult{CrossEntropy: ce / n, Accuracy: float64(hit) / n, Within1: float64(near) / n}
+	return score.result(len(xs))
 }
 
 // EvaluateTransTime scores any TTP variant on its ability to predict
@@ -285,51 +339,23 @@ func EvaluateTransTimeMode(t *TTP, data *Dataset, step int, mode Mode) EvalResul
 	}
 	pred := NewPredictor(t, mode)
 	dist := make([]float64, abr.NumBins)
-	var ce float64
-	var hit, near int
+	var score evalScore
 	forEachDistRow(pred, step, xs, func(i int, raw []float64) {
 		pred.finishDist(dist, raw, sizes[i])
-		p := dist[ttLabels[i]]
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		ce += -ln(p)
-		am := nn.ArgMax(dist)
-		if am == ttLabels[i] {
-			hit++
-		}
-		if am >= ttLabels[i]-1 && am <= ttLabels[i]+1 {
-			near++
-		}
+		score.add(dist, ttLabels[i])
 	})
-	n := float64(len(xs))
-	return EvalResult{CrossEntropy: ce / n, Accuracy: float64(hit) / n, Within1: float64(near) / n}
+	return score.result(len(xs))
 }
 
 // transTimeExamples builds features plus the proposed sizes and
 // transmission-time labels for step.
 func transTimeExamples(t *TTP, d *Dataset, step int) (xs [][]float64, sizes []float64, labels []int) {
-	fc := t.Cfg
-	hist := make([]abr.ChunkRecord, 0, fc.HistLen)
-	for _, s := range d.Streams {
-		for i := 0; i+step < len(s.Chunks); i++ {
-			target := s.Chunks[i+step]
-			hist = hist[:0]
-			lo := i - fc.HistLen
-			if lo < 0 {
-				lo = 0
-			}
-			for _, c := range s.Chunks[lo:i] {
-				hist = append(hist, abr.ChunkRecord{Size: c.Size, TransTime: c.TransTime})
-			}
-			x := make([]float64, fc.Dim())
-			fc.Assemble(x, hist, s.Chunks[i].Info, target.Size)
-			xs = append(xs, x)
-			sizes = append(sizes, target.Size)
-			labels = append(labels, abr.BinIndex(target.TransTime))
-		}
+	xs, targets := d.exampleRows(t.Cfg, step, nil)
+	sizes = make([]float64, len(xs))
+	labels = make([]int, len(xs))
+	for i, target := range targets {
+		sizes[i] = target.Size
+		labels[i] = abr.BinIndex(target.TransTime)
 	}
 	return xs, sizes, labels
 }
-
-func ln(x float64) float64 { return math.Log(x) }

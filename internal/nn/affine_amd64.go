@@ -10,30 +10,35 @@ var useAVX2 = detectAVX2()
 // OS support AVX-512F (ZMM state enabled).
 var useAVX512 = useAVX2 && detectAVX512()
 
-// affineRowTAVX2 computes one sample's affine layer over transposed weights:
-//
-//	dst[o] = bias[o] + Σ_i wt[i*nOut+o]·x[i]
-//
-// with each output accumulated in ascending input order and a separate
-// multiply and add rounding per term (VMULPD+VADDPD, never FMA), so every
-// element is bitwise identical to the scalar affineBatch accumulation.
+// affineRowTAVX2 is affineRowTGo's contract on 256-bit vectors: it
+// vectorizes across outputs, each output still accumulating in ascending
+// input order from its bias with a separate multiply and add rounding per
+// term (VMULPD+VADDPD, never FMA), so every element is bitwise identical to
+// the portable body.
 //
 //go:noescape
-func affineRowTAVX2(dst, bias, x, wt *float64, nIn, nOut int)
+func affineRowTAVX2(dst, bias, x, wt *float64, nIn, nOut, xStride int)
 
 // affineRowTAVX512 is the same contract on 512-bit vectors.
 //
 //go:noescape
-func affineRowTAVX512(dst, bias, x, wt *float64, nIn, nOut int)
+func affineRowTAVX512(dst, bias, x, wt *float64, nIn, nOut, xStride int)
 
-// affineRowT dispatches one packed affine row to the widest supported
-// kernel. Callers must have checked useAVX2.
-func affineRowT(dst, bias, x, wt *float64, nIn, nOut int) {
-	if useAVX512 {
-		affineRowTAVX512(dst, bias, x, wt, nIn, nOut)
+// affineRowT runs one affine row (see affineRowTGo) on the widest supported
+// body. Like the other primitives below it dispatches here, once, so callers
+// hold one code path for every platform.
+func affineRowT(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
+	if !useAVX2 || nIn == 0 || nOut == 0 {
+		affineRowTGo(dst, bias, x, wt, nIn, nOut, xStride)
 		return
 	}
-	affineRowTAVX2(dst, bias, x, wt, nIn, nOut)
+	// The assembly goes through bare pointers: check the extents here.
+	_, _, _, _ = dst[nOut-1], bias[nOut-1], x[(nIn-1)*xStride], wt[nIn*nOut-1]
+	if useAVX512 {
+		affineRowTAVX512(&dst[0], &bias[0], &x[0], &wt[0], nIn, nOut, xStride)
+		return
+	}
+	affineRowTAVX2(&dst[0], &bias[0], &x[0], &wt[0], nIn, nOut, xStride)
 }
 
 // reluVecAVX2 and reluVecAVX512 clamp non-positive entries (and NaN) to +0
@@ -45,17 +50,61 @@ func reluVecAVX2(v *float64, n int)
 //go:noescape
 func reluVecAVX512(v *float64, n int)
 
-// reluVec dispatches the in-place ReLU to the widest supported kernel.
-// Callers must have checked useAVX2.
+// reluVec is the in-place ReLU (reluInPlace is its portable body).
 func reluVec(v []float64) {
-	if len(v) == 0 {
-		return
-	}
-	if useAVX512 {
+	switch {
+	case !useAVX2 || len(v) == 0:
+		reluInPlace(v)
+	case useAVX512:
 		reluVecAVX512(&v[0], len(v))
+	default:
+		reluVecAVX2(&v[0], len(v))
+	}
+}
+
+// The training step's elementwise passes. They move a few thousand elements
+// per minibatch against the affine kernel's few hundred thousand
+// multiply-adds, so 256-bit bodies are all they get.
+//
+//go:noescape
+func reluCopyAVX2(dst, src *float64, n int)
+
+//go:noescape
+func maskNonPosAVX2(d, z *float64, n int)
+
+//go:noescape
+func adamStepAVX2(par, grad, mom, vel *float64, n int, k *adamConsts)
+
+// reluCopy writes relu(src) into dst (see reluCopyGo); len(dst) >= len(src).
+func reluCopy(dst, src []float64) {
+	if !useAVX2 || len(src) == 0 {
+		reluCopyGo(dst, src)
 		return
 	}
-	reluVecAVX2(&v[0], len(v))
+	_ = dst[len(src)-1]
+	reluCopyAVX2(&dst[0], &src[0], len(src))
+}
+
+// maskNonPos zeroes d where z <= 0 (see maskNonPosGo); len(d) >= len(z).
+func maskNonPos(d, z []float64) {
+	if !useAVX2 || len(z) == 0 {
+		maskNonPosGo(d, z)
+		return
+	}
+	_ = d[len(z)-1]
+	maskNonPosAVX2(&d[0], &z[0], len(z))
+}
+
+// adamStep is one fused Adam pass (see adamStepGo); g, m and v are at least
+// as long as p.
+func adamStep(p, g, m, v []float64, k *adamConsts) {
+	n := len(p)
+	if !useAVX2 || n == 0 {
+		adamStepGo(p, g, m, v, k)
+		return
+	}
+	_, _, _ = g[n-1], m[n-1], v[n-1]
+	adamStepAVX2(&p[0], &g[0], &m[0], &v[0], n, k)
 }
 
 // cpuid executes the CPUID instruction for (leaf, subleaf).

@@ -1,23 +1,28 @@
-// AVX2 kernel for the packed (transposed-weight) affine layer, plus the
-// CPUID/XGETBV probes that gate it.
+// SIMD kernels for the packed (transposed-weight) affine layer and the
+// elementwise passes of a training step, plus the CPUID/XGETBV probes that
+// gate them. Portable bodies with the same contracts live in affine.go.
 //
-// The kernel vectorizes across outputs: weights are input-major
+// The affine kernel vectorizes across outputs: weights are input-major
 // (wt[i*nOut+o]), so the 4/8/16 outputs of a block load as unit-stride
-// vectors while x[i] broadcasts. Each output element still accumulates in
-// ascending input order starting from its bias, with a separate VMULPD and
-// VADDPD rounding per term (no FMA contraction), so results are bitwise
-// identical to the scalar kernel in math.go.
+// vectors while x[i*xStride] broadcasts. Each output element still
+// accumulates in ascending input order starting from its bias, with a
+// separate VMULPD and VADDPD rounding per term (no FMA contraction), so
+// results are bitwise identical to the scalar kernels. The elementwise
+// kernels (ReLU, ReLU-copy, ReLU mask, Adam) perform per element exactly the
+// scalar code's operations in its order, each with its own rounding.
 
 #include "textflag.h"
 
-// func affineRowTAVX2(dst, bias, x, wt *float64, nIn, nOut int)
-TEXT ·affineRowTAVX2(SB), NOSPLIT, $0-48
+// func affineRowTAVX2(dst, bias, x, wt *float64, nIn, nOut, xStride int)
+TEXT ·affineRowTAVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ bias+8(FP), SI
 	MOVQ x+16(FP), DX
 	MOVQ wt+24(FP), CX
 	MOVQ nIn+32(FP), R8
 	MOVQ nOut+40(FP), R9
+	MOVQ xStride+48(FP), BX
+	SHLQ $3, BX               // x element stride in bytes (xStride*8)
 	MOVQ R9, R10
 	SHLQ $3, R10              // wt row stride in bytes (nOut*8)
 	XORQ R11, R11             // o := 0
@@ -50,7 +55,7 @@ i16:
 	VADDPD Y6, Y1, Y1
 	VADDPD Y7, Y2, Y2
 	VADDPD Y8, Y3, Y3
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  i16
@@ -82,7 +87,7 @@ i8:
 	VMULPD Y4, Y6, Y6
 	VADDPD Y5, Y0, Y0
 	VADDPD Y6, Y1, Y1
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  i8
@@ -108,7 +113,7 @@ i4:
 	VMOVUPD (R12), Y5
 	VMULPD Y4, Y5, Y5
 	VADDPD Y5, Y0, Y0
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  i4
@@ -130,7 +135,7 @@ i1:
 	VMOVSD (R13), X4
 	VMULSD (R12), X4, X4
 	VADDSD X4, X0, X0
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  i1
@@ -143,19 +148,21 @@ done:
 	VZEROUPPER
 	RET
 
-// func affineRowTAVX512(dst, bias, x, wt *float64, nIn, nOut int)
+// func affineRowTAVX512(dst, bias, x, wt *float64, nIn, nOut, xStride int)
 //
 // Same contract as affineRowTAVX2 on 512-bit vectors: blocks of 32 and 8
 // outputs accumulate from the bias in ascending input order with separate
 // VMULPD/VADDPD roundings, then the AVX2-style 4-wide and scalar tails
 // finish the remainder.
-TEXT ·affineRowTAVX512(SB), NOSPLIT, $0-48
+TEXT ·affineRowTAVX512(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ bias+8(FP), SI
 	MOVQ x+16(FP), DX
 	MOVQ wt+24(FP), CX
 	MOVQ nIn+32(FP), R8
 	MOVQ nOut+40(FP), R9
+	MOVQ xStride+48(FP), BX
+	SHLQ $3, BX               // x element stride in bytes (xStride*8)
 	MOVQ R9, R10
 	SHLQ $3, R10              // wt row stride in bytes (nOut*8)
 	XORQ R11, R11             // o := 0
@@ -188,7 +195,7 @@ zi32:
 	VADDPD Z6, Z1, Z1
 	VADDPD Z7, Z2, Z2
 	VADDPD Z8, Z3, Z3
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  zi32
@@ -216,7 +223,7 @@ zi8:
 	VMOVUPD (R12), Z5
 	VMULPD Z4, Z5, Z5
 	VADDPD Z5, Z0, Z0
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  zi8
@@ -241,7 +248,7 @@ zi4:
 	VMOVUPD (R12), Y5
 	VMULPD Y4, Y5, Y5
 	VADDPD Y5, Y0, Y0
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  zi4
@@ -263,7 +270,7 @@ zi1:
 	VMOVSD (R13), X4
 	VMULSD (R12), X4, X4
 	VADDSD X4, X0, X0
-	ADDQ $8, R13
+	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
 	JMP  zi1
@@ -333,6 +340,164 @@ r512tail:
 	DECQ CX
 	JMP  r512tail
 r512done:
+	VZEROUPPER
+	RET
+
+// func reluCopyAVX2(dst, src *float64, n int)
+//
+// dst[i] = src[i] > 0 ? src[i] : +0 — reluVecAVX2's rule (VMAXPD against +0:
+// negatives, -0 and NaN all become +0) written to a second buffer, so the
+// trainer keeps the pre-activations for the backward mask.
+TEXT ·reluCopyAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y1, Y1, Y1
+c4:
+	CMPQ CX, $4
+	JLT  ctail
+	VMOVUPD (SI), Y0
+	VMAXPD Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  c4
+ctail:
+	TESTQ CX, CX
+	JZ    cdone
+	VMOVSD (SI), X0
+	VMAXSD X1, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JMP  ctail
+cdone:
+	VZEROUPPER
+	RET
+
+// func maskNonPosAVX2(d, z *float64, n int)
+//
+// d[i] = +0 where z[i] <= 0, untouched elsewhere: the backward ReLU mask.
+// The ordered compare is false for NaN, so a NaN pre-activation keeps its
+// delta, like the scalar `if z <= 0`.
+TEXT ·maskNonPosAVX2(SB), NOSPLIT, $0-24
+	MOVQ d+0(FP), DI
+	MOVQ z+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y1, Y1, Y1
+m4:
+	CMPQ CX, $4
+	JLT  mtail
+	VMOVUPD (SI), Y0
+	VCMPPD $2, Y1, Y0, Y2     // z <= 0 (LE, ordered)
+	VMOVUPD (DI), Y3
+	VANDNPD Y3, Y2, Y3        // d &^ mask
+	VMOVUPD Y3, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  m4
+mtail:
+	TESTQ CX, CX
+	JZ    mdone
+	VMOVSD (SI), X0
+	VCMPSD $2, X1, X0, X2
+	VMOVSD (DI), X3
+	VANDNPD X3, X2, X3
+	VMOVSD X3, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JMP  mtail
+mdone:
+	VZEROUPPER
+	RET
+
+// func adamStepAVX2(par, grad, mom, vel *float64, n int, k *adamConsts)
+//
+// One fused Adam pass; k holds {b1, 1-b1, b2, 1-b2, c1, c2, lr, eps}. Per
+// element, in adamStepGo's order with one rounding per operation:
+//
+//	m = b1*m + (1-b1)*g
+//	v = b2*v + ((1-b2)*g)*g
+//	p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
+//
+// Two divides and a square root per element bound it, so 256-bit vectors
+// already run at the divider's pace; there is no 512-bit variant.
+TEXT ·adamStepAVX2(SB), NOSPLIT, $0-48
+	MOVQ par+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ mom+16(FP), DX
+	MOVQ vel+24(FP), BX
+	MOVQ n+32(FP), CX
+	MOVQ k+40(FP), AX
+	VBROADCASTSD 0(AX), Y8    // b1
+	VBROADCASTSD 8(AX), Y9    // 1-b1
+	VBROADCASTSD 16(AX), Y10  // b2
+	VBROADCASTSD 24(AX), Y11  // 1-b2
+	VBROADCASTSD 32(AX), Y12  // c1
+	VBROADCASTSD 40(AX), Y13  // c2
+	VBROADCASTSD 48(AX), Y14  // lr
+	VBROADCASTSD 56(AX), Y15  // eps
+a4:
+	CMPQ CX, $4
+	JLT  atail
+	VMOVUPD (SI), Y0          // g
+	VMULPD (DX), Y8, Y1       // b1*m
+	VMULPD Y0, Y9, Y2         // (1-b1)*g
+	VADDPD Y2, Y1, Y1         // m'
+	VMOVUPD Y1, (DX)
+	VMULPD (BX), Y10, Y3      // b2*v
+	VMULPD Y0, Y11, Y4        // (1-b2)*g
+	VMULPD Y0, Y4, Y4         // ... *g
+	VADDPD Y4, Y3, Y3         // v'
+	VMOVUPD Y3, (BX)
+	VDIVPD Y12, Y1, Y1        // mh = m'/c1
+	VDIVPD Y13, Y3, Y3        // vh = v'/c2
+	VSQRTPD Y3, Y3
+	VADDPD Y15, Y3, Y3        // sqrt(vh) + eps
+	VMULPD Y1, Y14, Y1        // lr*mh
+	VDIVPD Y3, Y1, Y1
+	VMOVUPD (DI), Y5
+	VSUBPD Y1, Y5, Y5         // p - step
+	VMOVUPD Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, BX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  a4
+atail:
+	TESTQ CX, CX
+	JZ    adone
+	VMOVSD (SI), X0
+	VMULSD (DX), X8, X1
+	VMULSD X0, X9, X2
+	VADDSD X2, X1, X1
+	VMOVSD X1, (DX)
+	VMULSD (BX), X10, X3
+	VMULSD X0, X11, X4
+	VMULSD X0, X4, X4
+	VADDSD X4, X3, X3
+	VMOVSD X3, (BX)
+	VDIVSD X12, X1, X1
+	VDIVSD X13, X3, X3
+	VSQRTSD X3, X3, X3
+	VADDSD X15, X3, X3
+	VMULSD X1, X14, X1
+	VDIVSD X3, X1, X1
+	VMOVSD (DI), X5
+	VSUBSD X1, X5, X5
+	VMOVSD X5, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ $8, BX
+	ADDQ $8, DI
+	DECQ CX
+	JMP  atail
+adone:
 	VZEROUPPER
 	RET
 

@@ -2,17 +2,19 @@
 
 package nn
 
-// useAVX2 is false off amd64: the packed path serves through the portable
-// batched kernel instead.
+// useAVX2 is false off amd64: there is no SIMD body, so every primitive is
+// its portable body and PackedMLP serves through the portable batched
+// kernel.
 const useAVX2 = false
 
-// affineRowT is unreachable when useAVX2 is false; the stub keeps the
-// packed path compiling on every platform.
-func affineRowT(dst, bias, x, wt *float64, nIn, nOut int) {
-	panic("nn: affineRowT called without SIMD support")
+func affineRowT(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
+	affineRowTGo(dst, bias, x, wt, nIn, nOut, xStride)
 }
 
-// reluVec is unreachable when useAVX2 is false.
-func reluVec(v []float64) {
-	panic("nn: reluVec called without SIMD support")
-}
+func reluVec(v []float64) { reluInPlace(v) }
+
+func reluCopy(dst, src []float64) { reluCopyGo(dst, src) }
+
+func maskNonPos(d, z []float64) { maskNonPosGo(d, z) }
+
+func adamStep(p, g, m, v []float64, k *adamConsts) { adamStepGo(p, g, m, v, k) }

@@ -24,11 +24,22 @@
 // cache is why MLP's exported fields are read-only outside this package: a
 // weight written from elsewhere is not seen by Packed.
 //
-// Training is batched through the same kernels: Trainer.TrainClassBatch
-// runs the minibatch forward, the gradient accumulation, and the delta
-// propagation as matrix passes whose per-element accumulation order matches
-// the retained per-sample reference exactly (differential-tested to
-// bitwise-equal weights).
+// Training keeps the same discipline. A Trainer's gradients live in one slab
+// laid out like the parameter slab (W[0] B[0] W[1] B[1] ...; gradW/gradB are
+// views) and an optimizer's moments in slabs of that shape, so
+// Optimizer.Step is one elementwise pass. A TrainClassBatch step is built
+// from four primitives, each an assembly body on amd64/AVX2 and a portable
+// body (affine.go) that other platforms run and the tests hold the assembly
+// to: affineRowT — dst[o] = bias[o] + Σ_i wt[i*nOut+o]·x[i*xStride] — is
+// every sum of the step (forward row, weight-gradient row over a strided
+// delta column, bias gradient over all-ones inputs, propagated delta);
+// reluCopy and maskNonPos are the ReLU and its backward mask; adamStep is
+// Adam's update (256-bit only: its three divides and square root per
+// element retire no faster on wider vectors). Every sum runs in ascending
+// index order from its bias or +0 and every operation rounds on its own (no
+// FMA, no reciprocal), so gradients, losses and saved model bytes equal the
+// one-sample-at-a-time backprop's — the tests' oracle, and what
+// PolicyGradStep and TrainRegBatch still run — on any vector width.
 //
 // Main entry points:
 //

@@ -67,23 +67,31 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 
 // alloc builds the parameter slab for m.Sizes and points W/B into it.
 func (m *MLP) alloc() {
-	layers := len(m.Sizes) - 1
 	total := 0
-	for l := 0; l < layers; l++ {
+	for l := 0; l < len(m.Sizes)-1; l++ {
 		total += m.Sizes[l+1]*m.Sizes[l] + m.Sizes[l+1]
 	}
 	m.flat = make([]float64, total)
-	m.W = make([][]float64, layers)
-	m.B = make([][]float64, layers)
+	m.W, m.B = m.layerViews(m.flat)
+}
+
+// layerViews carves a slab laid out like the parameter slab (W[0] B[0] W[1]
+// B[1] ...) into per-layer weight and bias views. The trainer's gradient
+// slab gets its views here too, so the two layouts cannot drift apart.
+func (m *MLP) layerViews(slab []float64) (w, b [][]float64) {
+	layers := len(m.Sizes) - 1
+	w = make([][]float64, layers)
+	b = make([][]float64, layers)
 	at := 0
 	for l := 0; l < layers; l++ {
 		nw := m.Sizes[l+1] * m.Sizes[l]
-		m.W[l] = m.flat[at : at+nw : at+nw]
+		w[l] = slab[at : at+nw : at+nw]
 		at += nw
 		nb := m.Sizes[l+1]
-		m.B[l] = m.flat[at : at+nb : at+nb]
+		b[l] = slab[at : at+nb : at+nb]
 		at += nb
 	}
+	return w, b
 }
 
 // pack re-homes the parameters of a model whose W/B slices were allocated
@@ -206,13 +214,7 @@ func (m *MLP) ForwardInto(ws *Workspace, x []float64) []float64 {
 		if l == last {
 			copy(out, z)
 		} else {
-			for i, v := range z {
-				if v > 0 {
-					out[i] = v
-				} else {
-					out[i] = 0
-				}
-			}
+			reluCopyGo(out, z)
 		}
 	}
 	return ws.acts[len(ws.acts)-1]

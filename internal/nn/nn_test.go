@@ -281,7 +281,7 @@ func TestGradientCheckMSE(t *testing.T) {
 // can be inspected.
 type nopOpt struct{}
 
-func (nopOpt) Step(*MLP, [][]float64, [][]float64) {}
+func (nopOpt) Step(*MLP, []float64) {}
 
 func TestLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

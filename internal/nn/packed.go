@@ -76,17 +76,32 @@ func (m *MLP) NewPacked() *PackedMLP {
 	}
 	for l := 0; l < m.NumLayers(); l++ {
 		nIn, nOut := m.Sizes[l], m.Sizes[l+1]
-		wt := make([]float64, nIn*nOut)
-		for o := 0; o < nOut; o++ {
-			row := m.W[l][o*nIn : (o+1)*nIn]
-			for i, v := range row {
-				wt[i*nOut+o] = v
-			}
-		}
-		p.wt[l] = wt
+		p.wt[l] = make([]float64, nIn*nOut)
+		transposeInto(p.wt[l], m.W[l], nIn, nOut)
 		p.bias[l] = append([]float64(nil), m.B[l]...)
 	}
 	return p
+}
+
+// transposeInto writes the output-major nOut × nIn weight matrix w into wt
+// input-major: wt[i*nOut+o] = w[o*nIn+i].
+func transposeInto(wt, w []float64, nIn, nOut int) {
+	// Eight outputs at a time, so each 64-byte line of wt is written whole
+	// while it is hot (the trainer re-transposes every step).
+	o := 0
+	for ; o+8 <= nOut; o += 8 {
+		for i := 0; i < nIn; i++ {
+			dst := wt[i*nOut+o : i*nOut+o+8]
+			src := w[o*nIn+i:]
+			dst[0], dst[1], dst[2], dst[3] = src[0], src[nIn], src[2*nIn], src[3*nIn]
+			dst[4], dst[5], dst[6], dst[7] = src[4*nIn], src[5*nIn], src[6*nIn], src[7*nIn]
+		}
+	}
+	for ; o < nOut; o++ {
+		for i, v := range w[o*nIn : (o+1)*nIn] {
+			wt[i*nOut+o] = v
+		}
+	}
 }
 
 // InputSize returns the expected input vector length.
@@ -125,7 +140,7 @@ func (p *PackedMLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int)
 		out := ws.acts[l][:rows*nOut]
 		bias, wt := p.bias[l], p.wt[l]
 		for r := 0; r < rows; r++ {
-			affineRowT(&out[r*nOut], &bias[0], &in[r*nIn], &wt[0], nIn, nOut)
+			affineRowT(out[r*nOut:], bias, in[r*nIn:], wt, nIn, nOut, 1)
 		}
 		if l != last {
 			reluVec(out)

@@ -3,15 +3,25 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Optimizer applies a gradient step to a network's parameters. Gradients are
 // mean-gradients over the batch the caller accumulated.
 type Optimizer interface {
-	// Step updates net in place given gradients shaped like net.W / net.B,
-	// and drops net's cached packed snapshot, which the write made stale
-	// (the cache is unexported, so implementations live in this package).
-	Step(net *MLP, gradW, gradB [][]float64)
+	// Step updates net in place given grad, a slab laid out like net's
+	// parameter slab (W[0] B[0] W[1] B[1] ...; NewTrainer builds both), and
+	// drops net's cached packed snapshot, which the write made stale (slab
+	// and cache are unexported, so implementations live in this package).
+	Step(net *MLP, grad []float64)
+}
+
+// checkSlab panics unless grad parallels net's parameter slab (NewTrainer
+// sets both up).
+func checkSlab(net *MLP, grad []float64) {
+	if len(net.flat) == 0 || len(net.flat) != len(grad) {
+		panic(fmt.Sprintf("nn: Optimizer.Step: %d-parameter slab vs %d gradients", len(net.flat), len(grad)))
+	}
 }
 
 // SGD is stochastic gradient descent with optional momentum and L2 weight
@@ -21,35 +31,38 @@ type SGD struct {
 	Momentum    float64
 	WeightDecay float64
 
-	vw, vb [][]float64
+	vel []float64 // momentum slab
 }
 
-// Step implements Optimizer.
-func (s *SGD) Step(net *MLP, gradW, gradB [][]float64) {
-	if s.Momentum != 0 && s.vw == nil {
-		s.vw = zerosLike(net.W)
-		s.vb = zerosLike(net.B)
+// Step implements Optimizer. Weight decay applies to weights only, so it
+// walks the slab by layer: W[l] decayed, B[l] not.
+func (s *SGD) Step(net *MLP, grad []float64) {
+	checkSlab(net, grad)
+	if s.Momentum != 0 && s.vel == nil {
+		s.vel = make([]float64, len(grad))
 	}
+	at := 0
 	for l := range net.W {
-		for i, g := range gradW[l] {
-			if s.WeightDecay != 0 {
-				g += s.WeightDecay * net.W[l][i]
-			}
-			if s.Momentum != 0 {
-				s.vw[l][i] = s.Momentum*s.vw[l][i] + g
-				g = s.vw[l][i]
-			}
-			net.W[l][i] -= s.LR * g
-		}
-		for i, g := range gradB[l] {
-			if s.Momentum != 0 {
-				s.vb[l][i] = s.Momentum*s.vb[l][i] + g
-				g = s.vb[l][i]
-			}
-			net.B[l][i] -= s.LR * g
-		}
+		at = s.update(net.flat, grad, at, len(net.W[l]), s.WeightDecay)
+		at = s.update(net.flat, grad, at, len(net.B[l]), 0)
 	}
 	net.packed.Store(nil)
+}
+
+// update steps p[at:at+n] and returns at+n.
+func (s *SGD) update(p, grad []float64, at, n int, decay float64) int {
+	for i := at; i < at+n; i++ {
+		g := grad[i]
+		if decay != 0 {
+			g += decay * p[i]
+		}
+		if s.Momentum != 0 {
+			s.vel[i] = s.Momentum*s.vel[i] + g
+			g = s.vel[i]
+		}
+		p[i] -= s.LR * g
+	}
+	return at + n
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
@@ -59,12 +72,14 @@ type Adam struct {
 	Beta2 float64 // defaults to 0.999 if zero
 	Eps   float64 // defaults to 1e-8 if zero
 
-	t              int
-	mw, vw, mb, vb [][]float64
+	t    int
+	m, v []float64 // first and second moment slabs
 }
 
-// Step implements Optimizer.
-func (a *Adam) Step(net *MLP, gradW, gradB [][]float64) {
+// Step implements Optimizer: one fused pass (adamStep) over the parameter,
+// gradient and moment slabs.
+func (a *Adam) Step(net *MLP, grad []float64) {
+	checkSlab(net, grad)
 	if a.Beta1 == 0 {
 		a.Beta1 = 0.9
 	}
@@ -74,35 +89,18 @@ func (a *Adam) Step(net *MLP, gradW, gradB [][]float64) {
 	if a.Eps == 0 {
 		a.Eps = 1e-8
 	}
-	if a.mw == nil {
-		a.mw, a.vw = zerosLike(net.W), zerosLike(net.W)
-		a.mb, a.vb = zerosLike(net.B), zerosLike(net.B)
+	if a.m == nil {
+		a.m, a.v = make([]float64, len(grad)), make([]float64, len(grad))
 	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	upd := func(p, g, m, v []float64) {
-		for i := range p {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g[i]
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g[i]*g[i]
-			mh := m[i] / c1
-			vh := v[i] / c2
-			p[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
-	}
-	for l := range net.W {
-		upd(net.W[l], gradW[l], a.mw[l], a.vw[l])
-		upd(net.B[l], gradB[l], a.mb[l], a.vb[l])
-	}
+	adamStep(net.flat, grad, a.m, a.v, &adamConsts{
+		b1: a.Beta1, ob1: 1 - a.Beta1,
+		b2: a.Beta2, ob2: 1 - a.Beta2,
+		c1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		c2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr: a.LR, eps: a.Eps,
+	})
 	net.packed.Store(nil)
-}
-
-func zerosLike(p [][]float64) [][]float64 {
-	z := make([][]float64, len(p))
-	for i := range p {
-		z[i] = make([]float64, len(p[i]))
-	}
-	return z
 }
 
 // Trainer accumulates gradients over minibatches and steps an optimizer.
@@ -113,7 +111,10 @@ type Trainer struct {
 	Net *MLP
 	Opt Optimizer
 
-	ws           *Workspace
+	ws *Workspace
+	// grad is the gradient slab, laid out like Net's parameter slab so the
+	// optimizer walks both in one pass; gradW/gradB are its per-layer views.
+	grad         []float64
 	gradW, gradB [][]float64
 	probs        []float64
 	bt           *batchTrainWS
@@ -121,45 +122,37 @@ type Trainer struct {
 
 // batchTrainWS holds the flat row-major matrices one batched training step
 // needs: the packed input batch, per-layer pre- and post-activations from
-// the forward pass, per-layer deltas for the backward pass, and scratch for
-// the SIMD fast path (transposed weights, a zero bias, a delta column, and
-// a per-output gradient row). It grows to the largest minibatch seen and
-// never allocates afterwards.
+// the forward pass, per-layer deltas for the backward pass, the transposed
+// weights the forward kernel reads, and the two constant vectors that turn
+// affineRowT into a plain sum (a +0 "bias") and a column sum (all-ones
+// "inputs"). It grows to the largest minibatch seen and never allocates
+// afterwards.
 type batchTrainWS struct {
 	rows  int
 	x     []float64
 	zs    [][]float64 // pre-activations per layer (relu mask + logits)
 	acts  [][]float64 // post-activations per layer (inputs to layer l+1)
 	delta [][]float64 // dLoss/dz per layer
-	wt    [][]float64 // transposed weights for the SIMD forward
-	zero  []float64   // all-zero bias for bias-free kernel calls
-	dcol  []float64   // one delta column, gathered contiguous
-	grow  []float64   // one gradient row accumulated by the kernel
+	wt    [][]float64 // input-major weights, re-transposed every step
+	zero  []float64   // +0 per output of the widest layer
+	ones  []float64   // 1 per sample
 }
 
 // ensureBatchWS sizes the batched-training scratch for a rows-sample batch.
 func (t *Trainer) ensureBatchWS(rows int) *batchTrainWS {
 	bt := t.bt
 	if bt == nil {
+		layers := t.Net.NumLayers()
 		bt = &batchTrainWS{
-			zs:    make([][]float64, t.Net.NumLayers()),
-			acts:  make([][]float64, t.Net.NumLayers()),
-			delta: make([][]float64, t.Net.NumLayers()),
+			zs:    make([][]float64, layers),
+			acts:  make([][]float64, layers),
+			delta: make([][]float64, layers),
+			wt:    make([][]float64, layers),
 		}
-		if useAVX2 {
-			maxW := 0
-			for _, s := range t.Net.Sizes {
-				if s > maxW {
-					maxW = s
-				}
-			}
-			bt.wt = make([][]float64, t.Net.NumLayers())
-			for l := 0; l < t.Net.NumLayers(); l++ {
-				bt.wt[l] = make([]float64, len(t.Net.W[l]))
-			}
-			bt.zero = make([]float64, maxW)
-			bt.grow = make([]float64, maxW)
+		for l := range bt.wt {
+			bt.wt[l] = make([]float64, len(t.Net.W[l]))
 		}
+		bt.zero = make([]float64, slices.Max(t.Net.Sizes))
 		t.bt = bt
 	}
 	if rows > bt.rows {
@@ -171,41 +164,45 @@ func (t *Trainer) ensureBatchWS(rows int) *batchTrainWS {
 			bt.acts[l] = make([]float64, w)
 			bt.delta[l] = make([]float64, w)
 		}
-		if useAVX2 {
-			bt.dcol = make([]float64, rows)
-		}
+		bt.ones = slices.Repeat([]float64{1}, rows)
 	}
 	return bt
 }
 
-// NewTrainer creates a Trainer for net with the given optimizer.
+// NewTrainer creates a Trainer for net with the given optimizer. A net whose
+// parameters are not in one slab yet (built by hand, or gob-decoded without
+// Load) is packed first: the optimizers step the slab.
 func NewTrainer(net *MLP, opt Optimizer) *Trainer {
-	return &Trainer{
+	if net.flat == nil {
+		net.pack()
+	}
+	t := &Trainer{
 		Net:   net,
 		Opt:   opt,
 		ws:    net.NewWorkspace(),
-		gradW: zerosLike(net.W),
-		gradB: zerosLike(net.B),
+		grad:  make([]float64, len(net.flat)),
 		probs: make([]float64, net.OutputSize()),
 	}
+	t.gradW, t.gradB = net.layerViews(t.grad)
+	return t
 }
 
-func (t *Trainer) zeroGrads() {
-	for l := range t.gradW {
-		clearSlice(t.gradW[l])
-		clearSlice(t.gradB[l])
+// totalWeight sums a minibatch's sample weights; nil weighs every sample 1.
+func totalWeight(weights []float64, n int) float64 {
+	if weights == nil {
+		return float64(n)
 	}
-}
-
-func clearSlice(s []float64) {
-	for i := range s {
-		s[i] = 0
+	total := 0.0
+	for _, w := range weights {
+		total += w
 	}
+	return total
 }
 
 // backprop propagates delta (dLoss/dz of the output layer, already scaled by
-// the sample weight) through the network, accumulating into gradW/gradB.
-// The workspace must hold the forward state for this sample.
+// the sample weight) through the network, accumulating into gradW/gradB —
+// the per-sample trainers clear the slab first. The workspace must hold the
+// forward state for this sample.
 func (t *Trainer) backprop(delta []float64) {
 	net := t.Net
 	last := net.NumLayers() - 1
@@ -231,7 +228,7 @@ func (t *Trainer) backprop(delta []float64) {
 		}
 		// delta_{l-1} = (W[l]^T d) * relu'(z_{l-1})
 		prev := t.ws.deltas[l-1]
-		clearSlice(prev)
+		clear(prev)
 		w := net.W[l]
 		for o, dv := range d {
 			if dv == 0 {
@@ -242,12 +239,7 @@ func (t *Trainer) backprop(delta []float64) {
 				prev[i] += row[i] * dv
 			}
 		}
-		z := t.ws.zs[l-1]
-		for i := range prev {
-			if z[i] <= 0 {
-				prev[i] = 0
-			}
-		}
+		maskNonPosGo(prev, t.ws.zs[l-1]) // scalar like the rest: this is the oracle
 	}
 }
 
@@ -256,13 +248,13 @@ func (t *Trainer) backprop(delta []float64) {
 // (nats). labels[i] indexes the true output bin; weights may be nil for
 // uniform weighting.
 //
-// The whole minibatch runs through the batched kernel: one affineBatch call
-// per layer forward (pre-activations retained for the ReLU mask), then a
-// layer-by-layer batched backward pass whose gradient matrices accumulate
-// in ascending-sample order per element — gradients, loss, and the updated
-// weights are bitwise identical to the retained per-sample reference
-// (trainClassPerSample), which exists as the differential-test oracle and
-// the before/after benchmark baseline.
+// The whole minibatch runs through the kernel primitives, one code path on
+// every platform (each primitive picks its SIMD or portable body itself).
+// Every sum of the step is an affineRowT call — ascending index order from
+// its bias or from +0, one rounding per multiply and per add — so
+// gradients, loss and updated weights are bitwise identical to the
+// one-sample-at-a-time rank-1 backprop the differential tests keep as the
+// oracle.
 func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float64) float64 {
 	if len(xs) != len(labels) {
 		panic(fmt.Sprintf("nn: %d inputs vs %d labels", len(xs), len(labels)))
@@ -270,15 +262,7 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 	if len(xs) == 0 {
 		return 0
 	}
-	t.zeroGrads()
-	totalW := 0.0
-	if weights == nil {
-		totalW = float64(len(xs))
-	} else {
-		for _, w := range weights {
-			totalW += w
-		}
-	}
+	totalW := totalWeight(weights, len(xs))
 	if totalW <= 0 {
 		return 0
 	}
@@ -293,47 +277,29 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 		copy(bt.x[s*nIn:(s+1)*nIn], x)
 	}
 
-	// Forward: one batched affine per layer, keeping z (mask, logits) and
-	// the post-activation inputs of the next layer. The SIMD path runs the
-	// same per-row accumulation over freshly transposed weights (weights
-	// change every optimizer step, so the transpose is per minibatch — a
-	// few thousand copies against hundreds of thousands of multiplies).
+	// Forward: one affine row per sample per layer over freshly transposed
+	// weights (they change every step; the transpose is a few thousand
+	// copies against hundreds of thousands of multiplies), keeping z for
+	// the mask and the logits, and relu(z) as the next layer's input.
 	in := bt.x[:rows*nIn]
 	last := net.NumLayers() - 1
 	for l := 0; l <= last; l++ {
 		nI, width := net.Sizes[l], net.Sizes[l+1]
 		z := bt.zs[l][:rows*width]
-		if useAVX2 {
-			wt := bt.wt[l]
-			for o := 0; o < width; o++ {
-				row := net.W[l][o*nI : (o+1)*nI]
-				for i, v := range row {
-					wt[i*width+o] = v
-				}
-			}
-			for r := 0; r < rows; r++ {
-				affineRowT(&z[r*width], &net.B[l][0], &in[r*nI], &wt[0], nI, width)
-			}
-		} else {
-			affineBatch(z, in, net.W[l], net.B[l], rows, nI, width)
+		transposeInto(bt.wt[l], net.W[l], nI, width)
+		for r := 0; r < rows; r++ {
+			affineRowT(z[r*width:], net.B[l], in[r*nI:], bt.wt[l], nI, width, 1)
 		}
 		if l == last {
 			break
 		}
-		a := bt.acts[l][:rows*width]
-		for i, v := range z {
-			if v > 0 {
-				a[i] = v
-			} else {
-				a[i] = 0
-			}
-		}
-		in = a
+		in = bt.acts[l][:rows*width]
+		reluCopy(in, z)
 	}
 
 	// Output deltas and loss. Zero-weight samples contribute a zero delta
-	// row, which the ascending-sample accumulation below treats exactly
-	// like the reference path's skip.
+	// row, which the ascending-sample sums below treat exactly like the
+	// per-sample path's skip.
 	nOut := net.OutputSize()
 	logits := bt.zs[last]
 	dOut := bt.delta[last]
@@ -345,7 +311,7 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 		}
 		drow := dOut[s*nOut : (s+1)*nOut]
 		if w == 0 {
-			clearSlice(drow)
+			clear(drow)
 			continue
 		}
 		Softmax(t.probs, logits[s*nOut:(s+1)*nOut])
@@ -365,192 +331,34 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 		drow[lbl] -= scale
 	}
 
-	// Backward: per layer, a ΔᵀA gradient accumulation plus the delta
-	// propagation d_{l-1} = (d_l · W_l) ⊙ relu'(z_{l-1}). Both are sums
-	// over one index in ascending order, which is exactly the transposed
-	// affine kernel's contract: the gradient row for output o sums over
-	// samples with the activation matrix as "weights" (already
-	// sample-major), and a sample's propagated delta sums over outputs
-	// with W itself as "weights" (already output-major) — so the SIMD
-	// path reuses affineRowT for both, with a zero bias.
+	// Backward, written straight into the gradient slab (every element is
+	// assigned, so nothing is cleared first). Each sum is affineRowT's, from
+	// +0: gradW row o over samples (x: delta column o, at stride nO; weights:
+	// the layer's input matrix), gradB over samples (x: ones; weights: the
+	// delta matrix), and a sample's propagated delta over outputs (weights: W
+	// as stored) — then the ReLU mask.
 	for l := last; l >= 0; l-- {
 		nI, nO := net.Sizes[l], net.Sizes[l+1]
 		layerIn := bt.x
 		if l > 0 {
 			layerIn = bt.acts[l-1]
 		}
-		d := bt.delta[l]
-		if useAVX2 {
-			tmp := bt.grow[:nI]
-			gw := t.gradW[l]
-			for o := 0; o < nO; o++ {
-				for s := 0; s < rows; s++ {
-					bt.dcol[s] = d[s*nO+o]
-				}
-				affineRowT(&tmp[0], &bt.zero[0], &bt.dcol[0], &layerIn[0], rows, nI)
-				row := gw[o*nI : (o+1)*nI]
-				for i, v := range tmp {
-					row[i] += v
-				}
-			}
-		} else {
-			accumGradBlocked(t.gradW[l], d, layerIn, rows, nO, nI)
-		}
-		gb := t.gradB[l]
+		d := bt.delta[l][:rows*nO]
+		gw := t.gradW[l]
 		for o := 0; o < nO; o++ {
-			acc := 0.0
-			for s := 0; s < rows; s++ {
-				acc += d[s*nO+o]
-			}
-			gb[o] += acc
+			affineRowT(gw[o*nI:], bt.zero, d[o:], layerIn, rows, nI, nO)
 		}
+		affineRowT(t.gradB[l], bt.zero, bt.ones, d, rows, nO, 1)
 		if l == 0 {
 			break
 		}
-		dp := bt.delta[l-1]
-		w := net.W[l]
-		z := bt.zs[l-1]
+		dp := bt.delta[l-1][:rows*nI]
 		for s := 0; s < rows; s++ {
-			prow := dp[s*nI : (s+1)*nI]
-			if useAVX2 {
-				affineRowT(&prow[0], &bt.zero[0], &d[s*nO], &w[0], nO, nI)
-			} else {
-				clearSlice(prow)
-				for o, dv := range d[s*nO : (s+1)*nO] {
-					if dv == 0 {
-						continue
-					}
-					wrow := w[o*nI : (o+1)*nI]
-					for i, wv := range wrow {
-						prow[i] += wv * dv
-					}
-				}
-			}
-			zrow := z[s*nI : (s+1)*nI]
-			for i := range prow {
-				if zrow[i] <= 0 {
-					prow[i] = 0
-				}
-			}
+			affineRowT(dp[s*nI:], bt.zero, d[s*nO:], net.W[l], nO, nI, 1)
 		}
+		maskNonPos(dp, bt.zs[l-1][:rows*nI])
 	}
-	t.Opt.Step(net, t.gradW, t.gradB)
-	return loss / totalW
-}
-
-// accumGradBlocked adds ΔᵀA into gw: gw[o*nIn+i] += Σ_s d[s*nOut+o] ·
-// a[s*nIn+i]. The 2x4 register blocking reuses each loaded delta across
-// four inputs and each loaded input across two outputs, while every element
-// still accumulates in ascending sample order — bitwise identical to the
-// per-sample rank-1 updates of the reference path, without re-walking the
-// whole gradient matrix once per sample.
-func accumGradBlocked(gw, d, a []float64, rows, nOut, nIn int) {
-	o := 0
-	for ; o+2 <= nOut; o += 2 {
-		g0 := gw[o*nIn : (o+1)*nIn]
-		g1 := gw[(o+1)*nIn : (o+2)*nIn]
-		i := 0
-		for ; i+4 <= nIn; i += 4 {
-			var a00, a01, a02, a03 float64
-			var a10, a11, a12, a13 float64
-			for s := 0; s < rows; s++ {
-				d0 := d[s*nOut+o]
-				d1 := d[s*nOut+o+1]
-				ar := a[s*nIn+i : s*nIn+i+4]
-				x0, x1, x2, x3 := ar[0], ar[1], ar[2], ar[3]
-				a00 += d0 * x0
-				a01 += d0 * x1
-				a02 += d0 * x2
-				a03 += d0 * x3
-				a10 += d1 * x0
-				a11 += d1 * x1
-				a12 += d1 * x2
-				a13 += d1 * x3
-			}
-			g0[i] += a00
-			g0[i+1] += a01
-			g0[i+2] += a02
-			g0[i+3] += a03
-			g1[i] += a10
-			g1[i+1] += a11
-			g1[i+2] += a12
-			g1[i+3] += a13
-		}
-		for ; i < nIn; i++ {
-			var s0, s1 float64
-			for s := 0; s < rows; s++ {
-				x := a[s*nIn+i]
-				s0 += d[s*nOut+o] * x
-				s1 += d[s*nOut+o+1] * x
-			}
-			g0[i] += s0
-			g1[i] += s1
-		}
-	}
-	for ; o < nOut; o++ {
-		g := gw[o*nIn : (o+1)*nIn]
-		for i := 0; i < nIn; i++ {
-			var sum float64
-			for s := 0; s < rows; s++ {
-				sum += d[s*nOut+o] * a[s*nIn+i]
-			}
-			g[i] += sum
-		}
-	}
-}
-
-// trainClassPerSample is the pre-batching implementation: forward one sample
-// at a time through the scalar path and backprop rank-1 gradient updates.
-// Retained as the differential-test oracle for TrainClassBatch and as the
-// before/after benchmark baseline.
-func (t *Trainer) trainClassPerSample(xs [][]float64, labels []int, weights []float64) float64 {
-	if len(xs) != len(labels) {
-		panic(fmt.Sprintf("nn: %d inputs vs %d labels", len(xs), len(labels)))
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	t.zeroGrads()
-	totalW := 0.0
-	if weights == nil {
-		totalW = float64(len(xs))
-	} else {
-		for _, w := range weights {
-			totalW += w
-		}
-	}
-	if totalW <= 0 {
-		return 0
-	}
-	loss := 0.0
-	delta := make([]float64, t.Net.OutputSize())
-	for s, x := range xs {
-		w := 1.0
-		if weights != nil {
-			w = weights[s]
-		}
-		if w == 0 {
-			continue
-		}
-		logits := t.Net.ForwardInto(t.ws, x)
-		Softmax(t.probs, logits)
-		lbl := labels[s]
-		if lbl < 0 || lbl >= len(t.probs) {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", lbl, len(t.probs)))
-		}
-		p := t.probs[lbl]
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		loss += -w * math.Log(p)
-		scale := w / totalW
-		for i, pi := range t.probs {
-			delta[i] = pi * scale
-		}
-		delta[lbl] -= scale
-		t.backprop(delta)
-	}
-	t.Opt.Step(t.Net, t.gradW, t.gradB)
+	t.Opt.Step(net, t.grad)
 	return loss / totalW
 }
 
@@ -564,15 +372,8 @@ func (t *Trainer) TrainRegBatch(xs, targets [][]float64, weights []float64) floa
 	if len(xs) == 0 {
 		return 0
 	}
-	t.zeroGrads()
-	totalW := 0.0
-	if weights == nil {
-		totalW = float64(len(xs))
-	} else {
-		for _, w := range weights {
-			totalW += w
-		}
-	}
+	clear(t.grad)
+	totalW := totalWeight(weights, len(xs))
 	if totalW <= 0 {
 		return 0
 	}
@@ -595,7 +396,7 @@ func (t *Trainer) TrainRegBatch(xs, targets [][]float64, weights []float64) floa
 		}
 		t.backprop(delta)
 	}
-	t.Opt.Step(t.Net, t.gradW, t.gradB)
+	t.Opt.Step(t.Net, t.grad)
 	return loss / totalW
 }
 
@@ -610,7 +411,7 @@ func (t *Trainer) PolicyGradStep(xs [][]float64, actions []int, advantages []flo
 	if len(xs) == 0 {
 		return 0
 	}
-	t.zeroGrads()
+	clear(t.grad)
 	n := float64(len(xs))
 	loss := 0.0
 	delta := make([]float64, t.Net.OutputSize())
@@ -639,7 +440,7 @@ func (t *Trainer) PolicyGradStep(xs [][]float64, actions []int, advantages []flo
 		delta[a] -= adv / n
 		t.backprop(delta)
 	}
-	t.Opt.Step(t.Net, t.gradW, t.gradB)
+	t.Opt.Step(t.Net, t.grad)
 	return loss / n
 }
 

@@ -35,5 +35,9 @@
 // (nn_packed_forward_ns, nn_packed_rows_total) sit on every engine's
 // forward pass, but a dist worker's registry dies with the worker (and
 // workers run with recording off), so a dist run's snapshot still holds no
-// kernel timers. Shipping worker snapshots home is ROADMAP item 5.
+// kernel timers. Shipping worker snapshots home is ROADMAP item 5. The
+// nightly retrain is timed from inside the same way: core.Train records
+// core_train_examples_ns (building one horizon step's examples) and
+// core_train_fit_ns (fitting its net), one observation each per step per
+// call, beside the runner's runner_retrain_wall_ns around the whole phase.
 package obs

@@ -8,7 +8,9 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -147,6 +149,48 @@ func TestZeroPerturbationEngines(t *testing.T) {
 				t.Fatalf("%s engine's on leg never recorded the kernel metrics: the differential does not cover them", engine)
 			}
 		})
+	}
+}
+
+// TestZeroPerturbationTrain: core.Train times its two phases from inside
+// (core_train_examples_ns, core_train_fit_ns). Training with recording on
+// must leave the same model bytes and the same losses as training with it
+// off, and both timers must have fired once per horizon step.
+func TestZeroPerturbationTrain(t *testing.T) {
+	data, err := experiment.CollectDataset(experiment.DefaultEnv(), runner.BootstrapSchemes(3), 12, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 3
+	train := func() []byte {
+		ttp := core.NewTTP(rand.New(rand.NewSource(4)), horizon, []int{8}, core.DefaultFeatures(), core.KindTransTime)
+		res, err := core.Train(ttp, data, core.DefaultTrainConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model bytes.Buffer
+		if err := ttp.Save(&model); err != nil {
+			t.Fatal(err)
+		}
+		return append(model.Bytes(), fmt.Sprintf("%x %v", res.Loss, res.Examples)...)
+	}
+	obsOn(t, false)
+	off := train()
+
+	obsOn(t, true)
+	examples := obs.Default.Histogram("core_train_examples_ns")
+	fit := obs.Default.Histogram("core_train_fit_ns")
+	examples0, fit0 := examples.Snapshot().Count, fit.Snapshot().Count
+	on := train()
+
+	if !bytes.Equal(off, on) {
+		t.Fatal("recording changed the trained model or its losses: zero-perturbation contract violated")
+	}
+	if got := examples.Snapshot().Count - examples0; got != horizon {
+		t.Fatalf("core_train_examples_ns took %d observations, want one per horizon step (%d)", got, horizon)
+	}
+	if got := fit.Snapshot().Count - fit0; got != horizon {
+		t.Fatalf("core_train_fit_ns took %d observations, want one per horizon step (%d)", got, horizon)
 	}
 }
 
