@@ -13,7 +13,8 @@
 // horizon step in one call, hoists the prediction expectation out of the
 // previous-quality dimension, and suffix-sums the expected-stall base term.
 // The seed planner survives as MPC.ChooseReference, the differential-test
-// oracle for all of that.
+// oracle for all of that — in this package rather than a test file because
+// the tests of three packages (abr, core, the root benchmarks) call it.
 //
 // Main entry points:
 //

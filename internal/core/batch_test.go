@@ -140,8 +140,10 @@ func TestFuguChooseMatchesReference(t *testing.T) {
 func TestPointEstimateChooseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	ttp := NewTTP(rng, DefaultHorizon, nil, DefaultFeatures(), KindTransTime)
-	fast := NewFuguPointEstimate(ttp)
-	ref := NewFuguPointEstimate(ttp)
+	pointEstimate := func() *abr.MPC {
+		return abr.NewMPC("Fugu-PointEstimate", NewPredictor(ttp, ModePointEstimate), abr.DefaultQoEWeights())
+	}
+	fast, ref := pointEstimate(), pointEstimate()
 	ties := 0
 	for trial := 0; trial < 100; trial++ {
 		obs := batchObs(rng, 10, 5)

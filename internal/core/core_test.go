@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"puffer/internal/abr"
+	"puffer/internal/nn"
 	"puffer/internal/tcpsim"
 )
 
@@ -142,12 +144,68 @@ func TestTTPSaveLoadRoundtrip(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	a := orig.Nets[1].Forward(x)
-	b := got.Nets[1].Forward(x)
+	a := forwardOne(orig.Nets[1], x)
+	b := forwardOne(got.Nets[1], x)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("roundtripped TTP differs")
 		}
+	}
+}
+
+// forwardOne returns a copy of net's logits for one sample, through the
+// portable kernel at batch size 1.
+func forwardOne(net *nn.MLP, x []float64) []float64 {
+	return append([]float64(nil), net.ForwardBatchInto(net.NewBatchWorkspace(1), x, 1)...)
+}
+
+// TestLoadRejectsInconsistentNets: a model whose networks are structurally
+// inconsistent must come back from Load as an error — not a panic, and not a
+// model with the missing weights zero-filled. Every case goes through
+// checkNets, and through Load's bytes wherever gob can carry it (it refuses
+// to encode a nil element).
+func TestLoadRejectsInconsistentNets(t *testing.T) {
+	cfg := DefaultFeatures()
+	valid := func() *nn.MLP {
+		return NewTTP(rand.New(rand.NewSource(3)), 1, []int{8}, cfg, KindTransTime).Nets[0]
+	}
+	cases := map[string]func() *nn.MLP{
+		"empty Sizes": func() *nn.MLP { return &nn.MLP{} },
+		"one extra weight layer": func() *nn.MLP {
+			net := valid()
+			net.W = append(net.W, make([]float64, 4))
+			net.B = append(net.B, make([]float64, 2))
+			return net
+		},
+		"first-layer weights truncated": func() *nn.MLP {
+			net := valid()
+			net.W[0] = net.W[0][:3]
+			return net
+		},
+		"nil entry": func() *nn.MLP { return nil },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := checkNets(cfg, []*nn.MLP{valid(), corrupt()}); err == nil {
+				t.Fatal("checkNets accepted the model")
+			}
+			if corrupt() == nil {
+				return // no bytes can hold it
+			}
+			var buf bytes.Buffer
+			m := ttpModel{Cfg: cfg, Kind: KindTransTime, Nets: []*nn.MLP{valid(), corrupt()}}
+			if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+				t.Fatal(err)
+			}
+			if ttp, err := Load(&buf); err == nil {
+				t.Fatalf("Load returned a %d-step model", ttp.Horizon())
+			}
+		})
 	}
 }
 
@@ -272,14 +330,14 @@ func TestTrainingImprovesLoss(t *testing.T) {
 	train := synthDataset(rng, 60, 30, 0)
 	test := synthDataset(rng, 20, 30, 0)
 	ttp := NewTTP(rand.New(rand.NewSource(8)), 1, []int{32, 32}, DefaultFeatures(), KindTransTime)
-	before := Evaluate(ttp, test, 0)
+	before := EvaluateTransTimeMode(ttp, test, 0, ModeProbabilistic)
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 10
 	res, err := Train(ttp, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := Evaluate(ttp, test, 0)
+	after := EvaluateTransTimeMode(ttp, test, 0, ModeProbabilistic)
 	if !(after.CrossEntropy < before.CrossEntropy*0.8) {
 		t.Fatalf("training did not improve held-out CE: %v -> %v", before.CrossEntropy, after.CrossEntropy)
 	}
@@ -310,7 +368,7 @@ func TestFigure7ShapeOnSynthetic(t *testing.T) {
 		if _, err := Train(ttp, train, cfg); err != nil {
 			t.Fatal(err)
 		}
-		ce[v] = EvaluateTransTime(ttp, test, 0).CrossEntropy
+		ce[v] = EvaluateTransTimeMode(ttp, test, 0, ModeProbabilistic).CrossEntropy
 	}
 	if !(ce[VariantFull] < ce[VariantLinear]) {
 		t.Errorf("full TTP CE %.3f not better than linear %.3f", ce[VariantFull], ce[VariantLinear])
@@ -355,7 +413,7 @@ func TestRecencyWeightingFollowsRecentDays(t *testing.T) {
 	hist := []abr.ChunkRecord{{Size: 1e6, TransTime: 4}}
 	ttp.Cfg.Assemble(x, hist, tcpsim.Info{DeliveryRate: 5e6, RTT: 0.05, MinRTT: 0.04, CWND: 40, InFlight: 20}, 1e6)
 	dist := make([]float64, abr.NumBins)
-	pred.PredictFeatures(0, x, dist)
+	pred.PredictFeaturesBatch(0, x, 1, dist)
 	slowMass, fastMass := 0.0, 0.0
 	for i, p := range dist {
 		if i >= 6 {
@@ -459,9 +517,6 @@ func TestFuguSchemeNames(t *testing.T) {
 	if got := NewFuguNamed("Emulation-trained Fugu", ttp).Name(); got != "Emulation-trained Fugu" {
 		t.Fatalf("name = %q", got)
 	}
-	if got := NewFuguPointEstimate(ttp).Name(); got != "Fugu-PointEstimate" {
-		t.Fatalf("name = %q", got)
-	}
 }
 
 func TestDatasetStats(t *testing.T) {
@@ -506,6 +561,6 @@ func BenchmarkTTPForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.PredictFeatures(0, x, dist)
+		p.PredictFeaturesBatch(0, x, 1, dist)
 	}
 }

@@ -17,15 +17,17 @@
 //
 //   - TTP / NewTTP: the per-horizon-step networks (DefaultHorizon 5,
 //     DefaultHidden 64-64); Clone for warm starts, SaveFile/LoadFile for
-//     model rotation and checkpoints.
-//   - NewFugu / NewFuguNamed / NewFuguPointEstimate: wrap a trained TTP in
-//     the abr.MPC controller — the deployable scheme.
+//     model rotation and checkpoints (Load rejects a structurally
+//     inconsistent model: every decoded net goes through nn's Pack).
+//   - NewFugu / NewFuguNamed: wrap a trained TTP in the abr.MPC controller
+//     — the deployable scheme (the point-estimate arm is abr.NewMPC over
+//     NewPredictor(t, ModePointEstimate)).
 //   - Predictor / NewPredictor: adapts a TTP to abr.Predictor and
 //     abr.BatchPredictor; assembles one feature matrix per horizon step
 //     (FeatureConfig.AssembleBatch) so the MPC's distribution fill is one
 //     batched network pass per step.
 //   - Dataset / ChunkObs / StreamObs: training telemetry (gob Save/Load);
 //     Train / TrainConfig / TrainResult: recency-weighted supervised
-//     training; Evaluate / EvaluateTransTimeMode: held-out scoring.
+//     training; EvaluateTransTimeMode: held-out scoring.
 //   - Variant / AllVariants / NewVariantTTP: the Figure 7 ablations.
 package core

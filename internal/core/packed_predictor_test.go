@@ -93,7 +93,7 @@ func TestPredictorMatchesPortableOracle(t *testing.T) {
 					p.PredictFeaturesBatch(step, feats, b, got)
 					mustEqualBits(t, "PredictFeaturesBatch", got, wantRaw)
 					for r := 0; r < b; r++ {
-						p.PredictFeatures(step, feats[r*d:(r+1)*d], one)
+						p.PredictFeaturesBatch(step, feats[r*d:(r+1)*d], 1, one)
 						mustEqualBits(t, "PredictFeatures", one, wantRaw[r*abr.NumBins:(r+1)*abr.NumBins])
 					}
 				}

@@ -304,34 +304,12 @@ func (e *evalScore) result(examples int) EvalResult {
 	return EvalResult{CrossEntropy: e.ce / n, Accuracy: float64(e.hit) / n, Within1: float64(e.near) / n}
 }
 
-// Evaluate scores the TTP on a dataset (typically held-out) at one step.
-// For the throughput-kind TTP, labels are throughput bins and the raw output
-// distribution is over throughput bins too, so cross-entropy is comparable
-// within a kind; Figure 7 compares prediction of *transmission time* —
-// that is EvaluateTransTime.
-func Evaluate(t *TTP, data *Dataset, step int) EvalResult {
-	// No windowing or weighting for evaluation.
-	xs, labels, _ := data.Examples(t, step, TrainConfig{})
-	if len(xs) == 0 {
-		return EvalResult{}
-	}
-	var score evalScore
-	forEachDistRow(NewPredictor(t, ModeProbabilistic), step, xs, func(i int, dist []float64) {
-		score.add(dist, labels[i])
-	})
-	return score.result(len(xs))
-}
-
-// EvaluateTransTime scores any TTP variant on its ability to predict
-// *transmission time* bins, converting throughput-kind outputs first. This
-// is the apples-to-apples Figure 7 comparison.
-func EvaluateTransTime(t *TTP, data *Dataset, step int) EvalResult {
-	return EvaluateTransTimeMode(t, data, step, ModeProbabilistic)
-}
-
-// EvaluateTransTimeMode is EvaluateTransTime with an explicit prediction
-// mode, so the "Point Estimate" ablation can be scored on the collapsed
-// distribution it actually feeds the controller.
+// EvaluateTransTimeMode scores any TTP variant on a dataset (typically
+// held-out) at one step, on its ability to predict *transmission time* bins
+// — throughput-kind outputs are converted first — which is the
+// apples-to-apples Figure 7 comparison. The prediction mode is explicit so
+// the "Point Estimate" ablation is scored on the collapsed distribution it
+// actually feeds the controller.
 func EvaluateTransTimeMode(t *TTP, data *Dataset, step int, mode Mode) EvalResult {
 	xs, sizes, ttLabels := transTimeExamples(t, data, step)
 	if len(xs) == 0 {

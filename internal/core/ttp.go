@@ -103,21 +103,36 @@ func Load(r io.Reader) (*TTP, error) {
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("core: decoding TTP: %w", err)
 	}
-	if len(m.Nets) == 0 {
-		return nil, fmt.Errorf("core: TTP model has no networks")
-	}
-	for i, net := range m.Nets {
-		if net.InputSize() != m.Cfg.Dim() {
-			return nil, fmt.Errorf("core: net %d input %d does not match feature dim %d", i, net.InputSize(), m.Cfg.Dim())
-		}
-		if net.OutputSize() != abr.NumBins {
-			return nil, fmt.Errorf("core: net %d output %d, want %d bins", i, net.OutputSize(), abr.NumBins)
-		}
-		// Restore the contiguous parameter layout the batched forward
-		// kernel prefers; gob decodes each layer separately.
-		net.Pack()
+	if err := checkNets(m.Cfg, m.Nets); err != nil {
+		return nil, err
 	}
 	return &TTP{Cfg: m.Cfg, Kind: m.Kind, Nets: m.Nets}, nil
+}
+
+// checkNets validates a decoded model's networks against its feature layout
+// and packs them. A decoded net is whatever the bytes held — a checkpoint
+// file, or the model bytes of a dist day frame — so Pack checks each one's
+// structure before anything indexes into it (and restores the contiguous
+// parameter layout; gob decodes each layer separately).
+func checkNets(cfg FeatureConfig, nets []*nn.MLP) error {
+	if len(nets) == 0 {
+		return fmt.Errorf("core: TTP model has no networks")
+	}
+	for i, net := range nets {
+		if net == nil {
+			return fmt.Errorf("core: net %d is missing", i)
+		}
+		if err := net.Pack(); err != nil {
+			return fmt.Errorf("core: net %d: %w", i, err)
+		}
+		if net.InputSize() != cfg.Dim() {
+			return fmt.Errorf("core: net %d input %d does not match feature dim %d", i, net.InputSize(), cfg.Dim())
+		}
+		if net.OutputSize() != abr.NumBins {
+			return fmt.Errorf("core: net %d output %d, want %d bins", i, net.OutputSize(), abr.NumBins)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the TTP to a file.
@@ -269,12 +284,6 @@ func (p *Predictor) finishDist(dist, probs []float64, size float64) {
 	}
 }
 
-// PredictFeatures runs the TTP directly on an assembled feature vector,
-// returning the output distribution. Used by evaluation code.
-func (p *Predictor) PredictFeatures(step int, features []float64, dist []float64) {
-	p.PredictFeaturesBatch(step, features, 1, dist)
-}
-
 // PredictFeaturesBatch scores `rows` pre-assembled feature rows (row-major
 // in features) at one horizon step, writing one raw distribution per row
 // into dists. Evaluation code uses it to sweep datasets in large batches.
@@ -293,10 +302,4 @@ func NewFugu(t *TTP) *abr.MPC {
 // emulation-trained and stale-model variants).
 func NewFuguNamed(name string, t *TTP) *abr.MPC {
 	return abr.NewMPC(name, NewPredictor(t, ModeProbabilistic), abr.DefaultQoEWeights())
-}
-
-// NewFuguPointEstimate builds the Figure 7 "Point Estimate" ablation, which
-// the paper also deployed (its rebuffering was 3-9x worse).
-func NewFuguPointEstimate(t *TTP) *abr.MPC {
-	return abr.NewMPC("Fugu-PointEstimate", NewPredictor(t, ModePointEstimate), abr.DefaultQoEWeights())
 }

@@ -18,8 +18,7 @@
 //   - Env: the world a session runs in (paths, channels, ladder, viewer
 //     model); DefaultEnv is the deployment, EmulationEnv the §5.2 testbed.
 //   - Run with a Config: a randomized controlled trial over Schemes;
-//     Config.RunOne simulates a single session for shard-level callers;
-//     RunSession is the bare session loop.
+//     Config.RunOne simulates a single session for shard-level callers.
 //   - Analyze / SchemeStats: per-scheme statistics with bootstrap CIs;
 //     AnalysisFilter selects the Figure 8 slow-path panel; Consort is the
 //     Figure A1 accounting; EligibleStreams / SessionDurations feed the
@@ -29,7 +28,7 @@
 //     is a thin wrapper over them.
 //   - Recorder / DatasetCollector / CollectDataset: the telemetry hook
 //     that gathers TTP training data from a trial.
-//   - DecideHook / RunOneHooked / RunSessionHooked: the decision
-//     interception point the fleet engine parks sessions at; a nil hook
-//     is byte-identical to the plain entry points.
+//   - RunSessionHooked: the bare session loop; DecideHook / RunOneHooked:
+//     the decision interception point the fleet engine parks sessions at
+//     (a nil hook asks the algorithm directly, byte-identically).
 package experiment

@@ -22,7 +22,7 @@ func mpcScheme() Scheme {
 func TestRunSessionProducesStreams(t *testing.T) {
 	env := DefaultEnv()
 	rng := rand.New(rand.NewSource(1))
-	res := RunSession(&env, abr.NewBBA(), rng, 7, "BBA", 0, nil)
+	res := RunSessionHooked(&env, abr.NewBBA(), rng, 7, "BBA", 0, nil, nil)
 	if res.SessionID != 7 || res.Scheme != "BBA" {
 		t.Fatalf("identity wrong: %+v", res)
 	}
@@ -41,9 +41,9 @@ func TestRunSessionProducesStreams(t *testing.T) {
 
 func TestRunSessionDeterministic(t *testing.T) {
 	env := DefaultEnv()
-	a := RunSession(&env, abr.NewBBA(), rand.New(rand.NewSource(3)), 1, "BBA", 0, nil)
+	a := RunSessionHooked(&env, abr.NewBBA(), rand.New(rand.NewSource(3)), 1, "BBA", 0, nil, nil)
 	env2 := DefaultEnv()
-	b := RunSession(&env2, abr.NewBBA(), rand.New(rand.NewSource(3)), 1, "BBA", 0, nil)
+	b := RunSessionHooked(&env2, abr.NewBBA(), rand.New(rand.NewSource(3)), 1, "BBA", 0, nil, nil)
 	if len(a.Streams) != len(b.Streams) || a.Duration != b.Duration {
 		t.Fatalf("same-seed sessions differ: %d/%f vs %d/%f",
 			len(a.Streams), a.Duration, len(b.Streams), b.Duration)
@@ -295,7 +295,7 @@ func TestEmulationEnvUsesClipAndFCC(t *testing.T) {
 		t.Fatalf("emulation paths = %s, want fcc", env.Paths.Name())
 	}
 	rng := rand.New(rand.NewSource(41))
-	res := RunSession(&env, abr.NewBBA(), rng, 0, "BBA", 0, nil)
+	res := RunSessionHooked(&env, abr.NewBBA(), rng, 0, "BBA", 0, nil, nil)
 	if len(res.Streams) == 0 {
 		t.Fatal("no streams in emulation")
 	}

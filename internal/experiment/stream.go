@@ -198,20 +198,16 @@ type SessionResult struct {
 	Duration float64
 }
 
-// RunSession simulates a full session: connection setup, a channel-zapping
-// phase of short browse streams, then a main viewing stream; channel changes
-// reuse the TCP connection, as on Puffer. The experiment day reaches the
-// path sampler, so a day-aware (drifting) Env.Paths draws this session's
-// network situation from that day's distribution.
-func RunSession(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int, scheme string, day int, rec Recorder) SessionResult {
-	return RunSessionHooked(env, alg, rng, sessionID, scheme, day, rec, nil)
-}
-
-// RunSessionHooked is RunSession with every ABR decision routed through
-// hook (nil behaves exactly like RunSession). A session's outcome depends
-// only on its inputs and the hook honoring the Decide contract, which is
-// what lets the fleet engine interleave sessions in virtual time while
-// staying byte-identical to sequential execution.
+// RunSessionHooked simulates a full session: connection setup, a
+// channel-zapping phase of short browse streams, then a main viewing stream;
+// channel changes reuse the TCP connection, as on Puffer. The experiment day
+// reaches the path sampler, so a day-aware (drifting) Env.Paths draws this
+// session's network situation from that day's distribution.
+//
+// Every ABR decision is routed through hook; nil asks alg directly. A
+// session's outcome depends only on its inputs and the hook honoring the
+// Decide contract, which is what lets the fleet engine interleave sessions
+// in virtual time while staying byte-identical to sequential execution.
 func RunSessionHooked(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int, scheme string, day int, rec Recorder, hook DecideHook) SessionResult {
 	res := SessionResult{SessionID: sessionID, Scheme: scheme}
 	maxDur := env.TraceDuration

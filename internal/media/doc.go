@@ -23,5 +23,4 @@
 //   - Source / NewSource: the per-stream chunk generator; Clip /
 //     RecordClip: a looping pre-recorded clip for the §5.2 emulation
 //     methodology.
-//   - SSIMdBFromIndex / SSIMIndexFromDB: the quality-unit conversions.
 package media

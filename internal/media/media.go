@@ -222,20 +222,6 @@ func (c *Clip) At(i int) Chunk {
 	return ch
 }
 
-// SSIMdBFromIndex converts a raw SSIM index in [0,1) to decibels, the unit
-// used throughout the paper: -10*log10(1-ssim).
-func SSIMdBFromIndex(ssim float64) float64 {
-	if ssim >= 1 {
-		return math.Inf(1)
-	}
-	return -10 * math.Log10(1-ssim)
-}
-
-// SSIMIndexFromDB is the inverse of SSIMdBFromIndex.
-func SSIMIndexFromDB(db float64) float64 {
-	return 1 - math.Pow(10, -db/10)
-}
-
 // FindProfile returns the channel profile with the given name.
 func FindProfile(name string) (Profile, error) {
 	for _, p := range Channels() {

@@ -186,22 +186,6 @@ func TestClipLoops(t *testing.T) {
 	}
 }
 
-func TestSSIMdBConversions(t *testing.T) {
-	for _, ssim := range []float64{0.5, 0.9, 0.98, 0.999} {
-		db := SSIMdBFromIndex(ssim)
-		back := SSIMIndexFromDB(db)
-		if math.Abs(back-ssim) > 1e-12 {
-			t.Fatalf("roundtrip ssim %v -> %v dB -> %v", ssim, db, back)
-		}
-	}
-	if got := SSIMdBFromIndex(0.9); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("SSIMdB(0.9) = %v, want 10", got)
-	}
-	if !math.IsInf(SSIMdBFromIndex(1.0), 1) {
-		t.Fatal("SSIMdB(1.0) should be +Inf")
-	}
-}
-
 func TestFindProfile(t *testing.T) {
 	if _, err := FindProfile("nbc"); err != nil {
 		t.Fatalf("nbc should exist: %v", err)

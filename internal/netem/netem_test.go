@@ -2,8 +2,10 @@ package netem
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,58 +74,33 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
+// TestTraceCSVRoundtrip: WriteCSV's output (what cmd/trace-gen publishes)
+// parses as CSV back to the trace it was given.
 func TestTraceCSVRoundtrip(t *testing.T) {
-	tr := Constant(5e6, 10, 0.5)
-	tr.Rate[3] = 1e6
+	tr := &Trace{Interval: 0.5, Rate: []float64{5e6, 5e6, 5e6, 1e6, 5e6}}
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Interval != tr.Interval {
-		t.Fatalf("interval = %v, want %v", got.Interval, tr.Interval)
+	if len(rows) != len(tr.Rate)+1 || strings.Join(rows[0], ",") != "time_s,rate_bps" {
+		t.Fatalf("got %d rows with header %v, want %d samples under time_s,rate_bps", len(rows), rows[0], len(tr.Rate))
 	}
-	if len(got.Rate) != len(tr.Rate) {
-		t.Fatalf("samples = %d, want %d", len(got.Rate), len(tr.Rate))
-	}
-	for i := range tr.Rate {
-		if math.Abs(got.Rate[i]-tr.Rate[i]) > 0.5 {
-			t.Fatalf("sample %d = %v, want %v", i, got.Rate[i], tr.Rate[i])
+	for i, row := range rows[1:] {
+		at, err1 := strconv.ParseFloat(row[0], 64)
+		rate, err2 := strconv.ParseFloat(row[1], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("row %d does not parse: %v", i, row)
 		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"time_s,rate_bps\n",
-		"a,b\n",
-		"0,xyz\n",
-		"0\n",
-		"1,5\n0,6\n", // non-increasing times
-	}
-	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: expected error for %q", i, in)
+		if want := float64(i) * tr.Interval; at != want {
+			t.Fatalf("sample %d at %v s, want %v", i, at, want)
 		}
-	}
-}
-
-func TestConstantTrace(t *testing.T) {
-	tr := Constant(1e6, 5, 1)
-	if len(tr.Rate) != 5 {
-		t.Fatalf("samples = %d, want 5", len(tr.Rate))
-	}
-	for _, r := range tr.Rate {
-		if r != 1e6 {
-			t.Fatalf("rate = %v, want 1e6", r)
+		if math.Abs(rate-tr.Rate[i]) > 0.5 {
+			t.Fatalf("sample %d = %v, want %v", i, rate, tr.Rate[i])
 		}
-	}
-	if got := Constant(1e6, 0.1, 1); len(got.Rate) != 1 {
-		t.Fatalf("tiny duration should still give 1 sample, got %d", len(got.Rate))
 	}
 }
 

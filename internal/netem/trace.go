@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Trace is a piecewise-constant bottleneck capacity series. Rate[i] applies
@@ -99,64 +97,4 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV. The interval is inferred from
-// the first two timestamps (or 1 s for a single-row trace).
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	var times, rates []float64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "time_s") {
-			continue
-		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("netem: line %d: want 2 fields, got %d", line, len(parts))
-		}
-		ts, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("netem: line %d: bad time: %w", line, err)
-		}
-		rt, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("netem: line %d: bad rate: %w", line, err)
-		}
-		times = append(times, ts)
-		rates = append(rates, rt)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("netem: reading trace: %w", err)
-	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("netem: trace file has no samples")
-	}
-	interval := 1.0
-	if len(times) >= 2 {
-		interval = times[1] - times[0]
-		if interval <= 0 {
-			return nil, fmt.Errorf("netem: non-increasing timestamps")
-		}
-	}
-	tr := &Trace{Interval: interval, Rate: rates}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// Constant returns a trace with fixed capacity, mainly for tests.
-func Constant(rateBps, duration, interval float64) *Trace {
-	n := int(math.Ceil(duration / interval))
-	if n < 1 {
-		n = 1
-	}
-	tr := &Trace{Interval: interval, Rate: make([]float64, n)}
-	for i := range tr.Rate {
-		tr.Rate[i] = rateBps
-	}
-	return tr
 }

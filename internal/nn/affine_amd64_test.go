@@ -52,3 +52,18 @@ func TestTrainClassBatchPortableBodies(t *testing.T) {
 	sameFloats(t, "losses", portable, simd)
 	sameFloats(t, "parameters", b.flat, a.flat)
 }
+
+// TestTrainStepsMatchPerSamplePortableBodies reruns both training
+// differentials with the SIMD gates forced off, so the portable bodies are
+// held to the per-sample reference directly and not only through the SIMD
+// run.
+func TestTrainStepsMatchPerSamplePortableBodies(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no SIMD on this machine: the portable bodies are already what every other test runs")
+	}
+	avx2, avx512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = false, false
+	defer func() { useAVX2, useAVX512 = avx2, avx512 }()
+	checkTrainClassMatchesPerSample(t)
+	checkPolicyGradMatchesPerSample(t)
+}

@@ -20,6 +20,13 @@ var batchShapes = []struct {
 	{"wide-in-97-8-5", []int{97, 8, 5}},
 }
 
+// forwardOne runs one sample through the portable kernel at batch size 1 and
+// returns a copy of its logits: the "scalar" side of every comparison below
+// (a single row takes the kernel's one-row tail, never the two-row blocks).
+func forwardOne(m *MLP, x []float64) []float64 {
+	return append([]float64(nil), m.ForwardBatchInto(m.NewBatchWorkspace(1), x, 1)...)
+}
+
 func randomBatch(rng *rand.Rand, rows, nIn int) []float64 {
 	xs := make([]float64, rows*nIn)
 	for i := range xs {
@@ -33,13 +40,12 @@ func TestForwardBatchMatchesScalar(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(101))
 			m := NewMLP(rng, tc.sizes...)
-			ws := m.NewWorkspace()
 			bws := m.NewBatchWorkspace(1)
 			for _, rows := range []int{1, 2, 3, 7, 10, 17} {
 				xs := randomBatch(rng, rows, m.InputSize())
 				out := m.ForwardBatchInto(bws, xs, rows)
 				for r := 0; r < rows; r++ {
-					want := m.ForwardInto(ws, xs[r*m.InputSize():(r+1)*m.InputSize()])
+					want := forwardOne(m, xs[r*m.InputSize():(r+1)*m.InputSize()])
 					got := out[r*m.OutputSize() : (r+1)*m.OutputSize()]
 					for o := range want {
 						if math.Abs(got[o]-want[o]) > 1e-12 {
@@ -58,12 +64,11 @@ func TestForwardBatchBitwiseIdentical(t *testing.T) {
 	// batched and scalar logits must agree exactly, not just to tolerance.
 	rng := rand.New(rand.NewSource(7))
 	m := NewMLP(rng, 22, 64, 64, 21)
-	ws := m.NewWorkspace()
 	bws := m.NewBatchWorkspace(10)
 	xs := randomBatch(rng, 10, 22)
 	out := m.ForwardBatchInto(bws, xs, 10)
 	for r := 0; r < 10; r++ {
-		want := m.ForwardInto(ws, xs[r*22:(r+1)*22])
+		want := forwardOne(m, xs[r*22:(r+1)*22])
 		for o := range want {
 			if got := out[r*21+o]; got != want[o] {
 				t.Fatalf("sample %d output %d: batch %v != scalar %v", r, o, got, want[o])
@@ -75,13 +80,12 @@ func TestForwardBatchBitwiseIdentical(t *testing.T) {
 func TestPredictDistBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMLP(rng, 22, 64, 64, 21)
-	ws := m.NewWorkspace()
 	bws := m.NewBatchWorkspace(8)
 	xs := randomBatch(rng, 8, 22)
 	dists := m.PredictDistBatch(bws, xs, 8, nil)
 	scalar := make([]float64, 21)
 	for r := 0; r < 8; r++ {
-		m.PredictDist(ws, xs[r*22:(r+1)*22], scalar)
+		Softmax(scalar, forwardOne(m, xs[r*22:(r+1)*22]))
 		sum := 0.0
 		for o := range scalar {
 			got := dists[r*21+o]
@@ -122,20 +126,15 @@ func TestBatchWorkspaceSharedAcrossEqualShapeNets(t *testing.T) {
 	xs := randomBatch(rng, 4, 8)
 	outA := append([]float64(nil), a.ForwardBatchInto(bws, xs, 4)...)
 	outB := append([]float64(nil), b.ForwardBatchInto(bws, xs, 4)...)
-	wsA, wsB := a.NewWorkspace(), b.NewWorkspace()
 	for r := 0; r < 4; r++ {
-		wantA := wsAOut(a, wsA, xs[r*8:(r+1)*8])
-		wantB := wsAOut(b, wsB, xs[r*8:(r+1)*8])
+		wantA := forwardOne(a, xs[r*8:(r+1)*8])
+		wantB := forwardOne(b, xs[r*8:(r+1)*8])
 		for o := 0; o < 5; o++ {
 			if outA[r*5+o] != wantA[o] || outB[r*5+o] != wantB[o] {
 				t.Fatalf("shared workspace corrupted outputs at sample %d", r)
 			}
 		}
 	}
-}
-
-func wsAOut(m *MLP, ws *Workspace, x []float64) []float64 {
-	return append([]float64(nil), m.ForwardInto(ws, x)...)
 }
 
 func TestBatchWorkspaceRejectsWrongShape(t *testing.T) {
@@ -183,29 +182,14 @@ func TestLoadedModelKeepsBatchEquivalence(t *testing.T) {
 	}
 	loaded := roundtrip(m)
 	bws := loaded.NewBatchWorkspace(6)
-	ws := m.NewWorkspace()
 	xs := randomBatch(rng, 6, 22)
 	out := loaded.ForwardBatchInto(bws, xs, 6)
 	for r := 0; r < 6; r++ {
-		want := m.ForwardInto(ws, xs[r*22:(r+1)*22])
+		want := forwardOne(m, xs[r*22:(r+1)*22])
 		for o := range want {
 			if out[r*21+o] != want[o] {
 				t.Fatalf("loaded model batch output differs at sample %d bin %d", r, o)
 			}
-		}
-	}
-}
-
-func BenchmarkForwardScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMLP(rng, 22, 64, 64, 21)
-	ws := m.NewWorkspace()
-	xs := randomBatch(rng, 10, 22)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < 10; r++ {
-			m.ForwardInto(ws, xs[r*22:(r+1)*22])
 		}
 	}
 }

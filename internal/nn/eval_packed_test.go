@@ -1,10 +1,83 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// evalRows is the row-block size batched dataset evaluation uses: big
+// enough to amortize per-call overhead, small enough that the activation
+// matrices of a 64-wide hidden layer stay in L1/L2.
+const evalRows = 64
+
+// forEachLogitRow runs the dataset through net in batches and calls visit
+// with each sample's index and logit row, through the net's packed snapshot
+// like every inference consumer. It and the two sweeps below have only test
+// callers (the TTP is scored by core.EvaluateTransTimeMode), so they live
+// here.
+func forEachLogitRow(net *MLP, xs [][]float64, visit func(s int, logits []float64)) {
+	rows := evalRows
+	if len(xs) < rows {
+		rows = len(xs)
+	}
+	nIn, nOut := net.InputSize(), net.OutputSize()
+	packed := net.Packed()
+	ws := packed.NewBatchWorkspace(rows)
+	buf := make([]float64, rows*nIn)
+	for at := 0; at < len(xs); at += rows {
+		b := len(xs) - at
+		if b > rows {
+			b = rows
+		}
+		for r := 0; r < b; r++ {
+			if len(xs[at+r]) != nIn {
+				panic(fmt.Sprintf("nn: sample %d has %d features, want %d", at+r, len(xs[at+r]), nIn))
+			}
+			copy(buf[r*nIn:(r+1)*nIn], xs[at+r])
+		}
+		logits := packed.ForwardBatchInto(ws, buf[:b*nIn], b)
+		for r := 0; r < b; r++ {
+			visit(at+r, logits[r*nOut:(r+1)*nOut])
+		}
+	}
+}
+
+// CrossEntropy evaluates the mean cross-entropy loss (nats) of net on a
+// labeled dataset without training, one batched forward pass per row block.
+// It is the metric used in the paper's Figure 7 TTP ablation.
+func CrossEntropy(net *MLP, xs [][]float64, labels []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	probs := make([]float64, net.OutputSize())
+	loss := 0.0
+	forEachLogitRow(net, xs, func(s int, logits []float64) {
+		Softmax(probs, logits)
+		p := probs[labels[s]]
+		if p < 1e-300 {
+			p = 1e-300
+		}
+		loss -= math.Log(p)
+	})
+	return loss / float64(len(xs))
+}
+
+// Accuracy returns the fraction of samples whose argmax prediction matches
+// the label.
+func Accuracy(net *MLP, xs [][]float64, labels []int) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	hit := 0
+	forEachLogitRow(net, xs, func(s int, logits []float64) {
+		if ArgMax(logits) == labels[s] {
+			hit++
+		}
+	})
+	return float64(hit) / float64(len(xs))
+}
 
 // evalFixture builds a random net plus a labeled dataset big enough to
 // span several evaluation row blocks (and a ragged tail).
@@ -28,16 +101,15 @@ func evalFixture(t *testing.T, seed int64) (*MLP, [][]float64, []int) {
 
 // TestCrossEntropyAccuracyPackedMatchesPortable: the evaluation sweeps run
 // on the packed (SIMD) kernel; this pins them bitwise to a reference
-// computed per sample with the portable scalar forward pass.
+// computed per sample with the portable kernel at batch size 1.
 func TestCrossEntropyAccuracyPackedMatchesPortable(t *testing.T) {
 	net, xs, labels := evalFixture(t, 41)
 
-	ws := net.NewWorkspace()
 	probs := make([]float64, net.OutputSize())
 	var refLoss float64
 	refHit := 0
 	for s, x := range xs {
-		logits := net.ForwardInto(ws, x)
+		logits := forwardOne(net, x)
 		Softmax(probs, logits)
 		p := probs[labels[s]]
 		if p < 1e-300 {

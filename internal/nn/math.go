@@ -106,29 +106,14 @@ func affineBatch(dst, x, w, bias []float64, rows, nIn, nOut int) {
 	}
 }
 
-// reluInPlace clamps non-positive entries to zero, mirroring the scalar
-// path's `if v > 0` exactly (so -0 and NaN normalize identically).
+// reluInPlace clamps every entry that is not > 0 to +0 (so negatives, -0
+// and NaN all become +0).
 func reluInPlace(v []float64) {
 	for i, x := range v {
 		if !(x > 0) {
 			v[i] = 0
 		}
 	}
-}
-
-// LogSumExp returns log(sum(exp(x))) computed stably.
-func LogSumExp(x []float64) float64 {
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += math.Exp(v - max)
-	}
-	return max + math.Log(sum)
 }
 
 // ArgMax returns the index of the largest element (first on ties).
@@ -142,18 +127,6 @@ func ArgMax(x []float64) int {
 	return bi
 }
 
-// Dot returns the inner product of a and b, which must have equal length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("nn: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // Entropy returns the Shannon entropy (nats) of the distribution p.
 // Zero-probability entries contribute zero.
 func Entropy(p []float64) float64 {
@@ -164,16 +137,4 @@ func Entropy(p []float64) float64 {
 		}
 	}
 	return h
-}
-
-// Mean returns the arithmetic mean of x; zero for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
 }

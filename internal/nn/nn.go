@@ -33,7 +33,7 @@ type MLP struct {
 	// flat is the contiguous backing array that W and B alias, laid out
 	// layer by layer as W[0] B[0] W[1] B[1] ... so a forward pass walks
 	// memory monotonically. Nil for models built by hand or decoded from
-	// gob until pack() runs; everything still works, just less local.
+	// gob until Pack runs.
 	flat []float64
 
 	// packed caches the snapshot Packed returns. Nil after construction,
@@ -94,10 +94,16 @@ func (m *MLP) layerViews(slab []float64) (w, b [][]float64) {
 	return w, b
 }
 
-// pack re-homes the parameters of a model whose W/B slices were allocated
-// separately (e.g. by gob decoding) into one contiguous slab. Values are
-// preserved exactly.
-func (m *MLP) pack() {
+// Pack validates the model's structure (Sizes against the lengths of W and
+// B) and re-homes its parameters into the contiguous slab layout, values
+// preserved exactly. It is the one validated way in for a model this package
+// did not build: Load runs it, and anything that gob-decodes an MLP directly
+// must call it before using the model — a decoded model is whatever bytes
+// the file held.
+func (m *MLP) Pack() error {
+	if err := m.validate(); err != nil {
+		return err
+	}
 	m.packed.Store(nil)
 	w, b := m.W, m.B
 	m.alloc()
@@ -105,16 +111,12 @@ func (m *MLP) pack() {
 		copy(m.W[l], w[l])
 		copy(m.B[l], b[l])
 	}
+	return nil
 }
 
 // SameShape reports whether m and o have identical layer sizes (and can
-// therefore share workspaces).
+// therefore share batch workspaces).
 func (m *MLP) SameShape(o *MLP) bool { return sameSizes(m.Sizes, o.Sizes) }
-
-// Pack re-homes the parameters into the contiguous slab layout. Call it
-// after gob-decoding an MLP directly (rather than through Load) to restore
-// the cache-friendly layout; values are preserved exactly.
-func (m *MLP) Pack() { m.pack() }
 
 // NumLayers returns the number of weight layers (len(Sizes)-1).
 func (m *MLP) NumLayers() int { return len(m.Sizes) - 1 }
@@ -146,41 +148,6 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// Workspace holds preallocated activation buffers so that repeated forward
-// (and backward) passes do not allocate. A Workspace is tied to the layer
-// sizes of the MLP that created it and is not safe for concurrent use.
-type Workspace struct {
-	sizes []int
-	// acts[0] aliases nothing (input copied in); acts[l] is the
-	// post-activation output of layer l-1.
-	acts [][]float64
-	// zs[l] is the pre-activation of layer l (length Sizes[l+1]).
-	zs [][]float64
-	// deltas[l] is dLoss/dz for layer l during backprop.
-	deltas [][]float64
-}
-
-// NewWorkspace allocates a Workspace matching the network's layer sizes.
-func (m *MLP) NewWorkspace() *Workspace {
-	ws := &Workspace{sizes: m.Sizes}
-	ws.acts = make([][]float64, len(m.Sizes))
-	for i, s := range m.Sizes {
-		ws.acts[i] = make([]float64, s)
-	}
-	ws.zs = make([][]float64, m.NumLayers())
-	ws.deltas = make([][]float64, m.NumLayers())
-	for l := 0; l < m.NumLayers(); l++ {
-		ws.zs[l] = make([]float64, m.Sizes[l+1])
-		ws.deltas[l] = make([]float64, m.Sizes[l+1])
-	}
-	return ws
-}
-
-// compatible reports whether ws was created for a net with the same shape.
-func (ws *Workspace) compatible(m *MLP) bool {
-	return sameSizes(ws.sizes, m.Sizes)
-}
-
 func sameSizes(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -191,53 +158,6 @@ func sameSizes(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// ForwardInto runs a forward pass using ws's buffers and returns the output
-// logits. The returned slice aliases the workspace and is valid until the
-// next ForwardInto call on the same workspace. It is a thin wrapper over the
-// batched kernel at batch size 1, so scalar and batched results are bitwise
-// identical.
-func (m *MLP) ForwardInto(ws *Workspace, x []float64) []float64 {
-	if len(x) != m.InputSize() {
-		panic(fmt.Sprintf("nn: input length %d, want %d", len(x), m.InputSize()))
-	}
-	if !ws.compatible(m) {
-		panic("nn: workspace shape does not match network")
-	}
-	copy(ws.acts[0], x)
-	last := m.NumLayers() - 1
-	for l := 0; l <= last; l++ {
-		z := ws.zs[l]
-		affineBatch(z, ws.acts[l], m.W[l], m.B[l], 1, m.Sizes[l], m.Sizes[l+1])
-		out := ws.acts[l+1]
-		if l == last {
-			copy(out, z)
-		} else {
-			reluCopyGo(out, z)
-		}
-	}
-	return ws.acts[len(ws.acts)-1]
-}
-
-// Forward runs a forward pass, allocating a fresh output slice. Convenient
-// for tests and cold paths; hot paths should use ForwardInto.
-func (m *MLP) Forward(x []float64) []float64 {
-	ws := m.NewWorkspace()
-	out := m.ForwardInto(ws, x)
-	return append([]float64(nil), out...)
-}
-
-// PredictDist runs a forward pass and softmaxes the logits into dst,
-// returning a probability distribution over the output classes. dst must
-// have length OutputSize; if nil, a new slice is allocated.
-func (m *MLP) PredictDist(ws *Workspace, x []float64, dst []float64) []float64 {
-	logits := m.ForwardInto(ws, x)
-	if dst == nil {
-		dst = make([]float64, len(logits))
-	}
-	Softmax(dst, logits)
-	return dst
 }
 
 // BatchWorkspace holds flat row-major activation matrices for batched
@@ -286,8 +206,8 @@ func (ws *BatchWorkspace) ensure(m *MLP, rows int) {
 // layer. xs is the rows × InputSize input matrix, row-major and flat; it is
 // read but not copied or modified. The returned rows × OutputSize logit
 // matrix aliases the workspace and is valid until the next batched call on
-// the same workspace. Row r of the result is bitwise identical to
-// ForwardInto on row r alone.
+// the same workspace. Row r of the result is bitwise identical to a call on
+// row r alone.
 //
 // This is the portable kernel: PackedMLP's fallback where there is no SIMD
 // kernel, and the oracle the differential tests hold the packed path to.
@@ -315,7 +235,7 @@ func (m *MLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int) []flo
 
 // PredictDistBatch runs a batched forward pass and softmaxes each row of
 // logits into dst, a rows × OutputSize row-major matrix (allocated when
-// nil). Row r equals PredictDist on sample r exactly.
+// nil).
 func (m *MLP) PredictDistBatch(ws *BatchWorkspace, xs []float64, rows int, dst []float64) []float64 {
 	logits := m.ForwardBatchInto(ws, xs, rows)
 	nOut := m.OutputSize()

@@ -58,7 +58,7 @@ func TestPackedSnapshotIsMemoisedAndDropped(t *testing.T) {
 				targets[i] = make([]float64, net.OutputSize())
 				targets[i][labels[i]] = 1
 			}
-			NewTrainer(net, &SGD{LR: 0.05}).TrainRegBatch(xs, targets, nil)
+			NewTrainer(net, &SGD{LR: 0.05}).trainRegBatch(xs, targets)
 		},
 		"Adam via PolicyGradStep": func(net *MLP, xs [][]float64, labels []int) {
 			adv := make([]float64, len(xs))
@@ -92,7 +92,9 @@ func TestPackedSnapshotIsMemoisedAndDropped(t *testing.T) {
 	t.Run("Pack", func(t *testing.T) {
 		net, _, _, probe := cacheFixture(92)
 		before := net.Packed()
-		net.Pack()
+		if err := net.Pack(); err != nil {
+			t.Fatal(err)
+		}
 		if net.Packed() == before {
 			t.Fatal("Packed() returned the pre-Pack snapshot")
 		}

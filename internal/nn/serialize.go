@@ -16,18 +16,18 @@ func (m *MLP) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a network in gob format from r. The decoded parameters are
-// re-packed into the contiguous slab layout the batched kernel expects, so
-// loaded models serve exactly as fast as freshly constructed ones.
+// Load reads a network in gob format from r: decode, then Pack, which
+// rejects a structurally inconsistent model and re-homes the parameters into
+// the contiguous slab layout, so loaded models serve exactly as fast as
+// freshly constructed ones.
 func Load(r io.Reader) (*MLP, error) {
 	var m MLP
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("nn: decoding model: %w", err)
 	}
-	if err := m.validate(); err != nil {
+	if err := m.Pack(); err != nil {
 		return nil, err
 	}
-	m.pack()
 	return &m, nil
 }
 
@@ -53,7 +53,8 @@ func LoadFile(path string) (*MLP, error) {
 	return Load(f)
 }
 
-// validate checks structural consistency of a deserialized model.
+// validate checks structural consistency of a deserialized model (Pack's
+// first step).
 func (m *MLP) validate() error {
 	if len(m.Sizes) < 2 {
 		return fmt.Errorf("nn: model has %d layers, need at least 2", len(m.Sizes))

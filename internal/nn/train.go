@@ -103,15 +103,15 @@ func (a *Adam) Step(net *MLP, grad []float64) {
 	net.packed.Store(nil)
 }
 
-// Trainer accumulates gradients over minibatches and steps an optimizer.
-// It supports weighted samples (the paper weights recent days more heavily)
-// and both classification (softmax + cross-entropy) and regression (MSE)
-// heads. Not safe for concurrent use.
+// Trainer runs minibatch training steps: a batched forward pass, a loss that
+// fills the output layer's deltas, a batched backward pass into the gradient
+// slab, one optimizer step. It supports weighted samples (the paper weights
+// recent days more heavily) under softmax cross-entropy, and the policy
+// gradient the Pensieve arm trains with. Not safe for concurrent use.
 type Trainer struct {
 	Net *MLP
 	Opt Optimizer
 
-	ws *Workspace
 	// grad is the gradient slab, laid out like Net's parameter slab so the
 	// optimizer walks both in one pass; gradW/gradB are its per-layer views.
 	grad         []float64
@@ -170,16 +170,17 @@ func (t *Trainer) ensureBatchWS(rows int) *batchTrainWS {
 }
 
 // NewTrainer creates a Trainer for net with the given optimizer. A net whose
-// parameters are not in one slab yet (built by hand, or gob-decoded without
-// Load) is packed first: the optimizers step the slab.
+// parameters are not in one slab yet (built by hand) is packed first: the
+// optimizers step the slab.
 func NewTrainer(net *MLP, opt Optimizer) *Trainer {
 	if net.flat == nil {
-		net.pack()
+		if err := net.Pack(); err != nil {
+			panic(err)
+		}
 	}
 	t := &Trainer{
 		Net:   net,
 		Opt:   opt,
-		ws:    net.NewWorkspace(),
 		grad:  make([]float64, len(net.flat)),
 		probs: make([]float64, net.OutputSize()),
 	}
@@ -199,47 +200,72 @@ func totalWeight(weights []float64, n int) float64 {
 	return total
 }
 
-// backprop propagates delta (dLoss/dz of the output layer, already scaled by
-// the sample weight) through the network, accumulating into gradW/gradB —
-// the per-sample trainers clear the slab first. The workspace must hold the
-// forward state for this sample.
-func (t *Trainer) backprop(delta []float64) {
+// forward packs xs into the batch workspace and runs the minibatch through
+// the net: one affine row per sample per layer over freshly transposed
+// weights (they change every step; the transpose is a few thousand copies
+// against hundreds of thousands of multiplies), keeping every layer's z for
+// the backward mask — the last layer's is the logits — and relu(z) as the
+// next layer's input.
+func (t *Trainer) forward(xs [][]float64) *batchTrainWS {
 	net := t.Net
-	last := net.NumLayers() - 1
-	copy(t.ws.deltas[last], delta)
-	for l := last; l >= 0; l-- {
-		d := t.ws.deltas[l]
-		in := t.ws.acts[l]
-		nIn := net.Sizes[l]
-		gw := t.gradW[l]
-		gb := t.gradB[l]
-		for o, dv := range d {
-			if dv == 0 {
-				continue
-			}
-			row := gw[o*nIn : (o+1)*nIn]
-			for i, xi := range in {
-				row[i] += dv * xi
-			}
-			gb[o] += dv
+	rows := len(xs)
+	bt := t.ensureBatchWS(rows)
+	nIn := net.InputSize()
+	for s, x := range xs {
+		if len(x) != nIn {
+			panic(fmt.Sprintf("nn: input length %d, want %d", len(x), nIn))
 		}
+		copy(bt.x[s*nIn:(s+1)*nIn], x)
+	}
+	in := bt.x[:rows*nIn]
+	last := net.NumLayers() - 1
+	for l := 0; l <= last; l++ {
+		nI, width := net.Sizes[l], net.Sizes[l+1]
+		z := bt.zs[l][:rows*width]
+		transposeInto(bt.wt[l], net.W[l], nI, width)
+		for r := 0; r < rows; r++ {
+			affineRowT(z[r*width:], net.B[l], in[r*nI:], bt.wt[l], nI, width, 1)
+		}
+		if l == last {
+			break
+		}
+		in = bt.acts[l][:rows*width]
+		reluCopy(in, z)
+	}
+	return bt
+}
+
+// backward turns the output deltas a loss left in bt.delta[last] (rows ×
+// OutputSize, already scaled by sample weight over batch weight) into the
+// gradient slab, every element of which it assigns, so nothing is cleared
+// first. Each sum is affineRowT's, from +0: gradW row o over samples (x:
+// delta column o, at stride nO; weights: the layer's input matrix), gradB
+// over samples (x: ones; weights: the delta matrix), and a sample's
+// propagated delta over outputs (weights: W as stored) — then the ReLU mask.
+// A sample whose delta row is all zero adds nothing to any of them, exactly
+// as if it had been skipped.
+func (t *Trainer) backward(rows int) {
+	net, bt := t.Net, t.bt
+	for l := net.NumLayers() - 1; l >= 0; l-- {
+		nI, nO := net.Sizes[l], net.Sizes[l+1]
+		layerIn := bt.x
+		if l > 0 {
+			layerIn = bt.acts[l-1]
+		}
+		d := bt.delta[l][:rows*nO]
+		gw := t.gradW[l]
+		for o := 0; o < nO; o++ {
+			affineRowT(gw[o*nI:], bt.zero, d[o:], layerIn, rows, nI, nO)
+		}
+		affineRowT(t.gradB[l], bt.zero, bt.ones, d, rows, nO, 1)
 		if l == 0 {
 			break
 		}
-		// delta_{l-1} = (W[l]^T d) * relu'(z_{l-1})
-		prev := t.ws.deltas[l-1]
-		clear(prev)
-		w := net.W[l]
-		for o, dv := range d {
-			if dv == 0 {
-				continue
-			}
-			row := w[o*nIn : (o+1)*nIn]
-			for i := range prev {
-				prev[i] += row[i] * dv
-			}
+		dp := bt.delta[l-1][:rows*nI]
+		for s := 0; s < rows; s++ {
+			affineRowT(dp[s*nI:], bt.zero, d[s*nO:], net.W[l], nO, nI, 1)
 		}
-		maskNonPosGo(prev, t.ws.zs[l-1]) // scalar like the rest: this is the oracle
+		maskNonPos(dp, bt.zs[l-1][:rows*nI])
 	}
 }
 
@@ -266,55 +292,21 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 	if totalW <= 0 {
 		return 0
 	}
-	net := t.Net
-	rows := len(xs)
-	bt := t.ensureBatchWS(rows)
-	nIn := net.InputSize()
-	for s, x := range xs {
-		if len(x) != nIn {
-			panic(fmt.Sprintf("nn: input length %d, want %d", len(x), nIn))
-		}
-		copy(bt.x[s*nIn:(s+1)*nIn], x)
-	}
-
-	// Forward: one affine row per sample per layer over freshly transposed
-	// weights (they change every step; the transpose is a few thousand
-	// copies against hundreds of thousands of multiplies), keeping z for
-	// the mask and the logits, and relu(z) as the next layer's input.
-	in := bt.x[:rows*nIn]
-	last := net.NumLayers() - 1
-	for l := 0; l <= last; l++ {
-		nI, width := net.Sizes[l], net.Sizes[l+1]
-		z := bt.zs[l][:rows*width]
-		transposeInto(bt.wt[l], net.W[l], nI, width)
-		for r := 0; r < rows; r++ {
-			affineRowT(z[r*width:], net.B[l], in[r*nI:], bt.wt[l], nI, width, 1)
-		}
-		if l == last {
-			break
-		}
-		in = bt.acts[l][:rows*width]
-		reluCopy(in, z)
-	}
-
-	// Output deltas and loss. Zero-weight samples contribute a zero delta
-	// row, which the ascending-sample sums below treat exactly like the
-	// per-sample path's skip.
-	nOut := net.OutputSize()
-	logits := bt.zs[last]
-	dOut := bt.delta[last]
+	bt := t.forward(xs)
+	last := t.Net.NumLayers() - 1
+	nOut := t.Net.OutputSize()
 	loss := 0.0
-	for s := 0; s < rows; s++ {
+	for s := range xs {
 		w := 1.0
 		if weights != nil {
 			w = weights[s]
 		}
-		drow := dOut[s*nOut : (s+1)*nOut]
+		drow := bt.delta[last][s*nOut : (s+1)*nOut]
 		if w == 0 {
 			clear(drow)
 			continue
 		}
-		Softmax(t.probs, logits[s*nOut:(s+1)*nOut])
+		Softmax(t.probs, bt.zs[last][s*nOut:(s+1)*nOut])
 		lbl := labels[s]
 		if lbl < 0 || lbl >= len(t.probs) {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", lbl, len(t.probs)))
@@ -330,80 +322,16 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 		}
 		drow[lbl] -= scale
 	}
-
-	// Backward, written straight into the gradient slab (every element is
-	// assigned, so nothing is cleared first). Each sum is affineRowT's, from
-	// +0: gradW row o over samples (x: delta column o, at stride nO; weights:
-	// the layer's input matrix), gradB over samples (x: ones; weights: the
-	// delta matrix), and a sample's propagated delta over outputs (weights: W
-	// as stored) — then the ReLU mask.
-	for l := last; l >= 0; l-- {
-		nI, nO := net.Sizes[l], net.Sizes[l+1]
-		layerIn := bt.x
-		if l > 0 {
-			layerIn = bt.acts[l-1]
-		}
-		d := bt.delta[l][:rows*nO]
-		gw := t.gradW[l]
-		for o := 0; o < nO; o++ {
-			affineRowT(gw[o*nI:], bt.zero, d[o:], layerIn, rows, nI, nO)
-		}
-		affineRowT(t.gradB[l], bt.zero, bt.ones, d, rows, nO, 1)
-		if l == 0 {
-			break
-		}
-		dp := bt.delta[l-1][:rows*nI]
-		for s := 0; s < rows; s++ {
-			affineRowT(dp[s*nI:], bt.zero, d[s*nO:], net.W[l], nO, nI, 1)
-		}
-		maskNonPos(dp, bt.zs[l-1][:rows*nI])
-	}
-	t.Opt.Step(net, t.grad)
-	return loss / totalW
-}
-
-// TrainRegBatch performs one optimizer step on a weighted minibatch of
-// regression samples (MSE loss, linear output) and returns the weighted mean
-// squared error. targets[i] must have length OutputSize.
-func (t *Trainer) TrainRegBatch(xs, targets [][]float64, weights []float64) float64 {
-	if len(xs) != len(targets) {
-		panic(fmt.Sprintf("nn: %d inputs vs %d targets", len(xs), len(targets)))
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	clear(t.grad)
-	totalW := totalWeight(weights, len(xs))
-	if totalW <= 0 {
-		return 0
-	}
-	loss := 0.0
-	delta := make([]float64, t.Net.OutputSize())
-	for s, x := range xs {
-		w := 1.0
-		if weights != nil {
-			w = weights[s]
-		}
-		if w == 0 {
-			continue
-		}
-		out := t.Net.ForwardInto(t.ws, x)
-		scale := w / totalW
-		for i, o := range out {
-			diff := o - targets[s][i]
-			loss += w * diff * diff
-			delta[i] = 2 * diff * scale
-		}
-		t.backprop(delta)
-	}
+	t.backward(len(xs))
 	t.Opt.Step(t.Net, t.grad)
 	return loss / totalW
 }
 
-// PolicyGradStep performs one step of REINFORCE-style training: for each
-// sample, the gradient of -advantage*log(pi(action|x)) - entropyCoeff*H(pi)
-// is accumulated, then the optimizer steps once. Used by the Pensieve
-// reproduction. Returns the mean policy loss (excluding the entropy bonus).
+// PolicyGradStep performs one step of REINFORCE-style training: the mean
+// over samples of the gradient of -advantage*log(pi(action|x)) -
+// entropyCoeff*H(pi), then one optimizer step — TrainClassBatch's step with
+// a different loss in the middle. Used by the Pensieve reproduction. Returns
+// the mean policy loss (excluding the entropy bonus).
 func (t *Trainer) PolicyGradStep(xs [][]float64, actions []int, advantages []float64, entropyCoeff float64) float64 {
 	if len(xs) != len(actions) || len(xs) != len(advantages) {
 		panic("nn: PolicyGradStep length mismatch")
@@ -411,105 +339,40 @@ func (t *Trainer) PolicyGradStep(xs [][]float64, actions []int, advantages []flo
 	if len(xs) == 0 {
 		return 0
 	}
-	clear(t.grad)
+	nOut := t.Net.OutputSize()
+	for _, a := range actions {
+		if a < 0 || a >= nOut {
+			panic(fmt.Sprintf("nn: action %d out of range [0,%d)", a, nOut))
+		}
+	}
+	bt := t.forward(xs)
+	last := t.Net.NumLayers() - 1
 	n := float64(len(xs))
 	loss := 0.0
-	delta := make([]float64, t.Net.OutputSize())
-	for s, x := range xs {
-		logits := t.Net.ForwardInto(t.ws, x)
-		Softmax(t.probs, logits)
-		a := actions[s]
+	for s, a := range actions {
+		Softmax(t.probs, bt.zs[last][s*nOut:(s+1)*nOut])
 		adv := advantages[s]
 		p := t.probs[a]
 		if p < 1e-300 {
 			p = 1e-300
 		}
 		loss += -adv * math.Log(p)
-		// d/dlogits of -adv*log p_a  =  adv*(p - onehot_a)
+		h := 0.0
+		if entropyCoeff != 0 {
+			h = Entropy(t.probs)
+		}
+		// d/dlogits of -adv*log p_a is adv*(p - onehot_a); of -coeff*H(p),
+		// the entropy bonus, coeff*p_i*(log p_i + H).
+		drow := bt.delta[last][s*nOut : (s+1)*nOut]
 		for i, pi := range t.probs {
-			delta[i] = adv * pi / n
-			// entropy-bonus gradient: d/dlogits of -H(p) is
-			// p_i*(log p_i + H); we *add* coeff * that to move
-			// toward higher entropy... i.e., we minimize
-			// -coeff*H, whose gradient is coeff*p_i*(log p_i + H).
+			drow[i] = adv * pi / n
 			if entropyCoeff != 0 && pi > 0 {
-				h := Entropy(t.probs)
-				delta[i] += entropyCoeff * pi * (math.Log(pi) + h) / n
+				drow[i] += entropyCoeff * pi * (math.Log(pi) + h) / n
 			}
 		}
-		delta[a] -= adv / n
-		t.backprop(delta)
+		drow[a] -= adv / n
 	}
+	t.backward(len(xs))
 	t.Opt.Step(t.Net, t.grad)
 	return loss / n
-}
-
-// evalRows is the row-block size batched dataset evaluation uses: big
-// enough to amortize per-call overhead, small enough that the activation
-// matrices of a 64-wide hidden layer stay in L1/L2.
-const evalRows = 64
-
-// forEachLogitRow runs the dataset through net in batches and calls visit
-// with each sample's index and logit row, through the net's packed snapshot
-// like every other inference consumer.
-func forEachLogitRow(net *MLP, xs [][]float64, visit func(s int, logits []float64)) {
-	rows := evalRows
-	if len(xs) < rows {
-		rows = len(xs)
-	}
-	nIn, nOut := net.InputSize(), net.OutputSize()
-	packed := net.Packed()
-	ws := packed.NewBatchWorkspace(rows)
-	buf := make([]float64, rows*nIn)
-	for at := 0; at < len(xs); at += rows {
-		b := len(xs) - at
-		if b > rows {
-			b = rows
-		}
-		for r := 0; r < b; r++ {
-			if len(xs[at+r]) != nIn {
-				panic(fmt.Sprintf("nn: sample %d has %d features, want %d", at+r, len(xs[at+r]), nIn))
-			}
-			copy(buf[r*nIn:(r+1)*nIn], xs[at+r])
-		}
-		logits := packed.ForwardBatchInto(ws, buf[:b*nIn], b)
-		for r := 0; r < b; r++ {
-			visit(at+r, logits[r*nOut:(r+1)*nOut])
-		}
-	}
-}
-
-// CrossEntropy evaluates the mean cross-entropy loss (nats) of net on a
-// labeled dataset without training, one batched forward pass per row block.
-// It is the metric used in the paper's Figure 7 TTP ablation.
-func CrossEntropy(net *MLP, xs [][]float64, labels []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	probs := make([]float64, net.OutputSize())
-	loss := 0.0
-	forEachLogitRow(net, xs, func(s int, logits []float64) {
-		Softmax(probs, logits)
-		p := probs[labels[s]]
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		loss -= math.Log(p)
-	})
-	return loss / float64(len(xs))
-}
-
-// Accuracy returns the fraction of samples whose argmax prediction matches
-// the label.
-func Accuracy(net *MLP, xs [][]float64, labels []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	hit := 0
-	forEachLogitRow(net, xs, func(s int, logits []float64) {
-		if ArgMax(logits) == labels[s] {
-			hit++
-		}
-	})
-	return float64(hit) / float64(len(xs))
 }

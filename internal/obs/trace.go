@@ -84,20 +84,9 @@ func NewTracer(sample uint64, capacity int) *Tracer {
 // curTracer is the installed process-wide tracer (nil = tracing off).
 var curTracer atomic.Pointer[Tracer]
 
-// curProc is the label trace exports use for this process's track.
-var curProc atomic.Pointer[string]
-
-// SetTraceProc sets the process label trace exports use (e.g.
-// "puffer-serve"); empty restores the executable-name default.
-func SetTraceProc(name string) { curProc.Store(&name) }
-
-// TraceProc returns the current process label for trace exports.
-func TraceProc() string {
-	if p := curProc.Load(); p != nil && *p != "" {
-		return *p
-	}
-	return filepath.Base(os.Args[0])
-}
+// TraceProc returns the label trace exports use for this process's track:
+// the executable's name.
+func TraceProc() string { return filepath.Base(os.Args[0]) }
 
 // SetTracer installs (or, with nil, removes) the process-wide tracer.
 // Tracing additionally requires the recording gate (SetEnabled), matching
@@ -136,9 +125,6 @@ func (t *Tracer) Sampled(sessionID int64) bool {
 	}
 	return mix64(uint64(sessionID))%t.sample == 0
 }
-
-// SampleRate returns the tracer's 1-in-N sampling denominator.
-func (t *Tracer) SampleRate() uint64 { return t.sample }
 
 // DecisionTraceID derives the trace id of one decision from its (session
 // id, per-session decision sequence) pair: deterministic, collision-mixed,

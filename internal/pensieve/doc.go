@@ -13,7 +13,10 @@
 // Main entry points:
 //
 //   - Train with a TrainConfig: policy-gradient training in the built-in
-//     chunk-level simulator; TrainResult reports the reward curve.
+//     chunk-level simulator — rollouts on the policy's packed snapshot,
+//     one nn.Trainer.PolicyGradStep per episode on the batched
+//     forward/backward the TTP's trainer runs; TrainResult reports the
+//     reward curve.
 //   - Agent / NewAgent: the deployable abr.Algorithm; Agent.Policy
 //     extracts the trained network for sharing across per-session
 //     instances.

@@ -2,7 +2,6 @@ package pensieve
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"puffer/internal/abr"
@@ -124,22 +123,6 @@ func (w QoEWeights) Reward(enc media.Encoding, lastBitrate float64, stall float6
 		r -= w.SmoothPenalty * d
 	}
 	return r
-}
-
-// SavePolicy writes the policy network.
-func (a *Agent) SavePolicy(w io.Writer) error { return a.policy.Save(w) }
-
-// LoadAgent reads a policy saved with SavePolicy.
-func LoadAgent(r io.Reader) (*Agent, error) {
-	net, err := nn.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	if net.InputSize() != StateDim || net.OutputSize() != NumActions {
-		return nil, fmt.Errorf("pensieve: loaded policy shape %dx%d, want %dx%d",
-			net.InputSize(), net.OutputSize(), StateDim, NumActions)
-	}
-	return NewAgent(net), nil
 }
 
 // NewUntrainedPolicy returns a fresh policy network of the right shape.

@@ -135,30 +135,17 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewAgent(NewUntrainedPolicy(rng))
 	var buf bytes.Buffer
-	if err := a.SavePolicy(&buf); err != nil {
+	if err := a.Policy().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b, err := LoadAgent(&buf)
+	policy, err := nn.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := NewAgent(policy)
 	obs := testObs(5, 5e6)
 	if a.Choose(obs) != b.Choose(obs) {
 		t.Fatal("roundtripped agent disagrees")
-	}
-}
-
-func TestLoadAgentRejectsWrongShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	wrong := NewUntrainedPolicy(rng)
-	var buf bytes.Buffer
-	small := wrong.Clone()
-	small.Sizes[0] = 7 // corrupt metadata so shapes mismatch
-	if err := small.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadAgent(&buf); err == nil {
-		t.Fatal("accepted wrong-shape policy")
 	}
 }
 

@@ -44,11 +44,6 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
-// packedRollout selects the packed (SIMD) snapshot for episode rollouts.
-// It exists only so the differential test can force the portable ForwardInto
-// path and assert the trained weights are bitwise identical either way.
-var packedRollout = true
-
 // TrainResult reports training diagnostics.
 type TrainResult struct {
 	// MeanReward is the (undiscounted) per-chunk mean reward of the final
@@ -89,7 +84,6 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 	policy := NewUntrainedPolicy(rng)
 	polTr := nn.NewTrainer(policy, &nn.Adam{LR: cfg.LR})
 
-	polWS := policy.NewWorkspace()
 	rollWS := policy.NewBatchWorkspace(1)
 	probs := make([]float64, NumActions)
 
@@ -115,19 +109,11 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 
 		// The policy is constant within an episode (the optimizer steps
 		// between episodes and drops the snapshot), so a rollout runs on
-		// one packed snapshot — bitwise identical to ForwardInto, which
-		// the portable fallback below runs (and the differential test
-		// pins).
+		// one packed snapshot.
 		runEpisode(cfg, rng, func(obs *abr.Observation) int {
 			s := make([]float64, StateDim)
 			assembleState(s, obs)
-			var logits []float64
-			if packedRollout {
-				logits = policy.Packed().ForwardBatchInto(rollWS, s, 1)
-			} else {
-				logits = policy.ForwardInto(polWS, s)
-			}
-			nn.Softmax(probs, logits)
+			nn.Softmax(probs, policy.Packed().ForwardBatchInto(rollWS, s, 1))
 			a := sample(rng, probs)
 			states = append(states, s)
 			actions = append(actions, a)

@@ -28,9 +28,6 @@ type Buffer struct {
 	Played float64
 }
 
-// NewBuffer returns an empty buffer with the default 15-second cap.
-func NewBuffer() *Buffer { return &Buffer{Cap: DefaultBufferCap} }
-
 // Level returns the current buffered video in seconds.
 func (b *Buffer) Level() float64 { return b.level }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBufferStartupNotStall(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	// First chunk arrives before playback starts: no stall charged.
 	if stall := b.CompleteChunk(3.0, 2.002); stall != 0 {
 		t.Fatalf("pre-playback chunk charged stall %v", stall)
@@ -23,7 +23,7 @@ func TestBufferStartupNotStall(t *testing.T) {
 }
 
 func TestBufferStallAccounting(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	b.CompleteChunk(1, 2.002)
 	b.StartPlayback(1)
 	// Transfer of 5 s against a 2.002 s buffer: stall of ~2.998.
@@ -45,7 +45,7 @@ func TestBufferStallAccounting(t *testing.T) {
 }
 
 func TestBufferNoStallWhenCovered(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	b.CompleteChunk(0.5, 2.002)
 	b.StartPlayback(0.5)
 	b.CompleteChunk(0.5, 2.002) // level: 2.002-0.5+2.002 = 3.504
@@ -58,7 +58,7 @@ func TestBufferNoStallWhenCovered(t *testing.T) {
 }
 
 func TestBufferCapRespected(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	for i := 0; i < 20; i++ {
 		b.CompleteChunk(0.01, 2.002)
 	}
@@ -70,7 +70,7 @@ func TestBufferCapRespected(t *testing.T) {
 func TestBufferInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuffer()
+		b := &Buffer{Cap: DefaultBufferCap}
 		b.CompleteChunk(rng.Float64()*3, 2.002)
 		b.StartPlayback(1)
 		totalStall := 0.0
@@ -103,7 +103,7 @@ func TestBufferInvariantsProperty(t *testing.T) {
 }
 
 func TestRoomWait(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	if b.RoomWait(2.002) != 0 {
 		t.Fatal("empty buffer should have room")
 	}
@@ -122,7 +122,7 @@ func TestRoomWait(t *testing.T) {
 }
 
 func TestDrainBeforePlaybackIsNoop(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	b.CompleteChunk(0, 2.002)
 	b.Drain(1)
 	if b.Level() != 2.002 {
@@ -131,7 +131,7 @@ func TestDrainBeforePlaybackIsNoop(t *testing.T) {
 }
 
 func TestPlayedAccounting(t *testing.T) {
-	b := NewBuffer()
+	b := &Buffer{Cap: DefaultBufferCap}
 	b.CompleteChunk(1, 2.002)
 	b.StartPlayback(1)
 	b.CompleteChunk(1.0, 2.002) // plays 1.0

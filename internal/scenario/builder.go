@@ -23,10 +23,6 @@ func Named(name, notes string) Option {
 // World selects the environment: "insitu" or "emulation".
 func World(w string) Option { return func(s *Spec) { s.Env.World = w } }
 
-// PathFamily overrides the world's path family ("puffer", "fcc", "cs2p",
-// or "congested").
-func PathFamily(p string) Option { return func(s *Spec) { s.Env.Paths = p } }
-
 // Days sets the number of deployment days.
 func Days(n int) Option { return func(s *Spec) { s.Daily.Days = n } }
 

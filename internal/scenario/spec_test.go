@@ -15,7 +15,7 @@ func TestCanonicalFixedPoint(t *testing.T) {
 		specs[name] = s
 	}
 	specs["hand-built"] = New(
-		World("emulation"), PathFamily("fcc"), Days(7), Sessions(40), Window(0),
+		World("emulation"), func(s *Spec) { s.Env.Paths = "fcc" }, Days(7), Sessions(40), Window(0),
 		Retrain(false), Ablation(false), Seed(0), Shard(16), Hidden(), Horizon(2),
 		Epochs(3), BatchSize(32), LR(2e-3), RecencyBase(0),
 		Drift("shift"), Mix("cs2p", 1, 0), Engine("fleet"), Bursts(10, 5), Tick(0.5),

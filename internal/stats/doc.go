@@ -17,7 +17,6 @@
 //     estimators; BootstrapStallRatio and Interval: the §3.4 CIs.
 //   - StreamAcc / WeightedAcc: the mergeable accumulators
 //     (Add/Merge/Bootstrap, weighted means with WeightedMeanSE-style CIs).
-//   - Quantile / CCDF / CCDFAt: distribution readouts for the figures.
-//   - PowerConfig / DetectionRate: the §5.3 power analysis; HarmonicMean:
-//     the classical throughput predictor's kernel.
+//   - Quantile / CCDFAt: distribution readouts for the figures.
+//   - PowerConfig / DetectionRate: the §5.3 power analysis.
 package stats

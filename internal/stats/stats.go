@@ -158,47 +158,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(cp, q)
 }
 
-// HarmonicMean returns the harmonic mean of positive values, ignoring
-// non-positive entries; zero if none qualify.
-func HarmonicMean(xs []float64) float64 {
-	n, sumInv := 0, 0.0
-	for _, x := range xs {
-		if x > 0 {
-			sumInv += 1 / x
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(n) / sumInv
-}
-
-// CCDFPoint is one point of a complementary CDF.
-type CCDFPoint struct {
-	X float64 // value
-	P float64 // fraction of samples strictly greater than or equal to X
-}
-
-// CCDF returns the complementary CDF of xs evaluated at every distinct
-// sample, ascending in X (the Figure 10 curve).
-func CCDF(xs []float64) []CCDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := float64(len(cp))
-	var out []CCDFPoint
-	for i := 0; i < len(cp); i++ {
-		if i > 0 && cp[i] == cp[i-1] {
-			continue
-		}
-		out = append(out, CCDFPoint{X: cp[i], P: float64(len(cp)-i) / n})
-	}
-	return out
-}
-
 // CCDFAt evaluates P(X >= x) from a sample.
 func CCDFAt(xs []float64, x float64) float64 {
 	if len(xs) == 0 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -148,43 +149,19 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHarmonicMean(t *testing.T) {
-	if got := HarmonicMean([]float64{1, 2, 4}); math.Abs(got-12.0/7.0) > 1e-12 {
-		t.Fatalf("HM = %v, want 12/7", got)
-	}
-	if got := HarmonicMean([]float64{2, 0, -1}); got != 2 {
-		t.Fatalf("HM with junk = %v, want 2", got)
-	}
-	if HarmonicMean(nil) != 0 {
-		t.Fatal("empty HM should be 0")
-	}
-	// HM <= arithmetic mean, always.
-	f := func(a, b, c float64) bool {
-		xs := []float64{math.Abs(a) + 0.1, math.Abs(b) + 0.1, math.Abs(c) + 0.1}
-		am := (xs[0] + xs[1] + xs[2]) / 3
-		return HarmonicMean(xs) <= am+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCCDF(t *testing.T) {
-	pts := CCDF([]float64{1, 2, 2, 3})
-	if len(pts) != 3 {
-		t.Fatalf("distinct points = %d, want 3", len(pts))
+	xs := []float64{1, 2, 2, 3}
+	if got := CCDFAt(xs, 1); got != 1.0 {
+		t.Fatalf("first point = %v", got)
 	}
-	if pts[0].X != 1 || pts[0].P != 1.0 {
-		t.Fatalf("first point = %+v", pts[0])
+	if got := CCDFAt(xs, 2); math.Abs(got-0.75) > 1e-12 {
+		t.Fatalf("second point = %v", got)
 	}
-	if pts[1].X != 2 || math.Abs(pts[1].P-0.75) > 1e-12 {
-		t.Fatalf("second point = %+v", pts[1])
+	if got := CCDFAt(xs, 3); math.Abs(got-0.25) > 1e-12 {
+		t.Fatalf("third point = %v", got)
 	}
-	if pts[2].X != 3 || math.Abs(pts[2].P-0.25) > 1e-12 {
-		t.Fatalf("third point = %+v", pts[2])
-	}
-	if CCDF(nil) != nil {
-		t.Fatal("empty CCDF should be nil")
+	if CCDFAt(nil, 1) != 0 {
+		t.Fatal("empty CCDF should be 0")
 	}
 }
 
@@ -195,13 +172,14 @@ func TestCCDFMonotone(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.ExpFloat64() * 100
 		}
-		pts := CCDF(xs)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].P >= pts[i-1].P {
+		at := append([]float64(nil), xs...)
+		sort.Float64s(at)
+		for i := 1; i < len(at); i++ {
+			if at[i] > at[i-1] && CCDFAt(xs, at[i]) >= CCDFAt(xs, at[i-1]) {
 				return false
 			}
 		}
-		return pts[0].P == 1.0
+		return CCDFAt(xs, at[0]) == 1.0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

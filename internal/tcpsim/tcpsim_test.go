@@ -9,9 +9,18 @@ import (
 	"puffer/internal/netem"
 )
 
+// constantTrace is an hour of fixed capacity in one-second samples.
+func constantTrace(rateBps float64) *netem.Trace {
+	tr := &netem.Trace{Interval: 1, Rate: make([]float64, 3600)}
+	for i := range tr.Rate {
+		tr.Rate[i] = rateBps
+	}
+	return tr
+}
+
 func fixedPath(rateBps, rtt float64) netem.Path {
 	return netem.Path{
-		Trace:         netem.Constant(rateBps, 3600, 1),
+		Trace:         constantTrace(rateBps),
 		BaseRTT:       rtt,
 		QueueCapacity: 0.5,
 	}
@@ -80,7 +89,7 @@ func TestSlowStartRamp(t *testing.T) {
 
 func TestDeliveryRateTracksCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := netem.Constant(2e6, 3600, 1)
+	tr := constantTrace(2e6)
 	path := netem.Path{Trace: tr, BaseRTT: 0.040, QueueCapacity: 0.5}
 	c := Dial(path, rng, 0)
 	c.Transfer(3e6 / 8 * 5) // five seconds at capacity

@@ -4,47 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
-
-// VideoSent is recorded every time the server sends a video chunk: chunk
-// identity, size and quality, and the sender-side tcp_info snapshot.
-type VideoSent struct {
-	Time       float64 // seconds since experiment epoch
-	SessionID  int
-	StreamID   int
-	ExptID     string // experimental group (scheme name)
-	ChunkIndex int
-	Quality    int     // ladder rung
-	Size       float64 // bytes
-	SSIMdB     float64
-	// tcp_info fields, as in the open data:
-	CWND         float64 // packets
-	InFlight     float64 // packets
-	MinRTT       float64 // seconds
-	RTT          float64 // seconds
-	DeliveryRate float64 // bits/s
-}
-
-// VideoAcked is recorded when the client acknowledges a chunk; matched with
-// VideoSent it yields the chunk's transmission time.
-type VideoAcked struct {
-	Time       float64
-	SessionID  int
-	StreamID   int
-	ChunkIndex int
-}
-
-// ClientBuffer is the client's periodic/event buffer report.
-type ClientBuffer struct {
-	Time      float64
-	SessionID int
-	StreamID  int
-	Event     string // "startup", "play", "rebuffer", "timer"
-	Buffer    float64
-	CumRebuf  float64
-}
 
 // StreamSummary is the per-stream digest used in every analysis.
 type StreamSummary struct {
@@ -174,125 +134,6 @@ func WriteSummariesCSV(w io.Writer, sums []StreamSummary) error {
 		if _, err := fmt.Fprintf(bw, "%d,%d,%s,%.0f,%.3f,%.3f,%.3f,%d,%.4f,%.4f,%.0f,%.4f,%t,%t\n",
 			s.SessionID, s.StreamID, s.Scheme, s.PathMeanRate, s.StartupDelay, s.PlayTime, s.StallTime,
 			s.Chunks, s.SSIMMean, s.SSIMVar, s.MeanBitrate, s.FirstChunkSSIM, s.NeverPlayed, s.BadDecoder); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSummariesCSV parses the output of WriteSummariesCSV.
-func ReadSummariesCSV(r io.Reader) ([]StreamSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []StreamSummary
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "session_id") {
-			continue
-		}
-		f := strings.Split(text, ",")
-		if len(f) != 14 {
-			return nil, fmt.Errorf("telemetry: line %d: want 14 fields, got %d", line, len(f))
-		}
-		var s StreamSummary
-		var err error
-		parseInt := func(v string) int {
-			if err != nil {
-				return 0
-			}
-			var n int
-			n, err = strconv.Atoi(v)
-			return n
-		}
-		parseF := func(v string) float64 {
-			if err != nil {
-				return 0
-			}
-			var x float64
-			x, err = strconv.ParseFloat(v, 64)
-			return x
-		}
-		parseB := func(v string) bool {
-			if err != nil {
-				return false
-			}
-			var b bool
-			b, err = strconv.ParseBool(v)
-			return b
-		}
-		s.SessionID = parseInt(f[0])
-		s.StreamID = parseInt(f[1])
-		s.Scheme = f[2]
-		s.PathMeanRate = parseF(f[3])
-		s.StartupDelay = parseF(f[4])
-		s.PlayTime = parseF(f[5])
-		s.StallTime = parseF(f[6])
-		s.Chunks = parseInt(f[7])
-		s.SSIMMean = parseF(f[8])
-		s.SSIMVar = parseF(f[9])
-		s.MeanBitrate = parseF(f[10])
-		s.FirstChunkSSIM = parseF(f[11])
-		s.NeverPlayed = parseB(f[12])
-		s.BadDecoder = parseB(f[13])
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: %w", line, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: reading summaries: %w", err)
-	}
-	return out, nil
-}
-
-// Log collects full-resolution measurement rows for small runs and the data
-// release formats. Large experiments summarize instead of logging.
-type Log struct {
-	Sent   []VideoSent
-	Acked  []VideoAcked
-	Buffer []ClientBuffer
-}
-
-// WriteVideoSentCSV writes the video_sent table.
-func (l *Log) WriteVideoSentCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "time,session_id,stream_id,expt_id,chunk_index,quality,size,ssim_db,cwnd,in_flight,min_rtt,rtt,delivery_rate"); err != nil {
-		return err
-	}
-	for _, v := range l.Sent {
-		if _, err := fmt.Fprintf(bw, "%.3f,%d,%d,%s,%d,%d,%.0f,%.4f,%.1f,%.1f,%.6f,%.6f,%.0f\n",
-			v.Time, v.SessionID, v.StreamID, v.ExptID, v.ChunkIndex, v.Quality, v.Size, v.SSIMdB,
-			v.CWND, v.InFlight, v.MinRTT, v.RTT, v.DeliveryRate); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteVideoAckedCSV writes the video_acked table.
-func (l *Log) WriteVideoAckedCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "time,session_id,stream_id,chunk_index"); err != nil {
-		return err
-	}
-	for _, v := range l.Acked {
-		if _, err := fmt.Fprintf(bw, "%.3f,%d,%d,%d\n", v.Time, v.SessionID, v.StreamID, v.ChunkIndex); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteClientBufferCSV writes the client_buffer table.
-func (l *Log) WriteClientBufferCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "time,session_id,stream_id,event,buffer,cum_rebuf"); err != nil {
-		return err
-	}
-	for _, v := range l.Buffer {
-		if _, err := fmt.Fprintf(bw, "%.3f,%d,%d,%s,%.3f,%.3f\n", v.Time, v.SessionID, v.StreamID, v.Event, v.Buffer, v.CumRebuf); err != nil {
 			return err
 		}
 	}

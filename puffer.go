@@ -28,8 +28,8 @@
 // nonstationary — the regime where the paper's daily retraining visibly
 // beats a frozen model instead of tying it.
 //
-// Trials can also run on the fleet engine (RunFleetTrial, or a spec with
-// engine.kind "fleet"): a discrete-event, virtual-time multiplexer that
+// Days can also run on the fleet engine (a spec with engine.kind "fleet",
+// ScenarioEngine): a discrete-event, virtual-time multiplexer that
 // serves hundreds of interleaved sessions at once — Poisson arrivals,
 // scheme randomization at arrival, and a central InferenceService that runs
 // each horizon net's forward pass as one cross-session batch over packed
@@ -44,7 +44,6 @@ import (
 	"puffer/internal/abr"
 	"puffer/internal/core"
 	"puffer/internal/experiment"
-	"puffer/internal/fleet"
 	"puffer/internal/netem"
 	"puffer/internal/runner"
 	"puffer/internal/scenario"
@@ -91,18 +90,6 @@ type (
 	// DriftingSampler wraps any path sampler with a DriftSchedule, making
 	// the simulated deployment nonstationary.
 	DriftingSampler = netem.DriftingSampler
-	// FleetConfig tunes the fleet engine: the discrete-event,
-	// virtual-time session multiplexer that interleaves hundreds of
-	// concurrent sessions and batches TTP inference across them. No
-	// field changes results — only throughput and the serving record.
-	FleetConfig = fleet.Config
-	// FleetStats is one fleet run's serving record: occupancy over
-	// virtual time plus the inference service's batching counters.
-	FleetStats = fleet.Stats
-	// InferenceService executes many sessions' staged TTP fills as one
-	// cross-session batch per horizon net over packed (SIMD) model
-	// snapshots.
-	InferenceService = fleet.InferenceService
 	// ScenarioSpec is the single declarative description of an
 	// experiment: environment, daily-loop shape, model/training knobs,
 	// drift schedule, engine, seed, sharding — serializable as strict
@@ -193,8 +180,6 @@ func NewRobustMPCHM() Algorithm { return abr.NewRobustMPCHM() }
 // The front door: running experiments, from least to most declarative.
 //
 //   - RunExperiment (above): one randomized trial from an explicit Config.
-//   - RunFleetTrial: one trial on the fleet engine (virtual-time
-//     multiplexing, cross-session batched inference).
 //   - RunScenario: one declarative, serializable, content-hashed spec —
 //     the continual daily loop, as the CLI, the nightly workflow, and the
 //     figures run it.
@@ -206,16 +191,6 @@ func NewRobustMPCHM() Algorithm { return abr.NewRobustMPCHM() }
 // DriftPreset returns a named nonstationarity schedule ("none", "decay",
 // "shift", or "mix") for use with DriftingSampler.
 func DriftPreset(name string) (DriftSchedule, error) { return netem.DriftPreset(name) }
-
-// RunFleetTrial executes one randomized trial on the fleet engine:
-// sessions arrive by cfg's arrival process, interleave in virtual time, and
-// park at every ABR decision while the InferenceService runs each horizon
-// net's forward pass as one cross-session batch. The returned accumulator
-// is byte-identical to the per-session engine at the same seeds; the stats
-// report occupancy, batch shape, and wall throughput.
-func RunFleetTrial(cfg Config, fc FleetConfig) (*TrialAcc, *FleetStats, error) {
-	return fleet.RunTrial(&cfg, fc)
-}
 
 // StalenessGaps aligns two seed-paired daily-loop results (a
 // ScenarioOutcome's Result and Frozen) day by day for the named arm,
