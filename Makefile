@@ -20,7 +20,7 @@ SCENARIO_SCALE ?= 0.02
 # Scratch dir for the sweep smoke run's index + checkpoints.
 SWEEP_DIR ?= /tmp/puffer-sweep-smoke
 
-.PHONY: fmt fmt-check vet build cross loc test bench bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke ci
+.PHONY: fmt fmt-check vet build cross loc test bench bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke ci
 
 fmt:
 	gofmt -w .
@@ -255,5 +255,13 @@ dist-smoke:
 	jq -e '[.counters[] | select(.name=="dist_shard_retries_total")] | first | .value >= 1' $$bin/metrics.json >/dev/null; \
 	echo "dist-smoke: worker-process run byte-identical to single-process, through a coordinator restart and a killed worker"
 
+# Fuzz smoke: a few seconds of native fuzzing on each internal/wire boundary
+# reader — every socket, pipe, index and event-log byte enters through one of
+# the two. The committed seeds under internal/wire/testdata/fuzz run in every
+# plain `go test` as well; this adds fresh mutations on each push.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=5s ./internal/wire
+
 # `loc` runs last so every green run ends on the round's tracked number.
-ci: fmt-check vet build cross test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke loc
+ci: fmt-check vet build cross test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc

@@ -14,7 +14,7 @@ import (
 // coordinator under test launches this binary with -dist-worker and speaks
 // the real protocol to it.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == distWorkerFlag {
+	if len(os.Args) > 1 && os.Args[1] == scenario.DistWorkerFlag {
 		if err := scenario.ServeDistWorker(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "dist worker:", err)
 			os.Exit(1)
@@ -27,7 +27,7 @@ func TestMain(m *testing.M) {
 // testWorkerCommand is the worker argv for tests: this test binary in
 // worker mode (the TestMain hook above).
 func testWorkerCommand() []string {
-	return []string{os.Args[0], distWorkerFlag}
+	return []string{os.Args[0], scenario.DistWorkerFlag}
 }
 
 // distArgs are the shared tiny-scenario flags: 2 days, 4 shards per day,

@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"puffer/internal/obscli"
@@ -82,7 +80,7 @@ func parseCLI(args []string) (*cliConfig, error) {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	spec, err := baseSpec(*scenarioArg)
+	spec, err := scenario.Resolve(*scenarioArg)
 	if err != nil {
 		return nil, err
 	}
@@ -146,25 +144,4 @@ func parseCLI(args []string) (*cliConfig, error) {
 	return cli, nil
 }
 
-// baseSpec resolves the -scenario argument: empty means the all-unset spec
-// (pure defaults), a .json path (or any existing file) loads a spec file,
-// anything else must be a registered name.
-func baseSpec(arg string) (scenario.Spec, error) {
-	if arg == "" {
-		return scenario.Spec{}, nil
-	}
-	if strings.HasSuffix(arg, ".json") || fileExists(arg) {
-		return scenario.ParseFile(arg)
-	}
-	if spec, ok := scenario.Lookup(arg); ok {
-		return spec, nil
-	}
-	return scenario.Spec{}, fmt.Errorf("unknown scenario %q: not a registered name (see -list-scenarios) and no such file", arg)
-}
-
 func ptrOf[T any](v T) *T { return &v }
-
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
-}

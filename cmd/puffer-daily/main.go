@@ -46,7 +46,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("puffer-daily: ")
-	if len(os.Args) > 1 && os.Args[1] == distWorkerFlag {
+	if len(os.Args) > 1 && os.Args[1] == scenario.DistWorkerFlag {
 		if err := scenario.ServeDistWorker(os.Stdin, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func run(args []string) error {
 	out, err := scenario.Run(spec, scenario.RunOptions{
 		Workers:          cli.workers,
 		CheckpointDir:    cli.checkpoint,
-		DistCommand:      distWorkerCommand(),
+		DistCommand:      scenario.SelfDistCommand(),
 		DistShardTimeout: cli.distTimeout,
 		Logf:             logf,
 		Events:           events,

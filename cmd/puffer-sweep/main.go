@@ -55,7 +55,7 @@ func main() {
 		// Hidden subprocess mode: the executor re-execs this binary once
 		// per cell.
 		err = cmdRunCell(os.Args[2:])
-	case distWorkerFlag:
+	case scenario.DistWorkerFlag:
 		// Hidden worker mode: a dist-engine cell's coordinator re-execs
 		// this binary once per worker process.
 		err = scenario.ServeDistWorker(os.Stdin, os.Stdout)
@@ -137,7 +137,7 @@ func cmdRun(args []string) error {
 
 	runner := sweep.InProcess(scenario.RunOptions{
 		Workers:     *cellWorkers,
-		DistCommand: distWorkerCommand(),
+		DistCommand: scenario.SelfDistCommand(),
 		Logf:        logf,
 	})
 	if !*inprocess {

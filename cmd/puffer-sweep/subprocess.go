@@ -22,22 +22,6 @@ import (
 // a file, the child runs it and writes the results record to -out.
 const runCellFlag = "-run-cell"
 
-// distWorkerFlag is the hidden mode a dist-engine cell's coordinator uses
-// to re-exec this binary once per worker process (protocol on
-// stdin/stdout).
-const distWorkerFlag = "-dist-worker"
-
-// distWorkerCommand is the worker argv dist-engine cells launch: this
-// binary in worker mode, or nil if the binary cannot locate itself (the
-// runner then rejects dist cells with a clear error).
-func distWorkerCommand() []string {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil
-	}
-	return []string{exe, distWorkerFlag}
-}
-
 // subprocessRunner returns a CellRunner that executes each cell in a fresh
 // puffer-sweep process. Isolation per cell (a crash takes down one cell,
 // not the sweep) and real multi-process parallelism; the record still
@@ -131,7 +115,7 @@ func cmdRunCell(args []string) error {
 	out, err := scenario.Run(spec, scenario.RunOptions{
 		Workers:       *workers,
 		CheckpointDir: *checkpoint,
-		DistCommand:   distWorkerCommand(),
+		DistCommand:   scenario.SelfDistCommand(),
 		Logf:          logf,
 	})
 	if err != nil {

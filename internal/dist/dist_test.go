@@ -3,14 +3,12 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
-	"runtime"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +17,7 @@ import (
 	"puffer/internal/core"
 	"puffer/internal/experiment"
 	"puffer/internal/obs"
+	"puffer/internal/wire"
 )
 
 // The pool tests exercise the real thing: worker processes launched by
@@ -39,6 +38,12 @@ func TestMain(m *testing.M) {
 		crashAssignWorker()
 	case "old-version":
 		oldVersionWorker()
+	case "golden-assign":
+		if err := sendFrame(bufio.NewWriter(os.Stdout), frameAssign, assignMsg{1, 2, 3}); err != nil {
+			fmt.Fprintln(os.Stderr, "golden-assign:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown PUFFER_DIST_TEST_MODE")
 		os.Exit(2)
@@ -90,7 +95,7 @@ func crashAssignWorker() {
 	br := bufio.NewReader(os.Stdin)
 	bw := bufio.NewWriter(os.Stdout)
 	for {
-		typ, _, err := readFrame(br)
+		typ, _, _, err := wire.ReadFrame(br, nil, maxFrame)
 		if err != nil {
 			os.Exit(0)
 		}
@@ -110,12 +115,12 @@ func crashAssignWorker() {
 func oldVersionWorker() {
 	br := bufio.NewReader(os.Stdin)
 	bw := bufio.NewWriter(os.Stdout)
-	if _, _, err := readFrame(br); err != nil {
+	if _, _, _, err := wire.ReadFrame(br, nil, maxFrame); err != nil {
 		os.Exit(0)
 	}
 	_ = sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion + 7})
 	for {
-		if _, _, err := readFrame(br); err != nil {
+		if _, _, _, err := wire.ReadFrame(br, nil, maxFrame); err != nil {
 			os.Exit(0)
 		}
 	}
@@ -311,36 +316,19 @@ func TestFaultAttemptGating(t *testing.T) {
 	}
 }
 
-// TestReadFrameLyingHeader: a header may claim up to maxFrame, but memory is
-// committed only as payload bytes arrive — 200 MiB claimed, 3 bytes sent,
-// then EOF is a typed short-frame error that allocated next to nothing. A
-// frame larger than the initial buffer still round-trips.
-func TestReadFrameLyingHeader(t *testing.T) {
-	hdr := binary.BigEndian.AppendUint32(nil, 200<<20)
-	stream := append(hdr, frameResult, 1, 2, 3)
-	br := bufio.NewReader(bytes.NewReader(stream))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(br)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated 200 MiB frame: err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("truncated 200 MiB frame allocated %d bytes, want < 1 MiB", grew)
-	}
-
-	big := resultMsg{Blob: bytes.Repeat([]byte{0xa5}, 300<<10)}
-	var wire bytes.Buffer
-	if err := sendFrame(bufio.NewWriter(&wire), frameResult, big); err != nil {
+// TestAssignFrameGolden pins the bytes of one assign frame as the parent of
+// the internal/wire change wrote them. gob numbers a process's types in
+// first-use order, so the frame is written by a fresh process (the
+// golden-assign mode above), where assignMsg is the first type encoded.
+func TestAssignFrameGolden(t *testing.T) {
+	const want = "0000004004347f0301010961737369676e4d736701ff800001030103446179010400010553686172640104000107417474656d7074010400000009ff8001020104010600"
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "PUFFER_DIST_TEST_MODE=golden-assign")
+	out, err := cmd.Output()
+	if err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(bufio.NewReader(&wire))
-	if err != nil || typ != frameResult {
-		t.Fatalf("300 KiB frame: type %d err %v", typ, err)
-	}
-	var got resultMsg
-	if err := decodePayload(typ, payload, &got); err != nil || !bytes.Equal(got.Blob, big.Blob) {
-		t.Fatalf("300 KiB frame did not round-trip (err %v, %d bytes)", err, len(got.Blob))
+	if got := hex.EncodeToString(out); got != want {
+		t.Fatalf("assign frame bytes changed:\n got %s\nwant %s", got, want)
 	}
 }

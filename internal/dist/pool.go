@@ -15,6 +15,7 @@ import (
 	"puffer/internal/core"
 	"puffer/internal/experiment"
 	"puffer/internal/obs"
+	"puffer/internal/wire"
 )
 
 // PoolConfig configures a coordinator-side worker pool.
@@ -426,7 +427,7 @@ func (p *Pool) Close() {
 func readFrames(r io.Reader, ch chan<- frameIn) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, _, err := wire.ReadFrame(br, nil, maxFrame)
 		if err != nil {
 			ch <- frameIn{err: fmt.Errorf("reading frame: %w", err)}
 			return

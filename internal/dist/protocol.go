@@ -3,10 +3,10 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
+
+	"puffer/internal/wire"
 )
 
 // ProtocolVersion is the coordinator/worker wire protocol version. The
@@ -15,14 +15,13 @@ import (
 // wrong merge.
 const ProtocolVersion = 1
 
-// maxFrame bounds a single frame's length so a corrupted header can't make
-// the reader allocate unbounded memory. A day's model is a few MB and a
-// shard blob tens of MB at paper scale; 256 MiB leaves ample headroom.
+// maxFrame bounds a single frame's length (wire.ReadFrame's max). A day's
+// model is a few MB and a shard blob tens of MB at paper scale; 256 MiB
+// leaves ample headroom.
 const maxFrame = 256 << 20
 
-// Frame types. Every frame is a big-endian uint32 length (covering the type
-// byte and the gob payload), one type byte, then the gob-encoded payload
-// struct (empty for claim/shutdown).
+// Frame types. Every frame is a wire frame whose payload is the gob-encoded
+// payload struct (empty for claim/shutdown).
 const (
 	frameHello    byte = 1 // coordinator -> worker: version + worker id + canonical spec
 	frameHelloOK  byte = 2 // worker -> coordinator: version echo
@@ -114,39 +113,10 @@ func sendFrame(w *bufio.Writer, typ byte, payload any) error {
 			return fmt.Errorf("dist: encoding %s frame: %w", frameName(typ), err)
 		}
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(buf.Len()+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if err := wire.WriteFrame(w, typ, buf.Bytes()); err != nil {
 		return err
 	}
 	return w.Flush()
-}
-
-// readFrame reads one frame, returning its type and raw gob payload.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("dist: frame length %d out of range (corrupt stream?)", n)
-	}
-	// The length is only a claim: the buffer grows with the bytes that
-	// actually arrive, so a corrupt header cannot reserve maxFrame.
-	var payload bytes.Buffer
-	payload.Grow(min(int(n-1), 64<<10))
-	if _, err := io.CopyN(&payload, r, int64(n-1)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("dist: short %s frame: %w", frameName(hdr[4]), err)
-	}
-	return hdr[4], payload.Bytes(), nil
 }
 
 // decodePayload decodes a frame's gob payload into v.

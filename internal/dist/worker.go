@@ -10,6 +10,7 @@ import (
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/wire"
 )
 
 // DayTrial is one day's trial as the worker runs it: the fully-built
@@ -54,7 +55,7 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 		haveDay bool
 	)
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, _, err := wire.ReadFrame(br, nil, maxFrame)
 		if errors.Is(err, io.EOF) {
 			return nil // coordinator exited; nothing left to do
 		}

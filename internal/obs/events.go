@@ -1,14 +1,13 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
+
+	"puffer/internal/wire"
 )
 
 // An EventLog is an append-only structured run-progress stream: one JSON
@@ -28,14 +27,10 @@ type EventLog struct {
 }
 
 // OpenEventLog opens (creating directories and the file as needed) an
-// event log for appending.
+// event log for appending, first truncating a torn trailing line left by a
+// kill mid-Emit so the next event starts on its own line.
 func OpenEventLog(path string) (*EventLog, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("obs: creating event log dir: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := wire.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: opening event log: %w", err)
 	}
@@ -105,23 +100,10 @@ func ReadEvents(path string) ([]Event, error) {
 	defer f.Close()
 
 	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
-	lineNo := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
+	err = wire.ScanLines(f, path, func(line []byte) error {
 		var obj map[string]any
 		if err := json.Unmarshal(line, &obj); err != nil {
-			pendingErr = fmt.Errorf("obs: %s line %d: %w", path, lineNo, err)
-			continue
+			return err
 		}
 		ev := Event{Fields: obj}
 		if t, ok := obj["t"].(string); ok {
@@ -135,9 +117,10 @@ func ReadEvents(path string) ([]Event, error) {
 			delete(obj, "type")
 		}
 		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading event log: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
 	}
 	return out, nil
 }

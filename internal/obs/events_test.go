@@ -105,6 +105,32 @@ func TestEventLogAppendAndTornTail(t *testing.T) {
 	}
 }
 
+// TestEventLogResumeAfterTornTail: a sweep killed mid-Emit and then resumed
+// must not glue the torn fragment to the next event — reopening truncates
+// it, so the log stays readable.
+func TestEventLogResumeAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.events")
+	torn := "{\"type\":\"a\"}\n{\"type\":\"b\"}\n{\"type\":\"c\",\"tru"
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenEventLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Emit("d", nil)
+	l.Emit("e", nil)
+	l.Close()
+
+	evs, err := ReadEvents(path)
+	if err != nil {
+		t.Fatalf("log resumed after a torn tail is unreadable: %v", err)
+	}
+	if len(evs) != 4 || evs[1].Type != "b" || evs[2].Type != "d" || evs[3].Type != "e" {
+		t.Fatalf("got %+v, want events a b d e", evs)
+	}
+}
+
 // TestReadEventsMissing: a missing file is an empty log.
 func TestReadEventsMissing(t *testing.T) {
 	evs, err := ReadEvents(filepath.Join(t.TempDir(), "absent.events"))

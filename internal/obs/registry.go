@@ -90,20 +90,6 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Name returns the gauge's registered name.
 func (g *Gauge) Name() string { return g.name }
 
-// A Stage is a named per-stage timer: Start stamps the wall clock, End
-// records the elapsed nanoseconds into the stage's histogram. The zero
-// stamp (recording disabled at Start) records nothing.
-type Stage struct {
-	// H is the histogram the stage records into.
-	H *Histogram
-}
-
-// Start returns a stamp for End (0 while recording is disabled).
-func (s Stage) Start() int64 { return Now() }
-
-// End records the nanoseconds elapsed since the Start stamp.
-func (s Stage) End(t0 int64) { s.H.ObserveSince(t0) }
-
 // A Registry holds named metrics. All methods are safe for concurrent use;
 // lookups get-or-create, so package-level handles can be built at init
 // time in any dependency order.
@@ -162,10 +148,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return h
 }
-
-// Stage returns a named per-stage timer recording into the histogram of
-// the same name (by convention suffixed _ns).
-func (r *Registry) Stage(name string) Stage { return Stage{r.Histogram(name)} }
 
 // Snapshot captures every metric in the registry, each list sorted by
 // name. The capture is not a single atomic cut across metrics — writers

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -10,11 +9,10 @@ import (
 	"sort"
 )
 
-// Trace export formats. Chrome trace-event JSON ("X" complete events with
+// Trace export. Chrome trace-event JSON ("X" complete events with
 // microsecond timestamps) loads directly in Perfetto (ui.perfetto.dev) and
-// chrome://tracing; JSONL is the grep/jq-friendly twin, one span per line.
-// Two processes' exports merge by concatenating JSONL files or combining
-// the traceEvents arrays — pids keep the halves apart, trace ids join them.
+// chrome://tracing. Two processes' exports merge by combining the
+// traceEvents arrays — pids keep the halves apart, trace ids join them.
 
 // chromeEvent is one Chrome trace-event entry.
 type chromeEvent struct {
@@ -109,55 +107,15 @@ func WriteChromeTrace(w io.Writer, proc string, spans []Span) error {
 	return err
 }
 
-// spanLine is the JSONL rendering of one span.
-type spanLine struct {
-	Trace   string           `json:"trace"`
-	Span    uint64           `json:"span"`
-	Parent  uint64           `json:"parent,omitempty"`
-	Name    string           `json:"name"`
-	StartNS int64            `json:"start_ns"`
-	DurNS   int64            `json:"dur_ns"`
-	Attrs   map[string]int64 `json:"attrs,omitempty"`
-}
-
-// WriteSpansJSONL renders spans one JSON object per line, in snapshot
-// (recording) order.
-func WriteSpansJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		line := spanLine{
-			Trace: TraceIDString(s.Trace), Span: s.ID, Parent: s.Parent,
-			Name: s.Name, StartNS: s.Start, DurNS: s.Dur,
-		}
-		if len(s.Attrs) > 0 {
-			line.Attrs = make(map[string]int64, len(s.Attrs))
-			for _, a := range s.Attrs {
-				line.Attrs[a.Key] = a.Val
-			}
-		}
-		if err := enc.Encode(&line); err != nil {
-			return fmt.Errorf("obs: encoding span: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// DumpTraceFile atomically writes the tracer's spans to path — Chrome
-// trace-event JSON unless jsonl is set. proc labels the process track.
-func DumpTraceFile(path, proc string, t *Tracer, jsonl bool) error {
-	spans := t.Snapshot()
+// DumpTraceFile atomically writes the tracer's spans to path as Chrome
+// trace-event JSON. proc labels the process track.
+func DumpTraceFile(path, proc string, t *Tracer) error {
 	tmp := fmt.Sprintf("%s.tmp-%d", path, os.Getpid())
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("obs: creating trace file: %w", err)
 	}
-	if jsonl {
-		err = WriteSpansJSONL(f, spans)
-	} else {
-		err = WriteChromeTrace(f, proc, spans)
-	}
-	if err != nil {
+	if err := WriteChromeTrace(f, proc, t.Snapshot()); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -214,35 +213,5 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if rttAt >= qwAt {
 		t.Fatal("parent span emitted after child")
-	}
-}
-
-func TestWriteSpansJSONL(t *testing.T) {
-	spans := []Span{
-		{Trace: 0xabc, ID: 1, Name: "a", Start: 10, Dur: 5},
-		{Trace: 0xabc, ID: 2, Parent: 1, Name: "b", Start: 11, Dur: 3,
-			Attrs: []Attr{{Key: "rows", Val: 7}}},
-	}
-	var buf bytes.Buffer
-	if err := WriteSpansJSONL(&buf, spans); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var line struct {
-		Trace  string           `json:"trace"`
-		Span   uint64           `json:"span"`
-		Parent uint64           `json:"parent"`
-		Name   string           `json:"name"`
-		DurNS  int64            `json:"dur_ns"`
-		Attrs  map[string]int64 `json:"attrs"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &line); err != nil {
-		t.Fatal(err)
-	}
-	if line.Name != "b" || line.Parent != 1 || line.Attrs["rows"] != 7 {
-		t.Fatalf("second line decoded wrong: %+v", line)
 	}
 }

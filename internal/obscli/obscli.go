@@ -28,8 +28,6 @@ type Options struct {
 	// TraceOut installs a span tracer for the run and writes its ring to
 	// this file at exit (Chrome trace-event JSON; Perfetto-loadable).
 	TraceOut string
-	// TraceJSONL switches TraceOut to one-span-per-line JSONL.
-	TraceJSONL bool
 	// TraceSample traces 1-in-N sessions (deterministic per session id).
 	// 0 defaults to 1 (trace everything) when TraceOut is set; setting it
 	// without TraceOut installs the tracer for /trace.json scraping only.
@@ -43,7 +41,6 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file (path; empty = off)")
 	fs.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile (post-GC) to this file at exit (path; empty = off)")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "record decision spans and write them to this file at exit as Chrome trace-event JSON (path; empty = off); never changes results")
-	fs.BoolVar(&o.TraceJSONL, "trace-jsonl", false, "write -trace-out as one-span-per-line JSONL instead of Chrome trace-event JSON")
 	fs.Uint64Var(&o.TraceSample, "trace-sample", 0, "trace 1-in-N sessions, chosen deterministically per session id (0 = 1 = every session); with no -trace-out the ring is still scrapable at /trace.json")
 }
 
@@ -107,7 +104,7 @@ func (o *Options) Start(extraEnable bool, logf func(format string, args ...any))
 			}
 		}
 		if tracer != nil && o.TraceOut != "" {
-			if err := obs.DumpTraceFile(o.TraceOut, obs.TraceProc(), tracer, o.TraceJSONL); err != nil {
+			if err := obs.DumpTraceFile(o.TraceOut, obs.TraceProc(), tracer); err != nil {
 				logf("obs: %v", err)
 			} else {
 				logf("obs: wrote %d spans to %s (%d overwritten by the ring)",

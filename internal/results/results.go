@@ -1,13 +1,10 @@
 package results
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -15,6 +12,7 @@ import (
 	"puffer/internal/obs"
 	"puffer/internal/runner"
 	"puffer/internal/scenario"
+	"puffer/internal/wire"
 )
 
 // Warehouse metrics (write-only; see the obs package contract). Append
@@ -158,30 +156,16 @@ func Load(path string) (*Index, error) {
 	}
 	defer f.Close()
 
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	lineNo := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// A malformed line followed by more lines is corruption, not
-			// a torn tail.
-			return nil, pendingErr
-		}
+	err = wire.ScanLines(f, path, func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			pendingErr = fmt.Errorf("results: %s line %d: %w", path, lineNo, err)
-			continue
+			return err
 		}
 		ix.add(&rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("results: reading index: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("results: %w", err)
 	}
 	return ix, nil
 }
@@ -257,67 +241,13 @@ type Writer struct {
 }
 
 // OpenWriter opens (creating if needed) an index for appending, first
-// repairing a torn trailing line left by a kill mid-append: anything after
-// the last newline is truncated away.
+// repairing a torn trailing line left by a kill mid-append.
 func OpenWriter(path string) (*Writer, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("results: creating index dir: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := wire.OpenAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("results: opening index for append: %w", err)
 	}
-	if err := repairTail(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("results: seeking index end: %w", err)
-	}
 	return &Writer{f: f}, nil
-}
-
-// repairTail truncates a trailing partial line (no final newline).
-func repairTail(f *os.File) error {
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("results: stat index: %w", err)
-	}
-	size := st.Size()
-	if size == 0 {
-		return nil
-	}
-	// Scan backwards in chunks for the last newline.
-	const chunk = 64 << 10
-	end := size
-	for end > 0 {
-		start := end - chunk
-		if start < 0 {
-			start = 0
-		}
-		buf := make([]byte, end-start)
-		if _, err := f.ReadAt(buf, start); err != nil {
-			return fmt.Errorf("results: reading index tail: %w", err)
-		}
-		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
-			keep := start + int64(i) + 1
-			if keep < size {
-				if err := f.Truncate(keep); err != nil {
-					return fmt.Errorf("results: repairing torn index tail: %w", err)
-				}
-			}
-			return nil
-		}
-		end = start
-	}
-	// No newline at all: the whole file is one torn line.
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("results: repairing torn index tail: %w", err)
-	}
-	return nil
 }
 
 // Append commits one record as a single line + newline in one write call,

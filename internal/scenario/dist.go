@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"io"
+	"os"
 
 	"puffer/internal/core"
 	"puffer/internal/dist"
@@ -36,9 +37,26 @@ func DistTrialFactory(specJSON []byte) (dist.DayFunc, error) {
 	}, nil
 }
 
+// DistWorkerFlag is the hidden first argument that re-enters a CLI as a
+// dist worker. It is a mode, not a flag: main dispatches it to
+// ServeDistWorker(os.Stdin, os.Stdout) before any flag parsing.
+const DistWorkerFlag = "-dist-worker"
+
+// SelfDistCommand is the worker argv a CLI hands RunOptions.DistCommand:
+// the running binary re-entered in worker mode, so coordinator and workers
+// are always the same build. Nil if the binary cannot locate itself
+// (dist.NewPool then rejects the run for want of a worker command).
+func SelfDistCommand() []string {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil
+	}
+	return []string{exe, DistWorkerFlag}
+}
+
 // ServeDistWorker runs the worker side of the dist protocol on r/w
 // (stdin/stdout of a subprocess worker) until the coordinator shuts it
-// down. CLIs dispatch their hidden worker mode here.
+// down.
 func ServeDistWorker(r io.Reader, w io.Writer) error {
 	return dist.Serve(r, w, DistTrialFactory)
 }

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -43,6 +45,23 @@ func Lookup(name string) (Spec, bool) {
 		return Spec{}, false
 	}
 	return s.Clone(), true
+}
+
+// Resolve maps a CLI's -scenario argument to its base spec: empty is the
+// all-unset spec (pure defaults), a .json path (or any existing file) loads
+// a spec file, anything else must be a registered name.
+func Resolve(arg string) (Spec, error) {
+	if arg == "" {
+		return Spec{}, nil
+	}
+	st, err := os.Stat(arg)
+	if strings.HasSuffix(arg, ".json") || (err == nil && !st.IsDir()) {
+		return ParseFile(arg)
+	}
+	if spec, ok := Lookup(arg); ok {
+		return spec, nil
+	}
+	return Spec{}, fmt.Errorf("unknown scenario %q: not a registered name and no such file", arg)
 }
 
 // Names lists the registered scenarios in sorted order.

@@ -1,12 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"os"
-	"strings"
-
-	"puffer/internal/scenario"
-)
+import "puffer/internal/scenario"
 
 // ResolveSpec is the serving CLIs' shared spec pipeline: resolve the
 // -scenario argument (a registered name or a spec file), apply the
@@ -15,22 +9,9 @@ import (
 // go through this one function, so with the same arguments and environment
 // their plan hashes can only agree — or fail loudly in the handshake.
 func ResolveSpec(arg string, sessions int, arrivalRate float64) (scenario.Spec, error) {
-	var spec scenario.Spec
-	switch {
-	case arg == "":
-		// Pure defaults.
-	case strings.HasSuffix(arg, ".json") || fileExists(arg):
-		s, err := scenario.ParseFile(arg)
-		if err != nil {
-			return scenario.Spec{}, err
-		}
-		spec = s
-	default:
-		s, ok := scenario.Lookup(arg)
-		if !ok {
-			return scenario.Spec{}, fmt.Errorf("unknown scenario %q: not a registered name and no such file", arg)
-		}
-		spec = s
+	spec, err := scenario.Resolve(arg)
+	if err != nil {
+		return scenario.Spec{}, err
 	}
 	if sessions > 0 {
 		spec.Daily.Sessions = sessions
@@ -43,9 +24,4 @@ func ResolveSpec(arg string, sessions int, arrivalRate float64) (scenario.Spec, 
 		return scenario.Spec{}, err
 	}
 	return scenario.ScaleFromEnv(spec), nil
-}
-
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
 }

@@ -13,6 +13,7 @@ import (
 	"puffer/internal/experiment"
 	"puffer/internal/fleet"
 	"puffer/internal/obs"
+	"puffer/internal/wire"
 )
 
 // Client-side metrics: the load generator's own latency view (full round
@@ -151,7 +152,7 @@ func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 	if trace != 0 {
 		s0 = obs.Now()
 	}
-	if err := writeFrame(r.bw, msgDecide, r.out); err != nil {
+	if err := wire.WriteFrame(r.bw, msgDecide, r.out); err != nil {
 		return 0, err
 	}
 	if err := r.bw.Flush(); err != nil {
@@ -162,7 +163,7 @@ func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 			Name: "client_send", Start: s0, Dur: obs.SinceNS(s0)})
 	}
 	r.c.SetReadDeadline(time.Now().Add(r.replyTO))
-	typ, payload, buf, err := readFrame(r.br, r.buf)
+	typ, payload, buf, err := wire.ReadFrame(r.br, r.buf, maxFrame)
 	r.buf = buf
 	if err != nil {
 		return 0, err
@@ -348,14 +349,14 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 		Version: ProtoVersion, Day: p.Day, Session: id, Seed: p.TrialSeed,
 		Scheme: scheme, PlanHash: p.Hash, Flags: flags,
 	})
-	if err := writeFrame(h.bw, msgHello, hb); err != nil {
+	if err := wire.WriteFrame(h.bw, msgHello, hb); err != nil {
 		return res, fmt.Errorf("hello: %w", err)
 	}
 	if err := h.bw.Flush(); err != nil {
 		return res, fmt.Errorf("hello: %w", err)
 	}
 	c.SetReadDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
-	typ, payload, buf, err := readFrame(h.br, h.buf)
+	typ, payload, buf, err := wire.ReadFrame(h.br, h.buf, maxFrame)
 	h.buf = buf
 	if err != nil {
 		return res, fmt.Errorf("hello reply: %w", err)
@@ -408,9 +409,9 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 
 	// Clean close: Bye/ByeOK, best effort.
 	c.SetWriteDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
-	if err := writeFrame(h.bw, msgBye, nil); err == nil && h.bw.Flush() == nil {
+	if err := wire.WriteFrame(h.bw, msgBye, nil); err == nil && h.bw.Flush() == nil {
 		c.SetReadDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
-		readFrame(h.br, h.buf)
+		wire.ReadFrame(h.br, h.buf, maxFrame)
 	}
 	return res, nil
 }

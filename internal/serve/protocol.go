@@ -45,48 +45,10 @@ const (
 	msgError    = 0x07 // server → client: fatal protocol/plan error
 )
 
-// maxFrame bounds any frame's payload. A Decide carries at most
-// HistoryLen records plus a LookAhead horizon with a ~10-rung ladder —
+// maxFrame bounds any frame (wire.ReadFrame's max). A Decide carries at
+// most HistoryLen records plus a LookAhead horizon with a ~10-rung ladder —
 // a few kilobytes — so 1 MiB is a generous corruption guard.
 const maxFrame = 1 << 20
-
-// writeFrame emits one length-prefixed frame: u32 payload length (covering
-// the type byte), the type byte, and the payload.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFrame reads one frame into buf (grown as needed), returning the type,
-// the payload, and the possibly-grown buffer for reuse.
-func readFrame(r io.Reader, buf []byte) (typ byte, payload, next []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, buf, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, buf, fmt.Errorf("serve: frame length %d out of range", n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return 0, nil, buf, err
-	}
-	return buf[0], buf[1:], buf, nil
-}
 
 // Append-style encoders. Floats travel as IEEE-754 bits, so every value
 // round-trips bit-exactly — the byte-identity guarantee depends on it.
@@ -98,7 +60,12 @@ func appendI32(b []byte, v int) []byte    { return appendU32(b, uint32(int32(v))
 func appendF64(b []byte, v float64) []byte {
 	return appendU64(b, math.Float64bits(v))
 }
+
+// appendStr writes a u16 length and the string, truncated to what the
+// length can say: a longer one (an Error message quoting a hostile Hello)
+// would wrap the length and leave trailing garbage in the frame.
 func appendStr(b []byte, s string) []byte {
+	s = s[:min(len(s), math.MaxUint16)]
 	b = appendU16(b, uint16(len(s)))
 	return append(b, s...)
 }

@@ -3,9 +3,11 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"puffer/internal/media"
 	"puffer/internal/scenario"
 	"puffer/internal/tcpsim"
+	"puffer/internal/wire"
 )
 
 // tinySpec is a fast two-day scenario: big enough to exercise every arm,
@@ -68,10 +71,10 @@ func startServer(t *testing.T, cfg Config) (*Server, net.Listener) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgHello, []byte{1, 2, 3}); err != nil {
+	if err := wire.WriteFrame(&buf, msgHello, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, _, err := readFrame(&buf, nil)
+	typ, payload, _, err := wire.ReadFrame(&buf, nil, maxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Oversized frame length must be rejected, not allocated.
 	bad := []byte{0xff, 0xff, 0xff, 0xff, 0x00}
-	if _, _, _, err := readFrame(bytes.NewReader(bad), nil); err == nil {
+	if _, _, _, err := wire.ReadFrame(bytes.NewReader(bad), nil, maxFrame); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -95,6 +98,32 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("hello round trip: got %+v want %+v", out, in)
+	}
+
+	// A string longer than its u16 length can say travels as its longest
+	// sayable prefix; the length must not wrap and leave trailing bytes.
+	long := strings.Repeat("x", 70000)
+	rd := reader{b: appendStr(nil, long)}
+	if got := rd.str(); got != long[:65535] {
+		t.Fatalf("70000-byte string decoded as %d bytes, want its 65535-byte prefix", len(got))
+	}
+	if err := rd.done(); err != nil {
+		t.Fatalf("70000-byte string left the frame malformed: %v", err)
+	}
+}
+
+// TestHelloFrameGolden pins the bytes of one Hello frame as the parent of
+// the internal/wire change wrote them: framing and payload codec unchanged.
+func TestHelloFrameGolden(t *testing.T) {
+	const want = "000000230100020000000300000007ffffffffffffffd600044675677500066162633132330001"
+	var buf bytes.Buffer
+	h := &hello{Version: ProtoVersion, Day: 3, Session: 7, Seed: -42,
+		Scheme: "Fugu", PlanHash: "abc123", Flags: helloFlagTracing}
+	if err := wire.WriteFrame(&buf, msgHello, encodeHello(nil, h)); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("Hello frame bytes changed:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -320,7 +349,7 @@ func dialRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 
 func expectError(t *testing.T, br *bufio.Reader, what string) string {
 	t.Helper()
-	typ, payload, _, err := readFrame(br, nil)
+	typ, payload, _, err := wire.ReadFrame(br, nil, maxFrame)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -328,7 +357,11 @@ func expectError(t *testing.T, br *bufio.Reader, what string) string {
 		t.Fatalf("%s: got type 0x%02x, want msgError", what, typ)
 	}
 	rd := reader{b: payload}
-	return rd.str()
+	msg := rd.str()
+	if err := rd.done(); err != nil {
+		t.Fatalf("%s: Error frame is not exactly one string: %v", what, err)
+	}
+	return msg
 }
 
 func TestHandshakeRejections(t *testing.T) {
@@ -338,7 +371,7 @@ func TestHandshakeRejections(t *testing.T) {
 
 	send := func(c net.Conn, h *hello) {
 		t.Helper()
-		if err := writeFrame(c, msgHello, encodeHello(nil, h)); err != nil {
+		if err := wire.WriteFrame(c, msgHello, encodeHello(nil, h)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,9 +394,17 @@ func TestHandshakeRejections(t *testing.T) {
 		t.Fatal("empty error message")
 	}
 
+	// A Hello quoted back in the Error message must not push it past what
+	// the string's u16 length can say.
+	c, br = dialRaw(t, addr)
+	send(c, &hello{Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: strings.Repeat("h", 65535)})
+	if msg := expectError(t, br, "oversized plan hash"); len(msg) != 65535 {
+		t.Fatalf("oversized plan hash: %d-byte message, want it truncated to 65535", len(msg))
+	}
+
 	// A non-Hello first frame is rejected too.
 	c, br = dialRaw(t, addr)
-	if err := writeFrame(c, msgDecide, nil); err != nil {
+	if err := wire.WriteFrame(c, msgDecide, nil); err != nil {
 		t.Fatal(err)
 	}
 	expectError(t, br, "decide before hello")
@@ -388,12 +429,12 @@ func TestShutdownDrains(t *testing.T) {
 	srv, ln := startServer(t, Config{Plan: plan, DrainTimeout: 2 * time.Second, Logf: t.Logf})
 
 	c, br := dialRaw(t, ln.Addr().String())
-	if err := writeFrame(c, msgHello, encodeHello(nil, &hello{
+	if err := wire.WriteFrame(c, msgHello, encodeHello(nil, &hello{
 		Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash,
 	})); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, _, err := readFrame(br, nil)
+	typ, _, _, err := wire.ReadFrame(br, nil, maxFrame)
 	if err != nil || typ != msgHelloOK {
 		t.Fatalf("handshake: type 0x%02x err %v", typ, err)
 	}

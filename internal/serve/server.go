@@ -12,6 +12,7 @@ import (
 	"puffer/internal/core"
 	"puffer/internal/fleet"
 	"puffer/internal/obs"
+	"puffer/internal/wire"
 )
 
 // Registry names of the serving-layer metrics. The daemon's /metrics
@@ -287,13 +288,13 @@ func (s *Server) handle(c net.Conn) {
 	fail := func(msg string) {
 		srvProtoErrors.Inc()
 		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		writeFrame(bw, msgError, appendStr(out[:0], msg))
+		wire.WriteFrame(bw, msgError, appendStr(out[:0], msg))
 		bw.Flush()
 	}
 
 	// Handshake.
 	c.SetReadDeadline(time.Now().Add(min(s.cfg.ReadTimeout, handshakeTimeout)))
-	typ, payload, buf, err := readFrame(br, buf)
+	typ, payload, buf, err := wire.ReadFrame(br, buf, maxFrame)
 	if err != nil {
 		return
 	}
@@ -335,7 +336,7 @@ func (s *Server) handle(c net.Conn) {
 	defer func() { srvSessionsActive.Set(float64(s.active.Add(-1))) }()
 
 	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := writeFrame(bw, msgHelloOK, appendU32(out[:0], sess.modelID)); err != nil {
+	if err := wire.WriteFrame(bw, msgHelloOK, appendU32(out[:0], sess.modelID)); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil {
@@ -345,7 +346,7 @@ func (s *Server) handle(c net.Conn) {
 	// Decide loop.
 	for {
 		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		typ, payload, buf, err = readFrame(br, buf)
+		typ, payload, buf, err = wire.ReadFrame(br, buf, maxFrame)
 		if err != nil {
 			if !s.draining.Load() {
 				srvAbortedTotal.Inc()
@@ -400,7 +401,7 @@ func (s *Server) handle(c net.Conn) {
 			if p.trace != 0 {
 				w0 = obs.Now()
 			}
-			if err := writeFrame(bw, msgDecideOK, out); err != nil {
+			if err := wire.WriteFrame(bw, msgDecideOK, out); err != nil {
 				return
 			}
 			if err := bw.Flush(); err != nil {
@@ -424,7 +425,7 @@ func (s *Server) handle(c net.Conn) {
 			s.completed.Add(1)
 			srvCompletedTotal.Inc()
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			writeFrame(bw, msgByeOK, appendU64(out[:0], sess.decisions))
+			wire.WriteFrame(bw, msgByeOK, appendU64(out[:0], sess.decisions))
 			bw.Flush()
 			return
 		default:
