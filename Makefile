@@ -257,11 +257,15 @@ dist-smoke:
 
 # Fuzz smoke: a few seconds of native fuzzing on each internal/wire boundary
 # reader — every socket, pipe, index and event-log byte enters through one of
-# the two. The committed seeds under internal/wire/testdata/fuzz run in every
+# the two — and on the two payload decoders a served client reaches first,
+# Hello and Decide (an accepted Decide must also survive an MPC-HM decision).
+# The committed seeds under internal/{wire,serve}/testdata/fuzz run in every
 # plain `go test` as well; this adds fresh mutations on each push.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=5s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecide -fuzztime=5s ./internal/serve
 
 # `loc` runs last so every green run ends on the round's tracked number.
 ci: fmt-check vet build cross test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc

@@ -105,16 +105,18 @@ func (w QoEWeights) Chunk(ssim, prevSSIM, stall float64, hasPrev bool) float64 {
 // first and last.
 const NumBins = 21
 
-// BinIndex maps a transmission time (seconds) to its bin.
+// BinIndex maps a transmission time (seconds) to its bin. Both ends are
+// settled by comparison, before any conversion to int, so that +Inf (a size
+// over a vanishing throughput estimate) lands in the last bin and NaN in the
+// first instead of indexing out of range.
 func BinIndex(t float64) int {
-	if t < 0.25 {
+	if !(t >= 0.25) {
 		return 0
 	}
-	i := 1 + int((t-0.25)/0.5)
-	if i >= NumBins {
+	if t >= 9.75 {
 		return NumBins - 1
 	}
-	return i
+	return 1 + int((t-0.25)/0.5)
 }
 
 // BinValue returns the representative transmission time of a bin: the bin

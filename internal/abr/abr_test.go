@@ -54,6 +54,7 @@ func TestBinIndexEdges(t *testing.T) {
 		{1.25, 3},
 		{9.6, 19}, {9.74, 19},
 		{9.75, 20}, {50, 20}, {1e9, 20},
+		{-1, 0}, {1e300, 20}, {math.Inf(1), 20}, {math.Inf(-1), 0}, {math.NaN(), 0},
 	}
 	for _, c := range cases {
 		if got := BinIndex(c.t); got != c.want {

@@ -11,7 +11,12 @@
 // path is batched and factored: when the predictor implements
 // BatchPredictor, the MPC fills every candidate's distribution for a
 // horizon step in one call, hoists the prediction expectation out of the
-// previous-quality dimension, and suffix-sums the expected-stall base term.
+// previous-quality dimension, suffix-sums the expected-stall base term, and
+// — because a non-stalling outcome moves every buffer bin by the same
+// offset — computes the continuation term as a shifted accumulate over
+// contiguous value rows and the maximum over rungs as one vector pass
+// (nn.ShiftedAccum, nn.MaxPlane). The outcome tables behind that depend on
+// (BufferCap, BufStep) alone and are built once per session.
 // The seed planner survives as MPC.ChooseReference, the differential-test
 // oracle for all of that — in this package rather than a test file because
 // the tests of three packages (abr, core, the root benchmarks) call it.

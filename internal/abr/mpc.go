@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"puffer/internal/media"
+	"puffer/internal/nn"
 	metrics "puffer/internal/obs"
 )
 
@@ -62,7 +63,9 @@ type MPC struct {
 	Horizon int     // lookahead chunks (paper: 5)
 	BufStep float64 // buffer discretization (seconds per bin)
 
-	// scratch, reused across decisions
+	// Scratch, reused across decisions. Every slice below is a view of
+	// the one slab, carved by ensureScratch.
+	f64    []float64
 	dists  []float64 // predicted distributions, indexed (step*nQ+q)*NumBins
 	sizes  []float64 // candidate sizes for one step's batched fill
 	nBuf   int
@@ -71,16 +74,24 @@ type MPC struct {
 	// FinishChoose.
 	pendH, pendNQ int
 
-	// factored value-iteration scratch
-	nextTab []int32   // (bb*NumBins+k), k < k0Tab[bb] -> next buffer bin from bb on outcome k
-	k0Tab   []int32   // bb -> first outcome bin that stalls from quantized buffer bb
-	suffP   []float64 // suffix sums over one distribution: suffP[k] = Σ_{j>=k} p_j
-	suffTT  []float64 // suffTT[k] = Σ_{j>=k} p_j·tt_j
-	vCur    []float64 // value planes, indexed prevQ*nBuf+bufBin
-	vNext   []float64
-	base    []float64 // (q*nBuf+bb) -> expected stall penalty + continuation
-	qual    []float64 // (q*nQ+prevQ) -> quality and variation terms
-	sumP    []float64 // per-q distribution mass (1 up to rounding)
+	// Outcome tables over the quantized buffer grid. They depend on
+	// (bufCap, BufStep) alone — gridStep is the BufStep they were built
+	// for — so a session builds them once.
+	gridStep float64
+	cdBin    int            // post-stall buffer bin: one chunk, capped
+	pad      int            // max(off): copies of the top bin kept after each value row
+	lo       [NumBins]int32 // k -> lowest buffer bin from which outcome k does not stall (nBuf: none)
+	off      [NumBins]int32 // k -> successor bin offset: outcome k takes bb >= lo[k] to min(bb+off[k], nBuf-1)
+
+	// factored value-iteration scratch, carved for scrNQ rungs
+	scrNQ  int
+	suffP  [NumBins + 1]float64 // suffix sums over one distribution: suffP[k] = Σ_{j>=k} p_j
+	suffTT [NumBins + 1]float64 // suffTT[k] = Σ_{j>=k} p_j·tt_j
+	vCur   []float64            // value planes, indexed prevQ*(nBuf+pad)+bufBin
+	vNext  []float64
+	base   []float64 // (q*nBuf+bb) -> expected stall penalty + continuation
+	qual   []float64 // (prevQ*nQ+q) -> quality and variation terms
+	sumP   []float64 // per-q distribution mass (1 up to rounding)
 
 	// reference-path scratch (memoized recursion), allocated on first use
 	refValue   []float64
@@ -179,34 +190,74 @@ func (m *MPC) distFor(step, q, nQ int) []float64 {
 	return m.dists[at : at+NumBins]
 }
 
-// ensureScratch sizes the planning tables for this decision's dimensions.
+// ensureScratch sizes the planning scratch for this decision's dimensions:
+// the outcome tables when the buffer grid changed, the float64 views when
+// the grid, the ladder or a longer horizon did. A session's steady state
+// (and its horizon running out at the end of the stream) does neither.
 func (m *MPC) ensureScratch(bufCap float64, h, nQ int) {
 	if bufCap <= 0 {
 		bufCap = 15
 	}
-	m.bufCap = bufCap
-	m.nBuf = int(bufCap/m.BufStep) + 1
-	if distNeed := h * nQ * NumBins; cap(m.dists) < distNeed {
-		m.dists = make([]float64, distNeed)
-	} else {
-		m.dists = m.dists[:distNeed]
+	distNeed := h * nQ * NumBins
+	regrid := bufCap != m.bufCap || m.BufStep != m.gridStep
+	if regrid {
+		m.bufCap, m.gridStep = bufCap, m.BufStep
+		m.nBuf = int(bufCap/m.BufStep) + 1
+		m.buildGrid()
 	}
-	m.sizes = grow(m.sizes, nQ)
-	m.nextTab = grow(m.nextTab, m.nBuf*NumBins)
-	m.k0Tab = grow(m.k0Tab, m.nBuf)
-	m.suffP = grow(m.suffP, NumBins+1)
-	m.suffTT = grow(m.suffTT, NumBins+1)
-	m.vCur = grow(m.vCur, m.nBuf*nQ)
-	m.vNext = grow(m.vNext, m.nBuf*nQ)
-	m.base = grow(m.base, nQ*m.nBuf)
-	m.qual = grow(m.qual, nQ*nQ)
-	m.sumP = grow(m.sumP, nQ)
+	if regrid || nQ != m.scrNQ || distNeed > cap(m.dists) {
+		m.scrNQ = nQ
+		plane := nQ * (m.nBuf + m.pad)
+		m.f64 = grow(m.f64, 2*plane+nQ*m.nBuf+nQ*nQ+2*nQ+distNeed)
+		rest := m.f64
+		carve := func(n int) []float64 {
+			v := rest[:n:n]
+			rest = rest[n:]
+			return v
+		}
+		m.vCur, m.vNext = carve(plane), carve(plane)
+		m.base, m.qual = carve(nQ*m.nBuf), carve(nQ*nQ)
+		m.sumP, m.sizes = carve(nQ), carve(nQ)
+		m.dists = rest // last: a shorter horizon is a shorter view
+	}
+	m.dists = m.dists[:distNeed]
 }
 
+// buildGrid fills the outcome tables for the current (bufCap, BufStep): per
+// outcome bin, the lowest buffer bin from which it does not stall (two
+// pointers; BinValue and the buffer grid are both increasing) and how far it
+// moves the buffer from there. The offset is read off bufBin(nextBuffer(…))
+// at lo[k], the one place the successor bin is computed; see plan for why it
+// holds for every bin above.
+func (m *MPC) buildGrid() {
+	m.cdBin = m.bufBin(m.nextBuffer(0, BinValue(NumBins-1)))
+	m.pad = 0
+	k := 0
+	for bb := 0; bb < m.nBuf; bb++ {
+		buf := float64(bb) * m.BufStep
+		for ; k < NumBins && BinValue(k) <= buf; k++ {
+			m.lo[k] = int32(bb)
+			m.off[k] = int32(m.bufBin(m.nextBuffer(buf, BinValue(k))) - bb)
+			m.pad = max(m.pad, int(m.off[k]))
+		}
+	}
+	for ; k < NumBins; k++ {
+		m.lo[k], m.off[k] = int32(m.nBuf), 0 // stalls from every bin
+	}
+}
+
+// binValues is BinValue as a table, for the planner's suffix sums.
+var binValues = func() (v [NumBins]float64) {
+	for k := range v {
+		v[k] = BinValue(k)
+	}
+	return v
+}()
+
 // grow resizes s to n elements, reusing capacity when possible.
-func grow[T int32 | float64](s []T, n int) []T {
+func grow(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]float64, n)
 	}
 	return s[:n]
 }
@@ -224,37 +275,30 @@ func grow[T int32 | float64](s []T, n int) []T {
 // buffer b, exactly the outcome bins k ≥ k0(b) (those with tt_k > b) stall,
 // contributing Σ p_k·(tt_k − b) = suffTT[k0] − b·suffP[k0]; and every
 // stalling outcome drains the buffer to empty, so its successor state is the
-// constant one-chunk bin and its continuation is V_{s+1}(cd)·suffP[k0]. Only
-// the non-stalling head bins k < k0(b) still need the per-bin successor
-// lookup, which turns the O(nBuf·NumBins) base term into O(nBuf + nonzero
-// head bins) per (step, quality).
+// constant one-chunk bin and its continuation is V_{s+1}(cd)·suffP[k0]. k0
+// is constant over the run of bins lo[k0-1] ≤ bb < lo[k0].
+//
+// The non-stalling head k < k0(b) is a shifted accumulate. Outcome k does
+// not stall from bins bb ≥ lo[k], and there the buffer dynamics are a pure
+// translation: bb·BufStep − tt_k + one chunk, capped, lands in bin
+// min(bb + off[k], nBuf−1) with one offset per outcome (bufBin rounds
+// bb + (chunk − tt_k)/BufStep + ½ down, and bb is an integer; the cap and
+// bufBin's clamp both stop at the top bin). So the head's contribution to
+// base[q] is, for each k, p[k] times the value row read off[k] bins away —
+// contiguous, no successor table. Each value row carries pad = max(off)
+// copies of its top bin after it, so reading past the end *is* the clamp.
+// Every base[q][bb] starts from the suffix term and takes its p[k]·V terms
+// in ascending k, skipping p[k] = 0 — bin by bin the same adds in the same
+// order as summing Σ_{k<k0} p[k]·V(next(k,bb)) through a successor table, so
+// the order of the loops changes no bit of the result.
 func (m *MPC) plan(obs *Observation, h, nQ int) int {
-	nBuf := m.nBuf
+	nBuf, vStride := m.nBuf, m.nBuf+m.pad
 	mu, lambda := m.Weights.Mu, m.Weights.Lambda
 
-	// Outcome tables over the quantized buffer grid: the first stalling
-	// bin k0 per buffer bin (two pointers; BinValue and the buffer grid
-	// are both increasing) and successor bins for the non-stalling head.
-	cdBin := m.bufBin(m.nextBuffer(0, BinValue(NumBins-1))) // post-stall buffer: one chunk, capped
-	k0 := 0
-	for bb := 0; bb < nBuf; bb++ {
-		buf := float64(bb) * m.BufStep
-		for k0 < NumBins && BinValue(k0) <= buf {
-			k0++
-		}
-		m.k0Tab[bb] = int32(k0)
-		row := bb * NumBins
-		for k := 0; k < k0; k++ {
-			m.nextTab[row+k] = int32(m.bufBin(m.nextBuffer(buf, BinValue(k))))
-		}
-	}
-
 	// Backward induction: vNext starts as V_h ≡ 0 and after the loop body
-	// for step s holds V_s (value planes indexed prevQ*nBuf+bufBin).
+	// for step s holds V_s (value planes indexed prevQ*vStride+bufBin).
 	vCur, vNext := m.vCur, m.vNext
-	for i := range vNext {
-		vNext[i] = 0
-	}
+	clear(vNext)
 	for s := h - 1; s >= 1; s-- {
 		for q := 0; q < nQ; q++ {
 			d := m.distFor(s, q, nQ)
@@ -262,73 +306,73 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 			sp, st := 0.0, 0.0
 			for k := NumBins - 1; k >= 0; k-- {
 				sp += d[k]
-				st += d[k] * BinValue(k)
+				st += d[k] * binValues[k]
 				m.suffP[k] = sp
 				m.suffTT[k] = st
 			}
 			m.sumP[q] = sp
-			vrow := vNext[q*nBuf : (q+1)*nBuf]
+			vrow := vNext[q*vStride : (q+1)*vStride]
 			brow := m.base[q*nBuf : (q+1)*nBuf]
-			vcd := vrow[cdBin]
-			for bb := 0; bb < nBuf; bb++ {
-				buf := float64(bb) * m.BufStep
-				k0 := int(m.k0Tab[bb])
-				acc := vcd*m.suffP[k0] - mu*(m.suffTT[k0]-buf*m.suffP[k0])
-				nexts := m.nextTab[bb*NumBins : bb*NumBins+k0]
-				for k, p := range d[:k0] {
-					if p == 0 {
-						continue
-					}
-					acc += p * vrow[nexts[k]]
+			vcd := vrow[m.cdBin]
+			// The suffix term, by runs of buffer bins that share their
+			// first stalling outcome k0: the bins below lo[k0] and not
+			// below lo[k0-1].
+			bb := 0
+			for k0 := 0; k0 <= NumBins; k0++ {
+				end := nBuf
+				if k0 < NumBins {
+					end = int(m.lo[k0])
 				}
-				brow[bb] = acc
+				sp, st := m.suffP[k0], m.suffTT[k0]
+				cont := vcd * sp
+				for ; bb < end; bb++ {
+					buf := float64(bb) * m.BufStep
+					brow[bb] = cont - mu*(st-buf*sp)
+				}
 			}
+			nn.ShiftedAccum(brow, vrow, d, m.lo[:], m.off[:])
 		}
-		for q := 0; q < nQ; q++ {
-			sq := obs.Horizon[s].Versions[q].SSIMdB
-			for pq := 0; pq < nQ; pq++ {
-				m.qual[q*nQ+pq] = m.sumP[q] * (sq - lambda*math.Abs(sq-obs.Horizon[s-1].Versions[pq].SSIMdB))
+		for pq := 0; pq < nQ; pq++ {
+			sp := obs.Horizon[s-1].Versions[pq].SSIMdB
+			for q := 0; q < nQ; q++ {
+				sq := obs.Horizon[s].Versions[q].SSIMdB
+				m.qual[pq*nQ+q] = m.sumP[q] * (sq - lambda*math.Abs(sq-sp))
 			}
 		}
 		for pq := 0; pq < nQ; pq++ {
-			row := vCur[pq*nBuf : (pq+1)*nBuf]
-			c0 := m.qual[pq] // q = 0
-			b0 := m.base[:nBuf]
-			for bb := 0; bb < nBuf; bb++ {
-				row[bb] = c0 + b0[bb]
-			}
-			for q := 1; q < nQ; q++ {
-				c := m.qual[q*nQ+pq]
-				bs := m.base[q*nBuf : (q+1)*nBuf]
-				for bb := 0; bb < nBuf; bb++ {
-					if v := c + bs[bb]; v > row[bb] {
-						row[bb] = v
-					}
-				}
+			row := vCur[pq*vStride : (pq+1)*vStride]
+			nn.MaxPlane(row[:nBuf], m.base, m.qual[pq*nQ:(pq+1)*nQ], nBuf)
+			top := row[nBuf-1]
+			for i := nBuf; i < vStride; i++ {
+				row[i] = top
 			}
 		}
 		vCur, vNext = vNext, vCur
 	}
 
 	// Root step: the buffer is exact (not quantized) and the previous
-	// chunk is the actually-sent one, or absent at stream start.
+	// chunk is the actually-sent one, or absent at stream start. An
+	// outcome's stall and successor bin depend on the buffer alone, so
+	// they are worked out once for all rungs; with h == 1 the successor
+	// reads V_h ≡ 0.
+	var stall [NumBins]float64
+	var next [NumBins]int
+	for k, tt := range binValues {
+		stall[k] = math.Max(tt-obs.Buffer, 0)
+		next[k] = m.bufBin(m.nextBuffer(obs.Buffer, tt))
+	}
 	bestQ, bestV := 0, math.Inf(-1)
 	hasPrev := obs.LastQuality >= 0
 	for q := 0; q < nQ; q++ {
 		enc := obs.Horizon[0].Versions[q]
+		vrow := vNext[q*vStride : (q+1)*vStride]
 		v := 0.0
 		for k, p := range m.distFor(0, q, nQ) {
 			if p == 0 {
 				continue
 			}
-			tt := BinValue(k)
-			stall := math.Max(tt-obs.Buffer, 0)
-			qoe := m.Weights.Chunk(enc.SSIMdB, obs.LastSSIM, stall, hasPrev)
-			cont := 0.0
-			if h > 1 {
-				cont = vNext[q*m.nBuf+m.bufBin(m.nextBuffer(obs.Buffer, tt))]
-			}
-			v += p * (qoe + cont)
+			qoe := m.Weights.Chunk(enc.SSIMdB, obs.LastSSIM, stall[k], hasPrev)
+			v += p * (qoe + vrow[next[k]])
 		}
 		if v > bestV {
 			bestV, bestQ = v, q

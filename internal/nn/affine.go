@@ -82,3 +82,52 @@ func adamStepGo(p, g, m, v []float64, k *adamConsts) {
 		p[i] -= k.lr * mh / (math.Sqrt(vh) + k.eps)
 	}
 }
+
+// shiftedAccumGo adds scaled, shifted windows of src onto the tail of dst:
+// for each k in ascending order whose p[k] is not zero (±0 both skip, NaN
+// does not) and whose lo[k] is below len(dst),
+//
+//	dst[i] += p[k]·src[i+off[k]]    (lo[k] <= i < len(dst))
+//
+// so every dst element takes its terms in ascending k, each one multiply and
+// one add. It is an expectation over outcomes k of a value row read off[k]
+// bins away, for the destinations at or past lo[k] — the model-predictive
+// planner's continuation term. For every k with lo[k] below len(dst),
+// whatever its p[k], lo[k] and lo[k]+off[k] must not be negative and src must
+// reach len(dst)+off[k].
+func shiftedAccumGo(dst, src, p []float64, lo, off []int32) {
+	for k, pk := range p {
+		l := int(lo[k])
+		if pk == 0 || l >= len(dst) {
+			continue
+		}
+		d := dst[l:]
+		s := src[l+int(off[k]):][:len(d)]
+		for i, v := range s {
+			d[i] += pk * v
+		}
+	}
+}
+
+// maxPlaneGo is a running maximum over len(c) rows of base, each shifted by
+// its own constant:
+//
+//	dst[i] = max_q (c[q] + base[q*stride+i])    (i < len(dst), q < len(c))
+//
+// taken as "start from q = 0, replace when v > dst[i]" in ascending q: the
+// first of equal values stays (so does +0 against -0), a NaN candidate never
+// replaces, and a NaN at q = 0 is replaced by nothing. len(c) must be at
+// least 1.
+func maxPlaneGo(dst, base, c []float64, stride int) {
+	for i, b := range base[:len(dst)] {
+		dst[i] = c[0] + b
+	}
+	for q := 1; q < len(c); q++ {
+		cq := c[q]
+		for i, b := range base[q*stride:][:len(dst)] {
+			if v := cq + b; v > dst[i] {
+				dst[i] = v
+			}
+		}
+	}
+}

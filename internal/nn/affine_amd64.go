@@ -107,6 +107,50 @@ func adamStep(p, g, m, v []float64, k *adamConsts) {
 	adamStepAVX2(&p[0], &g[0], &m[0], &v[0], n, k)
 }
 
+// The model-predictive planner's two passes (internal/abr). A decision runs
+// each a few dozen times over rows of ~60 elements, so like the training
+// passes above they get 256-bit bodies only.
+//
+//go:noescape
+func shiftedAccumAVX2(dst, src, p *float64, lo, off *int32, n, nK int)
+
+//go:noescape
+func maxPlaneAVX2(dst, base, c *float64, n, nQ, stride int)
+
+// ShiftedAccum adds p[k]·src[i+off[k]] onto dst[i] for lo[k] <= i < len(dst),
+// over the non-zero p[k] in ascending k (see shiftedAccumGo).
+func ShiftedAccum(dst, src, p []float64, lo, off []int32) {
+	n := len(dst)
+	if !useAVX2 || n == 0 || len(p) == 0 || len(src) == 0 {
+		shiftedAccumGo(dst, src, p, lo, off)
+		return
+	}
+	// The assembly goes through bare pointers: check every window it can
+	// read, as the portable body's slicing would.
+	lo, off = lo[:len(p)], off[:len(p)]
+	for k, l := range lo {
+		if int(l) < n {
+			_ = src[int(l)+int(off[k]):][:n-int(l)]
+		}
+	}
+	shiftedAccumAVX2(&dst[0], &src[0], &p[0], &lo[0], &off[0], n, len(p))
+}
+
+// MaxPlane sets dst[i] to the greatest c[q]+base[q*stride+i] over q <
+// len(c), first of equals (see maxPlaneGo).
+func MaxPlane(dst, base, c []float64, stride int) {
+	n := len(dst)
+	if !useAVX2 || n == 0 {
+		maxPlaneGo(dst, base, c, stride)
+		return
+	}
+	if stride < 0 {
+		panic("nn: MaxPlane: negative stride")
+	}
+	_, _ = c[0], base[(len(c)-1)*stride+n-1]
+	maxPlaneAVX2(&dst[0], &base[0], &c[0], n, len(c), stride)
+}
+
 // cpuid executes the CPUID instruction for (leaf, subleaf).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -9,7 +9,8 @@
 // separate VMULPD and VADDPD rounding per term (no FMA contraction), so
 // results are bitwise identical to the scalar kernels. The elementwise
 // kernels (ReLU, ReLU-copy, ReLU mask, Adam) perform per element exactly the
-// scalar code's operations in its order, each with its own rounding.
+// scalar code's operations in its order, each with its own rounding, and so
+// do the planner's two (shifted accumulate, max-plane).
 
 #include "textflag.h"
 
@@ -498,6 +499,194 @@ atail:
 	DECQ CX
 	JMP  atail
 adone:
+	VZEROUPPER
+	RET
+
+// func shiftedAccumAVX2(dst, src, p *float64, lo, off *int32, n, nK int)
+//
+// shiftedAccumGo's contract: for each k in ascending order with p[k] != 0
+// and lo[k] < n, dst[i] += p[k]*src[i+off[k]] for lo[k] <= i < n, a VMULPD
+// and a VADDPD per term. The vector blocks sit on dst's own 4-element grid
+// (a scalar head runs up to it) whatever lo[k] is, so the dst loads of one k
+// line up with the stores of the k before and forward from the store buffer;
+// only the shifted src loads are unaligned.
+TEXT ·shiftedAccumAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ p+16(FP), DX
+	MOVQ lo+24(FP), R8
+	MOVQ off+32(FP), R9
+	MOVQ n+40(FP), R10
+	MOVQ nK+48(FP), R11
+	VXORPD X15, X15, X15
+	XORQ R12, R12             // k := 0
+sak:
+	CMPQ R12, R11
+	JGE  sadone
+	VMOVSD (DX)(R12*8), X0    // p[k]
+	VUCOMISD X15, X0
+	JNE  sarun                // p[k] != 0
+	JNP  sanext               // equal and ordered: +0 and -0 skip; NaN runs
+sarun:
+	MOVLQSX (R8)(R12*4), AX   // i := lo[k]
+	MOVQ R10, CX
+	SUBQ AX, CX               // elements left: n - i
+	JLE  sanext
+	MOVLQSX (R9)(R12*4), BX
+	ADDQ AX, BX
+	LEAQ (DI)(AX*8), R13      // d := &dst[i]
+	LEAQ (SI)(BX*8), R14      // s := &src[i+off[k]]
+	VBROADCASTSD X0, Y0
+sahead:	// scalar until i reaches dst's 4-element grid
+	TESTQ $3, AX
+	JZ   sa8
+	VMULSD (R14), X0, X1
+	VADDSD (R13), X1, X1
+	VMOVSD X1, (R13)
+	ADDQ $8, R13
+	ADDQ $8, R14
+	INCQ AX
+	DECQ CX
+	JNZ  sahead
+	JMP  sanext
+sa8:
+	SUBQ $8, CX
+	JLT  sa4
+sa8loop:
+	VMULPD (R14), Y0, Y1
+	VMULPD 32(R14), Y0, Y2
+	VADDPD (R13), Y1, Y1
+	VADDPD 32(R13), Y2, Y2
+	VMOVUPD Y1, (R13)
+	VMOVUPD Y2, 32(R13)
+	ADDQ $64, R13
+	ADDQ $64, R14
+	SUBQ $8, CX
+	JGE  sa8loop
+sa4:
+	ADDQ $8, CX               // 0..7 left
+	CMPQ CX, $4
+	JLT  satail
+	VMULPD (R14), Y0, Y1
+	VADDPD (R13), Y1, Y1
+	VMOVUPD Y1, (R13)
+	ADDQ $32, R13
+	ADDQ $32, R14
+	SUBQ $4, CX
+satail:
+	TESTQ CX, CX
+	JZ   sanext
+	VMULSD (R14), X0, X1
+	VADDSD (R13), X1, X1
+	VMOVSD X1, (R13)
+	ADDQ $8, R13
+	ADDQ $8, R14
+	DECQ CX
+	JMP  satail
+sanext:
+	INCQ R12
+	JMP  sak
+sadone:
+	VZEROUPPER
+	RET
+
+// func maxPlaneAVX2(dst, base, c *float64, n, nQ, stride int)
+//
+// maxPlaneGo's contract: dst[i] starts as c[0]+base[i] and takes
+// c[q]+base[q*stride+i] in ascending q when that is greater. A block of dst
+// stays in registers over the whole q loop. VMAXPD with the candidate as
+// first source and the running maximum as second is the scalar `if v > cur`:
+// it returns the second source when either is NaN and when both are zeros,
+// so ties, signed zeros and NaNs come out as in the portable body.
+TEXT ·maxPlaneAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ base+8(FP), SI
+	MOVQ c+16(FP), DX
+	MOVQ n+24(FP), R8
+	MOVQ nQ+32(FP), R9
+	MOVQ stride+40(FP), R10
+	SHLQ $3, R10              // row stride in bytes
+	XORQ R11, R11             // i := 0
+
+mp16:	// blocks of 16 elements
+	MOVQ R8, AX
+	SUBQ R11, AX
+	CMPQ AX, $16
+	JLT  mp4
+	LEAQ (SI)(R11*8), R12     // &base[0*stride+i]
+	VBROADCASTSD (DX), Y4
+	VADDPD (R12), Y4, Y0
+	VADDPD 32(R12), Y4, Y1
+	VADDPD 64(R12), Y4, Y2
+	VADDPD 96(R12), Y4, Y3
+	MOVQ $1, R13              // q := 1
+mq16:
+	CMPQ R13, R9
+	JGE  ms16
+	ADDQ R10, R12
+	VBROADCASTSD (DX)(R13*8), Y4
+	VADDPD (R12), Y4, Y5
+	VADDPD 32(R12), Y4, Y6
+	VADDPD 64(R12), Y4, Y7
+	VADDPD 96(R12), Y4, Y8
+	VMAXPD Y0, Y5, Y0         // v > cur ? v : cur
+	VMAXPD Y1, Y6, Y1
+	VMAXPD Y2, Y7, Y2
+	VMAXPD Y3, Y8, Y3
+	INCQ R13
+	JMP  mq16
+ms16:
+	VMOVUPD Y0, (DI)(R11*8)
+	VMOVUPD Y1, 32(DI)(R11*8)
+	VMOVUPD Y2, 64(DI)(R11*8)
+	VMOVUPD Y3, 96(DI)(R11*8)
+	ADDQ $16, R11
+	JMP  mp16
+
+mp4:	// blocks of 4 elements
+	MOVQ R8, AX
+	SUBQ R11, AX
+	CMPQ AX, $4
+	JLT  mp1
+	LEAQ (SI)(R11*8), R12
+	VBROADCASTSD (DX), Y4
+	VADDPD (R12), Y4, Y0
+	MOVQ $1, R13
+mq4:
+	CMPQ R13, R9
+	JGE  ms4
+	ADDQ R10, R12
+	VBROADCASTSD (DX)(R13*8), Y4
+	VADDPD (R12), Y4, Y5
+	VMAXPD Y0, Y5, Y0
+	INCQ R13
+	JMP  mq4
+ms4:
+	VMOVUPD Y0, (DI)(R11*8)
+	ADDQ $4, R11
+	JMP  mp4
+
+mp1:	// scalar tail elements
+	CMPQ R11, R8
+	JGE  mpdone
+	LEAQ (SI)(R11*8), R12
+	VMOVSD (DX), X4
+	VADDSD (R12), X4, X0
+	MOVQ $1, R13
+mq1:
+	CMPQ R13, R9
+	JGE  ms1
+	ADDQ R10, R12
+	VMOVSD (DX)(R13*8), X4
+	VADDSD (R12), X4, X5
+	VMAXSD X0, X5, X0
+	INCQ R13
+	JMP  mq1
+ms1:
+	VMOVSD X0, (DI)(R11*8)
+	INCQ R11
+	JMP  mp1
+mpdone:
 	VZEROUPPER
 	RET
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,6 +25,31 @@ func TestAffineRowTAssemblyBodies(t *testing.T) {
 			got := make([]float64, nOut)
 			body(&got[0], &bias[0], &x[0], &wt[0], nIn, nOut, xStride)
 			sameFloats(t, name+" "+what, got, want)
+		}
+	})
+}
+
+// TestPlannerKernelAssemblyBodies: the two planner assembly bodies, called by
+// name, against their portable bodies over forEachPlannerCase's table.
+func TestPlannerKernelAssemblyBodies(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no SIMD on this machine")
+	}
+	// One element of slack so that &x[0] exists at n == 0; the bodies are
+	// still told the true lengths.
+	ptr := func(x []float64) *float64 { return &append(x, 0)[0] }
+	forEachPlannerCase(func(what string, n int, dst0, src, p []float64, lo, off []int32, base, c []float64, stride int) {
+		want := slices.Clone(dst0)
+		shiftedAccumGo(want, src, p, lo, off)
+		got := append(slices.Clone(dst0), 7)
+		shiftedAccumAVX2(&got[0], ptr(src), &p[0], &lo[0], &off[0], n, len(p))
+		sameFloats(t, "shiftedAccumAVX2 "+what, got[:n], want)
+
+		maxPlaneGo(want, base, c, stride)
+		maxPlaneAVX2(&got[0], ptr(base), &c[0], n, len(c), stride)
+		sameFloats(t, "maxPlaneAVX2 "+what, got[:n], want)
+		if got[n] != 7 {
+			t.Fatalf("%s: wrote past dst[%d]", what, n)
 		}
 	})
 }

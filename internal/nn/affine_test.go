@@ -135,3 +135,84 @@ func TestElementwiseKernelsMatchPortable(t *testing.T) {
 		}
 	}
 }
+
+// forEachPlannerCase runs visit over the planner primitives' table: every
+// destination length 0..65 against every source offset 0..9 (the shifted
+// window is never 32-byte aligned with its destination), over the mixed
+// values. The shifted-accumulate operands are p, lo, off over src (lo
+// ascending from 0, every fourth p a zero of either sign, one off negative
+// where lo allows it); the max-plane operands are c over base at the given
+// stride, every fifth case drawn only from ±0, NaN and ±Inf.
+func forEachPlannerCase(visit func(what string, n int, dst0, src, p []float64, lo, off []int32, base, c []float64, stride int)) {
+	rng := rand.New(rand.NewSource(33))
+	for n := 0; n <= 65; n++ {
+		for shift := 0; shift <= 9; shift++ {
+			const nK = 7
+			p := mixed(rng, nK)
+			lo, off := make([]int32, nK), make([]int32, nK)
+			for k := range lo {
+				lo[k] = int32(k * (n + 2) / nK) // the last ones reach past n: those k do nothing
+				off[k] = int32(shift)
+				if k == nK-1 {
+					p[k] = math.NaN() // NaN != 0: a NaN weight runs
+				} else if k%4 == 1 {
+					p[k] = math.Copysign(0, float64(k%8)-2)
+				}
+			}
+			if lo[2] > 0 {
+				off[2] = -1
+			}
+			nQ := 1 + (n+shift)%4
+			stride := n + shift%3
+			base, c := mixed(rng, (nQ-1)*stride+n), mixed(rng, nQ)
+			if shift%5 == 4 {
+				// Nothing but ties, signed zeros, NaNs and infinities: the
+				// cases where "v > cur" and a plain max differ.
+				for i := range base {
+					base[i] = specials[rng.Intn(5)]
+				}
+				for q := range c {
+					c[q] = specials[rng.Intn(2)]
+				}
+			}
+			visit(fmt.Sprintf("n %d shift %d", n, shift), n,
+				mixed(rng, n), mixed(rng, n+shift), p, lo, off, base, c, stride)
+		}
+	}
+}
+
+// TestPlannerKernelsMatchPortable: whatever bodies ShiftedAccum and MaxPlane
+// dispatch to on this machine, against the portable bodies, and the portable
+// bodies against the plain loops they stand for.
+func TestPlannerKernelsMatchPortable(t *testing.T) {
+	forEachPlannerCase(func(what string, n int, dst0, src, p []float64, lo, off []int32, base, c []float64, stride int) {
+		want := slices.Clone(dst0)
+		for i := range want {
+			for k, pk := range p {
+				if pk != 0 && i >= int(lo[k]) {
+					want[i] += pk * src[i+int(off[k])]
+				}
+			}
+		}
+		got := slices.Clone(dst0)
+		shiftedAccumGo(got, src, p, lo, off)
+		sameFloats(t, "shiftedAccum portable "+what, got, want)
+		got = slices.Clone(dst0)
+		ShiftedAccum(got, src, p, lo, off)
+		sameFloats(t, "ShiftedAccum "+what, got, want)
+
+		for i := range want {
+			want[i] = c[0] + base[i]
+			for q := 1; q < len(c); q++ {
+				if v := c[q] + base[q*stride+i]; v > want[i] {
+					want[i] = v
+				}
+			}
+		}
+		maxPlaneGo(got, base, c, stride)
+		sameFloats(t, "maxPlane portable "+what, got, want)
+		clear(got)
+		MaxPlane(got, base, c, stride)
+		sameFloats(t, "MaxPlane "+what, got, want)
+	})
+}

@@ -49,6 +49,28 @@
 // one-sample-at-a-time backprop's — which lives beside the tests as their
 // oracle — on any vector width.
 //
+// Two more primitives under the same discipline serve the model-predictive
+// planner in internal/abr, which calls each once per (horizon step, rung) and
+// gets the looping over outcomes or rungs inside:
+//
+//   - ShiftedAccum(dst, src, p, lo, off): for each k in ascending order with
+//     p[k] != 0 (±0 skip, NaN runs), dst[i] += p[k]·src[i+off[k]] for
+//     lo[k] <= i < len(dst) — an expectation over outcomes of a value row
+//     read off[k] bins away. One multiply and one add per term, every element
+//     taking its terms in ascending k. Windows are checked for every k with
+//     lo[k] < len(dst) whatever p[k] is.
+//   - MaxPlane(dst, base, c, stride): dst[i] = max over q < len(c) of
+//     c[q] + base[q*stride+i], taken as "start at q = 0, replace when v >
+//     dst[i]": the first of equals stays (and +0 against -0), a NaN candidate
+//     never replaces, a NaN at q = 0 stays.
+//
+// Each has a portable body (shiftedAccumGo, maxPlaneGo in affine.go: the
+// oracle, and what other platforms run) and a 256-bit body with separate
+// VMULPD/VADDPD and VMAXPD in "candidate first" operand order; the tests hold
+// the assembly to the portable body by name, and internal/abr reruns the
+// whole planner with the SIMD gates off and compares its value planes bit
+// for bit.
+//
 // Main entry points:
 //
 //   - MLP / NewMLP: the network; Packed for inference, Save/Load (gob) for
@@ -60,6 +82,7 @@
 //     PolicyGradStep, the REINFORCE step.
 //   - Softmax, ArgMax, Entropy: the numeric utilities shared by the
 //     predictors.
+//   - ShiftedAccum, MaxPlane: the planner's two vector passes (above).
 //
 // Everything is deterministic given a seeded *rand.Rand. All math is
 // float64.

@@ -1,0 +1,180 @@
+package serve
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"net"
+	"testing"
+
+	"puffer/internal/abr"
+	"puffer/internal/media"
+	"puffer/internal/obs"
+	"puffer/internal/tcpsim"
+	"puffer/internal/wire"
+)
+
+// goldenDecide is a well-formed Decide as a Puffer client sends it mid-stream:
+// a 15 s buffer cap, a three-chunk horizon over a two-rung ladder.
+func goldenDecide() *abr.Observation {
+	ladder := func(scale float64) []media.Encoding {
+		return []media.Encoding{{Size: 1e6 * scale, SSIMdB: 12.5}, {Size: 4e6 * scale, SSIMdB: 18}}
+	}
+	return &abr.Observation{
+		ChunkIndex:  2,
+		Buffer:      3.25,
+		BufferCap:   15,
+		LastQuality: 1,
+		LastSSIM:    17.5,
+		History: []abr.ChunkRecord{
+			{Size: 1.5e6, TransTime: 0.75, SSIMdB: 14.25, Quality: 0},
+			{Size: 2.5e6, TransTime: 1.5, SSIMdB: 17.5, Quality: 1},
+		},
+		TCP: tcpsim.Info{CWND: 48, InFlight: 12, MinRTT: 0.031, RTT: 0.042, DeliveryRate: 1.25e6},
+		Horizon: []media.Chunk{
+			{Index: 2, Complexity: 1.125, Versions: ladder(1)},
+			{Index: 3, Complexity: 0.875, Versions: ladder(0.5)},
+			{Index: 4, Complexity: 1, Versions: ladder(2)},
+		},
+	}
+}
+
+// hostileDecides are the well-framed Decides a handshaken client could kill
+// the daemon with before checkObservation: each decodes without a short read
+// or a trailing byte, and each made an algorithm behind the server panic or
+// allocate without bound.
+var hostileDecides = []struct {
+	name   string
+	mutate func(*abr.Observation)
+}{
+	{"buffer cap NaN", func(o *abr.Observation) { o.BufferCap = math.NaN() }},
+	{"buffer cap +Inf", func(o *abr.Observation) { o.BufferCap = math.Inf(1) }},
+	{"buffer cap 1e15", func(o *abr.Observation) { o.BufferCap = 1e15 }},
+	{"buffer cap 1e7", func(o *abr.Observation) { o.BufferCap = 1e7 }},
+	{"buffer cap zero", func(o *abr.Observation) { o.BufferCap = 0 }},
+	{"buffer cap negative", func(o *abr.Observation) { o.BufferCap = -15 }},
+	{"buffer NaN", func(o *abr.Observation) { o.Buffer = math.NaN() }},
+	{"buffer +Inf", func(o *abr.Observation) { o.Buffer = math.Inf(1) }},
+	{"buffer negative", func(o *abr.Observation) { o.Buffer = -1 }},
+	{"ragged horizon", func(o *abr.Observation) { o.Horizon[2].Versions = o.Horizon[2].Versions[:1] }},
+	{"empty ladder", func(o *abr.Observation) {
+		for i := range o.Horizon {
+			o.Horizon[i].Versions = nil
+		}
+	}},
+	{"empty horizon", func(o *abr.Observation) { o.Horizon = nil }},
+	{"last quality off the ladder", func(o *abr.Observation) { o.LastQuality = 2 }},
+}
+
+// TestDecideRejections sends every hostile Decide to a live server, one
+// handshaken connection each and one per kind of arm: the reply is an Error
+// frame and a close (decodeDecide's errBadObservation), both counters move,
+// and the daemon still answers a well-formed Decide afterwards.
+func TestDecideRejections(t *testing.T) {
+	plan := warmedPlan(t, 0)
+	_, ln := startServer(t, Config{Plan: plan, Logf: t.Logf})
+	open := func(scheme string) (net.Conn, func() (byte, []byte)) {
+		t.Helper()
+		c, br := dialRaw(t, ln.Addr().String())
+		h := &hello{Version: ProtoVersion, Scheme: scheme, PlanHash: plan.Hash}
+		if err := wire.WriteFrame(c, msgHello, encodeHello(nil, h)); err != nil {
+			t.Fatal(err)
+		}
+		read := func() (byte, []byte) {
+			t.Helper()
+			typ, payload, _, err := wire.ReadFrame(br, nil, maxFrame)
+			if err != nil {
+				t.Fatalf("%s: %v", scheme, err)
+			}
+			return typ, payload
+		}
+		if typ, _ := read(); typ != msgHelloOK {
+			t.Fatalf("%s: handshake answered 0x%02x", scheme, typ)
+		}
+		return c, read
+	}
+
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	protoErrs, aborted := srvProtoErrors.Value(), srvAbortedTotal.Value()
+	sent := int64(0)
+	for _, tc := range hostileDecides {
+		for _, scheme := range plan.SchemeNames {
+			bad := goldenDecide()
+			tc.mutate(bad)
+			payload := encodeDecide(nil, 1, bad, 0, 0)
+			if _, _, _, err := decodeDecide(payload, new(abr.Observation)); !errors.Is(err, errBadObservation) {
+				t.Fatalf("%s: decodeDecide says %v, want errBadObservation", tc.name, err)
+			}
+			c, read := open(scheme)
+			if err := wire.WriteFrame(c, msgDecide, payload); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			if typ, _ := read(); typ != msgError {
+				t.Fatalf("%s to %s: answered 0x%02x, want msgError", tc.name, scheme, typ)
+			}
+			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("%s to %s: connection left open (%v)", tc.name, scheme, err)
+			}
+		}
+	}
+	if got := srvProtoErrors.Value() - protoErrs; got != sent {
+		t.Errorf("serve_proto_errors_total moved by %d for %d rejected Decides", got, sent)
+	}
+	if got := srvAbortedTotal.Value() - aborted; got != sent {
+		t.Errorf("serve_sessions_aborted_total moved by %d for %d rejected Decides", got, sent)
+	}
+
+	for _, scheme := range plan.SchemeNames {
+		c, read := open(scheme)
+		if err := wire.WriteFrame(c, msgDecide, encodeDecide(nil, 1, goldenDecide(), 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _ := read(); typ != msgDecideOK {
+			t.Fatalf("%s: well-formed Decide after the hostile ones answered 0x%02x", scheme, typ)
+		}
+	}
+}
+
+// FuzzDecodeDecide: any payload is either refused — a short read, trailing
+// bytes or errBadObservation — or decodes to an observation that re-encodes
+// to the same bytes and that the planner takes without panicking.
+func FuzzDecodeDecide(f *testing.F) {
+	// testdata/fuzz/FuzzDecodeDecide holds the rest of the seeds: the golden
+	// frame, traced and cut short, and every hostileDecides case.
+	f.Add(encodeDecide(nil, 1, goldenDecide(), 0, 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var got abr.Observation
+		now, traceID, parentSpan, err := decodeDecide(payload, &got)
+		if err != nil {
+			return
+		}
+		if again := encodeDecide(nil, now, &got, traceID, parentSpan); !bytes.Equal(again, payload) {
+			// A zero trace id with a nonzero parent is the one payload the
+			// encoder cannot say: it drops the extension.
+			if !(traceID == 0 && len(payload) == len(again)+decideExtLen && bytes.Equal(again, payload[:len(again)])) {
+				t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(payload), len(again))
+			}
+		}
+		if q := abr.NewMPCHM().Choose(&got); q < 0 || q >= len(got.Horizon[0].Versions) {
+			t.Fatalf("MPC-HM chose rung %d of %d", q, len(got.Horizon[0].Versions))
+		}
+	})
+}
+
+// FuzzDecodeHello: any payload is either refused or decodes to a hello that
+// re-encodes to the same bytes.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(encodeHello(nil, &hello{Version: ProtoVersion, Scheme: "MPC-HM", PlanHash: "abc123", Flags: helloFlagTracing}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		h, err := decodeHello(payload)
+		if err != nil {
+			return
+		}
+		if again := encodeHello(nil, &h); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(payload), len(again))
+		}
+	})
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -49,6 +50,16 @@ const (
 // most HistoryLen records plus a LookAhead horizon with a ~10-rung ladder —
 // a few kilobytes — so 1 MiB is a generous corruption guard.
 const maxFrame = 1 << 20
+
+// maxBufferCap bounds the client buffer a Decide may claim, in seconds —
+// four times Puffer's 15. The MPC sizes its value planes by it (four bins a
+// second, per rung), so without a bound one frame asks for gigabytes.
+const maxBufferCap = 60
+
+// errBadObservation marks a Decide that decoded cleanly but describes a
+// state no client can be in; an algorithm handed it could index out of range
+// or size a table from it.
+var errBadObservation = errors.New("serve: invalid observation")
 
 // Append-style encoders. Floats travel as IEEE-754 bits, so every value
 // round-trips bit-exactly — the byte-identity guarantee depends on it.
@@ -239,7 +250,9 @@ func encodeDecideBody(b []byte, now float64, obs *abr.Observation) []byte {
 // buffers amortize to zero allocations in steady state). The trailing v2
 // trace extension is optional: exactly decideExtLen remaining bytes decode
 // as (traceID, parentSpan), zero remaining means untraced (every v1 frame),
-// any other remainder is a frame error.
+// any other remainder is a frame error. An observation that decodes but
+// fails checkObservation is an error too (errBadObservation): what comes
+// back without one is safe to hand to any algorithm.
 func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, parentSpan uint64, err error) {
 	r := reader{b: payload}
 	now = r.f64()
@@ -284,5 +297,34 @@ func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, p
 		traceID = r.u64()
 		parentSpan = r.u64()
 	}
-	return now, traceID, parentSpan, r.done()
+	if err := r.done(); err != nil {
+		return now, traceID, parentSpan, err
+	}
+	return now, traceID, parentSpan, checkObservation(obs)
+}
+
+// checkObservation rejects what the algorithms behind the server take on
+// trust from an in-process caller: a buffer and a cap that are finite and in
+// range, a non-empty horizon whose chunks all offer the same non-empty
+// ladder, and a previous rung on that ladder (negative: none yet).
+func checkObservation(obs *abr.Observation) error {
+	if !(obs.BufferCap > 0 && obs.BufferCap <= maxBufferCap) {
+		return fmt.Errorf("%w: buffer cap %v s outside (0, %d]", errBadObservation, obs.BufferCap, maxBufferCap)
+	}
+	if !(obs.Buffer >= 0 && obs.Buffer <= math.MaxFloat64) {
+		return fmt.Errorf("%w: buffer %v s", errBadObservation, obs.Buffer)
+	}
+	if len(obs.Horizon) == 0 {
+		return fmt.Errorf("%w: empty horizon", errBadObservation)
+	}
+	nQ := len(obs.Horizon[0].Versions)
+	for i, c := range obs.Horizon {
+		if len(c.Versions) != nQ || nQ == 0 {
+			return fmt.Errorf("%w: horizon chunk %d has %d versions, chunk 0 has %d", errBadObservation, i, len(c.Versions), nQ)
+		}
+	}
+	if obs.LastQuality >= nQ {
+		return fmt.Errorf("%w: last quality %d on a %d-rung ladder", errBadObservation, obs.LastQuality, nQ)
+	}
+	return nil
 }

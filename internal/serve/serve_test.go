@@ -132,7 +132,7 @@ func TestDecideRoundTrip(t *testing.T) {
 		ChunkIndex:  17,
 		Buffer:      3.25,
 		BufferCap:   15,
-		LastQuality: 4,
+		LastQuality: 1,
 		LastSSIM:    0.9812,
 		History: []abr.ChunkRecord{
 			{Size: 1.5e6, TransTime: 0.75, SSIMdB: 14.25, Quality: 3},
@@ -141,7 +141,7 @@ func TestDecideRoundTrip(t *testing.T) {
 		TCP: tcpsim.Info{CWND: 48, InFlight: 12, MinRTT: 0.031, RTT: 0.042, DeliveryRate: 1.25e6},
 		Horizon: []media.Chunk{
 			{Index: 18, Complexity: 1.125, Versions: []media.Encoding{{Size: 1e6, SSIMdB: 12.5}, {Size: 4e6, SSIMdB: 18}}},
-			{Index: 19, Complexity: 0.875, Versions: []media.Encoding{{Size: 2e6, SSIMdB: 15.5}}},
+			{Index: 19, Complexity: 0.875, Versions: []media.Encoding{{Size: 2e6, SSIMdB: 15.5}, {Size: 5e6, SSIMdB: 19}}},
 		},
 	}
 	payload := encodeDecide(nil, 123.4375, &obs, 0, 0)
@@ -160,8 +160,9 @@ func TestDecideRoundTrip(t *testing.T) {
 	// Decoding a smaller observation into the same struct must reuse the
 	// buffers without leaking stale entries.
 	small := abr.Observation{
-		Horizon: []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
-		TCP:     tcpsim.Info{RTT: 0.05},
+		BufferCap: 15,
+		Horizon:   []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
+		TCP:       tcpsim.Info{RTT: 0.05},
 	}
 	payload = encodeDecide(payload[:0], 1, &small, 0, 0)
 	if _, _, _, err := decodeDecide(payload, &got); err != nil {
@@ -183,8 +184,9 @@ func TestDecideRoundTrip(t *testing.T) {
 
 func TestDecideTraceExtension(t *testing.T) {
 	obs := abr.Observation{
-		Horizon: []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
-		TCP:     tcpsim.Info{RTT: 0.05},
+		BufferCap: 15,
+		Horizon:   []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
+		TCP:       tcpsim.Info{RTT: 0.05},
 	}
 	var got abr.Observation
 
