@@ -20,7 +20,7 @@ SCENARIO_SCALE ?= 0.02
 # Scratch dir for the sweep smoke run's index + checkpoints.
 SWEEP_DIR ?= /tmp/puffer-sweep-smoke
 
-.PHONY: fmt fmt-check vet build cross loc test bench bench-e2e daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke ci
+.PHONY: fmt fmt-check vet build cross loc test bench bench-e2e daily-smoke docs-smoke figures-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke ci
 
 fmt:
 	gofmt -w .
@@ -81,6 +81,20 @@ docs-smoke:
 	rm -f tournament_streams.csv
 	PUFFER_EXAMPLE_SCALE=$(EXAMPLE_SCALE) $(GO) run ./examples/uncertainty
 	PUFFER_EXAMPLE_SCALE=$(EXAMPLE_SCALE) $(GO) run ./examples/insitu-vs-emulation
+
+# Figures smoke: the paper's primary-trial readouts at a small scale, twice.
+# Both runs must be byte-identical to each other (every figure is seeded,
+# §5.3's resampling pool included) and to the committed golden, so a change
+# that moves any table shows up here.
+figures-smoke:
+	@set -e; \
+	bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o $$bin/figures ./cmd/figures; \
+	$$bin/figures -fig 1,4,8,9,10,11,A1,3.4,4.6,5.3 -scale 200 -seed 1 -q > $$bin/a.out; \
+	$$bin/figures -fig 1,4,8,9,10,11,A1,3.4,4.6,5.3 -scale 200 -seed 1 -q > $$bin/b.out; \
+	cmp $$bin/a.out $$bin/b.out; \
+	cmp $$bin/a.out cmd/figures/testdata/smoke.golden; \
+	echo "figures-smoke: two runs byte-identical to each other and to the golden"
 
 # Scenario smoke: briefly run every registered scenario (scaled down via
 # PUFFER_SCENARIO_SCALE) and prove the scenario API's round trip on each —
@@ -268,4 +282,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecide -fuzztime=5s ./internal/serve
 
 # `loc` runs last so every green run ends on the round's tracked number.
-ci: fmt-check vet build cross test bench daily-smoke docs-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc
+ci: fmt-check vet build cross test bench daily-smoke docs-smoke figures-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc

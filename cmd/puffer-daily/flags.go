@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"puffer/internal/experiment"
 	"puffer/internal/obscli"
 	"puffer/internal/scenario"
 )
@@ -50,7 +51,7 @@ func parseCLI(args []string) (*cliConfig, error) {
 	fs.DurationVar(&cli.distTimeout, "dist-timeout", 0, "dist engine per-shard hang deadline (duration; 0 = none); never changes results")
 	arrivalRate := fs.Float64("arrival-rate", scenario.DefaultRate, "override: fleet engine Poisson arrival intensity (sessions per virtual second; selects the poisson process)")
 	tick := fs.Float64("tick", scenario.DefaultTick, "override: fleet engine inference-batching tick (virtual seconds; never changes results)")
-	shard := fs.Int("shard", scenario.DefaultShard, "override: sessions per aggregation shard (sessions)")
+	shard := fs.Int("shard", experiment.DefaultShardSize, "override: sessions per aggregation shard (sessions)")
 	seed := fs.Int64("seed", scenario.DefaultSeed, "override: experiment seed (any int64)")
 	fs.StringVar(&cli.checkpoint, "checkpoint", "", "checkpoint directory (path; empty = no checkpointing)")
 	retrain := fs.Bool("retrain", true, "override: retrain the TTP nightly (false = frozen day-0 model)")

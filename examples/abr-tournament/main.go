@@ -32,17 +32,28 @@ func main() {
 	}
 
 	log.Printf("running %d-session tournament over deployment-like paths...", exscale.Scaled(600))
-	res, err := puffer.RunExperiment(puffer.Config{
+	cfg := puffer.Config{
 		Env:      puffer.DefaultEnv(),
 		Schemes:  schemes,
 		Sessions: exscale.Scaled(600),
 		Seed:     11,
-	})
-	if err != nil {
-		log.Fatal(err)
+	}
+	// Sessions run one at a time so each one's stream summaries can be
+	// kept for the CSV below, in session-id order, as the accumulator
+	// folds it.
+	acc := experiment.NewTrialAcc(experiment.AllPaths)
+	var eligible []telemetry.StreamSummary
+	for id := 0; id < cfg.Sessions; id++ {
+		sess := cfg.RunOne(id)
+		acc.AddSession(&sess)
+		for _, s := range sess.Streams {
+			if s.Eligible() {
+				eligible = append(eligible, s)
+			}
+		}
 	}
 
-	rows := puffer.Analyze(res, puffer.AllPaths, 12)
+	rows := acc.Analyze(12)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].StallRatio.Point < rows[j].StallRatio.Point })
 	fmt.Printf("%-14s %12s %10s %10s %12s %9s\n",
 		"Scheme", "Stalled", "SSIM", "dSSIM", "Bitrate", "Streams")
@@ -58,12 +69,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	var all []telemetry.StreamSummary
-	for _, m := range experiment.EligibleStreams(res, experiment.AllPaths) {
-		all = append(all, m...)
-	}
-	if err := telemetry.WriteSummariesCSV(f, all); err != nil {
+	if err := telemetry.WriteSummariesCSV(f, eligible); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %d stream summaries to tournament_streams.csv", len(all))
+	log.Printf("wrote %d stream summaries to tournament_streams.csv", len(eligible))
 }

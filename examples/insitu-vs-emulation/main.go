@@ -56,7 +56,7 @@ func main() {
 	emu := trainIn("emulation", "emulation", 10)
 
 	log.Println("deploying both on real-world (heavy-tailed) paths...")
-	res, err := puffer.RunExperiment(puffer.Config{
+	acc, err := puffer.RunExperiment(puffer.Config{
 		Env: puffer.DefaultEnv(),
 		Schemes: []puffer.Scheme{
 			{Name: "Fugu (in situ)", New: func() puffer.Algorithm {
@@ -75,7 +75,7 @@ func main() {
 	}
 
 	fmt.Printf("%-18s %22s %10s\n", "Scheme", "Stalled% [95% CI]", "SSIM")
-	for _, r := range puffer.Analyze(res, puffer.AllPaths, 22) {
+	for _, r := range acc.Analyze(22) {
 		fmt.Printf("%-18s %7.3f%% [%.3f, %.3f] %7.2f dB\n",
 			r.Name, 100*r.StallRatio.Point, 100*r.StallRatio.Lo, 100*r.StallRatio.Hi, r.SSIM.Point)
 	}

@@ -47,7 +47,7 @@ func main() {
 
 	// 3. Race Fugu against BBA in a blinded randomized trial.
 	log.Printf("running a %d-session randomized trial: Fugu vs BBA...", exscale.Scaled(200))
-	res, err := puffer.RunExperiment(puffer.Config{
+	acc, err := puffer.RunExperiment(puffer.Config{
 		Env: env,
 		Schemes: []puffer.Scheme{
 			{Name: "Fugu", New: func() puffer.Algorithm { return puffer.NewFugu(ttp) }},
@@ -62,7 +62,7 @@ func main() {
 
 	// 4. Report, with bootstrap confidence intervals.
 	fmt.Printf("%-8s %22s %24s %10s\n", "Scheme", "Stalled% [95% CI]", "SSIM dB [95% CI]", "Streams")
-	for _, r := range puffer.Analyze(res, puffer.AllPaths, 4) {
+	for _, r := range acc.Analyze(4) {
 		fmt.Printf("%-8s %7.3f%% [%.3f, %.3f] %7.2f dB [%.2f, %.2f] %9d\n",
 			r.Name, 100*r.StallRatio.Point, 100*r.StallRatio.Lo, 100*r.StallRatio.Hi,
 			r.SSIM.Point, r.SSIM.Lo, r.SSIM.Hi, r.Considered)

@@ -18,14 +18,13 @@ import (
 
 	"puffer"
 	"puffer/examples/internal/exscale"
-	"puffer/internal/experiment"
 	"puffer/internal/stats"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.Println("simulating a BBA arm to get realistic stream behavior...")
-	res, err := puffer.RunExperiment(puffer.Config{
+	acc, err := puffer.RunExperiment(puffer.Config{
 		Env:      puffer.DefaultEnv(),
 		Schemes:  []puffer.Scheme{{Name: "BBA", New: puffer.NewBBA}},
 		Sessions: exscale.Scaled(500),
@@ -34,12 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pool []stats.StreamPoint
-	for _, ss := range experiment.EligibleStreams(res, experiment.AllPaths) {
-		for _, s := range ss {
-			pool = append(pool, stats.StreamPoint{Watch: s.WatchTime(), Stall: s.StallTime})
-		}
-	}
+	pool := acc.Schemes["BBA"].Points.Points
 	log.Printf("pool: %d streams, aggregate stall ratio %.4f%%", len(pool), 100*stats.StallRatio(pool))
 
 	rng := rand.New(rand.NewSource(32))

@@ -28,7 +28,7 @@ func BenchmarkDistDay(b *testing.B) {
 			trial := testTrial(sp, 0, model)
 			col := experiment.NewDatasetCollector()
 			trial.Recorder = col
-			if _, err := trial.RunSharded(sp.ShardSize, workers); err != nil {
+			if _, err := trial.RunSharded(sp.ShardSize, workers, experiment.AllPaths); err != nil {
 				b.Fatal(err)
 			}
 			col.Dataset()

@@ -58,10 +58,10 @@ func (a *SchemeAcc) Merge(b *SchemeAcc) {
 	a.BrN += b.BrN
 }
 
-// TrialAcc accumulates per-scheme analysis state for one analysis filter.
-// It is the streaming replacement for materializing a whole *Result: fold
-// sessions in with AddSession, merge shards with Merge, and call Analyze
-// once at the end.
+// TrialAcc accumulates per-scheme analysis state for one analysis filter:
+// fold sessions in with AddSession, merge shards with Merge, and call
+// Analyze once at the end. It is what every trial returns; no engine keeps
+// a whole day of sessions.
 type TrialAcc struct {
 	Filter  AnalysisFilter
 	Schemes map[string]*SchemeAcc
@@ -201,6 +201,11 @@ func (t *TrialAcc) Analyze(seed int64) []SchemeStats {
 	return out
 }
 
+// DefaultShardSize is the sessions-per-shard every engine uses when none is
+// given. Shard boundaries fix the merge order of the running sums, so the
+// scenario spec's default, the runner's and the fleet engine's all read it.
+const DefaultShardSize = 64
+
 // NumShards returns the shard count for n sessions at the given shard size.
 func NumShards(n, shardSize int) int {
 	return (n + shardSize - 1) / shardSize
@@ -252,10 +257,18 @@ func (cfg *Config) FoldShard(lo, hi int, filter AnalysisFilter) *TrialAcc {
 // merge in shard order so the aggregate is independent of scheduling.
 // Shard boundaries and fold order come from ShardRange/FoldShard, the
 // canonical aggregation the fleet and dist engines replicate for
-// byte-identical pooled stats. workers <= 0 means GOMAXPROCS.
-func (cfg *Config) RunSharded(shardSize, workers int) (*TrialAcc, error) {
+// byte-identical pooled stats. filter selects the streams the accumulator
+// keeps (AllPaths, or SlowPaths for the Figure 8 right-hand panel).
+// workers <= 0 means GOMAXPROCS.
+func (cfg *Config) RunSharded(shardSize, workers int, filter AnalysisFilter) (*TrialAcc, error) {
 	if len(cfg.Schemes) == 0 {
 		return nil, fmt.Errorf("experiment: no schemes configured")
+	}
+	if cfg.Sessions <= 0 {
+		return nil, fmt.Errorf("experiment: Sessions = %d, must be positive", cfg.Sessions)
+	}
+	if shardSize <= 0 {
+		return nil, fmt.Errorf("experiment: shard size = %d, must be positive", shardSize)
 	}
 	nShards := NumShards(cfg.Sessions, shardSize)
 	if workers <= 0 {
@@ -273,7 +286,7 @@ func (cfg *Config) RunSharded(shardSize, workers int) (*TrialAcc, error) {
 			defer wg.Done()
 			for s := range shards {
 				lo, hi := ShardRange(cfg.Sessions, shardSize, s)
-				accs[s] = cfg.FoldShard(lo, hi, AllPaths)
+				accs[s] = cfg.FoldShard(lo, hi, filter)
 			}
 		}()
 	}
@@ -283,7 +296,7 @@ func (cfg *Config) RunSharded(shardSize, workers int) (*TrialAcc, error) {
 	close(shards)
 	wg.Wait()
 
-	total := NewTrialAcc(AllPaths)
+	total := NewTrialAcc(filter)
 	for _, acc := range accs {
 		total.Merge(acc)
 	}

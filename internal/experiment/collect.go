@@ -56,18 +56,20 @@ func (c *DatasetCollector) Merge(other *core.Dataset, keyOffset int) {
 // CollectDataset runs sessions randomized across the behavior schemes in
 // env and returns the telemetry dataset — how Fugu's training data is
 // gathered "in situ" (from the deployment's own mixture of traffic) or
-// "in emulation" (from EmulationEnv).
+// "in emulation" (from EmulationEnv). The collector is keyed by stream, so
+// the dataset does not depend on how sessions are sharded; one-session
+// shards keep every worker busy on small collections.
 func CollectDataset(env Env, schemes []Scheme, sessions int, seed int64, day int) (*core.Dataset, error) {
 	col := NewDatasetCollector()
-	_, err := Run(Config{
+	cfg := Config{
 		Env:      env,
 		Schemes:  schemes,
 		Sessions: sessions,
 		Seed:     seed,
 		Day:      day,
 		Recorder: col,
-	})
-	if err != nil {
+	}
+	if _, err := cfg.RunSharded(1, 0, AllPaths); err != nil {
 		return nil, err
 	}
 	return col.Dataset(), nil

@@ -17,15 +17,16 @@
 //
 //   - Env: the world a session runs in (paths, channels, ladder, viewer
 //     model); DefaultEnv is the deployment, EmulationEnv the §5.2 testbed.
-//   - Run with a Config: a randomized controlled trial over Schemes;
-//     Config.RunOne simulates a single session for shard-level callers.
-//   - Analyze / SchemeStats: per-scheme statistics with bootstrap CIs;
-//     AnalysisFilter selects the Figure 8 slow-path panel; Consort is the
-//     Figure A1 accounting; EligibleStreams / SessionDurations feed the
-//     CCDF figures.
+//   - Config.RunSharded: a randomized controlled trial over Schemes,
+//     sharded across a worker pool, returning the merged TrialAcc — the one
+//     way a trial runs. Config.RunOne / FoldShard / FoldShards are its
+//     session and shard units for engines that schedule sessions themselves.
 //   - SchemeAcc / TrialAcc: mergeable accumulators — fold sessions in,
-//     merge shards in order, bootstrap once on the merged state; Analyze
-//     is a thin wrapper over them.
+//     merge shards in order, bootstrap once on the merged state.
+//     TrialAcc.Analyze yields the SchemeStats rows (bootstrap CIs and the
+//     Figure A1 CONSORT counters); AnalysisFilter selects the Figure 8
+//     slow-path panel; the per-scheme series (Points, Duration) feed the
+//     CCDF and power figures.
 //   - Recorder / DatasetCollector / CollectDataset: the telemetry hook
 //     that gathers TTP training data from a trial.
 //   - RunSessionHooked: the bare session loop; DecideHook / RunOneHooked:

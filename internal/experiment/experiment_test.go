@@ -8,6 +8,7 @@ import (
 
 	"puffer/internal/abr"
 	"puffer/internal/core"
+	"puffer/internal/stats"
 	"puffer/internal/telemetry"
 )
 
@@ -60,30 +61,33 @@ func TestRunParallelDeterministic(t *testing.T) {
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme(), mpcScheme()},
 		Sessions: 30, Seed: 42,
 	}
-	cfg.Workers = 1
-	serial, err := Run(cfg)
+	serial, err := cfg.RunSharded(4, 1, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
-	parallel, err := Run(cfg)
+	parallel, err := cfg.RunSharded(4, 8, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial.Sessions {
-		a, b := serial.Sessions[i], parallel.Sessions[i]
-		if a.Scheme != b.Scheme || a.Duration != b.Duration || len(a.Streams) != len(b.Streams) {
-			t.Fatalf("session %d differs between 1 and 8 workers: %+v vs %+v", i, a, b)
-		}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("accumulators differ between 1 and 8 workers:\n%+v\nvs\n%+v", serial, parallel)
 	}
 }
 
 func TestRunValidatesConfig(t *testing.T) {
-	if _, err := Run(Config{Env: DefaultEnv(), Sessions: 5}); err == nil {
-		t.Fatal("expected error for no schemes")
-	}
-	if _, err := Run(Config{Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()}, Sessions: 0}); err == nil {
-		t.Fatal("expected error for zero sessions")
+	for _, c := range []struct {
+		name      string
+		cfg       Config
+		shardSize int
+	}{
+		{"no schemes", Config{Env: DefaultEnv(), Sessions: 5}, DefaultShardSize},
+		{"zero sessions", Config{Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()}}, DefaultShardSize},
+		{"zero shard size", Config{Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()}, Sessions: 5}, 0},
+		{"negative shard size", Config{Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()}, Sessions: 5}, -1},
+	} {
+		if _, err := c.cfg.RunSharded(c.shardSize, 1, AllPaths); err == nil {
+			t.Errorf("%s: expected an error", c.name)
+		}
 	}
 }
 
@@ -92,17 +96,16 @@ func TestRandomizationRoughlyBalanced(t *testing.T) {
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme(), mpcScheme()},
 		Sessions: 200, Seed: 7,
 	}
-	res, err := Run(cfg)
+	acc, err := cfg.RunSharded(DefaultShardSize, 0, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, s := range res.Sessions {
-		counts[s.Scheme]++
+	if len(acc.Schemes) != 2 {
+		t.Fatalf("got %d arms, want 2", len(acc.Schemes))
 	}
-	for name, n := range counts {
-		if n < 60 || n > 140 {
-			t.Fatalf("scheme %s got %d of 200 sessions — randomization skewed", name, n)
+	for name, a := range acc.Schemes {
+		if a.Sessions < 60 || a.Sessions > 140 {
+			t.Fatalf("scheme %s got %d of 200 sessions — randomization skewed", name, a.Sessions)
 		}
 	}
 }
@@ -112,11 +115,11 @@ func TestAnalyzeProducesSaneStats(t *testing.T) {
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()},
 		Sessions: 120, Seed: 11,
 	}
-	res, err := Run(cfg)
+	acc, err := cfg.RunSharded(DefaultShardSize, 0, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Analyze(res, AllPaths, 1)
+	st := acc.Analyze(1)
 	if len(st) != 1 {
 		t.Fatalf("got %d scheme rows", len(st))
 	}
@@ -149,26 +152,40 @@ func TestSlowPathFilterSelectsSlowStreams(t *testing.T) {
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()},
 		Sessions: 150, Seed: 13,
 	}
-	res, err := Run(cfg)
+	sessions := make([]SessionResult, cfg.Sessions)
+	var want []stats.StreamPoint
+	for id := range sessions {
+		sessions[id] = cfg.RunOne(id)
+		for _, s := range sessions[id].Streams {
+			if s.Eligible() && s.SlowPath() {
+				want = append(want, stats.StreamPoint{Watch: s.WatchTime(), Stall: s.StallTime})
+			}
+		}
+	}
+	get := func(id int) *SessionResult { return &sessions[id] }
+	all := FoldShards(cfg.Sessions, 16, AllPaths, get)
+	slow := FoldShards(cfg.Sessions, 16, SlowPaths, get)
+	got := slow.Schemes["BBA"].Points.Points
+	if len(got) == 0 {
+		t.Fatal("no slow-path streams sampled")
+	}
+	if len(got) >= all.Schemes["BBA"].Points.Len() {
+		t.Fatal("slow filter did not reduce the set")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slow filter kept %d streams, want exactly the %d eligible slow-path ones", len(got), len(want))
+	}
+	// RunSharded applies the filter it is given.
+	sharded, err := cfg.RunSharded(16, 2, SlowPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := EligibleStreams(res, AllPaths)["BBA"]
-	slow := EligibleStreams(res, SlowPaths)["BBA"]
-	if len(slow) == 0 {
-		t.Fatal("no slow-path streams sampled")
-	}
-	if len(slow) >= len(all) {
-		t.Fatal("slow filter did not reduce the set")
-	}
-	for _, s := range slow {
-		if !s.SlowPath() {
-			t.Fatalf("non-slow stream passed the filter: %v", s.PathMeanRate)
-		}
+	if !reflect.DeepEqual(sharded, slow) {
+		t.Fatal("RunSharded(SlowPaths) differs from the slow-path fold")
 	}
 	// Slow paths should have lower SSIM and more stalling, as in Fig. 8.
-	stAll := Analyze(res, AllPaths, 1)[0]
-	stSlow := Analyze(res, SlowPaths, 1)[0]
+	stAll := all.Analyze(1)[0]
+	stSlow := slow.Analyze(1)[0]
 	if stSlow.SSIM.Point >= stAll.SSIM.Point {
 		t.Fatalf("slow-path SSIM %v not below overall %v", stSlow.SSIM.Point, stAll.SSIM.Point)
 	}
@@ -179,11 +196,11 @@ func TestConsortAccounting(t *testing.T) {
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme(), mpcScheme()},
 		Sessions: 100, Seed: 17,
 	}
-	res, err := Run(cfg)
+	acc, err := cfg.RunSharded(DefaultShardSize, 0, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms := Consort(res)
+	arms := acc.Analyze(0)
 	if len(arms) != 2 {
 		t.Fatalf("got %d arms", len(arms))
 	}
@@ -191,15 +208,15 @@ func TestConsortAccounting(t *testing.T) {
 	for _, a := range arms {
 		totalSessions += a.Sessions
 		if a.Streams < a.Sessions {
-			t.Fatalf("%s: fewer streams than sessions", a.Scheme)
+			t.Fatalf("%s: fewer streams than sessions", a.Name)
 		}
 		if a.Considered+a.NeverPlayed+a.ShortWatch+a.BadDecoder != a.Streams {
-			t.Fatalf("%s: exclusions do not add up", a.Scheme)
+			t.Fatalf("%s: exclusions do not add up", a.Name)
 		}
 		// Channel zapping must generate a meaningful excluded fraction,
 		// as in Figure A1 where ~60% of streams are excluded.
 		if a.NeverPlayed+a.ShortWatch == 0 {
-			t.Fatalf("%s: no browse-phase exclusions at all", a.Scheme)
+			t.Fatalf("%s: no browse-phase exclusions at all", a.Name)
 		}
 	}
 	if totalSessions != 100 {
@@ -207,19 +224,24 @@ func TestConsortAccounting(t *testing.T) {
 	}
 }
 
+// TestSessionDurations: an arm's Duration series holds one value per
+// session, in session-id order across shards.
 func TestSessionDurations(t *testing.T) {
 	cfg := Config{Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()}, Sessions: 40, Seed: 19}
-	res, err := Run(cfg)
+	acc, err := cfg.RunSharded(8, 0, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	durs := SessionDurations(res)["BBA"]
+	durs := acc.Schemes["BBA"].Duration.Values
 	if len(durs) != 40 {
 		t.Fatalf("got %d durations", len(durs))
 	}
-	for _, d := range durs {
+	for id, d := range durs {
 		if d <= 0 || math.IsNaN(d) {
 			t.Fatalf("bad duration %v", d)
+		}
+		if want := cfg.RunOne(id).Duration; d != want {
+			t.Fatalf("duration %d = %v, want session %d's %v", id, d, id, want)
 		}
 	}
 }
@@ -273,11 +295,12 @@ func TestFuguEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	fugu := Scheme{Name: "Fugu", New: func() abr.Algorithm { return core.NewFugu(ttp) }}
-	res, err := Run(Config{Env: env, Schemes: []Scheme{fugu}, Sessions: 30, Seed: 37})
+	trial := Config{Env: env, Schemes: []Scheme{fugu}, Sessions: 30, Seed: 37}
+	acc, err := trial.RunSharded(DefaultShardSize, 0, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Analyze(res, AllPaths, 1)
+	st := acc.Analyze(1)
 	if st[0].Considered == 0 {
 		t.Fatal("Fugu produced no considered streams")
 	}
@@ -345,7 +368,7 @@ func TestBootstrapSeedIndependentOfNameLength(t *testing.T) {
 // fix, because their resampling RNGs were the same).
 func TestAnalyzeEqualLengthSchemesBootstrapIndependently(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	res := &Result{}
+	acc := NewTrialAcc(AllPaths)
 	for i := 0; i < 40; i++ {
 		// One eligible stream per session with stream-correlated stalls so
 		// resampling has variance to express.
@@ -354,13 +377,13 @@ func TestAnalyzeEqualLengthSchemesBootstrapIndependently(t *testing.T) {
 			Chunks: 30, SSIMMean: 14, MeanBitrate: 4e6, PathMeanRate: 8e6,
 		}
 		for _, name := range []string{"AAA", "BBB"} {
-			res.Sessions = append(res.Sessions, SessionResult{
+			acc.AddSession(&SessionResult{
 				SessionID: i, Scheme: name, Duration: 300,
 				Streams: []telemetry.StreamSummary{stream},
 			})
 		}
 	}
-	st := Analyze(res, AllPaths, 7)
+	st := acc.Analyze(7)
 	if len(st) != 2 {
 		t.Fatalf("got %d scheme rows", len(st))
 	}
@@ -380,49 +403,36 @@ func TestAnalyzeAggregatesByteIdenticalAcrossWorkers(t *testing.T) {
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme(), mpcScheme()},
 		Sessions: 60, Seed: 77,
 	}
-	cfg.Workers = 1
-	serial, err := Run(cfg)
+	serial, err := cfg.RunSharded(4, 1, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
-	parallel, err := Run(cfg)
+	parallel, err := cfg.RunSharded(4, 8, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Analyze(serial, AllPaths, 3)
-	b := Analyze(parallel, AllPaths, 3)
+	a := serial.Analyze(3)
+	b := parallel.Analyze(3)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("aggregates differ between 1 and 8 workers:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
 // TestTrialAccMergeMatchesAnalyze: folding sessions through sharded
-// accumulators and merging in shard order must reproduce Analyze exactly.
+// accumulators and merging in shard order must reproduce the one-shard
+// fold's analysis exactly.
 func TestTrialAccMergeMatchesAnalyze(t *testing.T) {
 	cfg := Config{
 		Env: DefaultEnv(), Schemes: []Scheme{bbaScheme(), mpcScheme()},
 		Sessions: 50, Seed: 99,
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	sessions := make([]SessionResult, cfg.Sessions)
+	for id := range sessions {
+		sessions[id] = cfg.RunOne(id)
 	}
-	want := Analyze(res, AllPaths, 5)
-
-	total := NewTrialAcc(AllPaths)
-	for at := 0; at < len(res.Sessions); at += 16 {
-		end := at + 16
-		if end > len(res.Sessions) {
-			end = len(res.Sessions)
-		}
-		shard := NewTrialAcc(AllPaths)
-		for i := at; i < end; i++ {
-			shard.AddSession(&res.Sessions[i])
-		}
-		total.Merge(shard)
-	}
-	got := total.Analyze(5)
+	get := func(id int) *SessionResult { return &sessions[id] }
+	want := FoldShards(cfg.Sessions, cfg.Sessions, AllPaths, get).Analyze(5)
+	got := FoldShards(cfg.Sessions, 16, AllPaths, get).Analyze(5)
 	if len(got) != len(want) {
 		t.Fatalf("scheme counts differ: %d vs %d", len(got), len(want))
 	}
@@ -437,7 +447,7 @@ func TestTrialAccMergeMatchesAnalyze(t *testing.T) {
 		}
 		g.SSIMVar, g.MeanBitrate = w.SSIMVar, w.MeanBitrate
 		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("sharded accumulation differs from Analyze:\n%+v\nvs\n%+v", g, w)
+			t.Fatalf("sharded accumulation differs from the one-shard fold:\n%+v\nvs\n%+v", g, w)
 		}
 	}
 }
@@ -489,11 +499,11 @@ func TestMixSpreadsSeeds(t *testing.T) {
 func TestStartupDelayPlausible(t *testing.T) {
 	// Figure 9: startup delays are around half a second.
 	cfg := Config{Env: DefaultEnv(), Schemes: []Scheme{bbaScheme()}, Sessions: 80, Seed: 43}
-	res, err := Run(cfg)
+	acc, err := cfg.RunSharded(DefaultShardSize, 0, AllPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Analyze(res, AllPaths, 1)[0]
+	st := acc.Analyze(1)[0]
 	if st.MeanStartup.Point < 0.05 || st.MeanStartup.Point > 5 {
 		t.Fatalf("mean startup %v s implausible", st.MeanStartup.Point)
 	}

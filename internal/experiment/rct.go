@@ -1,15 +1,11 @@
 package experiment
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"puffer/internal/abr"
 	"puffer/internal/stats"
-	"puffer/internal/telemetry"
 )
 
 // Scheme pairs a name with a factory producing fresh per-session algorithm
@@ -26,8 +22,6 @@ type Config struct {
 	// Sessions is the total number of sessions randomized across schemes.
 	Sessions int
 	Seed     int64
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Day stamps collected telemetry (for training windows).
 	Day int
 	// Recorder, if set, observes every sent chunk. Must be safe for
@@ -35,55 +29,11 @@ type Config struct {
 	Recorder Recorder
 }
 
-// Result holds every session of a trial.
-type Result struct {
-	Sessions []SessionResult
-}
-
-// Run executes the trial: sessions are assigned to schemes by blinded
-// randomization (the first draw of each session's own deterministic RNG),
-// and simulated in parallel. Results are deterministic for a given Config
-// regardless of scheduling.
-func Run(cfg Config) (*Result, error) {
-	if len(cfg.Schemes) == 0 {
-		return nil, fmt.Errorf("experiment: no schemes configured")
-	}
-	if cfg.Sessions <= 0 {
-		return nil, fmt.Errorf("experiment: Sessions = %d, must be positive", cfg.Sessions)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Sessions {
-		workers = cfg.Sessions
-	}
-
-	results := make([]SessionResult, cfg.Sessions)
-	var wg sync.WaitGroup
-	ids := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ids {
-				results[id] = cfg.RunOne(id)
-			}
-		}()
-	}
-	for id := 0; id < cfg.Sessions; id++ {
-		ids <- id
-	}
-	close(ids)
-	wg.Wait()
-	return &Result{Sessions: results}, nil
-}
-
 // RunOne simulates session `id` of the trial: the session's own
 // deterministic RNG makes the blinded arm assignment as its first draw, then
 // drives the simulation. Results depend only on (Config, id), so callers may
-// run ids in any order or partition — the sharded runner uses this to fold
-// sessions into per-shard accumulators without materializing a full Result.
+// run ids in any order or partition — RunSharded and the other engines fold
+// sessions into per-shard accumulators and never keep a whole day.
 func (cfg *Config) RunOne(id int) SessionResult {
 	return cfg.RunOneHooked(id, nil)
 }
@@ -164,69 +114,3 @@ const (
 	// 6 Mbit/s, the Figure 8 right-hand panel.
 	SlowPaths
 )
-
-// Analyze computes per-scheme statistics from a trial result. Bootstrap
-// uses the given seed so analyses are reproducible. It is a thin wrapper
-// over the mergeable-accumulator path: fold every session into a TrialAcc,
-// then merge-then-bootstrap.
-func Analyze(res *Result, filter AnalysisFilter, seed int64) []SchemeStats {
-	t := NewTrialAcc(filter)
-	for i := range res.Sessions {
-		t.AddSession(&res.Sessions[i])
-	}
-	return t.Analyze(seed)
-}
-
-// SessionDurations returns per-scheme session durations (seconds) for CCDF
-// plots (Figure 10).
-func SessionDurations(res *Result) map[string][]float64 {
-	out := map[string][]float64{}
-	for _, s := range res.Sessions {
-		out[s.Scheme] = append(out[s.Scheme], s.Duration)
-	}
-	return out
-}
-
-// EligibleStreams returns the considered streams per scheme.
-func EligibleStreams(res *Result, filter AnalysisFilter) map[string][]telemetry.StreamSummary {
-	out := map[string][]telemetry.StreamSummary{}
-	for _, sess := range res.Sessions {
-		for _, s := range sess.Streams {
-			if !s.Eligible() {
-				continue
-			}
-			if filter == SlowPaths && !s.SlowPath() {
-				continue
-			}
-			out[sess.Scheme] = append(out[sess.Scheme], s)
-		}
-	}
-	return out
-}
-
-// ConsortArm is one column of the Figure A1 CONSORT flow diagram.
-type ConsortArm struct {
-	Scheme      string
-	Sessions    int
-	Streams     int
-	NeverPlayed int
-	ShortWatch  int
-	BadDecoder  int
-	Considered  int
-	WatchYears  float64
-}
-
-// Consort summarizes the experimental flow per arm.
-func Consort(res *Result) []ConsortArm {
-	st := Analyze(res, AllPaths, 0)
-	out := make([]ConsortArm, len(st))
-	for i, s := range st {
-		out[i] = ConsortArm{
-			Scheme: s.Name, Sessions: s.Sessions, Streams: s.Streams,
-			NeverPlayed: s.NeverPlayed, ShortWatch: s.ShortWatch,
-			BadDecoder: s.BadDecoder, Considered: s.Considered,
-			WatchYears: s.WatchYears,
-		}
-	}
-	return out
-}

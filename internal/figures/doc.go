@@ -13,10 +13,17 @@
 //     runner's two-day loop (figures and the daily loop share one engine),
 //     and trains the Pensieve policy. Individual figures then run their
 //     experiments on demand and cache what they share.
+//   - Primary: the primary randomized trial, run once through
+//     experiment.Config.RunSharded and kept as its merged TrialAcc; every
+//     trial a figure runs goes through the same call.
 //   - Fig1/Fig4/Fig8/Fig9/Fig10/FigA1/Sec34: the primary randomized-trial
-//     readouts. Fig2/Fig3/Fig5: the substrate characterizations. Fig7: the
-//     TTP ablations. Fig11: emulation-vs-deployment. Sec46: the stationary
-//     staleness check. Sec53: the power analysis.
+//     readouts, read off the accumulator (TrialAcc.Analyze for CIs and
+//     CONSORT counters, the per-arm Duration series for Fig10); Fig8's
+//     slow-path panel reruns the trial with the SlowPaths filter. Sec53:
+//     the power analysis, resampling every arm's stream points pooled in
+//     scheme-name order. Fig2/Fig3/Fig5: the substrate characterizations.
+//     Fig7: the TTP ablations. Fig11: emulation-vs-deployment. Sec46: the
+//     stationary staleness check.
 //   - FigDrift: the nonstationary extension of Sec46 — the staleness
 //     ablation under a drifting path population, where the
 //     frozen-vs-retrained stall gap widens day over day instead of tying.

@@ -8,7 +8,6 @@ import (
 	"puffer/internal/abr"
 	"puffer/internal/core"
 	"puffer/internal/experiment"
-	"puffer/internal/pensieve"
 	"puffer/internal/stats"
 )
 
@@ -35,52 +34,40 @@ func (s *Suite) Fig11(w io.Writer) (*Fig11Result, error) {
 	if sessions < 200 {
 		sessions = 200
 	}
-	schemes := func(emuFugu bool) []experiment.Scheme {
-		policy := s.Policy.Policy()
-		out := []experiment.Scheme{
-			{Name: "Fugu", New: func() abr.Algorithm { return core.NewFugu(s.InSituTTP) }},
-			{Name: "MPC-HM", New: func() abr.Algorithm { return abr.NewMPCHM() }},
-			{Name: "RobustMPC-HM", New: func() abr.Algorithm { return abr.NewRobustMPCHM() }},
-			{Name: "Pensieve", New: func() abr.Algorithm { return pensieve.NewAgent(policy) }},
-			{Name: "BBA", New: func() abr.Algorithm { return abr.NewBBA() }},
-		}
-		if emuFugu {
-			out = append(out, experiment.Scheme{
-				Name: "Emulation-trained Fugu",
-				New:  func() abr.Algorithm { return core.NewFuguNamed("Emulation-trained Fugu", s.EmuTTP) },
-			})
-		}
-		return out
-	}
+	primary := s.PrimarySchemes()
+	withEmuFugu := append(primary[:len(primary):len(primary)], experiment.Scheme{
+		Name: "Emulation-trained Fugu",
+		New:  func() abr.Algorithm { return core.NewFuguNamed("Emulation-trained Fugu", s.EmuTTP) },
+	})
 
 	if s.emulation == nil {
 		s.Logf("running emulation experiment (%d sessions)...", sessions)
-		emuRes, err := experiment.Run(experiment.Config{
+		emu, err := runTrial(experiment.Config{
 			Env:      experiment.EmulationEnv(),
-			Schemes:  schemes(false),
+			Schemes:  primary,
 			Sessions: sessions,
 			Seed:     s.Seed + 500,
-		})
+		}, experiment.AllPaths)
 		if err != nil {
 			return nil, err
 		}
-		s.emulation = emuRes
+		s.emulation = emu
 	}
 
 	s.Logf("running deployment experiment with emulation-trained Fugu (%d sessions)...", sessions)
-	realRes, err := experiment.Run(experiment.Config{
+	deployed, err := runTrial(experiment.Config{
 		Env:      experiment.DefaultEnv(),
-		Schemes:  schemes(true),
+		Schemes:  withEmuFugu,
 		Sessions: sessions,
 		Seed:     s.Seed + 501,
-	})
+	}, experiment.AllPaths)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &Fig11Result{
-		Emulation: orderStats(experiment.Analyze(s.emulation, experiment.AllPaths, s.Seed+502), fig11Order),
-		Real:      orderStats(experiment.Analyze(realRes, experiment.AllPaths, s.Seed+503), fig11Order),
+		Emulation: orderStats(s.emulation.Analyze(s.Seed+502), fig11Order),
+		Real:      orderStats(deployed.Analyze(s.Seed+503), fig11Order),
 	}
 
 	// Right panel: the two worlds' throughput distributions.

@@ -2,9 +2,10 @@ package figures
 
 import (
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 
-	"puffer/internal/experiment"
 	"puffer/internal/stats"
 )
 
@@ -15,22 +16,24 @@ type Sec53Row struct {
 	DetectionRate    float64
 }
 
+// sec53Sizes are the per-scheme sample sizes Sec53 tries, smallest first; it
+// stops at the first that detects the effect almost surely.
+var sec53Sizes = []int{1000, 4000, 16000, 64000, 256000}
+
 // Sec53 reproduces §5.3's calculation: with realistic heavy-tailed stream
 // behavior, how much data does it take to reliably distinguish two ABR
 // schemes whose true stall ratios differ by 15%? The paper's answer is
 // about two stream-years per scheme.
 func (s *Suite) Sec53(w io.Writer) ([]Sec53Row, error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	// Empirical stream behavior from the primary experiment's largest arm.
-	streams := experiment.EligibleStreams(res, experiment.AllPaths)
+	// Empirical stream behavior: every arm's considered streams, pooled in
+	// scheme-name order so the resampling draws are reproducible.
 	var pool []stats.StreamPoint
-	for _, ss := range streams {
-		for _, st := range ss {
-			pool = append(pool, stats.StreamPoint{Watch: st.WatchTime(), Stall: st.StallTime})
-		}
+	for _, name := range slices.Sorted(maps.Keys(acc.Schemes)) {
+		pool = append(pool, acc.Schemes[name].Points.Points...)
 	}
 	if len(pool) == 0 {
 		return nil, errString("figures: no eligible streams for power analysis")
@@ -49,12 +52,11 @@ func (s *Suite) Sec53(w io.Writer) ([]Sec53Row, error) {
 	cfg := stats.PowerConfig{Effect: 0.15, Trials: 25, BootstrapIters: 150, Conf: 0.95}
 	rng := rand.New(rand.NewSource(s.Seed + 600))
 
-	sizes := []int{1000, 4000, 16000, 64000, 256000}
-	rows := make([]Sec53Row, 0, len(sizes))
+	rows := make([]Sec53Row, 0, len(sec53Sizes))
 	var werr error
 	line(w, &werr, "Section 5.3: power to distinguish two schemes differing by 15%% in stall ratio\n")
 	line(w, &werr, "%-18s %14s %16s\n", "Streams/scheme", "Stream-years", "Detection rate")
-	for _, n := range sizes {
+	for _, n := range sec53Sizes {
 		rate := stats.DetectionRate(rng, cfg, n, draw)
 		years := float64(n) * meanWatch / (365.25 * 24 * 3600)
 		rows = append(rows, Sec53Row{StreamsPerScheme: n, StreamYears: years, DetectionRate: rate})

@@ -39,11 +39,11 @@ func orderStats(rows []experiment.SchemeStats, order []string) []experiment.Sche
 // SSIM, SSIM variation, and mean time on site per scheme. It returns the
 // rows for programmatic assertions.
 func (s *Suite) Fig1(w io.Writer) ([]experiment.SchemeStats, error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	rows := orderStats(experiment.Analyze(res, experiment.AllPaths, s.Seed+100), primaryOrder)
+	rows := orderStats(acc.Analyze(s.Seed+100), primaryOrder)
 	var werr error
 	line(w, &werr, "Figure 1: Results of primary experiment (%d sessions randomized)\n", s.Scale)
 	line(w, &werr, "%-14s %13s %10s %15s %14s\n", "Algorithm", "Time stalled", "Mean SSIM", "SSIM variation", "Mean duration")
@@ -57,11 +57,11 @@ func (s *Suite) Fig1(w io.Writer) ([]experiment.SchemeStats, error) {
 // Fig4 reproduces Figure 4: average SSIM vs average bitrate per scheme —
 // SSIM-optimizing schemes deliver more quality per byte.
 func (s *Suite) Fig4(w io.Writer) ([]experiment.SchemeStats, error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	rows := orderStats(experiment.Analyze(res, experiment.AllPaths, s.Seed+101), primaryOrder)
+	rows := orderStats(acc.Analyze(s.Seed+101), primaryOrder)
 	var werr error
 	line(w, &werr, "Figure 4: SSIM vs bitrate (quality per byte sent)\n")
 	line(w, &werr, "%-14s %16s %10s\n", "Algorithm", "Avg bitrate", "Avg SSIM")
@@ -74,12 +74,16 @@ func (s *Suite) Fig4(w io.Writer) ([]experiment.SchemeStats, error) {
 // Fig8 reproduces Figure 8: the main scatter (stall ratio vs SSIM with 95%
 // CIs) for all paths and for slow paths (< 6 Mbit/s mean delivery rate).
 func (s *Suite) Fig8(w io.Writer) (all, slow []experiment.SchemeStats, err error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, nil, err
 	}
-	all = orderStats(experiment.Analyze(res, experiment.AllPaths, s.Seed+102), primaryOrder)
-	slow = orderStats(experiment.Analyze(res, experiment.SlowPaths, s.Seed+103), primaryOrder)
+	slowAcc, err := s.runPrimary(&s.primarySlow, experiment.SlowPaths)
+	if err != nil {
+		return nil, nil, err
+	}
+	all = orderStats(acc.Analyze(s.Seed+102), primaryOrder)
+	slow = orderStats(slowAcc.Analyze(s.Seed+103), primaryOrder)
 	var werr error
 	write := func(title string, rows []experiment.SchemeStats) {
 		line(w, &werr, "%s\n", title)
@@ -98,11 +102,11 @@ func (s *Suite) Fig8(w io.Writer) (all, slow []experiment.SchemeStats, err error
 // Fig9 reproduces Figure 9: cold start — startup delay vs first-chunk SSIM.
 // Fugu's congestion-control bootstrap should buy initial quality.
 func (s *Suite) Fig9(w io.Writer) ([]experiment.SchemeStats, error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	rows := orderStats(experiment.Analyze(res, experiment.AllPaths, s.Seed+104), primaryOrder)
+	rows := orderStats(acc.Analyze(s.Seed+104), primaryOrder)
 	var werr error
 	line(w, &werr, "Figure 9: cold start (startup delay vs first-chunk quality)\n")
 	line(w, &werr, "%-14s %16s %22s\n", "Algorithm", "Startup delay", "First-chunk SSIM")
@@ -124,25 +128,26 @@ type Fig10Row struct {
 // The tail threshold plays the role of the paper's 2.5-hour mark (scaled to
 // this study's shorter absolute durations).
 func (s *Suite) Fig10(w io.Writer) ([]Fig10Row, error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	durs := experiment.SessionDurations(res)
 	// The paper's tail mark is the ~95th percentile of session duration;
-	// compute it over all schemes pooled.
+	// compute it over all schemes pooled. Each arm's durations are in
+	// session-id order.
 	var pooled []float64
-	for _, d := range durs {
-		pooled = append(pooled, d...)
+	for _, a := range acc.Schemes {
+		pooled = append(pooled, a.Duration.Values...)
 	}
 	tail := stats.Quantile(pooled, 0.95)
 
-	rows := make([]Fig10Row, 0, len(durs))
+	rows := make([]Fig10Row, 0, len(acc.Schemes))
 	for _, name := range primaryOrder {
-		d, ok := durs[name]
+		a, ok := acc.Schemes[name]
 		if !ok {
 			continue
 		}
+		d := a.Duration.Values
 		rows = append(rows, Fig10Row{
 			Scheme:       name,
 			MeanDuration: stats.MeanSE(d, 0.95),
@@ -159,13 +164,14 @@ func (s *Suite) Fig10(w io.Writer) ([]Fig10Row, error) {
 	return rows, werr
 }
 
-// FigA1 reproduces the CONSORT-style experimental-flow diagram of Figure A1.
-func (s *Suite) FigA1(w io.Writer) ([]experiment.ConsortArm, error) {
-	res, err := s.Primary()
+// FigA1 reproduces the CONSORT-style experimental-flow diagram of Figure A1
+// from the counters each arm's accumulator carries. Arms are in name order.
+func (s *Suite) FigA1(w io.Writer) ([]experiment.SchemeStats, error) {
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	arms := experiment.Consort(res)
+	arms := acc.Analyze(0)
 	totalSessions, totalStreams := 0, 0
 	for _, a := range arms {
 		totalSessions += a.Sessions
@@ -178,7 +184,7 @@ func (s *Suite) FigA1(w io.Writer) ([]experiment.ConsortArm, error) {
 		"Arm", "Sessions", "Streams", "NeverPlayed", "Watch<4s", "BadDecoder", "Considered", "WatchYears")
 	for _, a := range arms {
 		line(w, &werr, "%-14s %9d %8d %12d %9d %11d %11d %11.4f\n",
-			a.Scheme, a.Sessions, a.Streams, a.NeverPlayed, a.ShortWatch, a.BadDecoder, a.Considered, a.WatchYears)
+			a.Name, a.Sessions, a.Streams, a.NeverPlayed, a.ShortWatch, a.BadDecoder, a.Considered, a.WatchYears)
 	}
 	return arms, werr
 }
@@ -187,11 +193,11 @@ func (s *Suite) FigA1(w io.Writer) ([]experiment.ConsortArm, error) {
 // each scheme's 95% bootstrap CI on stall ratio (the paper reports +/-10-17%
 // at ~1.7 stream-years per scheme).
 func (s *Suite) Sec34(w io.Writer) (map[string]float64, error) {
-	res, err := s.Primary()
+	acc, err := s.Primary()
 	if err != nil {
 		return nil, err
 	}
-	rows := orderStats(experiment.Analyze(res, experiment.AllPaths, s.Seed+105), primaryOrder)
+	rows := orderStats(acc.Analyze(s.Seed+105), primaryOrder)
 	out := map[string]float64{}
 	var werr error
 	line(w, &werr, "Section 3.4: statistical uncertainty of stall-ratio estimates\n")

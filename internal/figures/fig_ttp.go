@@ -92,7 +92,7 @@ func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
 	if trial < 200 {
 		trial = 200
 	}
-	res, err := experiment.Run(experiment.Config{
+	acc, err := runTrial(experiment.Config{
 		Env: experiment.DefaultEnv(),
 		Schemes: []experiment.Scheme{
 			{Name: "Fugu-Feb", New: func() abr.Algorithm { return core.NewFuguNamed("Fugu-Feb", feb) }},
@@ -100,11 +100,11 @@ func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
 		},
 		Sessions: trial,
 		Seed:     s.Seed + 422,
-	})
+	}, experiment.AllPaths)
 	if err != nil {
 		return nil, err
 	}
-	st := experiment.Analyze(res, experiment.AllPaths, s.Seed+423)
+	st := acc.Analyze(s.Seed + 423)
 	if len(st) != 2 {
 		return nil, errTooFewArms
 	}

@@ -34,11 +34,12 @@ type Suite struct {
 	EmuTTP    *core.TTP
 	Policy    *pensieve.Agent
 
-	primary   *experiment.Result
-	emulation *experiment.Result
-	insituDat *core.Dataset
-	drift     []FigDriftRow
-	fleet     []FigFleetRow
+	primary     *experiment.TrialAcc // all paths
+	primarySlow *experiment.TrialAcc // slow paths only (Figure 8, right)
+	emulation   *experiment.TrialAcc
+	insituDat   *core.Dataset
+	drift       []FigDriftRow
+	fleet       []FigFleetRow
 }
 
 // DefaultScale is the default primary-experiment size in sessions.
@@ -147,23 +148,36 @@ func (s *Suite) PrimarySchemes() []experiment.Scheme {
 	}
 }
 
-// Primary runs (once) and returns the primary randomized experiment.
-func (s *Suite) Primary() (*experiment.Result, error) {
-	if s.primary != nil {
-		return s.primary, nil
+// Primary runs (once) and returns the primary randomized experiment: the
+// five arms on the deployment environment, folded over all paths.
+func (s *Suite) Primary() (*experiment.TrialAcc, error) {
+	return s.runPrimary(&s.primary, experiment.AllPaths)
+}
+
+// runPrimary runs the primary experiment with the given filter into *cache,
+// once. An accumulator holds one filter, so Figure 8's slow-path panel
+// reruns the sessions rather than keeping them.
+func (s *Suite) runPrimary(cache **experiment.TrialAcc, filter experiment.AnalysisFilter) (*experiment.TrialAcc, error) {
+	if *cache == nil {
+		s.Logf("running primary experiment (%d sessions, 5 schemes, filter %d)...", s.Scale, filter)
+		acc, err := runTrial(experiment.Config{
+			Env:      experiment.DefaultEnv(),
+			Schemes:  s.PrimarySchemes(),
+			Sessions: s.Scale,
+			Seed:     s.Seed + 10,
+		}, filter)
+		if err != nil {
+			return nil, err
+		}
+		*cache = acc
 	}
-	s.Logf("running primary experiment (%d sessions, 5 schemes)...", s.Scale)
-	res, err := experiment.Run(experiment.Config{
-		Env:      experiment.DefaultEnv(),
-		Schemes:  s.PrimarySchemes(),
-		Sessions: s.Scale,
-		Seed:     s.Seed + 10,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.primary = res
-	return res, nil
+	return *cache, nil
+}
+
+// runTrial runs a figure's trial on the session engine with the default
+// shards, on every core.
+func runTrial(cfg experiment.Config, filter experiment.AnalysisFilter) (*experiment.TrialAcc, error) {
+	return cfg.RunSharded(experiment.DefaultShardSize, 0, filter)
 }
 
 // line prints a formatted row to w, propagating the first write error via

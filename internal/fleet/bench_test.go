@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"puffer/internal/core"
+	"puffer/internal/experiment"
 	"puffer/internal/obs"
 )
 
@@ -49,7 +50,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := deployTrial(ttp, sessions, 77).RunSharded(shard, workers); err != nil {
+				if _, err := deployTrial(ttp, sessions, 77).RunSharded(shard, workers, experiment.AllPaths); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,7 +29,8 @@ var decisionNS = metrics.Default.Histogram(MetricDecisionNS)
 type Config struct {
 	// ShardSize replicates the session engine's aggregation shards so
 	// the pooled accumulator folds in exactly the same order (byte
-	// identity requires matching shard boundaries). Default (0): 64.
+	// identity requires matching shard boundaries). Default (0):
+	// experiment.DefaultShardSize.
 	ShardSize int
 	// Workers bounds how many parked sessions advance concurrently
 	// between inference flushes. Default (0): GOMAXPROCS.
@@ -202,7 +203,7 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 		return nil, nil, fmt.Errorf("fleet: Sessions = %d, must be positive", trial.Sessions)
 	}
 	if cfg.ShardSize <= 0 {
-		cfg.ShardSize = 64
+		cfg.ShardSize = experiment.DefaultShardSize
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

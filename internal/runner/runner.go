@@ -55,9 +55,9 @@ type Config struct {
 	// record differ.
 	Engine DayEngine
 	// ShardSize is how many sessions each worker-pool shard covers.
-	// Default (0): 64. Results are independent of ShardSize up to
-	// floating-point reassociation of two scalar means; fix it for
-	// bit-reproducibility.
+	// Default (0): experiment.DefaultShardSize. Results are independent of
+	// ShardSize up to floating-point reassociation of two scalar means; fix
+	// it for bit-reproducibility.
 	ShardSize int
 	// Seed makes the whole run deterministic. Default (0) is a valid seed.
 	Seed int64
@@ -114,7 +114,7 @@ func sessionEngine(_ int, trial *experiment.Config, _ *core.TTP, shardSize, work
 	_ func(string, ...any)) (*experiment.TrialAcc, *core.Dataset, *FleetDayStats, error) {
 	col := experiment.NewDatasetCollector()
 	trial.Recorder = col
-	acc, err := trial.RunSharded(shardSize, workers)
+	acc, err := trial.RunSharded(shardSize, workers, experiment.AllPaths)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -287,7 +287,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Env = experiment.DefaultEnv()
 	}
 	if cfg.ShardSize <= 0 {
-		cfg.ShardSize = 64
+		cfg.ShardSize = experiment.DefaultShardSize
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = core.DefaultHorizon

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"puffer/internal/experiment"
 )
 
 // Spec is the single declarative description of an experiment: everything
@@ -38,7 +40,8 @@ type Spec struct {
 	// Seed makes the whole run deterministic. Default (absent): 1.
 	// An explicit 0 is a valid seed, hence the pointer.
 	Seed *int64 `json:"seed,omitempty"`
-	// ShardSize is sessions per aggregation shard. Default (0): 64.
+	// ShardSize is sessions per aggregation shard. Default (0):
+	// experiment.DefaultShardSize (64).
 	ShardSize int `json:"shard_size,omitempty"`
 }
 
@@ -173,7 +176,6 @@ const (
 	DefaultBatchSize = 64
 	DefaultLR        = 1e-3
 	DefaultSeed      = 1
-	DefaultShard     = 64
 	DefaultRate      = 1.0
 	DefaultTick      = 0.25
 
@@ -235,7 +237,7 @@ func (s Spec) WithDefaults() Spec {
 	d.Engine = d.Engine.withEngineDefaults()
 	d.Seed = ptr(orp(d.Seed, int64(DefaultSeed)))
 	if d.ShardSize == 0 {
-		d.ShardSize = DefaultShard
+		d.ShardSize = experiment.DefaultShardSize
 	}
 	return d
 }

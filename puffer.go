@@ -6,7 +6,8 @@
 //
 // The quickest way in is to assemble the pieces yourself: gather telemetry
 // with CollectDataset, fit a TTP with TrainTTP, wrap it in NewFugu, and race
-// it against the classical schemes with RunExperiment. See examples/ for
+// it against the classical schemes with RunExperiment, whose TrialAcc's
+// Analyze gives the results table with bootstrap CIs. See examples/ for
 // full programs; cmd/figures regenerates the paper's tables and figures.
 //
 // The MPC hot path is batched end to end: the TTP fills the distributions
@@ -57,12 +58,9 @@ type (
 	Scheme = experiment.Scheme
 	// Config describes a randomized controlled trial.
 	Config = experiment.Config
-	// Result holds a trial's sessions.
-	Result = experiment.Result
-	// SchemeStats is one row of a results table (Figure 1/8 style).
+	// SchemeStats is one row of a results table (Figure 1/8 style), with
+	// the arm's CONSORT counters (Figure A1).
 	SchemeStats = experiment.SchemeStats
-	// ConsortArm is one arm of the CONSORT flow accounting.
-	ConsortArm = experiment.ConsortArm
 	// Algorithm is the ABR decision interface.
 	Algorithm = abr.Algorithm
 	// TTP is Fugu's Transmission Time Predictor.
@@ -77,8 +75,9 @@ type (
 	// GapRow is one day of a paired retrained-vs-frozen staleness
 	// comparison (see StalenessGaps).
 	GapRow = runner.GapRow
-	// TrialAcc is the mergeable accumulator behind sharded aggregation
-	// (fold sessions in, merge shards, analyze once).
+	// TrialAcc is a finished trial: the mergeable per-arm accumulator
+	// behind sharded aggregation (fold sessions in, merge shards, analyze
+	// once). TrialAcc.Analyze yields the SchemeStats rows.
 	TrialAcc = experiment.TrialAcc
 	// DaySampler is a day-indexed path sampler: the daily loop passes each
 	// experiment day to Env.Paths, so a day-aware family draws that day's
@@ -107,10 +106,6 @@ type (
 	ScenarioOutcome = scenario.Outcome
 )
 
-// AllPaths is the analysis filter that keeps every stream (Figure 8's
-// other panel restricts to slow paths).
-const AllPaths = experiment.AllPaths
-
 // DefaultEnv returns the deployment-like environment (heavy-tailed paths,
 // six live channels, the default viewer model).
 func DefaultEnv() Env { return experiment.DefaultEnv() }
@@ -119,17 +114,12 @@ func DefaultEnv() Env { return experiment.DefaultEnv() }
 // fixed 40 ms shell, replaying a 10-minute clip).
 func EmulationEnv() Env { return experiment.EmulationEnv() }
 
-// RunExperiment executes a randomized controlled trial.
-func RunExperiment(cfg Config) (*Result, error) { return experiment.Run(cfg) }
-
-// Analyze computes per-scheme statistics with bootstrap confidence
-// intervals.
-func Analyze(res *Result, filter experiment.AnalysisFilter, seed int64) []SchemeStats {
-	return experiment.Analyze(res, filter, seed)
+// RunExperiment executes a randomized controlled trial on every core and
+// returns its merged accumulator; call Analyze on it for per-scheme
+// statistics with bootstrap confidence intervals and CONSORT counters.
+func RunExperiment(cfg Config) (*TrialAcc, error) {
+	return cfg.RunSharded(experiment.DefaultShardSize, 0, experiment.AllPaths)
 }
-
-// Consort produces the CONSORT-style flow accounting (Figure A1).
-func Consort(res *Result) []ConsortArm { return experiment.Consort(res) }
 
 // CollectDataset gathers TTP training telemetry by running the given
 // behavior schemes in env — "in situ" when env is the deployment
@@ -179,7 +169,8 @@ func NewRobustMPCHM() Algorithm { return abr.NewRobustMPCHM() }
 // ---------------------------------------------------------------------------
 // The front door: running experiments, from least to most declarative.
 //
-//   - RunExperiment (above): one randomized trial from an explicit Config.
+//   - RunExperiment (above): one randomized trial from an explicit Config,
+//     returned as its merged TrialAcc (Analyze it for the results table).
 //   - RunScenario: one declarative, serializable, content-hashed spec —
 //     the continual daily loop, as the CLI, the nightly workflow, and the
 //     figures run it.

@@ -26,7 +26,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := RunExperiment(Config{
+	acc, err := RunExperiment(Config{
 		Env: env,
 		Schemes: []Scheme{
 			{Name: "Fugu", New: func() Algorithm { return NewFugu(ttp) }},
@@ -41,7 +41,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rows := Analyze(res, AllPaths, 4)
+	rows := acc.Analyze(4)
 	if len(rows) != 4 {
 		t.Fatalf("got %d scheme rows, want 4", len(rows))
 	}
@@ -54,10 +54,9 @@ func TestPublicAPIPipeline(t *testing.T) {
 		}
 	}
 
-	arms := Consort(res)
 	sessions := 0
-	for _, a := range arms {
-		sessions += a.Sessions
+	for _, r := range rows {
+		sessions += r.Sessions
 	}
 	if sessions != 60 {
 		t.Fatalf("CONSORT sessions = %d, want 60", sessions)
