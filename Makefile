@@ -149,12 +149,14 @@ bench-e2e:
 # then fully on (live endpoint + exit dump + event log) with the snapshot
 # endpoint curled mid-run — and the runs must agree byte-for-byte on
 # stdout and on every checkpoint file. The live and exit snapshots must be
-# well-formed (jq) and publish the decision-latency summary.
+# well-formed (jq) and publish the decision-latency summary. Each leg
+# runs ~2 s on an idle two-core host, long enough that the mid-run probe
+# still answers when the host is busy.
 obs-smoke:
 	@set -e; \
 	bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
 	$(GO) build -o $$bin/puffer-daily ./cmd/puffer-daily; \
-	flags="-days 2 -sessions 48 -window 2 -epochs 1 -seed 7 -engine fleet -arrival-rate 4 -ablation=false"; \
+	flags="-days 2 -sessions 192 -window 2 -epochs 1 -seed 7 -engine fleet -arrival-rate 4 -ablation=false"; \
 	$$bin/puffer-daily $$flags -checkpoint $$bin/off-ckpt -q > $$bin/off.out; \
 	port=$$((20000 + $$$$ % 20000)); \
 	$$bin/puffer-daily $$flags -checkpoint $$bin/on-ckpt \

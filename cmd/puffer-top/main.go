@@ -1,14 +1,15 @@
 // Command puffer-top is a live terminal dashboard over any puffer obs
 // endpoint (-obs-listen of puffer-serve, puffer-daily, puffer-sweep, ...).
-// It polls /metrics/history.json on a fixed cadence and renders the fleet's
-// vital signs — concurrency, sessions/sec, decision-latency quantiles,
-// batch shapes, queue-full and clock-violation counters, and the served
-// model generation — computing nothing the endpoint's windowed history does
-// not already carry, so watching a run cannot perturb it.
+// It polls /metrics.json on a fixed cadence and renders the fleet's vital
+// signs — concurrency, sessions/sec, decision-latency quantiles, batch
+// shapes, queue-full and clock-violation counters, and the served model
+// generation. Rates and window quantiles are the difference of two polls
+// (obs.HistSnapshot.Sub), so the endpoint keeps no history and watching a
+// run cannot perturb it.
 //
 //	puffer-top                          # watch 127.0.0.1:9090
 //	puffer-top -addr 127.0.0.1:9091 -interval 2s
-//	puffer-top -once                    # print one frame and exit (scripts)
+//	puffer-top -once                    # poll twice, -interval apart; print one frame and exit
 package main
 
 import (
@@ -24,6 +25,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"puffer/internal/obs"
 )
 
 func main() {
@@ -42,20 +45,41 @@ func run(args []string) error {
 	var (
 		addr     = fs.String("addr", "127.0.0.1:9090", "obs endpoint to watch (host:port of some process's -obs-listen)")
 		interval = fs.Duration("interval", time.Second, "poll and redraw cadence")
-		once     = fs.Bool("once", false, "fetch once, print one frame without clearing the screen, and exit")
+		once     = fs.Bool("once", false, "poll twice one -interval apart, print one frame without clearing the screen, and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	url := "http://" + *addr + "/metrics/history.json"
+	url := "http://" + *addr + "/metrics.json"
 	client := &http.Client{Timeout: 10 * time.Second}
 
+	// poll fetches the next cut and renders the frame it closes.
+	var (
+		prev   *cut
+		prevAt time.Time
+	)
+	poll := func() (string, error) {
+		snap, err := fetch(client, url)
+		if err != nil {
+			return "", err
+		}
+		now := time.Now()
+		cur := newCut(prev, snap)
+		frame := renderFrame(prev, cur, now.Sub(prevAt), *addr, now)
+		prev, prevAt = cur, now
+		return frame, nil
+	}
+
 	if *once {
-		doc, err := fetch(client, url)
+		if _, err := poll(); err != nil {
+			return err
+		}
+		time.Sleep(*interval)
+		frame, err := poll()
 		if err != nil {
 			return err
 		}
-		fmt.Print(renderFrame(doc, *addr, time.Now()))
+		fmt.Print(frame)
 		return nil
 	}
 
@@ -64,13 +88,10 @@ func run(args []string) error {
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
 	for {
-		doc, err := fetch(client, url)
-		frame := ""
+		frame, err := poll()
 		if err != nil {
 			frame = fmt.Sprintf("puffer-top — %s — %s\n\n  %v\n", *addr,
 				time.Now().Format("15:04:05"), err)
-		} else {
-			frame = renderFrame(doc, *addr, time.Now())
 		}
 		// Clear screen, home cursor, draw.
 		fmt.Print("\x1b[2J\x1b[H" + frame)
@@ -83,121 +104,126 @@ func run(args []string) error {
 	}
 }
 
-// historyDoc mirrors the obs endpoint's /metrics/history.json document.
-type historyDoc struct {
-	IntervalS float64 `json:"interval_s"`
-	Samples   int     `json:"samples"`
-	Counters  []struct {
-		Name     string    `json:"name"`
-		Values   []int64   `json:"values"`
-		RatePerS []float64 `json:"rate_per_s"`
-	} `json:"counters"`
-	Gauges []struct {
-		Name   string    `json:"name"`
-		Values []float64 `json:"values"`
-	} `json:"gauges"`
-	Histograms []struct {
-		Name      string  `json:"name"`
-		Counts    []int64 `json:"counts"`
-		WinCount  []int64 `json:"win_count"`
-		WinP50NS  []int64 `json:"win_p50"`
-		WinP99NS  []int64 `json:"win_p99"`
-		WinP999NS []int64 `json:"win_p999"`
-	} `json:"histograms"`
-}
-
-func fetch(client *http.Client, url string) (*historyDoc, error) {
+func fetch(client *http.Client, url string) (obs.Snapshot, error) {
+	var snap obs.Snapshot
 	resp, err := client.Get(url)
 	if err != nil {
-		return nil, err
+		return snap, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
+		return snap, fmt.Errorf("%s: %s", url, resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, err
+		return snap, err
 	}
-	var doc historyDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return snap, fmt.Errorf("decoding %s: %w", url, err)
 	}
-	return &doc, nil
+	return snap, nil
 }
 
-// Lookup helpers over the history document. Every reader tolerates absent
-// metrics (a daemon that has not served yet, a virtual-only run) by
-// returning ok=false, so the frame renders whatever subset is live.
+// A cut is one poll of the endpoint's snapshot plus each histogram's
+// newest non-empty window up to it: the difference from the previous cut,
+// or, for a histogram idle since then, the window held from before — so an
+// idle moment shows the most recent activity instead of zeros.
+type cut struct {
+	snap obs.Snapshot
+	wins map[string]obs.HistSnapshot
+}
 
-func (d *historyDoc) counterValue(name string) (int64, bool) {
-	for _, c := range d.Counters {
-		if c.Name == name && len(c.Values) > 0 {
-			return c.Values[len(c.Values)-1], true
+// newCut wraps snap as the cut after prev (nil for the first poll, which
+// has no window yet).
+func newCut(prev *cut, snap obs.Snapshot) *cut {
+	c := &cut{snap: snap, wins: map[string]obs.HistSnapshot{}}
+	if prev == nil {
+		return c
+	}
+	for name, w := range prev.wins {
+		c.wins[name] = w
+	}
+	for _, h := range snap.Histograms {
+		if w := h.Sub(prev.hist(h.Name)); w.Count > 0 {
+			c.wins[h.Name] = w
+		}
+	}
+	return c
+}
+
+// Lookups over a cut. Every reader tolerates absent metrics (a daemon that
+// has not served yet, a virtual-only run) by returning ok=false or the
+// zero value, so the frame renders whatever subset is live.
+
+func (c *cut) counter(name string) (int64, bool) {
+	for _, m := range c.snap.Counters {
+		if m.Name == name {
+			return m.Value, true
 		}
 	}
 	return 0, false
 }
 
-func (d *historyDoc) counterRate(name string) (float64, bool) {
-	for _, c := range d.Counters {
-		if c.Name == name && len(c.RatePerS) > 0 {
-			return c.RatePerS[len(c.RatePerS)-1], true
+func (c *cut) gauge(name string) (float64, bool) {
+	for _, m := range c.snap.Gauges {
+		if m.Name == name {
+			return m.Value, true
 		}
 	}
 	return 0, false
 }
 
-func (d *historyDoc) gaugeValue(name string) (float64, bool) {
-	for _, g := range d.Gauges {
-		if g.Name == name && len(g.Values) > 0 {
-			return g.Values[len(g.Values)-1], true
+func (c *cut) hist(name string) obs.HistSnapshot {
+	for _, m := range c.snap.Histograms {
+		if m.Name == name {
+			return m
 		}
 	}
-	return 0, false
-}
-
-// histWindow returns the newest non-empty window of the named histogram
-// (the last poll interval that saw observations), so an idle moment shows
-// the most recent activity instead of zeros.
-func (d *historyDoc) histWindow(name string) (count, p50, p99, p999 int64, ok bool) {
-	for _, h := range d.Histograms {
-		if h.Name != name {
-			continue
-		}
-		for i := len(h.WinCount) - 1; i >= 0; i-- {
-			if h.WinCount[i] > 0 {
-				return h.WinCount[i], h.WinP50NS[i], h.WinP99NS[i], h.WinP999NS[i], true
-			}
-		}
-	}
-	return 0, 0, 0, 0, false
+	return obs.HistSnapshot{}
 }
 
 func ns(v int64) string { return time.Duration(v).Round(time.Microsecond).String() }
 
-// renderFrame draws one dashboard frame from a history document. Pure
+// renderFrame draws one dashboard frame from the cut cur and the cut prev
+// taken dt earlier (nil on the first poll, which shows no rates). Pure
 // (clock passed in), so tests assert on its output directly.
-func renderFrame(d *historyDoc, addr string, now time.Time) string {
+func renderFrame(prev, cur *cut, dt time.Duration, addr string, now time.Time) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "puffer-top — %s — %s (%ds window × %d samples)\n\n",
-		addr, now.Format("15:04:05"), int(d.IntervalS), d.Samples)
+	window := "first poll"
+	if prev != nil {
+		window = fmt.Sprintf("%.1fs window", dt.Seconds())
+	}
+	fmt.Fprintf(&b, "puffer-top — %s — %s (%s)\n\n", addr, now.Format("15:04:05"), window)
 
+	rows := 0
 	row := func(label, text string) {
+		rows++
 		fmt.Fprintf(&b, "  %-11s %s\n", label, text)
+	}
+	counterRate := func(name string) (float64, bool) {
+		v, ok := cur.counter(name)
+		if !ok || prev == nil || dt <= 0 {
+			return 0, false
+		}
+		old, _ := prev.counter(name)
+		return float64(max(v-old, 0)) / dt.Seconds(), true
+	}
+	histWindow := func(name string) (count, p50, p99, p999 int64, ok bool) {
+		w, ok := cur.wins[name]
+		return w.Count, w.Quantile(0.50), w.Quantile(0.99), w.Quantile(0.999), ok
 	}
 
 	// Sessions: the serving daemon's live gauge, or the load generator's.
-	if v, ok := d.gaugeValue("serve_sessions_active"); ok {
+	if v, ok := cur.gauge("serve_sessions_active"); ok {
 		line := fmt.Sprintf("active %.0f", v)
-		if rate, ok := d.counterRate("serve_sessions_total"); ok {
+		if rate, ok := counterRate("serve_sessions_total"); ok {
 			line += fmt.Sprintf("   opening %.1f/s", rate)
 		}
-		if tot, ok := d.counterValue("serve_sessions_total"); ok {
+		if tot, ok := cur.counter("serve_sessions_total"); ok {
 			line += fmt.Sprintf("   total %d", tot)
 		}
 		row("sessions", line)
-	} else if v, ok := d.gaugeValue("runner_sessions_per_sec"); ok {
+	} else if v, ok := cur.gauge("runner_sessions_per_sec"); ok {
 		row("sessions", fmt.Sprintf("%.1f/s (runner)", v))
 	}
 
@@ -211,11 +237,11 @@ func renderFrame(d *historyDoc, addr string, now time.Time) string {
 	} {
 		line := ""
 		if src.counter != "" {
-			if rate, ok := d.counterRate(src.counter); ok {
+			if rate, ok := counterRate(src.counter); ok {
 				line += fmt.Sprintf("%.0f/s   ", rate)
 			}
 		}
-		if n, p50, p99, p999, ok := d.histWindow(src.hist); ok {
+		if n, p50, p99, p999, ok := histWindow(src.hist); ok {
 			line += fmt.Sprintf("p50 %s  p99 %s  p999 %s  (%d in window)",
 				ns(p50), ns(p99), ns(p999), n)
 		}
@@ -225,11 +251,11 @@ func renderFrame(d *historyDoc, addr string, now time.Time) string {
 	}
 
 	// Batch shape: serving batches in sessions, service batches in rows.
-	if n, p50, p99, _, ok := d.histWindow("serve_batch_sessions"); ok {
+	if n, p50, p99, _, ok := histWindow("serve_batch_sessions"); ok {
 		row("batch", fmt.Sprintf("p50 %d  p99 %d sessions/flush  (%d flushes in window)",
 			p50, p99, n))
 	}
-	if n, p50, p99, _, ok := d.histWindow("fleet_batch_rows"); ok {
+	if n, p50, p99, _, ok := histWindow("fleet_batch_rows"); ok {
 		row("rows", fmt.Sprintf("p50 %d  p99 %d rows/net  (%d batches in window)",
 			p50, p99, n))
 	}
@@ -242,7 +268,7 @@ func renderFrame(d *historyDoc, addr string, now time.Time) string {
 		{"serve_proto_errors_total", "proto_errors"},
 		{"serve_sessions_aborted_total", "aborted"},
 	} {
-		if v, ok := d.counterValue(c.name); ok {
+		if v, ok := cur.counter(c.name); ok {
 			inv += fmt.Sprintf("%s %d   ", c.label, v)
 		}
 	}
@@ -251,32 +277,32 @@ func renderFrame(d *historyDoc, addr string, now time.Time) string {
 	}
 
 	// Dist engine: live worker fleet, shard progress, and fault handling.
-	if live, ok := d.gaugeValue("dist_workers_live"); ok {
+	if live, ok := cur.gauge("dist_workers_live"); ok {
 		line := fmt.Sprintf("workers %.0f", live)
-		if done, ok := d.counterValue("dist_shards_done_total"); ok {
+		if done, ok := cur.counter("dist_shards_done_total"); ok {
 			line += fmt.Sprintf("   shards %d", done)
 		}
-		if n, p50, p99, _, ok := d.histWindow("dist_shard_wall_ns"); ok {
+		if n, p50, p99, _, ok := histWindow("dist_shard_wall_ns"); ok {
 			line += fmt.Sprintf("   shard p50 %s  p99 %s  (%d in window)", ns(p50), ns(p99), n)
 		}
-		if restarts, ok := d.counterValue("dist_worker_restarts_total"); ok {
-			retries, _ := d.counterValue("dist_shard_retries_total")
+		if restarts, ok := cur.counter("dist_worker_restarts_total"); ok {
+			retries, _ := cur.counter("dist_shard_retries_total")
 			line += fmt.Sprintf("   restarts %d  retries %d", restarts, retries)
 		}
 		row("dist", line)
 	}
 
 	// Model: served generation and rotation count.
-	if gen, ok := d.gaugeValue("serve_model_generation"); ok {
+	if gen, ok := cur.gauge("serve_model_generation"); ok {
 		line := fmt.Sprintf("generation %.0f", gen)
-		if rot, ok := d.counterValue("serve_model_rotations_total"); ok {
+		if rot, ok := cur.counter("serve_model_rotations_total"); ok {
 			line += fmt.Sprintf("   rotations %d", rot)
 		}
 		row("model", line)
 	}
 
-	if b.Len() == 0 || d.Samples == 0 {
-		fmt.Fprintf(&b, "  (no samples yet)\n")
+	if rows == 0 {
+		fmt.Fprintf(&b, "  (no metrics yet)\n")
 	}
 	return b.String()
 }

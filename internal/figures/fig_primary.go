@@ -201,7 +201,7 @@ func (s *Suite) Sec34(w io.Writer) (map[string]float64, error) {
 	out := map[string]float64{}
 	var werr error
 	line(w, &werr, "Section 3.4: statistical uncertainty of stall-ratio estimates\n")
-	line(w, &werr, "%-14s %12s %22s %16s\n", "Algorithm", "StreamYears", "Stall%% [95%% CI]", "Rel. half-width")
+	line(w, &werr, "%-14s %12s %22s %16s\n", "Algorithm", "StreamYears", "Stall% [95% CI]", "Rel. half-width")
 	for _, r := range rows {
 		rel := r.StallRatio.RelativeHalfWidth()
 		out[r.Name] = rel

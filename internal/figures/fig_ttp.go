@@ -112,7 +112,7 @@ func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
 	rows := make([]Sec46Row, 0, 2)
 	var werr error
 	line(w, &werr, "Section 4.6: stale TTP vs daily-retrained TTP (stationary deployment)\n")
-	line(w, &werr, "%-12s %22s %10s\n", "Model", "Stalled%% [95%% CI]", "SSIM dB")
+	line(w, &werr, "%-12s %22s %10s\n", "Model", "Stalled% [95% CI]", "SSIM dB")
 	for _, r := range st {
 		rows = append(rows, Sec46Row{
 			Scheme: r.Name, StallPct: 100 * r.StallRatio.Point,

@@ -23,7 +23,10 @@
 // The only permitted readers of a metric are wall-side consumers: progress
 // logging (Logf), the Snapshot/WriteJSON/WritePrometheus dumps, and the
 // Serve HTTP endpoint. Nothing downstream of a read may feed a Result, a
-// checkpoint, an accumulator, or an RNG.
+// checkpoint, an accumulator, or an RNG. The endpoint keeps no time series
+// and obs runs no sampler: a reader that wants a window (a rate, a recent
+// p99) polls the snapshot twice and subtracts (HistSnapshot.Sub), as
+// cmd/puffer-top does.
 //
 // Recording is gated by a process-global switch (SetEnabled); while
 // disabled — the default — every metric write is a single atomic load and

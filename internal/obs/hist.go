@@ -200,8 +200,8 @@ func Merge(a, b HistSnapshot) HistSnapshot {
 }
 
 // Sub returns the distribution of observations recorded between an earlier
-// snapshot old of the same histogram and this one — the windowed delta the
-// metrics history computes per sampling step. Bucket counts subtract
+// snapshot old of the same histogram and this one — the window a reader
+// computes from two polls of a live snapshot. Bucket counts subtract
 // (clamped at zero, so a reset or mismatched operand degrades gracefully);
 // Min and Max are not recoverable for a window, so they tighten to the
 // delta's outermost non-empty bucket bounds, keeping Quantile's error

@@ -257,3 +257,36 @@ func TestObserveSince(t *testing.T) {
 		t.Fatalf("recorded %d observations, want 1 (zero stamp must be a no-op)", got.Count)
 	}
 }
+
+func TestHistSnapshotSub(t *testing.T) {
+	SetEnabled(true)
+	defer SetEnabled(false)
+	h := newHistogram("x")
+	h.Observe(10)
+	h.Observe(20)
+	old := h.Snapshot()
+	h.Observe(20)
+	h.Observe(1000)
+	win := h.Snapshot().Sub(old)
+	if win.Count != 2 {
+		t.Fatalf("window count = %d, want 2", win.Count)
+	}
+	if win.Sum != 1020 {
+		t.Fatalf("window sum = %d, want 1020", win.Sum)
+	}
+	if q := win.Quantile(0.5); q < 20 || q > 21 {
+		t.Fatalf("window p50 = %d, want ~20", q)
+	}
+	if q := win.Quantile(1.0); q < 1000 || q > 1032 {
+		t.Fatalf("window max quantile = %d, want ~1000", q)
+	}
+	// Subtracting a snapshot from itself leaves an empty window.
+	cur := h.Snapshot()
+	if empty := cur.Sub(cur); empty.Count != 0 || len(empty.Buckets) != 0 {
+		t.Fatalf("self-subtraction not empty: %+v", empty)
+	}
+	// A mismatched (newer) operand clamps instead of going negative.
+	if neg := old.Sub(cur); neg.Count != 0 {
+		t.Fatalf("clamped subtraction count = %d, want 0", neg.Count)
+	}
+}

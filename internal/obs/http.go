@@ -14,7 +14,6 @@ type Server struct {
 	Addr string
 	srv  *http.Server
 	ln   net.Listener
-	hist *History
 }
 
 // Serve starts the -obs-listen HTTP endpoint on addr, exposing the
@@ -22,34 +21,26 @@ type Server struct {
 //
 //	/metrics               Prometheus text exposition (counters, gauges,
 //	                       histogram summaries with p50/p99/p999)
-//	/metrics.json          the canonical JSON snapshot (what -obs-dump writes)
-//	/metrics/history.json  the fixed-cadence sampled time series: windowed
-//	                       counter rates and per-window histogram quantiles
-//	/trace.json            the installed tracer's ring as Chrome trace-event
-//	                       JSON (404 when no tracer is installed)
-//	/debug/vars            alias of /metrics.json (expvar-style probing)
-//	/debug/pprof/          net/http/pprof (profile, heap, trace, ...)
+//	/metrics.json   the canonical JSON snapshot (what -obs-dump writes)
+//	/trace.json     the installed tracer's ring as Chrome trace-event JSON
+//	                (404 when no tracer is installed)
+//	/debug/pprof/   net/http/pprof (profile, heap, trace, ...)
 //
+// A windowed view (rates, per-window quantiles) is the reader's to compute
+// from two /metrics.json polls with HistSnapshot.Sub, as puffer-top does.
 // The server is wall-side only: serving a request reads metric snapshots
 // and never touches experiment state, so a live endpoint cannot perturb a
-// run. Serve returns once the listener is bound; requests are handled on a
-// background goroutine until Close, which also stops the history sampler.
+// run. Serve returns once the listener is bound; requests are handled on
+// the HTTP server's goroutine until Close.
 func Serve(addr string, reg *Registry) (*Server, error) {
-	hist := NewHistory(reg, DefaultHistoryInterval, DefaultHistoryDepth)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.Snapshot().WritePrometheus(w)
 	})
-	snapJSON := func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		reg.Snapshot().WriteJSON(w)
-	}
-	mux.HandleFunc("/metrics.json", snapJSON)
-	mux.HandleFunc("/debug/vars", snapJSON)
-	mux.HandleFunc("/metrics/history.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		hist.WriteJSON(w)
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
 		t := curTracer.Load()
@@ -70,15 +61,14 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintf(w, "puffer obs endpoint\n\n/metrics\n/metrics.json\n/metrics/history.json\n/trace.json\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprintf(w, "puffer obs endpoint\n\n/metrics\n/metrics.json\n/trace.json\n/debug/pprof/\n")
 	})
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	hist.Start()
-	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux}, ln: ln, hist: hist}
+	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: mux}, ln: ln}
 	go s.srv.Serve(ln)
 	return s, nil
 }
@@ -88,7 +78,6 @@ func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.hist.Stop()
 	s.srv.SetKeepAlivesEnabled(false)
 	done := make(chan error, 1)
 	go func() { done <- s.srv.Close() }()

@@ -60,7 +60,7 @@ func TestHTTPMetricsEndpoints(t *testing.T) {
 		}
 	}
 
-	// /metrics.json and its /debug/vars alias: identical canonical JSON.
+	// /metrics.json: the canonical JSON snapshot.
 	resp, body = get(t, client, base+"/metrics.json")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("/metrics.json content type %q", ct)
@@ -79,36 +79,18 @@ func TestHTTPMetricsEndpoints(t *testing.T) {
 	if len(snap.Hists) != 1 || snap.Hists[0].Count != 1 {
 		t.Fatalf("/metrics.json histograms: %+v", snap.Hists)
 	}
-	_, alias := get(t, client, base+"/debug/vars")
-	if alias != body {
-		t.Fatal("/debug/vars is not byte-identical to /metrics.json")
-	}
-
-	// /metrics/history.json: valid JSON with the sampler cadence.
-	resp, body = get(t, client, base+"/metrics/history.json")
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("/metrics/history.json content type %q", ct)
-	}
-	var hist struct {
-		IntervalS float64 `json:"interval_s"`
-		Samples   int     `json:"samples"`
-	}
-	if err := json.Unmarshal([]byte(body), &hist); err != nil {
-		t.Fatalf("/metrics/history.json is not valid JSON: %v", err)
-	}
-	if hist.IntervalS != DefaultHistoryInterval.Seconds() {
-		t.Fatalf("history interval %v", hist.IntervalS)
-	}
 
 	// Root index lists the routes; unknown paths 404.
 	_, body = get(t, client, base+"/")
-	for _, want := range []string{"/metrics", "/metrics/history.json", "/trace.json", "/debug/pprof/"} {
+	for _, want := range []string{"/metrics", "/metrics.json", "/trace.json", "/debug/pprof/"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("index missing %q:\n%s", want, body)
 		}
 	}
-	if resp, _ := get(t, client, base+"/nope"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path: %s", resp.Status)
+	for _, path := range []string{"/nope", "/metrics/history.json", "/debug/vars"} {
+		if resp, _ := get(t, client, base+path); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: %s", path, resp.Status)
+		}
 	}
 }
 
@@ -213,7 +195,7 @@ func TestHTTPConcurrentScrape(t *testing.T) {
 	}
 
 	var readers sync.WaitGroup
-	for _, path := range []string{"/metrics", "/metrics.json", "/metrics/history.json", "/trace.json", "/debug/vars"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/trace.json"} {
 		readers.Add(1)
 		go func(path string) {
 			defer readers.Done()
@@ -240,8 +222,8 @@ func TestHTTPConcurrentScrape(t *testing.T) {
 	}
 }
 
-// TestServerClose proves Close is idempotent-safe on nil and stops the
-// history sampler.
+// TestServerClose proves Close is safe on a nil server and releases the
+// listener.
 func TestServerClose(t *testing.T) {
 	var nilSrv *Server
 	if err := nilSrv.Close(); err != nil {

@@ -126,7 +126,7 @@ func TestDumpFile(t *testing.T) {
 }
 
 // TestServe: the live endpoint answers /metrics (Prometheus text),
-// /metrics.json and /debug/vars (JSON snapshot), and /debug/pprof/cmdline.
+// /metrics.json (JSON snapshot), and /debug/pprof/cmdline.
 func TestServe(t *testing.T) {
 	withEnabled(t)
 	r := NewRegistry()
@@ -163,18 +163,16 @@ func TestServe(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") {
 		t.Fatalf("/metrics content type %q", ctype)
 	}
-	for _, path := range []string{"/metrics.json", "/debug/vars"} {
-		body, ctype := get(path)
-		var s Snapshot
-		if err := json.Unmarshal([]byte(body), &s); err != nil {
-			t.Fatalf("%s is not a JSON snapshot: %v", path, err)
-		}
-		if len(s.Counters) != 1 || s.Counters[0].Value != 9 {
-			t.Fatalf("%s content wrong: %+v", path, s)
-		}
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Fatalf("%s content type %q", path, ctype)
-		}
+	body, ctype = get("/metrics.json")
+	var s Snapshot
+	if err := json.Unmarshal([]byte(body), &s); err != nil {
+		t.Fatalf("/metrics.json is not a JSON snapshot: %v", err)
+	}
+	if len(s.Counters) != 1 || s.Counters[0].Value != 9 {
+		t.Fatalf("/metrics.json content wrong: %+v", s)
+	}
+	if !strings.HasPrefix(ctype, "application/json") {
+		t.Fatalf("/metrics.json content type %q", ctype)
 	}
 	if body, _ := get("/debug/pprof/cmdline"); len(body) == 0 {
 		t.Fatal("/debug/pprof/cmdline empty")
