@@ -117,9 +117,11 @@ scenario-smoke:
 
 # Sweep smoke: run the committed 2x2 drift x engine grid into a fresh
 # index, then launch the identical sweep again — the second launch must
-# find every cell in the index and execute zero runs. A query over the
-# populated index must match the committed golden (deterministic columns
-# only: expansion names, axis values, spec hashes).
+# find every cell in the index and execute zero runs. The first launch's
+# metrics dump must count runner days: cells run in the sweep's own
+# process. A query over the populated index must match the committed
+# golden (deterministic columns only: expansion names, axis values, spec
+# hashes).
 sweep-smoke:
 	@set -e; \
 	bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
@@ -127,7 +129,9 @@ sweep-smoke:
 	rm -rf $(SWEEP_DIR); \
 	PUFFER_SCENARIO_SCALE=$(SCENARIO_SCALE) $$bin/puffer-sweep run \
 		-sweep scenarios/sweeps/smoke-grid.json \
-		-index $(SWEEP_DIR)/index.jsonl -checkpoint $(SWEEP_DIR)/ckpt; \
+		-index $(SWEEP_DIR)/index.jsonl -checkpoint $(SWEEP_DIR)/ckpt \
+		-obs-dump $$bin/metrics.json; \
+	jq -e '[.counters[] | select(.name=="runner_days_total")] | first | .value > 0' $$bin/metrics.json >/dev/null; \
 	out=$$(PUFFER_SCENARIO_SCALE=$(SCENARIO_SCALE) $$bin/puffer-sweep run \
 		-sweep scenarios/sweeps/smoke-grid.json \
 		-index $(SWEEP_DIR)/index.jsonl -checkpoint $(SWEEP_DIR)/ckpt); \

@@ -13,21 +13,23 @@
 //	puffer-sweep query -index results/index.jsonl -per-day \
 //	    -group-by day -agg mean -agg-col gap_pp
 //
-// Cells run as subprocesses (puffer-sweep re-execs itself per cell) across
-// a bounded worker pool; -inprocess runs them in this process instead.
-// Each checkpoint directory is keyed by the cell's GuardHash, so a killed
-// sweep resumes per-cell through the existing manifest guard.
+// Cells run in this process across a bounded worker pool, so their metrics
+// and spans reach this run's -obs-* and -trace-out outputs. Each checkpoint
+// directory is keyed by the cell's GuardHash, so a killed sweep resumes
+// per-cell through the existing manifest guard.
 // PUFFER_SCENARIO_SCALE shrinks every cell for smoke runs — it is applied
 // before hashing, so scaled and unscaled runs never collide in the index.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"puffer/internal/obs"
 	"puffer/internal/obscli"
@@ -51,10 +53,6 @@ func main() {
 		err = cmdStatus(os.Args[2:])
 	case "query":
 		err = cmdQuery(os.Args[2:])
-	case runCellFlag:
-		// Hidden subprocess mode: the executor re-execs this binary once
-		// per cell.
-		err = cmdRunCell(os.Args[2:])
 	case scenario.DistWorkerFlag:
 		// Hidden worker mode: a dist-engine cell's coordinator re-execs
 		// this binary once per worker process.
@@ -93,7 +91,6 @@ func cmdRun(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint root (one dir per cell GuardHash; empty = no checkpointing)")
 	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS); same-guard cells serialize regardless")
 	cellWorkers := fs.Int("cell-workers", 0, "shard workers inside each cell (0 = GOMAXPROCS); never changes results")
-	inprocess := fs.Bool("inprocess", false, "run cells in this process instead of subprocesses")
 	quiet := fs.Bool("q", false, "suppress progress logging")
 	eventsPath := fs.String("events", "", `per-cell lifecycle event log (JSONL) to append to (default: <index>.events; "none" = off)`)
 	var obsOpts obscli.Options
@@ -135,22 +132,18 @@ func cmdRun(args []string) error {
 	}
 	defer stopObs()
 
-	runner := sweep.InProcess(scenario.RunOptions{
-		Workers:     *cellWorkers,
-		DistCommand: scenario.SelfDistCommand(),
-		Logf:        logf,
-	})
-	if !*inprocess {
-		runner = subprocessRunner(*cellWorkers, *quiet)
-	}
 	rep, err := sweep.Execute(sw, sweep.ExecConfig{
 		Workers:        *workers,
 		IndexPath:      *index,
 		CheckpointRoot: *checkpoint,
-		Run:            runner,
-		Transform:      scenario.ScaleFromEnv,
-		Logf:           logf,
-		Events:         events,
+		Run: sweep.InProcess(scenario.RunOptions{
+			Workers:     *cellWorkers,
+			DistCommand: scenario.SelfDistCommand(),
+			Logf:        logf,
+		}),
+		Transform: scenario.ScaleFromEnv,
+		Logf:      logf,
+		Events:    events,
 	})
 	if rep != nil {
 		fmt.Printf("cells %d: ran %d, already indexed %d, skipped %d, failed %d\n",
@@ -283,4 +276,23 @@ func cmdQuery(args []string) error {
 		return table.WriteJSON(os.Stdout)
 	}
 	return table.WriteText(os.Stdout)
+}
+
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+func splitList(s string) []string {
+	if strings.TrimSpace(s) == "" {
+		return nil
+	}
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }

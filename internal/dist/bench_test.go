@@ -15,13 +15,13 @@ import (
 // protocol's whole overhead budget: process spawn (amortized across b.N —
 // workers persist), model broadcast, blob serialization, and the
 // coordinator's merge. sessions/sec is the headline; the per-op delta vs
-// inprocess is what a dist deployment pays for process isolation.
+// session is what a dist deployment pays for process isolation.
 func BenchmarkDistDay(b *testing.B) {
 	sp := testSpec{Sessions: 24, ShardSize: 8, BaseSeed: 77}
 	const workers = 2
 	model := testModel()
 
-	b.Run("inprocess/w2", func(b *testing.B) {
+	b.Run("session/w2", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

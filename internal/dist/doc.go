@@ -16,8 +16,9 @@
 // Main entry points:
 //
 //   - Pool / PoolConfig / (*Pool).RunDay: the coordinator side — launch
-//     local subprocess workers (self-re-exec, the same pattern the sweep
-//     executor uses), drive the claim/assign/reassign state machine, merge.
+//     local subprocess workers (the calling binary re-exec'd, the repo's
+//     one self-re-exec harness), drive the claim/assign/reassign state
+//     machine, merge.
 //   - Serve / TrialFactory / DayTrial: the worker side — a frame loop over
 //     stdin/stdout that compiles the broadcast spec into each day's trial
 //     and folds claimed shards through experiment.FoldShard.

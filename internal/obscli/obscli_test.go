@@ -56,7 +56,7 @@ func TestFlagWiringAcrossCLIs(t *testing.T) {
 		{
 			name: "puffer-sweep",
 			args: []string{"run", "-sweep", sweepFile,
-				"-index", filepath.Join(scratch, "sweep-index.jsonl"), "-inprocess", "-q"},
+				"-index", filepath.Join(scratch, "sweep-index.jsonl"), "-q"},
 		},
 		{
 			name: "figures",

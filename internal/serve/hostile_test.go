@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"puffer/internal/abr"
 	"puffer/internal/media"
@@ -135,6 +137,97 @@ func TestDecideRejections(t *testing.T) {
 		if typ, _ := read(); typ != msgDecideOK {
 			t.Fatalf("%s: well-formed Decide after the hostile ones answered 0x%02x", scheme, typ)
 		}
+	}
+}
+
+// TestOutOfOrderFrames: a Decide before Hello, and a second Hello inside a
+// session, are each answered with an Error frame and a close. Both count a
+// protocol error; only the second, which had opened a session, counts an
+// aborted one.
+func TestOutOfOrderFrames(t *testing.T) {
+	plan := warmedPlan(t, 0)
+	_, ln := startServer(t, Config{Plan: plan, Logf: t.Logf})
+	helloFrame := encodeHello(nil, &hello{Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash})
+	send := func(c net.Conn, typ byte, payload []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(c, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	check := func(name string, wantAborted int64, frames func(net.Conn, *bufio.Reader)) {
+		t.Helper()
+		protoErrs, aborted := srvProtoErrors.Value(), srvAbortedTotal.Value()
+		c, br := dialRaw(t, ln.Addr().String())
+		frames(c, br)
+		expectError(t, br, name)
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("%s: connection left open (%v)", name, err)
+		}
+		if got := srvProtoErrors.Value() - protoErrs; got != 1 {
+			t.Errorf("%s: serve_proto_errors_total moved by %d, want 1", name, got)
+		}
+		if got := srvAbortedTotal.Value() - aborted; got != wantAborted {
+			t.Errorf("%s: serve_sessions_aborted_total moved by %d, want %d", name, got, wantAborted)
+		}
+	}
+	check("decide before hello", 0, func(c net.Conn, _ *bufio.Reader) {
+		send(c, msgDecide, encodeDecide(nil, 1, goldenDecide(), 0, 0))
+	})
+	check("second hello", 1, func(c net.Conn, br *bufio.Reader) {
+		send(c, msgHello, helloFrame)
+		if typ, _, _, err := wire.ReadFrame(br, nil, maxFrame); err != nil || typ != msgHelloOK {
+			t.Fatalf("second hello: handshake answered 0x%02x (%v)", typ, err)
+		}
+		send(c, msgHello, helloFrame)
+	})
+}
+
+// TestAbortedOnLostReply: a peer that sends a valid Decide and closes
+// without reading the reply ends its session on a failed DecideOK write.
+// That exit counts as aborted exactly once and the active gauge returns to
+// zero, so sessions_total - completed - aborted keeps equal to active.
+func TestAbortedOnLostReply(t *testing.T) {
+	plan := warmedPlan(t, 0)
+	srv, err := NewServer(Config{Plan: plan, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	aborted := srvAbortedTotal.Value()
+
+	peer, conn := net.Pipe()
+	srv.connWG.Add(1)
+	done := make(chan struct{})
+	go func() { srv.handle(conn); close(done) }()
+
+	h := &hello{Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash}
+	if err := wire.WriteFrame(peer, msgHello, encodeHello(nil, h)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := wire.ReadFrame(bufio.NewReader(peer), nil, maxFrame); err != nil || typ != msgHelloOK {
+		t.Fatalf("handshake answered 0x%02x (%v)", typ, err)
+	}
+	if err := wire.WriteFrame(peer, msgDecide, encodeDecide(nil, 1, goldenDecide(), 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	peer.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still running after its peer closed")
+	}
+
+	if got := srvAbortedTotal.Value() - aborted; got != 1 {
+		t.Errorf("serve_sessions_aborted_total moved by %d for one lost reply, want 1", got)
+	}
+	if v := srvSessionsActive.Value(); v != 0 {
+		t.Errorf("serve_sessions_active = %v after the session ended, want 0", v)
 	}
 }
 

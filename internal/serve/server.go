@@ -291,6 +291,13 @@ func (s *Server) handle(c net.Conn) {
 		wire.WriteFrame(bw, msgError, appendStr(out[:0], msg))
 		bw.Flush()
 	}
+	// lost counts a session that ends on a failed read or reply write,
+	// unless the server is draining, which ends sessions on purpose.
+	lost := func() {
+		if !s.draining.Load() {
+			srvAbortedTotal.Inc()
+		}
+	}
 
 	// Handshake.
 	c.SetReadDeadline(time.Now().Add(min(s.cfg.ReadTimeout, handshakeTimeout)))
@@ -336,10 +343,8 @@ func (s *Server) handle(c net.Conn) {
 	defer func() { srvSessionsActive.Set(float64(s.active.Add(-1))) }()
 
 	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := wire.WriteFrame(bw, msgHelloOK, appendU32(out[:0], sess.modelID)); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
+	if wire.WriteFrame(bw, msgHelloOK, appendU32(out[:0], sess.modelID)) != nil || bw.Flush() != nil {
+		lost()
 		return
 	}
 
@@ -348,9 +353,7 @@ func (s *Server) handle(c net.Conn) {
 		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		typ, payload, buf, err = wire.ReadFrame(br, buf, maxFrame)
 		if err != nil {
-			if !s.draining.Load() {
-				srvAbortedTotal.Inc()
-			}
+			lost()
 			return
 		}
 		switch typ {
@@ -401,10 +404,8 @@ func (s *Server) handle(c net.Conn) {
 			if p.trace != 0 {
 				w0 = obs.Now()
 			}
-			if err := wire.WriteFrame(bw, msgDecideOK, out); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
+			if wire.WriteFrame(bw, msgDecideOK, out) != nil || bw.Flush() != nil {
+				lost()
 				return
 			}
 			if p.trace != 0 {

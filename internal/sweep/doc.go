@@ -21,8 +21,7 @@
 // index in expansion order, so an interrupted sweep resumed to completion
 // produces an index with the same CanonicalBytes as an uninterrupted one.
 //
-// The executor is generic over a CellRunner: InProcess runs cells in this
-// process (figures, tests, library callers); cmd/puffer-sweep supplies a
-// subprocess runner that re-execs itself per cell for isolation and
-// multi-process parallelism.
+// The executor is generic over a CellRunner so tests can inject failures;
+// InProcess, which runs cells in this process, is what cmd/puffer-sweep
+// and library callers use.
 package sweep

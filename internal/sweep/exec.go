@@ -14,8 +14,8 @@ import (
 )
 
 // CellRunner executes one cell with the given checkpoint directory ("" =
-// no checkpointing) and returns its warehouse record. InProcess runs cells
-// in this process; cmd/puffer-sweep supplies a subprocess runner.
+// no checkpointing) and returns its warehouse record. InProcess is the one
+// production runner; tests substitute their own.
 type CellRunner func(c Cell, checkpointDir string) (*results.Record, error)
 
 // ExecConfig is everything scheduling-side about a sweep execution —
@@ -54,8 +54,10 @@ type ExecConfig struct {
 type CellStatus struct {
 	Cell
 	// State is "indexed" (already in the index — skipped), "ran",
-	// "failed", or "skipped" (not attempted: a duplicate hash within the
-	// sweep, or the sweep aborted on an earlier failure).
+	// "failed" (its runner returned an error), or "skipped" (not appended:
+	// a duplicate hash within the sweep, or a cell not attempted or left
+	// out of the index after an earlier failure). Status, which runs
+	// nothing, reports the cells Execute would run as "missing".
 	State string
 }
 
@@ -128,34 +130,27 @@ func Execute(sw Spec, ec ExecConfig) (*Report, error) {
 		logf = func(string, ...any) {}
 	}
 
-	cells, err := sw.Expand(ec.Transform)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := results.Load(ec.IndexPath)
+	cells, err := Status(sw, ec.IndexPath, ec.Transform)
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &Report{Total: len(cells)}
-	rep.Cells = make([]CellStatus, len(cells))
+	rep := &Report{Cells: cells, Total: len(cells)}
 	var todo []Cell
-	seen := map[string]bool{}
-	for i, c := range cells {
-		rep.Cells[i] = CellStatus{Cell: c, State: "skipped"}
-		switch {
-		case ix.Has(c.Hash):
-			rep.Cells[i].State = "indexed"
-			rep.Indexed++
+	for i := range cells {
+		c := &cells[i]
+		switch c.State {
+		case "indexed":
 			logf("cell %d/%d %s: already indexed (%s)", i+1, len(cells), c.Name, shortHash(c.Hash))
-		case seen[c.Hash]:
-			rep.Skipped++
+		case "skipped":
 			logf("cell %d/%d %s: duplicate of an earlier cell, skipped", i+1, len(cells), c.Name)
 		default:
-			todo = append(todo, c)
+			// Missing: skipped until it is appended as ran or fails.
+			todo = append(todo, c.Cell)
+			c.State = "skipped"
 		}
-		seen[c.Hash] = true
 	}
+	rep.tally()
 	if len(todo) == 0 {
 		logf("all %d cells already indexed; nothing to run", len(cells))
 		return rep, nil
@@ -244,19 +239,23 @@ func Execute(sw Spec, ec ExecConfig) (*Report, error) {
 	// once every earlier missing cell's record is committed, which is
 	// what makes an interrupted-then-resumed index byte-identical to an
 	// uninterrupted one. A record that finished out of turn behind a
-	// failure is not appended; its checkpoints make the re-run cheap.
+	// failure is not appended (it stays skipped); its checkpoints make the
+	// re-run cheap.
 	pending := map[int]*results.Record{}
-	failed := map[int]error{}
+	var firstErr error
+	firstFailed := len(cells)
 	next := 0 // index into todo
 	for range todo {
 		d := <-results_
+		if d.err == errAborted {
+			continue
+		}
 		if d.err != nil {
-			if d.err != errAborted {
-				aborted.Store(true)
-				failed[d.cell.Index] = d.err
+			aborted.Store(true)
+			cells[d.cell.Index].State = "failed"
+			if d.cell.Index < firstFailed {
+				firstFailed, firstErr = d.cell.Index, d.err
 			}
-			setState(rep, d.cell.Index, "failed")
-			rep.Failed++
 			continue
 		}
 		pending[d.cell.Index] = d.rec
@@ -267,44 +266,50 @@ func Execute(sw Spec, ec ExecConfig) (*Report, error) {
 			}
 			if err := w.Append(rec); err != nil {
 				wg.Wait()
+				rep.tally()
 				return rep, err
 			}
-			setState(rep, todo[next].Index, "ran")
-			rep.Ran++
+			cells[todo[next].Index].State = "ran"
 			delete(pending, todo[next].Index)
 			next++
 		}
 	}
 	wg.Wait()
+	rep.tally()
 	ec.Events.Emit("sweep_done", map[string]any{
 		"ran": rep.Ran, "failed": rep.Failed, "indexed": rep.Indexed,
 	})
 
-	if len(failed) > 0 {
-		first := -1
-		for idx := range failed {
-			if first == -1 || idx < first {
-				first = idx
-			}
-		}
-		return rep, fmt.Errorf("sweep: %d cell(s) failed; first failure: %w", len(failed), failed[first])
+	if firstErr != nil {
+		return rep, fmt.Errorf("sweep: %d cell(s) failed; first failure: %w", rep.Failed, firstErr)
 	}
 	return rep, nil
 }
 
 var errAborted = fmt.Errorf("sweep: aborted after an earlier cell failure")
 
-func setState(rep *Report, cellIndex int, state string) {
-	for i := range rep.Cells {
-		if rep.Cells[i].Index == cellIndex {
-			rep.Cells[i].State = state
-			return
+// tally recounts Ran, Indexed, Skipped and Failed from the cells' states,
+// so the four partition Total whenever Execute returns.
+func (rep *Report) tally() {
+	rep.Ran, rep.Indexed, rep.Skipped, rep.Failed = 0, 0, 0, 0
+	for _, c := range rep.Cells {
+		switch c.State {
+		case "ran":
+			rep.Ran++
+		case "indexed":
+			rep.Indexed++
+		case "failed":
+			rep.Failed++
+		default:
+			rep.Skipped++
 		}
 	}
 }
 
 // InProcess returns a CellRunner that runs cells inside this process via
-// scenario.Run — the runner figures and tests use. opt is the scheduling
+// scenario.Run, so their metrics and spans reach this process's registry
+// and tracer. A panicking cell ends the process; the index prefix and the
+// per-guard checkpoints let a relaunch resume. opt is the scheduling
 // template every cell runs with (Workers, Logf, DistCommand, ...); the
 // executor overrides CheckpointDir per cell.
 func InProcess(opt scenario.RunOptions) CellRunner {

@@ -65,6 +65,21 @@ func TestExecuteRunsMissingCellsOnly(t *testing.T) {
 	if rep.Ran != 2 {
 		t.Fatalf("interrupted run appended %d cells, want the contiguous prefix of 2", rep.Ran)
 	}
+	// Only the runner error is a failure; the cell never attempted after it
+	// is skipped, and the four counts partition Total.
+	if rep.Failed != 1 || rep.Skipped != 1 {
+		t.Fatalf("interrupted run: failed %d skipped %d, want 1 and 1", rep.Failed, rep.Skipped)
+	}
+	if sum := rep.Ran + rep.Indexed + rep.Skipped + rep.Failed; sum != rep.Total {
+		t.Fatalf("interrupted run: counts sum to %d, Total is %d (%+v)", sum, rep.Total, rep)
+	}
+	var states []string
+	for _, c := range rep.Cells {
+		states = append(states, c.State)
+	}
+	if got := strings.Join(states, ","); got != "ran,ran,failed,skipped" {
+		t.Fatalf("interrupted run states = %s, want ran,ran,failed,skipped", got)
+	}
 	ix, err := results.Load(killIndex)
 	if err != nil {
 		t.Fatal(err)
