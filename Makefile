@@ -277,15 +277,18 @@ dist-smoke:
 
 # Fuzz smoke: a few seconds of native fuzzing on each internal/wire boundary
 # reader — every socket, pipe, index and event-log byte enters through one of
-# the two — and on the two payload decoders a served client reaches first,
-# Hello and Decide (an accepted Decide must also survive an MPC-HM decision).
-# The committed seeds under internal/{wire,serve}/testdata/fuzz run in every
-# plain `go test` as well; this adds fresh mutations on each push.
+# the two — on the two payload decoders a served client reaches first,
+# Hello and Decide (an accepted Decide must also survive an MPC-HM decision),
+# and on the scenario spec parser (a valid spec's canonical JSON must be a
+# fixed point with stable hashes). The committed seeds under
+# internal/{wire,serve,scenario}/testdata/fuzz run in every plain `go test`
+# as well; this adds fresh mutations on each push.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecide -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/scenario
 
 # `loc` runs last so every green run ends on the round's tracked number.
 ci: fmt-check vet build cross test bench daily-smoke docs-smoke figures-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc

@@ -102,7 +102,8 @@ func TestDistCoordinatorKillAndResume(t *testing.T) {
 }
 
 // TestDistWorkersFlagSelectsEngine: -dist-workers alone flips the spec to
-// the dist engine, while an explicit -engine wins over it.
+// the dist engine, while an explicit -engine wins over it in either order:
+// overrides apply in flag.Visit's lexicographic order, not argument order.
 func TestDistWorkersFlagSelectsEngine(t *testing.T) {
 	cli, err := parseCLI([]string{"-dist-workers", "4"})
 	if err != nil {
@@ -111,11 +112,16 @@ func TestDistWorkersFlagSelectsEngine(t *testing.T) {
 	if cli.spec.Engine.Kind != "dist" || cli.spec.Engine.DistWorkers != 4 {
 		t.Fatalf("spec engine = %+v, want dist with 4 workers", cli.spec.Engine)
 	}
-	cli, err = parseCLI([]string{"-dist-workers", "4", "-engine", "session"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cli.spec.Engine.Kind != "session" {
-		t.Fatalf("explicit -engine lost to -dist-workers: %+v", cli.spec.Engine)
+	for _, args := range [][]string{
+		{"-dist-workers", "4", "-engine", "session"},
+		{"-engine", "session", "-dist-workers", "4"},
+	} {
+		cli, err = parseCLI(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cli.spec.Engine.Kind != "session" || cli.spec.Engine.DistWorkers != 4 {
+			t.Fatalf("%v: explicit -engine lost to -dist-workers: %+v", args, cli.spec.Engine)
+		}
 	}
 }

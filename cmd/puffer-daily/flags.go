@@ -1,11 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
-	"puffer/internal/experiment"
 	"puffer/internal/obscli"
 	"puffer/internal/scenario"
 )
@@ -27,12 +29,100 @@ type cliConfig struct {
 	obsEvents   string
 }
 
+// kind is how an override flag's text becomes a JSON value.
+type kind int
+
+const (
+	str kind = iota
+	num
+	boolean
+)
+
+// override is one spec-override flag: the JSON path it sets through
+// scenario.Spec.Set, its value kind, its usage (units in parentheses), and
+// an optional second field it pins, written path=json.
+type override struct {
+	path  string
+	kind  kind
+	usage string
+	pin   string
+}
+
+// overrides maps every spec-override flag to the spec field it writes.
+var overrides = map[string]override{
+	"days":              {"daily.days", num, "deployment days to simulate (count)", ""},
+	"sessions":          {"daily.sessions", num, "randomized-trial size per day (sessions)", ""},
+	"window":            {"daily.window", num, "sliding retraining window (days; 0 = all days so far)", ""},
+	"retrain":           {"daily.retrain", boolean, "retrain the TTP nightly (false = frozen day-0 model)", ""},
+	"ablation":          {"daily.ablation", boolean, "with retraining, also run the frozen-model staleness ablation", ""},
+	"engine":            {"engine.kind", str, "execution engine — session, fleet, or dist; results are byte-identical", ""},
+	"dist-workers":      {"engine.dist_workers", num, "dist engine worker-process count (0 = GOMAXPROCS; selects the dist engine); never changes results", `engine.kind="dist"`},
+	"arrival-rate":      {"engine.arrival.rate", num, "fleet engine Poisson arrival intensity (sessions per virtual second; selects the poisson process)", `engine.arrival.process="poisson"`},
+	"tick":              {"engine.tick", num, "fleet engine inference-batching tick (virtual seconds; never changes results)", ""},
+	"shard":             {"shard_size", num, "sessions per aggregation shard (sessions)", ""},
+	"seed":              {"seed", num, "experiment seed (any int64)", ""},
+	"epochs":            {"train.epochs", num, "nightly training epochs (count)", ""},
+	"env":               {"env.world", str, "environment world, insitu or emulation", ""},
+	"drift":             {"drift.preset", str, "nonstationarity preset — none, decay, shift, or mix", ""},
+	"drift-rate-factor": {"drift.rate_factor_per_day", num, "daily capacity factor (ratio/day; e.g. 0.9 = -10%/day; unset = preset)", ""},
+	"drift-rate-floor":  {"drift.rate_factor_floor", num, "floor on the compounded capacity factor (ratio; unset = preset)", ""},
+	"drift-sigma-widen": {"drift.sigma_widen_per_day", num, "extra session-spread log-std-dev added per day (nats/day; unset = preset)", ""},
+	"drift-slow-share":  {"drift.slow_share_per_day", num, "extra slow-path share added per day (fraction/day; unset = preset)", ""},
+	"drift-slow-cap":    {"drift.slow_share_cap", num, "cap on the extra slow-path share (fraction; unset = preset)", ""},
+	"drift-outage-rate": {"drift.outages_per_hour", num, "extra deep outages added per day (outages/hour/day; unset = preset)", ""},
+	"drift-outage-cap":  {"drift.outage_cap_per_hour", num, "cap on the ramped outage rate (outages/hour; 0 = uncapped; unset = preset)", ""},
+	"drift-mix":         {"drift.mix", str, "migrate the population toward this family — congested, fcc, cs2p, or none (unset = preset)", ""},
+	"drift-mix-start":   {"drift.mix_start_day", num, "first day of the mix ramp (day index; unset = preset)", ""},
+	"drift-mix-ramp":    {"drift.mix_ramp_days", num, "days for the mix ramp to reach 100% (days; <= 0 = step; unset = preset)", ""},
+}
+
+// value turns a flag's text into JSON. Numbers accept what flag.Int and
+// flag.Float64 accept; a non-integer stays as typed when that is JSON and
+// gains an exponent otherwise, so an integer field still refuses it.
+func (k kind) value(text string) (json.RawMessage, error) {
+	switch k {
+	case num:
+		if i, err := strconv.ParseInt(text, 0, 64); err == nil {
+			return strconv.AppendInt(nil, i, 10), nil
+		}
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return nil, err
+		}
+		if json.Valid([]byte(text)) {
+			return json.RawMessage(text), nil
+		}
+		return json.RawMessage(strconv.FormatFloat(f, 'e', -1, 64)), nil // NaN and Inf are not JSON
+	case boolean:
+		b, err := strconv.ParseBool(text)
+		if err != nil {
+			return nil, err
+		}
+		return strconv.AppendBool(nil, b), nil
+	}
+	return json.Marshal(text)
+}
+
+// apply writes the pinned field, then the flag's own.
+func (o override) apply(s scenario.Spec, v json.RawMessage) (scenario.Spec, error) {
+	if path, pinned, ok := strings.Cut(o.pin, "="); ok {
+		var err error
+		if s, err = s.Set(path, json.RawMessage(pinned)); err != nil {
+			return s, err
+		}
+	}
+	return s.Set(o.path, v)
+}
+
 // parseCLI maps the command line onto a scenario spec. The base spec comes
 // from -scenario (a registered name or a JSON file; default: the all-unset
 // spec, whose WithDefaults resolution is exactly the historical flag
-// defaults). Every individual flag is an override: it applies only when
-// given on the command line — flag.Visit, not flag defaults — so explicit
-// zeros override too, and anything not mentioned rides on the spec.
+// defaults). Every other spec flag is an override: a row of the overrides
+// table, applied through scenario.Spec.Set only when given on the command
+// line — flag.Visit, in its lexicographic order, so -engine wins over
+// -dist-workers — so explicit zeros override too, and anything not
+// mentioned rides on the spec. A bad value fails at flag parse, because it
+// is tried on an empty spec there.
 func parseCLI(args []string) (*cliConfig, error) {
 	cli := &cliConfig{}
 	fs := flag.NewFlagSet("puffer-daily", flag.ContinueOnError)
@@ -41,38 +131,32 @@ func parseCLI(args []string) (*cliConfig, error) {
 	fs.BoolVar(&cli.list, "list-scenarios", false, "list the registered scenarios and exit")
 	fs.BoolVar(&cli.jsonOut, "json", false, "with -list-scenarios: emit JSON (name, notes, spec hash, guard hash)")
 	fs.BoolVar(&cli.dump, "dump-scenario", false, "print the effective fully-defaulted spec as canonical JSON and exit (commit it, edit it, re-run it)")
-
-	days := fs.Int("days", scenario.DefaultDays, "override: deployment days to simulate (count)")
-	sessions := fs.Int("sessions", scenario.DefaultSessions, "override: randomized-trial size per day (sessions)")
-	window := fs.Int("window", scenario.DefaultWindow, "override: sliding retraining window (days; 0 = all days so far)")
 	fs.IntVar(&cli.workers, "workers", 0, "parallel shard workers (goroutines; 0 = GOMAXPROCS); never changes results")
-	engine := fs.String("engine", "session", "override: execution engine — session, fleet, or dist; results are byte-identical")
-	distWorkers := fs.Int("dist-workers", 0, "override: dist engine worker-process count (0 = GOMAXPROCS; selects the dist engine); never changes results")
 	fs.DurationVar(&cli.distTimeout, "dist-timeout", 0, "dist engine per-shard hang deadline (duration; 0 = none); never changes results")
-	arrivalRate := fs.Float64("arrival-rate", scenario.DefaultRate, "override: fleet engine Poisson arrival intensity (sessions per virtual second; selects the poisson process)")
-	tick := fs.Float64("tick", scenario.DefaultTick, "override: fleet engine inference-batching tick (virtual seconds; never changes results)")
-	shard := fs.Int("shard", experiment.DefaultShardSize, "override: sessions per aggregation shard (sessions)")
-	seed := fs.Int64("seed", scenario.DefaultSeed, "override: experiment seed (any int64)")
 	fs.StringVar(&cli.checkpoint, "checkpoint", "", "checkpoint directory (path; empty = no checkpointing)")
-	retrain := fs.Bool("retrain", true, "override: retrain the TTP nightly (false = frozen day-0 model)")
-	ablation := fs.Bool("ablation", true, "override: with retraining, also run the frozen-model staleness ablation")
-	epochs := fs.Int("epochs", scenario.DefaultEpochs, "override: nightly training epochs (count)")
-	envName := fs.String("env", "insitu", "override: environment world, insitu or emulation")
 	fs.BoolVar(&cli.quiet, "q", false, "suppress progress logging")
 	cli.obs.Register(fs)
 	fs.StringVar(&cli.obsEvents, "obs-events", "", "append the structured run-progress event stream (JSONL) to this file (path; empty = off)")
 
-	drift := fs.String("drift", "none", "override: nonstationarity preset — none, decay, shift, or mix")
-	dRate := fs.Float64("drift-rate-factor", 0, "override: daily capacity factor (ratio/day; e.g. 0.9 = -10%/day; unset = preset)")
-	dFloor := fs.Float64("drift-rate-floor", 0, "override: floor on the compounded capacity factor (ratio; unset = preset)")
-	dSigma := fs.Float64("drift-sigma-widen", 0, "override: extra session-spread log-std-dev added per day (nats/day; unset = preset)")
-	dSlow := fs.Float64("drift-slow-share", 0, "override: extra slow-path share added per day (fraction/day; unset = preset)")
-	dSlowCap := fs.Float64("drift-slow-cap", 0, "override: cap on the extra slow-path share (fraction; unset = preset)")
-	dOutage := fs.Float64("drift-outage-rate", 0, "override: extra deep outages added per day (outages/hour/day; unset = preset)")
-	dOutageCap := fs.Float64("drift-outage-cap", 0, "override: cap on the ramped outage rate (outages/hour; 0 = uncapped; unset = preset)")
-	dMix := fs.String("drift-mix", "", "override: migrate the population toward this family — congested, fcc, cs2p, or none (unset = preset)")
-	dMixStart := fs.Int("drift-mix-start", 0, "override: first day of the mix ramp (day index; unset = preset)")
-	dMixRamp := fs.Int("drift-mix-ramp", 3, "override: days for the mix ramp to reach 100% (days; <= 0 = step; unset = preset)")
+	given := map[string]json.RawMessage{}
+	for name, o := range overrides {
+		set := func(text string) error {
+			v, err := o.kind.value(text)
+			if err != nil {
+				return err
+			}
+			if _, err := o.apply(scenario.Spec{}, v); err != nil {
+				return err
+			}
+			given[name] = v
+			return nil
+		}
+		if o.kind == boolean {
+			fs.BoolFunc(name, "override: "+o.usage, set)
+		} else {
+			fs.Func(name, "override: "+o.usage, set)
+		}
+	}
 
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -85,64 +169,14 @@ func parseCLI(args []string) (*cliConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Flag overrides apply only when the flag was actually given.
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "days":
-			spec.Daily.Days = *days
-		case "sessions":
-			spec.Daily.Sessions = *sessions
-		case "window":
-			spec.Daily.Window = ptrOf(*window)
-		case "engine":
-			spec.Engine.Kind = *engine
-		case "dist-workers":
-			spec.Engine.Kind = "dist"
-			spec.Engine.DistWorkers = *distWorkers
-		case "arrival-rate":
-			spec.Engine.Arrival.Process = "poisson"
-			spec.Engine.Arrival.Rate = *arrivalRate
-		case "tick":
-			spec.Engine.Tick = *tick
-		case "shard":
-			spec.ShardSize = *shard
-		case "seed":
-			spec.Seed = ptrOf(*seed)
-		case "retrain":
-			spec.Daily.Retrain = ptrOf(*retrain)
-		case "ablation":
-			spec.Daily.Ablation = ptrOf(*ablation)
-		case "epochs":
-			spec.Train.Epochs = *epochs
-		case "env":
-			spec.Env.World = *envName
-		case "drift":
-			spec.Drift.Preset = *drift
-		case "drift-rate-factor":
-			spec.Drift.RateFactorPerDay = ptrOf(*dRate)
-		case "drift-rate-floor":
-			spec.Drift.RateFactorFloor = ptrOf(*dFloor)
-		case "drift-sigma-widen":
-			spec.Drift.SigmaWidenPerDay = ptrOf(*dSigma)
-		case "drift-slow-share":
-			spec.Drift.SlowSharePerDay = ptrOf(*dSlow)
-		case "drift-slow-cap":
-			spec.Drift.SlowShareCap = ptrOf(*dSlowCap)
-		case "drift-outage-rate":
-			spec.Drift.OutagesPerHour = ptrOf(*dOutage)
-		case "drift-outage-cap":
-			spec.Drift.OutageCapPerHour = ptrOf(*dOutageCap)
-		case "drift-mix":
-			spec.Drift.Mix = ptrOf(*dMix)
-		case "drift-mix-start":
-			spec.Drift.MixStartDay = ptrOf(*dMixStart)
-		case "drift-mix-ramp":
-			spec.Drift.MixRampDays = ptrOf(*dMixRamp)
+		if o, ok := overrides[f.Name]; ok && err == nil {
+			spec, err = o.apply(spec, given[f.Name])
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	cli.spec = spec
 	return cli, nil
 }
-
-func ptrOf[T any](v T) *T { return &v }

@@ -21,6 +21,13 @@
 //	puffer-daily -engine fleet -arrival-rate 2       # concurrent serving
 //	puffer-daily -dist-workers 4                     # worker-process shards
 //
+// Each override flag is a row of one table (flags.go): the flag name, the
+// spec's JSON path it sets through scenario.Spec.Set, its value kind
+// (string, number or bool), its usage with units, and an optional second
+// field it pins (-dist-workers also sets engine.kind to "dist",
+// -arrival-rate sets engine.arrival.process to "poisson"). -h shows the
+// units; -dump-scenario shows the resolved defaults.
+//
 // -dump-scenario prints the effective fully-defaulted spec as canonical
 // JSON: commit it, diff it, edit it, and re-run it byte-identically. The
 // spec's guard hash pins checkpoint directories (-checkpoint), so resuming

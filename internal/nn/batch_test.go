@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -204,4 +206,14 @@ func BenchmarkForwardBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ForwardBatchInto(bws, xs, 10)
 	}
+}
+
+// LoadFile reads a network from the named file.
+func LoadFile(path string) (*MLP, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("nn: opening model file: %w", err)
+	}
+	defer f.Close()
+	return Load(f)
 }

@@ -43,16 +43,6 @@ func (m *MLP) SaveFile(path string) error {
 	return nil
 }
 
-// LoadFile reads a network from the named file.
-func LoadFile(path string) (*MLP, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: opening model file: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
-}
-
 // validate checks structural consistency of a deserialized model (Pack's
 // first step).
 func (m *MLP) validate() error {

@@ -156,49 +156,6 @@ type HistSnapshot struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// Merge combines two snapshots of the same (or compatible) histograms into
-// one, as if every observation of both had landed in a single histogram.
-// Merge is associative and commutative up to the Name, which is taken from
-// the first non-empty operand.
-func Merge(a, b HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Name: a.Name, Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
-	if out.Name == "" {
-		out.Name = b.Name
-	}
-	switch {
-	case a.Count == 0:
-		out.Min, out.Max = b.Min, b.Max
-	case b.Count == 0:
-		out.Min, out.Max = a.Min, a.Max
-	default:
-		out.Min, out.Max = a.Min, a.Max
-		if b.Min < out.Min {
-			out.Min = b.Min
-		}
-		if b.Max > out.Max {
-			out.Max = b.Max
-		}
-	}
-	i, j := 0, 0
-	for i < len(a.Buckets) || j < len(b.Buckets) {
-		switch {
-		case j >= len(b.Buckets) || (i < len(a.Buckets) && a.Buckets[i].Low < b.Buckets[j].Low):
-			out.Buckets = append(out.Buckets, a.Buckets[i])
-			i++
-		case i >= len(a.Buckets) || b.Buckets[j].Low < a.Buckets[i].Low:
-			out.Buckets = append(out.Buckets, b.Buckets[j])
-			j++
-		default:
-			m := a.Buckets[i]
-			m.Count += b.Buckets[j].Count
-			out.Buckets = append(out.Buckets, m)
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Sub returns the distribution of observations recorded between an earlier
 // snapshot old of the same histogram and this one — the window a reader
 // computes from two polls of a live snapshot. Bucket counts subtract

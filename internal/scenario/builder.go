@@ -32,9 +32,6 @@ func Sessions(n int) Option { return func(s *Spec) { s.Daily.Sessions = n } }
 // Window sets the sliding retraining window in days (0 = all days so far).
 func Window(n int) Option { return func(s *Spec) { s.Daily.Window = ptr(n) } }
 
-// Retrain toggles the nightly warm-start retraining.
-func Retrain(on bool) Option { return func(s *Spec) { s.Daily.Retrain = ptr(on) } }
-
 // Ablation toggles the frozen-model companion run.
 func Ablation(on bool) Option { return func(s *Spec) { s.Daily.Ablation = ptr(on) } }
 
@@ -44,28 +41,8 @@ func Seed(v int64) Option { return func(s *Spec) { s.Seed = ptr(v) } }
 // Shard sets sessions per aggregation shard.
 func Shard(n int) Option { return func(s *Spec) { s.ShardSize = n } }
 
-// Hidden sets the TTP hidden-layer sizes; Hidden() with no arguments is
-// the linear-model ablation.
-func Hidden(sizes ...int) Option {
-	return func(s *Spec) {
-		if sizes == nil {
-			sizes = []int{}
-		}
-		s.Model.Hidden = sizes
-	}
-}
-
-// Horizon sets the TTP/MPC lookahead in chunks.
-func Horizon(n int) Option { return func(s *Spec) { s.Model.Horizon = n } }
-
 // Epochs sets the nightly training epochs.
 func Epochs(n int) Option { return func(s *Spec) { s.Train.Epochs = n } }
-
-// BatchSize sets the training minibatch size.
-func BatchSize(n int) Option { return func(s *Spec) { s.Train.BatchSize = n } }
-
-// LR sets the Adam learning rate.
-func LR(v float64) Option { return func(s *Spec) { s.Train.LR = v } }
 
 // RecencyBase sets the per-day-of-age training weight multiplier (0 or 1 =
 // uniform).
@@ -74,26 +51,8 @@ func RecencyBase(v float64) Option { return func(s *Spec) { s.Train.RecencyBase 
 // Drift selects a named drift preset ("none", "decay", "shift", "mix").
 func Drift(preset string) Option { return func(s *Spec) { s.Drift.Preset = preset } }
 
-// Mix migrates the population toward another family over a linear ramp.
-func Mix(family string, startDay, rampDays int) Option {
-	return func(s *Spec) {
-		s.Drift.Mix = ptr(family)
-		s.Drift.MixStartDay = ptr(startDay)
-		s.Drift.MixRampDays = ptr(rampDays)
-	}
-}
-
 // Engine selects the execution engine ("session", "fleet", or "dist").
 func Engine(kind string) Option { return func(s *Spec) { s.Engine.Kind = kind } }
-
-// DistWorkers selects the dist engine with the given worker-process count
-// (0 = GOMAXPROCS).
-func DistWorkers(n int) Option {
-	return func(s *Spec) {
-		s.Engine.Kind = "dist"
-		s.Engine.DistWorkers = n
-	}
-}
 
 // ArrivalRate sets a Poisson arrival process at the given intensity
 // (sessions per virtual second).

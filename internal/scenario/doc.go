@@ -13,7 +13,9 @@
 // and has a canonical content hash (Hash) whose guard projection
 // (GuardHash) is the checkpoint-manifest guard: resuming a checkpoint
 // under a different experiment is refused by comparing spec hashes, not
-// ad-hoc field lists.
+// ad-hoc field lists. Set writes one field by its dotted JSON path
+// ("daily.window", "engine.arrival.rate") through the same strict parser;
+// puffer-daily's override flags and a sweep's axes both go through it.
 //
 // Entry points: Compile lowers a Spec into the result-shaping
 // runner.Config; Run is the one orchestration path (main run plus the

@@ -35,7 +35,7 @@ func (s Spec) Hash() string {
 func (s Spec) GuardHash() string {
 	d := s.WithDefaults()
 	d.Name, d.Notes = "", ""
-	d.Daily.Days = DefaultDays
+	d.Daily.Days = defaultDays
 	d.Daily.Ablation = ptr(true)
 	d.Engine = EngineSpec{}.withEngineDefaults()
 	return hashJSON(d.CanonicalJSON())

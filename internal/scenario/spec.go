@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
+	"strings"
 
 	"puffer/internal/experiment"
 )
@@ -169,23 +172,22 @@ type ArrivalSpec struct {
 // deliberately equal the historical puffer-daily flag defaults, so a spec
 // with everything unset runs exactly what the bare CLI always ran.
 const (
-	DefaultDays      = 3
-	DefaultSessions  = 150
-	DefaultWindow    = 14
-	DefaultEpochs    = 8
-	DefaultBatchSize = 64
-	DefaultLR        = 1e-3
-	DefaultSeed      = 1
-	DefaultRate      = 1.0
-	DefaultTick      = 0.25
-
+	defaultDays        = 3
+	defaultSessions    = 150
+	defaultWindow      = 14
+	defaultEpochs      = 8
+	defaultBatchSize   = 64
+	defaultLR          = 1e-3
+	defaultSeed        = 1
+	defaultRate        = 1.0
+	defaultTick        = 0.25
 	defaultRecencyBase = 0.9
 	defaultMixStartDay = 0
 	defaultMixRampDays = 3
 )
 
-// DefaultHidden is the paper's TTP architecture.
-var DefaultHidden = []int{64, 64}
+// defaultHidden is the paper's TTP architecture.
+var defaultHidden = []int{64, 64}
 
 func ptr[T any](v T) *T { return &v }
 
@@ -207,35 +209,35 @@ func (s Spec) WithDefaults() Spec {
 		d.Env.World = "insitu"
 	}
 	if d.Daily.Days == 0 {
-		d.Daily.Days = DefaultDays
+		d.Daily.Days = defaultDays
 	}
 	if d.Daily.Sessions == 0 {
-		d.Daily.Sessions = DefaultSessions
+		d.Daily.Sessions = defaultSessions
 	}
-	d.Daily.Window = ptr(orp(d.Daily.Window, DefaultWindow))
+	d.Daily.Window = ptr(orp(d.Daily.Window, defaultWindow))
 	d.Daily.Retrain = ptr(orp(d.Daily.Retrain, true))
 	d.Daily.Ablation = ptr(orp(d.Daily.Ablation, true))
 	if d.Model.Hidden == nil {
-		d.Model.Hidden = append([]int(nil), DefaultHidden...)
+		d.Model.Hidden = append([]int(nil), defaultHidden...)
 	}
 	if d.Model.Horizon == 0 {
 		d.Model.Horizon = 5
 	}
 	if d.Train.Epochs == 0 {
-		d.Train.Epochs = DefaultEpochs
+		d.Train.Epochs = defaultEpochs
 	}
 	if d.Train.BatchSize == 0 {
-		d.Train.BatchSize = DefaultBatchSize
+		d.Train.BatchSize = defaultBatchSize
 	}
 	if d.Train.LR == 0 {
-		d.Train.LR = DefaultLR
+		d.Train.LR = defaultLR
 	}
 	d.Train.RecencyBase = ptr(orp(d.Train.RecencyBase, defaultRecencyBase))
 	if d.Drift.Preset == "" {
 		d.Drift.Preset = "none"
 	}
 	d.Engine = d.Engine.withEngineDefaults()
-	d.Seed = ptr(orp(d.Seed, int64(DefaultSeed)))
+	d.Seed = ptr(orp(d.Seed, int64(defaultSeed)))
 	if d.ShardSize == 0 {
 		d.ShardSize = experiment.DefaultShardSize
 	}
@@ -253,47 +255,69 @@ func (e EngineSpec) withEngineDefaults() EngineSpec {
 		e.Arrival.Process = "poisson"
 	}
 	if e.Arrival.Rate == 0 && e.Arrival.Process == "poisson" {
-		e.Arrival.Rate = DefaultRate
+		e.Arrival.Rate = defaultRate
 	}
 	if e.Tick == 0 {
-		e.Tick = DefaultTick
+		e.Tick = defaultTick
 	}
 	return e
 }
 
-// Clone returns a deep copy: no pointer field or slice is shared with the
-// receiver, so mutating the copy (or what its pointers point at) never
-// touches the original. The registry hands out clones for exactly this
-// reason.
+// Clone returns a deep copy: a JSON round trip, so no pointer field or
+// slice is shared with the receiver, and mutating the copy (or what its
+// pointers point at) never touches the original. The registry hands out
+// clones for exactly this reason.
 func (s Spec) Clone() Spec {
-	c := s
-	c.Daily.Window = clonePtr(s.Daily.Window)
-	c.Daily.Retrain = clonePtr(s.Daily.Retrain)
-	c.Daily.Ablation = clonePtr(s.Daily.Ablation)
-	if s.Model.Hidden != nil {
-		c.Model.Hidden = append([]int{}, s.Model.Hidden...)
+	blob, err := json.Marshal(s)
+	if err == nil {
+		s, err = Parse(blob)
 	}
-	c.Train.RecencyBase = clonePtr(s.Train.RecencyBase)
-	c.Drift.RateFactorPerDay = clonePtr(s.Drift.RateFactorPerDay)
-	c.Drift.RateFactorFloor = clonePtr(s.Drift.RateFactorFloor)
-	c.Drift.SigmaWidenPerDay = clonePtr(s.Drift.SigmaWidenPerDay)
-	c.Drift.SlowSharePerDay = clonePtr(s.Drift.SlowSharePerDay)
-	c.Drift.SlowShareCap = clonePtr(s.Drift.SlowShareCap)
-	c.Drift.OutagesPerHour = clonePtr(s.Drift.OutagesPerHour)
-	c.Drift.OutageCapPerHour = clonePtr(s.Drift.OutageCapPerHour)
-	c.Drift.Mix = clonePtr(s.Drift.Mix)
-	c.Drift.MixStartDay = clonePtr(s.Drift.MixStartDay)
-	c.Drift.MixRampDays = clonePtr(s.Drift.MixRampDays)
-	c.Seed = clonePtr(s.Seed)
-	return c
+	if err != nil {
+		// Only a non-finite float fails to marshal: a bug, since no parsed
+		// or registered spec holds one and Validate rejects it.
+		panic(fmt.Sprintf("scenario: clone: %v", err))
+	}
+	return s
 }
 
-func clonePtr[T any](p *T) *T {
-	if p == nil {
-		return nil
+// Set returns a copy of the spec with the value at a dotted JSON path
+// ("daily.window", "drift.mix", "engine.arrival.rate") replaced by v,
+// creating intermediate objects as needed. The result is the strict Parse of
+// the edited JSON, so an unknown path or a wrong-typed value is an error
+// naming the field, and every field off the path keeps its set-or-unset
+// state. puffer-daily's override flags and a sweep's axes both write a spec
+// through Set.
+func (s Spec) Set(path string, v json.RawMessage) (Spec, error) {
+	blob, err := json.Marshal(s)
+	if err != nil {
+		return Spec{}, fmt.Errorf("scenario: %s: %w", path, err)
 	}
-	v := *p
-	return &v
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber() // re-marshaling keeps every number's digits (int64 seeds)
+	var root map[string]any
+	if err := dec.Decode(&root); err != nil {
+		return Spec{}, fmt.Errorf("scenario: %s: %w", path, err)
+	}
+	m, parts := root, strings.Split(path, ".")
+	for i, p := range parts[:len(parts)-1] {
+		switch next := m[p].(type) {
+		case map[string]any:
+			m = next
+		case nil:
+			child := map[string]any{}
+			m[p], m = child, child
+		default:
+			return Spec{}, fmt.Errorf("scenario: %s: %s is not an object", path, strings.Join(parts[:i+1], "."))
+		}
+	}
+	m[parts[len(parts)-1]] = v
+	if blob, err = json.Marshal(root); err == nil {
+		s, err = decodeStrict(blob)
+	}
+	if err != nil {
+		return Spec{}, fmt.Errorf("scenario: %s = %s: %w", path, v, err)
+	}
+	return s, nil
 }
 
 // enum reports whether v is one of the allowed values.
@@ -309,6 +333,28 @@ func enum(v string, allowed ...string) bool {
 // Validate checks a fully-defaulted spec, returning actionable errors that
 // name the JSON field. Call WithDefaults first (Compile does both).
 func (s *Spec) Validate() error {
+	d := &s.Drift
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"train.lr", s.Train.LR},
+		{"train.recency_base", orp(s.Train.RecencyBase, 0)},
+		{"engine.arrival.rate", s.Engine.Arrival.Rate},
+		{"engine.arrival.gap", s.Engine.Arrival.Gap},
+		{"engine.tick", s.Engine.Tick},
+		{"drift.rate_factor_per_day", orp(d.RateFactorPerDay, 0)},
+		{"drift.rate_factor_floor", orp(d.RateFactorFloor, 0)},
+		{"drift.sigma_widen_per_day", orp(d.SigmaWidenPerDay, 0)},
+		{"drift.slow_share_per_day", orp(d.SlowSharePerDay, 0)},
+		{"drift.slow_share_cap", orp(d.SlowShareCap, 0)},
+		{"drift.outages_per_hour", orp(d.OutagesPerHour, 0)},
+		{"drift.outage_cap_per_hour", orp(d.OutageCapPerHour, 0)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s = %g, must be finite", f.name, f.v)
+		}
+	}
 	if !enum(s.Env.World, "insitu", "emulation") {
 		return fmt.Errorf("scenario: env.world = %q, want insitu or emulation", s.Env.World)
 	}
@@ -427,15 +473,23 @@ func (d *DriftSpec) validate() error {
 // experiment), and so is trailing garbage. The result is returned as
 // written — call WithDefaults (or Compile) to resolve defaults.
 func Parse(blob []byte) (Spec, error) {
+	s, err := decodeStrict(blob)
+	if err != nil {
+		return Spec{}, fmt.Errorf("scenario: decoding spec: %w", err)
+	}
+	return s, nil
+}
+
+func decodeStrict(blob []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(blob))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("scenario: decoding spec: %w", err)
+		return Spec{}, err
 	}
 	var extra any
 	if err := dec.Decode(&extra); err == nil {
-		return Spec{}, fmt.Errorf("scenario: trailing data after spec JSON")
+		return Spec{}, errors.New("trailing data after spec JSON")
 	}
 	return s, nil
 }
@@ -461,7 +515,8 @@ func (s Spec) CanonicalJSON() []byte {
 	d := s.WithDefaults()
 	blob, err := json.MarshalIndent(&d, "", "  ")
 	if err != nil {
-		// Spec contains only plain data; marshaling cannot fail.
+		// A non-finite float is the one value JSON cannot hold, and
+		// Validate rejects it; any other spec marshals.
 		panic(fmt.Sprintf("scenario: canonical marshal: %v", err))
 	}
 	return append(blob, '\n')

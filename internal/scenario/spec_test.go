@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -118,6 +121,20 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{func(s *Spec) { s.Engine.Tick = -0.25 }, "engine.tick"},
 		{func(s *Spec) { s.Engine.DistWorkers = -2 }, "engine.dist_workers"},
 		{func(s *Spec) { s.ShardSize = -64 }, "shard_size"},
+		{func(s *Spec) { s.Train.LR = math.NaN() }, "train.lr"},
+		{func(s *Spec) { s.Train.LR = math.Inf(1) }, "train.lr"},
+		{func(s *Spec) { s.Train.RecencyBase = ptr(math.NaN()) }, "train.recency_base"},
+		{func(s *Spec) { s.Engine.Arrival.Rate = math.NaN() }, "engine.arrival.rate"},
+		{func(s *Spec) { s.Engine.Arrival.Rate = math.Inf(1) }, "engine.arrival.rate"},
+		{func(s *Spec) { s.Engine.Arrival.Gap = math.Inf(1) }, "engine.arrival.gap"},
+		{func(s *Spec) { s.Engine.Tick = math.Inf(1) }, "engine.tick"},
+		{func(s *Spec) { s.Drift.RateFactorPerDay = ptr(math.NaN()) }, "drift.rate_factor_per_day"},
+		{func(s *Spec) { s.Drift.RateFactorFloor = ptr(math.Inf(1)) }, "drift.rate_factor_floor"},
+		{func(s *Spec) { s.Drift.SigmaWidenPerDay = ptr(math.NaN()) }, "drift.sigma_widen_per_day"},
+		{func(s *Spec) { s.Drift.SlowSharePerDay = ptr(math.NaN()) }, "drift.slow_share_per_day"},
+		{func(s *Spec) { s.Drift.SlowShareCap = ptr(math.NaN()) }, "drift.slow_share_cap"},
+		{func(s *Spec) { s.Drift.OutagesPerHour = ptr(math.Inf(1)) }, "drift.outages_per_hour"},
+		{func(s *Spec) { s.Drift.OutageCapPerHour = ptr(math.Inf(-1)) }, "drift.outage_cap_per_hour"},
 	}
 	for _, c := range cases {
 		s := New()
@@ -137,6 +154,63 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 	if _, err := Compile(New(Days(-1))); err == nil {
 		t.Fatal("Compile must validate")
 	}
+	// A non-finite float is refused before anything marshals the spec.
+	for _, o := range []Option{ArrivalRate(math.NaN()), Tick(math.Inf(1)), LR(math.NaN())} {
+		if _, err := Compile(New(Days(1), Sessions(8), o)); err == nil {
+			t.Fatal("Compile accepted a non-finite float")
+		}
+	}
+}
+
+// TestSpecSet: Set writes exactly one dotted JSON path through the strict
+// parser — unknown paths and wrong types are errors naming the field, an
+// explicit zero differs from unset, and every other field keeps its state.
+func TestSpecSet(t *testing.T) {
+	base := New(Named("base", "kept"), Seed(0), Hidden(), Mix("fcc", 1, 0), Engine("fleet"), Bursts(4, 2))
+	for _, c := range []struct {
+		path, value, want string
+	}{
+		{"daily.sesions", `12`, "sesions"},
+		{"drfit.preset", `"shift"`, "drfit"},
+		{"daily.days", `"three"`, "daily.days"},
+		{"seed", `1.5`, "seed"},
+		{"seed.low", `3`, "seed is not an object"},
+		{"engine.kind", `fleet`, "engine.kind"},
+	} {
+		if _, err := base.Set(c.path, json.RawMessage(c.value)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Set(%s, %s) error = %v, want one naming %q", c.path, c.value, err, c.want)
+		}
+	}
+
+	// daily.window: an explicit 0 trains on all days; unset means the default.
+	zero, err := New().Set("daily.window", json.RawMessage(`0`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Daily.Window == nil || *zero.Daily.Window != 0 {
+		t.Fatalf("window set to 0 reads %v", zero.Daily.Window)
+	}
+	if *zero.WithDefaults().Daily.Window != 0 || *New().WithDefaults().Daily.Window != defaultWindow {
+		t.Fatal("explicit window 0 and unset window resolve alike")
+	}
+
+	// Off-path fields, Name and Notes included, keep their set-or-unset
+	// state; intermediate objects are created as needed.
+	got, err := base.Set("engine.arrival.rate", json.RawMessage(`2.5`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Engine.Arrival.Rate != 2.5 {
+		t.Fatalf("engine.arrival.rate = %v, want 2.5", got.Engine.Arrival.Rate)
+	}
+	got.Engine.Arrival.Rate = base.Engine.Arrival.Rate
+	if !reflect.DeepEqual(got, base) {
+		t.Fatalf("Set moved an off-path field:\n got: %+v\nwant: %+v", got, base)
+	}
+	fresh, err := Spec{}.Set("engine.arrival.rate", json.RawMessage(`3`))
+	if err != nil || fresh.Engine.Arrival.Rate != 3 || fresh.Engine.Arrival.Process != "" {
+		t.Fatalf("Set through an absent object: %+v, %v", fresh.Engine, err)
+	}
 }
 
 // TestZeroVsUnsetSemantics: pointers distinguish explicit zeros from
@@ -155,8 +229,8 @@ func TestZeroVsUnsetSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WindowDays != DefaultWindow {
-		t.Fatalf("absent window compiled to %d, want %d", cfg.WindowDays, DefaultWindow)
+	if cfg.WindowDays != defaultWindow {
+		t.Fatalf("absent window compiled to %d, want %d", cfg.WindowDays, defaultWindow)
 	}
 
 	// drift: an explicit zero clears a preset knob; absent keeps it.
@@ -324,4 +398,31 @@ func TestGuardHashScope(t *testing.T) {
 			t.Fatalf("result-shaping change %d did not move the guard hash", i)
 		}
 	}
+}
+
+// FuzzParseSpec: any input yields an error or a spec, and a spec that
+// validates has a canonical form that re-parses to itself byte for byte
+// with both hashes unchanged. Seeds live in testdata/fuzz/FuzzParseSpec
+// (the committed scenario files and the golden specs).
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		s, err := Parse(blob)
+		if err != nil {
+			return
+		}
+		if d := s.WithDefaults(); d.Validate() != nil {
+			return
+		}
+		canon := s.CanonicalJSON()
+		re, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical JSON does not re-parse: %v\n%s", err, canon)
+		}
+		if again := re.CanonicalJSON(); !bytes.Equal(again, canon) {
+			t.Fatalf("canonical JSON is not a fixed point:\n%s\nvs\n%s", canon, again)
+		}
+		if re.Hash() != s.Hash() || re.GuardHash() != s.GuardHash() {
+			t.Fatal("round trip changed a hash")
+		}
+	})
 }

@@ -9,7 +9,7 @@
 // and Expand lowers it deterministically into fully-defaulted
 // scenario.Specs, each content-addressed by its canonical hash. Axis
 // fields are the spec's own JSON paths ("drift.preset", "engine.kind",
-// "seed", ...), applied through the scenario parser's strict decoding, so
+// "seed", ...), applied by scenario.Spec.Set through the strict parser, so
 // a typo'd field fails loudly instead of silently sweeping nothing.
 //
 // Execute runs the expansion against a results index: cells whose hash is

@@ -186,8 +186,9 @@ func axisSeed(seed int64, field string) int64 {
 
 // Expand lowers the sweep into its cells, deterministically: axes in
 // declaration order, the last axis varying fastest, each combination
-// applied to the base spec's canonical JSON and re-parsed strictly (so an
-// axis over an unknown field is an error naming it). The optional
+// applied to the fully-defaulted base spec through scenario.Spec.Set, a
+// strict re-parse (so an axis over an unknown field is an error naming
+// it). The optional
 // transform — e.g. scenario.ScaleFromEnv for smoke runs — is applied to
 // each cell before hashing, so the index keys match what actually runs.
 func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error) {
@@ -198,10 +199,10 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 	if err != nil {
 		return nil, err
 	}
-	baseMap, err := specMap(base)
-	if err != nil {
-		return nil, err
-	}
+	// Axes apply to the fully-defaulted base, without its own name/notes,
+	// which would otherwise leak into every cell.
+	base = base.WithDefaults()
+	base.Name, base.Notes = "", ""
 
 	values := make([][]json.RawMessage, len(s.Axes))
 	total := 1
@@ -213,7 +214,7 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 	cells := make([]Cell, 0, total)
 	combo := make([]int, len(s.Axes))
 	for n := 0; n < total; n++ {
-		cell, err := s.buildCell(baseMap, values, combo, len(cells), transform)
+		cell, err := s.buildCell(base, values, combo, len(cells), transform)
 		if err != nil {
 			return nil, err
 		}
@@ -230,31 +231,19 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 	return cells, nil
 }
 
-// buildCell applies one axis combination to the base map and lowers it to
-// a validated scenario spec.
-func (s *Spec) buildCell(baseMap map[string]any, values [][]json.RawMessage, combo []int, idx int, transform func(scenario.Spec) scenario.Spec) (Cell, error) {
-	m := deepCopy(baseMap).(map[string]any)
+// buildCell applies one axis combination to the base spec through
+// scenario.Spec.Set and lowers it to a validated scenario spec.
+func (s *Spec) buildCell(spec scenario.Spec, values [][]json.RawMessage, combo []int, idx int, transform func(scenario.Spec) scenario.Spec) (Cell, error) {
 	var label []string
 	for i, a := range s.Axes {
 		raw := values[i][combo[i]]
-		v, err := decodeValue(raw)
-		if err != nil {
-			return Cell{}, fmt.Errorf("sweep: axis %s value %s: %w", a.Field, raw, err)
-		}
-		if err := setField(m, a.Field, v); err != nil {
-			return Cell{}, err
-		}
 		label = append(label, fmt.Sprintf("%s=%s", a.Field, labelValue(raw)))
-	}
-	blob, err := json.Marshal(m)
-	if err != nil {
-		return Cell{}, fmt.Errorf("sweep: encoding cell spec: %w", err)
-	}
-	spec, err := scenario.Parse(blob)
-	if err != nil {
-		// The scenario parser names unknown fields — the strictness that
-		// catches a typo'd axis path.
-		return Cell{}, fmt.Errorf("sweep: cell %s: %w", strings.Join(label, ","), err)
+		var err error
+		if spec, err = spec.Set(a.Field, raw); err != nil {
+			// Set names the unknown or mistyped field — the strictness
+			// that catches a typo'd axis path.
+			return Cell{}, fmt.Errorf("sweep: cell %s: %w", strings.Join(label, ","), err)
+		}
 	}
 	name := strings.Join(label, ",")
 	if s.Name != "" {
@@ -282,32 +271,6 @@ func (s *Spec) buildCell(baseMap map[string]any, values [][]json.RawMessage, com
 	}, nil
 }
 
-// specMap lowers a scenario spec to its canonical JSON object form, with
-// numbers kept as json.Number so re-marshaling never reformats them.
-func specMap(s scenario.Spec) (map[string]any, error) {
-	dec := json.NewDecoder(bytes.NewReader(s.CanonicalJSON()))
-	dec.UseNumber()
-	var m map[string]any
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("sweep: decoding base spec: %w", err)
-	}
-	// The base's own name/notes would otherwise leak into every cell.
-	delete(m, "name")
-	delete(m, "notes")
-	return m, nil
-}
-
-// decodeValue parses one axis value, keeping numbers as json.Number.
-func decodeValue(raw json.RawMessage) (any, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // labelValue renders an axis value for a cell name: strings bare, anything
 // else in its JSON form.
 func labelValue(raw json.RawMessage) string {
@@ -316,47 +279,4 @@ func labelValue(raw json.RawMessage) string {
 		return s
 	}
 	return string(raw)
-}
-
-// setField sets a dotted path in a nested JSON object, creating
-// intermediate objects as needed. Field-name validity is checked later by
-// the strict scenario parse, which names the offending field.
-func setField(m map[string]any, path string, v any) error {
-	parts := strings.Split(path, ".")
-	for i, p := range parts[:len(parts)-1] {
-		next, ok := m[p]
-		if !ok {
-			child := map[string]any{}
-			m[p] = child
-			m = child
-			continue
-		}
-		child, ok := next.(map[string]any)
-		if !ok {
-			return fmt.Errorf("sweep: axis field %q: %q is not an object", path, strings.Join(parts[:i+1], "."))
-		}
-		m = child
-	}
-	m[parts[len(parts)-1]] = v
-	return nil
-}
-
-// deepCopy clones a decoded JSON value.
-func deepCopy(v any) any {
-	switch t := v.(type) {
-	case map[string]any:
-		c := make(map[string]any, len(t))
-		for k, e := range t {
-			c[k] = deepCopy(e)
-		}
-		return c
-	case []any:
-		c := make([]any, len(t))
-		for i, e := range t {
-			c[i] = deepCopy(e)
-		}
-		return c
-	default:
-		return v
-	}
 }

@@ -5,18 +5,26 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// orphanAllowlist names the exported functions that stay in production files
-// although no production declaration mentions them, one reason each.
+// orphanAllowlist names, by package-qualified name, the exported functions
+// that stay in production files although no production declaration uses
+// them, one reason each.
 var orphanAllowlist = map[string]string{
-	"ChooseReference": "oracle: the planner's differential reference, called from three packages' tests",
-	"CanonicalBytes":  "identity: the byte form other packages' tests compare indexes by",
-	"Transfer":        "test convenience: five lines over TransferUpTo with 16 test call sites",
+	"abr.ChooseReference":    "oracle: the planner's differential reference, called from three packages' tests",
+	"results.CanonicalBytes": "identity: the byte form other packages' tests compare indexes by",
+	"tcpsim.Transfer":        "test convenience: five lines over TransferUpTo with 16 test call sites",
+	"nn.Load":                "decoder: the inverse of (*MLP).Save, round-tripped by the nn and pensieve tests",
+	"puffer.EmulationEnv":    "public API",
+	"puffer.NewMPCHM":        "public API",
+	"puffer.NewRobustMPCHM":  "public API",
+	"puffer.DriftPreset":     "public API",
 }
 
 // runtimeCalled are method names the standard library calls through its own
@@ -30,33 +38,48 @@ var runtimeCalled = map[string]bool{
 
 // TestNoProductionOrphans fails when a non-test file under internal/ or
 // puffer.go declares an exported function or method that no other non-test
-// declaration in internal/, cmd/, examples/, bench/ or puffer.go mentions:
-// code only tests call belongs beside those tests, or nowhere.
+// declaration in internal/, cmd/, examples/, bench/ or puffer.go uses: code
+// only tests call belongs beside those tests, or nowhere.
 //
-// Matching is by bare name, not by resolved object, so it under-reports: an
-// orphan that shares its name with anything mentioned elsewhere (stats.Mean
-// hid nn.Mean) passes. It never over-reports a function production calls.
+// A package-level function counts as used only where it is resolved: as
+// pkg.Name through the file's import of its package, or as a bare identifier
+// inside its own package that is not a selector, a composite-literal key or a
+// field name — so a struct field Retrain no longer hides a function Retrain.
+// Methods are still matched by bare name, so an orphan method that shares its
+// name with anything mentioned elsewhere passes. Neither under-report ever
+// flags a function production calls.
 func TestNoProductionOrphans(t *testing.T) {
 	type decl struct {
-		file string
-		node ast.Decl
+		file, pkg string // pkg is the import path
+		node      ast.Decl
 	}
 	var decls []decl
+	imports := map[string]map[string]string{} // file -> local name -> import path
 	fset := token.NewFileSet()
-	parse := func(path string) {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	parse := func(file string) {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pkg := path.Join("puffer", filepath.ToSlash(filepath.Dir(file)))
+		imports[file] = map[string]string{}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[file][name] = p
+		}
 		for _, d := range f.Decls {
-			decls = append(decls, decl{path, d})
+			decls = append(decls, decl{file, pkg, d})
 		}
 	}
 	parse("puffer.go")
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				parse(path)
+		err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(file, ".go") && !strings.HasSuffix(file, "_test.go") {
+				parse(file)
 			}
 			return err
 		})
@@ -66,15 +89,46 @@ func TestNoProductionOrphans(t *testing.T) {
 	}
 
 	// mentions[name] counts the declarations that use name anywhere but as
-	// the name of the function they declare.
+	// the name of the function they declare (the method rule); used holds
+	// every "importpath.Name" a declaration resolves (the function rule).
 	mentions := map[string]int{}
+	used := map[string]bool{}
 	for _, d := range decls {
 		seen := map[string]bool{}
 		fn, _ := d.node.(*ast.FuncDecl)
+		notUse := map[*ast.Ident]bool{}
+		if fn != nil {
+			notUse[fn.Name] = true
+		}
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !(fn != nil && id == fn.Name) && !seen[id.Name] {
-				seen[id.Name] = true
-				mentions[id.Name]++
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				notUse[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[d.file][x.Name]; ok {
+						used[p+"."+n.Sel.Name] = true
+					}
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok {
+							notUse[k] = true
+						}
+					}
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					notUse[id] = true
+				}
+			case *ast.Ident:
+				if !(fn != nil && n == fn.Name) && !seen[n.Name] {
+					seen[n.Name] = true
+					mentions[n.Name]++
+				}
+				if !notUse[n] {
+					used[d.pkg+"."+n.Name] = true
+				}
 			}
 			return true
 		})
@@ -88,10 +142,13 @@ func TestNoProductionOrphans(t *testing.T) {
 			continue
 		}
 		name := fn.Name.Name
-		if fn.Recv != nil && runtimeCalled[name] {
+		if _, allowed := orphanAllowlist[path.Base(d.pkg)+"."+name]; allowed {
 			continue
 		}
-		if _, allowed := orphanAllowlist[name]; allowed || mentions[name] > 0 {
+		if fn.Recv != nil && (runtimeCalled[name] || mentions[name] > 0) {
+			continue
+		}
+		if fn.Recv == nil && used[d.pkg+"."+name] {
 			continue
 		}
 		orphans = append(orphans, fset.Position(fn.Pos()).String()+": "+name)
