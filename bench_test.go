@@ -92,28 +92,26 @@ func benchObservations(n int) []*abr.Observation {
 
 // BenchmarkMPCDecision measures the full Fugu serving unit: one per-stream
 // controller (predictor construction included, as the platform creates one
-// per stream) making a run of chunk decisions. The batched sub-benchmark is
-// the production path — one batched TTP call per horizon net feeding the
-// factored value iteration; the scalar sub-benchmark is the seed's per-call
-// fill and memoized recursion, retained as ChooseReference. The ns/decision
-// metric is the headline before/after number recorded in CHANGES.md.
+// per stream) making a run of chunk decisions on the production path — one
+// batched TTP call per horizon net feeding the factored value iteration.
+// The ns/decision metric is the headline before/after number recorded in
+// CHANGES.md. The seed planner's timing is internal/abr's
+// BenchmarkMPCDecisionHM/reference.
 func BenchmarkMPCDecision(b *testing.B) {
 	ttp := core.NewTTP(rand.New(rand.NewSource(1)), core.DefaultHorizon, nil,
 		core.DefaultFeatures(), core.KindTransTime)
 	obsSet := benchObservations(8)
-	run := func(b *testing.B, choose func(*abr.MPC, *abr.Observation) int) {
+	b.Run("batched", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m := core.NewFugu(ttp)
 			for _, obs := range obsSet {
-				choose(m, obs)
+				m.Choose(obs)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(obsSet)), "ns/decision")
-	}
-	b.Run("batched", func(b *testing.B) { run(b, (*abr.MPC).Choose) })
-	b.Run("scalar", func(b *testing.B) { run(b, (*abr.MPC).ChooseReference) })
+	})
 }
 
 func BenchmarkFig1PrimaryExperiment(b *testing.B) {

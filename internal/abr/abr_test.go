@@ -155,14 +155,25 @@ func TestPredictorNoHistoryIsConservative(t *testing.T) {
 	// would make every rung look equally bad and select the top one).
 	p := &HarmonicMeanPredictor{}
 	obs := obsWith(10, nil, testChunks(5, 1e5))
-	dist := make([]float64, NumBins)
-	p.PredictDist(obs, 0, 1e6, dist)
-	if dist[BinIndex(8.0)] != 1 { // 1 MB at 1 Mbit/s = 8 s
-		t.Fatalf("no-history dist for 1MB = %v, want mass at the 8 s bin", dist)
-	}
-	p.PredictDist(obs, 0, 5e4, dist)
-	if dist[BinIndex(0.4)] != 1 {
-		t.Fatalf("no-history dist for 50KB = %v, want mass at the 0.4 s bin", dist)
+	dists := make([]float64, 2*NumBins)
+	p.PredictDistBatch(obs, 0, []float64{1e6, 5e4}, dists)
+	for q, want := range []struct {
+		name string
+		tt   float64
+	}{
+		{"1MB", 8.0}, // 1 MB at 1 Mbit/s = 8 s
+		{"50KB", 0.4},
+	} {
+		row := dists[q*NumBins : (q+1)*NumBins]
+		for k, v := range row {
+			hot := 0.0
+			if k == BinIndex(want.tt) {
+				hot = 1
+			}
+			if v != hot {
+				t.Fatalf("no-history dist for %s = %v, want all mass at the %v s bin", want.name, row, want.tt)
+			}
+		}
 	}
 	// First-chunk choice must therefore be a cautious low rung.
 	m := NewMPCHM()

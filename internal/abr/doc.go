@@ -7,27 +7,24 @@
 // The centerpiece is MPC, the model-predictive controller of §4.2: given a
 // Predictor that supplies a transmission-time distribution for each
 // candidate chunk size, it maximizes expected QoE over a receding horizon
-// by value iteration over (step, buffer, previous quality). The production
-// path is batched and factored: when the predictor implements
-// BatchPredictor, the MPC fills every candidate's distribution for a
-// horizon step in one call, hoists the prediction expectation out of the
-// previous-quality dimension, suffix-sums the expected-stall base term, and
-// — because a non-stalling outcome moves every buffer bin by the same
-// offset — computes the continuation term as a shifted accumulate over
+// by value iteration over (step, buffer, previous quality). The planner is
+// batched and factored: the MPC fills every candidate's distribution for a
+// horizon step in one Predictor call, hoists the prediction expectation out
+// of the previous-quality dimension, suffix-sums the expected-stall base
+// term, and — because a non-stalling outcome moves every buffer bin by the
+// same offset — computes the continuation term as a shifted accumulate over
 // contiguous value rows and the maximum over rungs as one vector pass
 // (nn.ShiftedAccum, nn.MaxPlane). The outcome tables behind that depend on
-// (BufferCap, BufStep) alone and are built once per session.
-// The seed planner survives as MPC.ChooseReference, the differential-test
-// oracle for all of that — in this package rather than a test file because
-// the tests of three packages (abr, core, the root benchmarks) call it.
+// (BufferCap, BufStep) alone and are built once per session. The seed
+// planner, a memoized forward recursion over a per-size fill, lives in this
+// package's tests as the differential oracle for all of that.
 //
 // Main entry points:
 //
 //   - Algorithm: the decision interface (Choose over an Observation);
 //     Observation / ChunkRecord: the server-side state.
 //   - MPC with NewMPC / core.NewFugu: the stochastic controller; Predictor
-//     and BatchPredictor are the prediction plug points; QoEWeights is
-//     Equation 1.
+//     is the prediction plug point; QoEWeights is Equation 1.
 //   - NewMPCHM / NewRobustMPCHM: MPC over the harmonic-mean throughput
 //     predictor (the paper's MPC-HM / RobustMPC-HM arms);
 //     HarmonicMeanPredictor for custom controllers.

@@ -17,28 +17,17 @@ var (
 	mpcPlanNS    = metrics.Default.Histogram("abr_mpc_plan_ns")
 )
 
-// Predictor supplies the MPC engine with a probability distribution over the
-// transmission time of a proposed chunk. Deterministic predictors (harmonic
-// mean) return a one-hot distribution; the TTP returns its full softmax.
+// Predictor supplies the MPC engine with probability distributions over the
+// transmission time of proposed chunks. Deterministic predictors (harmonic
+// mean) return one-hot distributions; the TTP returns its full softmax.
 type Predictor interface {
-	// PredictDist fills dist (length NumBins) with the probability that
-	// sending a chunk of the given size, `step` positions ahead of the
-	// current decision (step 0 = the chunk being decided), lands in each
-	// transmission-time bin.
-	PredictDist(obs *Observation, step int, size float64, dist []float64)
-}
-
-// BatchPredictor is implemented by predictors that can fill the
-// distributions for every candidate size of one horizon step in a single
-// call. The MPC issues one batched call per horizon net instead of nQ
-// scalar calls, which lets NN-backed predictors run one matrix-matrix pass
-// per layer over all quality levels.
-type BatchPredictor interface {
-	Predictor
 	// PredictDistBatch fills dists[q*NumBins:(q+1)*NumBins] with the
-	// transmission-time distribution for sizes[q], for every q. It must
-	// produce exactly the same distributions as len(sizes) PredictDist
-	// calls would.
+	// probability that sending a chunk of size sizes[q], `step` positions
+	// ahead of the current decision (step 0 = the chunk being decided),
+	// lands in each transmission-time bin. The MPC makes one call per
+	// horizon step with every candidate size, which lets NN-backed
+	// predictors run one matrix-matrix pass per layer over all rungs. A
+	// row depends on (obs, step, sizes[q]) alone, not on the other sizes.
 	PredictDistBatch(obs *Observation, step int, sizes []float64, dists []float64)
 }
 
@@ -47,15 +36,13 @@ type BatchPredictor interface {
 // horizon by value iteration over a discretized buffer, shared verbatim by
 // MPC-HM, RobustMPC-HM, and Fugu (only the Predictor differs).
 //
-// Choose runs the production path: a batched distribution fill (one
-// BatchPredictor call per horizon step when the predictor supports it)
-// followed by an iterative backward value iteration that factors the
-// prediction expectation out of the previous-quality dimension — the
-// expected-stall and continuation terms of a candidate quality do not depend
-// on which quality preceded it, so they are computed once per (step, q,
-// buffer) instead of once per (step, q, buffer, prevQ). ChooseReference
-// keeps the original per-call fill and memoized recursion for differential
-// tests and as the benchmark baseline.
+// Choose fills the distributions (one Predictor call per horizon step) and
+// runs a backward value iteration that factors the prediction expectation
+// out of the previous-quality dimension — the expected-stall and
+// continuation terms of a candidate quality do not depend on which quality
+// preceded it, so they are computed once per (step, q, buffer) instead of
+// once per (step, q, buffer, prevQ). The seed planner, a memoized forward
+// recursion, lives in this package's tests as the differential oracle.
 type MPC struct {
 	AlgName string
 	Pred    Predictor
@@ -92,10 +79,6 @@ type MPC struct {
 	base   []float64 // (q*nBuf+bb) -> expected stall penalty + continuation
 	qual   []float64 // (prevQ*nQ+q) -> quality and variation terms
 	sumP   []float64 // per-q distribution mass (1 up to rounding)
-
-	// reference-path scratch (memoized recursion), allocated on first use
-	refValue   []float64
-	refVisited []bool
 }
 
 // NewMPC builds the controller with the paper's defaults: horizon 5,
@@ -164,23 +147,15 @@ func (m *MPC) FinishChoose(obs *Observation) int {
 }
 
 // fillDists computes each of the h*nQ transmission-time distributions
-// exactly once; predictions depend only on (step, proposed size), not on the
-// planner's state. Batch-capable predictors get one call per horizon step.
+// exactly once, one Predictor call per horizon step; predictions depend only
+// on (step, proposed size), not on the planner's state.
 func (m *MPC) fillDists(obs *Observation, h, nQ int) {
-	if bp, ok := m.Pred.(BatchPredictor); ok {
-		sizes := m.sizes[:nQ]
-		for step := 0; step < h; step++ {
-			for q := 0; q < nQ; q++ {
-				sizes[q] = obs.Horizon[step].Versions[q].Size
-			}
-			bp.PredictDistBatch(obs, step, sizes, m.dists[step*nQ*NumBins:(step+1)*nQ*NumBins])
-		}
-		return
-	}
+	sizes := m.sizes[:nQ]
 	for step := 0; step < h; step++ {
 		for q := 0; q < nQ; q++ {
-			m.Pred.PredictDist(obs, step, obs.Horizon[step].Versions[q].Size, m.distFor(step, q, nQ))
+			sizes[q] = obs.Horizon[step].Versions[q].Size
 		}
+		m.Pred.PredictDistBatch(obs, step, sizes, m.dists[step*nQ*NumBins:(step+1)*nQ*NumBins])
 	}
 }
 
@@ -263,8 +238,9 @@ func grow(s []float64, n int) []float64 {
 }
 
 // plan runs the factored backward value iteration and returns the best rung
-// for the root step. It is algebraically identical to the reference
-// recursion: for a candidate quality q at step s from quantized buffer b,
+// for the root step. It is algebraically identical to the seed's memoized
+// recursion (the differential oracle in this package's tests): for a
+// candidate quality q at step s from quantized buffer b,
 //
 //	v(q | b, prevQ) = Σ_k p[k]·(ssim_q − λ|ssim_q − ssim_prevQ| − µ·stall(k,b) + V_{s+1}(next(k,b), q))
 //
@@ -402,94 +378,6 @@ func (m *MPC) bufBin(buf float64) int {
 	return i
 }
 
-// ChooseReference is the original controller implementation: a per-call
-// scalar distribution fill followed by forward recursion with memoization
-// over reachable states. It selects the same rung as Choose (the factored
-// iteration only reassociates the same sums) and is retained as the
-// differential-testing oracle and the scalar-path benchmark baseline.
-func (m *MPC) ChooseReference(obs *Observation) int {
-	h, nQ := m.horizonDims(obs)
-	if h == 0 {
-		return 0
-	}
-	m.ensureScratch(obs.BufferCap, h, nQ)
-	need := h * m.nBuf * nQ
-	m.refValue = grow(m.refValue, need)
-	if cap(m.refVisited) < need {
-		m.refVisited = make([]bool, need)
-	}
-	m.refVisited = m.refVisited[:need]
-	for i := range m.refVisited {
-		m.refVisited[i] = false
-	}
-
-	for step := 0; step < h; step++ {
-		for q := 0; q < nQ; q++ {
-			m.Pred.PredictDist(obs, step, obs.Horizon[step].Versions[q].Size, m.distFor(step, q, nQ))
-		}
-	}
-
-	bestQ, bestV := 0, math.Inf(-1)
-	for q := 0; q < nQ; q++ {
-		enc := obs.Horizon[0].Versions[q]
-		v := 0.0
-		for k, p := range m.distFor(0, q, nQ) {
-			if p == 0 {
-				continue
-			}
-			tt := BinValue(k)
-			stall := math.Max(tt-obs.Buffer, 0)
-			qoe := m.Weights.Chunk(enc.SSIMdB, obs.LastSSIM, stall, obs.LastQuality >= 0)
-			next := m.nextBuffer(obs.Buffer, tt)
-			v += p * (qoe + m.refValueAt(obs, 1, h, nQ, next, q))
-		}
-		if v > bestV {
-			bestV, bestQ = v, q
-		}
-	}
-	return bestQ
-}
-
-// refValueAt is the memoized value function v*(step, buffer, prevQuality):
-// the best expected QoE obtainable from horizon step `step` onward, given
-// the buffer level and that the chunk at step-1 was sent at prevQ. Only
-// states reachable from the root are ever computed (the paper's "forward
-// recursion with memoization").
-func (m *MPC) refValueAt(obs *Observation, step, h, nQ int, buf float64, prevQ int) float64 {
-	if step >= h {
-		return 0
-	}
-	bb := m.bufBin(buf)
-	idx := (step*m.nBuf+bb)*nQ + prevQ
-	if m.refVisited[idx] {
-		return m.refValue[idx]
-	}
-	bufQ := float64(bb) * m.BufStep // quantized buffer for child states
-	prevSSIM := obs.Horizon[step-1].Versions[prevQ].SSIMdB
-
-	best := math.Inf(-1)
-	for q := 0; q < nQ; q++ {
-		enc := obs.Horizon[step].Versions[q]
-		v := 0.0
-		for k, p := range m.distFor(step, q, nQ) {
-			if p == 0 {
-				continue
-			}
-			tt := BinValue(k)
-			stall := math.Max(tt-bufQ, 0)
-			qoe := m.Weights.Chunk(enc.SSIMdB, prevSSIM, stall, true)
-			next := m.nextBuffer(bufQ, tt)
-			v += p * (qoe + m.refValueAt(obs, step+1, h, nQ, next, q))
-		}
-		if v > best {
-			best = v
-		}
-	}
-	m.refVisited[idx] = true
-	m.refValue[idx] = best
-	return best
-}
-
 // HarmonicMeanPredictor is the paper's "HM" predictor: future throughput is
 // the harmonic mean of the last five throughput samples, giving a
 // deterministic (one-hot) transmission-time distribution of size/throughput.
@@ -522,20 +410,7 @@ func (p *HarmonicMeanPredictor) Reset() {
 // the controller to the top rung on the very first chunk.
 const coldStartTput = 1e6
 
-// PredictDist implements Predictor.
-func (p *HarmonicMeanPredictor) PredictDist(obs *Observation, step int, size float64, dist []float64) {
-	tput := p.estimate(obs)
-	for i := range dist {
-		dist[i] = 0
-	}
-	if tput <= 0 {
-		tput = coldStartTput
-	}
-	tt := size * 8 / tput
-	dist[BinIndex(tt)] = 1
-}
-
-// PredictDistBatch implements BatchPredictor: the throughput estimate is
+// PredictDistBatch implements Predictor: the throughput estimate is
 // computed once per step instead of once per candidate size.
 func (p *HarmonicMeanPredictor) PredictDistBatch(obs *Observation, step int, sizes []float64, dists []float64) {
 	tput := p.estimate(obs)

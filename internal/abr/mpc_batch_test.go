@@ -7,14 +7,6 @@ import (
 	"puffer/internal/media"
 )
 
-// scalarOnly hides a predictor's batch interface so the MPC falls back to
-// the per-call fill path.
-type scalarOnly struct{ p Predictor }
-
-func (s scalarOnly) PredictDist(obs *Observation, step int, size float64, dist []float64) {
-	s.p.PredictDist(obs, step, size, dist)
-}
-
 // randomObs builds a randomized but well-formed observation: jittered ladder
 // sizes and SSIMs, a noisy throughput history, and a random buffer level.
 func randomObs(rng *rand.Rand) *Observation {
@@ -64,7 +56,7 @@ func randomObs(rng *rand.Rand) *Observation {
 // TestChooseMatchesReference is the batching property test: across many
 // seeded observations, the production planner (batched fill + factored value
 // iteration) must pick the identical rung to the reference implementation
-// (scalar fill + memoized recursion).
+// (per-size fill + memoized recursion).
 func TestChooseMatchesReference(t *testing.T) {
 	preds := map[string]func() Predictor{
 		"hm":     func() Predictor { return &HarmonicMeanPredictor{} },
@@ -85,49 +77,6 @@ func TestChooseMatchesReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestScalarFallbackMatchesBatch checks that a predictor without the batch
-// interface takes the per-call fill path and still decides identically.
-func TestScalarFallbackMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	batched := NewMPC("b", &HarmonicMeanPredictor{}, DefaultQoEWeights())
-	fallback := NewMPC("s", scalarOnly{&HarmonicMeanPredictor{}}, DefaultQoEWeights())
-	if _, ok := fallback.Pred.(BatchPredictor); ok {
-		t.Fatal("scalarOnly must not implement BatchPredictor")
-	}
-	for trial := 0; trial < 100; trial++ {
-		obs := randomObs(rng)
-		if got, want := fallback.Choose(obs), batched.Choose(obs); got != want {
-			t.Fatalf("trial %d: scalar-fill Choose = %d, batched Choose = %d", trial, got, want)
-		}
-	}
-}
-
-func TestHMPredictDistBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
-		obs := randomObs(rng)
-		nQ := len(obs.Horizon[0].Versions)
-		sizes := make([]float64, nQ)
-		for q := range sizes {
-			sizes[q] = obs.Horizon[0].Versions[q].Size
-		}
-		batch := &HarmonicMeanPredictor{Robust: true}
-		scalar := &HarmonicMeanPredictor{Robust: true}
-		got := make([]float64, nQ*NumBins)
-		batch.PredictDistBatch(obs, 0, sizes, got)
-		want := make([]float64, NumBins)
-		for q := 0; q < nQ; q++ {
-			scalar.PredictDist(obs, 0, sizes[q], want)
-			for k := range want {
-				if got[q*NumBins+k] != want[k] {
-					t.Fatalf("trial %d q=%d bin %d: batch %v != scalar %v",
-						trial, q, k, got[q*NumBins+k], want[k])
-				}
-			}
-		}
 	}
 }
 

@@ -14,22 +14,25 @@ var plannerBufCaps = []float64{2, 4, 14.9, 15, 30, 60}
 
 // spreadPredictor is a deterministic stand-in for the TTP: a full
 // distribution with a few exact zeros, a function of (step, size) only, so
-// the scalar fill of ChooseReference and the batched fill of Choose see the
-// same numbers.
+// the per-size fill of ChooseReference and the batched fill of Choose see
+// the same numbers.
 type spreadPredictor struct{}
 
-func (spreadPredictor) PredictDist(obs *Observation, step int, size float64, dist []float64) {
-	rng := rand.New(rand.NewSource(int64(math.Float64bits(size)>>8) + int64(step)))
-	sum := 0.0
-	for k := range dist {
-		dist[k] = rng.ExpFloat64()
-		if rng.Intn(4) == 0 {
-			dist[k] = 0
+func (spreadPredictor) PredictDistBatch(obs *Observation, step int, sizes []float64, dists []float64) {
+	for q, size := range sizes {
+		dist := dists[q*NumBins : (q+1)*NumBins]
+		rng := rand.New(rand.NewSource(int64(math.Float64bits(size)>>8) + int64(step)))
+		sum := 0.0
+		for k := range dist {
+			dist[k] = rng.ExpFloat64()
+			if rng.Intn(4) == 0 {
+				dist[k] = 0
+			}
+			sum += dist[k]
 		}
-		sum += dist[k]
-	}
-	for k := range dist {
-		dist[k] /= sum
+		for k := range dist {
+			dist[k] /= sum
+		}
 	}
 }
 

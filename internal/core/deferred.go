@@ -48,9 +48,8 @@ func (ps *PendingStep) Finish(probs []float64) {
 // the direct path — it only moves the network execution to a point where
 // many sessions' rows can share one batched pass per net.
 //
-// The scalar PredictDist stays synchronous (it serves the differential
-// reference path, which never defers). Not safe for concurrent use; create
-// one per session, like the Predictor it wraps.
+// Not safe for concurrent use; create one per session, like the Predictor
+// it wraps.
 type DeferredPredictor struct {
 	P *Predictor
 
@@ -63,13 +62,7 @@ func NewDeferredPredictor(p *Predictor) *DeferredPredictor {
 	return &DeferredPredictor{P: p}
 }
 
-// PredictDist implements abr.Predictor synchronously via the wrapped
-// predictor.
-func (d *DeferredPredictor) PredictDist(obs *abr.Observation, step int, size float64, dist []float64) {
-	d.P.PredictDist(obs, step, size, dist)
-}
-
-// PredictDistBatch implements abr.BatchPredictor by staging: the feature
+// PredictDistBatch implements abr.Predictor by staging: the feature
 // matrix is assembled now (identically to the direct path), and the forward
 // pass plus finishing are deferred to the pending step's executor.
 func (d *DeferredPredictor) PredictDistBatch(obs *abr.Observation, step int, sizes []float64, dists []float64) {

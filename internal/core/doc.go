@@ -22,10 +22,9 @@
 //   - NewFugu / NewFuguNamed: wrap a trained TTP in the abr.MPC controller
 //     — the deployable scheme (the point-estimate arm is abr.NewMPC over
 //     NewPredictor(t, ModePointEstimate)).
-//   - Predictor / NewPredictor: adapts a TTP to abr.Predictor and
-//     abr.BatchPredictor; assembles one feature matrix per horizon step
-//     (FeatureConfig.AssembleBatch) so the MPC's distribution fill is one
-//     batched network pass per step.
+//   - Predictor / NewPredictor: adapts a TTP to abr.Predictor; assembles
+//     one feature matrix per horizon step (FeatureConfig.AssembleBatch) so
+//     the MPC's distribution fill is one batched network pass per step.
 //   - Dataset / ChunkObs / StreamObs: training telemetry (gob Save/Load);
 //     Train / TrainConfig / TrainResult: recency-weighted supervised
 //     training; EvaluateTransTimeMode: held-out scoring.

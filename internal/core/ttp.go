@@ -168,12 +168,10 @@ const (
 	ModePointEstimate
 )
 
-// Predictor adapts a TTP to the abr.Predictor and abr.BatchPredictor
-// interfaces consumed by the MPC engine. The batch path assembles one
-// feature matrix for all candidate sizes of a horizon step and runs a single
-// batched forward pass per net; the scalar PredictDist is a thin wrapper
-// over batch size 1, so both paths produce bitwise-identical distributions.
-// Every forward pass runs on the net's shared packed snapshot
+// Predictor adapts a TTP to the abr.Predictor interface consumed by the MPC
+// engine: it assembles one feature matrix for all candidate sizes of a
+// horizon step and runs a single batched forward pass per net. Every forward
+// pass runs on the net's shared packed snapshot
 // (nn.MLP.Packed) — the same kernel, and the same snapshot, the fleet and
 // serve engines flush through — so a Predictor owns only its workspaces and
 // creating one per stream costs no transpose. Not safe for concurrent use;
@@ -229,13 +227,14 @@ func (p *Predictor) clampStep(step int) int {
 	return step
 }
 
-// PredictDist implements abr.Predictor as a batch-of-one call.
+// PredictDist is a batch-of-one PredictDistBatch. Outside tests only the
+// benchmark's per-layer timer calls it; it goes when that timer drops it.
 func (p *Predictor) PredictDist(obs *abr.Observation, step int, size float64, dist []float64) {
 	p.size1[0] = size
 	p.PredictDistBatch(obs, step, p.size1, dist)
 }
 
-// PredictDistBatch implements abr.BatchPredictor: one feature-matrix
+// PredictDistBatch implements abr.Predictor: one feature-matrix
 // assembly and one batched forward pass covers every candidate size of the
 // horizon step.
 func (p *Predictor) PredictDistBatch(obs *abr.Observation, step int, sizes []float64, dists []float64) {

@@ -185,49 +185,66 @@ func TestOutOfOrderFrames(t *testing.T) {
 	})
 }
 
-// TestAbortedOnLostReply: a peer that sends a valid Decide and closes
-// without reading the reply ends its session on a failed DecideOK write.
+// TestAbortedOnLostReply: a peer that sends a valid Decide and never reads
+// the reply ends its session on a failed DecideOK write — at once if it
+// closes, after Config.WriteTimeout if it stalls with the connection open.
 // That exit counts as aborted exactly once and the active gauge returns to
 // zero, so sessions_total - completed - aborted keeps equal to active.
 func TestAbortedOnLostReply(t *testing.T) {
 	plan := warmedPlan(t, 0)
-	srv, err := NewServer(Config{Plan: plan, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Shutdown)
-
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	aborted := srvAbortedTotal.Value()
+	for _, tc := range []struct {
+		name         string
+		writeTimeout time.Duration // zero keeps the default
+		within       time.Duration // the handler must exit this soon after the Decide
+		lose         func(peer net.Conn)
+	}{
+		{"peer closes", 0, 10 * time.Second, func(peer net.Conn) { peer.Close() }},
+		{"peer stalls", 50 * time.Millisecond, 50*time.Millisecond + 2*time.Second, func(net.Conn) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(Config{Plan: plan, WriteTimeout: tc.writeTimeout, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Shutdown)
+			aborted := srvAbortedTotal.Value()
 
-	peer, conn := net.Pipe()
-	srv.connWG.Add(1)
-	done := make(chan struct{})
-	go func() { srv.handle(conn); close(done) }()
+			peer, conn := net.Pipe()
+			t.Cleanup(func() { peer.Close() })
+			srv.connWG.Add(1)
+			done := make(chan struct{})
+			go func() { srv.handle(conn); close(done) }()
 
-	h := &hello{Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash}
-	if err := wire.WriteFrame(peer, msgHello, encodeHello(nil, h)); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, _, err := wire.ReadFrame(bufio.NewReader(peer), nil, maxFrame); err != nil || typ != msgHelloOK {
-		t.Fatalf("handshake answered 0x%02x (%v)", typ, err)
-	}
-	if err := wire.WriteFrame(peer, msgDecide, encodeDecide(nil, 1, goldenDecide(), 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	peer.Close()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("handler still running after its peer closed")
-	}
+			h := &hello{Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash}
+			if err := wire.WriteFrame(peer, msgHello, encodeHello(nil, h)); err != nil {
+				t.Fatal(err)
+			}
+			if typ, _, _, err := wire.ReadFrame(bufio.NewReader(peer), nil, maxFrame); err != nil || typ != msgHelloOK {
+				t.Fatalf("handshake answered 0x%02x (%v)", typ, err)
+			}
+			if err := wire.WriteFrame(peer, msgDecide, encodeDecide(nil, 1, goldenDecide(), 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			tc.lose(peer)
+			select {
+			case <-done:
+			case <-time.After(tc.within):
+				t.Fatalf("handler still running %v after a lost reply", tc.within)
+			}
+			if took := time.Since(start); took < tc.writeTimeout {
+				t.Errorf("handler exited after %v, before the %v write timeout", took, tc.writeTimeout)
+			}
 
-	if got := srvAbortedTotal.Value() - aborted; got != 1 {
-		t.Errorf("serve_sessions_aborted_total moved by %d for one lost reply, want 1", got)
-	}
-	if v := srvSessionsActive.Value(); v != 0 {
-		t.Errorf("serve_sessions_active = %v after the session ended, want 0", v)
+			if got := srvAbortedTotal.Value() - aborted; got != 1 {
+				t.Errorf("serve_sessions_aborted_total moved by %d for one lost reply, want 1", got)
+			}
+			if v := srvSessionsActive.Value(); v != 0 {
+				t.Errorf("serve_sessions_active = %v after the session ended, want 0", v)
+			}
+		})
 	}
 }
 

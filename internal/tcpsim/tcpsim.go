@@ -113,13 +113,6 @@ func (c *Conn) Wait(dt float64) {
 	c.now += dt
 }
 
-// Transfer sends size bytes and returns the elapsed transmission time: the
-// interval from the send decision until the last byte reaches the client.
-func (c *Conn) Transfer(size float64) float64 {
-	elapsed, _ := c.TransferUpTo(size, math.Inf(1))
-	return elapsed
-}
-
 // TransferUpTo sends size bytes but gives up after maxDur seconds of
 // simulated time (a client that has long since stalled out will abandon).
 // It returns the elapsed time and whether the transfer completed.

@@ -9,6 +9,14 @@ import (
 	"puffer/internal/netem"
 )
 
+// Transfer sends size bytes with no deadline and returns the elapsed
+// transmission time: the interval from the send decision until the last
+// byte reaches the client.
+func (c *Conn) Transfer(size float64) float64 {
+	elapsed, _ := c.TransferUpTo(size, math.Inf(1))
+	return elapsed
+}
+
 // constantTrace is an hour of fixed capacity in one-second samples.
 func constantTrace(rateBps float64) *netem.Trace {
 	tr := &netem.Trace{Interval: 1, Rate: make([]float64, 3600)}

@@ -15,11 +15,10 @@ import (
 
 // orphanAllowlist names, by package-qualified name, the exported functions
 // that stay in production files although no production declaration uses
-// them, one reason each.
+// them, one reason each. Every entry must name a current orphan: one that
+// was deleted, or that production now uses, fails the test.
 var orphanAllowlist = map[string]string{
-	"abr.ChooseReference":    "oracle: the planner's differential reference, called from three packages' tests",
 	"results.CanonicalBytes": "identity: the byte form other packages' tests compare indexes by",
-	"tcpsim.Transfer":        "test convenience: five lines over TransferUpTo with 16 test call sites",
 	"nn.Load":                "decoder: the inverse of (*MLP).Save, round-tripped by the nn and pensieve tests",
 	"puffer.EmulationEnv":    "public API",
 	"puffer.NewMPCHM":        "public API",
@@ -39,7 +38,8 @@ var runtimeCalled = map[string]bool{
 // TestNoProductionOrphans fails when a non-test file under internal/ or
 // puffer.go declares an exported function or method that no other non-test
 // declaration in internal/, cmd/, examples/, bench/ or puffer.go uses: code
-// only tests call belongs beside those tests, or nowhere.
+// only tests call belongs beside those tests, or nowhere. It also fails on an
+// allowlist entry that names no orphan, so the list cannot go stale.
 //
 // A package-level function counts as used only where it is resolved: as
 // pkg.Name through the file's import of its package, or as a bare identifier
@@ -135,6 +135,7 @@ func TestNoProductionOrphans(t *testing.T) {
 	}
 
 	var orphans []string
+	allowed := map[string]bool{} // allowlist keys that named an orphan
 	for _, d := range decls {
 		fn, ok := d.node.(*ast.FuncDecl)
 		tracked := d.file == "puffer.go" || strings.HasPrefix(d.file, "internal"+string(filepath.Separator))
@@ -142,13 +143,14 @@ func TestNoProductionOrphans(t *testing.T) {
 			continue
 		}
 		name := fn.Name.Name
-		if _, allowed := orphanAllowlist[path.Base(d.pkg)+"."+name]; allowed {
-			continue
-		}
 		if fn.Recv != nil && (runtimeCalled[name] || mentions[name] > 0) {
 			continue
 		}
 		if fn.Recv == nil && used[d.pkg+"."+name] {
+			continue
+		}
+		if key := path.Base(d.pkg) + "." + name; orphanAllowlist[key] != "" {
+			allowed[key] = true
 			continue
 		}
 		orphans = append(orphans, fset.Position(fn.Pos()).String()+": "+name)
@@ -157,5 +159,16 @@ func TestNoProductionOrphans(t *testing.T) {
 	if len(orphans) > 0 {
 		t.Errorf("%d exported functions have no production caller (delete them, move them beside the tests that use them, or allowlist them with a reason):\n  %s",
 			len(orphans), strings.Join(orphans, "\n  "))
+	}
+	var stale []string
+	for key := range orphanAllowlist {
+		if !allowed[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	if len(stale) > 0 {
+		t.Errorf("%d allowlist entries name no production orphan (the function is gone or production now uses it; drop the entry):\n  %s",
+			len(stale), strings.Join(stale, "\n  "))
 	}
 }
