@@ -94,6 +94,26 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
+// push and pop are heap.Push and heap.Pop without passing the event through
+// an `any`, which allocates: heap.Fix only sees the *eventHeap. The (time,
+// id) order is total (an id is in the calendar at most once), so the pop
+// sequence is the same either way.
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	heap.Fix(h, len(*h)-1)
+}
+
+func (h *eventHeap) pop() event {
+	old := *h
+	top, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		heap.Fix(h, 0)
+	}
+	return top
+}
+
 // session is one live viewer session: a goroutine running the real
 // experiment.RunOneHooked, parked at every decision point.
 type session struct {
@@ -246,7 +266,7 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 		for e.events.Len() > 0 && e.events[0].t < tickEnd {
 			spawns = spawns[:0]
 			for e.events.Len() > 0 && e.events[0].t < tickEnd {
-				ev := heap.Pop(&e.events).(event)
+				ev := e.events.pop()
 				s := e.sessions[ev.id]
 				if s == nil {
 					s = &session{e: e, id: ev.id, arrival: arrivals[ev.id], resume: make(chan struct{})}
@@ -365,5 +385,5 @@ func (e *engine) afterYield(s *session) {
 	if len(s.rows) > 0 {
 		e.staged++
 	}
-	heap.Push(&e.events, event{s.parkT, s.id})
+	e.events.push(event{s.parkT, s.id})
 }

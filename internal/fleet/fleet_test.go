@@ -5,12 +5,14 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
 	"puffer/internal/abr"
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/runner"
 )
 
 // testTTP is a small untrained TTP — decision cost and code paths are
@@ -243,5 +245,35 @@ func TestFleetOccupancy(t *testing.T) {
 	// (or cross-step) amortization happened.
 	if st.MaxBatchRows <= 10 {
 		t.Fatalf("no cross-session batching: max batch %d rows", st.MaxBatchRows)
+	}
+}
+
+// Captured at the commit before the calendar stopped boxing events, from
+// this exact test body.
+var goldenFleetStats = runner.FleetDayStats{
+	PeakConcurrent: 21, MeanConcurrent: 4.169329320800429, HorizonSeconds: 1148.8778859528645,
+	Decisions: 2681, Deferred: 715, Flushes: 490, Batches: 2450, Rows: 35750,
+	MaxBatchRows: 50, MeanBatchRows: 14.591836734693878,
+}
+
+// TestFleetStatsGolden pins the FleetDayStats the daily loop checkpoints
+// for one fixed fleet trial to constants captured at an earlier commit. The
+// other fleet tests compare runs of one build against each other; this one
+// fails when a change moves which decisions share a tick window (a calendar
+// that pops out of time order changes the flush and batch counts) or how
+// the service counts them. It cannot see the order of equal-time events:
+// those always share a window, and a flush's counts do not depend on the
+// order its rows were enqueued in.
+func TestFleetStatsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("math.Exp is a different implementation off amd64")
+	}
+	_, st, err := RunTrial(deployTrial(testTTP(17), 24, 19),
+		Config{ShardSize: 8, Workers: 2, Tick: 0.25, Arrivals: BurstArrivals{Burst: 8, Gap: 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FleetDayStats != goldenFleetStats {
+		t.Errorf("fleet stats = %+v, want %+v", st.FleetDayStats, goldenFleetStats)
 	}
 }

@@ -14,12 +14,16 @@ var useAVX512 = useAVX2 && detectAVX512()
 // vectorizes across outputs, each output still accumulating in ascending
 // input order from its bias with a separate multiply and add rounding per
 // term (VMULPD+VADDPD, never FMA), so every element is bitwise identical to
-// the portable body.
+// the portable body. Blocks of 16 outputs run first; the outputs left over
+// run in masked passes of 8 (a pass or two). It never writes past the last
+// output.
 //
 //go:noescape
 func affineRowTAVX2(dst, bias, x, wt *float64, nIn, nOut, xStride int)
 
-// affineRowTAVX512 is the same contract on 512-bit vectors.
+// affineRowTAVX512 is the same contract on 512-bit vectors: blocks of 32,
+// then masked passes of three chains, 24 outputs a pass (the TTP's 21- and
+// 22-wide rows run in one).
 //
 //go:noescape
 func affineRowTAVX512(dst, bias, x, wt *float64, nIn, nOut, xStride int)

@@ -3,18 +3,36 @@
 // gate them. Portable bodies with the same contracts live in affine.go.
 //
 // The affine kernel vectorizes across outputs: weights are input-major
-// (wt[i*nOut+o]), so the 4/8/16 outputs of a block load as unit-stride
-// vectors while x[i*xStride] broadcasts. Each output element still
-// accumulates in ascending input order starting from its bias, with a
-// separate VMULPD and VADDPD rounding per term (no FMA contraction), so
-// results are bitwise identical to the scalar kernels. The elementwise
-// kernels (ReLU, ReLU-copy, ReLU mask, Adam) perform per element exactly the
-// scalar code's operations in its order, each with its own rounding, and so
-// do the planner's two (shifted accumulate, max-plane).
+// (wt[i*nOut+o]), so the outputs of a block load as unit-stride vectors
+// while x[i*xStride] broadcasts. Full blocks (16 outputs on AVX2, 32 on
+// AVX-512) keep four accumulator chains in flight; the fewer outputs left
+// after them run under lane masks in passes over the inputs of two (AVX2)
+// or three (AVX-512) chains at once, 8 or 24 outputs a pass. Each output
+// element still accumulates in ascending input order starting from its
+// bias, with a separate VMULPD and VADDPD rounding per term (no FMA
+// contraction), so results are bitwise identical to the scalar kernels.
+// The elementwise kernels (ReLU, ReLU-copy, ReLU mask, Adam) perform per
+// element exactly the scalar code's operations in its order, each with its
+// own rounding, and so do the planner's two (shifted accumulate,
+// max-plane).
 
 #include "textflag.h"
 
+// lanes is the lane index of each element of a YMM register: the AVX2
+// remainder compares it against the outputs left to build its masks.
+DATA lanes<>+0(SB)/8, $0
+DATA lanes<>+8(SB)/8, $1
+DATA lanes<>+16(SB)/8, $2
+DATA lanes<>+24(SB)/8, $3
+GLOBL lanes<>(SB), RODATA|NOPTR, $32
+
 // func affineRowTAVX2(dst, bias, x, wt *float64, nIn, nOut, xStride int)
+//
+// Blocks of 16 outputs, four YMM chains each, then the up to 15 remaining
+// outputs in masked passes of two VMASKMOVPD chains, 8 outputs a pass
+// (masked-off lanes load as zero without faulting and are not stored).
+// A pass keeps two chains: with four, the dead chains' masked loads made a
+// 5-output remainder slower than a 4- and a 1-wide block.
 TEXT ·affineRowTAVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ bias+8(FP), SI
@@ -32,7 +50,7 @@ o16:	// blocks of 16 outputs
 	MOVQ R9, AX
 	SUBQ R11, AX
 	CMPQ AX, $16
-	JLT  o8
+	JLT  or
 	VMOVUPD (SI)(R11*8), Y0   // accumulators start from the bias
 	VMOVUPD 32(SI)(R11*8), Y1
 	VMOVUPD 64(SI)(R11*8), Y2
@@ -68,22 +86,41 @@ s16:
 	ADDQ $16, R11
 	JMP  o16
 
-o8:	// one block of 8 outputs
+or:	// the r = nOut-o < 16 remaining outputs, up to 8 per pass of two
+	// VMASKMOVPD chains; lane l of chain v is live (sign bit of its mask in
+	// Y12/Y13 set) when 4v+l < min(r, 8). CX, SI and DI step to wt[o],
+	// bias[o] and dst[o]; R9 counts the outputs left.
+	SUBQ R11, R9
+	JZ   done
+	LEAQ (CX)(R11*8), CX
+	LEAQ (SI)(R11*8), SI
+	LEAQ (DI)(R11*8), DI
+	VMOVDQU lanes<>(SB), Y10  // 0, 1, 2, 3
+	MOVQ $4, AX
+	VMOVQ AX, X11
+	VPBROADCASTQ X11, Y11
+rpass:
 	MOVQ R9, AX
-	SUBQ R11, AX
 	CMPQ AX, $8
-	JLT  o4
-	VMOVUPD (SI)(R11*8), Y0
-	VMOVUPD 32(SI)(R11*8), Y1
-	LEAQ (CX)(R11*8), R12
+	JLE  rmask
+	MOVQ $8, AX
+rmask:
+	VMOVQ AX, X9
+	VPBROADCASTQ X9, Y9       // outputs this pass, in every lane
+	VPCMPGTQ Y10, Y9, Y12     // n > l
+	VPSUBQ Y11, Y9, Y9
+	VPCMPGTQ Y10, Y9, Y13     // n-4 > l
+	VMASKMOVPD (SI), Y12, Y0
+	VMASKMOVPD 32(SI), Y13, Y1
+	MOVQ CX, R12
 	MOVQ DX, R13
 	MOVQ R8, R14
-i8:
+ri:
 	TESTQ R14, R14
-	JZ    s8
+	JZ    rs
 	VBROADCASTSD (R13), Y4
-	VMOVUPD (R12), Y5
-	VMOVUPD 32(R12), Y6
+	VMASKMOVPD (R12), Y12, Y5
+	VMASKMOVPD 32(R12), Y13, Y6
 	VMULPD Y4, Y5, Y5
 	VMULPD Y4, Y6, Y6
 	VADDPD Y5, Y0, Y0
@@ -91,59 +128,15 @@ i8:
 	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
-	JMP  i8
-s8:
-	VMOVUPD Y0, (DI)(R11*8)
-	VMOVUPD Y1, 32(DI)(R11*8)
-	ADDQ $8, R11
-	JMP  o8
-
-o4:	// one block of 4 outputs
-	MOVQ R9, AX
-	SUBQ R11, AX
-	CMPQ AX, $4
-	JLT  o1
-	VMOVUPD (SI)(R11*8), Y0
-	LEAQ (CX)(R11*8), R12
-	MOVQ DX, R13
-	MOVQ R8, R14
-i4:
-	TESTQ R14, R14
-	JZ    s4
-	VBROADCASTSD (R13), Y4
-	VMOVUPD (R12), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y0, Y0
-	ADDQ BX, R13
-	ADDQ R10, R12
-	DECQ R14
-	JMP  i4
-s4:
-	VMOVUPD Y0, (DI)(R11*8)
-	ADDQ $4, R11
-	JMP  o4
-
-o1:	// scalar tail outputs
-	CMPQ R11, R9
-	JGE  done
-	VMOVSD (SI)(R11*8), X0
-	LEAQ (CX)(R11*8), R12
-	MOVQ DX, R13
-	MOVQ R8, R14
-i1:
-	TESTQ R14, R14
-	JZ    s1
-	VMOVSD (R13), X4
-	VMULSD (R12), X4, X4
-	VADDSD X4, X0, X0
-	ADDQ BX, R13
-	ADDQ R10, R12
-	DECQ R14
-	JMP  i1
-s1:
-	VMOVSD X0, (DI)(R11*8)
-	INCQ R11
-	JMP  o1
+	JMP  ri
+rs:
+	VMASKMOVPD Y0, Y12, (DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	LEAQ (CX)(AX*8), CX
+	LEAQ (SI)(AX*8), SI
+	LEAQ (DI)(AX*8), DI
+	SUBQ AX, R9
+	JNZ  rpass
 
 done:
 	VZEROUPPER
@@ -151,10 +144,11 @@ done:
 
 // func affineRowTAVX512(dst, bias, x, wt *float64, nIn, nOut, xStride int)
 //
-// Same contract as affineRowTAVX2 on 512-bit vectors: blocks of 32 and 8
-// outputs accumulate from the bias in ascending input order with separate
-// VMULPD/VADDPD roundings, then the AVX2-style 4-wide and scalar tails
-// finish the remainder.
+// Same contract as affineRowTAVX2 on 512-bit vectors: blocks of 32 outputs
+// accumulate from the bias in ascending input order with separate
+// VMULPD/VADDPD roundings, then the up to 31 remaining outputs run in
+// passes of three ZMM chains under K-masks, 24 outputs a pass (zeroing
+// loads, masked stores: masked-off lanes neither fault nor write).
 TEXT ·affineRowTAVX512(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ bias+8(FP), SI
@@ -172,7 +166,7 @@ z32:	// blocks of 32 outputs
 	MOVQ R9, AX
 	SUBQ R11, AX
 	CMPQ AX, $32
-	JLT  z8
+	JLT  zr
 	VMOVUPD (SI)(R11*8), Z0
 	VMOVUPD 64(SI)(R11*8), Z1
 	VMOVUPD 128(SI)(R11*8), Z2
@@ -208,77 +202,63 @@ zs32:
 	ADDQ $32, R11
 	JMP  z32
 
-z8:	// blocks of 8 outputs
-	MOVQ R9, AX
-	SUBQ R11, AX
-	CMPQ AX, $8
-	JLT  z4
-	VMOVUPD (SI)(R11*8), Z0
-	LEAQ (CX)(R11*8), R12
+zr:	// the r = nOut-o < 32 remaining outputs, up to 24 per pass of three
+	// chains (the TTP's 21 and 22 in one; a dead fourth measured about a
+	// quarter slower per pass). K1-K3 hold lanes 8v .. 8v+7 of the pass,
+	// live when below min(r, 24); masked-off lanes load as zero and are
+	// never stored. AX, SI and DI step to wt[o], bias[o] and dst[o]; R9
+	// counts the outputs left; CX holds a pass's count for the shift.
+	SUBQ R11, R9
+	JZ   zdone
+	LEAQ (CX)(R11*8), AX
+	LEAQ (SI)(R11*8), SI
+	LEAQ (DI)(R11*8), DI
+zpass:
+	MOVQ R9, CX
+	CMPQ CX, $24
+	JLE  zmask
+	MOVQ $24, CX
+zmask:
+	MOVL $1, R13
+	SHLL CX, R13
+	DECL R13                  // bit 8v+l set: lane l of vector v is live
+	KMOVW R13, K1
+	SHRL $8, R13
+	KMOVW R13, K2
+	SHRL $8, R13
+	KMOVW R13, K3
+	VMOVUPD.Z (SI), K1, Z0
+	VMOVUPD.Z 64(SI), K2, Z1
+	VMOVUPD.Z 128(SI), K3, Z2
+	MOVQ AX, R12
 	MOVQ DX, R13
 	MOVQ R8, R14
-zi8:
+zi:
 	TESTQ R14, R14
-	JZ    zs8
+	JZ    zs
 	VBROADCASTSD (R13), Z4
-	VMOVUPD (R12), Z5
+	VMOVUPD.Z (R12), K1, Z5
+	VMOVUPD.Z 64(R12), K2, Z6
+	VMOVUPD.Z 128(R12), K3, Z7
 	VMULPD Z4, Z5, Z5
+	VMULPD Z4, Z6, Z6
+	VMULPD Z4, Z7, Z7
 	VADDPD Z5, Z0, Z0
+	VADDPD Z6, Z1, Z1
+	VADDPD Z7, Z2, Z2
 	ADDQ BX, R13
 	ADDQ R10, R12
 	DECQ R14
-	JMP  zi8
-zs8:
-	VMOVUPD Z0, (DI)(R11*8)
-	ADDQ $8, R11
-	JMP  z8
-
-z4:	// one block of 4 outputs (AVX2 width)
-	MOVQ R9, AX
-	SUBQ R11, AX
-	CMPQ AX, $4
-	JLT  z1
-	VMOVUPD (SI)(R11*8), Y0
-	LEAQ (CX)(R11*8), R12
-	MOVQ DX, R13
-	MOVQ R8, R14
-zi4:
-	TESTQ R14, R14
-	JZ    zs4
-	VBROADCASTSD (R13), Y4
-	VMOVUPD (R12), Y5
-	VMULPD Y4, Y5, Y5
-	VADDPD Y5, Y0, Y0
-	ADDQ BX, R13
-	ADDQ R10, R12
-	DECQ R14
-	JMP  zi4
-zs4:
-	VMOVUPD Y0, (DI)(R11*8)
-	ADDQ $4, R11
-	JMP  z4
-
-z1:	// scalar tail outputs
-	CMPQ R11, R9
-	JGE  zdone
-	VMOVSD (SI)(R11*8), X0
-	LEAQ (CX)(R11*8), R12
-	MOVQ DX, R13
-	MOVQ R8, R14
-zi1:
-	TESTQ R14, R14
-	JZ    zs1
-	VMOVSD (R13), X4
-	VMULSD (R12), X4, X4
-	VADDSD X4, X0, X0
-	ADDQ BX, R13
-	ADDQ R10, R12
-	DECQ R14
-	JMP  zi1
-zs1:
-	VMOVSD X0, (DI)(R11*8)
-	INCQ R11
-	JMP  z1
+	JMP  zi
+zs:
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K2, 64(DI)
+	VMOVUPD Z2, K3, 128(DI)
+	LEAQ (AX)(CX*8), AX
+	LEAQ (SI)(CX*8), SI
+	LEAQ (DI)(CX*8), DI
+	SUBQ CX, R9
+	JNZ  zpass
 
 zdone:
 	VZEROUPPER

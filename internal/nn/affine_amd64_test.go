@@ -6,27 +6,78 @@ import (
 	"testing"
 )
 
-// TestAffineRowTAssemblyBodies: each affineRowT assembly body this machine
-// can run, called by name (dispatch alone would only ever reach the widest),
-// over the same table as TestAffineRowTStride.
-func TestAffineRowTAssemblyBodies(t *testing.T) {
-	bodies := map[string]func(dst, bias, x, wt *float64, nIn, nOut, xStride int){}
+// affineBody is one affineRowT assembly body, by name.
+type affineBody struct {
+	name string
+	run  func(dst, bias, x, wt *float64, nIn, nOut, xStride int)
+}
+
+// asmAffineBodies lists the affineRowT assembly bodies this machine can run
+// (dispatch alone would only ever reach the widest).
+func asmAffineBodies() []affineBody {
+	var bodies []affineBody
 	if useAVX2 {
-		bodies["avx2"] = affineRowTAVX2
+		bodies = append(bodies, affineBody{"avx2", affineRowTAVX2})
 	}
 	if useAVX512 {
-		bodies["avx512"] = affineRowTAVX512
+		bodies = append(bodies, affineBody{"avx512", affineRowTAVX512})
 	}
+	return bodies
+}
+
+// TestAffineRowTAssemblyBodies: each affineRowT assembly body this machine
+// can run, called by name, over the same table as TestAffineRowTStride. The
+// destination has a sentinel past dst[nOut-1]: a masked store with a lane
+// too many would write it.
+func TestAffineRowTAssemblyBodies(t *testing.T) {
+	bodies := asmAffineBodies()
 	if len(bodies) == 0 {
 		t.Skip("no SIMD on this machine")
 	}
 	forEachAffineCase(func(what string, bias, x, wt, want []float64, nIn, nOut, xStride int) {
-		for name, body := range bodies {
-			got := make([]float64, nOut)
-			body(&got[0], &bias[0], &x[0], &wt[0], nIn, nOut, xStride)
-			sameFloats(t, name+" "+what, got, want)
+		for _, body := range bodies {
+			got := withSentinel(nOut)
+			body.run(&got[0], &bias[0], &x[0], &wt[0], nIn, nOut, xStride)
+			checkSentinel(t, body.name+" "+what, got, nOut)
+			sameFloats(t, body.name+" "+what, got[:nOut], want)
 		}
 	})
+}
+
+// BenchmarkAffineRowT times one affineRowT row on every body this machine
+// runs, at the trainer's shapes: the first layer's forward (22→64), a hidden
+// layer's (64→64), the output layer's (64→21) and the first layer's weight
+// gradient row over a 64-sample minibatch (64→22, x a delta column at the
+// hidden width's stride).
+func BenchmarkAffineRowT(b *testing.B) {
+	shapes := []struct {
+		name               string
+		nIn, nOut, xStride int
+	}{{"22to64", 22, 64, 1}, {"64to64", 64, 64, 1}, {"64to21", 64, 21, 1}, {"64to22grad", 64, 22, 64}}
+	rng := rand.New(rand.NewSource(34))
+	normals := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	for _, sh := range shapes {
+		bias, x, wt := normals(sh.nOut), normals((sh.nIn-1)*sh.xStride+1), normals(sh.nIn*sh.nOut)
+		dst := make([]float64, sh.nOut)
+		b.Run(sh.name+"/portable", func(b *testing.B) {
+			for b.Loop() {
+				affineRowTGo(dst, bias, x, wt, sh.nIn, sh.nOut, sh.xStride)
+			}
+		})
+		for _, body := range asmAffineBodies() {
+			b.Run(sh.name+"/"+body.name, func(b *testing.B) {
+				for b.Loop() {
+					body.run(&dst[0], &bias[0], &x[0], &wt[0], sh.nIn, sh.nOut, sh.xStride)
+				}
+			})
+		}
+	}
 }
 
 // TestPlannerKernelAssemblyBodies: the two planner assembly bodies, called by

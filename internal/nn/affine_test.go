@@ -51,14 +51,26 @@ func sameFloats(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// affineOuts are the output counts the affineRowT table covers: 1..40 (every
+// remainder after a 16-wide block, the chain-count boundaries of both
+// remainder passes at 8/9 and 24/25, the TTP's 21 and 22) and both sides of
+// 64 and 96 (one and more full 32-wide blocks).
+var affineOuts = func() []int {
+	var outs []int
+	for n := 1; n <= 40; n++ {
+		outs = append(outs, n)
+	}
+	return append(outs, 63, 64, 65, 95, 96, 97)
+}()
+
 // forEachAffineCase runs visit over the affineRowT table: the strides the
 // trainer uses (1: forward and delta propagation; the output and hidden
-// widths: a delta column), every output-block remainder, a few input counts,
-// with the plain ascending-order scalar sum as want.
+// widths: a delta column), affineOuts, a few input counts, with the plain
+// ascending-order scalar sum as want.
 func forEachAffineCase(visit func(what string, bias, x, wt, want []float64, nIn, nOut, xStride int)) {
 	rng := rand.New(rand.NewSource(31))
 	for _, xStride := range []int{1, 21, 64} {
-		for _, nOut := range kernelLens[1:] {
+		for _, nOut := range affineOuts {
 			for _, nIn := range []int{1, 2, 22, 64} {
 				bias := mixed(rng, nOut)
 				x := mixed(rng, (nIn-1)*xStride+1)
@@ -77,16 +89,47 @@ func forEachAffineCase(visit func(what string, bias, x, wt, want []float64, nIn,
 	}
 }
 
+// sentinel fills the slack past a kernel's destination; sentinelTail is as
+// long as the widest vector block, so a store with any lane too many lands
+// on it.
+const (
+	sentinel     = 7.25
+	sentinelTail = 32
+)
+
+// withSentinel returns an n-element destination followed by the sentinel
+// tail.
+func withSentinel(n int) []float64 {
+	dst := make([]float64, n+sentinelTail)
+	for i := n; i < len(dst); i++ {
+		dst[i] = sentinel
+	}
+	return dst
+}
+
+// checkSentinel fails if anything wrote past dst[n-1].
+func checkSentinel(t *testing.T, what string, dst []float64, n int) {
+	t.Helper()
+	for i := n; i < len(dst); i++ {
+		if dst[i] != sentinel {
+			t.Fatalf("%s: wrote past dst[%d], at dst[%d]", what, n-1, i)
+		}
+	}
+}
+
 // TestAffineRowTStride: the portable body and whatever body affineRowT
-// dispatches to on this machine, against the scalar sum.
+// dispatches to on this machine, against the scalar sum, neither writing
+// past dst[nOut-1].
 func TestAffineRowTStride(t *testing.T) {
 	forEachAffineCase(func(what string, bias, x, wt, want []float64, nIn, nOut, xStride int) {
-		got := make([]float64, nOut)
+		got := withSentinel(nOut)
 		affineRowTGo(got, bias, x, wt, nIn, nOut, xStride)
-		sameFloats(t, "portable "+what, got, want)
-		clear(got)
+		checkSentinel(t, "portable "+what, got, nOut)
+		sameFloats(t, "portable "+what, got[:nOut], want)
+		got = withSentinel(nOut)
 		affineRowT(got, bias, x, wt, nIn, nOut, xStride)
-		sameFloats(t, "dispatched "+what, got, want)
+		checkSentinel(t, "dispatched "+what, got, nOut)
+		sameFloats(t, "dispatched "+what, got[:nOut], want)
 	})
 	// nIn == 0 leaves the bias; nOut == 0 writes nothing.
 	got := []float64{7, 7}

@@ -8,18 +8,18 @@ import (
 
 // TestPackedForwardBitwiseIdentical: the packed (transposed, possibly SIMD)
 // forward must reproduce MLP.ForwardBatchInto bit for bit, across blocking
-// remainders (output widths around the 16/8/4 vector blocks and the scalar
-// tail), batch sizes, and sign patterns that exercise the ReLU edge.
+// remainders (output widths below, at and past the full vector blocks),
+// batch sizes, and sign patterns that exercise the ReLU edge.
 func TestPackedForwardBitwiseIdentical(t *testing.T) {
 	shapes := [][]int{
 		{22, 64, 64, 21}, // the TTP
-		{5, 21},          // affine ablation, 16+4+1 output split
-		{7, 3, 2},        // scalar tails only
-		{4, 130, 1},      // many 16-blocks plus tails, single output
-		{97, 8, 5},       // wide input, one 8-block
-		{1, 16},          // single input, exact 16-block
+		{5, 21},          // affine ablation: remainder only
+		{7, 3, 2},        // narrow remainders only
+		{4, 130, 1},      // many full blocks plus a remainder, single output
+		{97, 8, 5},       // wide input, one vector's remainder
+		{1, 16},          // single input, exact AVX2 block
 		{3, 4, 4, 4, 2},  // deep and narrow
-		{10, 33},         // 16+16+1
+		{10, 33},         // full blocks plus one output
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, sizes := range shapes {
