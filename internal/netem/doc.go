@@ -23,7 +23,7 @@
 //
 // Main entry points:
 //
-//   - Trace: the capacity series (RateAt, Mean, Validate, CSV round-trip);
+//   - Trace: the capacity series (RateAt, Mean, Validate);
 //     generators GenPuffer/GenFCC/GenCS2P with their *TraceConfig types.
 //   - Sampler: draws a per-session Path (trace + base RTT + queue
 //     capacity) from a family; implemented by PufferPaths, FCCPaths,

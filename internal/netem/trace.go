@@ -1,9 +1,7 @@
 package netem
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -38,11 +36,6 @@ func (tr *Trace) SegmentEnd(t float64) float64 {
 	return (math.Floor(t/tr.Interval) + 1) * tr.Interval
 }
 
-// Duration returns the un-wrapped length of the trace in seconds.
-func (tr *Trace) Duration() float64 {
-	return float64(len(tr.Rate)) * tr.Interval
-}
-
 // Mean returns the time-average capacity in bits per second.
 func (tr *Trace) Mean() float64 {
 	if len(tr.Rate) == 0 {
@@ -53,20 +46,6 @@ func (tr *Trace) Mean() float64 {
 		s += r
 	}
 	return s / float64(len(tr.Rate))
-}
-
-// Min returns the minimum capacity sample.
-func (tr *Trace) Min() float64 {
-	if len(tr.Rate) == 0 {
-		return 0
-	}
-	m := tr.Rate[0]
-	for _, r := range tr.Rate[1:] {
-		if r < m {
-			m = r
-		}
-	}
-	return m
 }
 
 // Validate checks the trace invariants.
@@ -83,18 +62,4 @@ func (tr *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV writes the trace as "time_s,rate_bps" rows with a header.
-func (tr *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "time_s,rate_bps"); err != nil {
-		return err
-	}
-	for i, r := range tr.Rate {
-		if _, err := fmt.Fprintf(bw, "%.3f,%.0f\n", float64(i)*tr.Interval, r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -52,7 +52,8 @@ func tracingOn(t *testing.T) *obs.Tracer {
 var engines = map[string]runner.DayEngine{"session": nil, "fleet": fleet.DayEngine(nil, 0)}
 
 // perturbConfig is the runner testsuite's small-but-real continual
-// experiment (two days, nightly retraining, tiny nets).
+// experiment (two days, nightly retraining, tiny nets). Its SpecHash is a
+// constant stand-in for a compiled spec's guard hash.
 func perturbConfig(t *testing.T, seed int64, engine string, days int) runner.Config {
 	t.Helper()
 	tc := core.DefaultTrainConfig()
@@ -69,6 +70,7 @@ func perturbConfig(t *testing.T, seed int64, engine string, days int) runner.Con
 		Hidden:         []int{8},
 		Horizon:        2,
 		Train:          tc,
+		SpecHash:       "perturb-test-spec",
 	}
 }
 

@@ -2,9 +2,7 @@ package runner
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/gob"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -60,68 +58,15 @@ func gobTypeWarmup() {
 }
 
 // manifest guards a checkpoint directory against resuming under a
-// different experiment. The guard is one hash: for scenario-compiled runs
-// it is the spec's GuardHash (the canonical scenario content hash with
-// resume-safe fields like Days normalized out), and the canonical spec
-// JSON rides along so a rejected resume can say which experiment the
-// checkpoint belongs to. Runs built from a raw Config get a fallback hash
-// over guardParams. Workers and the engine selection are absent from both:
-// they only change scheduling, never results.
+// different experiment. The guard is one hash, the spec's GuardHash (the
+// canonical scenario content hash with resume-safe fields like Days
+// normalized out), and the canonical spec JSON rides along so a rejected
+// resume can say which experiment the checkpoint belongs to. Workers and
+// the engine selection are absent from it: they only change scheduling,
+// never results.
 type manifest struct {
 	GuardHash string
-	// Spec is the canonical scenario spec (scenario-compiled runs only).
-	Spec json.RawMessage `json:",omitempty"`
-	// Params is the runner-level guard view (direct-Config runs only).
-	Params *guardParams `json:",omitempty"`
-}
-
-// guardParams is the fallback guard for Configs constructed without a
-// scenario spec: the result-shaping fields, with the environment pinned by
-// its observable identity (path-family name — which embeds any drift
-// signature — plus clip replay).
-type guardParams struct {
-	EnvPaths       string
-	EnvClip        bool
-	SessionsPerDay int
-	WindowDays     int
-	ShardSize      int
-	Seed           int64
-	Retrain        bool
-	Hidden         []int
-	Horizon        int
-	Train          core.TrainConfig
-}
-
-func (cfg *Config) guardParams() guardParams {
-	p := guardParams{
-		EnvClip:        cfg.Env.Clip != nil,
-		SessionsPerDay: cfg.SessionsPerDay,
-		WindowDays:     cfg.WindowDays,
-		ShardSize:      cfg.ShardSize,
-		Seed:           cfg.Seed,
-		Retrain:        cfg.Retrain,
-		Hidden:         cfg.Hidden,
-		Horizon:        cfg.Horizon,
-		Train:          cfg.Train,
-	}
-	if cfg.Env.Paths != nil {
-		p.EnvPaths = cfg.Env.Paths.Name()
-	}
-	return p
-}
-
-// manifest builds the guard record for this config.
-func (cfg *Config) manifest() manifest {
-	if cfg.SpecHash != "" {
-		return manifest{GuardHash: cfg.SpecHash, Spec: cfg.SpecJSON}
-	}
-	p := cfg.guardParams()
-	blob, err := json.Marshal(&p)
-	if err != nil {
-		panic(fmt.Sprintf("runner: encoding guard params: %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return manifest{GuardHash: hex.EncodeToString(sum[:]), Params: &p}
+	Spec      json.RawMessage `json:",omitempty"`
 }
 
 func dayDir(root string, day int) string {
@@ -165,9 +110,7 @@ func (r *state) resume() (int, error) {
 		if ds.Day != day {
 			return 0, fmt.Errorf("runner: checkpoint %s claims day %d", dir, ds.Day)
 		}
-		if model != nil {
-			r.slot.Store(model)
-		}
+		r.slot.Store(model)
 		r.finishDay(ds, acc, data)
 	}
 	return day, nil
@@ -175,11 +118,11 @@ func (r *state) resume() (int, error) {
 
 // checkManifest writes the manifest on first use and rejects resumes whose
 // config would silently change the results of already-checkpointed days.
-// The comparison is one hash equality; the stored spec (or params) only
-// feeds the error message.
+// The comparison is one hash equality; the stored spec only feeds the
+// error message.
 func (r *state) checkManifest() error {
 	path := filepath.Join(r.cfg.CheckpointDir, manifestFile)
-	want := r.cfg.manifest()
+	want := manifest{GuardHash: r.cfg.SpecHash, Spec: r.cfg.SpecJSON}
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		blob, err := json.MarshalIndent(want, "", "  ")
@@ -221,16 +164,10 @@ func shortHash(h string) string {
 // manifestDiff renders what the checkpoint pinned versus what the caller
 // asked for, for actionable mismatch errors.
 func manifestDiff(got, want manifest) string {
-	switch {
-	case got.Spec != nil && want.Spec != nil:
-		return fmt.Sprintf("\ncheckpointed spec:\n%s\nrequested spec:\n%s", got.Spec, want.Spec)
-	case got.Params != nil && want.Params != nil:
-		return fmt.Sprintf(" (%+v vs %+v)", *got.Params, *want.Params)
-	case got.Spec != nil:
-		return fmt.Sprintf("\ncheckpointed spec:\n%s\n(requested run was built from a raw runner.Config, not a scenario spec)", got.Spec)
-	default:
-		return " (checkpoint was built from a raw runner.Config, requested run from a scenario spec)"
+	if got.Spec == nil || want.Spec == nil {
+		return ""
 	}
+	return fmt.Sprintf("\ncheckpointed spec:\n%s\nrequested spec:\n%s", got.Spec, want.Spec)
 }
 
 // checkpointDay atomically commits one completed day.
@@ -263,10 +200,8 @@ func (r *state) checkpointDay(ds DayStats, acc *experiment.TrialAcc, data *core.
 	if err := data.SaveFile(filepath.Join(tmp, telemetryFile)); err != nil {
 		return err
 	}
-	if model := r.slot.Load(); model != nil {
-		if err := model.SaveFile(filepath.Join(tmp, modelFile)); err != nil {
-			return err
-		}
+	if err := r.slot.Load().SaveFile(filepath.Join(tmp, modelFile)); err != nil {
+		return err
 	}
 
 	if err := os.Rename(tmp, dayDir(root, ds.Day)); err != nil {
@@ -275,9 +210,9 @@ func (r *state) checkpointDay(ds DayStats, acc *experiment.TrialAcc, data *core.
 	return nil
 }
 
-// loadDay reads one committed day. The model may be absent only if the day
-// was checkpointed before any model existed (impossible in the current loop,
-// but tolerated for forward compatibility).
+// loadDay reads one committed day. Every file is required: the nightly
+// phase leaves a model in the slot every day, so a day without one is
+// damaged, and resuming it under an earlier day's model would be wrong.
 func loadDay(dir string) (DayStats, *experiment.TrialAcc, *core.Dataset, *core.TTP, error) {
 	var ds DayStats
 	raw, err := os.ReadFile(filepath.Join(dir, statsFile))
@@ -302,12 +237,9 @@ func loadDay(dir string) (DayStats, *experiment.TrialAcc, *core.Dataset, *core.T
 		return ds, nil, nil, nil, err
 	}
 
-	var model *core.TTP
-	if _, err := os.Stat(filepath.Join(dir, modelFile)); err == nil {
-		model, err = core.LoadFile(filepath.Join(dir, modelFile))
-		if err != nil {
-			return ds, nil, nil, nil, err
-		}
+	model, err := core.LoadFile(filepath.Join(dir, modelFile))
+	if err != nil {
+		return ds, nil, nil, nil, err
 	}
 	return ds, acc, data, model, nil
 }

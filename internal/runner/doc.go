@@ -23,8 +23,7 @@
 // atomically, so a killed run resumes at the last completed day with
 // byte-identical results. The checkpoint manifest is guarded by one
 // hash: the scenario spec's guard hash (Config.SpecHash, set by
-// internal/scenario's Compile) for spec-driven runs, or a fallback hash of
-// the runner's own result-shaping fields for directly constructed Configs;
+// internal/scenario's Compile), required when Config.CheckpointDir is set;
 // mismatched resumes are rejected with both specs in the error, and
 // pre-scenario field-list manifests get an explicit migration message.
 //

@@ -133,31 +133,6 @@ func TestRunnerDriftCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRunnerManifestGuardsDrift: the drift schedule shapes every result, so
-// it must participate in the checkpoint config guard (via the drifting
-// sampler's name).
-func TestRunnerManifestGuardsDrift(t *testing.T) {
-	dir := t.TempDir()
-	cfg := driftTestConfig(t, 31, "decay")
-	cfg.Days = 1
-	cfg.CheckpointDir = dir
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	other := driftTestConfig(t, 31, "shift")
-	other.Days = 1
-	other.CheckpointDir = dir
-	if _, err := Run(other); err == nil {
-		t.Fatal("resume with a different drift preset must be rejected")
-	}
-	plain := testConfig(31)
-	plain.Days = 1
-	plain.CheckpointDir = dir
-	if _, err := Run(plain); err == nil {
-		t.Fatal("resume without drift in a drifted checkpoint must be rejected")
-	}
-}
-
 // TestRunnerZeroDriftIdentity: wrapping the sampler with an all-zero
 // schedule changes nothing — results are byte-identical to the unwrapped
 // run, and the sampler keeps the base family's name (so `-drift none` is

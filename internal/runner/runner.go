@@ -78,11 +78,10 @@ type Config struct {
 	// value): core.DefaultTrainConfig; Train.Seed is re-derived per day
 	// either way.
 	Train core.TrainConfig
-	// SpecHash, when set, is the scenario guard hash
-	// (scenario.Spec.GuardHash) that pins this run's checkpoint
-	// manifest: resuming with a different hash is rejected. Default
-	// (empty): the runner derives a fallback guard from its own
-	// result-shaping fields, for callers constructing Configs directly.
+	// SpecHash is the scenario guard hash (scenario.Spec.GuardHash) that
+	// pins this run's checkpoint manifest: resuming with a different hash
+	// is rejected. Required when CheckpointDir is set; scenario.Compile
+	// always sets it.
 	SpecHash string
 	// SpecJSON is the canonical scenario spec recorded alongside
 	// SpecHash in the manifest, so a rejected resume can say exactly
@@ -282,6 +281,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.SessionsPerDay <= 0 {
 		return nil, fmt.Errorf("runner: SessionsPerDay = %d, must be positive", cfg.SessionsPerDay)
+	}
+	if cfg.CheckpointDir != "" && cfg.SpecHash == "" {
+		return nil, fmt.Errorf("runner: CheckpointDir %s needs a SpecHash to guard it; build the Config with scenario.Compile", cfg.CheckpointDir)
 	}
 	if cfg.Env.Paths == nil {
 		cfg.Env = experiment.DefaultEnv()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"puffer/internal/core"
@@ -12,7 +13,8 @@ import (
 )
 
 // testConfig is a small-but-real continual experiment: enough sessions for
-// telemetry to train on, tiny nets so the nightly phase is fast.
+// telemetry to train on, tiny nets so the nightly phase is fast. Its
+// SpecHash is a constant stand-in for a compiled spec's guard hash.
 func testConfig(seed int64) Config {
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 1
@@ -27,6 +29,7 @@ func testConfig(seed int64) Config {
 		Hidden:         []int{8},
 		Horizon:        2,
 		Train:          tc,
+		SpecHash:       "runner-test-spec",
 	}
 }
 
@@ -156,24 +159,36 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	if !bytes.Equal(fingerprint(t, replay), fingerprint(t, want)) {
 		t.Fatal("pure-replay run differs from uninterrupted run")
 	}
-}
 
-func TestRunnerManifestGuardsParameters(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testConfig(13)
-	cfg.Days = 1
-	cfg.CheckpointDir = dir
-	if _, err := Run(cfg); err != nil {
+	// A day that lost its model must not resume under an earlier day's.
+	damaged := t.TempDir()
+	first.CheckpointDir = damaged
+	if _, err := Run(first); err != nil {
 		t.Fatal(err)
 	}
-	cfg.SessionsPerDay += 8
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("resume with changed parameters must be rejected")
+	if err := os.Remove(filepath.Join(dayDir(damaged, 1), modelFile)); err != nil {
+		t.Fatal(err)
 	}
-	cfg.SessionsPerDay -= 8
-	cfg.Env = experiment.EmulationEnv()
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("resume in a different environment must be rejected")
+	second.CheckpointDir = damaged
+	if _, err := Run(second); err == nil || !strings.Contains(err.Error(), modelFile) {
+		t.Fatalf("resume over a day without %s: want an error naming it, got %v", modelFile, err)
+	}
+}
+
+// TestRunnerCheckpointNeedsSpecHash: a checkpoint is guarded only by the
+// spec's hash, so a Config with a CheckpointDir but no SpecHash is refused
+// before any day runs or any manifest is written.
+func TestRunnerCheckpointNeedsSpecHash(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(13)
+	cfg.CheckpointDir = dir
+	cfg.SpecHash = ""
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "scenario.Compile") {
+		t.Fatalf("want a rejection naming scenario.Compile, got %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestFile)); !os.IsNotExist(err) {
+		t.Fatalf("rejected run left a manifest (stat: %v)", err)
 	}
 }
 
