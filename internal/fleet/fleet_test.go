@@ -2,14 +2,10 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/gob"
-	"encoding/json"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 
-	"puffer/internal/abr"
 	"puffer/internal/core"
 	"puffer/internal/experiment"
 	"puffer/internal/runner"
@@ -22,33 +18,29 @@ func testTTP(seed int64) *core.TTP {
 		core.DefaultFeatures(), core.KindTransTime)
 }
 
-// deployTrial mirrors the runner's steady-state mixture: Fugu (TTP-backed,
-// so the fleet defers its inference) randomized against BBA.
+// deployTrial is the runner's steady-state mixture (runner.DeploySchemes)
+// over t: Fugu, TTP-backed so the fleet defers its inference, randomized
+// against BBA.
 func deployTrial(t *core.TTP, sessions int, seed int64) *experiment.Config {
+	slot := &runner.ModelSlot{}
+	slot.Store(t)
 	return &experiment.Config{
-		Env: experiment.DefaultEnv(),
-		Schemes: []experiment.Scheme{
-			{Name: "Fugu", New: func() abr.Algorithm { return abr.NewExplorer(core.NewFugu(t), 0.05, seed+2) }},
-			{Name: "BBA", New: func() abr.Algorithm { return abr.NewBBA() }},
-		},
+		Env:      experiment.DefaultEnv(),
+		Schemes:  runner.DeploySchemes(slot, seed),
 		Sessions: sessions,
 		Seed:     seed,
 	}
 }
 
-// bootstrapTrial mirrors the runner's day-0 mixture: classical schemes
-// only, nothing deferrable.
-func bootstrapTrial(sessions int, seed int64) *experiment.Config {
-	return &experiment.Config{
-		Env: experiment.DefaultEnv(),
-		Schemes: []experiment.Scheme{
-			{Name: "BBA", New: func() abr.Algorithm { return abr.NewExplorer(abr.NewBBA(), 0.15, seed) }},
-			{Name: "MPC-HM", New: func() abr.Algorithm { return abr.NewExplorer(abr.NewMPCHM(), 0.10, seed+1) }},
-			{Name: "RobustMPC-HM", New: func() abr.Algorithm { return abr.NewRobustMPCHM() }},
-		},
-		Sessions: sessions,
-		Seed:     seed,
+// accBytes is an accumulator's exact state, in TrialAcc's own name-sorted
+// encoding.
+func accBytes(t *testing.T, acc *experiment.TrialAcc) []byte {
+	t.Helper()
+	b, err := acc.GobEncode()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
 // seqShardAcc folds the trial sequentially through the canonical sharded
@@ -61,34 +53,10 @@ func seqShardAcc(trial *experiment.Config, shardSize int) *experiment.TrialAcc {
 		})
 }
 
-// accFingerprint reduces an accumulator to comparable bytes: the exact gob
-// state of every scheme accumulator in sorted-name order (gob of the map
-// itself would serialize in random order), plus the analyzed statistics.
-func accFingerprint(t *testing.T, acc *experiment.TrialAcc, seed int64) []byte {
-	t.Helper()
-	names := make([]string, 0, len(acc.Schemes))
-	for name := range acc.Schemes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, name := range names {
-		if err := enc.Encode(acc.Schemes[name]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := json.Marshal(acc.Analyze(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(buf.Bytes(), blob...)
-}
-
-// TestFleetMatchesSequentialDeploy: the tentpole guarantee — the fleet
-// engine's pooled accumulator (and collected telemetry) is byte-identical
-// to the sequential sharded fold at the same seed, on the NN-backed deploy
-// mixture whose inference runs through the cross-session batched service.
+// TestFleetMatchesSequentialDeploy: the fleet engine's pooled accumulator
+// and collected telemetry are byte-identical to the sequential sharded
+// fold at the same seed, on the NN-backed deploy mixture whose inference
+// runs through the cross-session batched service.
 func TestFleetMatchesSequentialDeploy(t *testing.T) {
 	ttp := testTTP(3)
 	const sessions, shard = 28, 8
@@ -105,21 +73,19 @@ func TestFleetMatchesSequentialDeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(accFingerprint(t, want, 5), accFingerprint(t, got, 5)) {
+	if !bytes.Equal(accBytes(t, want), accBytes(t, got)) {
 		t.Fatal("fleet accumulator differs from sequential shard fold")
 	}
-
 	var a, b bytes.Buffer
-	if err := gob.NewEncoder(&a).Encode(seqCol.Dataset()); err != nil {
+	if err := seqCol.Dataset().Save(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(&b).Encode(fleetCol.Dataset()); err != nil {
+	if err := fleetCol.Dataset().Save(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("fleet-collected telemetry differs from sequential telemetry")
 	}
-
 	if st.Deferred == 0 || st.Rows == 0 {
 		t.Fatalf("deploy mixture staged no inference work: %+v", st)
 	}
@@ -128,16 +94,25 @@ func TestFleetMatchesSequentialDeploy(t *testing.T) {
 	}
 }
 
-// TestFleetMatchesSequentialBootstrap: same guarantee on the classical
-// mixture, where nothing defers and every decision computes at its park.
+// TestFleetMatchesSequentialBootstrap: same guarantee on the runner's
+// classical day-0 mixture (runner.BootstrapSchemes), where nothing defers
+// and every decision computes at its park.
 func TestFleetMatchesSequentialBootstrap(t *testing.T) {
 	const sessions, shard = 24, 8
-	want := seqShardAcc(bootstrapTrial(sessions, 7), shard)
-	got, st, err := RunTrial(bootstrapTrial(sessions, 7), Config{ShardSize: shard})
+	trial := func() *experiment.Config {
+		return &experiment.Config{
+			Env:      experiment.DefaultEnv(),
+			Schemes:  runner.BootstrapSchemes(7),
+			Sessions: sessions,
+			Seed:     7,
+		}
+	}
+	want := seqShardAcc(trial(), shard)
+	got, st, err := RunTrial(trial(), Config{ShardSize: shard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(accFingerprint(t, want, 9), accFingerprint(t, got, 9)) {
+	if !bytes.Equal(accBytes(t, want), accBytes(t, got)) {
 		t.Fatal("fleet accumulator differs from sequential on the bootstrap mixture")
 	}
 	if st.Deferred != 0 || st.Rows != 0 {
@@ -157,7 +132,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := accFingerprint(t, base, 3)
+	want := accBytes(t, base)
 
 	variants := []Config{
 		{ShardSize: shard, Workers: 8, Tick: 0.25},
@@ -171,7 +146,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want, accFingerprint(t, acc, 3)) {
+		if !bytes.Equal(want, accBytes(t, acc)) {
 			t.Fatalf("variant %d (%+v): results differ from baseline", i, fc)
 		}
 		if st.Decisions != baseStats.Decisions || st.Deferred != baseStats.Deferred || st.Rows != baseStats.Rows {
@@ -184,7 +159,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, accFingerprint(t, again, 3)) {
+	if !bytes.Equal(want, accBytes(t, again)) {
 		t.Fatal("rerun differs")
 	}
 	if againStats.Flushes != baseStats.Flushes || againStats.Batches != baseStats.Batches ||

@@ -1,10 +1,9 @@
 package nn
 
 import (
-	"fmt"
+	"bytes"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 )
 
@@ -169,20 +168,14 @@ func TestForwardBatchNoAlloc(t *testing.T) {
 func TestLoadedModelKeepsBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := NewMLP(rng, 22, 64, 64, 21)
-	var roundtrip func(*MLP) *MLP
-	roundtrip = func(m *MLP) *MLP {
-		dir := t.TempDir()
-		path := dir + "/model.gob"
-		if err := m.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	loaded := roundtrip(m)
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bws := loaded.NewBatchWorkspace(6)
 	xs := randomBatch(rng, 6, 22)
 	out := loaded.ForwardBatchInto(bws, xs, 6)
@@ -206,14 +199,4 @@ func BenchmarkForwardBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.ForwardBatchInto(bws, xs, 10)
 	}
-}
-
-// LoadFile reads a network from the named file.
-func LoadFile(path string) (*MLP, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: opening model file: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

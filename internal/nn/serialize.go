@@ -1,11 +1,9 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Save writes the network to w in gob format.
@@ -29,18 +27,6 @@ func Load(r io.Reader) (*MLP, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-// SaveFile writes the network to the named file.
-func (m *MLP) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("nn: writing model file: %w", err)
-	}
-	return nil
 }
 
 // validate checks structural consistency of a deserialized model (Pack's

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +22,6 @@ import (
 	"puffer/internal/results"
 	"puffer/internal/runner"
 	"puffer/internal/scenario"
-	"puffer/internal/serve"
 	"puffer/internal/sweep"
 )
 
@@ -35,10 +33,22 @@ func obsOn(t *testing.T, on bool) {
 	t.Cleanup(func() { obs.SetEnabled(prev) })
 }
 
+// eventLog opens a throwaway event log so the "on" runs exercise the full
+// emission path, not just the metric gate.
+func eventLog(t *testing.T) *obs.EventLog {
+	t.Helper()
+	l, err := obs.OpenEventLog(filepath.Join(t.TempDir(), "run.events"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 // tracingOn installs a sample-everything tracer for one sub-run, so the
-// "on" legs exercise the full span-recording path through the engines,
-// not just metrics and events. Returns the tracer so the caller can
-// assert spans actually landed (a vacuous differential proves nothing).
+// "on" legs exercise the full span-recording path through the engines.
+// Returns the tracer so the caller can assert spans actually landed (a
+// vacuous differential proves nothing).
 func tracingOn(t *testing.T) *obs.Tracer {
 	t.Helper()
 	tr := obs.NewTracer(1, 0)
@@ -47,36 +57,34 @@ func tracingOn(t *testing.T) *obs.Tracer {
 	return tr
 }
 
-// engines maps the test's engine names to runner.DayEngine values (nil is
-// the runner's default per-session fold).
-var engines = map[string]runner.DayEngine{"session": nil, "fleet": fleet.DayEngine(nil, 0)}
-
-// perturbConfig is the runner testsuite's small-but-real continual
-// experiment (two days, nightly retraining, tiny nets). Its SpecHash is a
-// constant stand-in for a compiled spec's guard hash.
-func perturbConfig(t *testing.T, seed int64, engine string, days int) runner.Config {
-	t.Helper()
+// perturbConfig is a small-but-real continual experiment (nightly
+// retraining, tiny nets) on the named engine. Its SpecHash is a constant
+// stand-in for a compiled spec's guard hash.
+func perturbConfig(seed int64, engine string, days int) runner.Config {
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 1
-	return runner.Config{
+	cfg := runner.Config{
 		Env:            experiment.DefaultEnv(),
 		Days:           days,
 		SessionsPerDay: 16,
 		WindowDays:     2,
 		ShardSize:      4,
 		Seed:           seed,
-		Engine:         engines[engine],
 		Retrain:        true,
 		Hidden:         []int{8},
 		Horizon:        2,
 		Train:          tc,
 		SpecHash:       "perturb-test-spec",
 	}
+	if engine == "fleet" {
+		cfg.Engine = fleet.DayEngine(nil, 0)
+	}
+	return cfg
 }
 
 // fingerprint reduces a Result to every byte the contract protects: the
-// per-day records (including the fleet serving record), pooled totals,
-// final model, and sliding-window telemetry.
+// per-day records (fleet serving record included), pooled totals, final
+// model, and sliding-window telemetry.
 func fingerprint(t *testing.T, res *runner.Result) []byte {
 	t.Helper()
 	blob, err := json.Marshal(struct {
@@ -100,18 +108,6 @@ func fingerprint(t *testing.T, res *runner.Result) []byte {
 	return append(append(blob, model.Bytes()...), data.Bytes()...)
 }
 
-// eventLog opens a throwaway event log so the "on" runs exercise the full
-// emission path, not just the metric gate.
-func eventLog(t *testing.T) *obs.EventLog {
-	t.Helper()
-	l, err := obs.OpenEventLog(filepath.Join(t.TempDir(), "run.events"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	return l
-}
-
 // TestZeroPerturbationEngines: on both execution engines, a run with
 // recording, events, and span tracing fully on is byte-identical to the
 // same run with everything off.
@@ -122,7 +118,7 @@ func TestZeroPerturbationEngines(t *testing.T) {
 	for _, engine := range []string{"session", "fleet"} {
 		t.Run(engine, func(t *testing.T) {
 			obsOn(t, false)
-			off, err := runner.Run(perturbConfig(t, 5, engine, 2))
+			off, err := runner.Run(perturbConfig(5, engine, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +128,7 @@ func TestZeroPerturbationEngines(t *testing.T) {
 			kernelRows := obs.Default.Counter("nn_packed_rows_total")
 			kernelCalls := obs.Default.Histogram("nn_packed_forward_ns")
 			rows0, calls0 := kernelRows.Value(), kernelCalls.Snapshot().Count
-			cfg := perturbConfig(t, 5, engine, 2)
+			cfg := perturbConfig(5, engine, 2)
 			cfg.Events = eventLog(t)
 			on, err := runner.Run(cfg)
 			if err != nil {
@@ -152,6 +148,75 @@ func TestZeroPerturbationEngines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestZeroPerturbationResume: a fleet kill-and-resume run with
+// observability on matches a straight run with it off — result bytes and
+// every checkpoint file byte for byte.
+func TestZeroPerturbationResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real (tiny) experiments")
+	}
+	dir := t.TempDir()
+
+	obsOn(t, false)
+	straightCkpt := filepath.Join(dir, "straight")
+	cfg := perturbConfig(9, "fleet", 3)
+	cfg.CheckpointDir = straightCkpt
+	straight, err := runner.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	obsOn(t, true)
+	tr := tracingOn(t)
+	resumedCkpt := filepath.Join(dir, "resumed")
+	var resumed *runner.Result
+	for _, days := range []int{2, 3} { // the "kill" after 2 of 3 days, then the relaunch
+		cfg = perturbConfig(9, "fleet", days)
+		cfg.CheckpointDir = resumedCkpt
+		cfg.Events = eventLog(t)
+		if resumed, err = runner.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if !bytes.Equal(fingerprint(t, straight), fingerprint(t, resumed)) {
+		t.Fatal("obs+tracing-on resumed run differs from the obs-off straight run")
+	}
+	if tr.Total() == 0 {
+		t.Fatal("tracing-on resume recorded no spans: the differential is vacuous")
+	}
+	want, got := readTree(t, straightCkpt), readTree(t, resumedCkpt)
+	if len(want) != len(got) {
+		t.Fatalf("checkpoint trees differ in file count: %d vs %d", len(want), len(got))
+	}
+	for rel, blob := range want {
+		if other, ok := got[rel]; !ok || !bytes.Equal(blob, other) {
+			t.Fatalf("checkpoint file %s differs between obs-off and obs-on runs (present: %v)", rel, ok)
+		}
+	}
+}
+
+// readTree maps every file under root, by relative path, to its bytes.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestZeroPerturbationTrain: core.Train times its two phases from inside
@@ -193,174 +258,6 @@ func TestZeroPerturbationTrain(t *testing.T) {
 	}
 	if got := fit.Snapshot().Count - fit0; got != horizon {
 		t.Fatalf("core_train_fit_ns took %d observations, want one per horizon step (%d)", got, horizon)
-	}
-}
-
-// TestZeroPerturbationResume: a kill-and-resume run with observability on
-// matches a straight run with it off — result bytes and every checkpoint
-// file byte-for-byte.
-func TestZeroPerturbationResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real (tiny) experiments")
-	}
-	dir := t.TempDir()
-
-	obsOn(t, false)
-	straightCkpt := filepath.Join(dir, "straight")
-	cfg := perturbConfig(t, 9, "fleet", 3)
-	cfg.CheckpointDir = straightCkpt
-	straight, err := runner.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	obsOn(t, true)
-	tr := tracingOn(t)
-	resumedCkpt := filepath.Join(dir, "resumed")
-	cfg = perturbConfig(t, 9, "fleet", 2) // the "kill": only 2 of 3 days
-	cfg.CheckpointDir = resumedCkpt
-	cfg.Events = eventLog(t)
-	if _, err := runner.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg = perturbConfig(t, 9, "fleet", 3) // the relaunch resumes day 2
-	cfg.CheckpointDir = resumedCkpt
-	cfg.Events = eventLog(t)
-	resumed, err := runner.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(fingerprint(t, straight), fingerprint(t, resumed)) {
-		t.Fatal("obs+tracing-on resumed run differs from the obs-off straight run")
-	}
-	if tr.Total() == 0 {
-		t.Fatal("tracing-on resume recorded no spans: the differential is vacuous")
-	}
-	compareTrees(t, straightCkpt, resumedCkpt)
-}
-
-// TestZeroPerturbationServeTraced: the wall-clock serving differential
-// with tracing fully on. A day served over loopback — every session
-// sampled, spans recorded on both the client and server halves, trace
-// ids riding the wire — produces the exact per-scheme stats of the
-// virtual-time twin run with observability entirely off.
-func TestZeroPerturbationServeTraced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real (tiny) serving day")
-	}
-	var spec scenario.Spec
-	spec.Daily.Days = 2
-	spec.Daily.Sessions = 24
-	spec.Train.Epochs = 1
-	seed := int64(7)
-	spec.Seed = &seed
-	spec.ShardSize = 8
-
-	obsOn(t, false)
-	plan, err := serve.NewPlan(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Warm(0, t.Logf); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := serve.RunVirtual(plan, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	obsOn(t, true)
-	tr := tracingOn(t)
-	srv, err := serve.NewServer(serve.Config{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Shutdown()
-	res, err := serve.RunLoad(serve.LoadConfig{
-		Addr: ln.Addr().String(),
-		Plan: plan,
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 || res.ModelViolations != 0 {
-		t.Fatalf("traced load run: %d failed, %d model violations", res.Failed, res.ModelViolations)
-	}
-	gotBytes, err := json.Marshal(res.Stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantBytes, gotBytes) {
-		t.Fatalf("traced serve stats differ from obs-off virtual twin:\noff: %s\non:  %s", wantBytes, gotBytes)
-	}
-
-	// The differential only counts if both halves actually traced: the
-	// client's wire_rtt roots and the server's request spans must be in
-	// the ring, joined by nonzero trace ids.
-	spans := tr.Snapshot()
-	count := map[string]int{}
-	for _, s := range spans {
-		if s.Trace == 0 {
-			t.Fatalf("span %s recorded with zero trace id", s.Name)
-		}
-		count[s.Name]++
-	}
-	for _, name := range []string{"wire_rtt", "client_send", "server_request", "queue_wait", "reply", "kernel"} {
-		if count[name] == 0 {
-			t.Fatalf("traced serve run recorded no %q spans (got %v)", name, count)
-		}
-	}
-}
-
-// compareTrees asserts two checkpoint directories hold identical files
-// with identical bytes.
-func compareTrees(t *testing.T, a, b string) {
-	t.Helper()
-	list := func(root string) map[string][]byte {
-		files := map[string][]byte{}
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			rel, err := filepath.Rel(root, path)
-			if err != nil {
-				return err
-			}
-			blob, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			files[rel] = blob
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-	fa, fb := list(a), list(b)
-	if len(fa) != len(fb) {
-		t.Fatalf("checkpoint trees differ in file count: %d vs %d", len(fa), len(fb))
-	}
-	for rel, blob := range fa {
-		other, ok := fb[rel]
-		if !ok {
-			t.Fatalf("checkpoint file %s missing from the obs-on tree", rel)
-		}
-		if !bytes.Equal(blob, other) {
-			t.Fatalf("checkpoint file %s differs between obs-off and obs-on runs", rel)
-		}
 	}
 }
 

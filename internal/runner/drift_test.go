@@ -21,13 +21,6 @@ func driftEnv(t *testing.T, preset string) experiment.Env {
 	return env
 }
 
-// driftTestConfig mirrors testConfig but under drift.
-func driftTestConfig(t *testing.T, seed int64, preset string) Config {
-	cfg := testConfig(seed)
-	cfg.Env = driftEnv(t, preset)
-	return cfg
-}
-
 // TestRunnerDriftStalenessSeparates is the acceptance check for the drift
 // subsystem: in a drifting deployment the staleness ablation must separate
 // monotonically — the frozen day-0 model's stall rate exceeds the
@@ -87,49 +80,19 @@ func TestRunnerDriftStalenessSeparates(t *testing.T) {
 // TestRunnerDriftDeterministicAcrossWorkers: drift must not break the
 // worker-count independence of aggregates.
 func TestRunnerDriftDeterministicAcrossWorkers(t *testing.T) {
-	a := driftTestConfig(t, 23, "decay")
-	a.Workers = 1
-	resA, err := Run(a)
-	if err != nil {
-		t.Fatal(err)
+	var res [2]*Result
+	for i, workers := range []int{1, 8} {
+		cfg := testConfig(23)
+		cfg.Env = driftEnv(t, "decay")
+		cfg.Workers = workers
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = r
 	}
-	b := driftTestConfig(t, 23, "decay")
-	b.Workers = 8
-	resB, err := Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fingerprint(t, resA), fingerprint(t, resB)) {
+	if !bytes.Equal(fingerprint(t, res[0]), fingerprint(t, res[1])) {
 		t.Fatal("drifting runner results differ between 1 and 8 workers")
-	}
-}
-
-// TestRunnerDriftCheckpointResume: a run killed mid-drift must resume into
-// the correct day-indexed distribution — byte-identical to uninterrupted.
-func TestRunnerDriftCheckpointResume(t *testing.T) {
-	straight := driftTestConfig(t, 29, "mix")
-	straight.Days = 3
-	want, err := Run(straight)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	first := driftTestConfig(t, 29, "mix")
-	first.Days = 2
-	first.CheckpointDir = dir
-	if _, err := Run(first); err != nil {
-		t.Fatal(err)
-	}
-	second := driftTestConfig(t, 29, "mix")
-	second.Days = 3
-	second.CheckpointDir = dir
-	got, err := Run(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fingerprint(t, got), fingerprint(t, want)) {
-		t.Fatal("mid-drift kill-and-resume differs from uninterrupted run")
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"puffer/internal/experiment"
 	"puffer/internal/fleet"
 	"puffer/internal/netem"
 	"puffer/internal/runner"
@@ -19,40 +19,17 @@ import (
 var (
 	testConfig  = runner.TestConfig
 	fingerprint = runner.Fingerprint
-	fleetEngine = fleet.DayEngine(nil, 0)
 )
 
-// crossEngineFingerprint reduces a Result to the bytes both engines must
-// agree on: every day's analyzed schemes, the pooled totals, the final
-// model, and the sliding-window telemetry — everything except the
-// engine-specific serving record (DayStats.Fleet), which only the fleet
-// engine produces.
+// crossEngineFingerprint is fingerprint less the engine-specific serving
+// record (DayStats.Fleet), which only the fleet engine produces, plus the
+// sliding-window telemetry.
 func crossEngineFingerprint(t *testing.T, res *runner.Result) []byte {
 	t.Helper()
-	type dayCore struct {
-		Day       int
-		Retrained bool
-		Chunks    int
-		Loss      []float64
-		Examples  []int
-		Schemes   []experiment.SchemeStats
-	}
-	days := make([]dayCore, len(res.Days))
-	for i, d := range res.Days {
-		days[i] = dayCore{d.Day, d.Retrained, d.Chunks, d.Loss, d.Examples, d.Schemes}
-	}
-	blob, err := json.Marshal(struct {
-		Days  []dayCore
-		Total []experiment.SchemeStats
-	}{days, res.Total})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var model bytes.Buffer
-	if res.TTP != nil {
-		if err := res.TTP.Save(&model); err != nil {
-			t.Fatal(err)
-		}
+	stripped := *res
+	stripped.Days = slices.Clone(res.Days)
+	for i := range stripped.Days {
+		stripped.Days[i].Fleet = nil
 	}
 	var data bytes.Buffer
 	if res.Data != nil {
@@ -60,26 +37,20 @@ func crossEngineFingerprint(t *testing.T, res *runner.Result) []byte {
 			t.Fatal(err)
 		}
 	}
-	blob = append(blob, model.Bytes()...)
-	return append(blob, data.Bytes()...)
+	return append(fingerprint(t, &stripped), data.Bytes()...)
 }
 
-// TestRunnerFleetMatchesSequential: the ISSUE's acceptance bar — the fleet
-// engine's multi-day run (bootstrap day + Fugu deploy day, nightly
-// retraining in between) produces byte-identical pooled stats, per-day
-// stats, model bytes, and telemetry to the sequential engine at the same
-// seed, both stationary and under drift.
+// TestRunnerFleetMatchesSequential: the fleet engine's multi-day run
+// (bootstrap day, nightly retraining, Fugu deploy day) produces
+// byte-identical day records, pooled stats, model bytes and telemetry to
+// the session engine at the same seed, both stationary and under drift.
 func TestRunnerFleetMatchesSequential(t *testing.T) {
-	for _, drift := range []bool{false, true} {
-		name := "stationary"
-		if drift {
-			name = "drift-shift"
-		}
+	for _, name := range []string{"stationary", "drift-shift"} {
 		t.Run(name, func(t *testing.T) {
 			mk := func(engine runner.DayEngine) runner.Config {
 				cfg := testConfig(23)
 				cfg.Engine = engine
-				if drift {
+				if name == "drift-shift" {
 					sched, err := netem.DriftPreset("shift")
 					if err != nil {
 						t.Fatal(err)
@@ -92,7 +63,7 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flt, err := runner.Run(mk(fleetEngine))
+			flt, err := runner.Run(mk(fleet.DayEngine(nil, 0)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,11 +71,8 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 				t.Fatal("fleet engine results differ from sequential engine")
 			}
 			for _, d := range flt.Days {
-				if d.Fleet == nil {
-					t.Fatalf("fleet day %d missing serving record", d.Day)
-				}
-				if d.Fleet.Decisions == 0 {
-					t.Fatalf("fleet day %d recorded no decisions", d.Day)
+				if d.Fleet == nil || d.Fleet.Decisions == 0 {
+					t.Fatalf("fleet day %d has no serving record with decisions: %+v", d.Day, d.Fleet)
 				}
 			}
 			// Day 1 deploys Fugu, so its inference must have gone through
@@ -116,58 +84,28 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunnerFleetWorkersInvariant: workers 1 vs 8 must be byte-identical
-// under the fleet engine, serving record included.
-func TestRunnerFleetWorkersInvariant(t *testing.T) {
-	mk := func(workers int) runner.Config {
-		cfg := testConfig(29)
-		cfg.Engine = fleetEngine
-		cfg.Workers = workers
-		return cfg
-	}
-	a, err := runner.Run(mk(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runner.Run(mk(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, fb := fingerprint(t, a), fingerprint(t, b)
-	if !bytes.Equal(fa, fb) {
-		t.Fatalf("fleet runner differs between 1 and 8 workers (%d vs %d bytes)", len(fa), len(fb))
-	}
-}
-
-// TestRunnerFleetCheckpointResume: kill-and-resume under -engine fleet must
-// replay byte-identically, fleet serving records included.
+// TestRunnerFleetCheckpointResume: kill-and-resume under the fleet engine
+// must replay byte-identically, fleet serving records included.
 func TestRunnerFleetCheckpointResume(t *testing.T) {
-	mk := func() runner.Config {
+	mk := func(days int, dir string) runner.Config {
 		cfg := testConfig(31)
 		cfg.Engine = fleet.DayEngine(fleet.PoissonArrivals{Rate: 2}, 0)
+		cfg.Days = days
+		cfg.CheckpointDir = dir
 		return cfg
 	}
-	straight := mk()
-	straight.Days = 3
-	want, err := runner.Run(straight)
+	want, err := runner.Run(mk(3, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	dir := t.TempDir()
-	first := mk()
-	first.Days = 2
-	first.CheckpointDir = dir
-	if _, err := runner.Run(first); err != nil {
+	if _, err := runner.Run(mk(2, dir)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, ".tmp-day_002"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	second := mk()
-	second.Days = 3
-	second.CheckpointDir = dir
-	got, err := runner.Run(second)
+	got, err := runner.Run(mk(3, dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,8 @@ type Plan struct {
 	// virtual twin instantiate. Client-side plans leave them nil.
 	Schemes []experiment.Scheme
 	Slot    *runner.ModelSlot
+	// trial is the day's runner.Config.DayTrial, set by Warm.
+	trial experiment.Config
 }
 
 // NewPlan derives the client-side plan for one day of a scenario. It is
@@ -99,15 +101,16 @@ func NewPlan(spec scenario.Spec, day int) (*Plan, error) {
 // Warm makes the plan servable: for day > 0 it replays the scenario's
 // daily loop for the preceding days (trials, telemetry, nightly training —
 // runner.Run itself, so the model serving day D is exactly the model the
-// daily loop would serve), then builds the day's scheme factories around a
-// model slot. Day 0 needs no model and warms instantly.
+// daily loop would serve), then takes the day's trial, scheme factories
+// around a model slot included, from the daily loop's own DayTrial. Day 0
+// needs no model and warms instantly.
 func (p *Plan) Warm(workers int, logf func(format string, args ...any)) error {
+	cfg, err := scenario.Compile(p.Spec)
+	if err != nil {
+		return err
+	}
 	p.Slot = &runner.ModelSlot{}
 	if p.Day > 0 {
-		cfg, err := scenario.Compile(p.Spec)
-		if err != nil {
-			return err
-		}
 		cfg.Days = p.Day
 		cfg.Workers = workers
 		cfg.Logf = logf
@@ -119,27 +122,21 @@ func (p *Plan) Warm(workers int, logf func(format string, args ...any)) error {
 			return fmt.Errorf("serve: warmup through day %d produced no model", p.Day-1)
 		}
 		p.Slot.Store(res.TTP)
-		p.Schemes = runner.DeploySchemes(p.Slot, p.TrialSeed)
-	} else {
-		p.Schemes = runner.BootstrapSchemes(p.TrialSeed)
 	}
+	p.trial = cfg.DayTrial(p.Day, p.Slot)
+	p.Schemes = p.trial.Schemes
 	return nil
 }
 
 // Trial lowers a warmed plan into the experiment config the virtual twin
-// executes — identical to the trial runner.Run's liveDay would build for
-// this day, minus the telemetry recorder (recording never changes results).
+// executes — the trial runner.Run's liveDay builds for this day, minus the
+// telemetry recorder (recording never changes results).
 func (p *Plan) Trial() (*experiment.Config, error) {
 	if p.Schemes == nil {
 		return nil, fmt.Errorf("serve: plan is not warmed (no scheme factories)")
 	}
-	return &experiment.Config{
-		Env:      p.Env,
-		Schemes:  p.Schemes,
-		Sessions: p.Sessions,
-		Seed:     p.TrialSeed,
-		Day:      p.Day,
-	}, nil
+	trial := p.trial
+	return &trial, nil
 }
 
 // Scheme returns the named arm's factory from a warmed plan.
