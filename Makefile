@@ -281,8 +281,11 @@ dist-smoke:
 # Hello and Decide (an accepted Decide must also survive an MPC-HM decision),
 # and on the scenario spec parser (a valid spec's canonical JSON must be a
 # fixed point with stable hashes). The committed seeds under
-# internal/{wire,serve,scenario}/testdata/fuzz run in every plain `go test`
-# as well; this adds fresh mutations on each push.
+# internal/{wire,serve,scenario,core}/testdata/fuzz run in every plain
+# `go test` as well; this adds fresh mutations on each push. FuzzLoadTTP
+# (internal/core, the model decoder) runs its seeds only: gob allocates
+# every length the bytes claim, so 20 s of fuzzing reaches a handful of
+# execs. It joins this target when the checkpoint files leave gob.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=5s ./internal/wire

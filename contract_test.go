@@ -81,9 +81,9 @@ type contractCell struct {
 	// varies was live, not vacuous.
 	moved string
 	// stray plants a partial dir for the first day the previous leg did
-	// not commit before every later leg; none may survive. On the replay
-	// cell that day is never written, so only the resume's sweep can
-	// remove it.
+	// not commit, and a torn manifest temp file, before every later leg;
+	// none may survive. On the replay cell that day is never written, so
+	// only the resume's sweep can remove it.
 	stray bool
 }
 
@@ -180,11 +180,17 @@ func runCell(t *testing.T, spec scenario.Spec, c contractCell) cellRun {
 	var res *runner.Result
 	for i, l := range c.legs {
 		if i > 0 && c.stray {
-			partial := filepath.Join(opt.CheckpointDir, "retrain", fmt.Sprintf(".tmp-day_%03d", c.legs[i-1].days))
+			root := filepath.Join(opt.CheckpointDir, "retrain")
+			partial := filepath.Join(root, fmt.Sprintf(".tmp-day_%03d", c.legs[i-1].days))
 			if err := os.MkdirAll(partial, 0o755); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(partial, "partial"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A manifest write cut short by a crash, named as
+			// wire.WriteFile names its temp files.
+			if err := os.WriteFile(filepath.Join(root, ".tmp-manifest.json-x"), []byte("{"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -266,11 +267,11 @@ func TestPredictorBatchNoAllocSteadyState(t *testing.T) {
 func TestLoadedTTPBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ttp := NewTTP(rng, DefaultHorizon, nil, DefaultFeatures(), KindTransTime)
-	path := t.TempDir() + "/ttp.gob"
-	if err := ttp.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := ttp.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -160,8 +161,8 @@ func forwardOne(net *nn.MLP, x []float64) []float64 {
 }
 
 // TestLoadRejectsInconsistentNets: a model whose networks are structurally
-// inconsistent must come back from Load as an error — not a panic, and not a
-// model with the missing weights zero-filled. Every case goes through
+// inconsistent must come back from Load as an nn.ErrBadModel — not a panic,
+// and not a model with the missing weights zero-filled. Every case goes through
 // checkNets, and through Load's bytes wherever gob can carry it (it refuses
 // to encode a nil element).
 func TestLoadRejectsInconsistentNets(t *testing.T) {
@@ -191,8 +192,8 @@ func TestLoadRejectsInconsistentNets(t *testing.T) {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			if err := checkNets(cfg, []*nn.MLP{valid(), corrupt()}); err == nil {
-				t.Fatal("checkNets accepted the model")
+			if err := checkNets(cfg, []*nn.MLP{valid(), corrupt()}); !errors.Is(err, nn.ErrBadModel) {
+				t.Fatalf("checkNets returned %v, want nn.ErrBadModel", err)
 			}
 			if corrupt() == nil {
 				return // no bytes can hold it
@@ -202,8 +203,8 @@ func TestLoadRejectsInconsistentNets(t *testing.T) {
 			if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
 				t.Fatal(err)
 			}
-			if ttp, err := Load(&buf); err == nil {
-				t.Fatalf("Load returned a %d-step model", ttp.Horizon())
+			if ttp, err := Load(&buf); !errors.Is(err, nn.ErrBadModel) {
+				t.Fatalf("Load returned %v (a model: %v), want nn.ErrBadModel", err, ttp != nil)
 			}
 		})
 	}
@@ -213,6 +214,58 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("accepted garbage")
 	}
+}
+
+// oversizedModel is a model whose header claims sizes no bytes pay for:
+// HistLen 2^61 makes the feature dim 2^62, and the one net claims widths
+// [2^62, 4, 21] over an empty first weight layer, so an unchecked
+// 2^62 × 4 wraps to the layer's length 0. shrinkHist keeps a valid HistLen,
+// so only the width bound stands between the net and NewPredictor.
+func oversizedModel(shrinkHist bool) ttpModel {
+	cfg := FeatureConfig{HistLen: 1 << 61}
+	if shrinkHist {
+		cfg = DefaultFeatures()
+	}
+	net := &nn.MLP{
+		Sizes: []int{1 << 62, 4, 21},
+		W:     [][]float64{{}, make([]float64, 4*21)},
+		B:     [][]float64{make([]float64, 4), make([]float64, 21)},
+	}
+	return ttpModel{Cfg: cfg, Kind: KindTransTime, Nets: []*nn.MLP{net}}
+}
+
+// TestLoadRejectsOversizedModel: a model whose claimed sizes overflow is
+// refused by Load with nn.ErrBadModel, whichever check meets it first.
+func TestLoadRejectsOversizedModel(t *testing.T) {
+	for _, shrinkHist := range []bool{false, true} {
+		var buf bytes.Buffer
+		m := oversizedModel(shrinkHist)
+		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); !errors.Is(err, nn.ErrBadModel) {
+			t.Fatalf("HistLen %d: Load returned %v, want nn.ErrBadModel", m.Cfg.HistLen, err)
+		}
+	}
+}
+
+// FuzzLoadTTP: any bytes are either refused by Load or load a model that
+// serves one batched prediction without panicking. The seeds in
+// testdata/fuzz/FuzzLoadTTP are a valid one-step model and
+// oversizedModel(false).
+func FuzzLoadTTP(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		ttp, err := Load(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		obs := batchObs(rand.New(rand.NewSource(1)), 10, 5)
+		sizes := make([]float64, 10)
+		for q := range sizes {
+			sizes[q] = obs.Horizon[0].Versions[q].Size
+		}
+		NewPredictor(ttp, ModeProbabilistic).PredictDistBatch(obs, 0, sizes, make([]float64, 10*abr.NumBins))
+	})
 }
 
 func TestCloneIndependent(t *testing.T) {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Dataset serialization: the continual-experiment runner checkpoints each
@@ -28,26 +26,4 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("core: decoding dataset: %w", err)
 	}
 	return &d, nil
-}
-
-// SaveFile writes the dataset to a file.
-func (d *Dataset) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("core: writing dataset file: %w", err)
-	}
-	return nil
-}
-
-// LoadDatasetFile reads a dataset from a file.
-func LoadDatasetFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening dataset file: %w", err)
-	}
-	defer f.Close()
-	return LoadDataset(f)
 }

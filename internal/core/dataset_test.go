@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"puffer/internal/tcpsim"
+	"puffer/internal/wire"
 )
 
 func sampleDataset() *Dataset {
@@ -42,10 +44,15 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 func TestDatasetFileRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	path := filepath.Join(t.TempDir(), "telemetry.gob")
-	if err := d.SaveFile(path); err != nil {
+	if err := wire.WriteFile(path, d.Save); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDatasetFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := LoadDataset(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,10 @@
 // Main entry points:
 //
 //   - TTP / NewTTP: the per-horizon-step networks (DefaultHorizon 5,
-//     DefaultHidden 64-64); Clone for warm starts, SaveFile/LoadFile for
-//     model rotation and checkpoints (Load rejects a structurally
-//     inconsistent model: every decoded net goes through nn's Pack).
+//     DefaultHidden 64-64); Clone for warm starts, Save/Load for model
+//     rotation and checkpoints (Load rejects a structurally inconsistent
+//     model with an error wrapping nn.ErrBadModel: the feature layout is
+//     validated and every decoded net goes through nn's Pack).
 //   - NewFugu / NewFuguNamed: wrap a trained TTP in the abr.MPC controller
 //     — the deployable scheme (the point-estimate arm is abr.NewMPC over
 //     NewPredictor(t, ModePointEstimate)).

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"puffer/internal/abr"
+	"puffer/internal/nn"
 	"puffer/internal/tcpsim"
 )
 
@@ -38,6 +40,16 @@ type FeatureConfig struct {
 // the proposed size — 22 inputs.
 func DefaultFeatures() FeatureConfig {
 	return FeatureConfig{HistLen: 8, UseTCPInfo: true, UseProposedSize: true}
+}
+
+// Validate rejects a layout no predictor serves: a decoded model's config
+// is whatever its bytes held, and HistLen sizes every feature row, so it
+// must lie in [0, abr.HistoryLen]. The error wraps nn.ErrBadModel.
+func (c FeatureConfig) Validate() error {
+	if c.HistLen < 0 || c.HistLen > abr.HistoryLen {
+		return fmt.Errorf("core: %w: history length %d outside [0, %d]", nn.ErrBadModel, c.HistLen, abr.HistoryLen)
+	}
+	return nil
 }
 
 // Dim returns the input vector length.

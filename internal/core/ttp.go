@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"puffer/internal/abr"
 	"puffer/internal/nn"
@@ -103,58 +101,40 @@ func Load(r io.Reader) (*TTP, error) {
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("core: decoding TTP: %w", err)
 	}
+	if err := m.Cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if err := checkNets(m.Cfg, m.Nets); err != nil {
 		return nil, err
 	}
 	return &TTP{Cfg: m.Cfg, Kind: m.Kind, Nets: m.Nets}, nil
 }
 
-// checkNets validates a decoded model's networks against its feature layout
-// and packs them. A decoded net is whatever the bytes held — a checkpoint
-// file, or the model bytes of a dist day frame — so Pack checks each one's
-// structure before anything indexes into it (and restores the contiguous
-// parameter layout; gob decodes each layer separately).
+// checkNets validates a decoded model's networks against its (validated)
+// feature layout and packs them. A decoded net is whatever the bytes held —
+// a checkpoint file, or the model bytes of a dist day frame — so Pack checks
+// each one's structure before anything indexes into it (and restores the
+// contiguous parameter layout; gob decodes each layer separately). Every
+// error wraps nn.ErrBadModel.
 func checkNets(cfg FeatureConfig, nets []*nn.MLP) error {
 	if len(nets) == 0 {
-		return fmt.Errorf("core: TTP model has no networks")
+		return fmt.Errorf("core: %w: no networks", nn.ErrBadModel)
 	}
 	for i, net := range nets {
 		if net == nil {
-			return fmt.Errorf("core: net %d is missing", i)
+			return fmt.Errorf("core: %w: net %d is missing", nn.ErrBadModel, i)
 		}
 		if err := net.Pack(); err != nil {
 			return fmt.Errorf("core: net %d: %w", i, err)
 		}
 		if net.InputSize() != cfg.Dim() {
-			return fmt.Errorf("core: net %d input %d does not match feature dim %d", i, net.InputSize(), cfg.Dim())
+			return fmt.Errorf("core: %w: net %d input %d does not match feature dim %d", nn.ErrBadModel, i, net.InputSize(), cfg.Dim())
 		}
 		if net.OutputSize() != abr.NumBins {
-			return fmt.Errorf("core: net %d output %d, want %d bins", i, net.OutputSize(), abr.NumBins)
+			return fmt.Errorf("core: %w: net %d output %d, want %d bins", nn.ErrBadModel, i, net.OutputSize(), abr.NumBins)
 		}
 	}
 	return nil
-}
-
-// SaveFile writes the TTP to a file.
-func (t *TTP) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := t.Save(&buf); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("core: writing TTP file: %w", err)
-	}
-	return nil
-}
-
-// LoadFile reads a TTP from a file.
-func LoadFile(path string) (*TTP, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening TTP file: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // Mode selects how the MPC consumes the TTP's output.

@@ -48,8 +48,8 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 		panic(fmt.Sprintf("nn: NewMLP needs at least input and output sizes, got %v", sizes))
 	}
 	for _, s := range sizes {
-		if s <= 0 {
-			panic(fmt.Sprintf("nn: NewMLP layer sizes must be positive, got %v", sizes))
+		if s <= 0 || s > MaxWidth {
+			panic(fmt.Sprintf("nn: NewMLP layer sizes must be in [1, %d], got %v", MaxWidth, sizes))
 		}
 	}
 	m := &MLP{Sizes: append([]int(nil), sizes...)}

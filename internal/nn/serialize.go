@@ -2,6 +2,7 @@ package nn
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -29,24 +30,35 @@ func Load(r io.Reader) (*MLP, error) {
 	return &m, nil
 }
 
+// ErrBadModel is wrapped by every error that rejects a decoded model's
+// structure, here and in the packages whose model files hold nets.
+var ErrBadModel = errors.New("malformed model")
+
+// MaxWidth bounds every layer width a model may have. With both factors
+// bounded, no size product below can overflow, and a decoded header cannot
+// size a slab its own bytes do not pay for.
+const MaxWidth = 1 << 12
+
 // validate checks structural consistency of a deserialized model (Pack's
 // first step).
 func (m *MLP) validate() error {
 	if len(m.Sizes) < 2 {
-		return fmt.Errorf("nn: model has %d layers, need at least 2", len(m.Sizes))
+		return fmt.Errorf("nn: %w: %d layers, need at least 2", ErrBadModel, len(m.Sizes))
 	}
 	if len(m.W) != len(m.Sizes)-1 || len(m.B) != len(m.Sizes)-1 {
-		return fmt.Errorf("nn: model has %d weight layers, want %d", len(m.W), len(m.Sizes)-1)
+		return fmt.Errorf("nn: %w: %d weight layers, want %d", ErrBadModel, len(m.W), len(m.Sizes)-1)
 	}
-	for l := 0; l < len(m.Sizes)-1; l++ {
-		if m.Sizes[l] <= 0 || m.Sizes[l+1] <= 0 {
-			return fmt.Errorf("nn: model layer %d has non-positive size", l)
+	for l, w := range m.Sizes {
+		if w <= 0 || w > MaxWidth {
+			return fmt.Errorf("nn: %w: layer %d width %d outside [1, %d]", ErrBadModel, l, w, MaxWidth)
 		}
+	}
+	for l := range m.W {
 		if len(m.W[l]) != m.Sizes[l]*m.Sizes[l+1] {
-			return fmt.Errorf("nn: layer %d weights have %d entries, want %d", l, len(m.W[l]), m.Sizes[l]*m.Sizes[l+1])
+			return fmt.Errorf("nn: %w: layer %d weights have %d entries, want %d", ErrBadModel, l, len(m.W[l]), m.Sizes[l]*m.Sizes[l+1])
 		}
 		if len(m.B[l]) != m.Sizes[l+1] {
-			return fmt.Errorf("nn: layer %d biases have %d entries, want %d", l, len(m.B[l]), m.Sizes[l+1])
+			return fmt.Errorf("nn: %w: layer %d biases have %d entries, want %d", ErrBadModel, l, len(m.B[l]), m.Sizes[l+1])
 		}
 	}
 	return nil

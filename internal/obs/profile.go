@@ -5,6 +5,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"puffer/internal/wire"
 )
 
 // StartCPUProfile begins a CPU profile into path and returns the function
@@ -33,14 +35,6 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 // WriteHeapProfile writes a heap profile to path after a GC, so the
 // profile reflects live objects — the -memprofile hook CLIs call at exit.
 func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: creating heap profile: %w", err)
-	}
-	defer f.Close()
 	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return fmt.Errorf("obs: writing heap profile: %w", err)
-	}
-	return nil
+	return wire.WriteFile(path, pprof.WriteHeapProfile)
 }

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
+
+	"puffer/internal/wire"
 )
 
 // CounterSnapshot is one counter's captured value.
@@ -71,23 +71,5 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 // DumpFile atomically writes the registry's snapshot as JSON to path — the
 // -obs-dump exit artifact CLIs and the nightly workflow publish.
 func DumpFile(path string, reg *Registry) error {
-	tmp := fmt.Sprintf("%s.tmp-%d", path, time.Now().UnixNano())
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("obs: creating snapshot file: %w", err)
-	}
-	if err := reg.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: closing snapshot file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: committing snapshot file: %w", err)
-	}
-	return nil
+	return wire.WriteFile(path, reg.Snapshot().WriteJSON)
 }

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"sort"
+
+	"puffer/internal/wire"
 )
 
 // Trace export. Chrome trace-event JSON ("X" complete events with
@@ -110,23 +111,5 @@ func WriteChromeTrace(w io.Writer, proc string, spans []Span) error {
 // DumpTraceFile atomically writes the tracer's spans to path as Chrome
 // trace-event JSON. proc labels the process track.
 func DumpTraceFile(path, proc string, t *Tracer) error {
-	tmp := fmt.Sprintf("%s.tmp-%d", path, os.Getpid())
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("obs: creating trace file: %w", err)
-	}
-	if err := WriteChromeTrace(f, proc, t.Snapshot()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: closing trace file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("obs: committing trace file: %w", err)
-	}
-	return nil
+	return wire.WriteFile(path, func(w io.Writer) error { return WriteChromeTrace(w, proc, t.Snapshot()) })
 }

@@ -95,17 +95,17 @@ func (o *Options) Start(extraEnable bool, logf func(format string, args ...any))
 		}
 		if o.MemProfile != "" {
 			if err := obs.WriteHeapProfile(o.MemProfile); err != nil {
-				logf("obs: %v", err)
+				logf("obs: writing heap profile: %v", err)
 			}
 		}
 		if o.Dump != "" {
 			if err := obs.DumpFile(o.Dump, obs.Default); err != nil {
-				logf("obs: %v", err)
+				logf("obs: writing snapshot: %v", err)
 			}
 		}
 		if tracer != nil && o.TraceOut != "" {
 			if err := obs.DumpTraceFile(o.TraceOut, obs.TraceProc(), tracer); err != nil {
-				logf("obs: %v", err)
+				logf("obs: writing trace: %v", err)
 			} else {
 				logf("obs: wrote %d spans to %s (%d overwritten by the ring)",
 					tracer.Total()-tracer.Dropped(), o.TraceOut, tracer.Dropped())

@@ -14,6 +14,7 @@ import (
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/wire"
 )
 
 // Checkpoint layout: <dir>/manifest.json pins the run parameters that shape
@@ -25,8 +26,8 @@ import (
 //	ttp.model     — the model serving the NEXT day (post-nightly rotation)
 //
 // A day directory is written under a dot-prefixed temp name and committed
-// with a single rename, so a kill mid-checkpoint leaves either a complete
-// day or no day. Gob and Go's JSON both round-trip float64 exactly, which is
+// with one wire.Rename, so a kill or a host crash leaves a complete day or
+// none. Gob and Go's JSON both round-trip float64 exactly, which is
 // what makes resumed runs byte-identical to uninterrupted ones.
 
 const (
@@ -129,7 +130,7 @@ func (r *state) checkManifest() error {
 		if err != nil {
 			return fmt.Errorf("runner: encoding manifest: %w", err)
 		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		if err := wire.WriteFile(path, writeBlob(blob)); err != nil {
 			return fmt.Errorf("runner: writing manifest: %w", err)
 		}
 		return nil
@@ -180,34 +181,36 @@ func (r *state) checkpointDay(ds DayStats, acc *experiment.TrialAcc, data *core.
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("runner: creating temp dir: %w", err)
 	}
-
 	blob, err := json.MarshalIndent(ds, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runner: encoding day stats: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(tmp, statsFile), blob, 0o644); err != nil {
-		return fmt.Errorf("runner: writing day stats: %w", err)
+	files := []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{statsFile, writeBlob(blob)},
+		{accFile, func(w io.Writer) error { return gob.NewEncoder(w).Encode(acc) }},
+		{telemetryFile, data.Save},
+		{modelFile, r.slot.Load().Save},
 	}
-
-	var accBuf bytes.Buffer
-	if err := gob.NewEncoder(&accBuf).Encode(acc); err != nil {
-		return fmt.Errorf("runner: encoding accumulator: %w", err)
+	for _, f := range files {
+		if err := wire.WriteFile(filepath.Join(tmp, f.name), f.write); err != nil {
+			return fmt.Errorf("runner: writing %s: %w", f.name, err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(tmp, accFile), accBuf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("runner: writing accumulator: %w", err)
-	}
-
-	if err := data.SaveFile(filepath.Join(tmp, telemetryFile)); err != nil {
-		return err
-	}
-	if err := r.slot.Load().SaveFile(filepath.Join(tmp, modelFile)); err != nil {
-		return err
-	}
-
-	if err := os.Rename(tmp, dayDir(root, ds.Day)); err != nil {
+	if err := wire.Rename(tmp, dayDir(root, ds.Day)); err != nil {
 		return fmt.Errorf("runner: committing day %d: %w", ds.Day, err)
 	}
 	return nil
+}
+
+// writeBlob is the wire.WriteFile body for bytes already encoded.
+func writeBlob(blob []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	}
 }
 
 // loadDay reads one committed day. Every file is required: the nightly
@@ -215,31 +218,27 @@ func (r *state) checkpointDay(ds DayStats, acc *experiment.TrialAcc, data *core.
 // damaged, and resuming it under an earlier day's model would be wrong.
 func loadDay(dir string) (DayStats, *experiment.TrialAcc, *core.Dataset, *core.TTP, error) {
 	var ds DayStats
-	raw, err := os.ReadFile(filepath.Join(dir, statsFile))
-	if err != nil {
-		return ds, nil, nil, nil, err
+	var raw [4][]byte
+	for i, name := range []string{statsFile, accFile, telemetryFile, modelFile} {
+		var err error
+		if raw[i], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			return ds, nil, nil, nil, err
+		}
 	}
-	if err := json.Unmarshal(raw, &ds); err != nil {
+	if err := json.Unmarshal(raw[0], &ds); err != nil {
 		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", statsFile, err)
 	}
-
-	accRaw, err := os.ReadFile(filepath.Join(dir, accFile))
-	if err != nil {
-		return ds, nil, nil, nil, err
-	}
 	acc := experiment.NewTrialAcc(experiment.AllPaths)
-	if err := gob.NewDecoder(bytes.NewReader(accRaw)).Decode(acc); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(raw[1])).Decode(acc); err != nil {
 		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", accFile, err)
 	}
-
-	data, err := core.LoadDatasetFile(filepath.Join(dir, telemetryFile))
+	data, err := core.LoadDataset(bytes.NewReader(raw[2]))
 	if err != nil {
-		return ds, nil, nil, nil, err
+		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", telemetryFile, err)
 	}
-
-	model, err := core.LoadFile(filepath.Join(dir, modelFile))
+	model, err := core.Load(bytes.NewReader(raw[3]))
 	if err != nil {
-		return ds, nil, nil, nil, err
+		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", modelFile, err)
 	}
 	return ds, acc, data, model, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"puffer/internal/experiment"
+	"puffer/internal/nn"
 )
 
 // Spec is the single declarative description of an experiment: everything
@@ -371,8 +372,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: daily.window = %d, must be >= 0 (0 trains on all days so far)", w)
 	}
 	for i, h := range s.Model.Hidden {
-		if h <= 0 {
-			return fmt.Errorf("scenario: model.hidden[%d] = %d, layer widths must be positive (use [] for the linear ablation)", i, h)
+		if h <= 0 || h > nn.MaxWidth {
+			return fmt.Errorf("scenario: model.hidden[%d] = %d, layer widths must be in [1, %d] (use [] for the linear ablation)", i, h, nn.MaxWidth)
 		}
 	}
 	if s.Model.Horizon < 1 {

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"puffer/internal/nn"
 )
 
 // TestCanonicalFixedPoint: marshal → unmarshal → hash is a fixed point for
@@ -106,6 +108,7 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{func(s *Spec) { s.Daily.Sessions = -5 }, "daily.sessions"},
 		{func(s *Spec) { s.Daily.Window = ptr(-1) }, "daily.window"},
 		{func(s *Spec) { s.Model.Hidden = []int{64, 0} }, "model.hidden"},
+		{func(s *Spec) { s.Model.Hidden = []int{nn.MaxWidth + 1} }, "model.hidden"},
 		{func(s *Spec) { s.Model.Horizon = -2 }, "model.horizon"},
 		{func(s *Spec) { s.Train.Epochs = -1 }, "train.epochs"},
 		{func(s *Spec) { s.Train.LR = -0.1 }, "train.lr"},

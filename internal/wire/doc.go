@@ -1,5 +1,6 @@
 // Package wire is the one place bytes from a socket, a pipe or an
-// append-only file become records. Two contracts, stdlib only:
+// append-only file become records, and the one place a whole file is
+// committed to disk. Three contracts, stdlib only:
 //
 // Frames (ReadFrame / WriteFrame, under the serve and dist protocols): a
 // big-endian u32 length covering the type byte, the type byte, the payload.
@@ -12,4 +13,8 @@
 // single write. A malformed last line is a torn tail — ignored by readers,
 // truncated by the next OpenAppend — and a malformed line followed by
 // another is corruption, reported with file and line.
+//
+// Whole files (WriteFile / Rename, under the checkpoint and the obs dumps):
+// a file is written to a fsynced .tmp- sibling and renamed over its target
+// in a fsynced directory, so a kill or a host crash never leaves it torn.
 package wire

@@ -52,13 +52,18 @@ func ScanLines(r io.Reader, name string, fn func(line []byte) error) error {
 
 // OpenAppend opens path for appending whole lines, creating it and its
 // parent directories as needed, after truncating a trailing partial line
-// (anything past the last newline) left by a kill mid-append.
+// (anything past the last newline) left by a kill mid-append. The
+// directory is fsynced, so a file it created survives a host crash.
 func OpenAppend(path string) (*os.File, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
 		return nil, err
 	}
 	if err := truncateTornTail(f); err != nil {
