@@ -39,10 +39,22 @@ build:
 
 # Cross-compile for a GOARCH with no assembly, so the portable bodies of the
 # nn kernel primitives (internal/nn/affine.go + affine_noasm.go) — what every
-# platform but amd64 runs — are compiled and vetted on every push.
+# platform but amd64 runs — are compiled and vetted on every push. Vetting
+# every package there catches a test outside a _amd64_test.go file that
+# writes nn's SIMD gates (variables on amd64, constants elsewhere). arm64
+# fuses a*b+c into one rounding unless the product is converted explicitly
+# (float64(a*b)), which would break nn's one-rounding-per-operation
+# contract, so the last step fails on any fused op in nn's listing (-a: a
+# cached build prints none).
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/nn
+	GOARCH=arm64 $(GO) vet ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn 2>&1) || { echo "$$asm"; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true); \
+	if [ -n "$$fused" ]; then \
+		echo "internal/nn: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
+		echo "$$fused"; exit 1; \
+	fi
 
 # The round's tracked size: non-test Go lines outside bench/ (ROADMAP's
 # second aim is that this number goes down).

@@ -154,10 +154,28 @@ func TestTTPSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-// forwardOne returns a copy of net's logits for one sample, through the
-// portable kernel at batch size 1.
+// forwardOne returns net's logits for one sample as plain dot products over
+// its current W and B (ascending input order from the bias, one multiply and
+// one add rounding per term, ReLU on the hidden layers): the tests' oracle,
+// with no packed snapshot on its path.
 func forwardOne(net *nn.MLP, x []float64) []float64 {
-	return append([]float64(nil), net.ForwardBatchInto(net.NewBatchWorkspace(1), x, 1)...)
+	last := net.NumLayers() - 1
+	for l := 0; l <= last; l++ {
+		nIn := net.Sizes[l]
+		out := make([]float64, net.Sizes[l+1])
+		for o := range out {
+			a := net.B[l][o]
+			for i, w := range net.W[l][o*nIn : (o+1)*nIn] {
+				a += float64(w * x[i])
+			}
+			if l != last && !(a > 0) {
+				a = 0
+			}
+			out[o] = a
+		}
+		x = out
+	}
+	return x
 }
 
 // TestLoadRejectsInconsistentNets: a model whose networks are structurally

@@ -11,16 +11,17 @@ import (
 
 // portableDists is the oracle for the tests below: the same assembly and
 // the same finishing step as Predictor.PredictDistBatch, but with the
-// forward pass run by the portable MLP.PredictDistBatch on a workspace of
-// its own — no packed snapshot anywhere on the path.
+// forward pass run row by row as forwardOne's dot products over the net's
+// current weights — no packed snapshot anywhere on the path.
 func portableDists(p *Predictor, obs *abr.Observation, step int, sizes []float64) (raw, dists []float64) {
 	net := p.TTP.Nets[p.clampStep(step)]
-	b := len(sizes)
-	feats := make([]float64, b*p.TTP.Cfg.Dim())
+	b, d := len(sizes), p.TTP.Cfg.Dim()
+	feats := make([]float64, b*d)
 	p.TTP.Cfg.AssembleBatch(feats, obs.History, obs.TCP, sizes)
-	raw = net.PredictDistBatch(net.NewBatchWorkspace(b), feats, b, nil)
+	raw = make([]float64, b*abr.NumBins)
 	dists = make([]float64, b*abr.NumBins)
 	for r := 0; r < b; r++ {
+		nn.Softmax(raw[r*abr.NumBins:(r+1)*abr.NumBins], forwardOne(net, feats[r*d:(r+1)*d]))
 		p.finishDist(dists[r*abr.NumBins:(r+1)*abr.NumBins], raw[r*abr.NumBins:(r+1)*abr.NumBins], sizes[r])
 	}
 	return raw, dists
@@ -39,7 +40,7 @@ func mustEqualBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestPredictorMatchesPortableOracle pins all four Predictor entry points,
-// which run on the nets' packed snapshots, bitwise to the portable kernel:
+// which run on the nets' packed snapshots, bitwise to the dot-product oracle:
 // both kinds in both modes, every Figure 7 feature config and architecture
 // (the linear ablation included), a TTP whose nets differ in shape, steps
 // past the horizon, and batches that grow one predictor's buffers past

@@ -24,17 +24,17 @@ func affineRowTGo(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
 		for i := 0; i < nIn; i++ {
 			xi := x[i*xStride]
 			w := wt[i*nOut+o : i*nOut+o+4]
-			a0 += w[0] * xi
-			a1 += w[1] * xi
-			a2 += w[2] * xi
-			a3 += w[3] * xi
+			a0 += float64(w[0] * xi)
+			a1 += float64(w[1] * xi)
+			a2 += float64(w[2] * xi)
+			a3 += float64(w[3] * xi)
 		}
 		dst[o], dst[o+1], dst[o+2], dst[o+3] = a0, a1, a2, a3
 	}
 	for ; o < nOut; o++ {
 		a := bias[o]
 		for i := 0; i < nIn; i++ {
-			a += wt[i*nOut+o] * x[i*xStride]
+			a += float64(wt[i*nOut+o] * x[i*xStride])
 		}
 		dst[o] = a
 	}
@@ -75,8 +75,8 @@ type adamConsts struct {
 // and moment slabs.
 func adamStepGo(p, g, m, v []float64, k *adamConsts) {
 	for i := range p {
-		m[i] = k.b1*m[i] + k.ob1*g[i]
-		v[i] = k.b2*v[i] + k.ob2*g[i]*g[i]
+		m[i] = float64(k.b1*m[i]) + float64(k.ob1*g[i])
+		v[i] = float64(k.b2*v[i]) + float64(k.ob2*g[i]*g[i])
 		mh := m[i] / k.c1
 		vh := v[i] / k.c2
 		p[i] -= k.lr * mh / (math.Sqrt(vh) + k.eps)
@@ -104,7 +104,7 @@ func shiftedAccumGo(dst, src, p []float64, lo, off []int32) {
 		d := dst[l:]
 		s := src[l+int(off[k]):][:len(d)]
 		for i, v := range s {
-			d[i] += pk * v
+			d[i] += float64(pk * v)
 		}
 	}
 }

@@ -3,8 +3,8 @@
 package nn
 
 // useAVX2 is false off amd64: there is no SIMD body, so every primitive is
-// its portable body and PackedMLP serves through the portable batched
-// kernel.
+// its portable body — PackedMLP's forward pass and the trainer alike run
+// affineRowTGo.
 const useAVX2 = false
 
 func affineRowT(dst, bias, x, wt []float64, nIn, nOut, xStride int) {

@@ -79,7 +79,7 @@ func forEachAffineCase(visit func(what string, bias, x, wt, want []float64, nIn,
 				for o := range want {
 					acc := bias[o]
 					for i := 0; i < nIn; i++ {
-						acc += wt[i*nOut+o] * x[i*xStride]
+						acc += float64(wt[i*nOut+o] * x[i*xStride])
 					}
 					want[o] = acc
 				}
@@ -233,7 +233,7 @@ func TestPlannerKernelsMatchPortable(t *testing.T) {
 		for i := range want {
 			for k, pk := range p {
 				if pk != 0 && i >= int(lo[k]) {
-					want[i] += pk * src[i+int(off[k])]
+					want[i] += float64(pk * src[i+int(off[k])])
 				}
 			}
 		}

@@ -21,12 +21,38 @@ var batchShapes = []struct {
 	{"wide-in-97-8-5", []int{97, 8, 5}},
 }
 
-// forwardOne runs one sample through the portable kernel at batch size 1 and
-// returns a copy of its logits: the "scalar" side of every comparison below
-// (a single row takes the kernel's one-row tail, never the two-row blocks).
+// forwardOne is the tests' oracle: one sample through m's current W and B
+// as plain dot products, each output summed in ascending input order from
+// its bias with one multiply and one add rounding per term, and ReLU on the
+// hidden layers. No snapshot, transpose or kernel primitive is on its path,
+// so it sees a packing or caching fault that every kernel body would share.
+// It returns a fresh slice.
 func forwardOne(m *MLP, x []float64) []float64 {
-	return append([]float64(nil), m.ForwardBatchInto(m.NewBatchWorkspace(1), x, 1)...)
+	last := m.NumLayers() - 1
+	for l := 0; l <= last; l++ {
+		nIn := m.Sizes[l]
+		out := make([]float64, m.Sizes[l+1])
+		for o := range out {
+			a := m.B[l][o]
+			for i, w := range m.W[l][o*nIn : (o+1)*nIn] {
+				a += float64(w * x[i])
+			}
+			if l != last && !(a > 0) {
+				a = 0
+			}
+			out[o] = a
+		}
+		x = out
+	}
+	return x
 }
+
+// rowBodies are the forward pass's row bodies: the dispatched one (an
+// assembly body where the machine has one) and the portable one.
+var rowBodies = []struct {
+	name string
+	run  rowBody
+}{{"dispatched", affineRowT}, {"portable", affineRowTGo}}
 
 func randomBatch(rng *rand.Rand, rows, nIn int) []float64 {
 	xs := make([]float64, rows*nIn)
@@ -41,10 +67,11 @@ func TestForwardBatchMatchesScalar(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(101))
 			m := NewMLP(rng, tc.sizes...)
-			bws := m.NewBatchWorkspace(1)
+			p := m.Packed()
+			bws := p.NewBatchWorkspace(1)
 			for _, rows := range []int{1, 2, 3, 7, 10, 17} {
 				xs := randomBatch(rng, rows, m.InputSize())
-				out := m.ForwardBatchInto(bws, xs, rows)
+				out := p.ForwardBatchInto(bws, xs, rows)
 				for r := 0; r < rows; r++ {
 					want := forwardOne(m, xs[r*m.InputSize():(r+1)*m.InputSize()])
 					got := out[r*m.OutputSize() : (r+1)*m.OutputSize()]
@@ -61,18 +88,22 @@ func TestForwardBatchMatchesScalar(t *testing.T) {
 }
 
 func TestForwardBatchBitwiseIdentical(t *testing.T) {
-	// The kernel keeps the scalar path's per-element summation order, so
-	// batched and scalar logits must agree exactly, not just to tolerance.
+	// Every row body keeps the dot product's per-element summation order,
+	// so batched and scalar logits must agree exactly, not just to
+	// tolerance.
 	rng := rand.New(rand.NewSource(7))
 	m := NewMLP(rng, 22, 64, 64, 21)
-	bws := m.NewBatchWorkspace(10)
+	p := m.Packed()
+	bws := p.NewBatchWorkspace(10)
 	xs := randomBatch(rng, 10, 22)
-	out := m.ForwardBatchInto(bws, xs, 10)
-	for r := 0; r < 10; r++ {
-		want := forwardOne(m, xs[r*22:(r+1)*22])
-		for o := range want {
-			if got := out[r*21+o]; got != want[o] {
-				t.Fatalf("sample %d output %d: batch %v != scalar %v", r, o, got, want[o])
+	for _, body := range rowBodies {
+		out := p.forward(bws, xs, 10, body.run)
+		for r := 0; r < 10; r++ {
+			want := forwardOne(m, xs[r*22:(r+1)*22])
+			for o := range want {
+				if got := out[r*21+o]; got != want[o] {
+					t.Fatalf("%s sample %d output %d: batch %v != scalar %v", body.name, r, o, got, want[o])
+				}
 			}
 		}
 	}
@@ -103,15 +134,15 @@ func TestPredictDistBatchMatchesScalar(t *testing.T) {
 
 func TestBatchWorkspaceGrowsAndIsReusable(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewMLP(rng, 6, 10, 4)
-	bws := m.NewBatchWorkspace(2)
+	p := NewMLP(rng, 6, 10, 4).Packed()
+	bws := p.NewBatchWorkspace(2)
 	small := randomBatch(rng, 2, 6)
-	first := append([]float64(nil), m.ForwardBatchInto(bws, small, 2)...)
+	first := append([]float64(nil), p.ForwardBatchInto(bws, small, 2)...)
 	// A larger batch grows the workspace in place...
 	big := randomBatch(rng, 9, 6)
-	m.ForwardBatchInto(bws, big, 9)
+	p.ForwardBatchInto(bws, big, 9)
 	// ...and the original batch still evaluates identically afterwards.
-	again := m.ForwardBatchInto(bws, small, 2)
+	again := p.ForwardBatchInto(bws, small, 2)
 	for i := range first {
 		if first[i] != again[i] {
 			t.Fatalf("output %d changed after workspace growth: %v vs %v", i, first[i], again[i])
@@ -125,8 +156,8 @@ func TestBatchWorkspaceSharedAcrossEqualShapeNets(t *testing.T) {
 	b := NewMLP(rng, 8, 16, 5)
 	bws := a.NewBatchWorkspace(4)
 	xs := randomBatch(rng, 4, 8)
-	outA := append([]float64(nil), a.ForwardBatchInto(bws, xs, 4)...)
-	outB := append([]float64(nil), b.ForwardBatchInto(bws, xs, 4)...)
+	outA := append([]float64(nil), a.Packed().ForwardBatchInto(bws, xs, 4)...)
+	outB := append([]float64(nil), b.Packed().ForwardBatchInto(bws, xs, 4)...)
 	for r := 0; r < 4; r++ {
 		wantA := forwardOne(a, xs[r*8:(r+1)*8])
 		wantB := forwardOne(b, xs[r*8:(r+1)*8])
@@ -148,7 +179,7 @@ func TestBatchWorkspaceRejectsWrongShape(t *testing.T) {
 			t.Fatal("expected panic for mismatched workspace shape")
 		}
 	}()
-	b.ForwardBatchInto(bws, make([]float64, 8), 2)
+	b.Packed().ForwardBatchInto(bws, make([]float64, 8), 2)
 }
 
 func TestForwardBatchNoAlloc(t *testing.T) {
@@ -176,9 +207,10 @@ func TestLoadedModelKeepsBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bws := loaded.NewBatchWorkspace(6)
+	p := loaded.Packed()
+	bws := p.NewBatchWorkspace(6)
 	xs := randomBatch(rng, 6, 22)
-	out := loaded.ForwardBatchInto(bws, xs, 6)
+	out := p.ForwardBatchInto(bws, xs, 6)
 	for r := 0; r < 6; r++ {
 		want := forwardOne(m, xs[r*22:(r+1)*22])
 		for o := range want {
@@ -186,17 +218,5 @@ func TestLoadedModelKeepsBatchEquivalence(t *testing.T) {
 				t.Fatalf("loaded model batch output differs at sample %d bin %d", r, o)
 			}
 		}
-	}
-}
-
-func BenchmarkForwardBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewMLP(rng, 22, 64, 64, 21)
-	bws := m.NewBatchWorkspace(10)
-	xs := randomBatch(rng, 10, 22)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardBatchInto(bws, xs, 10)
 	}
 }

@@ -6,26 +6,19 @@
 // policy-gradient step, SGD and Adam optimizers, per-sample weighting (the
 // paper's recency-weighted training), and gob serialization.
 //
-// Inference has one entry point: MLP.Packed returns the network's packed
-// snapshot (PackedMLP: transposed weights), built on first use, shared by
-// every caller and dropped by every parameter write in this package
-// (Optimizer.Step, Pack). The TTP predictor, the fleet and serve inference
-// service, the evaluation sweeps and the Pensieve agent all run its
-// ForwardBatchInto / PredictDistBatch with a BatchWorkspace of their own.
-// On amd64 with AVX2/AVX-512 the snapshot runs hand-written vector kernels
-// that keep every output's ascending-input accumulation and separate
-// multiply/add roundings (no FMA); elsewhere it falls back to the portable
-// batched kernel (MLP.ForwardBatchInto: B samples per call over flat
-// row-major activation matrices, register-blocked). The two are bitwise
-// identical row for row. The fallback is a fork the platform selects, and
-// it earns its place: without SIMD the register-blocked kernel serves a
-// 10-row batch of the 22-64-64-21 TTP in about 27 µs where the packed
-// layout's portable affineRowT body takes 84 µs (re-measured when the
-// scalar path went: 23-28 µs against 43-48 µs). Outside that fallback the
-// portable kernel is the differential tests' oracle, not a path to call;
-// there is no one-sample forward pass. The cache is why MLP's exported
-// fields are read-only outside this package: a weight written from
-// elsewhere is not seen by Packed.
+// Inference has one entry point and one forward pass: MLP.Packed returns
+// the network's packed snapshot (PackedMLP: transposed weights), built on
+// first use, shared by every caller and dropped by every parameter write in
+// this package (Optimizer.Step, Pack). The TTP predictor, the fleet and
+// serve inference service, the evaluation sweeps and the Pensieve agent all
+// run its ForwardBatchInto / PredictDistBatch with a BatchWorkspace of their
+// own. Each row of each layer is one affineRowT (below), the trainer's own
+// primitive: AVX2/AVX-512 assembly on amd64 where the CPU has it, the
+// portable affineRowTGo everywhere else, with the same bits on both. There
+// is no second forward kernel and no one-sample forward pass; the tests'
+// oracle is a plain dot product over W and B in the test files. The cache
+// is why MLP's exported fields are read-only outside this package: a weight
+// written from elsewhere is not seen by Packed.
 //
 // Training keeps the same discipline. A Trainer's gradients live in one slab
 // laid out like the parameter slab (W[0] B[0] W[1] B[1] ...; gradW/gradB are
@@ -48,6 +41,18 @@
 // FMA, no reciprocal), so gradients, losses and saved model bytes equal the
 // one-sample-at-a-time backprop's — which lives beside the tests as their
 // oracle — on any vector width.
+//
+// "Rounds on its own" holds on every GOARCH only because the Go code says
+// so: the compiler may fuse a*b+c into one FMA instruction (arm64 does;
+// amd64 does not, even at GOAMD64=v3), and an explicit conversion,
+// float64(a*b), is the spec's way to forbid it. Every product in this
+// package's non-test Go code (and in the tests' bitwise oracles) that feeds
+// an add or subtract is written that way, and `make cross` fails on any
+// fused op in the package's arm64 listing. The
+// rest of the tree is not held to this: abr, media, netem, pensieve, stats
+// and tcpsim (and a few sites in experiment, figures, obs, sweep and
+// telemetry) still fuse on arm64, so their results there may differ in the
+// last bit from amd64's (bits across GOARCH are ROADMAP item 14).
 //
 // Two more primitives under the same discipline serve the model-predictive
 // planner in internal/abr, which calls each once per (horizon step, rung) and
@@ -76,7 +81,7 @@
 //   - MLP / NewMLP: the network; Packed for inference, Save/Load (gob) for
 //     serialization, Pack to validate and re-home a model decoded some
 //     other way. Parameters live in one contiguous slab, which is what
-//     the batched kernel exploits.
+//     the optimizers' one elementwise pass exploits.
 //   - Trainer with an Optimizer (SGD, Adam): TrainClassBatch, minibatch
 //     supervised training with optional per-sample weights, and
 //     PolicyGradStep, the REINFORCE step.

@@ -101,7 +101,7 @@ func evalFixture(t *testing.T, seed int64) (*MLP, [][]float64, []int) {
 
 // TestCrossEntropyAccuracyPackedMatchesPortable: the evaluation sweeps run
 // on the packed (SIMD) kernel; this pins them bitwise to a reference
-// computed per sample with the portable kernel at batch size 1.
+// computed per sample with the dot-product oracle, forwardOne.
 func TestCrossEntropyAccuracyPackedMatchesPortable(t *testing.T) {
 	net, xs, labels := evalFixture(t, 41)
 

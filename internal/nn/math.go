@@ -26,86 +26,6 @@ func Softmax(dst, logits []float64) {
 	}
 }
 
-// affineBatch computes dst = x·Wᵀ + b for a block of samples: x is a
-// rows × nIn row-major input matrix, w a nOut × nIn row-major weight matrix,
-// and dst the rows × nOut output matrix. The kernel blocks two samples by
-// four outputs so each loaded weight is reused across samples and each
-// loaded input across outputs, with eight independent accumulator chains to
-// hide FMA latency. Every output element is still accumulated in ascending
-// input order starting from its bias, so results are bitwise identical to a
-// plain per-sample dot product.
-func affineBatch(dst, x, w, bias []float64, rows, nIn, nOut int) {
-	r := 0
-	for ; r+2 <= rows; r += 2 {
-		x0 := x[r*nIn : r*nIn+nIn]
-		x1 := x[(r+1)*nIn : (r+1)*nIn+nIn]
-		d0 := dst[r*nOut : r*nOut+nOut]
-		d1 := dst[(r+1)*nOut : (r+1)*nOut+nOut]
-		o := 0
-		for ; o+4 <= nOut; o += 4 {
-			w0 := w[o*nIn : o*nIn+nIn]
-			w1 := w[(o+1)*nIn : (o+1)*nIn+nIn]
-			w2 := w[(o+2)*nIn : (o+2)*nIn+nIn]
-			w3 := w[(o+3)*nIn : (o+3)*nIn+nIn]
-			a00, a01, a02, a03 := bias[o], bias[o+1], bias[o+2], bias[o+3]
-			a10, a11, a12, a13 := a00, a01, a02, a03
-			for i := 0; i < nIn; i++ {
-				xi0, xi1 := x0[i], x1[i]
-				wv := w0[i]
-				a00 += wv * xi0
-				a10 += wv * xi1
-				wv = w1[i]
-				a01 += wv * xi0
-				a11 += wv * xi1
-				wv = w2[i]
-				a02 += wv * xi0
-				a12 += wv * xi1
-				wv = w3[i]
-				a03 += wv * xi0
-				a13 += wv * xi1
-			}
-			d0[o], d0[o+1], d0[o+2], d0[o+3] = a00, a01, a02, a03
-			d1[o], d1[o+1], d1[o+2], d1[o+3] = a10, a11, a12, a13
-		}
-		for ; o < nOut; o++ {
-			row := w[o*nIn : o*nIn+nIn]
-			a0, a1 := bias[o], bias[o]
-			for i, wv := range row {
-				a0 += wv * x0[i]
-				a1 += wv * x1[i]
-			}
-			d0[o], d1[o] = a0, a1
-		}
-	}
-	if r < rows {
-		x0 := x[r*nIn : r*nIn+nIn]
-		d0 := dst[r*nOut : r*nOut+nOut]
-		o := 0
-		for ; o+4 <= nOut; o += 4 {
-			w0 := w[o*nIn : o*nIn+nIn]
-			w1 := w[(o+1)*nIn : (o+1)*nIn+nIn]
-			w2 := w[(o+2)*nIn : (o+2)*nIn+nIn]
-			w3 := w[(o+3)*nIn : (o+3)*nIn+nIn]
-			a0, a1, a2, a3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
-			for i, xi := range x0 {
-				a0 += w0[i] * xi
-				a1 += w1[i] * xi
-				a2 += w2[i] * xi
-				a3 += w3[i] * xi
-			}
-			d0[o], d0[o+1], d0[o+2], d0[o+3] = a0, a1, a2, a3
-		}
-		for ; o < nOut; o++ {
-			row := w[o*nIn : o*nIn+nIn]
-			a := bias[o]
-			for i, wv := range row {
-				a += wv * x0[i]
-			}
-			d0[o] = a
-		}
-	}
-}
-
 // reluInPlace clamps every entry that is not > 0 to +0 (so negatives, -0
 // and NaN all become +0).
 func reluInPlace(v []float64) {
@@ -133,7 +53,7 @@ func Entropy(p []float64) float64 {
 	h := 0.0
 	for _, v := range p {
 		if v > 0 {
-			h -= v * math.Log(v)
+			h -= float64(v * math.Log(v))
 		}
 	}
 	return h

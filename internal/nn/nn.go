@@ -176,10 +176,14 @@ type BatchWorkspace struct {
 // with capacity for maxRows samples per call. Passing a larger batch later
 // grows the workspace (one-time reallocation).
 func (m *MLP) NewBatchWorkspace(maxRows int) *BatchWorkspace {
+	return newBatchWorkspace(m.Sizes, maxRows)
+}
+
+func newBatchWorkspace(sizes []int, maxRows int) *BatchWorkspace {
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	ws := &BatchWorkspace{sizes: m.Sizes}
+	ws := &BatchWorkspace{sizes: sizes}
 	ws.grow(maxRows)
 	return ws
 }
@@ -192,9 +196,10 @@ func (ws *BatchWorkspace) grow(rows int) {
 	}
 }
 
-// ensure validates the workspace against m and guarantees room for rows.
-func (ws *BatchWorkspace) ensure(m *MLP, rows int) {
-	if !sameSizes(ws.sizes, m.Sizes) {
+// ensure validates the workspace against a network's layer sizes and
+// guarantees room for rows.
+func (ws *BatchWorkspace) ensure(sizes []int, rows int) {
+	if !sameSizes(ws.sizes, sizes) {
 		panic("nn: batch workspace shape does not match network")
 	}
 	if rows > ws.rows {
@@ -202,51 +207,9 @@ func (ws *BatchWorkspace) ensure(m *MLP, rows int) {
 	}
 }
 
-// ForwardBatchInto runs rows samples through the network in one pass per
-// layer. xs is the rows × InputSize input matrix, row-major and flat; it is
-// read but not copied or modified. The returned rows × OutputSize logit
-// matrix aliases the workspace and is valid until the next batched call on
-// the same workspace. Row r of the result is bitwise identical to a call on
-// row r alone.
-//
-// This is the portable kernel: PackedMLP's fallback where there is no SIMD
-// kernel, and the oracle the differential tests hold the packed path to.
-// Inference callers use Packed().ForwardBatchInto.
-func (m *MLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int) []float64 {
-	if rows <= 0 {
-		panic(fmt.Sprintf("nn: ForwardBatchInto rows = %d, want >= 1", rows))
-	}
-	if len(xs) != rows*m.InputSize() {
-		panic(fmt.Sprintf("nn: batch input length %d, want %d rows x %d", len(xs), rows, m.InputSize()))
-	}
-	ws.ensure(m, rows)
-	in := xs
-	last := m.NumLayers() - 1
-	for l := 0; l <= last; l++ {
-		out := ws.acts[l][:rows*m.Sizes[l+1]]
-		affineBatch(out, in, m.W[l], m.B[l], rows, m.Sizes[l], m.Sizes[l+1])
-		if l != last {
-			reluInPlace(out)
-		}
-		in = out
-	}
-	return in
-}
-
-// PredictDistBatch runs a batched forward pass and softmaxes each row of
-// logits into dst, a rows × OutputSize row-major matrix (allocated when
-// nil).
+// PredictDistBatch is PackedMLP.PredictDistBatch on m's snapshot with the
+// portable row body, affineRowTGo, whatever the machine. Its one caller is
+// the benchmark's portable-kernel reading; it leaves with ROADMAP item 1.
 func (m *MLP) PredictDistBatch(ws *BatchWorkspace, xs []float64, rows int, dst []float64) []float64 {
-	logits := m.ForwardBatchInto(ws, xs, rows)
-	nOut := m.OutputSize()
-	if dst == nil {
-		dst = make([]float64, rows*nOut)
-	}
-	if len(dst) != rows*nOut {
-		panic(fmt.Sprintf("nn: batch dist length %d, want %d rows x %d", len(dst), rows, nOut))
-	}
-	for r := 0; r < rows; r++ {
-		Softmax(dst[r*nOut:(r+1)*nOut], logits[r*nOut:(r+1)*nOut])
-	}
-	return dst
+	return m.Packed().predictDist(ws, xs, rows, dst, affineRowTGo)
 }

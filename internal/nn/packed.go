@@ -17,19 +17,20 @@ var (
 
 // PackedMLP is an immutable inference-time snapshot of an MLP, and the form
 // every inference consumer runs: each layer's weights are copied into a
-// transposed slab (input-major, so a kernel sweeping 4-16 outputs at a time
-// loads unit-stride vectors), and biases and a reference clone are copied
-// alongside. Because it is a snapshot, results never depend on later
-// mutation of the source network; MLP.Packed keeps one per network and
-// rebuilds it only after the network's parameters change, so a deployed
-// model is transposed once per rotation. Safe for concurrent use with a
-// workspace per caller.
+// transposed slab (input-major, so a kernel sweeping 4-32 outputs at a time
+// loads unit-stride vectors), and biases are copied alongside. Because it is
+// a snapshot, results never depend on later mutation of the source network;
+// MLP.Packed keeps one per network and rebuilds it only after the network's
+// parameters change, so a deployed model is transposed once per rotation.
+// Safe for concurrent use with a workspace per caller.
 //
-// Forward results are bitwise identical to MLP.ForwardBatchInto row for row:
-// on amd64 with AVX2 the kernel vectorizes across outputs while keeping each
-// output's accumulation in ascending input order with a separate multiply
-// and add rounding per term (no FMA contraction); elsewhere it falls back to
-// the snapshot clone's portable batched kernel.
+// Its forward pass is the package's one batched forward: every row of every
+// layer is one affineRowT, the trainer's primitive, which runs an assembly
+// body on amd64 with AVX2 and the portable affineRowTGo everywhere else.
+// Both keep each output's accumulation in ascending input order with a
+// separate multiply and add rounding per term (no FMA contraction), so the
+// logits are bitwise identical on every body and equal a plain dot product
+// over the source network's W and B.
 type PackedMLP struct {
 	sizes []int
 	// wt[l] is layer l's transposed weight matrix, input-major:
@@ -37,10 +38,6 @@ type PackedMLP struct {
 	wt [][]float64
 	// bias[l] is a copy of B[l].
 	bias [][]float64
-	// ref is a private deep copy of the source network, used by the
-	// portable fallback path (and by workspace allocation) so snapshot
-	// semantics hold on every platform.
-	ref *MLP
 }
 
 // Packed returns the network's packed snapshot, building it on first use
@@ -72,7 +69,6 @@ func (m *MLP) NewPacked() *PackedMLP {
 		sizes: append([]int(nil), m.Sizes...),
 		wt:    make([][]float64, m.NumLayers()),
 		bias:  make([][]float64, m.NumLayers()),
-		ref:   m.Clone(),
 	}
 	for l := 0; l < m.NumLayers(); l++ {
 		nIn, nOut := m.Sizes[l], m.Sizes[l+1]
@@ -110,29 +106,35 @@ func (p *PackedMLP) InputSize() int { return p.sizes[0] }
 // OutputSize returns the output vector length.
 func (p *PackedMLP) OutputSize() int { return p.sizes[len(p.sizes)-1] }
 
-// SameShape reports whether the snapshot matches the layer sizes of m (and
-// can therefore share batch workspaces with it).
-func (p *PackedMLP) SameShape(m *MLP) bool { return sameSizes(p.sizes, m.Sizes) }
-
 // NewBatchWorkspace allocates a batch workspace for this snapshot's shape.
 func (p *PackedMLP) NewBatchWorkspace(maxRows int) *BatchWorkspace {
-	return p.ref.NewBatchWorkspace(maxRows)
+	return newBatchWorkspace(p.sizes, maxRows)
 }
 
-// ForwardBatchInto runs rows samples through the packed network, one pass
-// per layer, exactly like MLP.ForwardBatchInto (same contract, same aliasing
-// of the workspace, bitwise-identical logits per row).
+// ForwardBatchInto runs rows samples through the packed network in one pass
+// per layer. xs is the rows × InputSize input matrix, row-major and flat; it
+// is read but not copied or modified. The returned rows × OutputSize logit
+// matrix aliases the workspace and is valid until the next batched call on
+// the same workspace. Row r of the result is bitwise identical to a call on
+// row r alone.
 func (p *PackedMLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int) []float64 {
-	if !useAVX2 {
-		return p.ref.ForwardBatchInto(ws, xs, rows)
-	}
+	return p.forward(ws, xs, rows, affineRowT)
+}
+
+// rowBody is the signature of affineRowT and its bodies.
+type rowBody func(dst, bias, x, wt []float64, nIn, nOut, xStride int)
+
+// forward is ForwardBatchInto with affine as every row's body: affineRowT
+// in production, affineRowTGo where a caller or test wants the portable
+// body whatever the machine.
+func (p *PackedMLP) forward(ws *BatchWorkspace, xs []float64, rows int, affine rowBody) []float64 {
 	if rows <= 0 {
 		panic(fmt.Sprintf("nn: ForwardBatchInto rows = %d, want >= 1", rows))
 	}
 	if len(xs) != rows*p.InputSize() {
 		panic(fmt.Sprintf("nn: batch input length %d, want %d rows x %d", len(xs), rows, p.InputSize()))
 	}
-	ws.ensure(p.ref, rows)
+	ws.ensure(p.sizes, rows)
 	in := xs
 	last := len(p.sizes) - 2
 	for l := 0; l <= last; l++ {
@@ -140,7 +142,7 @@ func (p *PackedMLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int)
 		out := ws.acts[l][:rows*nOut]
 		bias, wt := p.bias[l], p.wt[l]
 		for r := 0; r < rows; r++ {
-			affineRowT(out[r*nOut:], bias, in[r*nIn:], wt, nIn, nOut, 1)
+			affine(out[r*nOut:], bias, in[r*nIn:], wt, nIn, nOut, 1)
 		}
 		if l != last {
 			reluVec(out)
@@ -151,20 +153,11 @@ func (p *PackedMLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int)
 }
 
 // PredictDistBatch runs a packed batched forward pass and softmaxes each row
-// of logits into dst, mirroring MLP.PredictDistBatch exactly.
+// of logits into dst, a rows × OutputSize row-major matrix (allocated when
+// nil).
 func (p *PackedMLP) PredictDistBatch(ws *BatchWorkspace, xs []float64, rows int, dst []float64) []float64 {
 	t0 := obs.Now()
-	logits := p.ForwardBatchInto(ws, xs, rows)
-	nOut := p.OutputSize()
-	if dst == nil {
-		dst = make([]float64, rows*nOut)
-	}
-	if len(dst) != rows*nOut {
-		panic(fmt.Sprintf("nn: batch dist length %d, want %d rows x %d", len(dst), rows, nOut))
-	}
-	for r := 0; r < rows; r++ {
-		Softmax(dst[r*nOut:(r+1)*nOut], logits[r*nOut:(r+1)*nOut])
-	}
+	dst = p.predictDist(ws, xs, rows, dst, affineRowT)
 	packedForwardNS.ObserveSince(t0)
 	packedRowsTotal.Add(int64(rows))
 	// The kernel span names the deepest stage of a traced decision; it
@@ -180,7 +173,24 @@ func (p *PackedMLP) PredictDistBatch(ws *BatchWorkspace, xs []float64, rows int,
 	return dst
 }
 
-// Accelerated reports whether the packed path runs the SIMD kernel on this
-// machine (false means the snapshot falls back to the portable batched
-// kernel — still correct, just without the speedup).
+// predictDist is PredictDistBatch's work, unmetered, with affine as the
+// forward pass's row body.
+func (p *PackedMLP) predictDist(ws *BatchWorkspace, xs []float64, rows int, dst []float64, affine rowBody) []float64 {
+	logits := p.forward(ws, xs, rows, affine)
+	nOut := p.OutputSize()
+	if dst == nil {
+		dst = make([]float64, rows*nOut)
+	}
+	if len(dst) != rows*nOut {
+		panic(fmt.Sprintf("nn: batch dist length %d, want %d rows x %d", len(dst), rows, nOut))
+	}
+	for r := 0; r < rows; r++ {
+		Softmax(dst[r*nOut:(r+1)*nOut], logits[r*nOut:(r+1)*nOut])
+	}
+	return dst
+}
+
+// Accelerated reports whether the packed path runs a SIMD body of
+// affineRowT on this machine (false means it runs the portable body,
+// affineRowTGo — the same bits, without the speedup).
 func Accelerated() bool { return useAVX2 }

@@ -25,11 +25,15 @@ func cacheFixture(seed int64) (net *MLP, xs [][]float64, labels []int, probe []f
 }
 
 // servesCurrentWeights fails unless net.Packed() answers probe exactly as
-// the portable kernel does on net's weights as they are now.
+// the dot-product oracle does on net's weights as they are now.
 func servesCurrentWeights(t *testing.T, what string, net *MLP, probe []float64) {
 	t.Helper()
-	rows := len(probe) / net.InputSize()
-	want := net.ForwardBatchInto(net.NewBatchWorkspace(rows), probe, rows)
+	nIn := net.InputSize()
+	rows := len(probe) / nIn
+	var want []float64
+	for r := 0; r < rows; r++ {
+		want = append(want, forwardOne(net, probe[r*nIn:(r+1)*nIn])...)
+	}
 	p := net.Packed()
 	got := p.ForwardBatchInto(p.NewBatchWorkspace(rows), probe, rows)
 	for i := range want {

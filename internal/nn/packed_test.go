@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestPackedForwardBitwiseIdentical: the packed (transposed, possibly SIMD)
-// forward must reproduce MLP.ForwardBatchInto bit for bit, across blocking
-// remainders (output widths below, at and past the full vector blocks),
-// batch sizes, and sign patterns that exercise the ReLU edge.
+// TestPackedForwardBitwiseIdentical: the packed forward, on every row body,
+// must reproduce the dot-product oracle (forwardOne over the source net's W
+// and B) bit for bit, across blocking remainders (output widths below, at
+// and past the full vector blocks), batch sizes, and sign patterns that
+// exercise the ReLU edge.
 func TestPackedForwardBitwiseIdentical(t *testing.T) {
 	shapes := [][]int{
 		{22, 64, 64, 21}, // the TTP
@@ -36,21 +37,27 @@ func TestPackedForwardBitwiseIdentical(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.NormFloat64() * 2
 			}
-			wsA := m.NewBatchWorkspace(rows)
-			wsB := p.NewBatchWorkspace(rows)
-			want := m.ForwardBatchInto(wsA, xs, rows)
-			got := p.ForwardBatchInto(wsB, xs, rows)
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("shape %v rows %d: logit %d differs: %v vs %v",
-						sizes, rows, i, want[i], got[i])
-				}
+			nIn, nOut := m.InputSize(), m.OutputSize()
+			want := make([]float64, 0, rows*nOut)
+			wantD := make([]float64, rows*nOut)
+			for r := 0; r < rows; r++ {
+				want = append(want, forwardOne(m, xs[r*nIn:(r+1)*nIn])...)
+				Softmax(wantD[r*nOut:(r+1)*nOut], want[r*nOut:])
 			}
-			wantD := m.PredictDistBatch(wsA, xs, rows, nil)
-			gotD := p.PredictDistBatch(wsB, xs, rows, nil)
-			for i := range wantD {
-				if math.Float64bits(wantD[i]) != math.Float64bits(gotD[i]) {
-					t.Fatalf("shape %v rows %d: dist %d differs", sizes, rows, i)
+			ws := p.NewBatchWorkspace(rows)
+			for _, body := range rowBodies {
+				got := p.forward(ws, xs, rows, body.run)
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("%s shape %v rows %d: logit %d differs: %v vs %v",
+							body.name, sizes, rows, i, want[i], got[i])
+					}
+				}
+				gotD := p.predictDist(ws, xs, rows, nil, body.run)
+				for i := range wantD {
+					if math.Float64bits(wantD[i]) != math.Float64bits(gotD[i]) {
+						t.Fatalf("%s shape %v rows %d: dist %d differs", body.name, sizes, rows, i)
+					}
 				}
 			}
 		}
@@ -106,9 +113,27 @@ func TestPackedIsASnapshot(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardPacked measures the packed kernel against the portable
-// batched kernel on the TTP shape at a serving-scale batch — the per-row
-// cost the fleet engine's cross-session batches pay.
+// TestPackedHoldsOneCopy: a snapshot holds the network's parameters once,
+// as transposed weights and biases, and keeps no second copy of them
+// (every deployed model is held as its snapshot for as long as it serves).
+func TestPackedHoldsOneCopy(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(5)), 22, 64, 64, 21)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.NewPacked()
+		}
+	})
+	limit := 1.25 * 8 * float64(m.NumParams())
+	if got := res.AllocedBytesPerOp(); float64(got) >= limit {
+		t.Fatalf("NewPacked allocates %d bytes for %d parameters, want < %.0f (one copy and slack)", got, m.NumParams(), limit)
+	}
+}
+
+// BenchmarkForwardPacked measures the packed forward on its portable row
+// body and on the dispatched one, on the TTP shape at a session's batch and
+// a serving-scale batch — the per-row cost the fleet engine's cross-session
+// batches pay.
 func BenchmarkForwardPacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP(rng, 22, 64, 64, 21)
@@ -118,19 +143,18 @@ func BenchmarkForwardPacked(b *testing.B) {
 		for i := range xs {
 			xs[i] = rng.Float64()
 		}
-		wsA := m.NewBatchWorkspace(rows)
-		wsB := p.NewBatchWorkspace(rows)
+		ws := p.NewBatchWorkspace(rows)
 		b.Run(benchName("portable", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.ForwardBatchInto(wsA, xs, rows)
+				p.forward(ws, xs, rows, affineRowTGo)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 		b.Run(benchName("packed", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.ForwardBatchInto(wsB, xs, rows)
+				p.ForwardBatchInto(ws, xs, rows)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})

@@ -54,13 +54,13 @@ func (s *SGD) update(p, grad []float64, at, n int, decay float64) int {
 	for i := at; i < at+n; i++ {
 		g := grad[i]
 		if decay != 0 {
-			g += decay * p[i]
+			g += float64(decay * p[i])
 		}
 		if s.Momentum != 0 {
-			s.vel[i] = s.Momentum*s.vel[i] + g
+			s.vel[i] = float64(s.Momentum*s.vel[i]) + g
 			g = s.vel[i]
 		}
-		p[i] -= s.LR * g
+		p[i] -= float64(s.LR * g)
 	}
 	return at + n
 }
@@ -315,7 +315,7 @@ func (t *Trainer) TrainClassBatch(xs [][]float64, labels []int, weights []float6
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss += -w * math.Log(p)
+		loss += float64(-w * math.Log(p))
 		scale := w / totalW
 		for i, pi := range t.probs {
 			drow[i] = pi * scale
@@ -356,7 +356,7 @@ func (t *Trainer) PolicyGradStep(xs [][]float64, actions []int, advantages []flo
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss += -adv * math.Log(p)
+		loss += float64(-adv * math.Log(p))
 		h := 0.0
 		if entropyCoeff != 0 {
 			h = Entropy(t.probs)

@@ -36,7 +36,7 @@ func (ref *scalarRef) forward(m *MLP, x []float64) []float64 {
 		for o := range ref.zs[l] {
 			z := m.B[l][o]
 			for i, xi := range in {
-				z += m.W[l][o*nIn+i] * xi
+				z += float64(m.W[l][o*nIn+i] * xi)
 			}
 			ref.zs[l][o] = z
 			if z > 0 {
@@ -63,7 +63,7 @@ func (ref *scalarRef) backprop(t *Trainer, delta []float64) {
 				continue
 			}
 			for i, xi := range in {
-				t.gradW[l][o*nIn+i] += dv * xi
+				t.gradW[l][o*nIn+i] += float64(dv * xi)
 			}
 			t.gradB[l][o] += dv
 		}
@@ -78,7 +78,7 @@ func (ref *scalarRef) backprop(t *Trainer, delta []float64) {
 				continue
 			}
 			for i := range prev {
-				prev[i] += net.W[l][o*nIn+i] * dv
+				prev[i] += float64(net.W[l][o*nIn+i] * dv)
 			}
 		}
 		for i, z := range ref.zs[l-1] {
@@ -124,7 +124,7 @@ func (t *Trainer) trainClassPerSample(xs [][]float64, labels []int, weights []fl
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss += -w * math.Log(p)
+		loss += float64(-w * math.Log(p))
 		scale := w / totalW
 		for i, pi := range t.probs {
 			delta[i] = pi * scale
@@ -153,7 +153,7 @@ func (t *Trainer) policyGradPerSample(xs [][]float64, actions []int, advantages 
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss += -adv * math.Log(p)
+		loss += float64(-adv * math.Log(p))
 		for i, pi := range t.probs {
 			delta[i] = adv * pi / n
 			if entropyCoeff != 0 && pi > 0 {
@@ -439,8 +439,8 @@ func TestAdamSlabMatchesScalarReference(t *testing.T) {
 		c1 := 1 - math.Pow(b1, float64(step))
 		c2 := 1 - math.Pow(b2, float64(step))
 		for i, g := range tr.grad {
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
+			m[i] = float64(b1*m[i]) + float64((1-b1)*g)
+			v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
 			mh := m[i] / c1
 			vh := v[i] / c2
 			p[i] -= lr * mh / (math.Sqrt(vh) + eps)
