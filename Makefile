@@ -291,19 +291,22 @@ dist-smoke:
 # reader — every socket, pipe, index and event-log byte enters through one of
 # the two — on the two payload decoders a served client reaches first,
 # Hello and Decide (an accepted Decide must also survive an MPC-HM decision),
-# and on the scenario spec parser (a valid spec's canonical JSON must be a
-# fixed point with stable hashes). The committed seeds under
+# on the scenario spec parser (a valid spec's canonical JSON must be a
+# fixed point with stable hashes), and on the fixed-layout decoders of what
+# the program persists or ships between processes: the model file, the dist
+# shard blob and the dist frame payloads (bytes that decode must re-encode to
+# themselves). The committed seeds under
 # internal/{wire,serve,scenario,core}/testdata/fuzz run in every plain
-# `go test` as well; this adds fresh mutations on each push. FuzzLoadTTP
-# (internal/core, the model decoder) runs its seeds only: gob allocates
-# every length the bytes claim, so 20 s of fuzzing reaches a handful of
-# execs. It joins this target when the checkpoint files leave gob.
+# `go test` as well; this adds fresh mutations on each push.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecide -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzLoadTTP -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/dist
 
 # `loc` runs last so every green run ends on the round's tracked number.
 ci: fmt-check vet build cross test bench daily-smoke docs-smoke figures-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc

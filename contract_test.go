@@ -85,7 +85,14 @@ type contractCell struct {
 	// none may survive. On the replay cell that day is never written, so
 	// only the resume's sweep can remove it.
 	stray bool
+	// portable runs every leg with nn's SIMD gates off, on the portable
+	// kernel bodies other platforms run.
+	portable bool
 }
+
+// forcePortable turns nn's SIMD gates off until t ends, or skips t on a host
+// without them; nil on a GOARCH that has none (contract_amd64_test.go).
+var forcePortable func(t *testing.T)
 
 // cellRun is what a cell produced.
 type cellRun struct {
@@ -137,6 +144,7 @@ func TestContractMatrix(t *testing.T) {
 		{name: "resume/session-1-to-fleet", legs: []leg{{"session", 1}, {"fleet", 3}}},
 		{name: "resume/session-1-to-dist", legs: []leg{{"session", 1}, {"dist", 3}}},
 		{name: "resume/replay", legs: []leg{{"session", 3}, {"session", 3}}, stray: true},
+		{name: "kernel/portable", legs: []leg{{"session", 3}}, portable: true},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -157,6 +165,12 @@ func runCell(t *testing.T, spec scenario.Spec, c contractCell) cellRun {
 	t.Helper()
 	if c.fault != "" {
 		t.Setenv("PUFFER_DIST_FAULT", c.fault)
+	}
+	if c.portable {
+		if forcePortable == nil {
+			t.Skip("no SIMD gates on this GOARCH: every cell already runs the portable bodies")
+		}
+		forcePortable(t)
 	}
 	opt := scenario.RunOptions{Workers: max(c.workers, 1), CheckpointDir: t.TempDir()}
 	var tr *obs.Tracer
@@ -278,16 +292,10 @@ func outcome(t *testing.T, res *runner.Result) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := bytes.NewBuffer(blob)
 	if res.TTP != nil {
-		if err := res.TTP.Save(buf); err != nil {
-			t.Fatal(err)
-		}
+		blob = res.TTP.AppendTo(blob)
 	}
-	if err := res.Data.Save(buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return res.Data.AppendTo(blob)
 }
 
 // checkpointTree reads every file under root, dropping the two fields a

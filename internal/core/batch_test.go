@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -267,11 +266,7 @@ func TestPredictorBatchNoAllocSteadyState(t *testing.T) {
 func TestLoadedTTPBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ttp := NewTTP(rng, DefaultHorizon, nil, DefaultFeatures(), KindTransTime)
-	var buf bytes.Buffer
-	if err := ttp.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(ttp.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,17 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"puffer/internal/abr"
 	"puffer/internal/nn"
 	"puffer/internal/tcpsim"
+	"puffer/internal/wire"
 )
 
 func TestFeatureConfigDim(t *testing.T) {
@@ -130,11 +131,7 @@ func TestTTPLabel(t *testing.T) {
 func TestTTPSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	orig := NewTTP(rng, 3, nil, DefaultFeatures(), KindTransTime)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := Load(orig.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,50 +175,56 @@ func forwardOne(net *nn.MLP, x []float64) []float64 {
 	return x
 }
 
-// TestLoadRejectsInconsistentNets: a model whose networks are structurally
-// inconsistent must come back from Load as an nn.ErrBadModel — not a panic,
-// and not a model with the missing weights zero-filled. Every case goes through
-// checkNets, and through Load's bytes wherever gob can carry it (it refuses
-// to encode a nil element).
+// netLayout is an nn.MLP layout for the given widths and slab, which need
+// not agree.
+func netLayout(sizes []int, slab []float64) []byte {
+	b := wire.AppendU32(nil, uint32(len(sizes)))
+	for _, w := range sizes {
+		b = wire.AppendU32(b, uint32(w))
+	}
+	return wire.AppendF64s(b, slab)
+}
+
+// modelLayout is a TTP layout claiming count nets and holding nets.
+func modelLayout(histLen int, kind byte, count int, nets ...[]byte) []byte {
+	b := wire.AppendI32([]byte{modelVersion}, histLen)
+	b = wire.AppendU32(append(b, flagTCPInfo|flagProposedSize, kind), uint32(count))
+	for _, n := range nets {
+		b = append(b, n...)
+	}
+	return b
+}
+
+// TestLoadRejectsInconsistentNets: model bytes whose networks are
+// structurally inconsistent, or whose kind is unknown, must come back from
+// Load as an nn.ErrBadModel — not a panic, not a model with the missing
+// weights zero-filled, and not one served as some other kind.
 func TestLoadRejectsInconsistentNets(t *testing.T) {
 	cfg := DefaultFeatures()
-	valid := func() *nn.MLP {
-		return NewTTP(rand.New(rand.NewSource(3)), 1, []int{8}, cfg, KindTransTime).Nets[0]
+	net := NewTTP(rand.New(rand.NewSource(3)), 1, []int{8}, cfg, KindTransTime).Nets[0]
+	var slab []float64
+	for l := range net.W {
+		slab = append(append(slab, net.W[l]...), net.B[l]...)
 	}
-	cases := map[string]func() *nn.MLP{
-		"empty Sizes": func() *nn.MLP { return &nn.MLP{} },
-		"one extra weight layer": func() *nn.MLP {
-			net := valid()
-			net.W = append(net.W, make([]float64, 4))
-			net.B = append(net.B, make([]float64, 2))
-			return net
-		},
-		"first-layer weights truncated": func() *nn.MLP {
-			net := valid()
-			net.W[0] = net.W[0][:3]
-			return net
-		},
-		"nil entry": func() *nn.MLP { return nil },
+	good := netLayout(net.Sizes, slab)
+	if _, err := Load(modelLayout(cfg.HistLen, byte(KindThroughput), 2, good, good)); err != nil {
+		t.Fatalf("the well-formed base model: %v", err)
 	}
-	for name, corrupt := range cases {
+	cases := map[string][]byte{
+		"empty Sizes":                   modelLayout(cfg.HistLen, 0, 2, good, netLayout(nil, nil)),
+		"one extra weight layer":        modelLayout(cfg.HistLen, 0, 2, good, netLayout(net.Sizes, append(slices.Clone(slab), make([]float64, 4*2+2)...))),
+		"first-layer weights truncated": modelLayout(cfg.HistLen, 0, 2, good, netLayout(net.Sizes, append(slices.Clone(slab[:3]), slab[len(net.W[0]):]...))),
+		"nil entry":                     modelLayout(cfg.HistLen, 0, 2, good),
+		"unknown kind":                  modelLayout(cfg.HistLen, byte(KindThroughput)+1, 2, good, good),
+	}
+	for name, blob := range cases {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			if err := checkNets(cfg, []*nn.MLP{valid(), corrupt()}); !errors.Is(err, nn.ErrBadModel) {
-				t.Fatalf("checkNets returned %v, want nn.ErrBadModel", err)
-			}
-			if corrupt() == nil {
-				return // no bytes can hold it
-			}
-			var buf bytes.Buffer
-			m := ttpModel{Cfg: cfg, Kind: KindTransTime, Nets: []*nn.MLP{valid(), corrupt()}}
-			if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-				t.Fatal(err)
-			}
-			if ttp, err := Load(&buf); !errors.Is(err, nn.ErrBadModel) {
+			if ttp, err := Load(blob); !errors.Is(err, nn.ErrBadModel) {
 				t.Fatalf("Load returned %v (a model: %v), want nn.ErrBadModel", err, ttp != nil)
 			}
 		})
@@ -229,53 +232,45 @@ func TestLoadRejectsInconsistentNets(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := Load([]byte("junk")); err == nil {
 		t.Fatal("accepted garbage")
 	}
 }
 
 // oversizedModel is a model whose header claims sizes no bytes pay for:
-// HistLen 2^61 makes the feature dim 2^62, and the one net claims widths
-// [2^62, 4, 21] over an empty first weight layer, so an unchecked
-// 2^62 × 4 wraps to the layer's length 0. shrinkHist keeps a valid HistLen,
-// so only the width bound stands between the net and NewPredictor.
-func oversizedModel(shrinkHist bool) ttpModel {
-	cfg := FeatureConfig{HistLen: 1 << 61}
+// HistLen 2^30 makes the feature dim 2^31, and the one net claims widths
+// [2^30, 4, 21] over an empty first weight layer. shrinkHist keeps a valid
+// HistLen, so only the width bound stands between the net and NewPredictor.
+func oversizedModel(shrinkHist bool) []byte {
+	histLen := 1 << 30
 	if shrinkHist {
-		cfg = DefaultFeatures()
+		histLen = DefaultFeatures().HistLen
 	}
-	net := &nn.MLP{
-		Sizes: []int{1 << 62, 4, 21},
-		W:     [][]float64{{}, make([]float64, 4*21)},
-		B:     [][]float64{make([]float64, 4), make([]float64, 21)},
-	}
-	return ttpModel{Cfg: cfg, Kind: KindTransTime, Nets: []*nn.MLP{net}}
+	return modelLayout(histLen, 0, 1, netLayout([]int{1 << 30, 4, 21}, make([]float64, 4+4*21+21)))
 }
 
 // TestLoadRejectsOversizedModel: a model whose claimed sizes overflow is
 // refused by Load with nn.ErrBadModel, whichever check meets it first.
 func TestLoadRejectsOversizedModel(t *testing.T) {
 	for _, shrinkHist := range []bool{false, true} {
-		var buf bytes.Buffer
-		m := oversizedModel(shrinkHist)
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); !errors.Is(err, nn.ErrBadModel) {
-			t.Fatalf("HistLen %d: Load returned %v, want nn.ErrBadModel", m.Cfg.HistLen, err)
+		if _, err := Load(oversizedModel(shrinkHist)); !errors.Is(err, nn.ErrBadModel) {
+			t.Fatalf("shrinkHist %v: Load returned %v, want nn.ErrBadModel", shrinkHist, err)
 		}
 	}
 }
 
 // FuzzLoadTTP: any bytes are either refused by Load or load a model that
-// serves one batched prediction without panicking. The seeds in
-// testdata/fuzz/FuzzLoadTTP are a valid one-step model and
-// oversizedModel(false).
+// re-encodes to the same bytes and serves one batched prediction without
+// panicking. The seeds in testdata/fuzz/FuzzLoadTTP are a valid one-step
+// model and oversizedModel(false).
 func FuzzLoadTTP(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		ttp, err := Load(bytes.NewReader(blob))
+		ttp, err := Load(blob)
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(ttp.AppendTo(nil), blob) {
+			t.Fatal("a loaded model re-encodes to other bytes")
 		}
 		obs := batchObs(rand.New(rand.NewSource(1)), 10, 5)
 		sizes := make([]float64, 10)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,32 +28,38 @@ func sampleDataset() *Dataset {
 
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	d := sampleDataset()
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadDataset(&buf)
-	if err != nil {
+	back := new(Dataset)
+	if err := wire.Decode(d.AppendTo(nil), back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d, back) {
 		t.Fatalf("round trip altered dataset:\n%+v\nvs\n%+v", d, back)
 	}
+	for _, empty := range []*Dataset{{}, {Streams: []StreamObs{{}}}} {
+		if err := wire.Decode(empty.AppendTo(nil), back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(empty, back) {
+			t.Fatalf("round trip of %+v gave %+v: an empty series must decode nil", empty, back)
+		}
+	}
 }
 
 func TestDatasetFileRoundTrip(t *testing.T) {
 	d := sampleDataset()
-	path := filepath.Join(t.TempDir(), "telemetry.gob")
-	if err := wire.WriteFile(path, d.Save); err != nil {
+	path := filepath.Join(t.TempDir(), "telemetry.bin")
+	if err := wire.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(d.AppendTo(nil))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	back, err := LoadDataset(f)
-	if err != nil {
+	back := new(Dataset)
+	if err := wire.Decode(blob, back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d, back) {

@@ -16,17 +16,19 @@
 // Main entry points:
 //
 //   - TTP / NewTTP: the per-horizon-step networks (DefaultHorizon 5,
-//     DefaultHidden 64-64); Clone for warm starts, Save/Load for model
-//     rotation and checkpoints (Load rejects a structurally inconsistent
-//     model with an error wrapping nn.ErrBadModel: the feature layout is
-//     validated and every decoded net goes through nn's Pack).
+//     DefaultHidden 64-64); Clone for warm starts, AppendTo and Load
+//     for model rotation, checkpoints and the dist day frame: a fixed
+//     layout on internal/wire (version byte, feature config, kind, nets).
+//     Load rejects an unknown kind or flag, an invalid feature layout and a
+//     structurally inconsistent net with an error wrapping nn.ErrBadModel.
 //   - NewFugu / NewFuguNamed: wrap a trained TTP in the abr.MPC controller
 //     — the deployable scheme (the point-estimate arm is abr.NewMPC over
 //     NewPredictor(t, ModePointEstimate)).
 //   - Predictor / NewPredictor: adapts a TTP to abr.Predictor; assembles
 //     one feature matrix per horizon step (FeatureConfig.AssembleBatch) so
 //     the MPC's distribution fill is one batched network pass per step.
-//   - Dataset / ChunkObs / StreamObs: training telemetry (gob Save/Load);
+//   - Dataset / ChunkObs / StreamObs: training telemetry (AppendTo and
+//     Decode, its fixed layout);
 //     Train / TrainConfig / TrainResult: recency-weighted supervised
 //     training; EvaluateTransTimeMode: held-out scoring.
 //   - Variant / AllVariants / NewVariantTTP: the Figure 7 ablations.

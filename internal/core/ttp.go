@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"puffer/internal/abr"
 	"puffer/internal/nn"
+	"puffer/internal/wire"
 )
 
 // DefaultHorizon is the MPC lookahead (paper: H = 5, about 10 seconds).
@@ -79,54 +79,84 @@ func (t *TTP) Label(size, transTime float64) int {
 	return abr.BinIndex(transTime)
 }
 
-// ttpModel is the gob wire format.
-type ttpModel struct {
-	Cfg  FeatureConfig
-	Kind Kind
-	Nets []*nn.MLP
+// modelVersion is the version byte of the TTP's layout: ttp.model and the
+// dist day frame.
+const modelVersion = 1
+
+// Feature flags of the TTP's layout.
+const (
+	flagTCPInfo      = 1 << 0
+	flagProposedSize = 1 << 1
+)
+
+// AppendTo appends the TTP's fixed layout: the version byte, the feature
+// config (the history length as an i32, then a flags byte), the kind byte,
+// then a u32 count and each net's layout.
+func (t *TTP) AppendTo(b []byte) []byte {
+	var flags byte
+	if t.Cfg.UseTCPInfo {
+		flags |= flagTCPInfo
+	}
+	if t.Cfg.UseProposedSize {
+		flags |= flagProposedSize
+	}
+	b = wire.AppendI32(append(b, modelVersion), t.Cfg.HistLen)
+	b = wire.AppendU32(append(b, flags, byte(t.Kind)), uint32(len(t.Nets)))
+	for _, net := range t.Nets {
+		b = net.AppendTo(b)
+	}
+	return b
 }
 
-// Save writes the TTP in gob format.
-func (t *TTP) Save(w io.Writer) error {
-	m := ttpModel{Cfg: t.Cfg, Kind: t.Kind, Nets: t.Nets}
-	if err := gob.NewEncoder(w).Encode(&m); err != nil {
-		return fmt.Errorf("core: encoding TTP: %w", err)
+// Decode reads what AppendTo wrote into t, refusing unknown flags or kind,
+// an invalid feature config, and nets that are malformed or do not fit the
+// config, each with an error wrapping nn.ErrBadModel.
+func (t *TTP) Decode(r *wire.Reader) {
+	r.Version("model", modelVersion)
+	t.Cfg.HistLen = r.I32()
+	flags := r.U8()
+	t.Cfg.UseTCPInfo, t.Cfg.UseProposedSize = flags&flagTCPInfo != 0, flags&flagProposedSize != 0
+	switch t.Kind = Kind(r.U8()); {
+	case r.Err() != nil:
+	case flags&^(flagTCPInfo|flagProposedSize) != 0:
+		r.Fail(fmt.Errorf("core: %w: feature flags %#x", nn.ErrBadModel, flags))
+	case t.Kind != KindTransTime && t.Kind != KindThroughput:
+		r.Fail(fmt.Errorf("core: %w: kind %d", nn.ErrBadModel, t.Kind))
+	default:
+		r.Fail(t.Cfg.Validate())
 	}
-	return nil
+	t.Nets = make([]*nn.MLP, r.Count(4)) // a net's layout opens with its u32 width count
+	for i := range t.Nets {
+		t.Nets[i] = new(nn.MLP)
+		t.Nets[i].Decode(r)
+	}
+	if r.Err() == nil {
+		r.Fail(checkNets(t.Cfg, t.Nets))
+	}
 }
 
-// Load reads a TTP written by Save.
-func Load(r io.Reader) (*TTP, error) {
-	var m ttpModel
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("core: decoding TTP: %w", err)
-	}
-	if err := m.Cfg.Validate(); err != nil {
+// Load reads a TTP that AppendTo wrote. Every refusal wraps nn.ErrBadModel: a
+// model file or a day frame's model bytes either decode to a TTP that
+// serves, or are malformed.
+func Load(b []byte) (*TTP, error) {
+	t := new(TTP)
+	if err := wire.Decode(b, t); err != nil {
+		if !errors.Is(err, nn.ErrBadModel) {
+			err = fmt.Errorf("core: %w: %w", nn.ErrBadModel, err)
+		}
 		return nil, err
 	}
-	if err := checkNets(m.Cfg, m.Nets); err != nil {
-		return nil, err
-	}
-	return &TTP{Cfg: m.Cfg, Kind: m.Kind, Nets: m.Nets}, nil
+	return t, nil
 }
 
-// checkNets validates a decoded model's networks against its (validated)
-// feature layout and packs them. A decoded net is whatever the bytes held —
-// a checkpoint file, or the model bytes of a dist day frame — so Pack checks
-// each one's structure before anything indexes into it (and restores the
-// contiguous parameter layout; gob decodes each layer separately). Every
+// checkNets validates decoded networks against their (validated) feature
+// layout: input width the feature dim, output width the bin count. Every
 // error wraps nn.ErrBadModel.
 func checkNets(cfg FeatureConfig, nets []*nn.MLP) error {
 	if len(nets) == 0 {
 		return fmt.Errorf("core: %w: no networks", nn.ErrBadModel)
 	}
 	for i, net := range nets {
-		if net == nil {
-			return fmt.Errorf("core: %w: net %d is missing", nn.ErrBadModel, i)
-		}
-		if err := net.Pack(); err != nil {
-			return fmt.Errorf("core: net %d: %w", i, err)
-		}
 		if net.InputSize() != cfg.Dim() {
 			return fmt.Errorf("core: %w: net %d input %d does not match feature dim %d", nn.ErrBadModel, i, net.InputSize(), cfg.Dim())
 		}

@@ -1,55 +1,40 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/wire"
 )
 
-// BlobVersion is the shard blob envelope version. Bump it whenever the
-// accumulator wire shape changes incompatibly; a coordinator then rejects
-// blobs from stale worker builds instead of merging garbage.
-const BlobVersion = 1
+// BlobVersion is the shard blob's version byte. Bump it whenever the blob's
+// layout changes; a coordinator then rejects blobs from stale worker builds
+// instead of merging garbage. v2: fixed layouts on internal/wire (v1 was
+// gob).
+const BlobVersion = 2
 
-// shardBlob is the wire envelope for one shard's results: the analysis
-// accumulator and the telemetry dataset the shard's sessions produced.
-// Both gob-encode deterministically (TrialAcc via its name-sorted wire
-// form), so identical shard results are identical bytes on the wire.
-type shardBlob struct {
-	Version int
-	Acc     *experiment.TrialAcc
-	Data    *core.Dataset
-}
-
-// EncodeShard packs one shard's accumulator and dataset into a versioned
-// blob for the result frame.
+// EncodeShard packs one shard's accumulator and dataset into the result
+// frame's blob: the version byte, then the accumulator's layout, then the
+// dataset's — so identical shard results are identical bytes on the wire.
 func EncodeShard(acc *experiment.TrialAcc, data *core.Dataset) ([]byte, error) {
 	if acc == nil || data == nil {
 		return nil, fmt.Errorf("dist: encoding shard blob: nil accumulator or dataset")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(shardBlob{Version: BlobVersion, Acc: acc, Data: data}); err != nil {
-		return nil, fmt.Errorf("dist: encoding shard blob: %w", err)
-	}
-	return buf.Bytes(), nil
+	return data.AppendTo(acc.AppendTo([]byte{BlobVersion})), nil
 }
 
 // DecodeShard unpacks a shard blob, rejecting version mismatches and
-// undecodable (shape-mismatched) payloads loudly — a bad blob must abort
-// the run, never fold into a silently wrong answer.
+// malformed payloads loudly — a bad blob must abort the run, never fold
+// into a silently wrong answer.
 func DecodeShard(b []byte) (*experiment.TrialAcc, *core.Dataset, error) {
-	var blob shardBlob
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&blob); err != nil {
+	r := wire.NewReader(b)
+	r.Version("shard blob", BlobVersion)
+	acc, data := new(experiment.TrialAcc), new(core.Dataset)
+	acc.Decode(&r)
+	data.Decode(&r)
+	if err := r.Done(); err != nil {
 		return nil, nil, fmt.Errorf("dist: shard blob does not decode (coordinator/worker build mismatch?): %w", err)
 	}
-	if blob.Version != BlobVersion {
-		return nil, nil, fmt.Errorf("dist: shard blob version %d, want %d (coordinator/worker build mismatch)", blob.Version, BlobVersion)
-	}
-	if blob.Acc == nil || blob.Data == nil {
-		return nil, nil, fmt.Errorf("dist: shard blob missing accumulator or dataset")
-	}
-	return blob.Acc, blob.Data, nil
+	return acc, data, nil
 }

@@ -2,17 +2,18 @@ package dist
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/wire"
 )
 
 // shardResult folds one shard of the given test trial and returns its
 // accumulator plus the dataset its sessions recorded.
-func shardResult(t *testing.T, sp testSpec, day, shard int) (*experiment.TrialAcc, *core.Dataset) {
+func shardResult(t testing.TB, sp testSpec, day, shard int) (*experiment.TrialAcc, *core.Dataset) {
 	t.Helper()
 	trial := testTrial(sp, day, nil)
 	col := experiment.NewDatasetCollector()
@@ -35,10 +36,10 @@ func TestShardBlobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(accBytes(t, gotAcc), accBytes(t, acc)) {
+	if !bytes.Equal(gotAcc.AppendTo(nil), acc.AppendTo(nil)) {
 		t.Error("accumulator changed across the encode/decode hop")
 	}
-	if !bytes.Equal(dataBytes(t, gotData), dataBytes(t, data)) {
+	if !bytes.Equal(gotData.AppendTo(nil), data.AppendTo(nil)) {
 		t.Error("dataset changed across the encode/decode hop")
 	}
 }
@@ -94,10 +95,10 @@ func TestWireMergeMatchesFoldShards(t *testing.T) {
 		r := trial.RunOne(id)
 		return &r
 	})
-	if !bytes.Equal(accBytes(t, merged), accBytes(t, want)) {
+	if !bytes.Equal(merged.AppendTo(nil), want.AppendTo(nil)) {
 		t.Error("wire-merged accumulator differs from FoldShards")
 	}
-	if !bytes.Equal(dataBytes(t, streams), dataBytes(t, col.Dataset())) {
+	if !bytes.Equal(streams.AppendTo(nil), col.Dataset().AppendTo(nil)) {
 		t.Error("wire-concatenated dataset differs from the global collector")
 	}
 }
@@ -116,7 +117,7 @@ func TestEncodeShardRejectsNil(t *testing.T) {
 // TestDecodeShardRejectsGarbage: a payload that is not a shard blob must
 // fail loudly, pointing at a build mismatch.
 func TestDecodeShardRejectsGarbage(t *testing.T) {
-	_, _, err := DecodeShard([]byte("not a gob stream at all"))
+	_, _, err := DecodeShard([]byte("not a shard blob at all"))
 	if err == nil || !strings.Contains(err.Error(), "build mismatch") {
 		t.Fatalf("DecodeShard(garbage) = %v, want build-mismatch error", err)
 	}
@@ -126,35 +127,51 @@ func TestDecodeShardRejectsGarbage(t *testing.T) {
 // envelope version is rejected, not merged.
 func TestDecodeShardRejectsVersion(t *testing.T) {
 	sp := testSpec{Sessions: 8, ShardSize: 8, BaseSeed: 11}
-	acc, data := shardResult(t, sp, 0, 0)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(shardBlob{Version: BlobVersion + 1, Acc: acc, Data: data}); err != nil {
+	blob, err := EncodeShard(shardResult(t, sp, 0, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := DecodeShard(buf.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("DecodeShard(version+1) = %v, want version error", err)
+	blob[0] = BlobVersion + 1
+	_, _, err = DecodeShard(blob)
+	var v *wire.VersionError
+	if !errors.As(err, &v) {
+		t.Fatalf("DecodeShard(version+1) = %v, want *wire.VersionError", err)
 	}
 }
 
-// TestDecodeShardRejectsMissingFields: a blob with the right version but a
-// nil accumulator or dataset is rejected.
+// TestDecodeShardRejectsMissingFields: a blob with the right version but
+// without the accumulator or the dataset is rejected.
 func TestDecodeShardRejectsMissingFields(t *testing.T) {
 	sp := testSpec{Sessions: 8, ShardSize: 8, BaseSeed: 11}
 	acc, data := shardResult(t, sp, 0, 0)
-	for _, c := range []struct {
-		name string
-		blob shardBlob
-	}{
-		{"nil-acc", shardBlob{Version: BlobVersion, Data: data}},
-		{"nil-data", shardBlob{Version: BlobVersion, Acc: acc}},
+	for name, blob := range map[string][]byte{
+		"no-acc":  data.AppendTo([]byte{BlobVersion}),
+		"no-data": acc.AppendTo([]byte{BlobVersion}),
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(c.blob); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := DecodeShard(buf.Bytes()); err == nil {
-			t.Errorf("%s: DecodeShard accepted a blob with a missing field", c.name)
+		if _, _, err := DecodeShard(blob); err == nil {
+			t.Errorf("%s: DecodeShard accepted a blob with a missing field", name)
 		}
 	}
+}
+
+// FuzzDecodeShard: any blob either fails to decode, with an error, or
+// decodes to an accumulator and dataset that re-encode to the same bytes.
+func FuzzDecodeShard(f *testing.F) {
+	acc, data := shardResult(f, testSpec{Sessions: 2, ShardSize: 2, BaseSeed: 11}, 0, 0)
+	data.Streams = data.Streams[:1] // a small seed mutates fast
+	data.Streams[0].Chunks = data.Streams[0].Chunks[:3]
+	blob, err := EncodeShard(acc, data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		acc, data, err := DecodeShard(b)
+		if err != nil {
+			return
+		}
+		if got, _ := EncodeShard(acc, data); !bytes.Equal(got, b) {
+			t.Fatalf("blob %x re-encodes as %x", b, got)
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -38,12 +37,6 @@ func TestMain(m *testing.M) {
 		crashAssignWorker()
 	case "old-version":
 		oldVersionWorker()
-	case "golden-assign":
-		if err := sendFrame(bufio.NewWriter(os.Stdout), frameAssign, assignMsg{1, 2, 3}); err != nil {
-			fmt.Fprintln(os.Stderr, "golden-assign:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown PUFFER_DIST_TEST_MODE")
 		os.Exit(2)
@@ -101,7 +94,7 @@ func crashAssignWorker() {
 		}
 		switch typ {
 		case frameHello:
-			_ = sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion})
+			_ = sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion}.appendTo(nil))
 			_ = sendFrame(bw, frameClaim, nil)
 		case frameAssign:
 			os.Exit(4)
@@ -118,7 +111,7 @@ func oldVersionWorker() {
 	if _, _, _, err := wire.ReadFrame(br, nil, maxFrame); err != nil {
 		os.Exit(0)
 	}
-	_ = sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion + 7})
+	_ = sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion + 7}.appendTo(nil))
 	for {
 		if _, _, _, err := wire.ReadFrame(br, nil, maxFrame); err != nil {
 			os.Exit(0)
@@ -165,24 +158,6 @@ func foldReference(sp testSpec, day int, model *core.TTP) (*experiment.TrialAcc,
 	return acc, col.Dataset()
 }
 
-func accBytes(t *testing.T, acc *experiment.TrialAcc) []byte {
-	t.Helper()
-	b, err := acc.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func dataBytes(t *testing.T, d *core.Dataset) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // requireDayIdentical runs one day on the pool and byte-compares the
 // merged accumulator and dataset against the single-process reference.
 func requireDayIdentical(t *testing.T, p *Pool, sp testSpec, day int, model *core.TTP) {
@@ -192,10 +167,10 @@ func requireDayIdentical(t *testing.T, p *Pool, sp testSpec, day int, model *cor
 		t.Fatalf("RunDay(%d): %v", day, err)
 	}
 	wantAcc, wantData := foldReference(sp, day, model)
-	if !bytes.Equal(accBytes(t, acc), accBytes(t, wantAcc)) {
+	if !bytes.Equal(acc.AppendTo(nil), wantAcc.AppendTo(nil)) {
 		t.Errorf("day %d: merged accumulator differs from single-process reference", day)
 	}
-	if !bytes.Equal(dataBytes(t, data), dataBytes(t, wantData)) {
+	if !bytes.Equal(data.AppendTo(nil), wantData.AppendTo(nil)) {
 		t.Errorf("day %d: merged dataset differs from single-process reference", day)
 	}
 }
@@ -316,19 +291,42 @@ func TestFaultAttemptGating(t *testing.T) {
 	}
 }
 
-// TestAssignFrameGolden pins the bytes of one assign frame as the parent of
-// the internal/wire change wrote them. gob numbers a process's types in
-// first-use order, so the frame is written by a fresh process (the
-// golden-assign mode above), where assignMsg is the first type encoded.
+// TestAssignFrameGolden pins the bytes of one assign frame: the frame
+// header, then day, shard and attempt as big-endian i32s.
 func TestAssignFrameGolden(t *testing.T) {
-	const want = "0000004004347f0301010961737369676e4d736701ff800001030103446179010400010553686172640104000107417474656d7074010400000009ff8001020104010600"
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "PUFFER_DIST_TEST_MODE=golden-assign")
-	out, err := cmd.Output()
-	if err != nil {
+	const want = "0000000d04000000010000000200000003"
+	var buf bytes.Buffer
+	if err := sendFrame(bufio.NewWriter(&buf), frameAssign, assignMsg{1, 2, 3}.appendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(out); got != want {
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
 		t.Fatalf("assign frame bytes changed:\n got %s\nwant %s", got, want)
 	}
+}
+
+// FuzzDecodePayload: any payload either fails to decode as a message, with
+// an error, or decodes to one that re-encodes to the same bytes — for every
+// message the protocol has.
+func FuzzDecodePayload(f *testing.F) {
+	type message interface {
+		appendTo(b []byte) []byte
+		wire.Decoder
+	}
+	for _, m := range []message{
+		&helloMsg{ProtocolVersion, 1, []byte(`{"Sessions":8}`)}, &helloOKMsg{ProtocolVersion},
+		&dayMsg{1, testModel().AppendTo(nil)}, &assignMsg{1, 2, 3},
+		&resultMsg{assignMsg{1, 2, 3}, []byte{BlobVersion}}, &errorMsg{"dist: boom"},
+	} {
+		f.Add(m.appendTo(nil))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, m := range []message{&helloMsg{}, &helloOKMsg{}, &dayMsg{}, &assignMsg{}, &resultMsg{}, &errorMsg{}} {
+			if wire.Decode(b, m) != nil {
+				continue
+			}
+			if got := m.appendTo(nil); !bytes.Equal(got, b) {
+				t.Fatalf("%T re-encodes %x as %x", m, b, got)
+			}
+		}
+	})
 }

@@ -2,8 +2,8 @@
 // processes: a coordinator (a Pool, which scenario.Run puts behind the
 // runner's DayEngine seam for engine.kind "dist") partitions each day's
 // sessions into the existing shard units, broadcasts the day's model bytes
-// and the canonical scenario spec over a length-prefixed gob/stdio
-// protocol, lets workers claim shards, and merges the returned accumulator
+// and the canonical scenario spec over a stdio protocol of internal/wire
+// frames whose payloads are fixed layouts, lets workers claim shards, and merges the returned accumulator
 // blobs in shard order — making the distributed result byte-identical to
 // the single-process engine at the same seeds.
 //

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -122,11 +121,7 @@ func (p *Pool) RunDay(day int, model *core.TTP, sessions, shardSize int) (*exper
 	}
 	var modelBytes []byte
 	if model != nil {
-		var buf bytes.Buffer
-		if err := model.Save(&buf); err != nil {
-			return nil, nil, fmt.Errorf("dist: encoding day %d model: %w", day, err)
-		}
-		modelBytes = buf.Bytes()
+		modelBytes = model.AppendTo(nil)
 	}
 	p.day, p.model = day, modelBytes
 
@@ -146,7 +141,7 @@ func (p *Pool) RunDay(day int, model *core.TTP, sessions, shardSize int) (*exper
 			}
 			p.slots[i] = w
 		}
-		if err := sendFrame(p.slots[i].bw, frameDay, dayMsg{Day: day, Model: modelBytes}); err != nil {
+		if err := sendFrame(p.slots[i].bw, frameDay, dayMsg{Day: day, Model: modelBytes}.appendTo(nil)); err != nil {
 			if rerr := p.replace(i, fmt.Errorf("broadcasting day %d: %w", day, err)); rerr != nil {
 				return nil, nil, rerr
 			}
@@ -227,7 +222,7 @@ func (p *Pool) runShard(slot int, a assignMsg, sessions, shardSize int) (*shardO
 	if f.typ != frameClaim {
 		return nil, p.workerFrameError(w, f, frameClaim)
 	}
-	if err := sendFrame(w.bw, frameAssign, a); err != nil {
+	if err := sendFrame(w.bw, frameAssign, a.appendTo(nil)); err != nil {
 		return nil, fmt.Errorf("worker %d: sending assign: %w", slot, err)
 	}
 	f, err = p.await(w, fmt.Sprintf("day %d shard %d result", a.Day, a.Shard))
@@ -241,7 +236,7 @@ func (p *Pool) runShard(slot int, a assignMsg, sessions, shardSize int) (*shardO
 	if err := decodePayload(f.typ, f.payload, &res); err != nil {
 		return nil, err
 	}
-	if res.Day != a.Day || res.Shard != a.Shard || res.Attempt != a.Attempt {
+	if res.assignMsg != a {
 		return nil, &fatalError{fmt.Errorf("dist: worker %d returned day %d shard %d attempt %d for assignment day %d shard %d attempt %d",
 			slot, res.Day, res.Shard, res.Attempt, a.Day, a.Shard, a.Attempt)}
 	}
@@ -313,7 +308,7 @@ func (p *Pool) startWorker(slot int) (*workerProc, error) {
 	go readFrames(stdout, w.frames)
 
 	hello := func() error {
-		if err := sendFrame(w.bw, frameHello, helloMsg{Version: ProtocolVersion, Worker: slot, Spec: p.cfg.Spec}); err != nil {
+		if err := sendFrame(w.bw, frameHello, helloMsg{Version: ProtocolVersion, Worker: slot, Spec: p.cfg.Spec}.appendTo(nil)); err != nil {
 			return fmt.Errorf("dist: worker %d hello: %w", slot, err)
 		}
 		f, err := p.await(w, "hello-ok")
@@ -365,7 +360,7 @@ func (p *Pool) replace(slot int, cause error) error {
 		return fmt.Errorf("dist: replacing worker %d: %w", slot, err)
 	}
 	workerRestarts.Inc()
-	if err := sendFrame(w.bw, frameDay, dayMsg{Day: p.day, Model: p.model}); err != nil {
+	if err := sendFrame(w.bw, frameDay, dayMsg{Day: p.day, Model: p.model}.appendTo(nil)); err != nil {
 		p.kill(w)
 		return fmt.Errorf("dist: replacing worker %d: re-broadcasting day %d: %w", slot, p.day, err)
 	}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -44,7 +43,7 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 
 	fail := func(err error) error {
 		// Best effort: the coordinator may already be gone.
-		_ = sendFrame(bw, frameError, errorMsg{Msg: err.Error()})
+		_ = sendFrame(bw, frameError, errorMsg{Msg: err.Error()}.appendTo(nil))
 		return err
 	}
 
@@ -77,7 +76,7 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 			if dayFn, err = factory(h.Spec); err != nil {
 				return fail(fmt.Errorf("dist: worker %d: compiling spec: %w", h.Worker, err))
 			}
-			if err := sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion}); err != nil {
+			if err := sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion}.appendTo(nil)); err != nil {
 				return err
 			}
 			// First claim: ready for work as soon as a day arrives.
@@ -94,7 +93,7 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 			}
 			var model *core.TTP
 			if len(d.Model) > 0 {
-				if model, err = core.Load(bytes.NewReader(d.Model)); err != nil {
+				if model, err = core.Load(d.Model); err != nil {
 					return fail(fmt.Errorf("dist: day %d model bytes: %w", d.Day, err))
 				}
 			}
@@ -114,7 +113,7 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 			if err != nil {
 				return fail(err)
 			}
-			if err := sendFrame(bw, frameResult, resultMsg{Day: a.Day, Shard: a.Shard, Attempt: a.Attempt, Blob: blob}); err != nil {
+			if err := sendFrame(bw, frameResult, resultMsg{a, blob}.appendTo(nil)); err != nil {
 				return err
 			}
 			if err := sendFrame(bw, frameClaim, nil); err != nil {

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,13 +8,14 @@ import (
 	"sync"
 
 	"puffer/internal/stats"
+	"puffer/internal/wire"
 )
 
 // SchemeAcc is one scheme's mergeable analysis state: the CONSORT counters
 // plus the per-stream series the estimators need. Shards (and days, in the
 // continual runner) each accumulate privately, then merge in a deterministic
-// order; the bootstrap runs once on the merged state. Fields are exported so
-// accumulators can be checkpointed with gob.
+// order; the bootstrap runs once on the merged state. TrialAcc's layout
+// carries it to checkpoints and between processes.
 type SchemeAcc struct {
 	Name string
 
@@ -82,43 +81,72 @@ func (t *TrialAcc) scheme(name string) *SchemeAcc {
 	return a
 }
 
-// trialAccWire is the deterministic gob form of TrialAcc: the scheme
-// accumulators as a name-sorted slice. Encoding the Schemes map directly
-// would write it in Go's randomized map iteration order, making the
-// checkpointed acc.gob bytes vary run to run even for identical results.
-type trialAccWire struct {
-	Filter  AnalysisFilter
-	Schemes []SchemeAcc
-}
+// accVersion is the version byte of TrialAcc's layout.
+const accVersion = 1
 
-// GobEncode implements gob.GobEncoder with byte-reproducible output:
-// encoding the same accumulator state always yields the same bytes, so
-// checkpoint trees can be compared with cmp/diff.
-func (t *TrialAcc) GobEncode() ([]byte, error) {
-	w := trialAccWire{Filter: t.Filter}
+// minSchemeLayout is the fewest bytes one scheme's layout takes: an empty
+// name, the eight counters, the two sums and five empty series.
+const minSchemeLayout = 2 + 8*8 + 2*8 + 4 + 4*2*4
+
+// AppendTo appends the accumulator's fixed layout: the version byte, the
+// filter, then a u32 count and each scheme in name order — one order for
+// one state, so checkpoint trees compare with cmp.
+func (t *TrialAcc) AppendTo(b []byte) []byte {
+	b = append(b, accVersion, byte(t.Filter))
+	b = wire.AppendU32(b, uint32(len(t.Schemes)))
 	for _, name := range sortedSchemeNames(t.Schemes) {
-		w.Schemes = append(w.Schemes, *t.Schemes[name])
+		b = t.Schemes[name].appendTo(b)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b
 }
 
-// GobDecode implements gob.GobDecoder for the wire form above.
-func (t *TrialAcc) GobDecode(b []byte) error {
-	var w trialAccWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
+// Decode reads what AppendTo wrote into t. Schemes out of name order (or
+// named twice) fail r: no other bytes re-encode to themselves.
+func (t *TrialAcc) Decode(r *wire.Reader) {
+	r.Version("accumulator", accVersion)
+	t.Filter = AnalysisFilter(r.U8())
+	n := r.Count(minSchemeLayout)
+	t.Schemes = make(map[string]*SchemeAcc, n)
+	prev := ""
+	for i := 0; i < n && r.Err() == nil; i++ {
+		a := &SchemeAcc{}
+		a.decode(r)
+		if i > 0 && a.Name <= prev {
+			r.Fail(fmt.Errorf("experiment: scheme %q after %q is out of name order", a.Name, prev))
+		}
+		prev = a.Name
+		t.Schemes[a.Name] = a
 	}
-	t.Filter = w.Filter
-	t.Schemes = make(map[string]*SchemeAcc, len(w.Schemes))
-	for i := range w.Schemes {
-		a := w.Schemes[i]
-		t.Schemes[a.Name] = &a
+}
+
+func (a *SchemeAcc) appendTo(b []byte) []byte {
+	b = wire.AppendStr(b, a.Name)
+	for _, v := range [...]int{a.Sessions, a.Streams, a.NeverPlayed, a.ShortWatch, a.BadDecoder, a.Considered, a.VarN, a.BrN} {
+		b = wire.AppendU64(b, uint64(v))
 	}
-	return nil
+	b = wire.AppendF64(wire.AppendF64(b, a.VarSum), a.BrSum)
+	b = a.Points.AppendTo(b)
+	for _, w := range a.series() {
+		b = w.AppendTo(b)
+	}
+	return b
+}
+
+func (a *SchemeAcc) decode(r *wire.Reader) {
+	a.Name = r.Str()
+	for _, v := range [...]*int{&a.Sessions, &a.Streams, &a.NeverPlayed, &a.ShortWatch, &a.BadDecoder, &a.Considered, &a.VarN, &a.BrN} {
+		*v = int(r.U64())
+	}
+	a.VarSum, a.BrSum = r.F64(), r.F64()
+	a.Points.Decode(r)
+	for _, w := range a.series() {
+		w.Decode(r)
+	}
+}
+
+// series lists the weighted series in layout order.
+func (a *SchemeAcc) series() [4]*stats.WeightedAcc {
+	return [...]*stats.WeightedAcc{&a.SSIM, &a.Startup, &a.FirstSSIM, &a.Duration}
 }
 
 // AddSession folds one session's streams into the accumulator, applying the

@@ -2,17 +2,17 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"puffer/internal/stats"
+	"puffer/internal/wire"
 )
 
-// gobAcc is a small multi-scheme accumulator with every field populated,
+// codecAcc is a small multi-scheme accumulator with every field populated,
 // so the wire form covers the whole struct.
-func gobAcc() *TrialAcc {
+func codecAcc() *TrialAcc {
 	acc := NewTrialAcc(AllPaths)
 	for i, name := range []string{"Fugu", "BBA", "MPC-HM", "RobustMPC-HM", "Pensieve", "Fugu-Feb"} {
 		a := acc.scheme(name)
@@ -27,38 +27,39 @@ func gobAcc() *TrialAcc {
 }
 
 // TestTrialAccGobDeterministic: encoding the same accumulator state must
-// always produce the same bytes — checkpointed acc.gob files are part of
-// the byte-reproducibility contract, and a raw map encoding would order
+// always produce the same bytes — checkpointed acc.bin files are part of
+// the byte-reproducibility contract, and walking the map would order
 // schemes randomly per run.
 func TestTrialAccGobDeterministic(t *testing.T) {
-	var first []byte
+	first := codecAcc().AppendTo(nil)
 	for i := 0; i < 50; i++ {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobAcc()); err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(first, buf.Bytes()) {
+		if !bytes.Equal(first, codecAcc().AppendTo(nil)) {
 			t.Fatalf("encoding %d differs from the first encoding", i)
 		}
 	}
 }
 
+// TestTrialAccGobRoundTrip: the layout round-trips the whole accumulator,
+// empty series decoding nil; bytes that name schemes out of name order,
+// or twice, are refused.
 func TestTrialAccGobRoundTrip(t *testing.T) {
-	acc := gobAcc()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(acc); err != nil {
-		t.Fatal(err)
-	}
+	acc := codecAcc()
 	got := NewTrialAcc(SlowPaths) // decode must overwrite the filter too
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(got); err != nil {
+	if err := wire.Decode(acc.AppendTo(nil), got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(acc, got) {
 		t.Fatalf("round trip changed the accumulator:\nwant %s\ngot  %s",
 			fmt.Sprintf("%+v", acc), fmt.Sprintf("%+v", got))
+	}
+	empty := NewTrialAcc(AllPaths)
+	empty.scheme("")
+	if err := wire.Decode(empty.AppendTo(nil), got); err != nil || !reflect.DeepEqual(empty, got) {
+		t.Fatalf("an empty scheme round-tripped to %+v (%v)", got.Schemes[""], err)
+	}
+	twice := []byte{accVersion, byte(AllPaths), 0, 0, 0, 2}
+	twice = acc.Schemes["BBA"].appendTo(acc.Schemes["BBA"].appendTo(twice))
+	if err := wire.Decode(twice, got); err == nil {
+		t.Fatal("a scheme named twice decoded")
 	}
 }

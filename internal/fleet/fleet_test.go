@@ -32,17 +32,6 @@ func deployTrial(t *core.TTP, sessions int, seed int64) *experiment.Config {
 	}
 }
 
-// accBytes is an accumulator's exact state, in TrialAcc's own name-sorted
-// encoding.
-func accBytes(t *testing.T, acc *experiment.TrialAcc) []byte {
-	t.Helper()
-	b, err := acc.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // seqShardAcc folds the trial sequentially through the canonical sharded
 // aggregation, computing each session directly (no fleet engine involved).
 func seqShardAcc(trial *experiment.Config, shardSize int) *experiment.TrialAcc {
@@ -73,17 +62,10 @@ func TestFleetMatchesSequentialDeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(accBytes(t, want), accBytes(t, got)) {
+	if !bytes.Equal(want.AppendTo(nil), got.AppendTo(nil)) {
 		t.Fatal("fleet accumulator differs from sequential shard fold")
 	}
-	var a, b bytes.Buffer
-	if err := seqCol.Dataset().Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := fleetCol.Dataset().Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(seqCol.Dataset().AppendTo(nil), fleetCol.Dataset().AppendTo(nil)) {
 		t.Fatal("fleet-collected telemetry differs from sequential telemetry")
 	}
 	if st.Deferred == 0 || st.Rows == 0 {
@@ -112,7 +94,7 @@ func TestFleetMatchesSequentialBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(accBytes(t, want), accBytes(t, got)) {
+	if !bytes.Equal(want.AppendTo(nil), got.AppendTo(nil)) {
 		t.Fatal("fleet accumulator differs from sequential on the bootstrap mixture")
 	}
 	if st.Deferred != 0 || st.Rows != 0 {
@@ -132,7 +114,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := accBytes(t, base)
+	want := base.AppendTo(nil)
 
 	variants := []Config{
 		{ShardSize: shard, Workers: 8, Tick: 0.25},
@@ -146,7 +128,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want, accBytes(t, acc)) {
+		if !bytes.Equal(want, acc.AppendTo(nil)) {
 			t.Fatalf("variant %d (%+v): results differ from baseline", i, fc)
 		}
 		if st.Decisions != baseStats.Decisions || st.Deferred != baseStats.Deferred || st.Rows != baseStats.Rows {
@@ -159,7 +141,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, accBytes(t, again)) {
+	if !bytes.Equal(want, again.AppendTo(nil)) {
 		t.Fatal("rerun differs")
 	}
 	if againStats.Flushes != baseStats.Flushes || againStats.Batches != baseStats.Batches ||

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,11 +198,7 @@ func TestForwardBatchNoAlloc(t *testing.T) {
 func TestLoadedModelKeepsBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	m := NewMLP(rng, 22, 64, 64, 21)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := decodeAll(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

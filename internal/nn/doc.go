@@ -4,12 +4,13 @@
 // the Pensieve policy network. It provides fully-connected layers with ReLU
 // activations, a softmax/cross-entropy classification step and a
 // policy-gradient step, SGD and Adam optimizers, per-sample weighting (the
-// paper's recency-weighted training), and gob serialization.
+// paper's recency-weighted training), and a fixed-layout codec (AppendTo,
+// Decode).
 //
 // Inference has one entry point and one forward pass: MLP.Packed returns
 // the network's packed snapshot (PackedMLP: transposed weights), built on
 // first use, shared by every caller and dropped by every parameter write in
-// this package (Optimizer.Step, Pack). The TTP predictor, the fleet and
+// this package (Optimizer.Step). The TTP predictor, the fleet and
 // serve inference service, the evaluation sweeps and the Pensieve agent all
 // run its ForwardBatchInto / PredictDistBatch with a BatchWorkspace of their
 // own. Each row of each layer is one affineRowT (below), the trainer's own
@@ -78,10 +79,10 @@
 //
 // Main entry points:
 //
-//   - MLP / NewMLP: the network; Packed for inference, Save/Load (gob) for
-//     serialization, Pack to validate and re-home a model decoded some
-//     other way. Parameters live in one contiguous slab, which is what
-//     the optimizers' one elementwise pass exploits.
+//   - MLP / NewMLP: the network; Packed for inference, AppendTo/Decode
+//     for its fixed layout on internal/wire (the widths, then the slab).
+//     Parameters live in one contiguous slab, which is what the
+//     optimizers' one elementwise pass exploits.
 //   - Trainer with an Optimizer (SGD, Adam): TrainClassBatch, minibatch
 //     supervised training with optional per-sample weights, and
 //     PolicyGradStep, the REINFORCE step.

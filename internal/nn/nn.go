@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 )
 
@@ -11,11 +12,11 @@ import (
 // the output layer is linear (interpret the outputs as logits for
 // classification or as raw values for regression).
 //
-// Fields are exported for gob serialization and are read-only outside this
-// package. That rule is load-bearing: inference runs on a cached packed
-// snapshot (see Packed) that only this package's writers — Optimizer.Step
-// and Pack — know to drop, so a weight written from outside leaves every
-// consumer serving the old values. Do not reassign the W or B slices
+// Fields are exported for reading and are read-only outside this package.
+// That rule is load-bearing: inference runs on a cached packed snapshot
+// (see Packed) that only this package's writer — Optimizer.Step — knows to
+// drop, so a weight written from outside leaves every consumer serving the
+// old values. Do not reassign the W or B slices
 // either: they alias a single contiguous parameter slab (cache-friendly for
 // the batched kernel), and replacing a slice header silently detaches it
 // from the slab. An MLP holds an atomic and must not be copied by value.
@@ -32,12 +33,12 @@ type MLP struct {
 
 	// flat is the contiguous backing array that W and B alias, laid out
 	// layer by layer as W[0] B[0] W[1] B[1] ... so a forward pass walks
-	// memory monotonically. Nil for models built by hand or decoded from
-	// gob until Pack runs.
+	// memory monotonically. Every MLP this package hands out has one:
+	// NewMLP, Clone and Decode all build it.
 	flat []float64
 
 	// packed caches the snapshot Packed returns. Nil after construction,
-	// Clone, gob decode and every in-package parameter write.
+	// Clone, Decode and every in-package parameter write.
 	packed atomic.Pointer[PackedMLP]
 }
 
@@ -94,29 +95,9 @@ func (m *MLP) layerViews(slab []float64) (w, b [][]float64) {
 	return w, b
 }
 
-// Pack validates the model's structure (Sizes against the lengths of W and
-// B) and re-homes its parameters into the contiguous slab layout, values
-// preserved exactly. It is the one validated way in for a model this package
-// did not build: Load runs it, and anything that gob-decodes an MLP directly
-// must call it before using the model — a decoded model is whatever bytes
-// the file held.
-func (m *MLP) Pack() error {
-	if err := m.validate(); err != nil {
-		return err
-	}
-	m.packed.Store(nil)
-	w, b := m.W, m.B
-	m.alloc()
-	for l := range w {
-		copy(m.W[l], w[l])
-		copy(m.B[l], b[l])
-	}
-	return nil
-}
-
 // SameShape reports whether m and o have identical layer sizes (and can
 // therefore share batch workspaces).
-func (m *MLP) SameShape(o *MLP) bool { return sameSizes(m.Sizes, o.Sizes) }
+func (m *MLP) SameShape(o *MLP) bool { return slices.Equal(m.Sizes, o.Sizes) }
 
 // NumLayers returns the number of weight layers (len(Sizes)-1).
 func (m *MLP) NumLayers() int { return len(m.Sizes) - 1 }
@@ -128,36 +109,15 @@ func (m *MLP) InputSize() int { return m.Sizes[0] }
 func (m *MLP) OutputSize() int { return m.Sizes[len(m.Sizes)-1] }
 
 // NumParams returns the total number of scalar parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.W {
-		n += len(m.W[l]) + len(m.B[l])
-	}
-	return n
-}
+func (m *MLP) NumParams() int { return len(m.flat) }
 
 // Clone returns a deep copy of the network. Used to warm-start retraining
 // from yesterday's model, as the paper does.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Sizes: append([]int(nil), m.Sizes...)}
 	c.alloc()
-	for l := range m.W {
-		copy(c.W[l], m.W[l])
-		copy(c.B[l], m.B[l])
-	}
+	copy(c.flat, m.flat)
 	return c
-}
-
-func sameSizes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BatchWorkspace holds flat row-major activation matrices for batched
@@ -199,7 +159,7 @@ func (ws *BatchWorkspace) grow(rows int) {
 // ensure validates the workspace against a network's layer sizes and
 // guarantees room for rows.
 func (ws *BatchWorkspace) ensure(sizes []int, rows int) {
-	if !sameSizes(ws.sizes, sizes) {
+	if !slices.Equal(ws.sizes, sizes) {
 		panic("nn: batch workspace shape does not match network")
 	}
 	if rows > ws.rows {

@@ -1,11 +1,15 @@
 package nn
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"puffer/internal/wire"
 )
 
 func TestNewMLPShapes(t *testing.T) {
@@ -347,11 +351,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestSerializationRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := NewMLP(rng, 22, 64, 64, 21)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := decodeAll(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,21 +367,44 @@ func TestSerializationRoundtrip(t *testing.T) {
 	}
 }
 
+// decodeAll decodes the one network b must hold, and nothing else.
+func decodeAll(b []byte) (*MLP, error) {
+	m := new(MLP)
+	if err := wire.Decode(b, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestLoadRejectsCorruptModel(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Fatal("Load accepted garbage input")
+	if _, err := decodeAll([]byte("not a model layout")); err == nil {
+		t.Fatal("Decode accepted garbage input")
 	}
 }
 
+// TestValidateCatchesShapeMismatch: widths that do not give the slab's
+// length, a width out of range and too few layers are each refused with
+// ErrBadModel; a slab count past the end is refused before it is allocated.
 func TestValidateCatchesShapeMismatch(t *testing.T) {
-	m := NewMLP(rand.New(rand.NewSource(1)), 3, 2)
-	m.W[0] = m.W[0][:3] // corrupt
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
+	good := NewMLP(rand.New(rand.NewSource(1)), 3, 2).AppendTo(nil)
+	patch := func(at int, v uint32) []byte {
+		b := slices.Clone(good)
+		binary.BigEndian.PutUint32(b[at:], v)
+		return b
 	}
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("Load accepted a shape-corrupted model")
+	for name, b := range map[string][]byte{
+		"widths disagree with the slab": patch(4, 4),
+		"width zero":                    patch(8, 0),
+		"width past MaxWidth":           patch(8, MaxWidth+1),
+		"one layer":                     append(wire.AppendU32(wire.AppendU32(nil, 1), 3), good[12:]...),
+	} {
+		if _, err := decodeAll(b); !errors.Is(err, ErrBadModel) {
+			t.Errorf("%s: Decode returned %v, want ErrBadModel", name, err)
+		}
+	}
+	var count *wire.CountError
+	if _, err := decodeAll(patch(12, 1<<30)); !errors.As(err, &count) {
+		t.Errorf("a slab count past the end: Decode returned %v, want *wire.CountError", err)
 	}
 }
 

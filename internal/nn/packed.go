@@ -41,7 +41,7 @@ type PackedMLP struct {
 }
 
 // Packed returns the network's packed snapshot, building it on first use
-// and after every parameter write (Optimizer.Step and Pack drop the cached
+// and after every parameter write (Optimizer.Step drops the cached
 // one; Clone and decoded models start without one). It is the one entry
 // point to inference: a deployed model is transposed once, however many
 // sessions, workers and evaluation sweeps share it. Safe for concurrent

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -45,9 +44,9 @@ func servesCurrentWeights(t *testing.T, what string, net *MLP, probe []float64) 
 
 // TestPackedSnapshotIsMemoisedAndDropped: Packed hands every caller the same
 // snapshot until a writer changes the parameters, and every in-package
-// writer — both optimizers, through every Trainer entry point, and Pack —
-// drops it, so the next Packed reflects the new weights. Each writer is
-// checked on its own net so that one missing invalidation fails the test.
+// writer — both optimizers, through every Trainer entry point — drops it,
+// so the next Packed reflects the new weights. Each writer is checked on
+// its own net so that one missing invalidation fails the test.
 func TestPackedSnapshotIsMemoisedAndDropped(t *testing.T) {
 	writers := map[string]func(net *MLP, xs [][]float64, labels []int){
 		"Adam via TrainClassBatch": func(net *MLP, xs [][]float64, labels []int) {
@@ -92,32 +91,16 @@ func TestPackedSnapshotIsMemoisedAndDropped(t *testing.T) {
 			servesCurrentWeights(t, "after one step", net, probe)
 		})
 	}
-
-	t.Run("Pack", func(t *testing.T) {
-		net, _, _, probe := cacheFixture(92)
-		before := net.Packed()
-		if err := net.Pack(); err != nil {
-			t.Fatal(err)
-		}
-		if net.Packed() == before {
-			t.Fatal("Packed() returned the pre-Pack snapshot")
-		}
-		servesCurrentWeights(t, "after Pack", net, probe)
-	})
 }
 
-// TestPackedSnapshotNotSharedByCopies: Clone and a gob round trip start
+// TestPackedSnapshotNotSharedByCopies: Clone and a decoded copy start
 // with no snapshot, and training the copy neither sees nor disturbs the
 // original's.
 func TestPackedSnapshotNotSharedByCopies(t *testing.T) {
 	net, xs, labels, probe := cacheFixture(93)
 	orig := net.Packed()
 
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := decodeAll(net.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,34 +1,11 @@
 package nn
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
+
+	"puffer/internal/wire"
 )
-
-// Save writes the network to w in gob format.
-func (m *MLP) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(m); err != nil {
-		return fmt.Errorf("nn: encoding model: %w", err)
-	}
-	return nil
-}
-
-// Load reads a network in gob format from r: decode, then Pack, which
-// rejects a structurally inconsistent model and re-homes the parameters into
-// the contiguous slab layout, so loaded models serve exactly as fast as
-// freshly constructed ones.
-func Load(r io.Reader) (*MLP, error) {
-	var m MLP
-	if err := gob.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("nn: decoding model: %w", err)
-	}
-	if err := m.Pack(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
 
 // ErrBadModel is wrapped by every error that rejects a decoded model's
 // structure, here and in the packages whose model files hold nets.
@@ -39,27 +16,42 @@ var ErrBadModel = errors.New("malformed model")
 // size a slab its own bytes do not pay for.
 const MaxWidth = 1 << 12
 
-// validate checks structural consistency of a deserialized model (Pack's
-// first step).
-func (m *MLP) validate() error {
-	if len(m.Sizes) < 2 {
-		return fmt.Errorf("nn: %w: %d layers, need at least 2", ErrBadModel, len(m.Sizes))
+// AppendTo appends the network's fixed layout to b: the layer widths (a u32
+// count, then each as a u32), then the parameter slab as it sits in memory
+// (W[0] B[0] W[1] B[1] ..., a u32 count and the float bits).
+func (m *MLP) AppendTo(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(len(m.Sizes)))
+	for _, w := range m.Sizes {
+		b = wire.AppendU32(b, uint32(w))
 	}
-	if len(m.W) != len(m.Sizes)-1 || len(m.B) != len(m.Sizes)-1 {
-		return fmt.Errorf("nn: %w: %d weight layers, want %d", ErrBadModel, len(m.W), len(m.Sizes)-1)
-	}
-	for l, w := range m.Sizes {
-		if w <= 0 || w > MaxWidth {
-			return fmt.Errorf("nn: %w: layer %d width %d outside [1, %d]", ErrBadModel, l, w, MaxWidth)
+	return wire.AppendF64s(b, m.flat)
+}
+
+// Decode reads a network AppendTo wrote into m, which must be new. Widths
+// outside [1, MaxWidth], fewer than two of them, or a slab whose length the
+// widths do not give fail r with an error wrapping ErrBadModel; the slab is
+// allocated only after its count has been checked against the bytes left.
+func (m *MLP) Decode(r *wire.Reader) {
+	sizes := make([]int, r.Count(4))
+	total := 0
+	for l := range sizes {
+		sizes[l] = int(r.U32())
+		if w := sizes[l]; r.Err() == nil && (w <= 0 || w > MaxWidth) {
+			r.Fail(fmt.Errorf("nn: %w: layer %d width %d outside [1, %d]", ErrBadModel, l, w, MaxWidth))
+		}
+		if l > 0 {
+			total += sizes[l]*sizes[l-1] + sizes[l]
 		}
 	}
-	for l := range m.W {
-		if len(m.W[l]) != m.Sizes[l]*m.Sizes[l+1] {
-			return fmt.Errorf("nn: %w: layer %d weights have %d entries, want %d", ErrBadModel, l, len(m.W[l]), m.Sizes[l]*m.Sizes[l+1])
-		}
-		if len(m.B[l]) != m.Sizes[l+1] {
-			return fmt.Errorf("nn: %w: layer %d biases have %d entries, want %d", ErrBadModel, l, len(m.B[l]), m.Sizes[l+1])
-		}
+	if r.Err() == nil && len(sizes) < 2 {
+		r.Fail(fmt.Errorf("nn: %w: %d layers, need at least 2", ErrBadModel, len(sizes)))
 	}
-	return nil
+	flat := r.F64s()
+	if r.Err() == nil && len(flat) != total {
+		r.Fail(fmt.Errorf("nn: %w: %d parameters, the widths %v give %d", ErrBadModel, len(flat), sizes, total))
+	}
+	if r.Err() == nil {
+		m.Sizes, m.flat = sizes, flat
+		m.W, m.B = m.layerViews(flat)
+	}
 }

@@ -169,15 +169,8 @@ func (t *Trainer) ensureBatchWS(rows int) *batchTrainWS {
 	return bt
 }
 
-// NewTrainer creates a Trainer for net with the given optimizer. A net whose
-// parameters are not in one slab yet (built by hand) is packed first: the
-// optimizers step the slab.
+// NewTrainer creates a Trainer for net with the given optimizer.
 func NewTrainer(net *MLP, opt Optimizer) *Trainer {
-	if net.flat == nil {
-		if err := net.Pack(); err != nil {
-			panic(err)
-		}
-	}
 	t := &Trainer{
 		Net:   net,
 		Opt:   opt,

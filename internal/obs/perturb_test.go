@@ -94,18 +94,13 @@ func fingerprint(t *testing.T, res *runner.Result) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var model, data bytes.Buffer
 	if res.TTP != nil {
-		if err := res.TTP.Save(&model); err != nil {
-			t.Fatal(err)
-		}
+		blob = res.TTP.AppendTo(blob)
 	}
 	if res.Data != nil {
-		if err := res.Data.Save(&data); err != nil {
-			t.Fatal(err)
-		}
+		blob = res.Data.AppendTo(blob)
 	}
-	return append(append(blob, model.Bytes()...), data.Bytes()...)
+	return blob
 }
 
 // TestZeroPerturbationEngines: on both execution engines, a run with
@@ -235,11 +230,7 @@ func TestZeroPerturbationTrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var model bytes.Buffer
-		if err := ttp.Save(&model); err != nil {
-			t.Fatal(err)
-		}
-		return append(model.Bytes(), fmt.Sprintf("%x %v", res.Loss, res.Examples)...)
+		return append(ttp.AppendTo(nil), fmt.Sprintf("%x %v", res.Loss, res.Examples)...)
 	}
 	obsOn(t, false)
 	off := train()

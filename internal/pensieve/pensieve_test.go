@@ -1,7 +1,6 @@
 package pensieve
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"puffer/internal/netem"
 	"puffer/internal/nn"
 	"puffer/internal/tcpsim"
+	"puffer/internal/wire"
 )
 
 func testObs(buffer float64, tput float64) *abr.Observation {
@@ -134,12 +134,8 @@ func TestSampleDistribution(t *testing.T) {
 func TestSaveLoadRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewAgent(NewUntrainedPolicy(rng))
-	var buf bytes.Buffer
-	if err := a.Policy().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	policy, err := nn.Load(&buf)
-	if err != nil {
+	policy := new(nn.MLP)
+	if err := wire.Decode(a.Policy().AppendTo(nil), policy); err != nil {
 		t.Fatal(err)
 	}
 	b := NewAgent(policy)

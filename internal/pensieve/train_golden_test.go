@@ -18,8 +18,8 @@ const (
 
 // TestTrainGolden pins pensieve.Train bit for bit: rollouts on the packed
 // snapshot, the policy-gradient step, Adam. The hash runs over the
-// math.Float64bits of every W[l] then B[l], little-endian — not gob bytes,
-// whose type ids depend on what the process encoded before.
+// math.Float64bits of every W[l] then B[l], little-endian — not a file
+// layout, which may change while the parameters do not.
 func TestTrainGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("math.Exp is a different implementation off amd64")

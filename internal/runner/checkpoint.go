@@ -1,16 +1,12 @@
 package runner
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
@@ -21,42 +17,25 @@ import (
 // results; each completed day owns <dir>/day_NNN/ holding
 //
 //	stats.json    — the day's DayStats (human-readable record)
-//	acc.gob       — the day's merged TrialAcc (exact accumulator state)
-//	telemetry.gob — the day's Dataset (rebuilds the sliding window)
+//	acc.bin       — the day's merged TrialAcc (exact accumulator state)
+//	telemetry.bin — the day's Dataset (rebuilds the sliding window)
 //	ttp.model     — the model serving the NEXT day (post-nightly rotation)
 //
-// A day directory is written under a dot-prefixed temp name and committed
-// with one wire.Rename, so a kill or a host crash leaves a complete day or
-// none. Gob and Go's JSON both round-trip float64 exactly, which is
-// what makes resumed runs byte-identical to uninterrupted ones.
+// The .bin files and ttp.model are their types' fixed layouts on
+// internal/wire. A day directory is written under a dot-prefixed temp name
+// and committed with one wire.Rename, so a kill or a host crash leaves a
+// complete day or none. The layouts carry float bits and Go's JSON
+// round-trips float64 exactly, which is what makes resumed runs
+// byte-identical to uninterrupted ones. A day of gob files (acc.gob) is
+// refused on resume: it lacks acc.bin.
 
 const (
 	manifestFile  = "manifest.json"
 	statsFile     = "stats.json"
-	accFile       = "acc.gob"
-	telemetryFile = "telemetry.gob"
+	accFile       = "acc.bin"
+	telemetryFile = "telemetry.bin"
 	modelFile     = "ttp.model"
 )
-
-// gobWarmOnce backs gobTypeWarmup.
-var gobWarmOnce sync.Once
-
-// gobTypeWarmup pins encoding/gob's process-global type-id assignment for
-// every type the checkpoint files contain, in the order a plain
-// single-process run would first encode them. Gob allocates wire type ids
-// globally in first-use order and embeds those ids in every stream, so any
-// engine that speaks gob before the first checkpoint write (the dist
-// coordinator's worker protocol does) would otherwise shift the ids inside
-// acc.gob / telemetry.gob / ttp.model and break checkpoint byte-identity
-// across engines. Run calls this before anything else touches gob.
-func gobTypeWarmup() {
-	gobWarmOnce.Do(func() {
-		_ = gob.NewEncoder(io.Discard).Encode(experiment.NewTrialAcc(experiment.AllPaths))
-		_ = (&core.Dataset{}).Save(io.Discard)
-		rng := rand.New(rand.NewSource(0))
-		_ = core.NewTTP(rng, 1, nil, core.DefaultFeatures(), core.KindTransTime).Save(io.Discard)
-	})
-}
 
 // manifest guards a checkpoint directory against resuming under a
 // different experiment. The guard is one hash, the spec's GuardHash (the
@@ -186,16 +165,16 @@ func (r *state) checkpointDay(ds DayStats, acc *experiment.TrialAcc, data *core.
 		return fmt.Errorf("runner: encoding day stats: %w", err)
 	}
 	files := []struct {
-		name  string
-		write func(io.Writer) error
+		name string
+		blob []byte
 	}{
-		{statsFile, writeBlob(blob)},
-		{accFile, func(w io.Writer) error { return gob.NewEncoder(w).Encode(acc) }},
-		{telemetryFile, data.Save},
-		{modelFile, r.slot.Load().Save},
+		{statsFile, blob},
+		{accFile, acc.AppendTo(nil)},
+		{telemetryFile, data.AppendTo(nil)},
+		{modelFile, r.slot.Load().AppendTo(nil)},
 	}
 	for _, f := range files {
-		if err := wire.WriteFile(filepath.Join(tmp, f.name), f.write); err != nil {
+		if err := wire.WriteFile(filepath.Join(tmp, f.name), writeBlob(f.blob)); err != nil {
 			return fmt.Errorf("runner: writing %s: %w", f.name, err)
 		}
 	}
@@ -228,15 +207,14 @@ func loadDay(dir string) (DayStats, *experiment.TrialAcc, *core.Dataset, *core.T
 	if err := json.Unmarshal(raw[0], &ds); err != nil {
 		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", statsFile, err)
 	}
-	acc := experiment.NewTrialAcc(experiment.AllPaths)
-	if err := gob.NewDecoder(bytes.NewReader(raw[1])).Decode(acc); err != nil {
+	acc, data := new(experiment.TrialAcc), new(core.Dataset)
+	if err := wire.Decode(raw[1], acc); err != nil {
 		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", accFile, err)
 	}
-	data, err := core.LoadDataset(bytes.NewReader(raw[2]))
-	if err != nil {
+	if err := wire.Decode(raw[2], data); err != nil {
 		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", telemetryFile, err)
 	}
-	model, err := core.Load(bytes.NewReader(raw[3]))
+	model, err := core.Load(raw[3])
 	if err != nil {
 		return ds, nil, nil, nil, fmt.Errorf("decoding %s: %w", modelFile, err)
 	}

@@ -31,13 +31,11 @@ func crossEngineFingerprint(t *testing.T, res *runner.Result) []byte {
 	for i := range stripped.Days {
 		stripped.Days[i].Fleet = nil
 	}
-	var data bytes.Buffer
+	fp := fingerprint(t, &stripped)
 	if res.Data != nil {
-		if err := res.Data.Save(&data); err != nil {
-			t.Fatal(err)
-		}
+		fp = res.Data.AppendTo(fp)
 	}
-	return append(fingerprint(t, &stripped), data.Bytes()...)
+	return fp
 }
 
 // TestRunnerFleetMatchesSequential: the fleet engine's multi-day run

@@ -275,7 +275,6 @@ type state struct {
 
 // Run executes (or resumes) the continual experiment.
 func Run(cfg Config) (*Result, error) {
-	gobTypeWarmup()
 	if cfg.Days <= 0 {
 		return nil, fmt.Errorf("runner: Days = %d, must be positive", cfg.Days)
 	}

@@ -44,13 +44,10 @@ func fingerprint(t *testing.T, res *Result) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var model bytes.Buffer
 	if res.TTP != nil {
-		if err := res.TTP.Save(&model); err != nil {
-			t.Fatal(err)
-		}
+		blob = res.TTP.AppendTo(blob)
 	}
-	return append(blob, model.Bytes()...)
+	return blob
 }
 
 func TestRunnerProducesDaysAndModel(t *testing.T) {
@@ -124,6 +121,34 @@ func TestRunnerResumeRefusesDamagedDay(t *testing.T) {
 	cfg.Days = 3
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), modelFile) {
 		t.Fatalf("resume over a day without %s: want an error naming it, got %v", modelFile, err)
+	}
+}
+
+// TestRunnerResumeRefusesGobTree: a day a gob build checkpointed holds
+// acc.gob and telemetry.gob, which nothing here reads. Resuming over it is
+// refused with an error naming the file it lacks, and nothing re-runs.
+func TestRunnerResumeRefusesGobTree(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(12)
+	cfg.Days = 1
+	cfg.CheckpointDir = dir
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	day := dayDir(dir, 0)
+	for name, old := range map[string]string{accFile: "acc.gob", telemetryFile: "telemetry.gob"} {
+		if err := os.Rename(filepath.Join(day, name), filepath.Join(day, old)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Days = 2
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), accFile) {
+		t.Fatalf("resume over a day of gob files: want an error naming %s, got %v", accFile, err)
+	}
+	for _, d := range []string{filepath.Join(day, accFile), dayDir(dir, 1)} {
+		if _, err := os.Stat(d); !os.IsNotExist(err) {
+			t.Fatalf("the refused resume wrote %s (stat: %v)", d, err)
+		}
 	}
 }
 

@@ -32,13 +32,10 @@ func fingerprint(t *testing.T, res *runner.Result) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var model bytes.Buffer
 	if res.TTP != nil {
-		if err := res.TTP.Save(&model); err != nil {
-			t.Fatal(err)
-		}
+		blob = res.TTP.AppendTo(blob)
 	}
-	return append(blob, model.Bytes()...)
+	return blob
 }
 
 // TestScenarioResumeWithSpecHashManifest: the acceptance-criteria resume

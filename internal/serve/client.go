@@ -169,16 +169,16 @@ func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 		return 0, err
 	}
 	if typ == msgError {
-		rd := reader{b: payload}
-		return 0, fmt.Errorf("serve: server error: %s", rd.str())
+		rd := wire.NewReader(payload)
+		return 0, fmt.Errorf("serve: server error: %s", rd.Str())
 	}
 	if typ != msgDecideOK {
 		return 0, fmt.Errorf("serve: unexpected reply type 0x%02x", typ)
 	}
-	rd := reader{b: payload}
-	q := rd.i32()
-	mid := rd.u32()
-	if err := rd.done(); err != nil {
+	rd := wire.NewReader(payload)
+	q := rd.I32()
+	mid := rd.U32()
+	if err := rd.Done(); err != nil {
 		return 0, err
 	}
 	if mid != r.modelID && !r.violated {
@@ -362,15 +362,15 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 		return res, fmt.Errorf("hello reply: %w", err)
 	}
 	if typ == msgError {
-		rd := reader{b: payload}
-		return res, fmt.Errorf("server rejected session: %s", rd.str())
+		rd := wire.NewReader(payload)
+		return res, fmt.Errorf("server rejected session: %s", rd.Str())
 	}
 	if typ != msgHelloOK {
 		return res, fmt.Errorf("unexpected hello reply type 0x%02x", typ)
 	}
-	rd := reader{b: payload}
-	h.modelID = rd.u32()
-	if err := rd.done(); err != nil {
+	rd := wire.NewReader(payload)
+	h.modelID = rd.U32()
+	if err := rd.Done(); err != nil {
 		return res, err
 	}
 

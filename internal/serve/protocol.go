@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"puffer/internal/abr"
 	"puffer/internal/media"
+	"puffer/internal/wire"
 )
 
 // ProtoVersion is the wire protocol version the client speaks; the server
@@ -61,101 +60,6 @@ const maxBufferCap = 60
 // or size a table from it.
 var errBadObservation = errors.New("serve: invalid observation")
 
-// Append-style encoders. Floats travel as IEEE-754 bits, so every value
-// round-trips bit-exactly — the byte-identity guarantee depends on it.
-
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-func appendI32(b []byte, v int) []byte    { return appendU32(b, uint32(int32(v))) }
-func appendF64(b []byte, v float64) []byte {
-	return appendU64(b, math.Float64bits(v))
-}
-
-// appendStr writes a u16 length and the string, truncated to what the
-// length can say: a longer one (an Error message quoting a hostile Hello)
-// would wrap the length and leave trailing garbage in the frame.
-func appendStr(b []byte, s string) []byte {
-	s = s[:min(len(s), math.MaxUint16)]
-	b = appendU16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// reader decodes a payload sequentially; the first short read poisons it.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) u8() uint8 {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *reader) u16() uint16 {
-	v := r.take(2)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(v)
-}
-
-func (r *reader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(v)
-}
-
-func (r *reader) u64() uint64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-func (r *reader) i32() int     { return int(int32(r.u32())) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	v := r.take(n)
-	if v == nil {
-		return ""
-	}
-	return string(v)
-}
-
-// done returns the accumulated decode error, or complains about trailing
-// bytes — a frame must be consumed exactly.
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("serve: %d trailing bytes in frame", len(r.b))
-	}
-	return nil
-}
-
 // hello is the session-opening handshake. The plan hash pins the exact
 // (spec, day) identity on both ends; day, seed, and sessions are redundant
 // with it but make mismatch errors actionable.
@@ -170,32 +74,32 @@ type hello struct {
 }
 
 func encodeHello(b []byte, h *hello) []byte {
-	b = appendU16(b, h.Version)
-	b = appendI32(b, h.Day)
-	b = appendI32(b, h.Session)
-	b = appendU64(b, uint64(h.Seed))
-	b = appendStr(b, h.Scheme)
-	b = appendStr(b, h.PlanHash)
+	b = wire.AppendU16(b, h.Version)
+	b = wire.AppendI32(b, h.Day)
+	b = wire.AppendI32(b, h.Session)
+	b = wire.AppendU64(b, uint64(h.Seed))
+	b = wire.AppendStr(b, h.Scheme)
+	b = wire.AppendStr(b, h.PlanHash)
 	if h.Version >= 2 {
-		b = appendU16(b, h.Flags)
+		b = wire.AppendU16(b, h.Flags)
 	}
 	return b
 }
 
 func decodeHello(payload []byte) (hello, error) {
-	r := reader{b: payload}
+	r := wire.NewReader(payload)
 	h := hello{
-		Version:  r.u16(),
-		Day:      r.i32(),
-		Session:  r.i32(),
-		Seed:     int64(r.u64()),
-		Scheme:   r.str(),
-		PlanHash: r.str(),
+		Version:  r.U16(),
+		Day:      r.I32(),
+		Session:  r.I32(),
+		Seed:     int64(r.U64()),
+		Scheme:   r.Str(),
+		PlanHash: r.Str(),
 	}
 	if h.Version >= 2 {
-		h.Flags = r.u16()
+		h.Flags = r.U16()
 	}
-	return h, r.done()
+	return h, r.Done()
 }
 
 // encodeDecide serializes one decision request: the session's virtual
@@ -205,42 +109,37 @@ func decodeHello(payload []byte) (hello, error) {
 // the server's spans join the client's trace; traceID 0 emits a payload
 // byte-identical to v1.
 func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSpan uint64) []byte {
-	b = encodeDecideBody(b, now, obs)
-	if traceID != 0 {
-		b = appendU64(b, traceID)
-		b = appendU64(b, parentSpan)
-	}
-	return b
-}
-
-func encodeDecideBody(b []byte, now float64, obs *abr.Observation) []byte {
-	b = appendF64(b, now)
-	b = appendI32(b, obs.ChunkIndex)
-	b = appendF64(b, obs.Buffer)
-	b = appendF64(b, obs.BufferCap)
-	b = appendI32(b, obs.LastQuality)
-	b = appendF64(b, obs.LastSSIM)
+	b = wire.AppendF64(b, now)
+	b = wire.AppendI32(b, obs.ChunkIndex)
+	b = wire.AppendF64(b, obs.Buffer)
+	b = wire.AppendF64(b, obs.BufferCap)
+	b = wire.AppendI32(b, obs.LastQuality)
+	b = wire.AppendF64(b, obs.LastSSIM)
 	b = append(b, byte(len(obs.History)))
 	for _, h := range obs.History {
-		b = appendF64(b, h.Size)
-		b = appendF64(b, h.TransTime)
-		b = appendF64(b, h.SSIMdB)
-		b = appendI32(b, h.Quality)
+		b = wire.AppendF64(b, h.Size)
+		b = wire.AppendF64(b, h.TransTime)
+		b = wire.AppendF64(b, h.SSIMdB)
+		b = wire.AppendI32(b, h.Quality)
 	}
-	b = appendF64(b, obs.TCP.CWND)
-	b = appendF64(b, obs.TCP.InFlight)
-	b = appendF64(b, obs.TCP.MinRTT)
-	b = appendF64(b, obs.TCP.RTT)
-	b = appendF64(b, obs.TCP.DeliveryRate)
+	b = wire.AppendF64(b, obs.TCP.CWND)
+	b = wire.AppendF64(b, obs.TCP.InFlight)
+	b = wire.AppendF64(b, obs.TCP.MinRTT)
+	b = wire.AppendF64(b, obs.TCP.RTT)
+	b = wire.AppendF64(b, obs.TCP.DeliveryRate)
 	b = append(b, byte(len(obs.Horizon)))
 	for _, c := range obs.Horizon {
-		b = appendI32(b, c.Index)
-		b = appendF64(b, c.Complexity)
+		b = wire.AppendI32(b, c.Index)
+		b = wire.AppendF64(b, c.Complexity)
 		b = append(b, byte(len(c.Versions)))
 		for _, v := range c.Versions {
-			b = appendF64(b, v.Size)
-			b = appendF64(b, v.SSIMdB)
+			b = wire.AppendF64(b, v.Size)
+			b = wire.AppendF64(b, v.SSIMdB)
 		}
+	}
+	if traceID != 0 {
+		b = wire.AppendU64(b, traceID)
+		b = wire.AppendU64(b, parentSpan)
 	}
 	return b
 }
@@ -254,50 +153,50 @@ func encodeDecideBody(b []byte, now float64, obs *abr.Observation) []byte {
 // fails checkObservation is an error too (errBadObservation): what comes
 // back without one is safe to hand to any algorithm.
 func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, parentSpan uint64, err error) {
-	r := reader{b: payload}
-	now = r.f64()
-	obs.ChunkIndex = r.i32()
-	obs.Buffer = r.f64()
-	obs.BufferCap = r.f64()
-	obs.LastQuality = r.i32()
-	obs.LastSSIM = r.f64()
-	nh := int(r.u8())
+	r := wire.NewReader(payload)
+	now = r.F64()
+	obs.ChunkIndex = r.I32()
+	obs.Buffer = r.F64()
+	obs.BufferCap = r.F64()
+	obs.LastQuality = r.I32()
+	obs.LastSSIM = r.F64()
+	nh := int(r.U8())
 	obs.History = obs.History[:0]
-	for i := 0; i < nh && r.err == nil; i++ {
+	for i := 0; i < nh && r.Err() == nil; i++ {
 		obs.History = append(obs.History, abr.ChunkRecord{
-			Size:      r.f64(),
-			TransTime: r.f64(),
-			SSIMdB:    r.f64(),
-			Quality:   r.i32(),
+			Size:      r.F64(),
+			TransTime: r.F64(),
+			SSIMdB:    r.F64(),
+			Quality:   r.I32(),
 		})
 	}
-	obs.TCP.CWND = r.f64()
-	obs.TCP.InFlight = r.f64()
-	obs.TCP.MinRTT = r.f64()
-	obs.TCP.RTT = r.f64()
-	obs.TCP.DeliveryRate = r.f64()
-	nc := int(r.u8())
+	obs.TCP.CWND = r.F64()
+	obs.TCP.InFlight = r.F64()
+	obs.TCP.MinRTT = r.F64()
+	obs.TCP.RTT = r.F64()
+	obs.TCP.DeliveryRate = r.F64()
+	nc := int(r.U8())
 	if cap(obs.Horizon) < nc {
 		obs.Horizon = make([]media.Chunk, 0, nc)
 	}
 	obs.Horizon = obs.Horizon[:0]
-	for i := 0; i < nc && r.err == nil; i++ {
-		c := media.Chunk{Index: r.i32(), Complexity: r.f64()}
-		nv := int(r.u8())
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		c := media.Chunk{Index: r.I32(), Complexity: r.F64()}
+		nv := int(r.U8())
 		if i < len(obs.Horizon[:cap(obs.Horizon)]) {
 			// Reuse the previous decode's Versions backing array.
 			c.Versions = obs.Horizon[:cap(obs.Horizon)][i].Versions[:0]
 		}
-		for v := 0; v < nv && r.err == nil; v++ {
-			c.Versions = append(c.Versions, media.Encoding{Size: r.f64(), SSIMdB: r.f64()})
+		for v := 0; v < nv && r.Err() == nil; v++ {
+			c.Versions = append(c.Versions, media.Encoding{Size: r.F64(), SSIMdB: r.F64()})
 		}
 		obs.Horizon = append(obs.Horizon, c)
 	}
-	if r.err == nil && len(r.b) == decideExtLen {
-		traceID = r.u64()
-		parentSpan = r.u64()
+	if r.Err() == nil && r.Len() == decideExtLen {
+		traceID = r.U64()
+		parentSpan = r.U64()
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return now, traceID, parentSpan, err
 	}
 	return now, traceID, parentSpan, checkObservation(obs)

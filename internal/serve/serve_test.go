@@ -103,11 +103,11 @@ func TestHelloRoundTrip(t *testing.T) {
 	// A string longer than its u16 length can say travels as its longest
 	// sayable prefix; the length must not wrap and leave trailing bytes.
 	long := strings.Repeat("x", 70000)
-	rd := reader{b: appendStr(nil, long)}
-	if got := rd.str(); got != long[:65535] {
+	rd := wire.NewReader(wire.AppendStr(nil, long))
+	if got := rd.Str(); got != long[:65535] {
 		t.Fatalf("70000-byte string decoded as %d bytes, want its 65535-byte prefix", len(got))
 	}
-	if err := rd.done(); err != nil {
+	if err := rd.Done(); err != nil {
 		t.Fatalf("70000-byte string left the frame malformed: %v", err)
 	}
 }
@@ -358,9 +358,9 @@ func expectError(t *testing.T, br *bufio.Reader, what string) string {
 	if typ != msgError {
 		t.Fatalf("%s: got type 0x%02x, want msgError", what, typ)
 	}
-	rd := reader{b: payload}
-	msg := rd.str()
-	if err := rd.done(); err != nil {
+	rd := wire.NewReader(payload)
+	msg := rd.Str()
+	if err := rd.Done(); err != nil {
 		t.Fatalf("%s: Error frame is not exactly one string: %v", what, err)
 	}
 	return msg

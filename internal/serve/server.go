@@ -288,7 +288,7 @@ func (s *Server) handle(c net.Conn) {
 	fail := func(msg string) {
 		srvProtoErrors.Inc()
 		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		wire.WriteFrame(bw, msgError, appendStr(out[:0], msg))
+		wire.WriteFrame(bw, msgError, wire.AppendStr(out[:0], msg))
 		bw.Flush()
 	}
 	// lost counts a session that ends on a failed read or reply write,
@@ -343,7 +343,7 @@ func (s *Server) handle(c net.Conn) {
 	defer func() { srvSessionsActive.Set(float64(s.active.Add(-1))) }()
 
 	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if wire.WriteFrame(bw, msgHelloOK, appendU32(out[:0], sess.modelID)) != nil || bw.Flush() != nil {
+	if wire.WriteFrame(bw, msgHelloOK, wire.AppendU32(out[:0], sess.modelID)) != nil || bw.Flush() != nil {
 		lost()
 		return
 	}
@@ -398,7 +398,7 @@ func (s *Server) handle(c net.Conn) {
 			sess.decisions++
 			srvDecisionsTotal.Inc()
 			s.decisions.Add(1)
-			out = appendU32(appendI32(out[:0], q), sess.modelID)
+			out = wire.AppendU32(wire.AppendI32(out[:0], q), sess.modelID)
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			var w0 int64
 			if p.trace != 0 {
@@ -426,7 +426,7 @@ func (s *Server) handle(c net.Conn) {
 			s.completed.Add(1)
 			srvCompletedTotal.Inc()
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			wire.WriteFrame(bw, msgByeOK, appendU64(out[:0], sess.decisions))
+			wire.WriteFrame(bw, msgByeOK, wire.AppendU64(out[:0], sess.decisions))
 			bw.Flush()
 			return
 		default:

@@ -1,6 +1,11 @@
 package stats
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+
+	"puffer/internal/wire"
+)
 
 // This file holds the mergeable accumulators behind sharded aggregation:
 // shards (or days) of an experiment each fold their streams into private
@@ -10,8 +15,8 @@ import "math/rand"
 // aggregation streams over session results instead of materializing them.
 
 // StreamAcc is a mergeable accumulator of per-stream (watch, stall) points —
-// the resampling unit of the paper's §3.4 bootstrap. Exported fields make it
-// serializable (gob/JSON) for checkpointing.
+// the resampling unit of the paper's §3.4 bootstrap. AppendTo and Decode
+// are its fixed layout, for checkpoints and the dist shard blob.
 type StreamAcc struct {
 	Points []StreamPoint
 }
@@ -26,6 +31,27 @@ func (a *StreamAcc) Merge(b *StreamAcc) { a.Points = append(a.Points, b.Points..
 
 // Len returns the number of accumulated streams.
 func (a *StreamAcc) Len() int { return len(a.Points) }
+
+// AppendTo appends the fixed layout: a u32 count, then (watch, stall) per
+// stream.
+func (a *StreamAcc) AppendTo(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(len(a.Points)))
+	for _, p := range a.Points {
+		b = wire.AppendF64(wire.AppendF64(b, p.Watch), p.Stall)
+	}
+	return b
+}
+
+// Decode reads what AppendTo wrote into a; no streams decode as nil.
+func (a *StreamAcc) Decode(r *wire.Reader) {
+	a.Points = make([]StreamPoint, r.Count(16))
+	for i := range a.Points {
+		a.Points[i] = StreamPoint{Watch: r.F64(), Stall: r.F64()}
+	}
+	if len(a.Points) == 0 {
+		a.Points = nil
+	}
+}
 
 // StallRatio returns the aggregate stall ratio of the accumulated streams.
 func (a *StreamAcc) StallRatio() float64 { return StallRatio(a.Points) }
@@ -65,6 +91,22 @@ func (a *WeightedAcc) Merge(b *WeightedAcc) {
 
 // Len returns the number of accumulated samples.
 func (a *WeightedAcc) Len() int { return len(a.Values) }
+
+// AppendTo appends the fixed layout: the values, then the weights, each a
+// u32 count and the floats.
+func (a *WeightedAcc) AppendTo(b []byte) []byte {
+	return wire.AppendF64s(wire.AppendF64s(b, a.Values), a.Weights)
+}
+
+// Decode reads what AppendTo wrote into a; an empty series is nil, and a
+// weight series of another length than the values fails r.
+func (a *WeightedAcc) Decode(r *wire.Reader) {
+	a.Values = r.F64s()
+	a.Weights = r.F64s()
+	if r.Err() == nil && len(a.Weights) != len(a.Values) {
+		r.Fail(fmt.Errorf("stats: %d weights for %d values", len(a.Weights), len(a.Values)))
+	}
+}
 
 // Interval returns the weighted mean with its conf-level interval over the
 // merged samples, exactly as WeightedMeanSE on the concatenated series.

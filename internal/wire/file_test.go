@@ -98,7 +98,7 @@ func TestRenameCommitsDir(t *testing.T) {
 	if err := os.Mkdir(tmp, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(filepath.Join(tmp, "acc.gob"), func(w io.Writer) error {
+	if err := WriteFile(filepath.Join(tmp, "acc.bin"), func(w io.Writer) error {
 		_, err := io.WriteString(w, "acc")
 		return err
 	}); err != nil {
@@ -108,7 +108,7 @@ func TestRenameCommitsDir(t *testing.T) {
 	if err := Rename(tmp, day); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(filepath.Join(day, "acc.gob")); err != nil || string(got) != "acc" {
+	if got, err := os.ReadFile(filepath.Join(day, "acc.bin")); err != nil || string(got) != "acc" {
 		t.Fatalf("committed dir holds %q (%v)", got, err)
 	}
 	if tmps := tmpEntries(t, root); len(tmps) != 0 {

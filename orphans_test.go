@@ -19,7 +19,6 @@ import (
 // was deleted, or that production now uses, fails the test.
 var orphanAllowlist = map[string]string{
 	"results.CanonicalBytes": "identity: the byte form other packages' tests compare indexes by",
-	"nn.Load":                "decoder: the inverse of (*MLP).Save, round-tripped by the nn and pensieve tests",
 	"puffer.EmulationEnv":    "public API",
 	"puffer.NewMPCHM":        "public API",
 	"puffer.NewRobustMPCHM":  "public API",
@@ -29,11 +28,11 @@ var orphanAllowlist = map[string]string{
 }
 
 // runtimeCalled are method names the standard library calls through its own
-// interfaces (fmt, errors, encoding/gob, encoding/json, flag, sort), so a
+// interfaces (fmt, errors, encoding/json, flag, sort), so a
 // type can need them without any declaration in this module saying so.
 var runtimeCalled = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "Set": true,
-	"GobEncode": true, "GobDecode": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalJSON": true, "UnmarshalJSON": true,
 	"Len": true, "Less": true, "Swap": true,
 }
 
