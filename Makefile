@@ -6,9 +6,6 @@ GO ?= go
 # couple of minutes, large enough to exercise every figure end to end.
 BENCH_SESSIONS ?= 40
 
-# Checkpoint dir for the daily-loop smoke run.
-DAILY_DIR ?= /tmp/puffer-daily-smoke
-
 # Session-count multiplier applied to the examples in the docs smoke run —
 # small enough that all four examples finish in seconds.
 EXAMPLE_SCALE ?= 0.1
@@ -16,9 +13,6 @@ EXAMPLE_SCALE ?= 0.1
 # Days/sessions/epochs multiplier for the scenario smoke run (every
 # registered scenario, clamped to 2 days x 8 sessions x 1 epoch minimum).
 SCENARIO_SCALE ?= 0.02
-
-# Scratch dir for the sweep smoke run's index + checkpoints.
-SWEEP_DIR ?= /tmp/puffer-sweep-smoke
 
 .PHONY: fmt fmt-check vet build cross loc test bench bench-e2e daily-smoke docs-smoke figures-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke ci
 
@@ -73,15 +67,17 @@ bench:
 # checkpoint dir, then ask the same dir for two days — the second invocation
 # must resume at day 1, exercising kill-and-resume end to end (2 days x 40
 # sessions, nightly retraining on). Both execution engines run the same
-# smoke, so every push exercises the per-session and fleet paths.
+# smoke, so every push exercises the per-session and fleet paths. The
+# checkpoint dirs live in a private temp dir, removed on exit.
 daily-smoke:
-	rm -rf $(DAILY_DIR) $(DAILY_DIR)-fleet
-	$(GO) run ./cmd/puffer-daily -days 1 -sessions 40 -window 2 -epochs 2 -seed 1 -checkpoint $(DAILY_DIR) -ablation=false -q
-	$(GO) run ./cmd/puffer-daily -days 2 -sessions 40 -window 2 -epochs 2 -seed 1 -checkpoint $(DAILY_DIR) -ablation=false
-	test -d $(DAILY_DIR)/retrain/day_001
-	$(GO) run ./cmd/puffer-daily -days 1 -sessions 40 -window 2 -epochs 2 -seed 1 -engine fleet -arrival-rate 2 -checkpoint $(DAILY_DIR)-fleet -ablation=false -q
-	$(GO) run ./cmd/puffer-daily -days 2 -sessions 40 -window 2 -epochs 2 -seed 1 -engine fleet -arrival-rate 2 -checkpoint $(DAILY_DIR)-fleet -ablation=false
-	test -d $(DAILY_DIR)-fleet/retrain/day_001
+	@set -e; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/puffer-daily -days 1 -sessions 40 -window 2 -epochs 2 -seed 1 -checkpoint $$dir/session -ablation=false -q; \
+	$(GO) run ./cmd/puffer-daily -days 2 -sessions 40 -window 2 -epochs 2 -seed 1 -checkpoint $$dir/session -ablation=false; \
+	test -d $$dir/session/retrain/day_001; \
+	$(GO) run ./cmd/puffer-daily -days 1 -sessions 40 -window 2 -epochs 2 -seed 1 -engine fleet -arrival-rate 2 -checkpoint $$dir/fleet -ablation=false -q; \
+	$(GO) run ./cmd/puffer-daily -days 2 -sessions 40 -window 2 -epochs 2 -seed 1 -engine fleet -arrival-rate 2 -checkpoint $$dir/fleet -ablation=false; \
+	test -d $$dir/fleet/retrain/day_001
 
 # Docs smoke: fail if any package is missing a package doc comment
 # (cmd/doccheck), then briefly run every examples/ program end to end —
@@ -133,23 +129,22 @@ scenario-smoke:
 # metrics dump must count runner days: cells run in the sweep's own
 # process. A query over the populated index must match the committed
 # golden (deterministic columns only: expansion names, axis values, spec
-# hashes).
+# hashes). The index and checkpoints live in the smoke's private temp dir.
 sweep-smoke:
 	@set -e; \
 	bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
 	$(GO) build -o $$bin/puffer-sweep ./cmd/puffer-sweep; \
-	rm -rf $(SWEEP_DIR); \
 	PUFFER_SCENARIO_SCALE=$(SCENARIO_SCALE) $$bin/puffer-sweep run \
 		-sweep scenarios/sweeps/smoke-grid.json \
-		-index $(SWEEP_DIR)/index.jsonl -checkpoint $(SWEEP_DIR)/ckpt \
+		-index $$bin/index.jsonl -checkpoint $$bin/ckpt \
 		-obs-dump $$bin/metrics.json; \
 	jq -e '[.counters[] | select(.name=="runner_days_total")] | first | .value > 0' $$bin/metrics.json >/dev/null; \
 	out=$$(PUFFER_SCENARIO_SCALE=$(SCENARIO_SCALE) $$bin/puffer-sweep run \
 		-sweep scenarios/sweeps/smoke-grid.json \
-		-index $(SWEEP_DIR)/index.jsonl -checkpoint $(SWEEP_DIR)/ckpt); \
+		-index $$bin/index.jsonl -checkpoint $$bin/ckpt); \
 	echo "$$out"; \
 	case "$$out" in *"ran 0,"*) ;; *) echo "sweep-smoke: second launch executed cells"; exit 1;; esac; \
-	$$bin/puffer-sweep query -index $(SWEEP_DIR)/index.jsonl \
+	$$bin/puffer-sweep query -index $$bin/index.jsonl \
 		-cols name,drift.preset,engine.kind,hash > $$bin/query.out; \
 	cmp $$bin/query.out scenarios/sweeps/smoke-grid.golden
 
@@ -292,11 +287,12 @@ dist-smoke:
 # the two — on the two payload decoders a served client reaches first,
 # Hello and Decide (an accepted Decide must also survive an MPC-HM decision),
 # on the scenario spec parser (a valid spec's canonical JSON must be a
-# fixed point with stable hashes), and on the fixed-layout decoders of what
+# fixed point with stable hashes), on the sweep parser (a valid sweep must
+# expand to its counted cells), and on the fixed-layout decoders of what
 # the program persists or ships between processes: the model file, the dist
 # shard blob and the dist frame payloads (bytes that decode must re-encode to
 # themselves). The committed seeds under
-# internal/{wire,serve,scenario,core}/testdata/fuzz run in every plain
+# internal/{wire,serve,scenario,sweep,core}/testdata/fuzz run in every plain
 # `go test` as well; this adds fresh mutations on each push.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
@@ -304,6 +300,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecide -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzParseSweep -fuzztime=5s ./internal/sweep
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTTP -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/dist

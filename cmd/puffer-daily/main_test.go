@@ -137,7 +137,6 @@ func legacyConfig(t *testing.T, args []string) (runner.Config, scenario.EngineSp
 		Env:            env,
 		Days:           *days,
 		SessionsPerDay: *sessions,
-		WindowDays:     *window,
 		Workers:        *workers,
 		Engine:         engineValue,
 		ShardSize:      *shard,
@@ -166,9 +165,10 @@ func compiledConfig(t *testing.T, args []string) (runner.Config, scenario.Engine
 // normalize clears the fields where the spec path is deliberately more
 // explicit than the legacy path without changing behavior: the spec
 // attaches its guard hash and canonical JSON, materializes the default
-// hidden sizes and horizon the runner would otherwise fill in, and threads
-// the experiment seed into Train.Seed (which the runner re-derives per day
-// regardless). Everything else must match exactly.
+// hidden sizes and horizon the runner would otherwise fill in, and leaves
+// Train.Seed zero where the legacy path kept DefaultTrainConfig's (the
+// runner re-derives it per day regardless). Everything else must match
+// exactly.
 func normalize(t *testing.T, cfg runner.Config, legacy bool) runner.Config {
 	t.Helper()
 	if legacy {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -540,6 +541,28 @@ func TestTrainErrorsOnEmptyDataset(t *testing.T) {
 	ttp := NewTTP(rand.New(rand.NewSource(15)), 1, []int{4}, DefaultFeatures(), KindTransTime)
 	if _, err := Train(ttp, &Dataset{}, DefaultTrainConfig()); err == nil {
 		t.Fatal("expected error for empty dataset")
+	}
+}
+
+// TestTrainRefusesIncompleteConfig: DefaultTrainConfig is the one place the
+// training defaults are written, so Train refuses a config missing one
+// rather than filling it in (a zero BatchSize would never advance the
+// minibatch loop).
+func TestTrainRefusesIncompleteConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	ttp := NewTTP(rng, 1, []int{4}, DefaultFeatures(), KindTransTime)
+	data := synthDataset(rng, 4, 20, 0)
+	for name, clear := range map[string]func(*TrainConfig){
+		"Epochs":    func(c *TrainConfig) { c.Epochs = 0 },
+		"BatchSize": func(c *TrainConfig) { c.BatchSize = 0 },
+		"LR":        func(c *TrainConfig) { c.LR = -1e-3 },
+	} {
+		cfg := DefaultTrainConfig()
+		clear(&cfg)
+		_, err := Train(ttp, data, cfg)
+		if err == nil || !strings.Contains(err.Error(), "DefaultTrainConfig") {
+			t.Errorf("%s: Train returned %v, want an error naming DefaultTrainConfig", name, err)
+		}
 	}
 }
 

@@ -143,15 +143,17 @@ func pow(b float64, n int) float64 {
 // retraining over a 14-day window with recent days weighted more heavily,
 // warm-started from the previous model.
 type TrainConfig struct {
-	Epochs      int     // passes over the data (default 8)
-	BatchSize   int     // minibatch size (default 64)
-	LR          float64 // Adam learning rate (default 1e-3)
+	Epochs      int     // passes over the data
+	BatchSize   int     // minibatch size
+	LR          float64 // Adam learning rate
 	Seed        int64   // shuffling seed
 	WindowDays  int     // include only the last N days; 0 = all
 	RecencyBase float64 // per-day-of-age weight multiplier; 0 or 1 = uniform
 }
 
-// DefaultTrainConfig returns the study's training defaults.
+// DefaultTrainConfig returns the study's training defaults, the only place
+// they are written: Train refuses a config whose Epochs, BatchSize or LR is
+// not positive rather than filling it in.
 func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 8, BatchSize: 64, LR: 1e-3, Seed: 1, WindowDays: 14, RecencyBase: 0.9}
 }
@@ -167,14 +169,8 @@ type TrainResult struct {
 // old model). The per-step networks are independent, so they train in
 // parallel — the paper parallelizes its multi-network training the same way.
 func Train(t *TTP, data *Dataset, cfg TrainConfig) (TrainResult, error) {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 8
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 1e-3
+	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
+		return TrainResult{}, fmt.Errorf("core: incomplete TrainConfig (Epochs %d, BatchSize %d, LR %g must be positive); start from DefaultTrainConfig", cfg.Epochs, cfg.BatchSize, cfg.LR)
 	}
 	res := TrainResult{Loss: make([]float64, len(t.Nets)), Examples: make([]int, len(t.Nets))}
 	errs := make([]error, len(t.Nets))

@@ -41,12 +41,12 @@ func BenchmarkDistDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Setenv("PUFFER_DIST_TEST_MODE", "worker")
 		p, err := NewPool(PoolConfig{
 			Workers:      workers,
 			Command:      []string{os.Args[0]},
 			Spec:         spec,
 			ShardTimeout: time.Minute,
-			ExtraEnv:     []string{"PUFFER_DIST_TEST_MODE=worker"},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -20,9 +20,9 @@ import (
 )
 
 // The pool tests exercise the real thing: worker processes launched by
-// re-execing this test binary. TestMain dispatches the worker modes (set
-// via PUFFER_DIST_TEST_MODE in ExtraEnv) before the test framework
-// touches flags.
+// re-execing this test binary, which inherits the test's environment.
+// TestMain dispatches the worker modes (set via PUFFER_DIST_TEST_MODE)
+// before the test framework touches flags.
 func TestMain(m *testing.M) {
 	switch os.Getenv("PUFFER_DIST_TEST_MODE") {
 	case "":
@@ -120,9 +120,11 @@ func oldVersionWorker() {
 }
 
 // testPool builds a pool whose workers are this test binary in the given
-// mode.
-func testPool(t *testing.T, sp testSpec, mode string, extraEnv []string, workers, maxRestarts int, timeout time.Duration) *Pool {
+// mode. Workers inherit the test's environment, so a test injects a fault
+// with t.Setenv(EnvFault, ...).
+func testPool(t *testing.T, sp testSpec, mode string, workers int, timeout time.Duration) *Pool {
 	t.Helper()
+	t.Setenv("PUFFER_DIST_TEST_MODE", mode)
 	spec, err := json.Marshal(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +134,6 @@ func testPool(t *testing.T, sp testSpec, mode string, extraEnv []string, workers
 		Command:      []string{os.Args[0]},
 		Spec:         spec,
 		ShardTimeout: timeout,
-		MaxRestarts:  maxRestarts,
-		ExtraEnv:     append([]string{"PUFFER_DIST_TEST_MODE=" + mode}, extraEnv...),
 		Logf:         t.Logf,
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func testModel() *core.TTP {
 // shard fold, with workers persisting across the day boundary.
 func TestPoolMatchesSingleProcess(t *testing.T) {
 	sp := testSpec{Sessions: 40, ShardSize: 8, BaseSeed: 5}
-	p := testPool(t, sp, "worker", nil, 3, 0, 30*time.Second)
+	p := testPool(t, sp, "worker", 3, 30*time.Second)
 	requireDayIdentical(t, p, sp, 0, nil)
 	requireDayIdentical(t, p, sp, 1, testModel())
 }
@@ -200,7 +200,8 @@ func TestKillFaultReassigned(t *testing.T) {
 	t.Cleanup(func() { obs.SetEnabled(false) })
 	restarts0 := workerRestarts.Value()
 	retries0 := shardRetries.Value()
-	p := testPool(t, sp, "worker", []string{EnvFault + "=kill-worker:day0:shard2"}, 2, 0, 30*time.Second)
+	t.Setenv(EnvFault, "kill-worker:day0:shard2")
+	p := testPool(t, sp, "worker", 2, 30*time.Second)
 	requireDayIdentical(t, p, sp, 0, nil)
 	if got := workerRestarts.Value() - restarts0; got < 1 {
 		t.Errorf("dist_worker_restarts_total advanced by %d, want >= 1", got)
@@ -214,7 +215,8 @@ func TestKillFaultReassigned(t *testing.T) {
 // ShardTimeout, is killed, and its shard is reassigned and completes.
 func TestHangFaultDeadline(t *testing.T) {
 	sp := testSpec{Sessions: 24, ShardSize: 8, BaseSeed: 9}
-	p := testPool(t, sp, "worker", []string{EnvFault + "=hang-worker:day0:shard0"}, 2, 0, 2*time.Second)
+	t.Setenv(EnvFault, "hang-worker:day0:shard0")
+	p := testPool(t, sp, "worker", 2, 2*time.Second)
 	requireDayIdentical(t, p, sp, 0, nil)
 }
 
@@ -222,7 +224,7 @@ func TestHangFaultDeadline(t *testing.T) {
 // abort with the restart-budget error, not spin forever.
 func TestCrashLoopExhaustsBudget(t *testing.T) {
 	sp := testSpec{Sessions: 16, ShardSize: 8, BaseSeed: 3}
-	p := testPool(t, sp, "crash-assign", nil, 2, 2, 30*time.Second)
+	p := testPool(t, sp, "crash-assign", 2, 30*time.Second)
 	_, _, err := p.RunDay(0, nil, sp.Sessions, sp.ShardSize)
 	if err == nil || !strings.Contains(err.Error(), "restart budget") {
 		t.Fatalf("RunDay error = %v, want restart-budget exhaustion", err)
@@ -233,7 +235,7 @@ func TestCrashLoopExhaustsBudget(t *testing.T) {
 // must fail the handshake loudly.
 func TestVersionMismatchRejected(t *testing.T) {
 	sp := testSpec{Sessions: 16, ShardSize: 8, BaseSeed: 3}
-	p := testPool(t, sp, "old-version", nil, 1, 1, 30*time.Second)
+	p := testPool(t, sp, "old-version", 1, 30*time.Second)
 	_, _, err := p.RunDay(0, nil, sp.Sessions, sp.ShardSize)
 	if err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("RunDay error = %v, want protocol version mismatch", err)

@@ -32,11 +32,6 @@ type PoolConfig struct {
 	// it); a worker that exceeds it is presumed hung, killed, and its
 	// shard reassigned. 0 disables the deadline.
 	ShardTimeout time.Duration
-	// MaxRestarts bounds worker replacements over the pool's lifetime
-	// (a crash-looping fleet must abort, not spin). 0 means 2*Workers+2.
-	MaxRestarts int
-	// ExtraEnv entries are appended to each worker's environment.
-	ExtraEnv []string
 	// Logf, if set, receives coordinator progress lines.
 	Logf func(format string, args ...any)
 	// Events, if set, receives worker lifecycle events.
@@ -93,9 +88,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 2*cfg.Workers + 2
 	}
 	return &Pool{cfg: cfg, slots: make([]*workerProc, cfg.Workers)}, nil
 }
@@ -286,7 +278,6 @@ func (p *Pool) startWorker(slot int) (*workerProc, error) {
 	cmd := exec.Command(p.cfg.Command[0], p.cfg.Command[1:]...)
 	cmd.Stderr = os.Stderr
 	cmd.Env = append(os.Environ(), "PUFFER_DIST_WORKER=1")
-	cmd.Env = append(cmd.Env, p.cfg.ExtraEnv...)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %d stdin: %w", slot, err)
@@ -340,14 +331,16 @@ func (p *Pool) startWorker(slot int) (*workerProc, error) {
 
 // replace kills slot's worker and starts a fresh one in its place,
 // re-sending hello and the current day context. Consumes one unit of the
-// restart budget; exhaustion is a hard error.
+// restart budget, 2*Workers+2 over the pool's lifetime; exhaustion is a
+// hard error, so a crash-looping fleet aborts instead of spinning.
 func (p *Pool) replace(slot int, cause error) error {
+	budget := 2*p.cfg.Workers + 2
 	p.muR.Lock()
 	p.restarts++
-	over := p.restarts > p.cfg.MaxRestarts
+	over := p.restarts > budget
 	p.muR.Unlock()
 	if over {
-		return fmt.Errorf("dist: worker restart budget (%d) exhausted; last failure: %w", p.cfg.MaxRestarts, cause)
+		return fmt.Errorf("dist: worker restart budget (%d) exhausted; last failure: %w", budget, cause)
 	}
 	if old := p.slots[slot]; old != nil {
 		p.kill(old)

@@ -212,7 +212,7 @@ func (t *TrialAcc) Analyze(seed int64) []SchemeStats {
 			BadDecoder: a.BadDecoder, Considered: a.Considered,
 			WatchYears: a.Points.StreamYears(),
 		}
-		rng := rand.New(rand.NewSource(mix(seed, nameSeed(name))))
+		rng := rand.New(rand.NewSource(Mix(seed, nameSeed(name))))
 		st.StallRatio = a.Points.Bootstrap(rng, 400, 0.95)
 		st.SSIM = a.SSIM.Interval(0.95)
 		if a.VarN > 0 {

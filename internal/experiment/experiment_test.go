@@ -485,7 +485,7 @@ func TestDatasetCollectorMergeRoundTrips(t *testing.T) {
 func TestMixSpreadsSeeds(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := int64(0); i < 1000; i++ {
-		v := mix(1, i)
+		v := Mix(1, i)
 		if seen[v] {
 			t.Fatalf("mix collision at %d", i)
 		}

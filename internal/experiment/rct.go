@@ -42,7 +42,7 @@ func (cfg *Config) RunOne(id int) SessionResult {
 // (and the freshly built algorithm exposed to it); the fleet engine parks
 // sessions there. A nil hook is exactly RunOne.
 func (cfg *Config) RunOneHooked(id int, hook DecideHook) SessionResult {
-	rng := rand.New(rand.NewSource(mix(cfg.Seed, int64(id))))
+	rng := rand.New(rand.NewSource(Mix(cfg.Seed, int64(id))))
 	arm := rng.Intn(len(cfg.Schemes))
 	scheme := cfg.Schemes[arm]
 	alg := scheme.New()
@@ -50,14 +50,13 @@ func (cfg *Config) RunOneHooked(id int, hook DecideHook) SessionResult {
 	return RunSessionHooked(&env, alg, rng, id, scheme.Name, cfg.Day, cfg.Recorder, hook)
 }
 
-// SessionSeed is the RNG seed of session `id` in a trial with this seed.
-// Exported so external drivers (the wall-clock load generator) can
-// reproduce a session's blinded arm assignment — the first Intn draw of
-// rand.New(rand.NewSource(SessionSeed(seed, id))) — without running it.
-func SessionSeed(seed, id int64) int64 { return mix(seed, id) }
-
-// mix hashes (seed, id) into an independent RNG seed (splitmix64 finalizer).
-func mix(seed, id int64) int64 {
+// Mix hashes (seed, id) into an independent, non-negative RNG seed with the
+// splitmix64 finalizer. It is the program's one seed mixer: Mix(seed, id)
+// seeds session id of a trial with this seed (so the wall-clock load
+// generator reproduces a session's blinded arm assignment, the first Intn
+// draw, without running it), and the runner, the fleet's arrivals and the
+// sweep's axes derive their seeds with it under their own ids.
+func Mix(seed, id int64) int64 {
 	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(id) + 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB

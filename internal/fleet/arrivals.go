@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"puffer/internal/experiment"
 )
 
 // ArrivalProcess draws the virtual-time instants at which a trial's
@@ -78,18 +80,8 @@ const arrivalSalt = 0x41_52_52_49_56_45 // "ARRIVE"
 // the arrival process without running sessions. The result is sorted and
 // deterministic per (process, seed, n).
 func ArrivalTimes(proc ArrivalProcess, seed int64, n int) []float64 {
-	rng := rand.New(rand.NewSource(mix(seed, arrivalSalt)))
+	rng := rand.New(rand.NewSource(experiment.Mix(seed, arrivalSalt)))
 	times := proc.Times(rng, n)
 	sort.Float64s(times)
 	return times
-}
-
-// mix hashes (seed, id) into an independent RNG seed with the splitmix64
-// finalizer, mirroring the experiment package.
-func mix(seed, id int64) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(id) + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
 }

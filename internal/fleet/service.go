@@ -95,12 +95,21 @@ func (s *InferenceService) EnqueueTraced(steps []core.PendingStep, trace, span u
 }
 
 // Flush executes one cross-session batch per net over everything staged
-// since the previous flush and completes every step's distributions.
+// since the previous flush and completes every step's distributions. When a
+// traced decision was enqueued (EnqueueTraced), the flush records its
+// infer_flush span and one kernel span per net under that decision's root.
+// The attribution lives in the service, not in process-wide state, so
+// services flushing at once never take each other's spans.
 func (s *InferenceService) Flush() {
-	if s.trace != 0 {
-		obs.SetFlushTrace(s.trace, s.span)
-		defer obs.ClearFlushTrace()
-		s.trace, s.span = 0, 0
+	tr, trace, parent := obs.Tracing(), s.trace, s.span
+	s.trace, s.span = 0, 0
+	if trace == 0 {
+		tr = nil
+	}
+	span := func(name string, start, rows int64) {
+		tr.Record(obs.Span{Trace: trace, ID: tr.NewSpanID(), Parent: parent,
+			Name: name, Start: start, Dur: obs.SinceNS(start),
+			Attrs: []obs.Attr{{Key: "rows", Val: rows}}})
 	}
 	t0 := obs.Now()
 	any := false
@@ -120,7 +129,14 @@ func (s *InferenceService) Flush() {
 			copy(s.feats[at*dim:(at+ps.Rows)*dim], ps.Feats[:ps.Rows*dim])
 			at += ps.Rows
 		}
+		var k0 int64
+		if tr != nil {
+			k0 = obs.Now()
+		}
 		g.net.Packed().PredictDistBatch(g.ws, s.feats[:g.rowSum*dim], g.rowSum, s.probs[:g.rowSum*nOut])
+		if tr != nil {
+			span("kernel", k0, int64(g.rowSum))
+		}
 		at = 0
 		for _, ps := range g.pend {
 			ps.Finish(s.probs[at*nOut : (at+ps.Rows)*nOut])
@@ -140,15 +156,8 @@ func (s *InferenceService) Flush() {
 		s.flushes++
 		svcFlushesTotal.Inc()
 		svcFlushNS.ObserveSince(t0)
-		// The flush is shared work: attribute its span (parenting the kernel
-		// spans recorded inside PredictDistBatch) to the flush owner's
-		// designated traced decision, when one exists.
-		if tr := obs.Tracing(); tr != nil {
-			if trace, parent := obs.FlushTrace(); trace != 0 {
-				tr.Record(obs.Span{Trace: trace, ID: tr.NewSpanID(), Parent: parent,
-					Name: "infer_flush", Start: t0, Dur: obs.SinceNS(t0),
-					Attrs: []obs.Attr{{Key: "rows", Val: totalRows}}})
-			}
+		if tr != nil {
+			span("infer_flush", t0, totalRows)
 		}
 	} else {
 		svcFlushesEmpty.Inc()

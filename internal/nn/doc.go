@@ -3,7 +3,7 @@
 // Predictor (a per-horizon-step classifier over transmission-time bins) and
 // the Pensieve policy network. It provides fully-connected layers with ReLU
 // activations, a softmax/cross-entropy classification step and a
-// policy-gradient step, SGD and Adam optimizers, per-sample weighting (the
+// policy-gradient step, the Adam optimizer, per-sample weighting (the
 // paper's recency-weighted training), and a fixed-layout codec (AppendTo,
 // Decode).
 //
@@ -82,8 +82,8 @@
 //   - MLP / NewMLP: the network; Packed for inference, AppendTo/Decode
 //     for its fixed layout on internal/wire (the widths, then the slab).
 //     Parameters live in one contiguous slab, which is what the
-//     optimizers' one elementwise pass exploits.
-//   - Trainer with an Optimizer (SGD, Adam): TrainClassBatch, minibatch
+//     optimizer's one elementwise pass exploits.
+//   - Trainer with an Optimizer (Adam): TrainClassBatch, minibatch
 //     supervised training with optional per-sample weights, and
 //     PolicyGradStep, the REINFORCE step.
 //   - Softmax, ArgMax, Entropy: the numeric utilities shared by the

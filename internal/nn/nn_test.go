@@ -268,6 +268,48 @@ type nopOpt struct{}
 
 func (nopOpt) Step(*MLP, []float64) {}
 
+// sgd is stochastic gradient descent with optional momentum and L2 weight
+// decay: the tests' plain optimizer, set against Adam and used to check the
+// trainer under a second update rule.
+type sgd struct {
+	LR          float64
+	Momentum    float64
+	WeightDecay float64
+
+	vel []float64 // momentum slab
+}
+
+// Step implements Optimizer. Weight decay applies to weights only, so it
+// walks the slab by layer: W[l] decayed, B[l] not.
+func (s *sgd) Step(net *MLP, grad []float64) {
+	checkSlab(net, grad)
+	if s.Momentum != 0 && s.vel == nil {
+		s.vel = make([]float64, len(grad))
+	}
+	at := 0
+	for l := range net.W {
+		at = s.update(net.flat, grad, at, len(net.W[l]), s.WeightDecay)
+		at = s.update(net.flat, grad, at, len(net.B[l]), 0)
+	}
+	net.packed.Store(nil)
+}
+
+// update steps p[at:at+n] and returns at+n.
+func (s *sgd) update(p, grad []float64, at, n int, decay float64) int {
+	for i := at; i < at+n; i++ {
+		g := grad[i]
+		if decay != 0 {
+			g += float64(decay * p[i])
+		}
+		if s.Momentum != 0 {
+			s.vel[i] = float64(s.Momentum*s.vel[i]) + g
+			g = s.vel[i]
+		}
+		p[i] -= float64(s.LR * g)
+	}
+	return at + n
+}
+
 func TestLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	net := NewMLP(rng, 2, 16, 2)
@@ -289,7 +331,7 @@ func TestLearnsLinearRegression(t *testing.T) {
 	// y = 3x1 - 2x2 + 1 learned by a no-hidden-layer net.
 	rng := rand.New(rand.NewSource(11))
 	net := NewMLP(rng, 2, 1)
-	tr := NewTrainer(net, &SGD{LR: 0.05})
+	tr := NewTrainer(net, &sgd{LR: 0.05})
 	xs := make([][]float64, 64)
 	ts := make([][]float64, 64)
 	for i := range xs {
@@ -426,7 +468,7 @@ func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
 	netA, xs, ts := make2()
 	trA := NewTrainer(netA, &Adam{LR: 0.05})
 	netS, _, _ := make2()
-	trS := NewTrainer(netS, &SGD{LR: 1e-5}) // larger LR diverges on x1 scale
+	trS := NewTrainer(netS, &sgd{LR: 1e-5}) // larger LR diverges on x1 scale
 	var lossA, lossS float64
 	for i := 0; i < 300; i++ {
 		lossA = trA.trainRegBatch(xs, ts)
@@ -440,7 +482,7 @@ func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
 func TestPolicyGradShiftsTowardRewardedAction(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	net := NewMLP(rng, 2, 8, 3)
-	tr := NewTrainer(net, &SGD{LR: 0.1})
+	tr := NewTrainer(net, &sgd{LR: 0.1})
 	x := []float64{1, -1}
 	before := make([]float64, 3)
 	Softmax(before, forwardOne(net, x))
@@ -467,7 +509,7 @@ func TestEntropyBonusKeepsPolicySofter(t *testing.T) {
 	train := func(coeff float64) float64 {
 		rng := rand.New(rand.NewSource(3))
 		net := NewMLP(rng, 2, 8, 3)
-		tr := NewTrainer(net, &SGD{LR: 0.1})
+		tr := NewTrainer(net, &sgd{LR: 0.1})
 		x := []float64{0.5, 0.5}
 		for i := 0; i < 200; i++ {
 			tr.PolicyGradStep([][]float64{x}, []int{0}, []float64{1.0}, coeff)

@@ -160,16 +160,6 @@ func (p *PackedMLP) PredictDistBatch(ws *BatchWorkspace, xs []float64, rows int,
 	dst = p.predictDist(ws, xs, rows, dst, affineRowT)
 	packedForwardNS.ObserveSince(t0)
 	packedRowsTotal.Add(int64(rows))
-	// The kernel span names the deepest stage of a traced decision; it
-	// parents under the flush owner's designated trace (one flush serves
-	// many sessions, so the first traced decision of the batch owns it).
-	if tr := obs.Tracing(); tr != nil {
-		if trace, parent := obs.FlushTrace(); trace != 0 {
-			tr.Record(obs.Span{Trace: trace, ID: tr.NewSpanID(), Parent: parent,
-				Name: "kernel", Start: t0, Dur: obs.SinceNS(t0),
-				Attrs: []obs.Attr{{Key: "rows", Val: int64(rows)}}})
-		}
-	}
 	return dst
 }
 

@@ -53,7 +53,7 @@ func TestPackedSnapshotIsMemoisedAndDropped(t *testing.T) {
 			NewTrainer(net, &Adam{LR: 0.05}).TrainClassBatch(xs, labels, nil)
 		},
 		"SGD via TrainClassBatch": func(net *MLP, xs [][]float64, labels []int) {
-			NewTrainer(net, &SGD{LR: 0.05, Momentum: 0.9}).TrainClassBatch(xs, labels, nil)
+			NewTrainer(net, &sgd{LR: 0.05, Momentum: 0.9}).TrainClassBatch(xs, labels, nil)
 		},
 		"SGD via TrainRegBatch": func(net *MLP, xs [][]float64, labels []int) {
 			targets := make([][]float64, len(xs))
@@ -61,7 +61,7 @@ func TestPackedSnapshotIsMemoisedAndDropped(t *testing.T) {
 				targets[i] = make([]float64, net.OutputSize())
 				targets[i][labels[i]] = 1
 			}
-			NewTrainer(net, &SGD{LR: 0.05}).trainRegBatch(xs, targets)
+			NewTrainer(net, &sgd{LR: 0.05}).trainRegBatch(xs, targets)
 		},
 		"Adam via PolicyGradStep": func(net *MLP, xs [][]float64, labels []int) {
 			adv := make([]float64, len(xs))

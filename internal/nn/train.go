@@ -24,53 +24,14 @@ func checkSlab(net *MLP, grad []float64) {
 	}
 }
 
-// SGD is stochastic gradient descent with optional momentum and L2 weight
-// decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	vel []float64 // momentum slab
-}
-
-// Step implements Optimizer. Weight decay applies to weights only, so it
-// walks the slab by layer: W[l] decayed, B[l] not.
-func (s *SGD) Step(net *MLP, grad []float64) {
-	checkSlab(net, grad)
-	if s.Momentum != 0 && s.vel == nil {
-		s.vel = make([]float64, len(grad))
-	}
-	at := 0
-	for l := range net.W {
-		at = s.update(net.flat, grad, at, len(net.W[l]), s.WeightDecay)
-		at = s.update(net.flat, grad, at, len(net.B[l]), 0)
-	}
-	net.packed.Store(nil)
-}
-
-// update steps p[at:at+n] and returns at+n.
-func (s *SGD) update(p, grad []float64, at, n int, decay float64) int {
-	for i := at; i < at+n; i++ {
-		g := grad[i]
-		if decay != 0 {
-			g += float64(decay * p[i])
-		}
-		if s.Momentum != 0 {
-			s.vel[i] = float64(s.Momentum*s.vel[i]) + g
-			g = s.vel[i]
-		}
-		p[i] -= float64(s.LR * g)
-	}
-	return at + n
-}
+// Adam's hyperparameters, Kingma & Ba's defaults. They are vars so that
+// 1-beta is a run-time float64 subtraction: as a constant expression it is
+// exact and rounds to a different float64, which would move trained bits.
+var adamBeta1, adamBeta2, adamEps = 0.9, 0.999, 1e-8
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
-	LR    float64
-	Beta1 float64 // defaults to 0.9 if zero
-	Beta2 float64 // defaults to 0.999 if zero
-	Eps   float64 // defaults to 1e-8 if zero
+	LR float64
 
 	t    int
 	m, v []float64 // first and second moment slabs
@@ -80,25 +41,16 @@ type Adam struct {
 // gradient and moment slabs.
 func (a *Adam) Step(net *MLP, grad []float64) {
 	checkSlab(net, grad)
-	if a.Beta1 == 0 {
-		a.Beta1 = 0.9
-	}
-	if a.Beta2 == 0 {
-		a.Beta2 = 0.999
-	}
-	if a.Eps == 0 {
-		a.Eps = 1e-8
-	}
 	if a.m == nil {
 		a.m, a.v = make([]float64, len(grad)), make([]float64, len(grad))
 	}
 	a.t++
 	adamStep(net.flat, grad, a.m, a.v, &adamConsts{
-		b1: a.Beta1, ob1: 1 - a.Beta1,
-		b2: a.Beta2, ob2: 1 - a.Beta2,
-		c1: 1 - math.Pow(a.Beta1, float64(a.t)),
-		c2: 1 - math.Pow(a.Beta2, float64(a.t)),
-		lr: a.LR, eps: a.Eps,
+		b1: adamBeta1, ob1: 1 - adamBeta1,
+		b2: adamBeta2, ob2: 1 - adamBeta2,
+		c1: 1 - math.Pow(adamBeta1, float64(a.t)),
+		c2: 1 - math.Pow(adamBeta2, float64(a.t)),
+		lr: a.LR, eps: adamEps,
 	})
 	net.packed.Store(nil)
 }

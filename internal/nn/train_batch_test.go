@@ -269,7 +269,7 @@ func TestPolicyGradMatchesPerSample(t *testing.T) { checkPolicyGradMatchesPerSam
 func checkPolicyGradMatchesPerSample(t *testing.T) {
 	opts := map[string]func() Optimizer{
 		"Adam":         func() Optimizer { return &Adam{LR: 1e-3} },
-		"SGD-momentum": func() Optimizer { return &SGD{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4} },
+		"SGD-momentum": func() Optimizer { return &sgd{LR: 0.01, Momentum: 0.9, WeightDecay: 1e-4} },
 	}
 	for name, opt := range opts {
 		rng := rand.New(rand.NewSource(31))
@@ -305,7 +305,7 @@ func checkPolicyGradMatchesPerSample(t *testing.T) {
 func TestPolicyGradStepRejectsBadAction(t *testing.T) {
 	for _, bad := range []int{-1, 3} {
 		net := NewMLP(rand.New(rand.NewSource(8)), 2, 4, 3)
-		tr := NewTrainer(net, &SGD{LR: 0.1})
+		tr := NewTrainer(net, &sgd{LR: 0.1})
 		tr.PolicyGradStep([][]float64{{1, 2}}, []int{1}, []float64{1}, 0)
 		params := append([]float64(nil), net.flat...)
 		grad := append([]float64(nil), tr.grad...)
@@ -348,8 +348,8 @@ func TestPolicyGradStepNoAlloc(t *testing.T) {
 func TestTrainClassBatchSGDMomentum(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, b, xs, labels, weights := trainFixture(rng, []int{12, 16, 8}, 40)
-	ta := NewTrainer(a, &SGD{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4})
-	tb := NewTrainer(b, &SGD{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4})
+	ta := NewTrainer(a, &sgd{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4})
+	tb := NewTrainer(b, &sgd{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4})
 	for step := 0; step < 8; step++ {
 		lossA := ta.TrainClassBatch(xs, labels, weights)
 		lossB := tb.trainClassPerSample(xs, labels, weights)

@@ -63,11 +63,11 @@ func tracingOn(t *testing.T) *obs.Tracer {
 func perturbConfig(seed int64, engine string, days int) runner.Config {
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 1
+	tc.WindowDays = 2
 	cfg := runner.Config{
 		Env:            experiment.DefaultEnv(),
 		Days:           days,
 		SessionsPerDay: 16,
-		WindowDays:     2,
 		ShardSize:      4,
 		Seed:           seed,
 		Retrain:        true,

@@ -188,36 +188,6 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// The flush-trace context attributes shared batched work — one inference
-// flush serves many sessions — to exactly one trace: the first sampled
-// decision of the batch. fleet.InferenceService sets it for the duration
-// of a Flush, on behalf of its single owner (the fleet event loop, the
-// serve batcher); it and the packed kernel read it to parent their spans.
-// It is wall-side state: nothing result-shaping ever reads it.
-type flushTrace struct{ trace, parent uint64 }
-
-var curFlush atomic.Pointer[flushTrace]
-
-// SetFlushTrace attributes batched work recorded until ClearFlushTrace to
-// the given (trace, parent span). trace 0 is ignored.
-func SetFlushTrace(trace, parent uint64) {
-	if trace == 0 {
-		return
-	}
-	curFlush.Store(&flushTrace{trace, parent})
-}
-
-// ClearFlushTrace removes the flush attribution.
-func ClearFlushTrace() { curFlush.Store(nil) }
-
-// FlushTrace returns the current flush attribution (0, 0 when none).
-func FlushTrace() (trace, parent uint64) {
-	if f := curFlush.Load(); f != nil {
-		return f.trace, f.parent
-	}
-	return 0, 0
-}
-
 // TraceQuantiles computes exact quantiles over the durations of the named
 // spans in a snapshot (the client RTT summary's source). Returns the
 // matching span count; quantile values are 0 when no span matched.

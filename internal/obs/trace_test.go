@@ -109,25 +109,6 @@ func TestTracerConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestFlushTraceContext(t *testing.T) {
-	ClearFlushTrace()
-	if tr, p := FlushTrace(); tr != 0 || p != 0 {
-		t.Fatalf("FlushTrace = (%d, %d) with none set", tr, p)
-	}
-	SetFlushTrace(0, 5) // trace 0 means untraced: ignored
-	if tr, _ := FlushTrace(); tr != 0 {
-		t.Fatal("SetFlushTrace(0, ...) should be ignored")
-	}
-	SetFlushTrace(7, 9)
-	if tr, p := FlushTrace(); tr != 7 || p != 9 {
-		t.Fatalf("FlushTrace = (%d, %d), want (7, 9)", tr, p)
-	}
-	ClearFlushTrace()
-	if tr, _ := FlushTrace(); tr != 0 {
-		t.Fatal("ClearFlushTrace did not clear")
-	}
-}
-
 func TestTraceQuantiles(t *testing.T) {
 	var spans []Span
 	for i := int64(1); i <= 100; i++ {

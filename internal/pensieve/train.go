@@ -23,7 +23,7 @@ type TrainConfig struct {
 	Seed         int64
 	QoE          QoEWeights
 	// Paths is the training trace family (the emulation methodology uses
-	// FCC-like paths). Nil means netem.FCCPaths{}.
+	// FCC-like paths). Nil means netem.FCCPaths{MaxRate: 8e6}.
 	Paths netem.Sampler
 	// Clip is the training video (nil = a fixed 10-minute NBC-like clip,
 	// mirroring the paper's emulation setup).
@@ -53,20 +53,9 @@ type TrainResult struct {
 }
 
 // Train trains a Pensieve policy in the chunk-level emulation simulator and
-// returns a deployable Agent.
+// returns a deployable Agent. cfg is used as given apart from Paths and Clip:
+// start from DefaultTrainConfig.
 func Train(cfg TrainConfig) (*Agent, TrainResult) {
-	if cfg.Episodes <= 0 {
-		cfg.Episodes = 800
-	}
-	if cfg.ChunksPerEp <= 0 {
-		cfg.ChunksPerEp = 150
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 2.5e-4
-	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = 0.99
-	}
 	if cfg.Paths == nil {
 		// The FCC/Norway traces Pensieve trained on rarely exceed a few
 		// Mbit/s; its policy never learns what to do with a fat pipe.
@@ -75,9 +64,6 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 	if cfg.Clip == nil {
 		nbc, _ := media.FindProfile("nbc")
 		cfg.Clip = media.RecordClip(nbc, 600, 600)
-	}
-	if cfg.QoE.RebufPenalty == 0 {
-		cfg.QoE = DefaultQoE()
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))

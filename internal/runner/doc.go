@@ -2,9 +2,9 @@
 // subsystem: the in-situ continual-experiment loop. Each simulated day runs
 // a randomized trial with the currently-deployed schemes while telemetry is
 // recorded; a nightly phase warm-start-retrains the TTP on a sliding window
-// of recent days and atomically rotates the new model into the Fugu arm for
-// the next day (§4.3's "retrained every day, on data collected from its own
-// deployment").
+// of recent days (Config.Train.WindowDays) and atomically rotates the new
+// model into the Fugu arm for the next day (§4.3's "retrained every day, on
+// data collected from its own deployment").
 //
 // The loop runs days, not engines. How a day's sessions execute sits behind
 // one seam, DayEngine (Config.Engine): given the day's trial, the deployed

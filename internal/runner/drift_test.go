@@ -30,11 +30,11 @@ func driftEnv(t *testing.T, preset string) experiment.Env {
 func TestRunnerDriftStalenessSeparates(t *testing.T) {
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 4
+	tc.WindowDays = 0
 	cfg := Config{
 		Env:            driftEnv(t, "shift"),
 		Days:           4,
 		SessionsPerDay: 128,
-		WindowDays:     0,
 		ShardSize:      16,
 		Seed:           2,
 		Retrain:        true,

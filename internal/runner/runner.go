@@ -42,10 +42,6 @@ type Config struct {
 	// SessionsPerDay is each day's randomized-trial size in sessions. No
 	// default; must be positive.
 	SessionsPerDay int
-	// WindowDays is the sliding retraining window W in days: the nightly
-	// phase trains on telemetry from the last W days. Default (0): all
-	// days so far.
-	WindowDays int
 	// Workers bounds shard parallelism (worker goroutines). Default (0):
 	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
@@ -74,9 +70,12 @@ type Config struct {
 	// Horizon is the TTP/MPC lookahead in chunks. Default (0):
 	// core.DefaultHorizon (5).
 	Horizon int
-	// Train controls the nightly supervised training. Default (zero
-	// value): core.DefaultTrainConfig; Train.Seed is re-derived per day
-	// either way.
+	// Train controls the nightly supervised training. No default; it must
+	// be complete (core.Train refuses a non-positive Epochs, BatchSize or
+	// LR). Train.WindowDays is the sliding retraining window W in days:
+	// the nightly phase trains on telemetry from the last W days, 0 = all
+	// days so far. Train.Seed is ignored: the runner derives each night's
+	// seed from Seed.
 	Train core.TrainConfig
 	// SpecHash is the scenario guard hash (scenario.Spec.GuardHash) that
 	// pins this run's checkpoint manifest: resuming with a different hash
@@ -218,9 +217,10 @@ type Result struct {
 	Total []experiment.SchemeStats
 	// TTP is the model after the final nightly phase.
 	TTP *core.TTP
-	// Data is the sliding-window telemetry at exit (the last WindowDays
-	// days merged in day order) — what the next nightly phase would train
-	// on, and what the figures suite evaluates predictors against.
+	// Data is the sliding-window telemetry at exit (the last
+	// Train.WindowDays days merged in day order) — what the next nightly
+	// phase would train on, and what the figures suite evaluates predictors
+	// against.
 	Data *core.Dataset
 }
 
@@ -292,9 +292,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = core.DefaultHorizon
-	}
-	if (cfg.Train == core.TrainConfig{}) {
-		cfg.Train = core.DefaultTrainConfig()
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -450,7 +447,7 @@ func (r *state) liveDay(day int) (DayStats, *experiment.TrialAcc, *core.Dataset,
 func (r *state) finishDay(ds DayStats, acc *experiment.TrialAcc, data *core.Dataset) {
 	r.res.Days = append(r.res.Days, ds)
 	r.pooled.Merge(acc)
-	r.window = trimWindow(append(r.window, dayData{day: ds.Day, data: data}), ds.Day, r.cfg.WindowDays)
+	r.window = trimWindow(append(r.window, dayData{day: ds.Day, data: data}), ds.Day, r.cfg.Train.WindowDays)
 }
 
 // trimWindow drops telemetry older than the sliding window of `windowDays`
@@ -483,13 +480,13 @@ func mergeWindow(win []dayData) *core.Dataset {
 // today's telemetry joins a local copy here.
 func (r *state) nightlyTrain(day int, today *core.Dataset) (core.TrainResult, *core.TTP, error) {
 	win := append(append([]dayData{}, r.window...), dayData{day: day, data: today})
-	data := mergeWindow(trimWindow(win, day, r.cfg.WindowDays))
+	data := mergeWindow(trimWindow(win, day, r.cfg.Train.WindowDays))
 
 	var model *core.TTP
 	if cur := r.slot.Load(); cur != nil {
 		model = cur.Clone()
 	} else {
-		rng := rand.New(rand.NewSource(mix2(r.cfg.Seed, -1)))
+		rng := rand.New(rand.NewSource(experiment.Mix(r.cfg.Seed, -1)))
 		model = core.NewTTP(rng, r.cfg.Horizon, r.cfg.Hidden, core.DefaultFeatures(), core.KindTransTime)
 	}
 	tc := r.cfg.Train
@@ -501,20 +498,12 @@ func (r *state) nightlyTrain(day int, today *core.Dataset) (core.TrainResult, *c
 	return tr, model, nil
 }
 
-// Seed derivations: every per-day RNG gets independent seed material via the
-// splitmix64 finalizer, mirroring the experiment package's mix.
-func mix2(seed, id int64) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(id) + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
-}
-
-func daySeed(seed int64, day int) int64         { return mix2(seed, int64(3*day+1)) }
-func trainSeed(seed int64, day int) int64       { return mix2(seed, int64(3*day+2)) }
-func dayAnalysisSeed(seed int64, day int) int64 { return mix2(seed, int64(3*day+3)) }
-func totalAnalysisSeed(seed int64) int64        { return mix2(seed, -2) }
+// Seed derivations: every per-day RNG gets independent seed material from
+// experiment.Mix under its own id.
+func daySeed(seed int64, day int) int64         { return experiment.Mix(seed, int64(3*day+1)) }
+func trainSeed(seed int64, day int) int64       { return experiment.Mix(seed, int64(3*day+2)) }
+func dayAnalysisSeed(seed int64, day int) int64 { return experiment.Mix(seed, int64(3*day+3)) }
+func totalAnalysisSeed(seed int64) int64        { return experiment.Mix(seed, -2) }
 
 // DaySeed is the trial seed of day `day` of a run with this config seed —
 // exported so an external execution engine (the wall-clock serving layer)

@@ -18,11 +18,11 @@ import (
 func testConfig(seed int64) Config {
 	tc := core.DefaultTrainConfig()
 	tc.Epochs = 1
+	tc.WindowDays = 2
 	return Config{
 		Env:            experiment.DefaultEnv(),
 		Days:           2,
 		SessionsPerDay: 16,
-		WindowDays:     2,
 		ShardSize:      4,
 		Seed:           seed,
 		Retrain:        true,
@@ -207,7 +207,7 @@ func TestRunnerFrozenAblation(t *testing.T) {
 func TestRunnerSlidingWindow(t *testing.T) {
 	cfg := testConfig(19)
 	cfg.Days = 3
-	cfg.WindowDays = 1
+	cfg.Train.WindowDays = 1
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -144,7 +144,6 @@ func Compile(s Spec) (runner.Config, error) {
 		Epochs:      d.Train.Epochs,
 		BatchSize:   d.Train.BatchSize,
 		LR:          d.Train.LR,
-		Seed:        *d.Seed, // re-derived per day by the runner either way
 		WindowDays:  *d.Daily.Window,
 		RecencyBase: *d.Train.RecencyBase,
 	}
@@ -152,7 +151,6 @@ func Compile(s Spec) (runner.Config, error) {
 		Env:            env,
 		Days:           d.Daily.Days,
 		SessionsPerDay: d.Daily.Sessions,
-		WindowDays:     *d.Daily.Window,
 		ShardSize:      d.ShardSize,
 		Seed:           *d.Seed,
 		Retrain:        *d.Daily.Retrain,

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 
+	"puffer/internal/core"
 	"puffer/internal/experiment"
 	"puffer/internal/nn"
 )
@@ -169,26 +170,20 @@ type ArrivalSpec struct {
 	Gap   float64 `json:"gap,omitempty"`
 }
 
-// Default values, applied in exactly one place (WithDefaults). The numbers
+// Default values, applied in exactly one place (WithDefaults); the model
+// and training knobs (hidden sizes, horizon, window, epochs, batch size,
+// learning rate, recency base) come from core's defaults. The numbers
 // deliberately equal the historical puffer-daily flag defaults, so a spec
 // with everything unset runs exactly what the bare CLI always ran.
 const (
 	defaultDays        = 3
 	defaultSessions    = 150
-	defaultWindow      = 14
-	defaultEpochs      = 8
-	defaultBatchSize   = 64
-	defaultLR          = 1e-3
 	defaultSeed        = 1
 	defaultRate        = 1.0
 	defaultTick        = 0.25
-	defaultRecencyBase = 0.9
 	defaultMixStartDay = 0
 	defaultMixRampDays = 3
 )
-
-// defaultHidden is the paper's TTP architecture.
-var defaultHidden = []int{64, 64}
 
 func ptr[T any](v T) *T { return &v }
 
@@ -215,25 +210,26 @@ func (s Spec) WithDefaults() Spec {
 	if d.Daily.Sessions == 0 {
 		d.Daily.Sessions = defaultSessions
 	}
-	d.Daily.Window = ptr(orp(d.Daily.Window, defaultWindow))
+	train := core.DefaultTrainConfig()
+	d.Daily.Window = ptr(orp(d.Daily.Window, train.WindowDays))
 	d.Daily.Retrain = ptr(orp(d.Daily.Retrain, true))
 	d.Daily.Ablation = ptr(orp(d.Daily.Ablation, true))
 	if d.Model.Hidden == nil {
-		d.Model.Hidden = append([]int(nil), defaultHidden...)
+		d.Model.Hidden = append([]int(nil), core.DefaultHidden...)
 	}
 	if d.Model.Horizon == 0 {
-		d.Model.Horizon = 5
+		d.Model.Horizon = core.DefaultHorizon
 	}
 	if d.Train.Epochs == 0 {
-		d.Train.Epochs = defaultEpochs
+		d.Train.Epochs = train.Epochs
 	}
 	if d.Train.BatchSize == 0 {
-		d.Train.BatchSize = defaultBatchSize
+		d.Train.BatchSize = train.BatchSize
 	}
 	if d.Train.LR == 0 {
-		d.Train.LR = defaultLR
+		d.Train.LR = train.LR
 	}
-	d.Train.RecencyBase = ptr(orp(d.Train.RecencyBase, defaultRecencyBase))
+	d.Train.RecencyBase = ptr(orp(d.Train.RecencyBase, train.RecencyBase))
 	if d.Drift.Preset == "" {
 		d.Drift.Preset = "none"
 	}

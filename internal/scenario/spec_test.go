@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"puffer/internal/core"
 	"puffer/internal/nn"
 )
 
@@ -193,7 +194,7 @@ func TestSpecSet(t *testing.T) {
 	if zero.Daily.Window == nil || *zero.Daily.Window != 0 {
 		t.Fatalf("window set to 0 reads %v", zero.Daily.Window)
 	}
-	if *zero.WithDefaults().Daily.Window != 0 || *New().WithDefaults().Daily.Window != defaultWindow {
+	if *zero.WithDefaults().Daily.Window != 0 || *New().WithDefaults().Daily.Window != core.DefaultTrainConfig().WindowDays {
 		t.Fatal("explicit window 0 and unset window resolve alike")
 	}
 
@@ -225,15 +226,15 @@ func TestZeroVsUnsetSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WindowDays != 0 || cfg.Train.WindowDays != 0 {
-		t.Fatalf("explicit window 0 compiled to %d/%d", cfg.WindowDays, cfg.Train.WindowDays)
+	if cfg.Train.WindowDays != 0 {
+		t.Fatalf("explicit window 0 compiled to %d", cfg.Train.WindowDays)
 	}
 	cfg, err = Compile(New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WindowDays != defaultWindow {
-		t.Fatalf("absent window compiled to %d, want %d", cfg.WindowDays, defaultWindow)
+	if want := core.DefaultTrainConfig().WindowDays; cfg.Train.WindowDays != want {
+		t.Fatalf("absent window compiled to %d, want %d", cfg.Train.WindowDays, want)
 	}
 
 	// drift: an explicit zero clears a preset knob; absent keeps it.

@@ -40,13 +40,16 @@ type LoadConfig struct {
 	// when Timescale is 0 (a work pool), unlimited when pacing (the
 	// arrival schedule is the limiter).
 	Concurrency int
-	// DialTimeout and ReplyTimeout bound connection setup and each
-	// decision round trip. Defaults: 10s, 120s.
-	DialTimeout  time.Duration
-	ReplyTimeout time.Duration
 	// Logf, if set, receives progress lines. Default: silent.
 	Logf func(format string, args ...any)
 }
+
+// dialTimeout and replyTimeout bound a load session's connection setup and
+// each of its round trips (the handshake, every decision, the closing Bye).
+const (
+	dialTimeout  = 10 * time.Second
+	replyTimeout = 120 * time.Second
+)
 
 // LoadResult is one finished load run.
 type LoadResult struct {
@@ -105,7 +108,6 @@ type remote struct {
 	arrival   float64
 	start     time.Time
 	timescale float64
-	replyTO   time.Duration
 
 	modelID    uint32
 	violated   bool
@@ -147,7 +149,7 @@ func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 		r.seq++
 	}
 	r.out = encodeDecide(r.out[:0], now, o, trace, root)
-	r.c.SetWriteDeadline(time.Now().Add(r.replyTO))
+	r.c.SetWriteDeadline(time.Now().Add(replyTimeout))
 	var s0 int64
 	if trace != 0 {
 		s0 = obs.Now()
@@ -162,7 +164,7 @@ func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 		tr.Record(obs.Span{Trace: trace, ID: tr.NewSpanID(), Parent: root,
 			Name: "client_send", Start: s0, Dur: obs.SinceNS(s0)})
 	}
-	r.c.SetReadDeadline(time.Now().Add(r.replyTO))
+	r.c.SetReadDeadline(time.Now().Add(replyTimeout))
 	typ, payload, buf, err := wire.ReadFrame(r.br, r.buf, maxFrame)
 	r.buf = buf
 	if err != nil {
@@ -225,12 +227,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	}
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("serve: LoadConfig.Addr is required")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = 120 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -320,10 +316,10 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 	// The blinded arm assignment is the first draw of the session RNG;
 	// replaying it here names the scheme for the handshake without
 	// perturbing the session's own RNG stream (RunOneHooked re-derives it).
-	armRNG := rand.New(rand.NewSource(experiment.SessionSeed(p.TrialSeed, int64(id))))
+	armRNG := rand.New(rand.NewSource(experiment.Mix(p.TrialSeed, int64(id))))
 	scheme := p.SchemeNames[armRNG.Intn(len(p.SchemeNames))]
 
-	c, err := net.DialTimeout("tcp", ld.cfg.Addr, ld.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", ld.cfg.Addr, dialTimeout)
 	if err != nil {
 		return res, fmt.Errorf("dial: %w", err)
 	}
@@ -334,7 +330,7 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 	h := &remote{
 		c: c, br: bufio.NewReaderSize(c, 4<<10), bw: bufio.NewWriterSize(c, 16<<10),
 		arrival: arrival, start: ld.start, timescale: ld.cfg.Timescale,
-		replyTO: ld.cfg.ReplyTimeout, violations: &ld.violations, decisions: &ld.decisions,
+		violations: &ld.violations, decisions: &ld.decisions,
 		sessID: int64(id),
 	}
 	var flags uint16
@@ -344,7 +340,7 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 	}
 
 	// Handshake.
-	c.SetWriteDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
+	c.SetWriteDeadline(time.Now().Add(replyTimeout))
 	hb := encodeHello(nil, &hello{
 		Version: ProtoVersion, Day: p.Day, Session: id, Seed: p.TrialSeed,
 		Scheme: scheme, PlanHash: p.Hash, Flags: flags,
@@ -355,7 +351,7 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 	if err := h.bw.Flush(); err != nil {
 		return res, fmt.Errorf("hello: %w", err)
 	}
-	c.SetReadDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
+	c.SetReadDeadline(time.Now().Add(replyTimeout))
 	typ, payload, buf, err := wire.ReadFrame(h.br, h.buf, maxFrame)
 	h.buf = buf
 	if err != nil {
@@ -408,9 +404,9 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 	res = trial.RunOneHooked(id, h)
 
 	// Clean close: Bye/ByeOK, best effort.
-	c.SetWriteDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
+	c.SetWriteDeadline(time.Now().Add(replyTimeout))
 	if err := wire.WriteFrame(h.bw, msgBye, nil); err == nil && h.bw.Flush() == nil {
-		c.SetReadDeadline(time.Now().Add(ld.cfg.ReplyTimeout))
+		c.SetReadDeadline(time.Now().Add(replyTimeout))
 		wire.ReadFrame(h.br, h.buf, maxFrame)
 	}
 	return res, nil

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
 
+	"puffer/internal/experiment"
 	"puffer/internal/scenario"
 )
 
@@ -94,30 +96,63 @@ type Cell struct {
 	Hash, GuardHash string
 }
 
+// maxCells caps a sweep's expansion. Every cell is a whole experiment, so
+// a real sweep is far smaller; the cap stops a typo'd sample count or axis
+// product from sizing a huge allocation.
+const maxCells = 10000
+
 // validate checks the sweep's own shape (the scenario fields are checked
-// per cell during expansion, through the scenario parser and validator).
-func (s *Spec) validate() error {
+// per cell during expansion, through the scenario parser and validator) and
+// returns its cell count, the product of the axis lengths.
+func (s *Spec) validate() (int, error) {
 	if s.Scenario != "" && s.Base != nil {
-		return fmt.Errorf("sweep: set scenario (a registered name) or base (an inline spec), not both")
+		return 0, fmt.Errorf("sweep: set scenario (a registered name) or base (an inline spec), not both")
 	}
 	seen := map[string]bool{}
+	cells := 1
 	for i, a := range s.Axes {
 		if a.Field == "" {
-			return fmt.Errorf("sweep: axes[%d]: field is required", i)
+			return 0, fmt.Errorf("sweep: axes[%d]: field is required", i)
 		}
 		if seen[a.Field] {
-			return fmt.Errorf("sweep: axes[%d]: duplicate axis over %q", i, a.Field)
+			return 0, fmt.Errorf("sweep: axes[%d]: duplicate axis over %q", i, a.Field)
 		}
 		seen[a.Field] = true
 		grid, random := len(a.Values) > 0, a.Samples > 0
+		n := len(a.Values)
 		switch {
 		case grid && random:
-			return fmt.Errorf("sweep: axes[%d] (%s): values and samples are mutually exclusive", i, a.Field)
+			return 0, fmt.Errorf("sweep: axes[%d] (%s): values and samples are mutually exclusive", i, a.Field)
 		case !grid && !random:
-			return fmt.Errorf("sweep: axes[%d] (%s): need values (grid) or samples (random)", i, a.Field)
-		case random && a.Max < a.Min:
-			return fmt.Errorf("sweep: axes[%d] (%s): max %g < min %g", i, a.Field, a.Max, a.Min)
+			return 0, fmt.Errorf("sweep: axes[%d] (%s): need values (grid) or samples (random)", i, a.Field)
+		case random:
+			if err := a.checkRange(); err != nil {
+				return 0, fmt.Errorf("sweep: axes[%d] (%s): %w", i, a.Field, err)
+			}
+			n = a.Samples
 		}
+		if n > maxCells/cells {
+			return 0, fmt.Errorf("sweep: axes[%d] (%s): the sweep expands to more than %d cells", i, a.Field, maxCells)
+		}
+		cells *= n
+	}
+	return cells, nil
+}
+
+// checkRange refuses a random axis's [Min, Max] that axisValues cannot
+// sample: a non-finite bound or span, an inverted range, or an integer
+// range whose size overflows int64.
+func (a *Axis) checkRange() error {
+	if d := a.Max - a.Min; math.IsNaN(d) || math.IsInf(d, 0) {
+		return fmt.Errorf("min %g and max %g need a finite span", a.Min, a.Max)
+	}
+	if a.Max < a.Min {
+		return fmt.Errorf("max %g < min %g", a.Max, a.Min)
+	}
+	// int64 holds [-2^63, 2^63) (both bounds exact float64s), and
+	// rand.Int63n needs the range's size, hi-lo+1, to fit as well.
+	if a.Int && (a.Min < -(1<<63) || a.Max >= 1<<63 || uint64(int64(a.Max))-uint64(int64(a.Min)) >= math.MaxInt64) {
+		return fmt.Errorf("integer range [%g, %g] does not fit int64", a.Min, a.Max)
 	}
 	return nil
 }
@@ -173,15 +208,11 @@ func (s *Spec) seed() int64 {
 }
 
 // axisSeed mixes the sweep seed with an FNV-1a hash of the axis field into
-// independent RNG seed material (splitmix64 finalizer, as elsewhere).
+// independent RNG seed material (experiment.Mix).
 func axisSeed(seed int64, field string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(field))
-	z := uint64(seed)*0x9E3779B97F4A7C15 + h.Sum64() + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & 0x7FFFFFFFFFFFFFFF)
+	return experiment.Mix(seed, int64(h.Sum64()))
 }
 
 // Expand lowers the sweep into its cells, deterministically: axes in
@@ -192,7 +223,8 @@ func axisSeed(seed int64, field string) int64 {
 // transform — e.g. scenario.ScaleFromEnv for smoke runs — is applied to
 // each cell before hashing, so the index keys match what actually runs.
 func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error) {
-	if err := s.validate(); err != nil {
+	total, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	base, err := s.base()
@@ -205,10 +237,8 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 	base.Name, base.Notes = "", ""
 
 	values := make([][]json.RawMessage, len(s.Axes))
-	total := 1
 	for i, a := range s.Axes {
 		values[i] = s.axisValues(a)
-		total *= len(values[i])
 	}
 
 	cells := make([]Cell, 0, total)

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -211,10 +212,19 @@ func TestSweepValidation(t *testing.T) {
 		{"neither grid nor random", `{"axes": [{"field": "seed"}]}`},
 		{"max below min", `{"axes": [{"field": "seed", "samples": 2, "min": 5, "max": 1}]}`},
 		{"unknown scenario", `{"scenario": "no-such", "axes": [{"field": "seed", "values": [1]}]}`},
+		{"int span overflows int64", `{"axes": [{"field": "seed", "samples": 1, "int": true, "min": -9e18, "max": 9e18}]}`},
+		{"int bound past int64", `{"axes": [{"field": "seed", "samples": 1, "int": true, "min": 0, "max": 1e19}]}`},
+		{"float span overflows", `{"axes": [{"field": "train.lr", "samples": 1, "min": -1.7e308, "max": 1.7e308}]}`},
+		{"samples past the cap", `{"axes": [{"field": "seed", "samples": 100000000000000}]}`},
+		{"axis product past the cap", `{"axes": [{"field": "seed", "samples": 1000}, {"field": "daily.sessions", "samples": 1000, "min": 1, "max": 9, "int": true}]}`},
 	} {
 		if _, err := mustParse(t, tc.blob).Expand(nil); err == nil {
 			t.Fatalf("%s: want error", tc.name)
 		}
+	}
+	nonFinite := Spec{Axes: []Axis{{Field: "seed", Samples: 1, Min: math.Inf(-1)}}}
+	if _, err := nonFinite.Expand(nil); err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Fatalf("a non-finite min: Expand returned %v, want an error naming it", err)
 	}
 	if _, err := Parse([]byte(`{"axes": [], "bogus": 1}`)); err == nil {
 		t.Fatal("unknown sweep field must be rejected")
@@ -250,4 +260,36 @@ func TestScenarioBaseAndTransform(t *testing.T) {
 	if cells[0].Hash == cells[1].Hash {
 		t.Fatal("seed axis cells must differ")
 	}
+}
+
+// FuzzParseSweep: any input yields a typed error or a faithful expansion,
+// never a panic or an unbounded allocation. Only sweeps that validate to a
+// few dozen cells are expanded, so each input stays fast. Seeds live in
+// testdata/fuzz/FuzzParseSweep, among them the integer range and the
+// sample count that once panicked Expand.
+func FuzzParseSweep(f *testing.F) {
+	f.Add([]byte(tinySweep))
+	f.Add([]byte(`{"seed": 3, "axes": [{"field": "seed", "samples": 3, "int": true, "min": 1, "max": 9}, {"field": "train.lr", "samples": 2, "min": 1e-4, "max": 1e-2}]}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		sw, err := Parse(blob)
+		if err != nil {
+			return
+		}
+		n, err := sw.validate()
+		if err != nil || n > 48 {
+			return
+		}
+		cells, err := sw.Expand(nil)
+		if err != nil {
+			return
+		}
+		if len(cells) != n {
+			t.Fatalf("expanded %d cells, validate counted %d", len(cells), n)
+		}
+		for i, c := range cells {
+			if c.Index != i || c.Hash != c.Spec.Hash() || c.GuardHash != c.Spec.GuardHash() {
+				t.Fatalf("cell %d (%s): index %d, hashes %s/%s do not match its spec", i, c.Name, c.Index, c.Hash, c.GuardHash)
+			}
+		}
+	})
 }
