@@ -272,6 +272,7 @@ func TestCLIBackCompatRunsByteIdentical(t *testing.T) {
 	for _, args := range cases {
 		t.Run(joinArgs(args), func(t *testing.T) {
 			legacy, _ := legacyConfig(t, args)
+			legacy.Horizon = core.DefaultHorizon // the value the old runner filled in
 			wantMain, err := runner.Run(legacy)
 			if err != nil {
 				t.Fatal(err)

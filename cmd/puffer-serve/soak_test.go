@@ -37,12 +37,14 @@ func TestSoak(t *testing.T) {
 	serveBin := filepath.Join(bin, "puffer-serve")
 	loadBin := filepath.Join(bin, "puffer-load")
 
-	// Day 0 warms instantly (no model to train); a small session count
-	// keeps the full trial fast while still spanning every arm.
-	common := []string{"-scenario", "stationary", "-day", "0", "-sessions", "48"}
+	// Day 1 serves a trained model, so -rotate-every has a model to
+	// republish (on day 0 Rotate is a no-op); a small session count keeps
+	// the warmup and the full trial fast while still spanning every arm.
+	common := []string{"-scenario", "stationary", "-day", "1", "-sessions", "48"}
 
 	srv := exec.Command(serveBin, append([]string{
 		"-listen", "127.0.0.1:0", "-obs-listen", "127.0.0.1:0", "-drain-timeout", "5s",
+		"-rotate-every", "50ms",
 	}, common...)...)
 	srvOut, err := srv.StdoutPipe()
 	if err != nil {
@@ -121,8 +123,10 @@ func TestSoak(t *testing.T) {
 	}
 
 	// Phase 2: a fresh client runs the full trial to completion against
-	// the same daemon. Session state is per-connection, so the earlier
-	// carnage must not perturb a single byte of the results table.
+	// the same daemon. Session state is per-connection, so neither the
+	// earlier carnage nor the model rotations may perturb a single byte of
+	// the results table; puffer-load exits non-zero if any session saw two
+	// model generations.
 	full := exec.Command(loadBin, append([]string{"-addr", addr, "-q"}, common...)...)
 	fullOut, err := full.Output()
 	if err != nil {
@@ -146,6 +150,9 @@ func TestSoak(t *testing.T) {
 	}
 	if v := counter(snap, "serve_decisions_total"); v <= 0 {
 		t.Fatalf("serve_decisions_total = %v, want > 0", v)
+	}
+	if v := counter(snap, "serve_model_rotations_total"); v < 1 {
+		t.Fatalf("serve_model_rotations_total = %v, want >= 1 under -rotate-every", v)
 	}
 
 	// Phase 3: SIGTERM drains cleanly — exit 0 and a drain summary. The

@@ -387,15 +387,18 @@ func (m *MPC) bufBin(buf float64) int {
 // controller humble for a while.
 type HarmonicMeanPredictor struct {
 	Robust bool
-	// Window is the number of samples (paper: 5). Zero means 5.
-	Window int
-	// ErrDecay multiplies the remembered max error per chunk (default
-	// 0.995); only used with Robust.
-	ErrDecay float64
 
 	maxErr   float64
 	lastSeen int
 }
+
+const (
+	// hmWindow is how many throughput samples the harmonic mean covers
+	// (the paper's five).
+	hmWindow = 5
+	// hmErrDecay multiplies the remembered max error per chunk (Robust).
+	hmErrDecay = 0.995
+)
 
 // Reset clears the per-stream error memory (called by the MPC on new
 // streams).
@@ -428,27 +431,19 @@ func (p *HarmonicMeanPredictor) PredictDistBatch(obs *Observation, step int, siz
 // estimate returns the (possibly robust-discounted) throughput estimate in
 // bits/s, or 0 if no history exists.
 func (p *HarmonicMeanPredictor) estimate(obs *Observation) float64 {
-	w := p.Window
-	if w == 0 {
-		w = 5
-	}
-	hm := harmonicMeanTail(obs.History, len(obs.History), w)
+	hm := harmonicMeanTail(obs.History, len(obs.History), hmWindow)
 	if hm <= 0 {
 		return 0
 	}
 	if !p.Robust {
 		return hm
 	}
-	decay := p.ErrDecay
-	if decay == 0 {
-		decay = 0.995
-	}
 	// Fold the newest completed chunk into the error memory: the HM
 	// prediction it would have received is the harmonic mean of the
 	// samples preceding it.
 	if n := len(obs.History); n > 0 && obs.ChunkIndex > p.lastSeen {
-		p.maxErr *= decay
-		pred := harmonicMeanTail(obs.History, n-1, w)
+		p.maxErr *= hmErrDecay
+		pred := harmonicMeanTail(obs.History, n-1, hmWindow)
 		actual := obs.History[n-1].Throughput()
 		if pred > 0 && actual > 0 {
 			if err := math.Abs(pred-actual) / actual; err > p.maxErr {

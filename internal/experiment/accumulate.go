@@ -229,9 +229,10 @@ func (t *TrialAcc) Analyze(seed int64) []SchemeStats {
 	return out
 }
 
-// DefaultShardSize is the sessions-per-shard every engine uses when none is
-// given. Shard boundaries fix the merge order of the running sums, so the
-// scenario spec's default, the runner's and the fleet engine's all read it.
+// DefaultShardSize is the scenario spec's default sessions-per-shard, which
+// every engine receives from the compiled spec. Shard boundaries fix the
+// merge order of the running sums, so the fixed-size trials of the figures
+// and the public API read the same value.
 const DefaultShardSize = 64
 
 // NumShards returns the shard count for n sessions at the given shard size.

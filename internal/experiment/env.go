@@ -14,8 +14,6 @@ type Env struct {
 	Paths netem.Sampler
 	// Channels are the available stations; each stream picks one.
 	Channels []media.Profile
-	// Ladder is the encoding ladder (nil = media.DefaultLadder()).
-	Ladder []media.Rung
 	// Watch is the viewer-behavior model.
 	Watch player.WatchModel
 	// BufferCap is the client buffer in seconds (Puffer: 15).
@@ -95,5 +93,5 @@ func (e *Env) newSource(rng *rand.Rand) chunkSource {
 		// lockstep.
 		return &clipSource{clip: e.Clip, at: rng.Intn(len(e.Clip.Chunks))}
 	}
-	return media.NewSource(e.Ladder, e.pickChannel(rng), rng.Int63())
+	return media.NewSource(e.pickChannel(rng), rng.Int63())
 }

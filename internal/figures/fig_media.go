@@ -27,8 +27,8 @@ func (s *Suite) Fig2(w io.Writer) (*Fig2Series, error) {
 	const epochs = 200
 	const epoch = 6.0 // seconds, as in both subfigures
 	rng := rand.New(rand.NewSource(s.Seed + 200))
-	cs2p := netem.GenCS2P(rng, netem.DefaultCS2PTraceConfig(2.6e6), epochs*epoch)
-	puffer := netem.GenPuffer(rng, netem.DefaultPufferTraceConfig(2.2e6), epochs*epoch)
+	cs2p := netem.GenCS2P(rng, 2.6e6, epochs*epoch)
+	puffer := netem.GenPuffer(rng, 2.2e6, epochs*epoch)
 
 	series := &Fig2Series{EpochSeconds: epoch}
 	sample := func(tr *netem.Trace) []float64 {
@@ -114,7 +114,7 @@ func (s *Suite) Fig3(w io.Writer) ([]Fig3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := media.NewSource(nil, nbc, s.Seed+300)
+	src := media.NewSource(nbc, s.Seed+300)
 	const n = 32
 	rows := make([]Fig3Row, n)
 	for i := 0; i < n; i++ {

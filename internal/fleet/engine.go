@@ -29,18 +29,16 @@ var decisionNS = metrics.Default.Histogram(MetricDecisionNS)
 type Config struct {
 	// ShardSize replicates the session engine's aggregation shards so
 	// the pooled accumulator folds in exactly the same order (byte
-	// identity requires matching shard boundaries). Default (0):
-	// experiment.DefaultShardSize.
+	// identity requires matching shard boundaries). Required (positive).
 	ShardSize int
 	// Workers bounds how many parked sessions advance concurrently
-	// between inference flushes. Default (0): GOMAXPROCS.
+	// between inference flushes; 0 means GOMAXPROCS.
 	Workers int
-	// Arrivals draws session arrival times. Default (nil):
-	// PoissonArrivals{Rate: 1}.
+	// Arrivals draws session arrival times. Required.
 	Arrivals ArrivalProcess
 	// Tick is the virtual-time window (seconds) whose due decisions are
 	// collected into one cross-session inference flush. Larger ticks mean
-	// bigger batches and coarser interleaving. Default (0): 0.25.
+	// bigger batches and coarser interleaving. Required (positive).
 	Tick float64
 }
 
@@ -222,17 +220,13 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 	if trial.Sessions <= 0 {
 		return nil, nil, fmt.Errorf("fleet: Sessions = %d, must be positive", trial.Sessions)
 	}
-	if cfg.ShardSize <= 0 {
-		cfg.ShardSize = experiment.DefaultShardSize
+	// The spec (scenario.WithDefaults) is the one home of these values; a
+	// NaN tick would never close a window, so it is refused with zero.
+	if cfg.ShardSize <= 0 || !(cfg.Tick > 0) || cfg.Arrivals == nil {
+		return nil, nil, fmt.Errorf("fleet: ShardSize (%d), Tick (%g) and Arrivals (%v) must be set", cfg.ShardSize, cfg.Tick, cfg.Arrivals)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 0.25
-	}
-	if cfg.Arrivals == nil {
-		cfg.Arrivals = PoissonArrivals{Rate: 1}
 	}
 	start := time.Now()
 
@@ -342,9 +336,9 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 
 // DayEngine adapts the fleet engine to the daily loop's seam: each day's
 // trial runs through RunTrial under the given arrival process and tick
-// (zero values take RunTrial's defaults), the deterministic part of the
-// run's Stats becomes the day's serving record, and the occupancy and wall
-// throughput go to the progress log.
+// (both required; scenario.Run passes the spec's), the deterministic part
+// of the run's Stats becomes the day's serving record, and the occupancy
+// and wall throughput go to the progress log.
 func DayEngine(arrivals ArrivalProcess, tick float64) runner.DayEngine {
 	return func(_ int, trial *experiment.Config, _ *core.TTP, shardSize, workers int,
 		notef func(string, ...any)) (*experiment.TrialAcc, *core.Dataset, *runner.FleetDayStats, error) {

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
@@ -90,7 +92,7 @@ func TestFleetMatchesSequentialBootstrap(t *testing.T) {
 		}
 	}
 	want := seqShardAcc(trial(), shard)
-	got, st, err := RunTrial(trial(), Config{ShardSize: shard})
+	got, st, err := RunTrial(trial(), Config{ShardSize: shard, Tick: 0.25, Arrivals: PoissonArrivals{Rate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +112,16 @@ func TestFleetMatchesSequentialBootstrap(t *testing.T) {
 func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	ttp := testTTP(5)
 	const sessions, shard = 20, 8
-	base, baseStats, err := RunTrial(deployTrial(ttp, sessions, 13), Config{ShardSize: shard, Workers: 1, Tick: 0.25})
+	base, baseStats, err := RunTrial(deployTrial(ttp, sessions, 13), Config{ShardSize: shard, Workers: 1, Tick: 0.25, Arrivals: PoissonArrivals{Rate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := base.AppendTo(nil)
 
 	variants := []Config{
-		{ShardSize: shard, Workers: 8, Tick: 0.25},
-		{ShardSize: shard, Workers: 3, Tick: 5},
-		{ShardSize: shard, Workers: 8, Tick: 0.01},
+		{ShardSize: shard, Workers: 8, Tick: 0.25, Arrivals: PoissonArrivals{Rate: 1}},
+		{ShardSize: shard, Workers: 3, Tick: 5, Arrivals: PoissonArrivals{Rate: 1}},
+		{ShardSize: shard, Workers: 8, Tick: 0.01, Arrivals: PoissonArrivals{Rate: 1}},
 		{ShardSize: shard, Workers: 2, Tick: 0.25, Arrivals: BurstArrivals{Burst: 10, Gap: 30}},
 		{ShardSize: shard, Workers: 2, Tick: 0.25, Arrivals: PoissonArrivals{Rate: 100}},
 	}
@@ -137,7 +139,7 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	}
 
 	// Same workers+tick, rerun: batching stats must reproduce exactly.
-	again, againStats, err := RunTrial(deployTrial(ttp, sessions, 13), Config{ShardSize: shard, Workers: 1, Tick: 0.25})
+	again, againStats, err := RunTrial(deployTrial(ttp, sessions, 13), Config{ShardSize: shard, Workers: 1, Tick: 0.25, Arrivals: PoissonArrivals{Rate: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +149,47 @@ func TestFleetInvariantToWorkersTickArrivals(t *testing.T) {
 	if againStats.Flushes != baseStats.Flushes || againStats.Batches != baseStats.Batches ||
 		againStats.MaxBatchRows != baseStats.MaxBatchRows || againStats.PeakConcurrent != baseStats.PeakConcurrent {
 		t.Fatalf("rerun batching stats differ: %+v vs %+v", againStats, baseStats)
+	}
+}
+
+// TestRunTrialRefusesUnsetKnobs: ShardSize, Tick and Arrivals have one
+// home, the spec, so RunTrial refuses them unset instead of filling in a
+// copy of its defaults. A NaN tick would never close a calendar window, so
+// that row runs under a deadline: an engine that accepts it never returns.
+func TestRunTrialRefusesUnsetKnobs(t *testing.T) {
+	valid := Config{ShardSize: 4, Workers: 1, Tick: 0.25, Arrivals: PoissonArrivals{Rate: 1}}
+	for _, tc := range []struct {
+		name  string
+		unset func(*Config)
+	}{
+		{"zero ShardSize", func(c *Config) { c.ShardSize = 0 }},
+		{"zero Tick", func(c *Config) { c.Tick = 0 }},
+		{"NaN Tick", func(c *Config) { c.Tick = math.NaN() }},
+		{"nil Arrivals", func(c *Config) { c.Arrivals = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := valid
+			tc.unset(&cfg)
+			trial := &experiment.Config{
+				Env:      experiment.DefaultEnv(),
+				Schemes:  runner.BootstrapSchemes(3),
+				Sessions: 4,
+				Seed:     3,
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, _, err := RunTrial(trial, cfg)
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Fatalf("RunTrial accepted %+v", cfg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("RunTrial did not return within 5s on %+v", cfg)
+			}
+		})
 	}
 }
 

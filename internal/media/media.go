@@ -105,10 +105,12 @@ const sizeExponent = 0.85
 // fixed CRF.
 const ssimSlope = 2.2
 
-// Source generates the chunk stream for one channel. It is deterministic
-// given its seed. Not safe for concurrent use.
+// ladder is every source's encoding ladder.
+var ladder = DefaultLadder()
+
+// Source generates the chunk stream for one channel over the default
+// ladder. It is deterministic given its seed. Not safe for concurrent use.
 type Source struct {
-	Ladder  []Rung
 	Profile Profile
 
 	rng    *rand.Rand
@@ -117,17 +119,9 @@ type Source struct {
 	inited bool
 }
 
-// NewSource creates a chunk source for the given channel profile, ladder and
-// seed. A nil ladder means DefaultLadder.
-func NewSource(ladder []Rung, profile Profile, seed int64) *Source {
-	if ladder == nil {
-		ladder = DefaultLadder()
-	}
-	if len(ladder) == 0 {
-		panic("media: empty encoding ladder")
-	}
+// NewSource creates a chunk source for the given channel profile and seed.
+func NewSource(profile Profile, seed int64) *Source {
 	return &Source{
-		Ladder:  ladder,
 		Profile: profile,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
@@ -159,12 +153,12 @@ func (s *Source) Next() Chunk {
 	c := Chunk{
 		Index:      s.index,
 		Complexity: complexity,
-		Versions:   make([]Encoding, len(s.Ladder)),
+		Versions:   make([]Encoding, len(ladder)),
 	}
 	// One shared encoder-noise draw per chunk keeps versions correlated;
 	// a small per-rung term adds encoder idiosyncrasy.
 	sharedNoise := s.rng.NormFloat64()
-	for i, r := range s.Ladder {
+	for i, r := range ladder {
 		sizeNoise := math.Exp(0.06*sharedNoise + 0.03*s.rng.NormFloat64())
 		size := r.AvgBitrate / 8 * ChunkDuration * math.Pow(complexity, sizeExponent) * sizeNoise
 		ssim := r.BaseSSIMdB - ssimSlope*s.logC + 0.15*s.rng.NormFloat64()
@@ -207,7 +201,7 @@ type Clip struct {
 // profile. The clip is deterministic given the seed.
 func RecordClip(profile Profile, duration float64, seed int64) *Clip {
 	n := int(math.Ceil(duration / ChunkDuration))
-	src := NewSource(nil, profile, seed)
+	src := NewSource(profile, seed)
 	return &Clip{Chunks: src.Take(n)}
 }
 

@@ -39,8 +39,8 @@ func TestSourceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewSource(nil, p, 42).Take(50)
-	b := NewSource(nil, p, 42).Take(50)
+	a := NewSource(p, 42).Take(50)
+	b := NewSource(p, 42).Take(50)
 	for i := range a {
 		for v := range a[i].Versions {
 			if a[i].Versions[v] != b[i].Versions[v] {
@@ -48,7 +48,7 @@ func TestSourceDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := NewSource(nil, p, 43).Take(50)
+	c := NewSource(p, 43).Take(50)
 	same := true
 	for i := range a {
 		if a[i].Versions[0] != c[i].Versions[0] {
@@ -65,7 +65,7 @@ func TestChunkMonotonicity(t *testing.T) {
 	// Property: within every chunk, size strictly increases with rung
 	// and SSIM never decreases. ABR schemes depend on this.
 	for _, p := range Channels() {
-		src := NewSource(nil, p, 7)
+		src := NewSource(p, 7)
 		for n := 0; n < 500; n++ {
 			ch := src.Next()
 			for i := 1; i < len(ch.Versions); i++ {
@@ -83,7 +83,7 @@ func TestChunkMonotonicity(t *testing.T) {
 func TestChunkSizesPositiveAndFinite(t *testing.T) {
 	f := func(seed int64) bool {
 		p := Channels()[int(uint64(seed)%uint64(len(Channels())))]
-		src := NewSource(nil, p, seed)
+		src := NewSource(p, seed)
 		for n := 0; n < 50; n++ {
 			ch := src.Next()
 			for _, v := range ch.Versions {
@@ -106,7 +106,7 @@ func TestVBRSizesVaryWithinStream(t *testing.T) {
 	// The paper's Figure 3a: chunk sizes within one encoding setting vary
 	// substantially. Check coefficient of variation is non-trivial.
 	p, _ := FindProfile("nbc")
-	src := NewSource(nil, p, 99)
+	src := NewSource(p, 99)
 	chunks := src.Take(300)
 	for _, rung := range []int{0, 9} {
 		var sum, sum2 float64
@@ -130,7 +130,7 @@ func TestVBRSizesVaryWithinStream(t *testing.T) {
 
 func TestMeanBitrateNearNominal(t *testing.T) {
 	p, _ := FindProfile("nbc")
-	src := NewSource(nil, p, 5)
+	src := NewSource(p, 5)
 	chunks := src.Take(3000)
 	for rung, want := range []float64{200e3, 400e3} {
 		var sum float64
@@ -147,7 +147,7 @@ func TestMeanBitrateNearNominal(t *testing.T) {
 func TestSSIMVariesWithComplexity(t *testing.T) {
 	// Higher-complexity chunks should have lower SSIM at the same rung.
 	p, _ := FindProfile("fox-sports")
-	src := NewSource(nil, p, 3)
+	src := NewSource(p, 3)
 	chunks := src.Take(2000)
 	var loSum, hiSum float64
 	var loN, hiN int
@@ -201,7 +201,7 @@ func TestFindProfile(t *testing.T) {
 func TestComplexityAutocorrelation(t *testing.T) {
 	// Log-complexity must be positively autocorrelated (scenes persist).
 	p, _ := FindProfile("pbs")
-	src := NewSource(nil, p, 11)
+	src := NewSource(p, 11)
 	chunks := src.Take(4000)
 	xs := make([]float64, len(chunks))
 	for i, ch := range chunks {
@@ -223,17 +223,8 @@ func TestComplexityAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestNewSourcePanicsOnEmptyLadder(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty ladder")
-		}
-	}()
-	NewSource([]Rung{}, Channels()[0], 1)
-}
-
 func TestTakeCount(t *testing.T) {
-	src := NewSource(nil, Channels()[0], 1)
+	src := NewSource(Channels()[0], 1)
 	chunks := src.Take(17)
 	if len(chunks) != 17 {
 		t.Fatalf("Take(17) returned %d chunks", len(chunks))
@@ -262,7 +253,7 @@ func TestStationaryStdGuard(t *testing.T) {
 var sinkChunk Chunk
 
 func BenchmarkSourceNext(b *testing.B) {
-	src := NewSource(nil, Channels()[0], rand.Int63())
+	src := NewSource(Channels()[0], rand.Int63())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

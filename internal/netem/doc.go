@@ -24,7 +24,8 @@
 // Main entry points:
 //
 //   - Trace: the capacity series (RateAt, Mean, Validate);
-//     generators GenPuffer/GenFCC/GenCS2P with their *TraceConfig types.
+//     generators GenPuffer/GenFCC/GenCS2P, each shaped by its family's
+//     fixed constants around a given mean rate.
 //   - Sampler: draws a per-session Path (trace + base RTT + queue
 //     capacity) from a family; implemented by PufferPaths, FCCPaths,
 //     CS2PPaths.

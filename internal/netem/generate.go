@@ -8,65 +8,43 @@ import (
 // traceInterval is the sample spacing used by all generators (seconds).
 const traceInterval = 1.0
 
-// PufferTraceConfig parameterizes the deployment-like trace family.
-type PufferTraceConfig struct {
-	// MeanRate is the session's long-run mean capacity (bits/sec).
-	MeanRate float64
-	// RegimeDwell is the mean time between regime switches (seconds).
-	RegimeDwell float64
-	// RegimeSigma is the std-dev of log regime level around the mean.
-	RegimeSigma float64
-	// WithinSigma is the std-dev of fast log-rate variation inside a
-	// regime.
-	WithinSigma float64
-	// OutageRate is the Poisson rate of deep outages (per second).
-	OutageRate float64
-	// OutageMeanDur is the mean outage duration (seconds).
-	OutageMeanDur float64
-	// OutageDepth multiplies capacity during an outage (e.g. 0.03).
-	OutageDepth float64
-}
-
-// DefaultPufferTraceConfig returns the deployment-like defaults for a
-// session with the given mean rate: slowly-switching regimes, autocorrelated
+// The deployment-like family: slowly-switching regimes, autocorrelated
 // within-regime wiggle, and rare deep outages — the heavy-tailed behavior
 // the paper observes in the wild.
-func DefaultPufferTraceConfig(meanRate float64) PufferTraceConfig {
-	return PufferTraceConfig{
-		MeanRate:      meanRate,
-		RegimeDwell:   45,
-		RegimeSigma:   0.45,
-		WithinSigma:   0.18,
-		OutageRate:    1.0 / 240,
-		OutageMeanDur: 4.0,
-		OutageDepth:   0.04,
-	}
-}
+const (
+	pufferRegimeDwell   = 45        // mean time between regime switches (s)
+	pufferRegimeSigma   = 0.45      // std-dev of log regime level around the mean
+	pufferWithinSigma   = 0.18      // std-dev of fast log-rate variation inside a regime
+	pufferOutageRate    = 1.0 / 240 // Poisson rate of deep outages (per second)
+	pufferOutageMeanDur = 4.0       // mean outage duration (s)
+	pufferOutageDepth   = 0.04      // capacity multiplier during an outage
+)
 
-// GenPuffer synthesizes a deployment-like trace of the given duration.
-func GenPuffer(rng *rand.Rand, cfg PufferTraceConfig, duration float64) *Trace {
+// GenPuffer synthesizes a deployment-like trace of the given duration
+// around a long-run mean capacity (bits/sec).
+func GenPuffer(rng *rand.Rand, meanRate, duration float64) *Trace {
 	n := max(1, int(math.Ceil(duration/traceInterval)))
 	tr := &Trace{Interval: traceInterval, Rate: make([]float64, n)}
-	logMean := math.Log(cfg.MeanRate)
-	regime := logMean + rng.NormFloat64()*cfg.RegimeSigma
+	logMean := math.Log(meanRate)
+	regime := logMean + rng.NormFloat64()*pufferRegimeSigma
 	wiggle := 0.0
 	const arWiggle = 0.85
 	outageLeft := 0.0
 	for i := 0; i < n; i++ {
 		// Regime switching (Poisson).
-		if rng.Float64() < traceInterval/cfg.RegimeDwell {
-			regime = logMean + rng.NormFloat64()*cfg.RegimeSigma
+		if rng.Float64() < traceInterval/pufferRegimeDwell {
+			regime = logMean + rng.NormFloat64()*pufferRegimeSigma
 		}
 		// Fast autocorrelated variation.
-		wiggle = arWiggle*wiggle + cfg.WithinSigma*rng.NormFloat64()
+		wiggle = arWiggle*wiggle + pufferWithinSigma*rng.NormFloat64()
 		rate := math.Exp(regime + wiggle)
 		// Outages: heavy-tailed trouble the emulator families lack.
 		if outageLeft > 0 {
-			rate *= cfg.OutageDepth
+			rate *= pufferOutageDepth
 			outageLeft -= traceInterval
-		} else if rng.Float64() < cfg.OutageRate*traceInterval {
-			outageLeft = rng.ExpFloat64() * cfg.OutageMeanDur
-			rate *= cfg.OutageDepth
+		} else if rng.Float64() < pufferOutageRate*traceInterval {
+			outageLeft = rng.ExpFloat64() * pufferOutageMeanDur
+			rate *= pufferOutageDepth
 		}
 		if rate < 1e3 {
 			rate = 1e3 // never a literal zero link
@@ -76,41 +54,33 @@ func GenPuffer(rng *rand.Rand, cfg PufferTraceConfig, duration float64) *Trace {
 	return tr
 }
 
-// FCCTraceConfig parameterizes the emulator-like trace family, mimicking
-// the FCC broadband traces replayed through mahimahi in the paper's §5.2.
-type FCCTraceConfig struct {
-	MeanRate float64 // bits/sec
-	// Sigma is the std-dev of slow log-rate variation.
-	Sigma float64
-	// DipProb is the per-sample probability of a shallow dip.
-	DipProb float64
-	// DipDepth multiplies capacity during a dip (e.g. 0.5).
-	DipDepth float64
-}
+// The emulator-like family, mimicking the FCC broadband traces replayed
+// through mahimahi in the paper's §5.2: stable capacity with mild wander
+// and occasional shallow dips — no heavy tail.
+const (
+	fccSigma    = 0.10 // std-dev of slow log-rate variation
+	fccDipProb  = 0.01 // per-sample probability of a shallow dip
+	fccDipDepth = 0.55 // capacity multiplier during a dip
+)
 
-// DefaultFCCTraceConfig returns emulator-like defaults: stable capacity with
-// mild wander and occasional shallow dips — no heavy tail.
-func DefaultFCCTraceConfig(meanRate float64) FCCTraceConfig {
-	return FCCTraceConfig{MeanRate: meanRate, Sigma: 0.10, DipProb: 0.01, DipDepth: 0.55}
-}
-
-// GenFCC synthesizes an FCC-broadband-like trace.
-func GenFCC(rng *rand.Rand, cfg FCCTraceConfig, duration float64) *Trace {
+// GenFCC synthesizes an FCC-broadband-like trace around a mean capacity
+// (bits/sec).
+func GenFCC(rng *rand.Rand, meanRate, duration float64) *Trace {
 	n := max(1, int(math.Ceil(duration/traceInterval)))
 	tr := &Trace{Interval: traceInterval, Rate: make([]float64, n)}
-	logMean := math.Log(cfg.MeanRate)
+	logMean := math.Log(meanRate)
 	wander := 0.0
 	const ar = 0.97
 	dipLeft := 0
 	for i := 0; i < n; i++ {
-		wander = ar*wander + cfg.Sigma*math.Sqrt(1-ar*ar)*rng.NormFloat64()
+		wander = ar*wander + fccSigma*math.Sqrt(1-ar*ar)*rng.NormFloat64()
 		rate := math.Exp(logMean + wander)
 		if dipLeft > 0 {
-			rate *= cfg.DipDepth
+			rate *= fccDipDepth
 			dipLeft--
-		} else if rng.Float64() < cfg.DipProb {
+		} else if rng.Float64() < fccDipProb {
 			dipLeft = 1 + rng.Intn(4)
-			rate *= cfg.DipDepth
+			rate *= fccDipDepth
 		}
 		if rate < 1e4 {
 			rate = 1e4
@@ -120,36 +90,30 @@ func GenFCC(rng *rand.Rand, cfg FCCTraceConfig, duration float64) *Trace {
 	return tr
 }
 
-// CS2PTraceConfig parameterizes the discrete-state Markov family of CS2P's
-// model (the paper's Figure 2a look: a handful of plateaus).
-type CS2PTraceConfig struct {
-	// States are the capacity levels (bits/sec).
-	States []float64
-	// MeanDwell is the mean sojourn in one state (seconds).
-	MeanDwell float64
-	// Jitter is multiplicative noise std-dev around the state level.
-	Jitter float64
+// The discrete-state Markov family of CS2P's model (the paper's Figure 2a
+// look: a handful of plateaus).
+const (
+	cs2pMeanDwell = 60   // mean sojourn in one state (s)
+	cs2pJitter    = 0.02 // multiplicative noise std-dev around the state level
+)
+
+// cs2pStates are the capacity levels (bits/sec) around a mean rate.
+func cs2pStates(meanRate float64) [4]float64 {
+	return [4]float64{meanRate * 0.55, meanRate * 0.85, meanRate * 1.05, meanRate * 1.35}
 }
 
-// DefaultCS2PTraceConfig builds states around a mean rate.
-func DefaultCS2PTraceConfig(meanRate float64) CS2PTraceConfig {
-	return CS2PTraceConfig{
-		States:    []float64{meanRate * 0.55, meanRate * 0.85, meanRate * 1.05, meanRate * 1.35},
-		MeanDwell: 60,
-		Jitter:    0.02,
-	}
-}
-
-// GenCS2P synthesizes a discrete-state Markov trace.
-func GenCS2P(rng *rand.Rand, cfg CS2PTraceConfig, duration float64) *Trace {
+// GenCS2P synthesizes a discrete-state Markov trace around a mean capacity
+// (bits/sec).
+func GenCS2P(rng *rand.Rand, meanRate, duration float64) *Trace {
 	n := max(1, int(math.Ceil(duration/traceInterval)))
 	tr := &Trace{Interval: traceInterval, Rate: make([]float64, n)}
-	state := rng.Intn(len(cfg.States))
+	states := cs2pStates(meanRate)
+	state := rng.Intn(len(states))
 	for i := 0; i < n; i++ {
-		if rng.Float64() < traceInterval/cfg.MeanDwell {
-			state = rng.Intn(len(cfg.States))
+		if rng.Float64() < traceInterval/cs2pMeanDwell {
+			state = rng.Intn(len(states))
 		}
-		rate := cfg.States[state] * math.Exp(cfg.Jitter*rng.NormFloat64())
+		rate := states[state] * math.Exp(cs2pJitter*rng.NormFloat64())
 		if rate < 1e3 {
 			rate = 1e3
 		}

@@ -67,7 +67,7 @@ func TestTraceValidate(t *testing.T) {
 func TestGeneratorsDeterministic(t *testing.T) {
 	gen := func(seed int64) []float64 {
 		rng := rand.New(rand.NewSource(seed))
-		return GenPuffer(rng, DefaultPufferTraceConfig(10e6), 120).Rate
+		return GenPuffer(rng, 10e6, 120).Rate
 	}
 	a, b := gen(1), gen(1)
 	for i := range a {
@@ -81,7 +81,7 @@ func TestGenPufferProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		mean := 1e6 + float64(uint64(seed)%50)*1e6
-		tr := GenPuffer(rng, DefaultPufferTraceConfig(mean), 300)
+		tr := GenPuffer(rng, mean, 300)
 		if err := tr.Validate(); err != nil {
 			return false
 		}
@@ -115,8 +115,8 @@ func TestGenPufferHasHeavierTailThanFCC(t *testing.T) {
 	var pufferLow, fccLow float64
 	const trials = 40
 	for i := 0; i < trials; i++ {
-		pufferLow += lowFrac(GenPuffer(rng, DefaultPufferTraceConfig(5e6), 600))
-		fccLow += lowFrac(GenFCC(rng, DefaultFCCTraceConfig(5e6), 600))
+		pufferLow += lowFrac(GenPuffer(rng, 5e6, 600))
+		fccLow += lowFrac(GenFCC(rng, 5e6, 600))
 	}
 	pufferLow /= trials
 	fccLow /= trials
@@ -127,13 +127,12 @@ func TestGenPufferHasHeavierTailThanFCC(t *testing.T) {
 
 func TestGenCS2PHasDiscreteStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultCS2PTraceConfig(2.4e6)
-	tr := GenCS2P(rng, cfg, 1200)
+	tr := GenCS2P(rng, 2.4e6, 1200)
 	// Nearly all samples should sit within a few percent of one of the
 	// configured state levels.
 	near := 0
 	for _, r := range tr.Rate {
-		for _, s := range cfg.States {
+		for _, s := range cs2pStates(2.4e6) {
 			if math.Abs(r-s)/s < 0.10 {
 				near++
 				break

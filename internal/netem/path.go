@@ -61,7 +61,7 @@ func (p PufferPaths) Sample(rng *rand.Rand, duration float64) Path {
 		mean *= 1 + rng.ExpFloat64()*3
 	}
 	mean = clamp(mean, 0.15e6, 800e6)
-	tr := GenPuffer(rng, DefaultPufferTraceConfig(mean), duration)
+	tr := GenPuffer(rng, mean, duration)
 	rtt := clamp(0.040*math.Exp(0.55*rng.NormFloat64()), 0.005, 0.400)
 	return Path{
 		Trace:         tr,
@@ -93,7 +93,7 @@ func (f FCCPaths) Sample(rng *rand.Rand, duration float64) Path {
 		hi = 16e6
 	}
 	mean := lo * math.Exp(rng.Float64()*math.Log(hi/lo))
-	tr := GenFCC(rng, DefaultFCCTraceConfig(mean), duration)
+	tr := GenFCC(rng, mean, duration)
 	return Path{
 		Trace:         tr,
 		BaseRTT:       0.040, // the mahimahi shell's fixed 40 ms
@@ -116,7 +116,7 @@ func (c CS2PPaths) Sample(rng *rand.Rand, duration float64) Path {
 		median = 2.4e6
 	}
 	mean := median * math.Exp(0.4*rng.NormFloat64())
-	tr := GenCS2P(rng, DefaultCS2PTraceConfig(mean), duration)
+	tr := GenCS2P(rng, mean, duration)
 	return Path{Trace: tr, BaseRTT: 0.050, QueueCapacity: 0.5}
 }
 

@@ -77,7 +77,7 @@ func perturbConfig(seed int64, engine string, days int) runner.Config {
 		SpecHash:       "perturb-test-spec",
 	}
 	if engine == "fleet" {
-		cfg.Engine = fleet.DayEngine(nil, 0)
+		cfg.Engine = fleet.DayEngine(fleet.PoissonArrivals{Rate: 1}, 0.25)
 	}
 	return cfg
 }

@@ -157,18 +157,17 @@ func TestTrainingImprovesReward(t *testing.T) {
 	cfg.ChunksPerEp = 100
 	cfg.Seed = 7
 	cfg.Paths = netem.FCCPaths{}
-	nbc, _ := media.FindProfile("nbc")
-	cfg.Clip = media.RecordClip(nbc, 600, 600)
 	agent, res := Train(cfg)
 	if res.Episodes != 600 {
 		t.Fatalf("episodes = %d", res.Episodes)
 	}
 
+	clip := trainClip()
 	evalReward := func(choose func(*abr.Observation) int) float64 {
 		rng := rand.New(rand.NewSource(99)) // identical episodes per policy
 		total, n := 0.0, 0
 		for ep := 0; ep < 25; ep++ {
-			runEpisode(cfg, rng, choose, func(r float64) {
+			runEpisode(cfg, clip, rng, choose, func(r float64) {
 				total += r
 				n++
 			})

@@ -14,34 +14,35 @@ import (
 
 // TrainConfig controls RL training.
 type TrainConfig struct {
-	Episodes     int     // training episodes (each one simulated stream)
-	ChunksPerEp  int     // chunks per episode (paper: long-running videos)
-	LR           float64 // Adam learning rate for both nets
-	Gamma        float64 // discount factor
-	EntropyStart float64 // entropy bonus at episode 0...
-	EntropyEnd   float64 // ...annealed linearly to this
-	Seed         int64
-	QoE          QoEWeights
+	Episodes    int     // training episodes (each one simulated stream)
+	ChunksPerEp int     // chunks per episode (paper: long-running videos)
+	LR          float64 // Adam learning rate for both nets
+	Seed        int64
 	// Paths is the training trace family (the emulation methodology uses
 	// FCC-like paths). Nil means netem.FCCPaths{MaxRate: 8e6}.
 	Paths netem.Sampler
-	// Clip is the training video (nil = a fixed 10-minute NBC-like clip,
-	// mirroring the paper's emulation setup).
-	Clip *media.Clip
 }
 
 // DefaultTrainConfig mirrors the tuned multi-video training the paper
-// deployed (entropy annealing per the Pensieve authors' advice).
+// deployed.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{
-		Episodes:     2500,
-		ChunksPerEp:  150,
-		LR:           1e-3,
-		Gamma:        0.95,
-		EntropyStart: 0.25,
-		EntropyEnd:   0.01,
-		QoE:          DefaultQoE(),
-	}
+	return TrainConfig{Episodes: 2500, ChunksPerEp: 150, LR: 1e-3}
+}
+
+// gamma is the return discount factor.
+const gamma = 0.95
+
+// The entropy bonus anneals linearly from entropyStart at episode 0 to
+// entropyEnd, per the Pensieve authors' advice. Vars, not constants, so
+// entropyEnd-entropyStart is the run-time float64 subtraction: a constant
+// expression would fold exactly and round to a different value.
+var entropyStart, entropyEnd = 0.25, 0.01
+
+// trainClip is the training video: a fixed 10-minute NBC-like clip,
+// mirroring the paper's emulation setup.
+func trainClip() *media.Clip {
+	nbc, _ := media.FindProfile("nbc")
+	return media.RecordClip(nbc, 600, 600)
 }
 
 // TrainResult reports training diagnostics.
@@ -53,18 +54,15 @@ type TrainResult struct {
 }
 
 // Train trains a Pensieve policy in the chunk-level emulation simulator and
-// returns a deployable Agent. cfg is used as given apart from Paths and Clip:
-// start from DefaultTrainConfig.
+// returns a deployable Agent. cfg is used as given apart from Paths: start
+// from DefaultTrainConfig.
 func Train(cfg TrainConfig) (*Agent, TrainResult) {
 	if cfg.Paths == nil {
 		// The FCC/Norway traces Pensieve trained on rarely exceed a few
 		// Mbit/s; its policy never learns what to do with a fat pipe.
 		cfg.Paths = netem.FCCPaths{MaxRate: 8e6}
 	}
-	if cfg.Clip == nil {
-		nbc, _ := media.FindProfile("nbc")
-		cfg.Clip = media.RecordClip(nbc, 600, 600)
-	}
+	clip := trainClip()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	policy := NewUntrainedPolicy(rng)
@@ -91,12 +89,12 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 	for ep := 0; ep < cfg.Episodes; ep++ {
 		states, actions, rewards = states[:0], actions[:0], rewards[:0]
 		frac := float64(ep) / float64(cfg.Episodes)
-		entropy := cfg.EntropyStart + (cfg.EntropyEnd-cfg.EntropyStart)*frac
+		entropy := entropyStart + (entropyEnd-entropyStart)*frac
 
 		// The policy is constant within an episode (the optimizer steps
 		// between episodes and drops the snapshot), so a rollout runs on
 		// one packed snapshot.
-		runEpisode(cfg, rng, func(obs *abr.Observation) int {
+		runEpisode(cfg, clip, rng, func(obs *abr.Observation) int {
 			s := make([]float64, StateDim)
 			assembleState(s, obs)
 			nn.Softmax(probs, policy.Packed().ForwardBatchInto(rollWS, s, 1))
@@ -115,7 +113,7 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 		returns := make([]float64, len(rewards))
 		acc := 0.0
 		for i := len(rewards) - 1; i >= 0; i-- {
-			acc = rewards[i] + cfg.Gamma*acc
+			acc = rewards[i] + gamma*acc
 			returns[i] = acc
 		}
 		advantages := make([]float64, len(returns))
@@ -147,11 +145,11 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 
 // runEpisode simulates one training stream chunk-by-chunk, calling choose
 // for each decision and reward with each chunk's QoE.
-func runEpisode(cfg TrainConfig, rng *rand.Rand, choose func(*abr.Observation) int, reward func(float64)) {
+func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*abr.Observation) int, reward func(float64)) {
 	path := cfg.Paths.Sample(rng, 700)
 	conn := tcpsim.Dial(path, rng, 0)
 	buf := &player.Buffer{Cap: player.DefaultBufferCap}
-	src := cfg.Clip
+	qoe := DefaultQoE()
 	at := rng.Intn(len(src.Chunks))
 
 	horizon := make([]media.Chunk, 5)
@@ -178,14 +176,14 @@ func runEpisode(cfg TrainConfig, rng *rand.Rand, choose func(*abr.Observation) i
 		if !completed {
 			// A hopeless transfer: huge penalty and end the episode
 			// (the RL env's terminal condition).
-			reward(cfg.QoE.Reward(enc, lastBitrate, 60))
+			reward(qoe.Reward(enc, lastBitrate, 60))
 			return
 		}
 		stall := buf.CompleteChunk(elapsed, media.ChunkDuration)
 		if !buf.Playing() {
 			buf.StartPlayback(elapsed)
 		}
-		reward(cfg.QoE.Reward(enc, lastBitrate, stall))
+		reward(qoe.Reward(enc, lastBitrate, stall))
 
 		history = append(history, abr.ChunkRecord{Size: enc.Size, TransTime: elapsed, Quality: q})
 		if len(history) > HistLen {

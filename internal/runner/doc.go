@@ -37,7 +37,7 @@
 //
 // Main entry points:
 //
-//   - Run with a Config: execute (or resume, via Config.CheckpointDir) a
+//   - Run with a Config (built by scenario.Compile): execute (or resume, via Config.CheckpointDir) a
 //     continual experiment; Result / DayStats carry per-day and pooled
 //     analyses, the final model, and the sliding-window telemetry.
 //   - DayStats.Scheme: read one arm's row out of a day, e.g. to compare

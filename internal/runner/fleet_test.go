@@ -61,7 +61,7 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flt, err := runner.Run(mk(fleet.DayEngine(nil, 0)))
+			flt, err := runner.Run(mk(fleet.DayEngine(fleet.PoissonArrivals{Rate: 1}, 0.25)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestRunnerFleetMatchesSequential(t *testing.T) {
 func TestRunnerFleetCheckpointResume(t *testing.T) {
 	mk := func(days int, dir string) runner.Config {
 		cfg := testConfig(31)
-		cfg.Engine = fleet.DayEngine(fleet.PoissonArrivals{Rate: 2}, 0)
+		cfg.Engine = fleet.DayEngine(fleet.PoissonArrivals{Rate: 2}, 0.25)
 		cfg.Days = days
 		cfg.CheckpointDir = dir
 		return cfg

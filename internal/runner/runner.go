@@ -26,53 +26,52 @@ var (
 // session ids are non-negative.
 func runTraceID(day int) uint64 { return obs.DecisionTraceID(-1, uint64(day)) }
 
-// Config describes a continual experiment. Field comments state units and
-// the zero-value default uniformly, because cmd/puffer-daily's help text is
-// generated from the same facts.
+// Config describes a continual experiment. scenario.Compile is the one
+// builder: every value of a run comes from its spec (scenario.WithDefaults
+// holds the defaults; cmd/puffer-daily's help text comes from its own
+// overrides table), and Run refuses a Config whose world, shard size or
+// horizon is unset rather than guess them.
 type Config struct {
 	// Env is the world sessions run in. When Env.Paths implements
 	// netem.DaySampler (e.g. a netem.DriftingSampler), each day's sessions
 	// draw their network situations from that day's distribution — the
-	// nonstationary deployment the staleness ablation needs. Default
-	// (zero Env): experiment.DefaultEnv.
+	// nonstationary deployment the staleness ablation needs. Required.
 	Env experiment.Env
-	// Days is how many deployment days to simulate. No default; must be
-	// positive.
+	// Days is how many deployment days to simulate. Required (positive).
 	Days int
-	// SessionsPerDay is each day's randomized-trial size in sessions. No
-	// default; must be positive.
+	// SessionsPerDay is each day's randomized-trial size in sessions.
+	// Required (positive).
 	SessionsPerDay int
-	// Workers bounds shard parallelism (worker goroutines). Default (0):
+	// Workers bounds shard parallelism (worker goroutines); 0 means
 	// GOMAXPROCS. Results are identical for any worker count.
 	Workers int
-	// Engine executes each day's trial. Default (nil): the per-session
-	// sharded worker pool (experiment.Config.RunSharded). Results are
+	// Engine executes each day's trial; nil means the per-session sharded
+	// worker pool (experiment.Config.RunSharded). Results are
 	// byte-identical across engines; only scheduling and the serving-side
 	// record differ.
 	Engine DayEngine
 	// ShardSize is how many sessions each worker-pool shard covers.
-	// Default (0): experiment.DefaultShardSize. Results are independent of
-	// ShardSize up to floating-point reassociation of two scalar means; fix
-	// it for bit-reproducibility.
+	// Required (positive). Results are independent of ShardSize up to
+	// floating-point reassociation of two scalar means; fix it for
+	// bit-reproducibility.
 	ShardSize int
-	// Seed makes the whole run deterministic. Default (0) is a valid seed.
+	// Seed makes the whole run deterministic; 0 is a valid seed.
 	Seed int64
-	// Retrain enables the nightly warm-start retraining. Default (false):
-	// the model trained after day 0 stays frozen — the paper's "Fugu-Feb"
+	// Retrain enables the nightly warm-start retraining. Without it the
+	// model trained after day 0 stays frozen — the paper's "Fugu-Feb"
 	// staleness ablation.
 	Retrain bool
-	// CheckpointDir persists per-day state for kill-and-resume. Default
-	// (empty): no checkpointing.
+	// CheckpointDir persists per-day state for kill-and-resume; empty
+	// means no checkpointing.
 	CheckpointDir string
-	// Hidden are the TTP hidden-layer sizes. Default (nil):
-	// core.DefaultHidden (64, 64).
+	// Hidden are the TTP hidden-layer sizes (core.NewTTP reads nil as
+	// core.DefaultHidden).
 	Hidden []int
-	// Horizon is the TTP/MPC lookahead in chunks. Default (0):
-	// core.DefaultHorizon (5).
+	// Horizon is the TTP/MPC lookahead in chunks. Required (positive).
 	Horizon int
-	// Train controls the nightly supervised training. No default; it must
-	// be complete (core.Train refuses a non-positive Epochs, BatchSize or
-	// LR). Train.WindowDays is the sliding retraining window W in days:
+	// Train controls the nightly supervised training. It must be complete
+	// (core.Train refuses a non-positive Epochs, BatchSize or LR).
+	// Train.WindowDays is the sliding retraining window W in days:
 	// the nightly phase trains on telemetry from the last W days, 0 = all
 	// days so far. Train.Seed is ignored: the runner derives each night's
 	// seed from Seed.
@@ -86,12 +85,12 @@ type Config struct {
 	// SpecHash in the manifest, so a rejected resume can say exactly
 	// which experiment the checkpoint belongs to. Diagnostics only.
 	SpecJSON []byte
-	// Logf, if set, receives progress lines. Default (nil): silent.
+	// Logf, if set, receives progress lines; nil is silent.
 	Logf func(format string, args ...any)
 	// Events, if set, receives the structured run-progress stream
 	// (day_start/day_done with wall time and ETA, retrain_done). Strictly
 	// wall-side: nothing the runner computes reads an event back, and a
-	// nil log (the default) costs nothing. Default (nil): no events.
+	// nil log costs nothing.
 	Events *obs.EventLog
 }
 
@@ -284,14 +283,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CheckpointDir != "" && cfg.SpecHash == "" {
 		return nil, fmt.Errorf("runner: CheckpointDir %s needs a SpecHash to guard it; build the Config with scenario.Compile", cfg.CheckpointDir)
 	}
-	if cfg.Env.Paths == nil {
-		cfg.Env = experiment.DefaultEnv()
-	}
-	if cfg.ShardSize <= 0 {
-		cfg.ShardSize = experiment.DefaultShardSize
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = core.DefaultHorizon
+	if cfg.Env.Paths == nil || cfg.ShardSize <= 0 || cfg.Horizon <= 0 {
+		return nil, fmt.Errorf("runner: Env.Paths, ShardSize (%d) and Horizon (%d) must be set; build the Config with scenario.Compile", cfg.ShardSize, cfg.Horizon)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -370,16 +363,12 @@ func Run(cfg Config) (*Result, error) {
 // external execution engines — the wall-clock serving layer, the dist
 // worker — reproduce the coordinator's trial byte for byte.
 func (cfg *Config) DayTrial(day int, slot *ModelSlot) experiment.Config {
-	env := cfg.Env
-	if env.Paths == nil {
-		env = experiment.DefaultEnv()
-	}
 	schemes := DeploySchemes(slot, daySeed(cfg.Seed, day))
 	if slot.Load() == nil {
 		schemes = BootstrapSchemes(daySeed(cfg.Seed, day))
 	}
 	return experiment.Config{
-		Env:      env,
+		Env:      cfg.Env,
 		Schemes:  schemes,
 		Sessions: cfg.SessionsPerDay,
 		Seed:     daySeed(cfg.Seed, day),

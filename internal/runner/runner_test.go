@@ -169,6 +169,30 @@ func TestRunnerCheckpointNeedsSpecHash(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUncompiledConfig: the world, the shard size and the horizon
+// have one home, the spec, so a Config built without scenario.Compile that
+// leaves one unset is refused with an error naming the builder instead of
+// run under a guessed default.
+func TestRunRefusesUncompiledConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		unset func(*Config)
+	}{
+		{"nil Env.Paths", func(c *Config) { c.Env.Paths = nil }},
+		{"zero ShardSize", func(c *Config) { c.ShardSize = 0 }},
+		{"zero Horizon", func(c *Config) { c.Horizon = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(14)
+			cfg.Days, cfg.SessionsPerDay = 1, 4
+			tc.unset(&cfg)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "scenario.Compile") {
+				t.Fatalf("want a refusal naming scenario.Compile, got %v", err)
+			}
+		})
+	}
+}
+
 // TestRunnerFrozenAblation: with Retrain off, only day 0 trains (the
 // bootstrap) and the model serves unchanged thereafter — the "Fugu-Feb"
 // staleness arm.
