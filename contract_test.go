@@ -132,6 +132,7 @@ func TestContractMatrix(t *testing.T) {
 		{name: "engine/dist-kill", legs: []leg{{"dist", 3}}, fault: "kill-worker:day1:shard2",
 			obs: obsRecord, moved: "dist_shard_retries_total"},
 		{name: "workers/session-8", legs: []leg{{"session", 3}}, workers: 8},
+		{name: "workers/fleet-3", legs: []leg{{"fleet", 3}}, workers: 3},
 		{name: "workers/fleet-8", legs: []leg{{"fleet", 3}}, workers: 8},
 		{name: "obs/events-session", legs: []leg{{"session", 3}}, obs: obsEvents, moved: "nn_packed_rows_total"},
 		{name: "obs/events-fleet", legs: []leg{{"fleet", 3}}, obs: obsEvents, moved: "nn_packed_rows_total"},

@@ -12,7 +12,8 @@ import (
 type Env struct {
 	// Paths samples each session's network situation.
 	Paths netem.Sampler
-	// Channels are the available stations; each stream picks one.
+	// Channels are the available stations; each live stream picks one, so
+	// an Env without a Clip needs at least one (DefaultEnv lists them all).
 	Channels []media.Profile
 	// Watch is the viewer-behavior model.
 	Watch player.WatchModel
@@ -61,14 +62,6 @@ func EmulationEnv() Env {
 	return e
 }
 
-// pickChannel selects a channel profile for a stream.
-func (e *Env) pickChannel(rng *rand.Rand) media.Profile {
-	if len(e.Channels) == 0 {
-		return media.Channels()[0]
-	}
-	return e.Channels[rng.Intn(len(e.Channels))]
-}
-
 // chunkSource abstracts live sources and looping clips.
 type chunkSource interface {
 	Next() media.Chunk
@@ -93,5 +86,5 @@ func (e *Env) newSource(rng *rand.Rand) chunkSource {
 		// lockstep.
 		return &clipSource{clip: e.Clip, at: rng.Intn(len(e.Clip.Chunks))}
 	}
-	return media.NewSource(e.pickChannel(rng), rng.Int63())
+	return media.NewSource(e.Channels[rng.Intn(len(e.Channels))], rng.Int63())
 }

@@ -8,9 +8,10 @@
 // and are advanced tick by tick from a calendar event queue. All decisions
 // due within one virtual tick stage their feature rows into a central
 // InferenceService, which executes each horizon net's forward pass as one
-// cross-session batch over a packed (SIMD) snapshot of the model —
-// amortizing the MPC's dominant cost across concurrent viewers instead of
-// within a single decision.
+// cross-session batch over a packed (SIMD) snapshot of the model, split
+// into contiguous spans over the engine's workers — amortizing the MPC's
+// dominant cost across concurrent viewers instead of within a single
+// decision.
 //
 // How a decision is split around that shared flush is known to one type,
 // Staged (Prepare → someone's Flush → Finish, plus the spans and the

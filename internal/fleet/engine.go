@@ -32,7 +32,9 @@ type Config struct {
 	// identity requires matching shard boundaries). Required (positive).
 	ShardSize int
 	// Workers bounds how many parked sessions advance concurrently
-	// between inference flushes; 0 means GOMAXPROCS.
+	// between inference flushes, and how many spans each net's flush is
+	// cut into, computed by the flushing goroutine and Workers−1 helpers
+	// that live as long as the run; 0 means GOMAXPROCS.
 	Workers int
 	// Arrivals draws session arrival times. Required.
 	Arrivals ArrivalProcess
@@ -234,12 +236,13 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 	e := &engine{
 		trial:    trial,
 		cfg:      cfg,
-		svc:      NewInferenceService(),
+		svc:      newInferenceService(cfg.Workers),
 		sessions: make([]*session, n),
 		results:  make([]experiment.SessionResult, n),
 		ends:     make([]float64, n),
 		sem:      make(chan struct{}, cfg.Workers),
 	}
+	defer e.svc.stop()
 	arrivals := ArrivalTimes(cfg.Arrivals, trial.Seed, n)
 	e.events = make(eventHeap, 0, n)
 	for id, t := range arrivals {

@@ -277,3 +277,18 @@ func TestFleetStatsGolden(t *testing.T) {
 		t.Errorf("fleet stats = %+v, want %+v", st.FleetDayStats, goldenFleetStats)
 	}
 }
+
+// TestRunTrialStopsFlushHelpers: a multi-worker run's flush helpers end
+// with the run; the goroutine count returns to what it was before.
+func TestRunTrialStopsFlushHelpers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, st, err := RunTrial(deployTrial(testTTP(5), 12, 3),
+		Config{ShardSize: 4, Workers: 3, Tick: 0.5, Arrivals: PoissonArrivals{Rate: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rows == 0 {
+		t.Fatal("the deploy mixture flushed no rows")
+	}
+	waitGoroutines(t, before)
+}

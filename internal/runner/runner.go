@@ -283,8 +283,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CheckpointDir != "" && cfg.SpecHash == "" {
 		return nil, fmt.Errorf("runner: CheckpointDir %s needs a SpecHash to guard it; build the Config with scenario.Compile", cfg.CheckpointDir)
 	}
-	if cfg.Env.Paths == nil || cfg.ShardSize <= 0 || cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("runner: Env.Paths, ShardSize (%d) and Horizon (%d) must be set; build the Config with scenario.Compile", cfg.ShardSize, cfg.Horizon)
+	if cfg.Env.Paths == nil || len(cfg.Env.Channels) == 0 || cfg.ShardSize <= 0 || cfg.Horizon <= 0 {
+		return nil, fmt.Errorf("runner: Env.Paths, Env.Channels, ShardSize (%d) and Horizon (%d) must be set; build the Config with scenario.Compile", cfg.ShardSize, cfg.Horizon)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}

@@ -179,6 +179,7 @@ func TestRunRefusesUncompiledConfig(t *testing.T) {
 		unset func(*Config)
 	}{
 		{"nil Env.Paths", func(c *Config) { c.Env.Paths = nil }},
+		{"no Env.Channels", func(c *Config) { c.Env.Channels = nil }},
 		{"zero ShardSize", func(c *Config) { c.ShardSize = 0 }},
 		{"zero Horizon", func(c *Config) { c.Horizon = 0 }},
 	} {
