@@ -288,10 +288,11 @@ dist-smoke:
 # Hello and Decide (an accepted Decide must also survive an MPC-HM decision),
 # on the scenario spec parser (a valid spec's canonical JSON must be a
 # fixed point with stable hashes), on the sweep parser (a valid sweep must
-# expand to its counted cells), and on the fixed-layout decoders of what
-# the program persists or ships between processes: the model file, the dist
-# shard blob and the dist frame payloads (bytes that decode must re-encode to
-# themselves). The committed seeds under
+# expand to its counted cells), on the results query's predicate parser (a
+# parsed field is never empty and holds no operator), and on the
+# fixed-layout decoders of what the program persists or ships between
+# processes: the model file, the dist shard blob and the dist frame payloads
+# (bytes that decode must re-encode to themselves). The committed seeds under
 # internal/{wire,serve,scenario,sweep,core}/testdata/fuzz run in every plain
 # `go test` as well; this adds fresh mutations on each push.
 fuzz-smoke:
@@ -301,6 +302,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDecide -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzParseSweep -fuzztime=5s ./internal/sweep
+	$(GO) test -run='^$$' -fuzz=FuzzParsePreds -fuzztime=5s ./internal/results
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTTP -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/dist

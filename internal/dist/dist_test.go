@@ -95,7 +95,6 @@ func crashAssignWorker() {
 		switch typ {
 		case frameHello:
 			_ = sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion}.appendTo(nil))
-			_ = sendFrame(bw, frameClaim, nil)
 		case frameAssign:
 			os.Exit(4)
 		case frameShutdown:
@@ -221,13 +220,30 @@ func TestHangFaultDeadline(t *testing.T) {
 }
 
 // TestCrashLoopExhaustsBudget: a fleet that dies on every assignment must
-// abort with the restart-budget error, not spin forever.
+// abort with the restart-budget error, not spin forever, and
+// dist_workers_live must count the slots still holding a worker after the
+// abort, and none after Close.
 func TestCrashLoopExhaustsBudget(t *testing.T) {
 	sp := testSpec{Sessions: 16, ShardSize: 8, BaseSeed: 3}
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
 	p := testPool(t, sp, "crash-assign", 2, 30*time.Second)
 	_, _, err := p.RunDay(0, nil, sp.Sessions, sp.ShardSize)
 	if err == nil || !strings.Contains(err.Error(), "restart budget") {
 		t.Fatalf("RunDay error = %v, want restart-budget exhaustion", err)
+	}
+	live := 0
+	for _, w := range p.slots {
+		if w != nil {
+			live++
+		}
+	}
+	if got := workersLive.Value(); got != float64(live) {
+		t.Errorf("dist_workers_live = %v after the abort, %d slots hold a worker", got, live)
+	}
+	p.Close()
+	if got := workersLive.Value(); got != 0 {
+		t.Errorf("dist_workers_live = %v after Close, want 0", got)
 	}
 }
 

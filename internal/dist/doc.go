@@ -1,10 +1,10 @@
 // Package dist distributes the daily loop's randomized trial across worker
 // processes: a coordinator (a Pool, which scenario.Run puts behind the
 // runner's DayEngine seam for engine.kind "dist") partitions each day's
-// sessions into the existing shard units, broadcasts the day's model bytes
-// and the canonical scenario spec over a stdio protocol of internal/wire
-// frames whose payloads are fixed layouts, lets workers claim shards, and merges the returned accumulator
-// blobs in shard order — making the distributed result byte-identical to
+// sessions into the existing shard units, sends workers the canonical spec
+// and the day's model bytes over a stdio protocol of internal/wire frames
+// with fixed-layout payloads, assigns shards from one locked queue, and
+// merges the returned accumulator blobs in shard order — byte-identical to
 // the single-process engine at the same seeds.
 //
 // The paper's result rests on scale: Puffer's continual-learning loop
@@ -17,11 +17,11 @@
 //
 //   - Pool / PoolConfig / (*Pool).RunDay: the coordinator side — launch
 //     local subprocess workers (the calling binary re-exec'd, the repo's
-//     one self-re-exec harness), drive the claim/assign/reassign state
-//     machine, merge.
+//     one self-re-exec harness), drive assign → result on each worker in
+//     turn, reassign on failure, merge.
 //   - Serve / TrialFactory / DayTrial: the worker side — a frame loop over
 //     stdin/stdout that compiles the broadcast spec into each day's trial
-//     and folds claimed shards through experiment.FoldShard.
+//     and folds assigned shards through experiment.FoldShard.
 //   - EncodeShard / DecodeShard: the versioned wire envelope for one
 //     shard's (TrialAcc, Dataset) pair; version or shape mismatches are
 //     rejected loudly rather than folded into a wrong answer.
@@ -30,7 +30,7 @@
 //     reassignment keeps results byte-identical.
 //
 // Robustness is part of the subsystem, not a follow-on: a worker that dies
-// or hangs (per-shard deadline) is killed and replaced, and its claimed
+// or hangs (per-shard deadline) is killed and replaced, and its assigned
 // shard is reassigned — safe because a shard is a pure function of
 // (spec, seed, day, shard). Fleet health is observable live through the
 // dist_* counters/gauges and the worker lifecycle events.

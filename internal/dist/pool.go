@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"puffer/internal/core"
@@ -28,9 +29,9 @@ type PoolConfig struct {
 	Command []string
 	// Spec is the canonical spec JSON broadcast in the hello frame.
 	Spec []byte
-	// ShardTimeout bounds one shard assignment (and the claim before
-	// it); a worker that exceeds it is presumed hung, killed, and its
-	// shard reassigned. 0 disables the deadline.
+	// ShardTimeout bounds one shard assignment, and the hello handshake;
+	// a worker that exceeds it is presumed hung, killed, and its shard
+	// reassigned. 0 disables the deadline.
 	ShardTimeout time.Duration
 	// Logf, if set, receives coordinator progress lines.
 	Logf func(format string, args ...any)
@@ -39,17 +40,15 @@ type PoolConfig struct {
 }
 
 // Pool drives a fleet of local subprocess workers through days of shard
-// execution. Workers persist across days: each RunDay broadcasts the day
-// frame then schedules shards over the same processes. Not safe for
-// concurrent RunDay calls — the daily loop is sequential by design.
+// execution. Workers persist across days: each RunDay sends every worker it
+// uses the day frame, then schedules shards over the same processes. Not
+// safe for concurrent RunDay calls — the daily loop is sequential by design.
 type Pool struct {
 	cfg      PoolConfig
 	slots    []*workerProc // slot i is driven only by goroutine i during a day
-	restarts int           // replacements consumed from the budget
-	live     int           // live worker count (mirrors the dist_workers_live gauge)
-	muR      sync.Mutex    // guards restarts and live
-	day      int           // current broadcast day context
-	model    []byte
+	restarts atomic.Int64  // replacements consumed from the budget
+	live     atomic.Int64  // live worker count (mirrors the dist_workers_live gauge)
+	day      dayMsg        // the current day, sent to every worker that joins it
 	closed   bool
 }
 
@@ -99,11 +98,12 @@ func (p *Pool) logf(format string, args ...any) {
 	}
 }
 
-// RunDay executes one day's trial across the pool: broadcast (day, model)
-// to every worker, schedule the day's shards over them (reassigning on
-// death or deadline), and merge results in shard order. The returned
-// accumulator and dataset are byte-identical to the session engine's
-// RunSharded + DatasetCollector at the same seeds.
+// RunDay executes one day's trial across the pool: each slot's worker joins
+// the day (started and given the day frame), the day's shards are scheduled
+// over the workers (reassigned on death or deadline), and the results are
+// merged in shard order. The returned accumulator and dataset are
+// byte-identical to the session engine's RunSharded + DatasetCollector at
+// the same seeds.
 func (p *Pool) RunDay(day int, model *core.TTP, sessions, shardSize int) (*experiment.TrialAcc, *core.Dataset, error) {
 	if p.closed {
 		return nil, nil, fmt.Errorf("dist: pool is closed")
@@ -111,113 +111,85 @@ func (p *Pool) RunDay(day int, model *core.TTP, sessions, shardSize int) (*exper
 	if sessions <= 0 || shardSize <= 0 {
 		return nil, nil, fmt.Errorf("dist: RunDay needs positive sessions (%d) and shard size (%d)", sessions, shardSize)
 	}
-	var modelBytes []byte
+	p.day = dayMsg{Day: day}
 	if model != nil {
-		modelBytes = model.AppendTo(nil)
-	}
-	p.day, p.model = day, modelBytes
-
-	nShards := experiment.NumShards(sessions, shardSize)
-	n := len(p.slots)
-	if n > nShards {
-		n = nShards
-	}
-	// Bring up (or refresh) the workers this day needs and broadcast the
-	// day context. Failures here go through the same replace budget as
-	// mid-day deaths.
-	for i := 0; i < n; i++ {
-		if p.slots[i] == nil {
-			w, err := p.startWorker(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			p.slots[i] = w
-		}
-		if err := sendFrame(p.slots[i].bw, frameDay, dayMsg{Day: day, Model: modelBytes}.appendTo(nil)); err != nil {
-			if rerr := p.replace(i, fmt.Errorf("broadcasting day %d: %w", day, err)); rerr != nil {
-				return nil, nil, rerr
-			}
-		}
+		p.day.Model = model.AppendTo(nil)
 	}
 
-	run := newDayRun(nShards)
+	q := newDayQueue(experiment.NumShards(sessions, shardSize))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for slot := range min(len(p.slots), len(q.results)) {
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
-			p.drive(slot, run, day, sessions, shardSize)
-		}(i)
+			p.drive(slot, q)
+		}()
 	}
 	wg.Wait()
-	if err := run.Err(); err != nil {
-		return nil, nil, err
+	// Two drivers' gauge writes may land in either order; the day ends on
+	// the true count.
+	workersLive.Set(float64(p.live.Load()))
+	if q.err != nil {
+		return nil, nil, q.err
 	}
 
 	// The canonical aggregation: merge per-shard results in shard order.
 	total := experiment.NewTrialAcc(experiment.AllPaths)
 	data := &core.Dataset{}
-	for s := 0; s < nShards; s++ {
-		out := run.results[s]
+	for _, out := range q.results {
 		total.Merge(out.acc)
 		data.Streams = append(data.Streams, out.data.Streams...)
 	}
 	return total, data, nil
 }
 
-// drive is one worker slot's scheduling loop for a day: take a shard,
-// run it on the slot's worker, and on failure reassign the shard and
-// replace the worker (within the restart budget).
-func (p *Pool) drive(slot int, run *dayRun, day, sessions, shardSize int) {
+// drive is one slot's loop for a day: join the slot's worker to the day,
+// then run shards off the queue until it is empty. A worker that fails is
+// replaced (within the restart budget) and its shard requeued, which this
+// driver retakes unless another gets there first; a fatal failure, or a
+// replacement that fails, ends the day.
+func (p *Pool) drive(slot int, q *dayQueue) {
+	err := p.join(slot)
 	for {
-		s, ok := run.take()
+		if err != nil {
+			if err = p.replace(slot, err); err != nil {
+				q.fail(err)
+				return
+			}
+		}
+		s, att, ok := q.take()
 		if !ok {
 			return
 		}
-		att := run.attempt(s)
 		t0 := obs.Now()
-		out, err := p.runShard(slot, assignMsg{Day: day, Shard: s, Attempt: att}, sessions, shardSize)
-		if err == nil {
+		var out *shardOut
+		if out, err = p.runShard(slot, assignMsg{Day: p.day.Day, Shard: s, Attempt: att}); err == nil {
 			shardWallNS.Observe(obs.SinceNS(t0))
 			shardsDone.Inc()
-			run.complete(s, out)
+			q.complete(s, out)
 			continue
 		}
-		var fatal *fatalError
-		if errors.As(err, &fatal) {
-			run.abort(fatal.err)
-			return
-		}
-		shardRetries.Inc()
-		p.cfg.Events.Emit("dist_shard_reassigned", map[string]any{
-			"day": day, "shard": s, "attempt": att, "worker": slot, "cause": err.Error(),
-		})
-		p.logf("dist: day %d shard %d attempt %d on worker %d failed: %v — reassigning", day, s, att, slot, err)
-		run.requeue(s)
-		if rerr := p.replace(slot, err); rerr != nil {
-			run.abort(rerr)
-			return
+		q.requeue(s)
+		if !errors.As(err, new(*fatalError)) {
+			shardRetries.Inc()
+			p.cfg.Events.Emit("dist_shard_reassigned", map[string]any{
+				"day": p.day.Day, "shard": s, "attempt": att, "worker": slot, "cause": err.Error(),
+			})
+			p.logf("dist: day %d shard %d attempt %d on worker %d failed: %v — reassigning", p.day.Day, s, att, slot, err)
 		}
 	}
 }
 
-// runShard drives one assignment through slot's worker: consume its
-// pending claim, assign, await the result, decode. Transport failures and
-// deadline overruns return retryable errors (the caller reassigns);
-// semantic mismatches return *fatalError.
-func (p *Pool) runShard(slot int, a assignMsg, sessions, shardSize int) (*shardOut, error) {
+// runShard sends slot's worker one assignment and awaits its result.
+// Transport failures and deadline overruns return retryable errors (the
+// caller reassigns); semantic mismatches return *fatalError.
+func (p *Pool) runShard(slot int, a assignMsg) (*shardOut, error) {
 	w := p.slots[slot]
-	f, err := p.await(w, "claim")
-	if err != nil {
-		return nil, err
-	}
-	if f.typ != frameClaim {
-		return nil, p.workerFrameError(w, f, frameClaim)
-	}
-	if err := sendFrame(w.bw, frameAssign, a.appendTo(nil)); err != nil {
-		return nil, fmt.Errorf("worker %d: sending assign: %w", slot, err)
-	}
-	f, err = p.await(w, fmt.Sprintf("day %d shard %d result", a.Day, a.Shard))
+	// The send fails only if the worker has exited; the read below then
+	// returns what it reported before it went (say, why the day frame
+	// failed), or its death.
+	_ = sendFrame(w.bw, frameAssign, a.appendTo(nil))
+	f, err := p.await(w, fmt.Sprintf("day %d shard %d result", a.Day, a.Shard))
 	if err != nil {
 		return nil, err
 	}
@@ -271,13 +243,32 @@ func (p *Pool) await(w *workerProc, what string) (frameIn, error) {
 	}
 }
 
-// startWorker launches a worker process into a slot and completes the
-// hello handshake (so a version-mismatched or broken worker fails fast,
-// before any shard depends on it).
+// join is a slot's one path to the current day: it starts a worker in an
+// empty slot, through the hello handshake (so a version-mismatched or
+// broken worker fails fast, before any shard depends on it), then sends the
+// day frame. A worker that does not take the frame is dropped.
+func (p *Pool) join(slot int) error {
+	w := p.slots[slot]
+	if w == nil {
+		var err error
+		if w, err = p.startWorker(slot); err != nil {
+			return err
+		}
+		p.slots[slot] = w
+	}
+	if err := sendFrame(w.bw, frameDay, p.day.appendTo(nil)); err != nil {
+		err = fmt.Errorf("dist: worker %d: sending day %d: %w", slot, p.day.Day, err)
+		p.drop(slot, err)
+		return err
+	}
+	return nil
+}
+
+// startWorker launches a worker process for slot and completes the hello
+// handshake.
 func (p *Pool) startWorker(slot int) (*workerProc, error) {
 	cmd := exec.Command(p.cfg.Command[0], p.cfg.Command[1:]...)
 	cmd.Stderr = os.Stderr
-	cmd.Env = append(os.Environ(), "PUFFER_DIST_WORKER=1")
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, fmt.Errorf("dist: worker %d stdin: %w", slot, err)
@@ -297,28 +288,7 @@ func (p *Pool) startWorker(slot int) (*workerProc, error) {
 		frames: make(chan frameIn, 4),
 	}
 	go readFrames(stdout, w.frames)
-
-	hello := func() error {
-		if err := sendFrame(w.bw, frameHello, helloMsg{Version: ProtocolVersion, Worker: slot, Spec: p.cfg.Spec}.appendTo(nil)); err != nil {
-			return fmt.Errorf("dist: worker %d hello: %w", slot, err)
-		}
-		f, err := p.await(w, "hello-ok")
-		if err != nil {
-			return fmt.Errorf("dist: %w", err)
-		}
-		if f.typ != frameHelloOK {
-			return p.workerFrameError(w, f, frameHelloOK)
-		}
-		var ok helloOKMsg
-		if err := decodePayload(f.typ, f.payload, &ok); err != nil {
-			return err
-		}
-		if ok.Version != ProtocolVersion {
-			return &fatalError{fmt.Errorf("dist: worker %d speaks protocol v%d, coordinator v%d", slot, ok.Version, ProtocolVersion)}
-		}
-		return nil
-	}
-	if err := hello(); err != nil {
+	if err := p.hello(w); err != nil {
 		p.kill(w)
 		return nil, err
 	}
@@ -329,46 +299,60 @@ func (p *Pool) startWorker(slot int) (*workerProc, error) {
 	return w, nil
 }
 
-// replace kills slot's worker and starts a fresh one in its place,
-// re-sending hello and the current day context. Consumes one unit of the
-// restart budget, 2*Workers+2 over the pool's lifetime; exhaustion is a
-// hard error, so a crash-looping fleet aborts instead of spinning.
-func (p *Pool) replace(slot int, cause error) error {
-	budget := 2*p.cfg.Workers + 2
-	p.muR.Lock()
-	p.restarts++
-	over := p.restarts > budget
-	p.muR.Unlock()
-	if over {
-		return fmt.Errorf("dist: worker restart budget (%d) exhausted; last failure: %w", budget, cause)
+// hello sends w the hello frame and checks the version it acknowledges.
+func (p *Pool) hello(w *workerProc) error {
+	if err := sendFrame(w.bw, frameHello, helloMsg{Version: ProtocolVersion, Worker: w.slot, Spec: p.cfg.Spec}.appendTo(nil)); err != nil {
+		return fmt.Errorf("dist: worker %d hello: %w", w.slot, err)
 	}
-	if old := p.slots[slot]; old != nil {
-		p.kill(old)
-		p.cfg.Events.Emit("dist_worker_exit", map[string]any{"worker": slot, "cause": cause.Error()})
-		p.slots[slot] = nil
-		p.setLive(-1)
-	}
-	w, err := p.startWorker(slot)
+	f, err := p.await(w, "hello-ok")
 	if err != nil {
-		return fmt.Errorf("dist: replacing worker %d: %w", slot, err)
+		return fmt.Errorf("dist: %w", err)
 	}
-	workerRestarts.Inc()
-	if err := sendFrame(w.bw, frameDay, dayMsg{Day: p.day, Model: p.model}.appendTo(nil)); err != nil {
-		p.kill(w)
-		return fmt.Errorf("dist: replacing worker %d: re-broadcasting day %d: %w", slot, p.day, err)
+	if f.typ != frameHelloOK {
+		return p.workerFrameError(w, f, frameHelloOK)
 	}
-	p.slots[slot] = w
+	var ok helloOKMsg
+	if err := decodePayload(f.typ, f.payload, &ok); err != nil {
+		return err
+	}
+	if ok.Version != ProtocolVersion {
+		return &fatalError{fmt.Errorf("dist: worker %d speaks protocol v%d, coordinator v%d", w.slot, ok.Version, ProtocolVersion)}
+	}
 	return nil
 }
 
-// setLive adjusts the live worker count and mirrors it to the gauge.
-func (p *Pool) setLive(delta int) {
-	p.muR.Lock()
-	p.live += delta
-	v := p.live
-	p.muR.Unlock()
-	workersLive.Set(float64(v))
+// replace drops slot's worker after cause and, unless cause is fatal,
+// joins a fresh worker to the day in its place. Each replacement consumes
+// one unit of the restart budget, 2*Workers+2 over the pool's lifetime;
+// exhaustion is a hard error, so a crash-looping fleet aborts instead of
+// spinning.
+func (p *Pool) replace(slot int, cause error) error {
+	if p.slots[slot] != nil {
+		p.drop(slot, cause)
+	}
+	if errors.As(cause, new(*fatalError)) {
+		return cause
+	}
+	if budget := 2*p.cfg.Workers + 2; p.restarts.Add(1) > int64(budget) {
+		return fmt.Errorf("dist: worker restart budget (%d) exhausted; last failure: %w", budget, cause)
+	}
+	if err := p.join(slot); err != nil {
+		return fmt.Errorf("dist: replacing worker %d: %w", slot, err)
+	}
+	workerRestarts.Inc()
+	return nil
 }
+
+// drop kills slot's worker and empties the slot.
+func (p *Pool) drop(slot int, cause error) {
+	p.kill(p.slots[slot])
+	p.slots[slot] = nil
+	p.setLive(-1)
+	p.cfg.Events.Emit("dist_worker_exit", map[string]any{"worker": slot, "cause": cause.Error()})
+}
+
+// setLive adjusts the live worker count and mirrors it to the gauge.
+func (p *Pool) setLive(delta int64) { workersLive.Set(float64(p.live.Add(delta))) }
 
 // kill terminates a worker process and reaps it.
 func (p *Pool) kill(w *workerProc) {
@@ -404,9 +388,7 @@ func (p *Pool) Close() {
 		}
 		p.slots[slot] = nil
 	}
-	p.muR.Lock()
-	p.live = 0
-	p.muR.Unlock()
+	p.live.Store(0)
 	workersLive.Set(0)
 }
 
@@ -430,96 +412,59 @@ type shardOut struct {
 	data *core.Dataset
 }
 
-// dayRun is the shared scheduling state for one day: a pending-shard
-// queue, per-shard attempt counts, completed results, and abort plumbing.
-type dayRun struct {
-	mu        sync.Mutex
-	pending   chan int // buffered to nShards; never blocks on requeue
-	attempts  []int
-	results   []*shardOut
-	remaining int
-	done      chan struct{}
-	aborted   chan struct{}
-	abortOnce sync.Once
-	err       error
+// dayQueue is one day's scheduling state under one lock: the shards not
+// yet taken, each shard's attempt count and result, and the first error.
+// Only the driver that failed a shard requeues it, and that driver then
+// takes again or fails the day, so once every driver has found the queue
+// empty every shard has its result.
+type dayQueue struct {
+	mu       sync.Mutex
+	pending  []int
+	attempts []int
+	results  []*shardOut
+	err      error
 }
 
-func newDayRun(nShards int) *dayRun {
-	d := &dayRun{
-		pending:   make(chan int, nShards),
-		attempts:  make([]int, nShards),
-		results:   make([]*shardOut, nShards),
-		remaining: nShards,
-		done:      make(chan struct{}),
-		aborted:   make(chan struct{}),
+func newDayQueue(nShards int) *dayQueue {
+	q := &dayQueue{pending: make([]int, nShards), attempts: make([]int, nShards), results: make([]*shardOut, nShards)}
+	for s := range q.pending {
+		q.pending[s] = s
 	}
-	for s := 0; s < nShards; s++ {
-		d.pending <- s
+	return q
+}
+
+// take pops the next shard and its attempt index, or reports false once
+// the queue is empty or the day has failed.
+func (q *dayQueue) take() (shard, attempt int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.err != nil || len(q.pending) == 0 {
+		return 0, 0, false
 	}
-	return d
+	shard, q.pending = q.pending[0], q.pending[1:]
+	return shard, q.attempts[shard], true
 }
 
-// take claims the next pending shard, or returns false when the day is
-// complete or aborted.
-func (d *dayRun) take() (int, bool) {
-	select {
-	case <-d.aborted:
-		return 0, false
-	default:
-	}
-	select {
-	case s := <-d.pending:
-		return s, true
-	case <-d.done:
-		return 0, false
-	case <-d.aborted:
-		return 0, false
-	}
+// requeue puts a failed shard back with one more attempt.
+func (q *dayQueue) requeue(s int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.attempts[s]++
+	q.pending = append(q.pending, s)
 }
 
-// attempt returns the current attempt index for a shard.
-func (d *dayRun) attempt(s int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.attempts[s]
+// complete records a shard's result.
+func (q *dayQueue) complete(s int, out *shardOut) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.results[s] = out
 }
 
-// requeue puts a failed shard back on the queue with a bumped attempt.
-func (d *dayRun) requeue(s int) {
-	d.mu.Lock()
-	d.attempts[s]++
-	d.mu.Unlock()
-	d.pending <- s
-}
-
-// complete records a shard's result; the last one closes done.
-func (d *dayRun) complete(s int, out *shardOut) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.results[s] != nil {
-		return // duplicate (e.g. a late result after reassignment) — keep the first
-	}
-	d.results[s] = out
-	d.remaining--
-	if d.remaining == 0 {
-		close(d.done)
-	}
-}
-
-// abort ends the day with an error; the first abort wins.
-func (d *dayRun) abort(err error) {
-	d.abortOnce.Do(func() {
-		d.err = err
-		close(d.aborted)
-	})
-}
-
-// Err returns the day's abort error, if any.
-func (d *dayRun) Err() error {
-	select {
-	case <-d.aborted:
-		return d.err
-	default:
-		return nil
+// fail ends the day with err; the first error wins.
+func (q *dayQueue) fail(err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.err == nil {
+		q.err = err
 	}
 }

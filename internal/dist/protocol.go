@@ -11,8 +11,9 @@ import (
 // coordinator sends it in the hello frame and the worker echoes it back;
 // any mismatch aborts the handshake loudly instead of risking a silent
 // wrong merge. v2: every payload is a fixed layout on internal/wire (v1
-// spoke gob).
-const ProtocolVersion = 2
+// spoke gob). v3: no claim frame — each driver runs assign then result in
+// turn, so a worker's readiness is the result the coordinator awaited.
+const ProtocolVersion = 3
 
 // maxFrame bounds a single frame's length (wire.ReadFrame's max). A day's
 // model is a few MB and a shard blob tens of MB at paper scale; 256 MiB
@@ -20,14 +21,13 @@ const ProtocolVersion = 2
 const maxFrame = 256 << 20
 
 // Frame types. Every frame is a wire frame whose payload is its message's
-// fixed layout (empty for claim/shutdown): integers as big-endian i32, byte
+// fixed layout (empty for shutdown): integers as big-endian i32, byte
 // runs as a u32 count and the bytes, the error text as a u16-length string.
 const (
 	frameHello    byte = 1 // coordinator -> worker: version + worker id + canonical spec
 	frameHelloOK  byte = 2 // worker -> coordinator: version echo
 	frameDay      byte = 3 // coordinator -> worker: day index + model bytes (empty = bootstrap)
 	frameAssign   byte = 4 // coordinator -> worker: run one shard
-	frameClaim    byte = 5 // worker -> coordinator: ready for the next shard
 	frameResult   byte = 6 // worker -> coordinator: one shard's encoded blob
 	frameShutdown byte = 7 // coordinator -> worker: exit cleanly
 	frameError    byte = 8 // worker -> coordinator: fatal worker-side error
@@ -109,8 +109,6 @@ func frameName(typ byte) string {
 		return "day"
 	case frameAssign:
 		return "assign"
-	case frameClaim:
-		return "claim"
 	case frameResult:
 		return "result"
 	case frameShutdown:

@@ -79,10 +79,6 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 			if err := sendFrame(bw, frameHelloOK, helloOKMsg{Version: ProtocolVersion}.appendTo(nil)); err != nil {
 				return err
 			}
-			// First claim: ready for work as soon as a day arrives.
-			if err := sendFrame(bw, frameClaim, nil); err != nil {
-				return err
-			}
 		case frameDay:
 			if dayFn == nil {
 				return fail(fmt.Errorf("dist: day frame before hello"))
@@ -114,9 +110,6 @@ func Serve(r io.Reader, w io.Writer, factory TrialFactory) error {
 				return fail(err)
 			}
 			if err := sendFrame(bw, frameResult, resultMsg{a, blob}.appendTo(nil)); err != nil {
-				return err
-			}
-			if err := sendFrame(bw, frameClaim, nil); err != nil {
 				return err
 			}
 		case frameShutdown:

@@ -56,8 +56,6 @@ type Stats struct {
 	Sessions int
 	// Occupancy counts concurrently live sessions over virtual time.
 	Occupancy telemetry.ConcurrencySeries
-	// ModelSnapshots is how many distinct nets the service batched for.
-	ModelSnapshots int
 	// WallSeconds is the measured wall-clock time of the run (not
 	// deterministic; excluded from checkpoints).
 	WallSeconds float64
@@ -323,10 +321,9 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 			Rows:           e.svc.rows,
 			MaxBatchRows:   e.svc.maxBatch,
 		},
-		Sessions:       n,
-		Occupancy:      occ,
-		ModelSnapshots: e.svc.snapshots,
-		WallSeconds:    time.Since(start).Seconds(),
+		Sessions:    n,
+		Occupancy:   occ,
+		WallSeconds: time.Since(start).Seconds(),
 	}
 	if len(occ.Points) > 0 {
 		st.HorizonSeconds = occ.Points[len(occ.Points)-1].Time - occ.Points[0].Time

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"puffer/internal/core"
@@ -15,13 +16,12 @@ import (
 // The aggregate fields on InferenceService stay the deterministic record —
 // these duplicate them into the wall-side registry with timing added.
 var (
-	svcBatchRows      = obs.Default.Histogram("fleet_batch_rows")
-	svcFlushNS        = obs.Default.Histogram("fleet_flush_ns")
-	svcFlushWaitNS    = obs.Default.Histogram("fleet_flush_wait_ns")
-	svcFlushesTotal   = obs.Default.Counter("fleet_flushes_total")
-	svcFlushesEmpty   = obs.Default.Counter("fleet_flushes_empty_total")
-	svcRowsTotal      = obs.Default.Counter("fleet_rows_total")
-	svcSnapshotsTotal = obs.Default.Counter("fleet_model_snapshots_total")
+	svcBatchRows    = obs.Default.Histogram("fleet_batch_rows")
+	svcFlushNS      = obs.Default.Histogram("fleet_flush_ns")
+	svcFlushWaitNS  = obs.Default.Histogram("fleet_flush_wait_ns")
+	svcFlushesTotal = obs.Default.Counter("fleet_flushes_total")
+	svcFlushesEmpty = obs.Default.Counter("fleet_flushes_empty_total")
+	svcRowsTotal    = obs.Default.Counter("fleet_rows_total")
 )
 
 // InferenceService executes the staged prediction work of many concurrent
@@ -42,13 +42,15 @@ var (
 // of about equal rows; the flushing goroutine and w−1 helper goroutines
 // claim spans in order until none is left, each on its own workspace, so
 // one worker is the plain serial pass and a helper that wakes late leaves
-// its share to the others. Groups are keyed by net identity, so
-// a model rotation (new *nn.MLP values) starts new ones. Rows are bitwise
+// its share to the others. A group lives for one flush: it holds one net's
+// steps from its first enqueue to the flush, in a slot the next flush
+// reuses (workspaces too, while the net's layer sizes match), so a model
+// rotation leaves nothing of the retired nets behind. Rows are bitwise
 // identical to the per-session path however they are batched, split or
 // shared out. Not safe for concurrent use.
 type InferenceService struct {
-	groups  map[*nn.MLP]*serviceGroup
-	order   []*serviceGroup // first-use order: deterministic iteration
+	groups  []*serviceGroup // slots; the first staged hold this flush's nets, in first-enqueue order
+	staged  int
 	workers int
 	wake    []chan uint64 // per helper: the seq of the flush to join
 	alive   sync.WaitGroup
@@ -77,16 +79,16 @@ type InferenceService struct {
 	flushTrace, parent uint64
 
 	// Aggregate counters (deterministic for a deterministic workload).
-	flushes   int
-	batches   int
-	rows      int64
-	maxBatch  int
-	snapshots int
+	flushes  int
+	batches  int
+	rows     int64
+	maxBatch int
 }
 
 // serviceGroup is the per-net batch under assembly.
 type serviceGroup struct {
 	net    *nn.MLP
+	sizes  []int                // the layer sizes ws were built for
 	ws     []*nn.BatchWorkspace // one per worker
 	pend   []*core.PendingStep
 	rowSum int
@@ -109,7 +111,6 @@ func NewInferenceService() *InferenceService { return newInferenceService(1) }
 // workers, starting workers−1 helper goroutines; stop ends them.
 func newInferenceService(workers int) *InferenceService {
 	s := &InferenceService{
-		groups:  make(map[*nn.MLP]*serviceGroup),
 		workers: workers,
 		wake:    make([]chan uint64, workers-1),
 		fin:     make(chan struct{}, 1),
@@ -156,20 +157,33 @@ func (p *spanPanic) Error() string {
 func (s *InferenceService) Enqueue(steps []core.PendingStep) {
 	for i := range steps {
 		ps := &steps[i]
-		g, ok := s.groups[ps.Net]
-		if !ok {
-			g = &serviceGroup{net: ps.Net, ws: make([]*nn.BatchWorkspace, s.workers)}
-			for w := range g.ws {
-				g.ws[w] = ps.Net.NewBatchWorkspace(64)
-			}
-			s.groups[ps.Net] = g
-			s.order = append(s.order, g)
-			s.snapshots++
-			svcSnapshotsTotal.Inc()
-		}
+		g := s.group(ps.Net)
 		g.pend = append(g.pend, ps)
 		g.rowSum += ps.Rows
 	}
+}
+
+// group returns net's group in the flush being staged, putting a net new to
+// it in the next slot.
+func (s *InferenceService) group(net *nn.MLP) *serviceGroup {
+	for _, g := range s.groups[:s.staged] {
+		if g.net == net {
+			return g
+		}
+	}
+	if s.staged == len(s.groups) {
+		s.groups = append(s.groups, &serviceGroup{ws: make([]*nn.BatchWorkspace, s.workers)})
+	}
+	g := s.groups[s.staged]
+	s.staged++
+	g.net = net
+	if !slices.Equal(g.sizes, net.Sizes) {
+		g.sizes = net.Sizes
+		for w := range g.ws {
+			g.ws[w] = net.NewBatchWorkspace(64)
+		}
+	}
+	return g
 }
 
 // EnqueueTraced is Enqueue for a decision that may be traced (trace != 0,
@@ -203,7 +217,7 @@ func (s *InferenceService) Flush() {
 	s.seq++
 	s.spans, s.featsLen, s.probsLen = s.spans[:0], 0, 0
 	var totalRows int64
-	for _, g := range s.order {
+	for _, g := range s.groups[:s.staged] {
 		if g.rowSum == 0 {
 			continue
 		}
@@ -222,6 +236,7 @@ func (s *InferenceService) Flush() {
 	s.next, s.left = 0, len(s.spans)
 	s.mu.Unlock()
 	if totalRows == 0 {
+		s.release()
 		svcFlushesEmpty.Inc()
 		return
 	}
@@ -250,10 +265,7 @@ func (s *InferenceService) Flush() {
 		<-s.fin
 		svcFlushWaitNS.ObserveSince(tw)
 	}
-	for _, g := range s.order {
-		g.pend = g.pend[:0]
-		g.rowSum = 0
-	}
+	s.release()
 	if p := s.panicked; p != nil {
 		s.panicked = nil
 		panic(p)
@@ -264,6 +276,16 @@ func (s *InferenceService) Flush() {
 	if s.tr != nil {
 		s.record("infer_flush", t0, totalRows)
 	}
+}
+
+// release empties the flush's groups and drops their nets and steps (which
+// point at their nets), so the slots keep only their workspaces.
+func (s *InferenceService) release() {
+	for _, g := range s.groups[:s.staged] {
+		clear(g.pend)
+		g.net, g.pend, g.rowSum = nil, g.pend[:0], 0
+	}
+	s.staged = 0
 }
 
 // cut appends g's pending steps to the flush as up to s.workers contiguous

@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"puffer/internal/abr"
 	"puffer/internal/core"
+	"puffer/internal/nn"
 	"puffer/internal/obs"
 )
 
@@ -75,8 +77,8 @@ func TestFlushSpansBitwise(t *testing.T) {
 			svc.Enqueue(d.dp.Pending())
 		}
 		svc.Flush()
-		if workers > 1 && len(svc.spans) <= len(svc.order) {
-			t.Fatalf("workers %d: %d spans over %d nets; the split is vacuous", workers, len(svc.spans), len(svc.order))
+		if workers > 1 && len(svc.spans) <= svc.batches {
+			t.Fatalf("workers %d: %d spans over %d nets; the split is vacuous", workers, len(svc.spans), svc.batches)
 		}
 		svc.Flush() // empty again
 		for i, d := range decisions {
@@ -91,17 +93,15 @@ func TestFlushSpansBitwise(t *testing.T) {
 		}
 		if ref == nil {
 			ref = svc
-			if svc.flushes != 1 || svc.batches != 7 || svc.snapshots != 7 {
-				t.Fatalf("one-worker flush counted %d flushes, %d batches, %d snapshots; want 1, 7, 7",
-					svc.flushes, svc.batches, svc.snapshots)
+			if svc.flushes != 1 || svc.batches != 7 {
+				t.Fatalf("one-worker flush counted %d flushes, %d batches; want 1, 7", svc.flushes, svc.batches)
 			}
 			continue
 		}
-		if svc.flushes != ref.flushes || svc.batches != ref.batches || svc.rows != ref.rows ||
-			svc.maxBatch != ref.maxBatch || svc.snapshots != ref.snapshots {
-			t.Fatalf("workers %d: counters (%d, %d, %d, %d, %d), one worker (%d, %d, %d, %d, %d)",
-				workers, svc.flushes, svc.batches, svc.rows, svc.maxBatch, svc.snapshots,
-				ref.flushes, ref.batches, ref.rows, ref.maxBatch, ref.snapshots)
+		if svc.flushes != ref.flushes || svc.batches != ref.batches || svc.rows != ref.rows || svc.maxBatch != ref.maxBatch {
+			t.Fatalf("workers %d: counters (%d, %d, %d, %d), one worker (%d, %d, %d, %d)",
+				workers, svc.flushes, svc.batches, svc.rows, svc.maxBatch,
+				ref.flushes, ref.batches, ref.rows, ref.maxBatch)
 		}
 	}
 
@@ -117,6 +117,44 @@ func TestFlushSpansBitwise(t *testing.T) {
 	flush() // first use builds the groups and each span's workspace
 	if allocs := testing.AllocsPerRun(20, flush); allocs != 0 {
 		t.Errorf("steady-state three-worker flush allocates %.1f times", allocs)
+	}
+}
+
+// TestFlushReleasesRetiredNets: once model A's steps are flushed and then
+// only model B's, no group references A's nets, neither as its net nor
+// through a step its slot still holds, so a model rotation pins nothing of
+// the retired model; B's steps, run on the slots and workspaces A's used,
+// still finish bit for bit.
+func TestFlushReleasesRetiredNets(t *testing.T) {
+	a, b := testTTP(3), testTTP(4)
+	svc := NewInferenceService()
+	var last []*stagedDecision
+	for _, m := range []*core.TTP{a, b} {
+		last = stageFlush(t, m, m)
+		for _, d := range last {
+			svc.Enqueue(d.dp.Pending())
+		}
+		svc.Flush()
+	}
+	for _, g := range svc.groups {
+		held := []*nn.MLP{g.net}
+		for _, ps := range g.pend[:cap(g.pend)] {
+			if ps != nil {
+				held = append(held, ps.Net)
+			}
+		}
+		for _, net := range held {
+			if slices.Contains(a.Nets, net) {
+				t.Fatalf("a group still references a net of the retired model")
+			}
+		}
+	}
+	for i, d := range last {
+		for step := range d.dists {
+			if !slices.Equal(d.dists[step], d.want[step]) {
+				t.Fatalf("model B decision %d step %d: flushed dists differ from the direct path", i, step)
+			}
+		}
 	}
 }
 
@@ -140,9 +178,9 @@ func TestFlushTraceSpansPerWorkerSpan(t *testing.T) {
 		}
 		waited := waits.Snapshot().Count
 		svc.Flush()
-		if workers == 1 && (waits.Snapshot().Count != waited || len(svc.spans) != len(svc.order)) {
+		if workers == 1 && (waits.Snapshot().Count != waited || len(svc.spans) != svc.batches) {
 			t.Fatalf("one worker: %d spans over %d nets, wait recorded %v",
-				len(svc.spans), len(svc.order), waits.Snapshot().Count != waited)
+				len(svc.spans), svc.batches, waits.Snapshot().Count != waited)
 		}
 		got := map[string]int{}
 		for _, sp := range tr.Snapshot() {

@@ -51,9 +51,9 @@
 // an add or subtract is written that way, and `make cross` fails on any
 // fused op in the package's arm64 listing. The
 // rest of the tree is not held to this: abr, media, netem, pensieve, stats
-// and tcpsim (and a few sites in experiment, figures, obs, sweep and
+// and tcpsim (and a few sites in experiment, figures, fleet, obs, sweep and
 // telemetry) still fuse on arm64, so their results there may differ in the
-// last bit from amd64's (bits across GOARCH are ROADMAP item 14).
+// last bit from amd64's (bits across GOARCH are ROADMAP item 20).
 //
 // Two more primitives under the same discipline serve the model-predictive
 // planner in internal/abr, which calls each once per (horizon step, rung) and

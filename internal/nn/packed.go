@@ -9,7 +9,7 @@ import (
 // Inference-kernel metrics (write-only; see the obs package contract). Every
 // engine's forward passes land here — session, fleet, serve and dist alike —
 // but a dist worker's registry dies with the worker, so the coordinator
-// sees none of its kernel time (ROADMAP item 5).
+// sees none of its kernel time (ROADMAP item 6).
 var (
 	packedForwardNS = obs.Default.Histogram("nn_packed_forward_ns")
 	packedRowsTotal = obs.Default.Counter("nn_packed_rows_total")

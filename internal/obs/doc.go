@@ -38,7 +38,7 @@
 // (nn_packed_forward_ns, nn_packed_rows_total) sit on every engine's
 // forward pass, but a dist worker's registry dies with the worker (and
 // workers run with recording off), so a dist run's snapshot still holds no
-// kernel timers. Shipping worker snapshots home is ROADMAP item 5. The
+// kernel timers. Shipping worker snapshots home is ROADMAP item 6. The
 // nightly retrain is timed from inside the same way: core.Train records
 // core_train_examples_ns (building one horizon step's examples) and
 // core_train_fit_ns (fitting its net), one observation each per step per

@@ -135,7 +135,10 @@ type Pred struct {
 var predOps = []string{"!=", "<=", ">=", "=", "<", ">"}
 
 // ParsePreds parses a comma-separated predicate list like
-// "drift.preset=shift,daily.sessions>=100".
+// "drift.preset=shift,daily.sessions>=100". Each predicate splits at its
+// leftmost operator character, so a field never holds one of "=!<>" and
+// everything after the operator is the value; a predicate with no field
+// before its operator is refused.
 func ParsePreds(s string) ([]Pred, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -147,8 +150,9 @@ func ParsePreds(s string) ([]Pred, error) {
 			continue
 		}
 		var p Pred
+		i := strings.IndexAny(part, "=!<>")
 		for _, op := range predOps {
-			if i := strings.Index(part, op); i > 0 {
+			if i > 0 && strings.HasPrefix(part[i:], op) {
 				p = Pred{
 					Field: strings.TrimSpace(part[:i]),
 					Op:    op,

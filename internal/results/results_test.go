@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"puffer/internal/experiment"
@@ -268,6 +270,28 @@ func TestPredicatesAndProjection(t *testing.T) {
 	if _, err := ParsePreds("nonsense"); err == nil {
 		t.Fatal("predicate without operator must be rejected")
 	}
+}
+
+// FuzzParsePreds: a predicate list is refused or parses to predicates
+// that each have a known operator and a non-empty field holding none of the
+// operator characters. The seeds hold predicates with no field ("<=5",
+// "!=x") and one whose leftmost operator is not the first one tried
+// ("a<b=c").
+func FuzzParsePreds(f *testing.F) {
+	for _, s := range []string{"<=5", "!=x", "a<b=c", "drift.preset=shift,daily.sessions>=100"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		preds, err := ParsePreds(s)
+		if err != nil {
+			return
+		}
+		for _, p := range preds {
+			if p.Field == "" || strings.ContainsAny(p.Field, "=!<>") || !slices.Contains(predOps, p.Op) {
+				t.Fatalf("ParsePreds(%q) parsed %+v", s, p)
+			}
+		}
+	})
 }
 
 func TestGroupAggregate(t *testing.T) {

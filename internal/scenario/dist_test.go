@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -66,6 +67,10 @@ func TestRunReapsDistPool(t *testing.T) {
 			events.Close()
 			if (err != nil) != (failDay != "") {
 				t.Fatalf("Run error = %v with injected failure day %q", err, failDay)
+			}
+			// The worker's own report, not a retried broken pipe.
+			if want := "building day 1 trial: injected day failure"; err != nil && !strings.Contains(err.Error(), want) {
+				t.Errorf("Run error = %v, want the worker's %q", err, want)
 			}
 
 			evs, err := obs.ReadEvents(eventsPath)
