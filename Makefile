@@ -38,15 +38,16 @@ build:
 # writes nn's SIMD gates (variables on amd64, constants elsewhere). arm64
 # fuses a*b+c into one rounding unless the product is converted explicitly
 # (float64(a*b)), which would break nn's one-rounding-per-operation
-# contract, so the last step fails on any fused op in nn's listing (-a: a
-# cached build prints none).
+# contract and give telemetry's concurrency means other bits than amd64's,
+# so the last step fails on any fused op in the listing of nn or telemetry
+# (-a: a cached build prints none).
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn ./internal/telemetry 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true); \
 	if [ -n "$$fused" ]; then \
-		echo "internal/nn: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
+		echo "internal/nn, internal/telemetry: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
 		echo "$$fused"; exit 1; \
 	fi
 

@@ -7,9 +7,11 @@ import (
 	"puffer/internal/nn"
 )
 
-// The SIMD gates of the nn kernel primitives. nn keeps them unexported, and
-// reaching them costs no exported name (internal/abr's planner test flips
-// them the same way).
+// The SIMD gates of the nn kernel primitives, Softmax's vector body
+// included. nn keeps them unexported, and reaching them costs no exported
+// name (internal/abr's planner test flips them the same way). Every
+// primitive reads its gate at each call, so flipping the variable reaches
+// them all; a gate derived from it once at init would not be flipped.
 //
 //go:linkname nnUseAVX2 puffer/internal/nn.useAVX2
 var nnUseAVX2 bool
@@ -18,6 +20,8 @@ var nnUseAVX2 bool
 var nnUseAVX512 bool
 
 func init() {
+	// With both gates off every affine row, ReLU, Adam step, planner pass
+	// and softmax runs its portable body (softmaxGo: scalar math.Exp).
 	forcePortable = func(t *testing.T) {
 		if !nnUseAVX2 {
 			t.Skip("no AVX2 on this host: every cell already runs the portable bodies")

@@ -86,7 +86,9 @@ type contractCell struct {
 	// only the resume's sweep can remove it.
 	stray bool
 	// portable runs every leg with nn's SIMD gates off, on the portable
-	// kernel bodies other platforms run.
+	// kernel bodies other platforms run: the affine rows, the elementwise
+	// training passes, the planner's two passes and Softmax (softmaxGo, with
+	// scalar math.Exp, against the reference's vector exponentials).
 	portable bool
 }
 
@@ -145,6 +147,7 @@ func TestContractMatrix(t *testing.T) {
 		{name: "resume/session-1-to-fleet", legs: []leg{{"session", 1}, {"fleet", 3}}},
 		{name: "resume/session-1-to-dist", legs: []leg{{"session", 1}, {"dist", 3}}},
 		{name: "resume/replay", legs: []leg{{"session", 3}, {"session", 3}}, stray: true},
+		// The session engine on the portable bodies, Softmax's included.
 		{name: "kernel/portable", legs: []leg{{"session", 3}}, portable: true},
 	}
 	for _, c := range cells {

@@ -2,8 +2,9 @@
 
 package nn
 
-// useAVX2 gates the packed SIMD kernel: the CPU must support AVX2 and the
-// OS must have enabled YMM state saving.
+// useAVX2 gates every SIMD body: the CPU must support AVX2 and FMA and the
+// OS must have enabled YMM state saving. FMA is softmaxAVX2's: it is the
+// condition under which math.Exp takes the fused path that body copies.
 var useAVX2 = detectAVX2()
 
 // useAVX512 upgrades the packed kernel to 512-bit vectors when the CPU and
@@ -111,6 +112,17 @@ func adamStep(p, g, m, v []float64, k *adamConsts) {
 	adamStepAVX2(&p[0], &g[0], &m[0], &v[0], n, k)
 }
 
+// softmaxAVX2 is softmaxGo on 256-bit vectors, exponentials included: it
+// runs math.Exp's FMA sequence lane by lane, so on a CPU with FMA (which
+// useAVX2 requires, and with which math.Exp takes that sequence) every
+// element is softmaxGo's. It covers only rows with no NaN and min-max >=
+// -708, where math.Exp takes neither its overflow nor its denormal branch;
+// for any other row it returns false having written nothing (see
+// affine_amd64.s).
+//
+//go:noescape
+func softmaxAVX2(dst, x *float64, n int) bool
+
 // The model-predictive planner's two passes (internal/abr). A decision runs
 // each a few dozen times over rows of ~60 elements, so like the training
 // passes above they get 256-bit bodies only.
@@ -161,15 +173,16 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (requires OSXSAVE).
 func xgetbv0() (eax, edx uint32)
 
-// detectAVX2 checks CPU support for AVX2 and OS support for YMM state.
+// detectAVX2 checks CPU support for AVX2 and FMA and OS support for YMM
+// state.
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	_, _, c1, _ := cpuid(1, 0)
-	if c1&osxsave == 0 || c1&avx == 0 {
+	if c1&fma == 0 || c1&osxsave == 0 || c1&avx == 0 {
 		return false
 	}
 	if xcr0, _ := xgetbv0(); xcr0&0x6 != 0x6 {

@@ -14,7 +14,8 @@
 // The elementwise kernels (ReLU, ReLU-copy, ReLU mask, Adam) perform per
 // element exactly the scalar code's operations in its order, each with its
 // own rounding, and so do the planner's two (shifted accumulate,
-// max-plane).
+// max-plane). The softmax body's exponentials are math.Exp's own FMA
+// sequence run lane by lane, so they fuse exactly where math.Exp fuses.
 
 #include "textflag.h"
 
@@ -667,6 +668,189 @@ ms1:
 	INCQ R11
 	JMP  mp1
 mpdone:
+	VZEROUPPER
+	RET
+
+// expdata holds, four lanes each, the constants of math.Exp's FMA sequence
+// ($GOROOT/src/math/exp_amd64.s, the avxfma path: Shibata's SLEEF method,
+// ISC'10) in the literals that file spells them with, plus the exponent
+// bias and softmaxAVX2's range limit.
+#define EXPQUAD(off, v) \
+	DATA expdata<>+(off)(SB)/8, v; \
+	DATA expdata<>+(off+8)(SB)/8, v; \
+	DATA expdata<>+(off+16)(SB)/8, v; \
+	DATA expdata<>+(off+24)(SB)/8, v
+
+EXPQUAD(0, $1.4426950408889634073599246810018920)       // LOG2E
+EXPQUAD(32, $0.69314718055966295651160180568695068359375) // LN2U
+EXPQUAD(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXPQUAD(96, $0.0625)
+EXPQUAD(128, $2.4801587301587301587e-5) // Taylor coefficients, 1/8! down
+EXPQUAD(160, $1.9841269841269841270e-4)
+EXPQUAD(192, $1.3888888888888888889e-3)
+EXPQUAD(224, $8.3333333333333333333e-3)
+EXPQUAD(256, $4.1666666666666666667e-2)
+EXPQUAD(288, $1.6666666666666666667e-1)
+EXPQUAD(320, $0.5)
+EXPQUAD(352, $1.0)
+EXPQUAD(384, $2.0)
+EXPQUAD(416, $0x3FF)   // exponent bias (int64 lanes)
+EXPQUAD(448, $-708.0)  // softmaxAVX2's least min-max
+GLOBL expdata<>(SB), RODATA|NOPTR, $480
+
+// EXP4 sets Y3 to math.Exp(Y3 - Y15), lane by lane, with archExp's
+// operations in its order (k = round(x·LOG2E) to nearest even; r = (x -
+// k·LN2U) - k·LN2L, each fused; r/16 through the Taylor polynomial, seven
+// fused steps; four doubling steps y·(y+2); a fused +1; × 2^k). Y8-Y14 hold
+// LOG2E, LN2U, LN2L, 0.0625, 2.0, 1.0 and the bias; it clobbers Y4-Y7. Only
+// archExp's in-range path is here: the caller keeps x in [-708, 0], where
+// archExp takes neither its overflow nor its denormal branch.
+#define EXP4 \
+	VSUBPD Y15, Y3, Y3; \
+	VMULPD Y8, Y3, Y4; \
+	VCVTPD2DQY Y4, X5; \
+	VCVTDQ2PD X5, Y4; \
+	VFNMADD231PD Y9, Y4, Y3; \
+	VFNMADD231PD Y10, Y4, Y3; \
+	VMULPD Y11, Y3, Y3; \
+	VMOVUPD expdata<>+128(SB), Y6; \
+	VFMADD213PD expdata<>+160(SB), Y3, Y6; \
+	VFMADD213PD expdata<>+192(SB), Y3, Y6; \
+	VFMADD213PD expdata<>+224(SB), Y3, Y6; \
+	VFMADD213PD expdata<>+256(SB), Y3, Y6; \
+	VFMADD213PD expdata<>+288(SB), Y3, Y6; \
+	VFMADD213PD expdata<>+320(SB), Y3, Y6; \
+	VFMADD213PD Y13, Y3, Y6; \
+	VMULPD Y6, Y3, Y3; \
+	VADDPD Y12, Y3, Y6; \
+	VMULPD Y6, Y3, Y3; \
+	VADDPD Y12, Y3, Y6; \
+	VMULPD Y6, Y3, Y3; \
+	VADDPD Y12, Y3, Y6; \
+	VMULPD Y6, Y3, Y3; \
+	VADDPD Y12, Y3, Y6; \
+	VFMADD213PD Y13, Y6, Y3; \
+	VPMOVSXDQ X5, Y7; \
+	VPADDQ Y14, Y7, Y7; \
+	VPSLLQ $52, Y7, Y7; \
+	VMULPD Y7, Y3, Y3
+
+// func softmaxAVX2(dst, x *float64, n int) bool
+//
+// softmaxGo's contract on 256-bit vectors, for n >= 1. A masked scan finds
+// the max, the min and any NaN; unless no logit is NaN and min-max >= -708
+// (ordered) it returns false having written nothing, and the caller runs
+// the scalar body. Otherwise every exponential is EXP4 (math.Exp's bits on
+// a CPU with FMA, which the gate requires), the sum runs in index order
+// from +0 with one VADDSD per element, and each element is scaled by
+// 1/sum. The n mod 4 tail runs under a VMASKMOVPD lane mask, its dead
+// lanes set to the max (so they compute exp(0)) and never stored.
+TEXT ·softmaxAVX2(SB), NOSPLIT, $0-25
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ CX, DX
+	ANDQ $-4, DX              // elements in whole vectors
+	MOVQ CX, AX
+	SUBQ DX, AX               // tail lanes, n mod 4
+	VMOVQ AX, X2
+	VPBROADCASTQ X2, Y2
+	VPCMPGTQ lanes<>(SB), Y2, Y2 // tail mask: lane l live when n mod 4 > l
+
+	VBROADCASTSD (SI), Y6     // x[0]: the tail's dead lanes in the scan
+	VMOVAPD Y6, Y0            // max
+	VMOVAPD Y6, Y1            // min
+	VXORPD Y4, Y4, Y4         // lanes that saw a NaN
+	XORQ BX, BX
+scan:
+	CMPQ BX, DX
+	JGE  scantail
+	VMOVUPD (SI)(BX*8), Y3
+	VMAXPD Y3, Y0, Y0
+	VMINPD Y3, Y1, Y1
+	VCMPPD $3, Y3, Y3, Y5     // unordered: NaN
+	VORPD Y5, Y4, Y4
+	ADDQ $4, BX
+	JMP  scan
+scantail:
+	TESTQ AX, AX
+	JZ    reduce
+	VMASKMOVPD (SI)(BX*8), Y2, Y3
+	VBLENDVPD Y2, Y3, Y6, Y3
+	VMAXPD Y3, Y0, Y0
+	VMINPD Y3, Y1, Y1
+	VCMPPD $3, Y3, Y3, Y5
+	VORPD Y5, Y4, Y4
+reduce:
+	VMOVMSKPD Y4, R8
+	TESTQ R8, R8
+	JNZ   scalar
+	VEXTRACTF128 $1, Y0, X3
+	VMAXPD X3, X0, X0
+	VPERMILPD $1, X0, X3
+	VMAXSD X3, X0, X0
+	VEXTRACTF128 $1, Y1, X3
+	VMINPD X3, X1, X1
+	VPERMILPD $1, X1, X3
+	VMINSD X3, X1, X1
+	VSUBSD X0, X1, X3         // min - max
+	VUCOMISD expdata<>+448(SB), X3
+	JCS   scalar              // below -708, or unordered (Inf - Inf)
+
+	VBROADCASTSD X0, Y15
+	VMOVUPD expdata<>+0(SB), Y8
+	VMOVUPD expdata<>+32(SB), Y9
+	VMOVUPD expdata<>+64(SB), Y10
+	VMOVUPD expdata<>+96(SB), Y11
+	VMOVUPD expdata<>+384(SB), Y12
+	VMOVUPD expdata<>+352(SB), Y13
+	VMOVUPD expdata<>+416(SB), Y14
+	XORQ BX, BX
+exp:
+	CMPQ BX, DX
+	JGE  exptail
+	VMOVUPD (SI)(BX*8), Y3
+	EXP4
+	VMOVUPD Y3, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  exp
+exptail:
+	TESTQ AX, AX
+	JZ    sum
+	VMASKMOVPD (SI)(BX*8), Y2, Y3
+	VBLENDVPD Y2, Y3, Y15, Y3
+	EXP4
+	VMASKMOVPD Y3, Y2, (DI)(BX*8)
+sum:
+	VXORPD X3, X3, X3
+	XORQ BX, BX
+sumloop:
+	VADDSD (DI)(BX*8), X3, X3
+	INCQ BX
+	CMPQ BX, CX
+	JLT  sumloop
+	VDIVSD X3, X13, X4        // 1/sum
+	VBROADCASTSD X4, Y4
+	XORQ BX, BX
+norm:
+	CMPQ BX, DX
+	JGE  normtail
+	VMULPD (DI)(BX*8), Y4, Y3
+	VMOVUPD Y3, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  norm
+normtail:
+	TESTQ AX, AX
+	JZ    done
+	VMASKMOVPD (DI)(BX*8), Y2, Y3
+	VMULPD Y4, Y3, Y3
+	VMASKMOVPD Y3, Y2, (DI)(BX*8)
+done:
+	MOVB $1, ret+24(FP)
+	VZEROUPPER
+	RET
+scalar:
+	MOVB $0, ret+24(FP)
 	VZEROUPPER
 	RET
 

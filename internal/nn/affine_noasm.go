@@ -13,6 +13,9 @@ func affineRowT(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
 
 func reluVec(v []float64) { reluInPlace(v) }
 
+// softmaxAVX2 never runs here (useAVX2 is false): Softmax is softmaxGo.
+func softmaxAVX2(dst, x *float64, n int) bool { return false }
+
 func reluCopy(dst, src []float64) { reluCopyGo(dst, src) }
 
 func maskNonPos(d, z []float64) { maskNonPosGo(d, z) }

@@ -49,11 +49,23 @@
 // float64(a*b), is the spec's way to forbid it. Every product in this
 // package's non-test Go code (and in the tests' bitwise oracles) that feeds
 // an add or subtract is written that way, and `make cross` fails on any
-// fused op in the package's arm64 listing. The
+// fused op in the arm64 listing of this package or of telemetry. The
 // rest of the tree is not held to this: abr, media, netem, pensieve, stats
-// and tcpsim (and a few sites in experiment, figures, fleet, obs, sweep and
-// telemetry) still fuse on arm64, so their results there may differ in the
-// last bit from amd64's (bits across GOARCH are ROADMAP item 20).
+// and tcpsim (and a few sites in experiment, figures, fleet, obs and sweep)
+// still fuse on arm64, so their results there may differ in the last bit
+// from amd64's (bits across GOARCH are ROADMAP item 20).
+//
+// Softmax has a 256-bit body too (softmaxAVX2). Its sums keep the rule above
+// — the normalising sum runs in index order from +0, one rounding per add —
+// and its exponentials are math.Exp's own: Go's amd64 math.Exp is a
+// SIMD-designed sequence (Shibata's, ISC'10, in $GOROOT/src/math/exp_amd64.s)
+// that fuses its reduction and polynomial steps when the CPU has FMA, and the
+// body runs those operations lane by lane, fused exactly where that file
+// fuses. The SIMD gate requires FMA, so wherever the body runs math.Exp takes
+// the same path and softmaxGo, the scalar body, gives the same bits. Rows
+// with a NaN, an infinity or a spread past 708 (where math.Exp would leave
+// its normal range) go to softmaxGo. Off FMA hosts math.Exp itself differs
+// in the last bit (ROADMAP item 14), which no gate in this package changes.
 //
 // Two more primitives under the same discipline serve the model-predictive
 // planner in internal/abr, which calls each once per (horizon step, rung) and

@@ -3,11 +3,24 @@ package nn
 import "math"
 
 // Softmax writes the softmax of logits into dst (which must be the same
-// length) using the max-subtraction trick for numerical stability.
+// length) using the max-subtraction trick for numerical stability. It runs
+// softmaxAVX2 where useAVX2 holds (read at each call, so a test that turns
+// the gate off reaches the scalar body) and the row is in its range, and
+// softmaxGo otherwise: the same bits either way.
 func Softmax(dst, logits []float64) {
 	if len(dst) != len(logits) {
 		panic("nn: Softmax length mismatch")
 	}
+	if useAVX2 && len(logits) > 0 && softmaxAVX2(&dst[0], &logits[0], len(logits)) {
+		return
+	}
+	softmaxGo(dst, logits)
+}
+
+// softmaxGo is Softmax's scalar body: the max first of equals, then
+// math.Exp(v-max) per element summed in index order from +0, then every
+// element times 1/sum.
+func softmaxGo(dst, logits []float64) {
 	max := logits[0]
 	for _, v := range logits[1:] {
 		if v > max {

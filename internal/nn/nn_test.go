@@ -133,6 +133,27 @@ func TestSoftmaxExtremeLogits(t *testing.T) {
 	}
 }
 
+// BenchmarkSoftmax times one 21-wide row, the TTP's transmit-time bins,
+// through the dispatched entry (the vector body where the machine has it)
+// and through the scalar body.
+func BenchmarkSoftmax(b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	logits, dst := make([]float64, 21), make([]float64, 21)
+	for i := range logits {
+		logits[i] = 3 * rng.NormFloat64()
+	}
+	b.Run("dispatched", func(b *testing.B) {
+		for b.Loop() {
+			Softmax(dst, logits)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for b.Loop() {
+			softmaxGo(dst, logits)
+		}
+	})
+}
+
 func TestArgMax(t *testing.T) {
 	cases := []struct {
 		in   []float64

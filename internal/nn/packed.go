@@ -180,7 +180,7 @@ func (p *PackedMLP) predictDist(ws *BatchWorkspace, xs []float64, rows int, dst 
 	return dst
 }
 
-// Accelerated reports whether the packed path runs a SIMD body of
-// affineRowT on this machine (false means it runs the portable body,
-// affineRowTGo — the same bits, without the speedup).
+// Accelerated reports whether the packed path runs the SIMD bodies of
+// affineRowT and Softmax on this machine (false means it runs the portable
+// bodies, affineRowTGo and softmaxGo — the same bits, without the speedup).
 func Accelerated() bool { return useAVX2 }

@@ -74,7 +74,7 @@ func (s *ConcurrencySeries) Mean() float64 {
 	}
 	area := 0.0
 	for i := 0; i+1 < len(s.Points); i++ {
-		area += float64(s.Points[i].Active) * (s.Points[i+1].Time - s.Points[i].Time)
+		area += float64(float64(s.Points[i].Active) * (s.Points[i+1].Time - s.Points[i].Time))
 	}
 	return area / span
 }
