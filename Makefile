@@ -38,16 +38,16 @@ build:
 # writes nn's SIMD gates (variables on amd64, constants elsewhere). arm64
 # fuses a*b+c into one rounding unless the product is converted explicitly
 # (float64(a*b)), which would break nn's one-rounding-per-operation
-# contract and give telemetry's concurrency means other bits than amd64's,
-# so the last step fails on any fused op in the listing of nn or telemetry
-# (-a: a cached build prints none).
+# contract and give telemetry's concurrency means and stats' intervals other
+# bits than amd64's, so the last step fails on any fused op in the listing
+# of nn, telemetry, stats or sweep (-a: a cached build prints none).
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn ./internal/telemetry 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn ./internal/telemetry ./internal/stats ./internal/sweep 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true); \
 	if [ -n "$$fused" ]; then \
-		echo "internal/nn, internal/telemetry: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
+		echo "internal/nn, internal/telemetry, internal/stats, internal/sweep: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
 		echo "$$fused"; exit 1; \
 	fi
 
@@ -290,12 +290,16 @@ dist-smoke:
 # on the scenario spec parser (a valid spec's canonical JSON must be a
 # fixed point with stable hashes), on the sweep parser (a valid sweep must
 # expand to its counted cells), on the results query's predicate parser (a
-# parsed field is never empty and holds no operator), and on the
+# parsed field is never empty and holds no operator), on the results index
+# loader (a loaded index re-appends to the same canonical bytes), and on the
 # fixed-layout decoders of what the program persists or ships between
 # processes: the model file, the dist shard blob and the dist frame payloads
 # (bytes that decode must re-encode to themselves). The committed seeds under
 # internal/{wire,serve,scenario,sweep,core}/testdata/fuzz run in every plain
-# `go test` as well; this adds fresh mutations on each push.
+# `go test` as well; this adds fresh mutations on each push. The index loader
+# reads a file and re-appends with fsync for every input (about a
+# millisecond), so its minimizing of each new input is capped at 100 runs:
+# at the default 60 s budget it would spend all five seconds minimizing.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzScanLines -fuzztime=5s ./internal/wire
@@ -304,6 +308,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzParseSweep -fuzztime=5s ./internal/sweep
 	$(GO) test -run='^$$' -fuzz=FuzzParsePreds -fuzztime=5s ./internal/results
+	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=5s -fuzzminimizetime=100x ./internal/results
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTTP -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/dist

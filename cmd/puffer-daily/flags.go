@@ -50,30 +50,20 @@ type override struct {
 
 // overrides maps every spec-override flag to the spec field it writes.
 var overrides = map[string]override{
-	"days":              {"daily.days", num, "deployment days to simulate (count)", ""},
-	"sessions":          {"daily.sessions", num, "randomized-trial size per day (sessions)", ""},
-	"window":            {"daily.window", num, "sliding retraining window (days; 0 = all days so far)", ""},
-	"retrain":           {"daily.retrain", boolean, "retrain the TTP nightly (false = frozen day-0 model)", ""},
-	"ablation":          {"daily.ablation", boolean, "with retraining, also run the frozen-model staleness ablation", ""},
-	"engine":            {"engine.kind", str, "execution engine — session, fleet, or dist; results are byte-identical", ""},
-	"dist-workers":      {"engine.dist_workers", num, "dist engine worker-process count (0 = GOMAXPROCS; selects the dist engine); never changes results", `engine.kind="dist"`},
-	"arrival-rate":      {"engine.arrival.rate", num, "fleet engine Poisson arrival intensity (sessions per virtual second; selects the poisson process)", `engine.arrival.process="poisson"`},
-	"tick":              {"engine.tick", num, "fleet engine inference-batching tick (virtual seconds; never changes results)", ""},
-	"shard":             {"shard_size", num, "sessions per aggregation shard (sessions)", ""},
-	"seed":              {"seed", num, "experiment seed (any int64)", ""},
-	"epochs":            {"train.epochs", num, "nightly training epochs (count)", ""},
-	"env":               {"env.world", str, "environment world, insitu or emulation", ""},
-	"drift":             {"drift.preset", str, "nonstationarity preset — none, decay, shift, or mix", ""},
-	"drift-rate-factor": {"drift.rate_factor_per_day", num, "daily capacity factor (ratio/day; e.g. 0.9 = -10%/day; unset = preset)", ""},
-	"drift-rate-floor":  {"drift.rate_factor_floor", num, "floor on the compounded capacity factor (ratio; unset = preset)", ""},
-	"drift-sigma-widen": {"drift.sigma_widen_per_day", num, "extra session-spread log-std-dev added per day (nats/day; unset = preset)", ""},
-	"drift-slow-share":  {"drift.slow_share_per_day", num, "extra slow-path share added per day (fraction/day; unset = preset)", ""},
-	"drift-slow-cap":    {"drift.slow_share_cap", num, "cap on the extra slow-path share (fraction; unset = preset)", ""},
-	"drift-outage-rate": {"drift.outages_per_hour", num, "extra deep outages added per day (outages/hour/day; unset = preset)", ""},
-	"drift-outage-cap":  {"drift.outage_cap_per_hour", num, "cap on the ramped outage rate (outages/hour; 0 = uncapped; unset = preset)", ""},
-	"drift-mix":         {"drift.mix", str, "migrate the population toward this family — congested, fcc, cs2p, or none (unset = preset)", ""},
-	"drift-mix-start":   {"drift.mix_start_day", num, "first day of the mix ramp (day index; unset = preset)", ""},
-	"drift-mix-ramp":    {"drift.mix_ramp_days", num, "days for the mix ramp to reach 100% (days; <= 0 = step; unset = preset)", ""},
+	"days":         {"daily.days", num, "deployment days to simulate (count)", ""},
+	"sessions":     {"daily.sessions", num, "randomized-trial size per day (sessions)", ""},
+	"window":       {"daily.window", num, "sliding retraining window (days; 0 = all days so far)", ""},
+	"retrain":      {"daily.retrain", boolean, "retrain the TTP nightly (false = frozen day-0 model)", ""},
+	"ablation":     {"daily.ablation", boolean, "with retraining, also run the frozen-model staleness ablation", ""},
+	"engine":       {"engine.kind", str, "execution engine — session, fleet, or dist; results are byte-identical", ""},
+	"dist-workers": {"engine.dist_workers", num, "dist engine worker-process count (0 = GOMAXPROCS; selects the dist engine); never changes results", `engine.kind="dist"`},
+	"arrival-rate": {"engine.arrival.rate", num, "fleet engine Poisson arrival intensity (sessions per virtual second; selects the poisson process)", `engine.arrival.process="poisson"`},
+	"tick":         {"engine.tick", num, "fleet engine inference-batching tick (virtual seconds; never changes results)", ""},
+	"shard":        {"shard_size", num, "sessions per aggregation shard (sessions)", ""},
+	"seed":         {"seed", num, "experiment seed (any int64)", ""},
+	"epochs":       {"train.epochs", num, "nightly training epochs (count)", ""},
+	"env":          {"env.world", str, "environment world, insitu or emulation", ""},
+	"drift":        {"drift.preset", str, "nonstationarity preset — none, decay, shift, or mix", ""},
 }
 
 // value turns a flag's text into JSON. Numbers accept what flag.Int and

@@ -22,16 +22,18 @@ func TestOverridePathsExist(t *testing.T) {
 	}
 }
 
-// TestOverrideFlagsRejectBadValues: a value the flag's field cannot hold
-// fails at flag parse, with an error naming the flag.
+// TestOverrideFlagsRejectBadValues: a value the flag's field cannot hold,
+// or a flag the command no longer has, fails at flag parse, with an error
+// naming the flag.
 func TestOverrideFlagsRejectBadValues(t *testing.T) {
 	for _, args := range [][]string{
 		{"-days", "abc"},
 		{"-seed", "1.5"},
 		{"-retrain=maybe"},
 		{"-sessions", "1e2"},
-		{"-drift-rate-factor", "NaN"},
+		{"-arrival-rate", "NaN"},
 		{"-tick", "Inf"},
+		{"-drift-rate-factor", "0.8"}, // a raw drift knob: presets only
 	} {
 		_, err := parseCLI(args)
 		if err == nil {

@@ -108,7 +108,7 @@ func run(args []string) error {
 	}
 	defer stopObs()
 
-	if sched, err := spec.Schedule(); err == nil && !sched.IsZero() {
+	if sched, err := netem.DriftPreset(spec.Drift.Preset); err == nil && !sched.IsZero() {
 		logf("drift schedule: %s", sched.Signature())
 	}
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"puffer/internal/core"
@@ -19,8 +20,8 @@ import (
 
 // legacyConfig replicates, line for line, how the pre-scenario puffer-daily
 // built its runner.Config from flags — the oracle the spec path must match.
-// It parses args with the historical flag set and applies the historical
-// preset-override semantics (flag.Visit keyed, explicit zeros included).
+// It parses args with the historical flag set (less the raw -drift-* knobs,
+// which the spec no longer has) and applies the drift preset.
 //
 // The engine selection left runner.Config's comparable fields when the
 // runner gained its DayEngine seam: the config carries the engine as a
@@ -44,16 +45,6 @@ func legacyConfig(t *testing.T, args []string) (runner.Config, scenario.EngineSp
 	epochs := fs.Int("epochs", 8, "")
 	envName := fs.String("env", "insitu", "")
 	drift := fs.String("drift", "none", "")
-	dRate := fs.Float64("drift-rate-factor", 0, "")
-	dFloor := fs.Float64("drift-rate-floor", 0, "")
-	dSigma := fs.Float64("drift-sigma-widen", 0, "")
-	dSlow := fs.Float64("drift-slow-share", 0, "")
-	dSlowCap := fs.Float64("drift-slow-cap", 0, "")
-	dOutage := fs.Float64("drift-outage-rate", 0, "")
-	dOutageCap := fs.Float64("drift-outage-cap", 0, "")
-	dMix := fs.String("drift-mix", "", "")
-	dMixStart := fs.Int("drift-mix-start", 0, "")
-	dMixRamp := fs.Int("drift-mix-ramp", 3, "")
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("legacy flags: %v", err)
 	}
@@ -71,53 +62,6 @@ func legacyConfig(t *testing.T, args []string) (runner.Config, scenario.EngineSp
 	sched, err := netem.DriftPreset(*drift)
 	if err != nil {
 		t.Fatal(err)
-	}
-	given := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if given["drift-rate-factor"] {
-		sched.RateFactorPerDay = *dRate
-	}
-	if given["drift-rate-floor"] {
-		sched.RateFactorFloor = *dFloor
-	}
-	if given["drift-sigma-widen"] {
-		sched.SigmaWidenPerDay = *dSigma
-	}
-	if given["drift-slow-share"] {
-		sched.SlowSharePerDay = *dSlow
-	}
-	if given["drift-slow-cap"] {
-		sched.SlowShareCap = *dSlowCap
-	}
-	if given["drift-outage-rate"] {
-		sched.OutageRatePerDay = *dOutage / 3600
-	}
-	if given["drift-outage-cap"] {
-		sched.OutageRateCap = *dOutageCap / 3600
-	}
-	if given["drift-mix"] {
-		switch *dMix {
-		case "congested":
-			sched.MixWith = netem.PufferPaths{MedianRate: 1.2e6, Sigma: 0.5}
-		case "fcc":
-			sched.MixWith = netem.FCCPaths{}
-		case "cs2p":
-			sched.MixWith = netem.CS2PPaths{}
-		case "none", "":
-			sched.MixWith = nil
-		default:
-			t.Fatalf("unknown -drift-mix %q", *dMix)
-		}
-		if sched.MixWith != nil {
-			sched.MixStartDay = *dMixStart
-			sched.MixRampDays = *dMixRamp
-		}
-	}
-	if given["drift-mix-start"] {
-		sched.MixStartDay = *dMixStart
-	}
-	if given["drift-mix-ramp"] {
-		sched.MixRampDays = *dMixRamp
 	}
 	if !sched.IsZero() {
 		env.Paths = &netem.DriftingSampler{Base: env.Paths, Schedule: sched}
@@ -192,8 +136,9 @@ func normalize(t *testing.T, cfg runner.Config, legacy bool) runner.Config {
 
 // TestCLIBackCompat proves every pre-redesign flag invocation maps to a
 // spec that compiles to the exact runner.Config the old CLI built —
-// including raw drift overrides with explicit zeros, the
-// newly-introduced-mix ramp defaults, both engines, and both worlds.
+// including every drift preset, both engines, and both worlds — or, for
+// the raw -drift-* knobs the spec no longer has, is refused with an error
+// naming the knob rather than run as some other experiment.
 func TestCLIBackCompat(t *testing.T) {
 	cases := [][]string{
 		{},
@@ -202,6 +147,14 @@ func TestCLIBackCompat(t *testing.T) {
 		{"-seed", "0"},
 		{"-retrain=false"},
 		{"-drift", "shift"},
+		{"-drift", "decay"},
+		{"-drift", "mix"},
+		{"-drift", "none"},
+		{"-engine", "fleet", "-arrival-rate", "2", "-tick", "0.5"},
+		{"-env", "emulation"},
+		{"-shard", "16", "-workers", "3"},
+	}
+	retired := [][]string{
 		{"-drift", "decay", "-drift-rate-factor", "0.8"},
 		{"-drift", "shift", "-drift-slow-cap", "0", "-drift-outage-rate", "0"},
 		{"-drift", "shift", "-drift-outage-cap", "2.5"},
@@ -210,9 +163,17 @@ func TestCLIBackCompat(t *testing.T) {
 		{"-drift", "mix", "-drift-mix", ""},
 		{"-drift", "mix", "-drift-mix", "fcc", "-drift-mix-ramp", "0"},
 		{"-drift", "none", "-drift-sigma-widen", "0.2", "-drift-slow-share", "0.1"},
-		{"-engine", "fleet", "-arrival-rate", "2", "-tick", "0.5"},
-		{"-env", "emulation"},
-		{"-shard", "16", "-workers", "3"},
+	}
+	for _, args := range retired {
+		t.Run(joinArgs(args), func(t *testing.T) {
+			knob := args[0]
+			if knob == "-drift" {
+				knob = args[2]
+			}
+			if _, err := parseCLI(args); err == nil || !strings.Contains(err.Error(), knob) {
+				t.Fatalf("retired knob %s: error = %v, want one naming it", knob, err)
+			}
+		})
 	}
 	for _, args := range cases {
 		t.Run(joinArgs(args), func(t *testing.T) {
@@ -266,7 +227,7 @@ func fingerprint(t *testing.T, res *runner.Result) []byte {
 func TestCLIBackCompatRunsByteIdentical(t *testing.T) {
 	cases := [][]string{
 		{"-days", "2", "-sessions", "8", "-epochs", "1", "-window", "2", "-ablation=false"},
-		{"-days", "2", "-sessions", "8", "-epochs", "1", "-drift", "shift", "-drift-slow-cap", "0.5"},
+		{"-days", "2", "-sessions", "8", "-epochs", "1", "-drift", "shift"},
 		{"-days", "2", "-sessions", "8", "-epochs", "1", "-engine", "fleet", "-arrival-rate", "2", "-ablation=false"},
 	}
 	for _, args := range cases {

@@ -3,6 +3,7 @@ package figures
 import (
 	"io"
 
+	"puffer/internal/netem"
 	"puffer/internal/scenario"
 )
 
@@ -51,7 +52,7 @@ func (s *Suite) figDriftSpec() scenario.Spec {
 func (s *Suite) FigDrift(w io.Writer) ([]FigDriftRow, error) {
 	if s.drift == nil {
 		spec := s.figDriftSpec().WithDefaults()
-		sched, err := spec.Schedule()
+		sched, err := netem.DriftPreset(spec.Drift.Preset)
 		if err != nil {
 			return nil, err
 		}

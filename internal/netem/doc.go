@@ -16,7 +16,7 @@
 //   - FCC-like (GenFCC, FCCPaths): what the mahimahi emulation setup
 //     replays — bounded, smoother broadband traces with mild variation
 //     behind a fixed 40 ms delay shell (§5.2's methodology).
-//   - CS2P-like (GenCS2P, CS2PPaths): a small-state Markov throughput
+//   - CS2P-like (GenCS2P): a small-state Markov throughput
 //     process, reproducing the discrete throughput states of CS2P's
 //     Figure 4a that Puffer does NOT observe (the paper's Figure 2
 //     contrast).
@@ -27,8 +27,7 @@
 //     generators GenPuffer/GenFCC/GenCS2P, each shaped by its family's
 //     fixed constants around a given mean rate.
 //   - Sampler: draws a per-session Path (trace + base RTT + queue
-//     capacity) from a family; implemented by PufferPaths, FCCPaths,
-//     CS2PPaths.
+//     capacity) from a family; implemented by PufferPaths and FCCPaths.
 //   - DaySampler / SampleForDay: day-indexed sampling. The continual
 //     experiment passes the simulated day to the sampler, so a day-aware
 //     family draws each day's sessions from that day's distribution;

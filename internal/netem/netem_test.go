@@ -181,7 +181,7 @@ func TestFCCSamplerBounded(t *testing.T) {
 
 func TestSamplerPathsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, s := range []Sampler{PufferPaths{}, FCCPaths{}, CS2PPaths{}} {
+	for _, s := range []Sampler{PufferPaths{}, FCCPaths{}} {
 		for i := 0; i < 100; i++ {
 			p := s.Sample(rng, 120)
 			if err := p.Trace.Validate(); err != nil {
@@ -201,7 +201,7 @@ func TestSamplerPathsValid(t *testing.T) {
 }
 
 func TestSamplerNames(t *testing.T) {
-	if (PufferPaths{}).Name() != "puffer" || (FCCPaths{}).Name() != "fcc" || (CS2PPaths{}).Name() != "cs2p" {
+	if (PufferPaths{}).Name() != "puffer" || (FCCPaths{}).Name() != "fcc" {
 		t.Fatal("sampler names changed; figure code keys off them")
 	}
 }

@@ -101,25 +101,6 @@ func (f FCCPaths) Sample(rng *rand.Rand, duration float64) Path {
 	}
 }
 
-// CS2PPaths draws discrete-state Markov paths (for the Figure 2 contrast).
-type CS2PPaths struct {
-	MedianRate float64 // zero means 2.4 Mbit/s, as in CS2P's figure
-}
-
-// Name implements Sampler.
-func (CS2PPaths) Name() string { return "cs2p" }
-
-// Sample implements Sampler.
-func (c CS2PPaths) Sample(rng *rand.Rand, duration float64) Path {
-	median := c.MedianRate
-	if median == 0 {
-		median = 2.4e6
-	}
-	mean := median * math.Exp(0.4*rng.NormFloat64())
-	tr := GenCS2P(rng, mean, duration)
-	return Path{Trace: tr, BaseRTT: 0.050, QueueCapacity: 0.5}
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -1,8 +1,10 @@
 package results
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"puffer/internal/experiment"
 	"puffer/internal/runner"
 	"puffer/internal/stats"
+	"puffer/internal/wire"
 )
 
 // fakeRecord fabricates a plausible record: the warehouse never inspects
@@ -290,6 +293,54 @@ func FuzzParsePreds(f *testing.F) {
 			if p.Field == "" || strings.ContainsAny(p.Field, "=!<>") || !slices.Contains(predOps, p.Op) {
 				t.Fatalf("ParsePreds(%q) parsed %+v", s, p)
 			}
+		}
+	})
+}
+
+// FuzzLoadIndex: an index file from outside is refused with a typed error
+// (a *wire.LineError for a corrupt line that is not the last, or the
+// scanner's own for an over-long line) or loads to records that, appended
+// to a fresh index and loaded back, give the same CanonicalBytes. The
+// seeds hold a well-formed index, one with a torn tail, and one corrupt in
+// the middle.
+func FuzzLoadIndex(f *testing.F) {
+	var good []byte
+	for i := range 3 {
+		blob, err := json.Marshal(fakeRecord(i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		good = append(append(good, blob...), '\n')
+	}
+	f.Add(good)
+	f.Add(append(slices.Clone(good), `{"hash":"torn`...))
+	f.Add(append([]byte("{\"hash\":\n"), good...))
+	// One directory for every input: a fresh one per input costs more than
+	// the load itself.
+	dir := f.TempDir()
+	path, again := filepath.Join(dir, "index.jsonl"), filepath.Join(dir, "again.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Load(path)
+		if err != nil {
+			var le *wire.LineError
+			if !errors.As(err, &le) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if err := os.Remove(again); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		appendAll(t, again, ix.Records...)
+		re, err := Load(again)
+		if err != nil {
+			t.Fatalf("re-appended records do not load: %v", err)
+		}
+		if !bytes.Equal(re.CanonicalBytes(), ix.CanonicalBytes()) {
+			t.Fatalf("re-appended index differs:\n%s\nvs\n%s", re.CanonicalBytes(), ix.CanonicalBytes())
 		}
 	})
 }

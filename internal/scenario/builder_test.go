@@ -26,15 +26,6 @@ func BatchSize(n int) Option { return func(s *Spec) { s.Train.BatchSize = n } }
 // LR sets the Adam learning rate.
 func LR(v float64) Option { return func(s *Spec) { s.Train.LR = v } }
 
-// Mix migrates the population toward another family over a linear ramp.
-func Mix(family string, startDay, rampDays int) Option {
-	return func(s *Spec) {
-		s.Drift.Mix = ptr(family)
-		s.Drift.MixStartDay = ptr(startDay)
-		s.Drift.MixRampDays = ptr(rampDays)
-	}
-}
-
 // DistWorkers selects the dist engine with the given worker-process count
 // (0 = GOMAXPROCS).
 func DistWorkers(n int) Option {

@@ -1,8 +1,8 @@
 // Package scenario is the platform's front door: one declarative,
 // serializable Spec that fully describes any experiment the system can run
-// — environment (in-situ or emulation, path family), scheme roster via the
-// daily loop, days/sessions/window/retraining, drift schedule, execution
-// engine and arrival process, seed, and sharding.
+// — environment (in-situ or emulation), scheme roster via the daily loop,
+// days/sessions/window/retraining, drift preset, execution engine and
+// arrival process, seed, and sharding.
 //
 // The paper's contribution is a *platform* for randomized ABR experiments
 // in situ, not any one algorithm; what lets a platform scale to "as many

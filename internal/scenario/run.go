@@ -65,7 +65,7 @@ func Run(s Spec, opt RunOptions) (*Outcome, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	sched, err := d.Schedule()
+	sched, err := netem.DriftPreset(d.Drift.Preset)
 	if err != nil {
 		return nil, err
 	}

@@ -11,12 +11,13 @@ import (
 
 	"puffer/internal/core"
 	"puffer/internal/experiment"
+	"puffer/internal/netem"
 	"puffer/internal/nn"
 )
 
 // Spec is the single declarative description of an experiment: everything
 // the platform needs to run it — environment, daily-loop shape, model and
-// training knobs, drift schedule, execution engine, seed, sharding — in one
+// training knobs, drift preset, execution engine, seed, sharding — in one
 // serializable value. A Spec travels as JSON (strict: unknown fields are
 // rejected), defaults are applied in exactly one place (WithDefaults), and
 // the canonical form of a fully-defaulted spec has a stable content hash
@@ -55,10 +56,6 @@ type EnvSpec struct {
 	// World is "insitu" (the deployment environment; default) or
 	// "emulation" (the §5.2 FCC-trace testbed).
 	World string `json:"world,omitempty"`
-	// Paths optionally overrides the world's path family: "puffer",
-	// "fcc", "cs2p", or "congested" (a low-capacity Puffer variant).
-	// Default (""): the world's own family.
-	Paths string `json:"paths,omitempty"`
 }
 
 // DailySpec shapes the continual (daily) loop.
@@ -100,43 +97,13 @@ type TrainSpec struct {
 	RecencyBase *float64 `json:"recency_base,omitempty"`
 }
 
-// DriftSpec makes the path population nonstationary: a named preset plus
-// raw per-knob overrides. An override applies only when present, so an
-// explicit zero clears a preset knob while an absent knob keeps the
-// preset's value — the same semantics the raw -drift-* CLI flags have
-// always had.
+// DriftSpec makes the path population nonstationary. A drift is one of
+// netem.DriftPreset's named schedules; a new regime is a new preset there,
+// not a knob here.
 type DriftSpec struct {
 	// Preset is a named netem.DriftPreset: "none" (default), "decay",
 	// "shift", or "mix".
 	Preset string `json:"preset,omitempty"`
-
-	// RateFactorPerDay compounds a daily capacity factor (0.9 = -10%/day).
-	RateFactorPerDay *float64 `json:"rate_factor_per_day,omitempty"`
-	// RateFactorFloor bounds the compounded capacity factor from below.
-	RateFactorFloor *float64 `json:"rate_factor_floor,omitempty"`
-	// SigmaWidenPerDay adds session-spread log-std-dev per day (nats/day).
-	SigmaWidenPerDay *float64 `json:"sigma_widen_per_day,omitempty"`
-	// SlowSharePerDay grows the slow-path share per day (fraction/day).
-	SlowSharePerDay *float64 `json:"slow_share_per_day,omitempty"`
-	// SlowShareCap caps the extra slow-path share (fraction).
-	SlowShareCap *float64 `json:"slow_share_cap,omitempty"`
-	// OutagesPerHour ramps deep outages (outages/hour added per day).
-	OutagesPerHour *float64 `json:"outages_per_hour,omitempty"`
-	// OutageCapPerHour caps the ramped outage rate (outages/hour; 0 =
-	// uncapped).
-	OutageCapPerHour *float64 `json:"outage_cap_per_hour,omitempty"`
-
-	// Mix migrates the population toward another family: "congested",
-	// "fcc", "cs2p", or "none" (clears a preset's mix; "" is accepted as
-	// an alias for "none", matching the historical flag). When Mix
-	// introduces a family the preset did not have, MixStartDay and
-	// MixRampDays default to 0 and 3 rather than the preset's zeros.
-	Mix *string `json:"mix,omitempty"`
-	// MixStartDay is the first day with nonzero mix weight.
-	MixStartDay *int `json:"mix_start_day,omitempty"`
-	// MixRampDays is how many days the linear ramp takes to reach 100%
-	// (an explicit 0 or negative value is a step change).
-	MixRampDays *int `json:"mix_ramp_days,omitempty"`
 }
 
 // EngineSpec selects and tunes the execution engine. No engine field
@@ -176,13 +143,11 @@ type ArrivalSpec struct {
 // deliberately equal the historical puffer-daily flag defaults, so a spec
 // with everything unset runs exactly what the bare CLI always ran.
 const (
-	defaultDays        = 3
-	defaultSessions    = 150
-	defaultSeed        = 1
-	defaultRate        = 1.0
-	defaultTick        = 0.25
-	defaultMixStartDay = 0
-	defaultMixRampDays = 3
+	defaultDays     = 3
+	defaultSessions = 150
+	defaultSeed     = 1
+	defaultRate     = 1.0
+	defaultTick     = 0.25
 )
 
 func ptr[T any](v T) *T { return &v }
@@ -278,7 +243,7 @@ func (s Spec) Clone() Spec {
 }
 
 // Set returns a copy of the spec with the value at a dotted JSON path
-// ("daily.window", "drift.mix", "engine.arrival.rate") replaced by v,
+// ("daily.window", "drift.preset", "engine.arrival.rate") replaced by v,
 // creating intermediate objects as needed. The result is the strict Parse of
 // the edited JSON, so an unknown path or a wrong-typed value is an error
 // naming the field, and every field off the path keeps its set-or-unset
@@ -330,7 +295,6 @@ func enum(v string, allowed ...string) bool {
 // Validate checks a fully-defaulted spec, returning actionable errors that
 // name the JSON field. Call WithDefaults first (Compile does both).
 func (s *Spec) Validate() error {
-	d := &s.Drift
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -340,13 +304,6 @@ func (s *Spec) Validate() error {
 		{"engine.arrival.rate", s.Engine.Arrival.Rate},
 		{"engine.arrival.gap", s.Engine.Arrival.Gap},
 		{"engine.tick", s.Engine.Tick},
-		{"drift.rate_factor_per_day", orp(d.RateFactorPerDay, 0)},
-		{"drift.rate_factor_floor", orp(d.RateFactorFloor, 0)},
-		{"drift.sigma_widen_per_day", orp(d.SigmaWidenPerDay, 0)},
-		{"drift.slow_share_per_day", orp(d.SlowSharePerDay, 0)},
-		{"drift.slow_share_cap", orp(d.SlowShareCap, 0)},
-		{"drift.outages_per_hour", orp(d.OutagesPerHour, 0)},
-		{"drift.outage_cap_per_hour", orp(d.OutageCapPerHour, 0)},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("scenario: %s = %g, must be finite", f.name, f.v)
@@ -354,9 +311,6 @@ func (s *Spec) Validate() error {
 	}
 	if !enum(s.Env.World, "insitu", "emulation") {
 		return fmt.Errorf("scenario: env.world = %q, want insitu or emulation", s.Env.World)
-	}
-	if s.Env.Paths != "" && !enum(s.Env.Paths, "puffer", "fcc", "cs2p", "congested") {
-		return fmt.Errorf("scenario: env.paths = %q, want puffer, fcc, cs2p, or congested (or omit it for the world's own family)", s.Env.Paths)
 	}
 	if s.Daily.Days <= 0 {
 		return fmt.Errorf("scenario: daily.days = %d, must be positive", s.Daily.Days)
@@ -387,8 +341,8 @@ func (s *Spec) Validate() error {
 	if rb := orp(s.Train.RecencyBase, 0); rb < 0 || rb > 1 {
 		return fmt.Errorf("scenario: train.recency_base = %g, must be in [0, 1] (0 or 1 = uniform weighting)", rb)
 	}
-	if err := s.Drift.validate(); err != nil {
-		return err
+	if _, err := netem.DriftPreset(s.Drift.Preset); err != nil {
+		return fmt.Errorf("scenario: drift.preset: %w", err)
 	}
 	if !enum(s.Engine.Kind, "session", "fleet", "dist") {
 		return fmt.Errorf("scenario: engine.kind = %q, want session, fleet, or dist", s.Engine.Kind)
@@ -416,51 +370,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.ShardSize <= 0 {
 		return fmt.Errorf("scenario: shard_size = %d, must be positive", s.ShardSize)
-	}
-	return nil
-}
-
-func (d *DriftSpec) validate() error {
-	if !enum(d.Preset, "none", "decay", "shift", "mix") {
-		return fmt.Errorf("scenario: drift.preset = %q, want none, decay, shift, or mix", d.Preset)
-	}
-	nonneg := func(name string, p *float64) error {
-		if p != nil && *p < 0 {
-			return fmt.Errorf("scenario: drift.%s = %g, must be >= 0", name, *p)
-		}
-		return nil
-	}
-	for _, c := range []struct {
-		name string
-		p    *float64
-	}{
-		{"rate_factor_per_day", d.RateFactorPerDay},
-		{"rate_factor_floor", d.RateFactorFloor},
-		{"sigma_widen_per_day", d.SigmaWidenPerDay},
-		{"outages_per_hour", d.OutagesPerHour},
-		{"outage_cap_per_hour", d.OutageCapPerHour},
-	} {
-		if err := nonneg(c.name, c.p); err != nil {
-			return err
-		}
-	}
-	frac := func(name string, p *float64) error {
-		if p != nil && (*p < 0 || *p > 1) {
-			return fmt.Errorf("scenario: drift.%s = %g, must be a fraction in [0, 1]", name, *p)
-		}
-		return nil
-	}
-	if err := frac("slow_share_per_day", d.SlowSharePerDay); err != nil {
-		return err
-	}
-	if err := frac("slow_share_cap", d.SlowShareCap); err != nil {
-		return err
-	}
-	if d.Mix != nil && !enum(*d.Mix, "none", "", "congested", "fcc", "cs2p") {
-		return fmt.Errorf("scenario: drift.mix = %q, want congested, fcc, cs2p, or none", *d.Mix)
-	}
-	if d.MixStartDay != nil && *d.MixStartDay < 0 {
-		return fmt.Errorf("scenario: drift.mix_start_day = %d, must be >= 0", *d.MixStartDay)
 	}
 	return nil
 }

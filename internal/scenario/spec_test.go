@@ -21,10 +21,10 @@ func TestCanonicalFixedPoint(t *testing.T) {
 		specs[name] = s
 	}
 	specs["hand-built"] = New(
-		World("emulation"), func(s *Spec) { s.Env.Paths = "fcc" }, Days(7), Sessions(40), Window(0),
+		World("emulation"), Days(7), Sessions(40), Window(0),
 		Retrain(false), Ablation(false), Seed(0), Shard(16), Hidden(), Horizon(2),
 		Epochs(3), BatchSize(32), LR(2e-3), RecencyBase(0),
-		Drift("shift"), Mix("cs2p", 1, 0), Engine("fleet"), Bursts(10, 5), Tick(0.5),
+		Drift("shift"), Engine("fleet"), Bursts(10, 5), Tick(0.5),
 	)
 
 	for name, s := range specs {
@@ -57,12 +57,12 @@ func TestCanonicalFixedPoint(t *testing.T) {
 func TestHashStableAcrossFieldOrder(t *testing.T) {
 	a := []byte(`{
 		"daily": {"sessions": 200, "days": 4},
-		"drift": {"slow_share_cap": 0, "preset": "shift"},
+		"drift": {"preset": "shift"},
 		"seed": 9
 	}`)
 	b := []byte(`{
 		"seed": 9,
-		"drift": {"preset": "shift", "slow_share_cap": 0},
+		"drift": {"preset": "shift"},
 		"engine": {"kind": "session", "tick": 0.25, "arrival": {"rate": 1, "process": "poisson"}},
 		"daily": {"days": 4, "sessions": 200, "window": 14, "retrain": true}
 	}`)
@@ -83,16 +83,20 @@ func TestHashStableAcrossFieldOrder(t *testing.T) {
 }
 
 // TestParseRejectsUnknownFieldsAndTrailingData: typos must not silently run
-// a different experiment.
+// a different experiment, and neither may a field the format no longer has
+// (the raw drift knobs and the path-family override became presets): each
+// error names what it refused.
 func TestParseRejectsUnknownFieldsAndTrailingData(t *testing.T) {
-	if _, err := Parse([]byte(`{"daily": {"sesions": 100}}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := Parse([]byte(`{"daily": {"days": 2}, "drifts": {}}`)); err == nil {
-		t.Fatal("unknown top-level field accepted")
-	}
-	if _, err := Parse([]byte(`{"daily": {"days": 2}} {"x": 1}`)); err == nil {
-		t.Fatal("trailing data accepted")
+	for _, c := range []struct{ blob, want string }{
+		{`{"daily": {"sesions": 100}}`, "sesions"},
+		{`{"daily": {"days": 2}, "drifts": {}}`, "drifts"},
+		{`{"daily": {"days": 2}} {"x": 1}`, "trailing data"},
+		{`{"drift": {"preset": "decay", "rate_factor_per_day": 0.8}}`, "rate_factor_per_day"},
+		{`{"env": {"world": "insitu", "paths": "fcc"}}`, "paths"},
+	} {
+		if _, err := Parse([]byte(c.blob)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%s) error = %v, want one naming %q", c.blob, err, c.want)
+		}
 	}
 }
 
@@ -104,7 +108,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		want   string
 	}{
 		{func(s *Spec) { s.Env.World = "mars" }, "env.world"},
-		{func(s *Spec) { s.Env.Paths = "dialup" }, "env.paths"},
 		{func(s *Spec) { s.Daily.Days = -1 }, "daily.days"},
 		{func(s *Spec) { s.Daily.Sessions = -5 }, "daily.sessions"},
 		{func(s *Spec) { s.Daily.Window = ptr(-1) }, "daily.window"},
@@ -115,9 +118,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{func(s *Spec) { s.Train.LR = -0.1 }, "train.lr"},
 		{func(s *Spec) { s.Train.RecencyBase = ptr(1.5) }, "train.recency_base"},
 		{func(s *Spec) { s.Drift.Preset = "earthquake" }, "drift.preset"},
-		{func(s *Spec) { s.Drift.SlowSharePerDay = ptr(1.2) }, "drift.slow_share_per_day"},
-		{func(s *Spec) { s.Drift.OutagesPerHour = ptr(-3.0) }, "drift.outages_per_hour"},
-		{func(s *Spec) { s.Drift.Mix = ptr("starlink") }, "drift.mix"},
 		{func(s *Spec) { s.Engine.Kind = "warp" }, "engine.kind"},
 		{func(s *Spec) { s.Engine.Arrival.Process = "tsunami" }, "engine.arrival.process"},
 		{func(s *Spec) { s.Engine.Arrival.Rate = -1 }, "engine.arrival.rate"},
@@ -132,13 +132,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{func(s *Spec) { s.Engine.Arrival.Rate = math.Inf(1) }, "engine.arrival.rate"},
 		{func(s *Spec) { s.Engine.Arrival.Gap = math.Inf(1) }, "engine.arrival.gap"},
 		{func(s *Spec) { s.Engine.Tick = math.Inf(1) }, "engine.tick"},
-		{func(s *Spec) { s.Drift.RateFactorPerDay = ptr(math.NaN()) }, "drift.rate_factor_per_day"},
-		{func(s *Spec) { s.Drift.RateFactorFloor = ptr(math.Inf(1)) }, "drift.rate_factor_floor"},
-		{func(s *Spec) { s.Drift.SigmaWidenPerDay = ptr(math.NaN()) }, "drift.sigma_widen_per_day"},
-		{func(s *Spec) { s.Drift.SlowSharePerDay = ptr(math.NaN()) }, "drift.slow_share_per_day"},
-		{func(s *Spec) { s.Drift.SlowShareCap = ptr(math.NaN()) }, "drift.slow_share_cap"},
-		{func(s *Spec) { s.Drift.OutagesPerHour = ptr(math.Inf(1)) }, "drift.outages_per_hour"},
-		{func(s *Spec) { s.Drift.OutageCapPerHour = ptr(math.Inf(-1)) }, "drift.outage_cap_per_hour"},
 	}
 	for _, c := range cases {
 		s := New()
@@ -170,7 +163,7 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 // parser — unknown paths and wrong types are errors naming the field, an
 // explicit zero differs from unset, and every other field keeps its state.
 func TestSpecSet(t *testing.T) {
-	base := New(Named("base", "kept"), Seed(0), Hidden(), Mix("fcc", 1, 0), Engine("fleet"), Bursts(4, 2))
+	base := New(Named("base", "kept"), Seed(0), Hidden(), Drift("mix"), Engine("fleet"), Bursts(4, 2))
 	for _, c := range []struct {
 		path, value, want string
 	}{
@@ -218,8 +211,8 @@ func TestSpecSet(t *testing.T) {
 }
 
 // TestZeroVsUnsetSemantics: pointers distinguish explicit zeros from
-// absent fields — the window, drift-override, and hidden-layer cases that
-// motivated them.
+// absent fields — the window, hidden-layer and seed cases that motivated
+// them.
 func TestZeroVsUnsetSemantics(t *testing.T) {
 	// window: 0 means "all days", absent means 14.
 	cfg, err := Compile(New(Window(0)))
@@ -235,59 +228,6 @@ func TestZeroVsUnsetSemantics(t *testing.T) {
 	}
 	if want := core.DefaultTrainConfig().WindowDays; cfg.Train.WindowDays != want {
 		t.Fatalf("absent window compiled to %d, want %d", cfg.Train.WindowDays, want)
-	}
-
-	// drift: an explicit zero clears a preset knob; absent keeps it.
-	withCap, err := Parse([]byte(`{"drift": {"preset": "shift"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := withCap.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.SlowShareCap != 0.9 {
-		t.Fatalf("preset slow-share cap = %v, want 0.9", sched.SlowShareCap)
-	}
-	noCap, err := Parse([]byte(`{"drift": {"preset": "shift", "slow_share_cap": 0}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err = noCap.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.SlowShareCap != 0 {
-		t.Fatalf("explicit zero cap = %v, want 0", sched.SlowShareCap)
-	}
-	if withCap.GuardHash() == noCap.GuardHash() {
-		t.Fatal("explicit-zero override did not change the guard hash")
-	}
-
-	// a mix the preset did not have takes the documented ramp defaults.
-	mixed, err := Parse([]byte(`{"drift": {"mix": "congested"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err = mixed.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.MixWith == nil || sched.MixStartDay != defaultMixStartDay || sched.MixRampDays != defaultMixRampDays {
-		t.Fatalf("introduced mix got start/ramp %d/%d, want %d/%d",
-			sched.MixStartDay, sched.MixRampDays, defaultMixStartDay, defaultMixRampDays)
-	}
-	// mix "none" clears a preset's mix.
-	cleared, err := Parse([]byte(`{"drift": {"preset": "mix", "mix": "none"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err = cleared.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.MixWith != nil {
-		t.Fatal("mix \"none\" did not clear the preset mix")
 	}
 
 	// hidden: null is the default architecture, [] the linear ablation.

@@ -139,7 +139,7 @@ func (r *remote) Decide(_ abr.Algorithm, o *abr.Observation, now float64) int {
 func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 	t0 := obs.Now()
 	// A traced decision derives its deterministic trace id and carries it
-	// (plus the root span id) in the Decide frame's v2 extension, so the
+	// (plus the root span id) in the Decide frame's trace extension, so the
 	// server's stage spans join this client-side trace.
 	var trace, root uint64
 	tr := obs.Tracing()

@@ -10,23 +10,17 @@ import (
 	"puffer/internal/wire"
 )
 
-// ProtoVersion is the wire protocol version the client speaks; the server
-// accepts any version in [ProtoMinVersion, ProtoVersion]. Bump ProtoVersion
-// on any change to message layouts; raise ProtoMinVersion only when a
-// version can no longer be decoded.
+// ProtoVersion is the wire protocol version client and server speak; the
+// server refuses a Hello of any other version. Bump it on any change to
+// message layouts.
 //
-// v1: the original handshake and Decide layouts.
-// v2: Hello carries a trailing flags u16; a Decide frame may carry a
-// trailing 16-byte trace extension (trace id u64, parent span id u64, both
-// zero meaning untraced) joining the client and server halves of one traced
-// decision. A v2 server decodes v1 frames unchanged, and a v2 client that
-// traces nothing emits byte-identical v1 Decide payloads.
-const (
-	ProtoVersion    = 2
-	ProtoMinVersion = 1
-)
+// v2: Hello ends in a flags u16; a Decide frame may carry a trailing
+// 16-byte trace extension (trace id u64, parent span id u64, both zero
+// meaning untraced) joining the client and server halves of one traced
+// decision. An untraced Decide carries no extension.
+const ProtoVersion = 2
 
-// helloFlagTracing marks a v2 session whose client samples decisions for
+// helloFlagTracing marks a session whose client samples decisions for
 // tracing (informational: the server records spans for any Decide whose
 // trace extension is nonzero).
 const helloFlagTracing uint16 = 1 << 0
@@ -70,7 +64,7 @@ type hello struct {
 	Seed     int64
 	Scheme   string
 	PlanHash string
-	Flags    uint16 // v2+: helloFlag* bits; absent (zero) at v1
+	Flags    uint16 // helloFlag* bits
 }
 
 func encodeHello(b []byte, h *hello) []byte {
@@ -80,10 +74,7 @@ func encodeHello(b []byte, h *hello) []byte {
 	b = wire.AppendU64(b, uint64(h.Seed))
 	b = wire.AppendStr(b, h.Scheme)
 	b = wire.AppendStr(b, h.PlanHash)
-	if h.Version >= 2 {
-		b = wire.AppendU16(b, h.Flags)
-	}
-	return b
+	return wire.AppendU16(b, h.Flags)
 }
 
 func decodeHello(payload []byte) (hello, error) {
@@ -95,19 +86,16 @@ func decodeHello(payload []byte) (hello, error) {
 		Seed:     int64(r.U64()),
 		Scheme:   r.Str(),
 		PlanHash: r.Str(),
-	}
-	if h.Version >= 2 {
-		h.Flags = r.U16()
+		Flags:    r.U16(),
 	}
 	return h, r.Done()
 }
 
 // encodeDecide serializes one decision request: the session's virtual
 // `now` plus the full abr.Observation (history, tcp_info snapshot, and the
-// materialized encoding horizon). A nonzero traceID appends the v2 trace
+// materialized encoding horizon). A nonzero traceID appends the trace
 // extension — the decision's trace id and the client's root span id — so
-// the server's spans join the client's trace; traceID 0 emits a payload
-// byte-identical to v1.
+// the server's spans join the client's trace; traceID 0 appends nothing.
 func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSpan uint64) []byte {
 	b = wire.AppendF64(b, now)
 	b = wire.AppendI32(b, obs.ChunkIndex)
@@ -146,10 +134,10 @@ func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSp
 
 // decodeDecide fills obs from a Decide payload, reusing obs's History and
 // Horizon slices (one observation per session is live at a time, so the
-// buffers amortize to zero allocations in steady state). The trailing v2
+// buffers amortize to zero allocations in steady state). The trailing
 // trace extension is optional: exactly decideExtLen remaining bytes decode
-// as (traceID, parentSpan), zero remaining means untraced (every v1 frame),
-// any other remainder is a frame error. An observation that decodes but
+// as (traceID, parentSpan), zero remaining means untraced, any other
+// remainder is a frame error. An observation that decodes but
 // fails checkObservation is an error too (errBadObservation): what comes
 // back without one is safe to hand to any algorithm.
 func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, parentSpan uint64, err error) {

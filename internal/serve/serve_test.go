@@ -190,7 +190,7 @@ func TestDecideTraceExtension(t *testing.T) {
 	}
 	var got abr.Observation
 
-	// traceID 0 emits the v1 layout: no extension bytes.
+	// traceID 0 emits no extension bytes.
 	bare := encodeDecide(nil, 1, &obs, 0, 0)
 	ext := encodeDecide(nil, 1, &obs, 0xdeadbeef, 42)
 	if len(ext) != len(bare)+decideExtLen {
@@ -207,9 +207,9 @@ func TestDecideTraceExtension(t *testing.T) {
 	if now != 1 || trace != 0xdeadbeef || parent != 42 {
 		t.Fatalf("ext round trip: now=%v trace=%#x parent=%d", now, trace, parent)
 	}
-	// A v1 frame (no extension) decodes as untraced.
+	// A frame with no extension decodes as untraced.
 	if _, trace, parent, err := decodeDecide(bare, &got); err != nil || trace != 0 || parent != 0 {
-		t.Fatalf("v1 frame: trace=%d parent=%d err=%v", trace, parent, err)
+		t.Fatalf("bare frame: trace=%d parent=%d err=%v", trace, parent, err)
 	}
 	// A partial extension is a frame error.
 	if _, _, _, err := decodeDecide(ext[:len(ext)-1], &got); err == nil {
@@ -217,21 +217,13 @@ func TestDecideTraceExtension(t *testing.T) {
 	}
 }
 
+// TestHelloVersionCompat: the one protocol version's Hello, flags
+// included, round-trips (the server refuses every other version: see
+// TestHandshakeRejections).
 func TestHelloVersionCompat(t *testing.T) {
-	// A v1 hello (no flags field) still decodes.
-	v1 := hello{Version: 1, Day: 3, Session: 41, Seed: -12345,
-		Scheme: "Fugu", PlanHash: "abc:day3"}
-	out, err := decodeHello(encodeHello(nil, &v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != v1 {
-		t.Fatalf("v1 hello round trip: got %+v want %+v", out, v1)
-	}
-	// A v2 hello carries flags.
 	v2 := hello{Version: ProtoVersion, Day: 3, Session: 41, Seed: -12345,
 		Scheme: "Fugu", PlanHash: "abc:day3", Flags: helloFlagTracing}
-	out, err = decodeHello(encodeHello(nil, &v2))
+	out, err := decodeHello(encodeHello(nil, &v2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,13 +370,15 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 	}
 
-	c, br := dialRaw(t, addr)
-	send(c, &hello{Version: ProtoVersion + 1, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash})
-	if msg := expectError(t, br, "bad version"); msg == "" {
-		t.Fatal("empty error message")
+	for _, v := range []uint16{ProtoVersion - 1, ProtoVersion + 1} {
+		c, br := dialRaw(t, addr)
+		send(c, &hello{Version: v, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash})
+		if msg := expectError(t, br, "bad version"); !strings.Contains(msg, "protocol version") {
+			t.Fatalf("version %d: error %q does not name the version", v, msg)
+		}
 	}
 
-	c, br = dialRaw(t, addr)
+	c, br := dialRaw(t, addr)
 	send(c, &hello{Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: "someone-else:day9"})
 	if msg := expectError(t, br, "plan mismatch"); msg == "" {
 		t.Fatal("empty error message")

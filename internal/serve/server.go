@@ -314,8 +314,8 @@ func (s *Server) handle(c net.Conn) {
 		fail(fmt.Sprintf("bad Hello: %v", err))
 		return
 	}
-	if h.Version < ProtoMinVersion || h.Version > ProtoVersion {
-		fail(fmt.Sprintf("protocol version %d, server speaks %d-%d", h.Version, ProtoMinVersion, ProtoVersion))
+	if h.Version != ProtoVersion {
+		fail(fmt.Sprintf("protocol version %d, server speaks %d", h.Version, ProtoVersion))
 		return
 	}
 	if h.PlanHash != s.plan.Hash {

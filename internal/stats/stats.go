@@ -71,7 +71,7 @@ func BootstrapStallRatio(rng *rand.Rand, points []StreamPoint, iters int, conf f
 	return Interval{
 		Point: point,
 		Lo:    quantileSorted(ratios, alpha),
-		Hi:    quantileSorted(ratios, 1-alpha),
+		Hi:    quantileSorted(ratios, 1-float64(alpha)), // alpha is a ×0.5 product: unfused on arm64
 	}
 }
 
@@ -85,7 +85,7 @@ func WeightedMeanSE(values, weights []float64, conf float64) Interval {
 	var sumW, sumWX float64
 	for i, v := range values {
 		sumW += weights[i]
-		sumWX += weights[i] * v
+		sumWX += float64(weights[i] * v)
 	}
 	if sumW <= 0 {
 		return Interval{}
@@ -95,11 +95,11 @@ func WeightedMeanSE(values, weights []float64, conf float64) Interval {
 	var num float64
 	for i, v := range values {
 		d := v - mean
-		num += weights[i] * weights[i] * d * d
+		num += float64(weights[i] * weights[i] * d * d)
 	}
 	se := math.Sqrt(num) / sumW
 	z := zFor(conf)
-	return Interval{Point: mean, Lo: mean - z*se, Hi: mean + z*se}
+	return Interval{Point: mean, Lo: mean - float64(z*se), Hi: mean + float64(z*se)}
 }
 
 // MeanSE is WeightedMeanSE with unit weights.
@@ -142,13 +142,13 @@ func quantileSorted(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return xs[len(xs)-1]
 	}
-	pos := q * float64(len(xs)-1)
+	pos := float64(q * float64(len(xs)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(xs) {
 		return xs[len(xs)-1]
 	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
+	return float64(xs[lo]*(1-frac)) + float64(xs[lo+1]*frac)
 }
 
 // Quantile sorts a copy of xs and returns the q-quantile.

@@ -4,9 +4,8 @@
 // The paper's year-long study is really a sweep: many (scheme x
 // network-condition x day) cells aggregated into one analysis. A
 // sweep.Spec names a base scenario (a registered name or an inline
-// scenario.Spec) plus axes over spec fields — grid axes enumerate values,
-// random axes draw a reproducible sample per (sweep seed, axis field) —
-// and Expand lowers it deterministically into fully-defaulted
+// scenario.Spec) plus grid axes over spec fields, each enumerating its
+// values, and Expand lowers it deterministically into fully-defaulted
 // scenario.Specs, each content-addressed by its canonical hash. Axis
 // fields are the spec's own JSON paths ("drift.preset", "engine.kind",
 // "seed", ...), applied by scenario.Spec.Set through the strict parser, so

@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"math/rand"
 	"os"
 	"strings"
 
-	"puffer/internal/experiment"
 	"puffer/internal/scenario"
 )
 
@@ -28,29 +24,19 @@ type Spec struct {
 	Scenario string `json:"scenario,omitempty"`
 	// Base is an inline base scenario spec.
 	Base *scenario.Spec `json:"base,omitempty"`
-	// Seed drives random axes. Each axis's sample depends only on (Seed,
-	// axis field), never on axis order or on the other axes. Default: 1.
-	Seed int64 `json:"seed,omitempty"`
 	// Axes are the sweep dimensions.
 	Axes []Axis `json:"axes"`
 }
 
-// Axis is one sweep dimension over a scenario-spec field, either a grid
-// (explicit Values) or a seeded-random sample (Samples from [Min, Max]).
+// Axis is one sweep dimension over a scenario-spec field: a grid of
+// explicit values.
 type Axis struct {
 	// Field is the scenario spec's JSON path, e.g. "drift.preset",
 	// "daily.sessions", "engine.kind", "seed".
 	Field string `json:"field"`
-	// Values enumerates a grid axis. The values are JSON: strings for
-	// string fields, numbers for numeric ones, etc.
+	// Values enumerates the axis. The values are JSON: strings for string
+	// fields, numbers for numeric ones, etc.
 	Values []json.RawMessage `json:"values,omitempty"`
-	// Samples, when positive, makes this a random axis: that many draws
-	// from [Min, Max] (integers when Int is set), reproducible per
-	// (sweep seed, field).
-	Samples int     `json:"samples,omitempty"`
-	Min     float64 `json:"min,omitempty"`
-	Max     float64 `json:"max,omitempty"`
-	Int     bool    `json:"int,omitempty"`
 }
 
 // Parse decodes a sweep spec from strict JSON: unknown fields and trailing
@@ -97,8 +83,8 @@ type Cell struct {
 }
 
 // maxCells caps a sweep's expansion. Every cell is a whole experiment, so
-// a real sweep is far smaller; the cap stops a typo'd sample count or axis
-// product from sizing a huge allocation.
+// a real sweep is far smaller; the cap stops a few long axes from
+// multiplying into a huge allocation.
 const maxCells = 10000
 
 // validate checks the sweep's own shape (the scenario fields are checked
@@ -118,18 +104,9 @@ func (s *Spec) validate() (int, error) {
 			return 0, fmt.Errorf("sweep: axes[%d]: duplicate axis over %q", i, a.Field)
 		}
 		seen[a.Field] = true
-		grid, random := len(a.Values) > 0, a.Samples > 0
 		n := len(a.Values)
-		switch {
-		case grid && random:
-			return 0, fmt.Errorf("sweep: axes[%d] (%s): values and samples are mutually exclusive", i, a.Field)
-		case !grid && !random:
-			return 0, fmt.Errorf("sweep: axes[%d] (%s): need values (grid) or samples (random)", i, a.Field)
-		case random:
-			if err := a.checkRange(); err != nil {
-				return 0, fmt.Errorf("sweep: axes[%d] (%s): %w", i, a.Field, err)
-			}
-			n = a.Samples
+		if n == 0 {
+			return 0, fmt.Errorf("sweep: axes[%d] (%s): values are required", i, a.Field)
 		}
 		if n > maxCells/cells {
 			return 0, fmt.Errorf("sweep: axes[%d] (%s): the sweep expands to more than %d cells", i, a.Field, maxCells)
@@ -137,24 +114,6 @@ func (s *Spec) validate() (int, error) {
 		cells *= n
 	}
 	return cells, nil
-}
-
-// checkRange refuses a random axis's [Min, Max] that axisValues cannot
-// sample: a non-finite bound or span, an inverted range, or an integer
-// range whose size overflows int64.
-func (a *Axis) checkRange() error {
-	if d := a.Max - a.Min; math.IsNaN(d) || math.IsInf(d, 0) {
-		return fmt.Errorf("min %g and max %g need a finite span", a.Min, a.Max)
-	}
-	if a.Max < a.Min {
-		return fmt.Errorf("max %g < min %g", a.Max, a.Min)
-	}
-	// int64 holds [-2^63, 2^63) (both bounds exact float64s), and
-	// rand.Int63n needs the range's size, hi-lo+1, to fit as well.
-	if a.Int && (a.Min < -(1<<63) || a.Max >= 1<<63 || uint64(int64(a.Max))-uint64(int64(a.Min)) >= math.MaxInt64) {
-		return fmt.Errorf("integer range [%g, %g] does not fit int64", a.Min, a.Max)
-	}
-	return nil
 }
 
 // base resolves the sweep's base scenario.
@@ -171,48 +130,6 @@ func (s *Spec) base() (scenario.Spec, error) {
 	default:
 		return scenario.Spec{}, nil
 	}
-}
-
-// axisValues materializes one axis's values: the grid as given, or the
-// seeded-random sample. Random draws are seeded by (sweep seed, field
-// name) alone, so a sample is reproducible even when axes are reordered
-// or other axes change.
-func (s *Spec) axisValues(a Axis) []json.RawMessage {
-	if len(a.Values) > 0 {
-		return a.Values
-	}
-	rng := rand.New(rand.NewSource(axisSeed(s.seed(), a.Field)))
-	vals := make([]json.RawMessage, a.Samples)
-	for i := range vals {
-		if a.Int {
-			lo, hi := int64(a.Min), int64(a.Max)
-			v := lo
-			if hi > lo {
-				v = lo + rng.Int63n(hi-lo+1)
-			}
-			vals[i] = json.RawMessage(fmt.Sprintf("%d", v))
-		} else {
-			v := a.Min + rng.Float64()*(a.Max-a.Min)
-			blob, _ := json.Marshal(v)
-			vals[i] = json.RawMessage(blob)
-		}
-	}
-	return vals
-}
-
-func (s *Spec) seed() int64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-
-// axisSeed mixes the sweep seed with an FNV-1a hash of the axis field into
-// independent RNG seed material (experiment.Mix).
-func axisSeed(seed int64, field string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(field))
-	return experiment.Mix(seed, int64(h.Sum64()))
 }
 
 // Expand lowers the sweep into its cells, deterministically: axes in
@@ -236,15 +153,10 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 	base = base.WithDefaults()
 	base.Name, base.Notes = "", ""
 
-	values := make([][]json.RawMessage, len(s.Axes))
-	for i, a := range s.Axes {
-		values[i] = s.axisValues(a)
-	}
-
 	cells := make([]Cell, 0, total)
 	combo := make([]int, len(s.Axes))
 	for n := 0; n < total; n++ {
-		cell, err := s.buildCell(base, values, combo, len(cells), transform)
+		cell, err := s.buildCell(base, combo, len(cells), transform)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +164,7 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 		// Odometer increment: last axis fastest.
 		for i := len(combo) - 1; i >= 0; i-- {
 			combo[i]++
-			if combo[i] < len(values[i]) {
+			if combo[i] < len(s.Axes[i].Values) {
 				break
 			}
 			combo[i] = 0
@@ -263,10 +175,10 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 
 // buildCell applies one axis combination to the base spec through
 // scenario.Spec.Set and lowers it to a validated scenario spec.
-func (s *Spec) buildCell(spec scenario.Spec, values [][]json.RawMessage, combo []int, idx int, transform func(scenario.Spec) scenario.Spec) (Cell, error) {
+func (s *Spec) buildCell(spec scenario.Spec, combo []int, idx int, transform func(scenario.Spec) scenario.Spec) (Cell, error) {
 	var label []string
 	for i, a := range s.Axes {
-		raw := values[i][combo[i]]
+		raw := a.Values[combo[i]]
 		label = append(label, fmt.Sprintf("%s=%s", a.Field, labelValue(raw)))
 		var err error
 		if spec, err = spec.Set(a.Field, raw); err != nil {

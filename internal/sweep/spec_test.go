@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -87,109 +86,6 @@ func TestExpandDeterministic(t *testing.T) {
 	}
 }
 
-// TestRandomAxisReproduciblePerSeedAndField: a random axis's sample is a
-// pure function of (sweep seed, axis field) — independent of axis order
-// and of the other axes — and changes when either input changes.
-func TestRandomAxisReproduciblePerSeedAndField(t *testing.T) {
-	withAxes := func(seed int64, axesJSON string) []Cell {
-		blob := `{"seed": ` + itoa(seed) + `, "base": {
-      "daily": {"days": 2, "sessions": 16, "window": 2, "ablation": false},
-      "model": {"hidden": [8], "horizon": 2},
-      "train": {"epochs": 1},
-      "shard_size": 4
-    }, "axes": ` + axesJSON + `}`
-		cells, err := mustParse(t, blob).Expand(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cells
-	}
-	seedsOf := func(cells []Cell) []int64 {
-		var out []int64
-		seen := map[int64]bool{}
-		for _, c := range cells {
-			s := *c.Spec.Seed
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-
-	randAxis := `{"field": "seed", "samples": 3, "min": 1, "max": 1000000, "int": true}`
-	a := seedsOf(withAxes(7, `[`+randAxis+`]`))
-	if len(a) != 3 {
-		t.Fatalf("sampled %d distinct seeds, want 3", len(a))
-	}
-
-	// Same (sweep seed, field), different axis position and company.
-	b := seedsOf(withAxes(7, `[{"field": "drift.preset", "values": ["none", "shift"]}, `+randAxis+`]`))
-	if !equalInt64(a, b) {
-		t.Fatalf("sample changed with axis order/company: %v vs %v", a, b)
-	}
-
-	// Different sweep seed: different sample.
-	c := seedsOf(withAxes(8, `[`+randAxis+`]`))
-	if equalInt64(a, c) {
-		t.Fatalf("sample did not change with the sweep seed: %v", a)
-	}
-
-	// Different field, same seed: independent stream. Sample sessions
-	// instead and check the draws differ from the seed-axis draws.
-	d := withAxes(7, `[{"field": "daily.sessions", "samples": 3, "min": 1, "max": 1000000, "int": true}]`)
-	var sessions []int64
-	for _, cell := range d {
-		sessions = append(sessions, int64(cell.Spec.Daily.Sessions))
-	}
-	if equalInt64(a, sessions) {
-		t.Fatalf("different fields drew the same sample: %v", a)
-	}
-
-	// Float sampling is reproducible too.
-	f1 := withAxes(7, `[{"field": "engine.tick", "samples": 2, "min": 0.5, "max": 2.5}]`)
-	f2 := withAxes(7, `[{"field": "engine.tick", "samples": 2, "min": 0.5, "max": 2.5}]`)
-	for i := range f1 {
-		if f1[i].Spec.Engine.Tick != f2[i].Spec.Engine.Tick {
-			t.Fatalf("float sample not reproducible: %v vs %v", f1[i].Spec.Engine.Tick, f2[i].Spec.Engine.Tick)
-		}
-		if f1[i].Spec.Engine.Tick < 0.5 || f1[i].Spec.Engine.Tick > 2.5 {
-			t.Fatalf("float sample out of range: %v", f1[i].Spec.Engine.Tick)
-		}
-	}
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	var b [20]byte
-	i := len(b)
-	for v != 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestExpandRejectsUnknownField: a typo'd axis path fails loudly through
 // the strict scenario parse, naming the cell.
 func TestExpandRejectsUnknownField(t *testing.T) {
@@ -204,30 +100,29 @@ func TestExpandRejectsUnknownField(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	for _, tc := range []struct{ name, blob string }{
-		{"both bases", `{"scenario": "stationary", "base": {}, "axes": [{"field": "seed", "values": [1]}]}`},
-		{"no field", `{"axes": [{"values": [1]}]}`},
-		{"duplicate axis", `{"axes": [{"field": "seed", "values": [1]}, {"field": "seed", "values": [2]}]}`},
-		{"grid and random", `{"axes": [{"field": "seed", "values": [1], "samples": 2}]}`},
-		{"neither grid nor random", `{"axes": [{"field": "seed"}]}`},
-		{"max below min", `{"axes": [{"field": "seed", "samples": 2, "min": 5, "max": 1}]}`},
-		{"unknown scenario", `{"scenario": "no-such", "axes": [{"field": "seed", "values": [1]}]}`},
-		{"int span overflows int64", `{"axes": [{"field": "seed", "samples": 1, "int": true, "min": -9e18, "max": 9e18}]}`},
-		{"int bound past int64", `{"axes": [{"field": "seed", "samples": 1, "int": true, "min": 0, "max": 1e19}]}`},
-		{"float span overflows", `{"axes": [{"field": "train.lr", "samples": 1, "min": -1.7e308, "max": 1.7e308}]}`},
-		{"samples past the cap", `{"axes": [{"field": "seed", "samples": 100000000000000}]}`},
-		{"axis product past the cap", `{"axes": [{"field": "seed", "samples": 1000}, {"field": "daily.sessions", "samples": 1000, "min": 1, "max": 9, "int": true}]}`},
+	// longAxis is a grid axis over field with n values.
+	longAxis := func(field string, n int) string {
+		return `{"field": "` + field + `", "values": [` + strings.Repeat("1,", n-1) + `1]}`
+	}
+	for _, tc := range []struct{ name, blob, want string }{
+		{"both bases", `{"scenario": "stationary", "base": {}, "axes": [{"field": "seed", "values": [1]}]}`, "not both"},
+		{"no field", `{"axes": [{"values": [1]}]}`, "field is required"},
+		{"duplicate axis", `{"axes": [{"field": "seed", "values": [1]}, {"field": "seed", "values": [2]}]}`, "duplicate axis"},
+		{"no values", `{"axes": [{"field": "seed"}]}`, "values are required"},
+		{"empty values", `{"axes": [{"field": "seed", "values": []}]}`, "values are required"},
+		{"random axis", `{"axes": [{"field": "seed", "samples": 2, "min": 1, "max": 9}]}`, "samples"},
+		{"sweep seed", `{"seed": 3, "axes": [{"field": "seed", "values": [1]}]}`, "seed"},
+		{"unknown scenario", `{"scenario": "no-such", "axes": [{"field": "seed", "values": [1]}]}`, "no-such"},
+		{"axis product past the cap", `{"axes": [` + longAxis("seed", 101) + `, ` + longAxis("daily.sessions", 100) + `]}`, "more than"},
+		{"unknown sweep field", `{"axes": [], "bogus": 1}`, "bogus"},
 	} {
-		if _, err := mustParse(t, tc.blob).Expand(nil); err == nil {
-			t.Fatalf("%s: want error", tc.name)
+		sw, err := Parse([]byte(tc.blob))
+		if err == nil {
+			_, err = sw.Expand(nil)
 		}
-	}
-	nonFinite := Spec{Axes: []Axis{{Field: "seed", Samples: 1, Min: math.Inf(-1)}}}
-	if _, err := nonFinite.Expand(nil); err == nil || !strings.Contains(err.Error(), "finite") {
-		t.Fatalf("a non-finite min: Expand returned %v, want an error naming it", err)
-	}
-	if _, err := Parse([]byte(`{"axes": [], "bogus": 1}`)); err == nil {
-		t.Fatal("unknown sweep field must be rejected")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -266,10 +161,11 @@ func TestScenarioBaseAndTransform(t *testing.T) {
 // never a panic or an unbounded allocation. Only sweeps that validate to a
 // few dozen cells are expanded, so each input stays fast. Seeds live in
 // testdata/fuzz/FuzzParseSweep, among them the integer range and the
-// sample count that once panicked Expand.
+// sample count that once panicked Expand (random axes are gone, so both
+// now end as parse errors).
 func FuzzParseSweep(f *testing.F) {
 	f.Add([]byte(tinySweep))
-	f.Add([]byte(`{"seed": 3, "axes": [{"field": "seed", "samples": 3, "int": true, "min": 1, "max": 9}, {"field": "train.lr", "samples": 2, "min": 1e-4, "max": 1e-2}]}`))
+	f.Add([]byte(`{"axes": [{"field": "seed", "values": [1, 5, 9]}, {"field": "train.lr", "values": [1e-4, 1e-2]}]}`))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		sw, err := Parse(blob)
 		if err != nil {
