@@ -44,10 +44,10 @@ build:
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn ./internal/telemetry ./internal/stats ./internal/sweep 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S ./internal/nn ./internal/telemetry ./internal/stats ./internal/sweep ./internal/experiment ./internal/player 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true); \
 	if [ -n "$$fused" ]; then \
-		echo "internal/nn, internal/telemetry, internal/stats, internal/sweep: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
+		echo "internal/nn, internal/telemetry, internal/stats, internal/sweep, internal/experiment, internal/player: fused multiply-adds on arm64 (convert each product with float64(...)):"; \
 		echo "$$fused"; exit 1; \
 	fi
 

@@ -12,9 +12,11 @@ import (
 	"testing"
 )
 
-// shadowDefaultAllowlist names, as "pkg.Func: expr", the zero-value fills
-// that stay below scenario.WithDefaults, one reason each. Every entry must
-// name a current fill: one whose fill was deleted fails the test.
+// shadowDefaultAllowlist names, as "pkg.Func: expr" ("pkg.T.Method" or
+// "pkg.(*T).Method" for a method), the zero-value fills that stay below
+// scenario.WithDefaults, one reason each; expr is the filled field or
+// parameter. Every entry must name a current fill: one whose fill was
+// deleted fails the test.
 var shadowDefaultAllowlist = map[string]string{
 	"runner.Run: cfg.Logf":        "nil Logf is the documented silent mode, not a value of the experiment",
 	"runner.Run: cfg.Engine":      "nil Engine names the per-session fold, the daily loop's reference engine",
@@ -30,6 +32,23 @@ var shadowDefaultAllowlist = map[string]string{
 	"serve.NewServer: cfg.WriteTimeout": "serving limit, not an experiment value; the benchmark relies on it",
 	"serve.NewServer: cfg.DrainTimeout": "serving limit, not an experiment value; the benchmark relies on it",
 	"serve.NewServer: cfg.Logf":         "nil Logf is the documented silent mode",
+	// Fills of a parameter or of a local copied from a field.
+	"netem.PufferPaths.Sample: p.MedianRate":   "two values are in use: DefaultEnv's zero and the mix drift preset's slow family",
+	"netem.PufferPaths.Sample: p.Sigma":        "two values are in use: DefaultEnv's zero and the mix drift preset's slow family",
+	"netem.FCCPaths.Sample: f.MaxRate":         "two values are in use: emulation's 16 Mbit/s (zero) and Pensieve's training family's 8",
+	"abr.(*MPC).ensureScratch: bufCap":         "core's predictor tests build Observations without a cap; a zero cap plans on Puffer's 15 s grid, not a one-bin one",
+	"core.NewTTP: hidden":                      "nil hidden is DefaultHidden; the benchmark builds its models with nil",
+	"experiment.(*Config).RunSharded: workers": "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",
+	"sweep.Execute: ec.Workers":                "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",
+	"sweep.Execute: ec.Logf":                   "nil Logf is the documented silent mode",
+	"obscli.(*Options).Start: logf":            "nil logf is the documented silent mode",
+	"figures.NewSuite: logf":                   "nil logf is the documented silent mode",
+	"figures.NewSuite: scale":                  "the figures command's -scale 0 means DefaultScale; the suite is no scenario.Spec",
+	"obs.NewTracer: capacity":                  "trace ring size, not an experiment value",
+	"obs.NewTracer: sample":                    "0 and 1 both trace every session, as documented",
+	"serve.RunLoad: cfg.Concurrency":           "load generator's pool bound, not an experiment value",
+	"results.groupAggregate: q.Agg":            "a GroupBy query without -agg counts rows per group; a query option, not an experiment value",
+	"nn.(*PackedMLP).predictDist: dst":         "nil dst asks for a fresh output slice, not a value",
 }
 
 // defaultHomes are the functions that fill a spec's defaults: the one home
@@ -41,11 +60,13 @@ var defaultHomes = map[string]bool{
 
 // TestNoShadowDefaults fails when a non-test file under internal/ fills a
 // zero value with a default — `if x <= 0 / == 0 / == nil / == "" { x = … }`
-// — that is not allowlisted above. Every value of a run has one home,
-// scenario.WithDefaults: a second fill below it either repeats that value
-// (two places to change) or disagrees with it (two experiments under one
-// spec), and a caller that skipped scenario.Compile should get an error,
-// not a guess. It also fails on an allowlist entry that names no fill.
+// for a field x, a parameter x, or a local x copied from a field (`x :=
+// c.F`, reported as c.F) — that is not allowlisted above. Every value of a
+// run has one home, scenario.WithDefaults: a second fill below it either
+// repeats that value (two places to change) or disagrees with it (two
+// experiments under one spec), and a caller that skipped scenario.Compile
+// should get an error, not a guess. It also fails on an allowlist entry
+// that names no fill.
 func TestNoShadowDefaults(t *testing.T) {
 	fset := token.NewFileSet()
 	found := map[string][]string{} // key -> positions
@@ -69,14 +90,44 @@ func TestNoShadowDefaults(t *testing.T) {
 			// A pointer receiver's own fields are its state (a memo, a
 			// running estimate, a first error), not a caller's config.
 			state := ""
-			if fn.Recv != nil && len(fn.Recv.List[0].Names) == 1 {
-				if _, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
-					state = fn.Recv.List[0].Names[0].Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0]
+				typ := types.ExprString(recv.Type)
+				if star, ok := recv.Type.(*ast.StarExpr); ok {
+					typ = "(*" + types.ExprString(star.X) + ")"
+					if len(recv.Names) == 1 {
+						state = recv.Names[0].Name
+					}
+				}
+				name = f.Name.Name + "." + typ + "." + fn.Name.Name
+			}
+			// A parameter, and a local copied from a field (`v := x.F`),
+			// carry a caller's value under another name: a fill of
+			// either is a fill of that value.
+			copies := map[string]string{}
+			for _, field := range fn.Type.Params.List {
+				for _, id := range field.Names {
+					copies[id.Name] = id.Name
 				}
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.DEFINE && len(as.Lhs) == len(as.Rhs) {
+					for i, rhs := range as.Rhs {
+						id, isID := as.Lhs[i].(*ast.Ident)
+						if _, isSel := rhs.(*ast.SelectorExpr); isID && isSel {
+							copies[id.Name] = types.ExprString(rhs)
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if x, ok := n.(*ast.IfStmt); ok {
-					if e := zeroFill(x); e != "" && !strings.HasPrefix(e, state+".") {
+					e := zeroFill(x)
+					if !strings.Contains(e, ".") {
+						e = copies[e]
+					}
+					if e != "" && !strings.HasPrefix(e, state+".") {
 						key := name + ": " + e
 						found[key] = append(found[key], fset.Position(x.Pos()).String())
 					}
@@ -113,9 +164,9 @@ func TestNoShadowDefaults(t *testing.T) {
 	}
 }
 
-// zeroFill returns x's tested field when x is `if e <= 0`, `e == 0`,
-// `e == nil` or `e == ""` for a field selector e and its body assigns e or
-// the value e is a field of, else "".
+// zeroFill returns x's tested expression when x is `if e <= 0`, `e == 0`,
+// `e == nil` or `e == ""` for a field selector or a name e and its body
+// assigns e or the value e is a field of, else "".
 func zeroFill(x *ast.IfStmt) string {
 	cond, ok := x.Cond.(*ast.BinaryExpr)
 	if !ok || (cond.Op != token.LEQ && cond.Op != token.EQL) {
@@ -133,7 +184,9 @@ func zeroFill(x *ast.IfStmt) string {
 	default:
 		return ""
 	}
-	if _, ok := cond.X.(*ast.SelectorExpr); !ok {
+	switch cond.X.(type) {
+	case *ast.SelectorExpr, *ast.Ident:
+	default:
 		return ""
 	}
 	e := types.ExprString(cond.X)

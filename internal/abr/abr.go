@@ -80,22 +80,20 @@ type DeferredAlgorithm interface {
 	FinishChoose(obs *Observation) int
 }
 
-// QoEWeights holds the coefficients of the paper's Equation 1:
+// The coefficients of the paper's Equation 1:
 // QoE = SSIM - λ·|ΔSSIM| - µ·stall.
-type QoEWeights struct {
-	Lambda float64 // quality-variation weight (paper: 1)
-	Mu     float64 // stall weight per second (paper: 100)
-}
+const (
+	qoeLambda = 1.0   // quality-variation weight λ
+	qoeMu     = 100.0 // stall weight µ per second
+)
 
-// DefaultQoEWeights returns the paper's λ=1, µ=100.
-func DefaultQoEWeights() QoEWeights { return QoEWeights{Lambda: 1, Mu: 100} }
-
-// Chunk scores one chunk: ssim and prevSSIM in dB, stall in seconds.
-// Pass hasPrev=false for the first chunk of a stream (no variation term).
-func (w QoEWeights) Chunk(ssim, prevSSIM, stall float64, hasPrev bool) float64 {
-	q := ssim - w.Mu*stall
+// ChunkQoE scores one chunk by Equation 1: ssim and prevSSIM in dB, stall in
+// seconds. Pass hasPrev=false for the first chunk of a stream (no variation
+// term).
+func ChunkQoE(ssim, prevSSIM, stall float64, hasPrev bool) float64 {
+	q := ssim - qoeMu*stall
 	if hasPrev {
-		q -= w.Lambda * math.Abs(ssim-prevSSIM)
+		q -= qoeLambda * math.Abs(ssim-prevSSIM)
 	}
 	return q
 }

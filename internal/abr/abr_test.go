@@ -90,14 +90,13 @@ func TestBinRoundtripProperty(t *testing.T) {
 }
 
 func TestQoEWeights(t *testing.T) {
-	w := DefaultQoEWeights()
-	if got := w.Chunk(16, 14, 0, true); got != 14 {
+	if got := ChunkQoE(16, 14, 0, true); got != 14 {
 		t.Fatalf("QoE = %v, want 16 - |16-14| = 14", got)
 	}
-	if got := w.Chunk(16, 14, 0.1, true); math.Abs(got-4) > 1e-9 {
+	if got := ChunkQoE(16, 14, 0.1, true); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("QoE with stall = %v, want 4", got)
 	}
-	if got := w.Chunk(16, 99, 0, false); got != 16 {
+	if got := ChunkQoE(16, 99, 0, false); got != 16 {
 		t.Fatalf("first-chunk QoE = %v, want 16 (no variation term)", got)
 	}
 }

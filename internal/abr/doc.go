@@ -15,7 +15,8 @@
 // same offset — computes the continuation term as a shifted accumulate over
 // contiguous value rows and the maximum over rungs as one vector pass
 // (nn.ShiftedAccum, nn.MaxPlane). The outcome tables behind that depend on
-// (BufferCap, BufStep) alone and are built once per session. The seed
+// the observation's BufferCap alone (the grid step is the constant bufStep,
+// 0.25 s) and are built once per session. The seed
 // planner, a memoized forward recursion over a per-size fill, lives in this
 // package's tests as the differential oracle for all of that.
 //
@@ -23,8 +24,10 @@
 //
 //   - Algorithm: the decision interface (Choose over an Observation);
 //     Observation / ChunkRecord: the server-side state.
-//   - MPC with NewMPC / core.NewFugu: the stochastic controller; Predictor
-//     is the prediction plug point; QoEWeights is Equation 1.
+//   - MPC with NewMPC / core.NewFugu: the stochastic controller over a
+//     planHorizon (5) chunk lookahead; Predictor is the prediction plug
+//     point; ChunkQoE is Equation 1 with the paper's fixed qoeLambda = 1
+//     and qoeMu = 100.
 //   - NewMPCHM / NewRobustMPCHM: MPC over the harmonic-mean throughput
 //     predictor (the paper's MPC-HM / RobustMPC-HM arms);
 //     HarmonicMeanPredictor for custom controllers.

@@ -6,6 +6,7 @@ import (
 	"puffer/internal/media"
 	"puffer/internal/nn"
 	metrics "puffer/internal/obs"
+	"puffer/internal/player"
 )
 
 // Controller stage timers (write-only; see the obs package contract).
@@ -46,9 +47,6 @@ type Predictor interface {
 type MPC struct {
 	AlgName string
 	Pred    Predictor
-	Weights QoEWeights
-	Horizon int     // lookahead chunks (paper: 5)
-	BufStep float64 // buffer discretization (seconds per bin)
 
 	// Scratch, reused across decisions. Every slice below is a view of
 	// the one slab, carved by ensureScratch.
@@ -62,13 +60,11 @@ type MPC struct {
 	pendH, pendNQ int
 
 	// Outcome tables over the quantized buffer grid. They depend on
-	// (bufCap, BufStep) alone — gridStep is the BufStep they were built
-	// for — so a session builds them once.
-	gridStep float64
-	cdBin    int            // post-stall buffer bin: one chunk, capped
-	pad      int            // max(off): copies of the top bin kept after each value row
-	lo       [NumBins]int32 // k -> lowest buffer bin from which outcome k does not stall (nBuf: none)
-	off      [NumBins]int32 // k -> successor bin offset: outcome k takes bb >= lo[k] to min(bb+off[k], nBuf-1)
+	// bufCap alone, so a session builds them once.
+	cdBin int            // post-stall buffer bin: one chunk, capped
+	pad   int            // max(off): copies of the top bin kept after each value row
+	lo    [NumBins]int32 // k -> lowest buffer bin from which outcome k does not stall (nBuf: none)
+	off   [NumBins]int32 // k -> successor bin offset: outcome k takes bb >= lo[k] to min(bb+off[k], nBuf-1)
 
 	// factored value-iteration scratch, carved for scrNQ rungs
 	scrNQ  int
@@ -81,10 +77,18 @@ type MPC struct {
 	sumP   []float64 // per-q distribution mass (1 up to rounding)
 }
 
-// NewMPC builds the controller with the paper's defaults: horizon 5,
-// 0.25-second buffer bins.
-func NewMPC(name string, pred Predictor, w QoEWeights) *MPC {
-	return &MPC{AlgName: name, Pred: pred, Weights: w, Horizon: 5, BufStep: 0.25}
+const (
+	// planHorizon is how many chunks the controller looks ahead (the
+	// paper's five).
+	planHorizon = 5
+	// bufStep is the buffer discretization, in seconds per bin.
+	bufStep = 0.25
+)
+
+// NewMPC builds the controller over pred, maximizing Equation 1 over a
+// planHorizon-chunk lookahead on a bufStep-second buffer grid.
+func NewMPC(name string, pred Predictor) *MPC {
+	return &MPC{AlgName: name, Pred: pred}
 }
 
 // Name implements Algorithm.
@@ -100,10 +104,7 @@ func (m *MPC) Reset() {
 // horizonDims clamps the planning horizon to the observation and returns
 // (h, nQ); h == 0 means there is nothing to decide.
 func (m *MPC) horizonDims(obs *Observation) (int, int) {
-	h := m.Horizon
-	if h > len(obs.Horizon) {
-		h = len(obs.Horizon)
-	}
+	h := min(planHorizon, len(obs.Horizon))
 	if h == 0 {
 		return 0, 0
 	}
@@ -166,18 +167,18 @@ func (m *MPC) distFor(step, q, nQ int) []float64 {
 }
 
 // ensureScratch sizes the planning scratch for this decision's dimensions:
-// the outcome tables when the buffer grid changed, the float64 views when
-// the grid, the ladder or a longer horizon did. A session's steady state
+// the outcome tables when the buffer cap changed, the float64 views when
+// the cap, the ladder or a longer horizon did. A session's steady state
 // (and its horizon running out at the end of the stream) does neither.
 func (m *MPC) ensureScratch(bufCap float64, h, nQ int) {
 	if bufCap <= 0 {
-		bufCap = 15
+		bufCap = player.DefaultBufferCap
 	}
 	distNeed := h * nQ * NumBins
-	regrid := bufCap != m.bufCap || m.BufStep != m.gridStep
+	regrid := bufCap != m.bufCap
 	if regrid {
-		m.bufCap, m.gridStep = bufCap, m.BufStep
-		m.nBuf = int(bufCap/m.BufStep) + 1
+		m.bufCap = bufCap
+		m.nBuf = int(bufCap/bufStep) + 1
 		m.buildGrid()
 	}
 	if regrid || nQ != m.scrNQ || distNeed > cap(m.dists) {
@@ -198,7 +199,7 @@ func (m *MPC) ensureScratch(bufCap float64, h, nQ int) {
 	m.dists = m.dists[:distNeed]
 }
 
-// buildGrid fills the outcome tables for the current (bufCap, BufStep): per
+// buildGrid fills the outcome tables for the current bufCap: per
 // outcome bin, the lowest buffer bin from which it does not stall (two
 // pointers; BinValue and the buffer grid are both increasing) and how far it
 // moves the buffer from there. The offset is read off bufBin(nextBuffer(…))
@@ -209,7 +210,7 @@ func (m *MPC) buildGrid() {
 	m.pad = 0
 	k := 0
 	for bb := 0; bb < m.nBuf; bb++ {
-		buf := float64(bb) * m.BufStep
+		buf := float64(bb) * bufStep
 		for ; k < NumBins && BinValue(k) <= buf; k++ {
 			m.lo[k] = int32(bb)
 			m.off[k] = int32(m.bufBin(m.nextBuffer(buf, BinValue(k))) - bb)
@@ -256,9 +257,9 @@ func grow(s []float64, n int) []float64 {
 //
 // The non-stalling head k < k0(b) is a shifted accumulate. Outcome k does
 // not stall from bins bb ≥ lo[k], and there the buffer dynamics are a pure
-// translation: bb·BufStep − tt_k + one chunk, capped, lands in bin
+// translation: bb·bufStep − tt_k + one chunk, capped, lands in bin
 // min(bb + off[k], nBuf−1) with one offset per outcome (bufBin rounds
-// bb + (chunk − tt_k)/BufStep + ½ down, and bb is an integer; the cap and
+// bb + (chunk − tt_k)/bufStep + ½ down, and bb is an integer; the cap and
 // bufBin's clamp both stop at the top bin). So the head's contribution to
 // base[q] is, for each k, p[k] times the value row read off[k] bins away —
 // contiguous, no successor table. Each value row carries pad = max(off)
@@ -269,7 +270,6 @@ func grow(s []float64, n int) []float64 {
 // the order of the loops changes no bit of the result.
 func (m *MPC) plan(obs *Observation, h, nQ int) int {
 	nBuf, vStride := m.nBuf, m.nBuf+m.pad
-	mu, lambda := m.Weights.Mu, m.Weights.Lambda
 
 	// Backward induction: vNext starts as V_h ≡ 0 and after the loop body
 	// for step s holds V_s (value planes indexed prevQ*vStride+bufBin).
@@ -302,8 +302,8 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 				sp, st := m.suffP[k0], m.suffTT[k0]
 				cont := vcd * sp
 				for ; bb < end; bb++ {
-					buf := float64(bb) * m.BufStep
-					brow[bb] = cont - mu*(st-buf*sp)
+					buf := float64(bb) * bufStep
+					brow[bb] = cont - qoeMu*(st-buf*sp)
 				}
 			}
 			nn.ShiftedAccum(brow, vrow, d, m.lo[:], m.off[:])
@@ -312,7 +312,7 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 			sp := obs.Horizon[s-1].Versions[pq].SSIMdB
 			for q := 0; q < nQ; q++ {
 				sq := obs.Horizon[s].Versions[q].SSIMdB
-				m.qual[pq*nQ+q] = m.sumP[q] * (sq - lambda*math.Abs(sq-sp))
+				m.qual[pq*nQ+q] = m.sumP[q] * (sq - qoeLambda*math.Abs(sq-sp))
 			}
 		}
 		for pq := 0; pq < nQ; pq++ {
@@ -347,7 +347,7 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 			if p == 0 {
 				continue
 			}
-			qoe := m.Weights.Chunk(enc.SSIMdB, obs.LastSSIM, stall[k], hasPrev)
+			qoe := ChunkQoE(enc.SSIMdB, obs.LastSSIM, stall[k], hasPrev)
 			v += p * (qoe + vrow[next[k]])
 		}
 		if v > bestV {
@@ -368,7 +368,7 @@ func (m *MPC) nextBuffer(buf, transTime float64) float64 {
 }
 
 func (m *MPC) bufBin(buf float64) int {
-	i := int(buf/m.BufStep + 0.5)
+	i := int(buf/bufStep + 0.5)
 	if i >= m.nBuf {
 		i = m.nBuf - 1
 	}
@@ -480,10 +480,10 @@ func harmonicMeanTail(hist []ChunkRecord, end, w int) float64 {
 
 // NewMPCHM returns the paper's MPC-HM scheme.
 func NewMPCHM() *MPC {
-	return NewMPC("MPC-HM", &HarmonicMeanPredictor{}, DefaultQoEWeights())
+	return NewMPC("MPC-HM", &HarmonicMeanPredictor{})
 }
 
 // NewRobustMPCHM returns the paper's RobustMPC-HM scheme.
 func NewRobustMPCHM() *MPC {
-	return NewMPC("RobustMPC-HM", &HarmonicMeanPredictor{Robust: true}, DefaultQoEWeights())
+	return NewMPC("RobustMPC-HM", &HarmonicMeanPredictor{Robust: true})
 }

@@ -65,8 +65,8 @@ func TestChooseMatchesReference(t *testing.T) {
 	for name, mk := range preds {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			fast := NewMPC("fast", mk(), DefaultQoEWeights())
-			ref := NewMPC("ref", mk(), DefaultQoEWeights())
+			fast := NewMPC("fast", mk())
+			ref := NewMPC("ref", mk())
 			for trial := 0; trial < 200; trial++ {
 				obs := randomObs(rng)
 				got := fast.Choose(obs)

@@ -29,7 +29,7 @@ func TestPlanPortableBodies(t *testing.T) {
 	}
 	run := func() (rungs []int, slabs [][]float64) {
 		rng := rand.New(rand.NewSource(78))
-		m := NewMPC("m", spreadPredictor{}, DefaultQoEWeights())
+		m := NewMPC("m", spreadPredictor{})
 		for trial := 0; trial < 60; trial++ {
 			obs := randomObs(rng)
 			obs.BufferCap = plannerBufCaps[rng.Intn(len(plannerBufCaps))]

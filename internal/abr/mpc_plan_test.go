@@ -8,7 +8,7 @@ import (
 
 // plannerBufCaps are the client buffer sizes the planner tests walk: a grid
 // of one chunk (everything lands in the top bin), a short one, two that are
-// not multiples of BufStep apart from Puffer's 15 s, and two long ones where
+// not multiples of bufStep apart from Puffer's 15 s, and two long ones where
 // even the 14 s tail outcome has a non-stalling range.
 var plannerBufCaps = []float64{2, 4, 14.9, 15, 30, 60}
 
@@ -45,14 +45,14 @@ func TestGridTablesMatchBufferDynamics(t *testing.T) {
 	for _, bufCap := range plannerBufCaps {
 		m := NewMPCHM()
 		m.ensureScratch(bufCap, 5, 10)
-		if want := int(bufCap/m.BufStep) + 1; m.nBuf != want {
+		if want := int(bufCap/bufStep) + 1; m.nBuf != want {
 			t.Fatalf("cap %v: nBuf = %d, want %d", bufCap, m.nBuf, want)
 		}
 		if want := m.bufBin(math.Min(2.002, bufCap)); m.cdBin != want {
 			t.Errorf("cap %v: cdBin = %d, want %d", bufCap, m.cdBin, want)
 		}
 		for bb := 0; bb < m.nBuf; bb++ {
-			buf := float64(bb) * m.BufStep
+			buf := float64(bb) * bufStep
 			for k := 0; k < NumBins; k++ {
 				if stalls := BinValue(k) > buf; stalls != (bb < int(m.lo[k])) {
 					t.Fatalf("cap %v bin %d outcome %d: stalls = %v but lo = %d", bufCap, bb, k, stalls, m.lo[k])
@@ -91,8 +91,8 @@ func TestChooseMatchesReferenceAcrossBufferCaps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
-			fast := NewMPC("fast", tc.pred(), DefaultQoEWeights())
-			ref := NewMPC("ref", tc.pred(), DefaultQoEWeights())
+			fast := NewMPC("fast", tc.pred())
+			ref := NewMPC("ref", tc.pred())
 			for trial := 0; trial < 120; trial++ {
 				obs := randomObs(rng)
 				obs.BufferCap = tc.caps[rng.Intn(len(tc.caps))]

@@ -35,7 +35,7 @@ func (m *MPC) ChooseReference(obs *Observation) int {
 			}
 			tt := BinValue(k)
 			stall := math.Max(tt-obs.Buffer, 0)
-			qoe := m.Weights.Chunk(enc.SSIMdB, obs.LastSSIM, stall, obs.LastQuality >= 0)
+			qoe := ChunkQoE(enc.SSIMdB, obs.LastSSIM, stall, obs.LastQuality >= 0)
 			next := m.nextBuffer(obs.Buffer, tt)
 			v += p * (qoe + m.refValueAt(memo, obs, 1, h, nQ, next, q))
 		}
@@ -66,7 +66,7 @@ func (m *MPC) refValueAt(memo *refMemo, obs *Observation, step, h, nQ int, buf f
 	if memo.visited[idx] {
 		return memo.value[idx]
 	}
-	bufQ := float64(bb) * m.BufStep // quantized buffer for child states
+	bufQ := float64(bb) * bufStep // quantized buffer for child states
 	prevSSIM := obs.Horizon[step-1].Versions[prevQ].SSIMdB
 
 	best := math.Inf(-1)
@@ -79,7 +79,7 @@ func (m *MPC) refValueAt(memo *refMemo, obs *Observation, step, h, nQ int, buf f
 			}
 			tt := BinValue(k)
 			stall := math.Max(tt-bufQ, 0)
-			qoe := m.Weights.Chunk(enc.SSIMdB, prevSSIM, stall, true)
+			qoe := ChunkQoE(enc.SSIMdB, prevSSIM, stall, true)
 			next := m.nextBuffer(bufQ, tt)
 			v += p * (qoe + m.refValueAt(memo, obs, step+1, h, nQ, next, q))
 		}

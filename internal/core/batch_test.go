@@ -91,7 +91,7 @@ func TestFuguChooseMatchesReference(t *testing.T) {
 func TestPointEstimateChooseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	ttp := NewTTP(rng, DefaultHorizon, nil, DefaultFeatures(), KindTransTime)
-	fast := abr.NewMPC("Fugu-PointEstimate", NewPredictor(ttp, ModePointEstimate), abr.DefaultQoEWeights())
+	fast := abr.NewMPC("Fugu-PointEstimate", NewPredictor(ttp, ModePointEstimate))
 	ties := 0
 	for trial := 0; trial < 100; trial++ {
 		obs := batchObs(rng, 10, 5)
@@ -166,7 +166,6 @@ func refRootValues(t *testing.T, pred abr.Predictor, obs *abr.Observation) []flo
 		}
 		return b
 	}
-	w := abr.DefaultQoEWeights()
 	memo := map[[3]int]float64{}
 	var valueAt func(step int, buf float64, prevQ int) float64
 	valueAt = func(step int, buf float64, prevQ int) float64 {
@@ -190,7 +189,7 @@ func refRootValues(t *testing.T, pred abr.Predictor, obs *abr.Observation) []flo
 				}
 				tt := abr.BinValue(k)
 				stall := math.Max(tt-bufQ, 0)
-				v += p * (w.Chunk(enc.SSIMdB, prevSSIM, stall, true) + valueAt(step+1, nextBuffer(bufQ, tt), q))
+				v += p * (abr.ChunkQoE(enc.SSIMdB, prevSSIM, stall, true) + valueAt(step+1, nextBuffer(bufQ, tt), q))
 			}
 			if v > best {
 				best = v
@@ -209,7 +208,7 @@ func refRootValues(t *testing.T, pred abr.Predictor, obs *abr.Observation) []flo
 			}
 			tt := abr.BinValue(k)
 			stall := math.Max(tt-obs.Buffer, 0)
-			v += p * (w.Chunk(enc.SSIMdB, obs.LastSSIM, stall, obs.LastQuality >= 0) + valueAt(1, nextBuffer(obs.Buffer, tt), q))
+			v += p * (abr.ChunkQoE(enc.SSIMdB, obs.LastSSIM, stall, obs.LastQuality >= 0) + valueAt(1, nextBuffer(obs.Buffer, tt), q))
 		}
 		vals[q] = v
 	}

@@ -22,8 +22,9 @@
 //     Load rejects an unknown kind or flag, an invalid feature layout and a
 //     structurally inconsistent net with an error wrapping nn.ErrBadModel.
 //   - NewFugu / NewFuguNamed: wrap a trained TTP in the abr.MPC controller
-//     — the deployable scheme (the point-estimate arm is abr.NewMPC over
-//     NewPredictor(t, ModePointEstimate)).
+//     (Equation 1's fixed weights, abr's five-chunk planHorizon) — the
+//     deployable scheme (the point-estimate arm is
+//     abr.NewMPC(name, NewPredictor(t, ModePointEstimate))).
 //   - Predictor / NewPredictor: adapts a TTP to abr.Predictor; assembles
 //     one feature matrix per horizon step (FeatureConfig.AssembleBatch) so
 //     the MPC's distribution fill is one batched network pass per step.

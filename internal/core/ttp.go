@@ -303,12 +303,10 @@ func (p *Predictor) PredictFeaturesBatch(step int, features []float64, rows int,
 
 // NewFugu builds the deployed Fugu scheme: stochastic MPC over the TTP's
 // full probability distributions.
-func NewFugu(t *TTP) *abr.MPC {
-	return abr.NewMPC("Fugu", NewPredictor(t, ModeProbabilistic), abr.DefaultQoEWeights())
-}
+func NewFugu(t *TTP) *abr.MPC { return NewFuguNamed("Fugu", t) }
 
 // NewFuguNamed is NewFugu with a custom results-table name (used for
 // emulation-trained and stale-model variants).
 func NewFuguNamed(name string, t *TTP) *abr.MPC {
-	return abr.NewMPC(name, NewPredictor(t, ModeProbabilistic), abr.DefaultQoEWeights())
+	return abr.NewMPC(name, NewPredictor(t, ModeProbabilistic))
 }

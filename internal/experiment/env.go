@@ -5,49 +5,45 @@ import (
 
 	"puffer/internal/media"
 	"puffer/internal/netem"
-	"puffer/internal/player"
 )
 
-// Env is the world a session runs in.
+// Env is the world a session runs in: what varies between experiments.
+// The rest of the world is fixed, as on Puffer: the 15-second client buffer
+// (player.DefaultBufferCap), the viewer model (player's IntendedDuration,
+// StartupPatience, AbandonOnStall and LeaveAfterChunk), and this package's
+// lookAhead, maxStall, traceDuration and badDecoderProb.
 type Env struct {
 	// Paths samples each session's network situation.
 	Paths netem.Sampler
 	// Channels are the available stations; each live stream picks one, so
 	// an Env without a Clip needs at least one (DefaultEnv lists them all).
 	Channels []media.Profile
-	// Watch is the viewer-behavior model.
-	Watch player.WatchModel
-	// BufferCap is the client buffer in seconds (Puffer: 15).
-	BufferCap float64
-	// LookAhead is how many upcoming chunks the server knows (>= MPC
-	// horizon).
-	LookAhead int
-	// MaxStall aborts a stream whose single stall exceeds this many
-	// seconds (the viewer has certainly left).
-	MaxStall float64
-	// TraceDuration is how many seconds of capacity trace to synthesize
-	// per session (traces wrap, so sessions may run longer).
-	TraceDuration float64
-	// BadDecoderProb is the tiny per-stream probability of the
-	// slow-video-decoder exclusion seen in Figure A1.
-	BadDecoderProb float64
 	// Clip, when non-nil, replaces live channel sources with a looping
 	// pre-recorded clip (the emulation methodology of §5.2).
 	Clip *media.Clip
 }
 
-// DefaultEnv is the deployment environment: Puffer-like paths, six live
-// channels, the default viewer model.
+const (
+	// lookAhead is how many upcoming chunks the server knows (>= the MPC
+	// horizon).
+	lookAhead = 5
+	// maxStall aborts a stream whose single stall exceeds this many
+	// seconds (the viewer has certainly left).
+	maxStall = 30
+	// traceDuration is how many seconds of capacity trace to synthesize
+	// per session (traces wrap, so sessions may run longer).
+	traceDuration = 900
+	// badDecoderProb is the tiny per-stream probability of the
+	// slow-video-decoder exclusion seen in Figure A1.
+	badDecoderProb = 5e-5
+)
+
+// DefaultEnv is the deployment environment: Puffer-like paths and six live
+// channels.
 func DefaultEnv() Env {
 	return Env{
-		Paths:          netem.PufferPaths{},
-		Channels:       media.Channels(),
-		Watch:          player.DefaultWatchModel(),
-		BufferCap:      player.DefaultBufferCap,
-		LookAhead:      5,
-		MaxStall:       30,
-		TraceDuration:  900,
-		BadDecoderProb: 5e-5,
+		Paths:    netem.PufferPaths{},
+		Channels: media.Channels(),
 	}
 }
 

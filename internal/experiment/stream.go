@@ -76,26 +76,25 @@ func (p *streamParams) decide(obs *abr.Observation) int {
 // runStream simulates one stream over an existing connection and returns
 // its summary and outcome.
 func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
-	env := p.env
-	src := env.newSource(p.rng)
-	buf := &player.Buffer{Cap: env.BufferCap}
+	src := p.env.newSource(p.rng)
+	buf := &player.Buffer{Cap: player.DefaultBufferCap}
 	builder := telemetry.NewSummaryBuilder(p.session, p.streamIX, p.scheme)
 	p.alg.Reset()
 
-	if p.rng.Float64() < env.BadDecoderProb {
+	if p.rng.Float64() < badDecoderProb {
 		return builder.Finish(0, 0, 0, false, true), OutcomeBadDecoder
 	}
 
-	// The encoder runs ahead of the playhead: keep LookAhead chunks of
+	// The encoder runs ahead of the playhead: keep lookAhead chunks of
 	// the upcoming schedule materialized.
-	horizon := make([]media.Chunk, 0, env.LookAhead)
-	for len(horizon) < env.LookAhead {
+	horizon := make([]media.Chunk, 0, lookAhead)
+	for len(horizon) < lookAhead {
 		horizon = append(horizon, src.Next())
 	}
 
 	history := make([]abr.ChunkRecord, 0, abr.HistoryLen)
 	outcome := OutcomeFinished
-	patience := env.Watch.StartupPatience(p.rng)
+	patience := player.StartupPatience(p.rng)
 	streamStart := p.conn.Now()
 	lastQuality := -1
 	lastSSIM := 0.0
@@ -105,7 +104,7 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 		obs := abr.Observation{
 			ChunkIndex:  chunkIX,
 			Buffer:      buf.Level(),
-			BufferCap:   env.BufferCap,
+			BufferCap:   player.DefaultBufferCap,
 			LastQuality: lastQuality,
 			LastSSIM:    lastSSIM,
 			History:     history,
@@ -119,7 +118,7 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 		enc := horizon[0].Versions[q]
 
 		infoAtSend := obs.TCP
-		deadline := buf.Level() + env.MaxStall
+		deadline := buf.Level() + maxStall
 		elapsed, completed := p.conn.TransferUpTo(enc.Size, deadline)
 
 		if p.recorder != nil && completed {
@@ -153,11 +152,11 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 			buf.StartPlayback(startup)
 		}
 
-		if stall > 0 && env.Watch.AbandonOnStall(p.rng, stall) {
+		if stall > 0 && player.AbandonOnStall(p.rng, stall) {
 			outcome = OutcomeAbandonedStall
 			break
 		}
-		if env.Watch.LeaveAfterChunk(p.rng, enc.SSIMdB) {
+		if player.LeaveAfterChunk(p.rng, enc.SSIMdB) {
 			outcome = OutcomeDrifted
 			break
 		}
@@ -210,12 +209,8 @@ type SessionResult struct {
 // in virtual time while staying byte-identical to sequential execution.
 func RunSessionHooked(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int, scheme string, day int, rec Recorder, hook DecideHook) SessionResult {
 	res := SessionResult{SessionID: sessionID, Scheme: scheme}
-	maxDur := env.TraceDuration
-	if maxDur <= 0 {
-		maxDur = 900
-	}
-	path := netem.SampleForDay(env.Paths, rng, maxDur, day)
-	conn := tcpsim.Dial(path, rng, 0)
+	path := netem.SampleForDay(env.Paths, rng, traceDuration, day)
+	conn := tcpsim.Dial(path, rng)
 
 	// Browse phase: quick channel changes with short intended durations
 	// (these generate the "never began playing" and "<4s" CONSORT rows).
@@ -225,9 +220,9 @@ func RunSessionHooked(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int
 	}
 	intents := make([]float64, 0, browse+1)
 	for i := 0; i < browse; i++ {
-		intents = append(intents, 0.5+rng.ExpFloat64()*4)
+		intents = append(intents, 0.5+float64(rng.ExpFloat64()*4))
 	}
-	intents = append(intents, env.Watch.IntendedDuration(rng))
+	intents = append(intents, player.IntendedDuration(rng))
 
 	for i, intended := range intents {
 		sum, outcome := runStream(streamParams{
@@ -240,7 +235,7 @@ func RunSessionHooked(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int
 			break
 		}
 		// Brief channel-change gap.
-		conn.Wait(0.2 + rng.Float64()*0.5)
+		conn.Wait(0.2 + float64(rng.Float64()*0.5))
 	}
 	res.Duration = conn.Now()
 	return res

@@ -75,24 +75,25 @@ func (p PufferPaths) Sample(rng *rand.Rand, duration float64) Path {
 // shell with capacity capped near 12 Mbit/s. Session means are bounded and
 // modest; variation is mild — no heavy tail.
 type FCCPaths struct {
-	// MinRate/MaxRate bound the log-uniform session mean (bits/sec).
-	// Zero means defaults of 0.3 and 16 Mbit/s.
-	MinRate, MaxRate float64
+	// MaxRate is the upper bound of the log-uniform session mean
+	// (bits/sec); the lower bound is fccMinRate. Zero means 16 Mbit/s.
+	MaxRate float64
 }
+
+// fccMinRate is the lower bound of FCCPaths' log-uniform session mean
+// (bits/sec).
+const fccMinRate = 0.3e6
 
 // Name implements Sampler.
 func (FCCPaths) Name() string { return "fcc" }
 
 // Sample implements Sampler.
 func (f FCCPaths) Sample(rng *rand.Rand, duration float64) Path {
-	lo, hi := f.MinRate, f.MaxRate
-	if lo == 0 {
-		lo = 0.3e6
-	}
+	hi := f.MaxRate
 	if hi == 0 {
 		hi = 16e6
 	}
-	mean := lo * math.Exp(rng.Float64()*math.Log(hi/lo))
+	mean := fccMinRate * math.Exp(rng.Float64()*math.Log(hi/fccMinRate))
 	tr := GenFCC(rng, mean, duration)
 	return Path{
 		Trace:         tr,

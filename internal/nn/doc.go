@@ -49,9 +49,9 @@
 // float64(a*b), is the spec's way to forbid it. Every product in this
 // package's non-test Go code (and in the tests' bitwise oracles) that feeds
 // an add or subtract is written that way, and `make cross` fails on any
-// fused op in the arm64 listing of this package or of telemetry, stats or
-// sweep. The rest of the tree is not held to this: abr, media, netem,
-// pensieve and tcpsim (and a few sites in experiment, figures, fleet and
+// fused op in the arm64 listing of this package or of telemetry, stats,
+// sweep, experiment or player. The rest of the tree is not held to this:
+// abr, media, netem, pensieve and tcpsim (and a few sites in figures and
 // obs) still fuse on arm64, so their results there may differ in the last
 // bit from amd64's (bits across GOARCH are ROADMAP item 20).
 //

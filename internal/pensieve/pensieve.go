@@ -101,26 +101,23 @@ func (a *Agent) Choose(obs *abr.Observation) int {
 	return q
 }
 
-// QoEWeights is Pensieve's bitrate-based objective: reward per chunk is
-// bitrate(Mbit/s) − RebufPenalty·stall(s) − SmoothPenalty·|Δbitrate|.
-type QoEWeights struct {
-	RebufPenalty  float64 // QoE_lin uses 4.3
-	SmoothPenalty float64 // 1.0
-}
+// Pensieve's bitrate-based objective, QoE_lin: reward per chunk is
+// bitrate(Mbit/s) − rebufPenalty·stall(s) − smoothPenalty·|Δbitrate|.
+const (
+	rebufPenalty  = 4.3
+	smoothPenalty = 1.0
+)
 
-// DefaultQoE returns Pensieve's QoE_lin weights.
-func DefaultQoE() QoEWeights { return QoEWeights{RebufPenalty: 4.3, SmoothPenalty: 1.0} }
-
-// Reward scores one chunk.
-func (w QoEWeights) Reward(enc media.Encoding, lastBitrate float64, stall float64) float64 {
+// chunkReward scores one chunk; lastBitrate < 0 marks a stream's first.
+func chunkReward(enc media.Encoding, lastBitrate float64, stall float64) float64 {
 	br := enc.Bitrate() / 1e6
-	r := br - w.RebufPenalty*stall
+	r := br - rebufPenalty*stall
 	if lastBitrate >= 0 {
 		d := br - lastBitrate/1e6
 		if d < 0 {
 			d = -d
 		}
-		r -= w.SmoothPenalty * d
+		r -= smoothPenalty * d
 	}
 	return r
 }

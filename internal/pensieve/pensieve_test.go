@@ -98,19 +98,18 @@ func TestAgentDeterministic(t *testing.T) {
 }
 
 func TestQoEReward(t *testing.T) {
-	w := DefaultQoE()
 	enc := media.Encoding{Size: 2e6 / 8 * media.ChunkDuration} // 2 Mbps
-	r := w.Reward(enc, -1, 0)
+	r := chunkReward(enc, -1, 0)
 	if math.Abs(r-2) > 1e-9 {
 		t.Fatalf("first-chunk reward = %v, want 2", r)
 	}
 	// Stall penalty.
-	r2 := w.Reward(enc, -1, 1)
+	r2 := chunkReward(enc, -1, 1)
 	if math.Abs(r2-(2-4.3)) > 1e-9 {
 		t.Fatalf("stalled reward = %v", r2)
 	}
 	// Smoothness penalty vs a 4 Mbps previous chunk.
-	r3 := w.Reward(enc, 4e6, 0)
+	r3 := chunkReward(enc, 4e6, 0)
 	if math.Abs(r3-0) > 1e-9 {
 		t.Fatalf("smoothness reward = %v, want 0 (2 - |2-4|)", r3)
 	}

@@ -14,9 +14,8 @@ import (
 
 // TrainConfig controls RL training.
 type TrainConfig struct {
-	Episodes    int     // training episodes (each one simulated stream)
-	ChunksPerEp int     // chunks per episode (paper: long-running videos)
-	LR          float64 // Adam learning rate for both nets
+	Episodes    int // training episodes (each one simulated stream)
+	ChunksPerEp int // chunks per episode (paper: long-running videos)
 	Seed        int64
 	// Paths is the training trace family (the emulation methodology uses
 	// FCC-like paths). Nil means netem.FCCPaths{MaxRate: 8e6}.
@@ -26,11 +25,15 @@ type TrainConfig struct {
 // DefaultTrainConfig mirrors the tuned multi-video training the paper
 // deployed.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Episodes: 2500, ChunksPerEp: 150, LR: 1e-3}
+	return TrainConfig{Episodes: 2500, ChunksPerEp: 150}
 }
 
-// gamma is the return discount factor.
-const gamma = 0.95
+const (
+	// gamma is the return discount factor.
+	gamma = 0.95
+	// learningRate is the policy's Adam learning rate.
+	learningRate = 1e-3
+)
 
 // The entropy bonus anneals linearly from entropyStart at episode 0 to
 // entropyEnd, per the Pensieve authors' advice. Vars, not constants, so
@@ -66,7 +69,7 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	policy := NewUntrainedPolicy(rng)
-	polTr := nn.NewTrainer(policy, &nn.Adam{LR: cfg.LR})
+	polTr := nn.NewTrainer(policy, &nn.Adam{LR: learningRate})
 
 	rollWS := policy.NewBatchWorkspace(1)
 	probs := make([]float64, NumActions)
@@ -147,9 +150,8 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 // for each decision and reward with each chunk's QoE.
 func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*abr.Observation) int, reward func(float64)) {
 	path := cfg.Paths.Sample(rng, 700)
-	conn := tcpsim.Dial(path, rng, 0)
+	conn := tcpsim.Dial(path, rng)
 	buf := &player.Buffer{Cap: player.DefaultBufferCap}
-	qoe := DefaultQoE()
 	at := rng.Intn(len(src.Chunks))
 
 	horizon := make([]media.Chunk, 5)
@@ -176,14 +178,14 @@ func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*a
 		if !completed {
 			// A hopeless transfer: huge penalty and end the episode
 			// (the RL env's terminal condition).
-			reward(qoe.Reward(enc, lastBitrate, 60))
+			reward(chunkReward(enc, lastBitrate, 60))
 			return
 		}
 		stall := buf.CompleteChunk(elapsed, media.ChunkDuration)
 		if !buf.Playing() {
 			buf.StartPlayback(elapsed)
 		}
-		reward(qoe.Reward(enc, lastBitrate, stall))
+		reward(chunkReward(enc, lastBitrate, stall))
 
 		history = append(history, abr.ChunkRecord{Size: enc.Size, TransTime: elapsed, Quality: q})
 		if len(history) > HistLen {

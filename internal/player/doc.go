@@ -11,7 +11,7 @@
 //   - Buffer: playback-buffer state for one stream (Level, Playing,
 //     StartPlayback, CompleteChunk with stall accounting, Drain, RoomWait)
 //     with DefaultBufferCap, Puffer's 15-second client cap.
-//   - WatchModel / DefaultWatchModel: viewer behavior — IntendedDuration
+//   - The viewer model, fixed package constants: IntendedDuration
 //     (heavy-tailed watch intents), StartupPatience, AbandonOnStall, and
 //     the per-chunk LeaveAfterChunk hazard that quality modulates.
 package player

@@ -98,50 +98,38 @@ func (b *Buffer) Drain(dt float64) {
 	b.Played += dt
 }
 
-// WatchModel generates viewer behavior. All probabilities are per event; the
-// model couples abandonment to QoE so that schemes delivering fewer stalls
-// and higher SSIM retain viewers longer — the mechanism behind the paper's
-// Figure 10 observation.
-type WatchModel struct {
-	// MedianMinutes is the median intended watch duration.
-	MedianMinutes float64
-	// Sigma is the lognormal shape of intended duration (heavy-tailed).
-	Sigma float64
-	// StartupPatienceMean: a viewer abandons before playback if startup
+// The viewer model. All probabilities are per event; the model couples
+// abandonment to QoE so that schemes delivering fewer stalls and higher SSIM
+// retain viewers longer — the mechanism behind the paper's Figure 10
+// observation. It is scaled so a typical stream lasts a few minutes of
+// simulated time (the paper's absolute durations are ~6x longer; shapes are
+// preserved).
+const (
+	// medianWatchMinutes is the median intended watch duration.
+	medianWatchMinutes = 2.0
+	// watchSigma is the lognormal shape of intended duration
+	// (heavy-tailed).
+	watchSigma = 1.3
+	// startupPatienceMean: a viewer abandons before playback if startup
 	// exceeds an Exp draw with this mean (seconds).
-	StartupPatienceMean float64
-	// StallTolerance scales stall-driven abandonment: on each stall of s
-	// seconds, P(abandon) = 1 - exp(-s/StallTolerance).
-	StallTolerance float64
-	// LeaveHazardPerChunk is the baseline probability of drifting away
+	startupPatienceMean = 12.0
+	// stallTolerance scales stall-driven abandonment: on each stall of s
+	// seconds, P(abandon) = 1 - exp(-s/stallTolerance).
+	stallTolerance = 25.0
+	// leaveHazardPerChunk is the baseline probability of drifting away
 	// after any chunk.
-	LeaveHazardPerChunk float64
-	// QualityRefSSIM and QualitySlope shape the quality coupling: the
+	leaveHazardPerChunk = 0.0015
+	// qualityRefSSIM and qualitySlope shape the quality coupling: the
 	// per-chunk leave hazard is multiplied by
-	// exp(QualitySlope * (QualityRefSSIM - ssim)).
-	QualityRefSSIM float64
-	QualitySlope   float64
-}
-
-// DefaultWatchModel returns the study's viewer model, scaled so a typical
-// stream lasts a few minutes of simulated time (the paper's absolute
-// durations are ~6x longer; shapes are preserved).
-func DefaultWatchModel() WatchModel {
-	return WatchModel{
-		MedianMinutes:       2.0,
-		Sigma:               1.3,
-		StartupPatienceMean: 12.0,
-		StallTolerance:      25.0,
-		LeaveHazardPerChunk: 0.0015,
-		QualityRefSSIM:      16.5,
-		QualitySlope:        0.20,
-	}
-}
+	// exp(qualitySlope * (qualityRefSSIM - ssim)).
+	qualityRefSSIM = 16.5
+	qualitySlope   = 0.20
+)
 
 // IntendedDuration draws how long the viewer would watch with perfect QoE,
 // in seconds. Lognormal: heavy-tailed, like the paper's skewed watch times.
-func (m WatchModel) IntendedDuration(rng *rand.Rand) float64 {
-	d := m.MedianMinutes * 60 * math.Exp(m.Sigma*rng.NormFloat64())
+func IntendedDuration(rng *rand.Rand) float64 {
+	d := medianWatchMinutes * 60 * math.Exp(watchSigma*rng.NormFloat64())
 	if d < 1 {
 		d = 1
 	}
@@ -149,23 +137,23 @@ func (m WatchModel) IntendedDuration(rng *rand.Rand) float64 {
 }
 
 // StartupPatience draws the startup-delay tolerance in seconds.
-func (m WatchModel) StartupPatience(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() * m.StartupPatienceMean
+func StartupPatience(rng *rand.Rand) float64 {
+	return rng.ExpFloat64() * startupPatienceMean
 }
 
 // AbandonOnStall reports whether a stall of the given length makes the
 // viewer leave.
-func (m WatchModel) AbandonOnStall(rng *rand.Rand, stall float64) bool {
+func AbandonOnStall(rng *rand.Rand, stall float64) bool {
 	if stall <= 0 {
 		return false
 	}
-	return rng.Float64() < 1-math.Exp(-stall/m.StallTolerance)
+	return rng.Float64() < 1-math.Exp(-stall/stallTolerance)
 }
 
 // LeaveAfterChunk reports whether the viewer drifts away after a chunk of
 // the given SSIM (dB). Better quality means a lower hazard.
-func (m WatchModel) LeaveAfterChunk(rng *rand.Rand, ssim float64) bool {
-	h := m.LeaveHazardPerChunk * math.Exp(m.QualitySlope*(m.QualityRefSSIM-ssim))
+func LeaveAfterChunk(rng *rand.Rand, ssim float64) bool {
+	h := leaveHazardPerChunk * math.Exp(qualitySlope*(qualityRefSSIM-ssim))
 	if h > 1 {
 		h = 1
 	}

@@ -143,13 +143,12 @@ func TestPlayedAccounting(t *testing.T) {
 }
 
 func TestIntendedDurationHeavyTailed(t *testing.T) {
-	m := DefaultWatchModel()
 	rng := rand.New(rand.NewSource(1))
 	n := 20000
 	var durations []float64
 	var sum float64
 	for i := 0; i < n; i++ {
-		d := m.IntendedDuration(rng)
+		d := IntendedDuration(rng)
 		if d < 1 {
 			t.Fatal("duration below floor")
 		}
@@ -159,7 +158,7 @@ func TestIntendedDurationHeavyTailed(t *testing.T) {
 	mean := sum / float64(n)
 	// Median should be near the configured value.
 	median := quickSelectMedian(durations)
-	want := m.MedianMinutes * 60
+	want := medianWatchMinutes * 60.0
 	if median < want*0.9 || median > want*1.1 {
 		t.Fatalf("median = %v, want near %v", median, want)
 	}
@@ -181,18 +180,17 @@ func quickSelectMedian(xs []float64) float64 {
 }
 
 func TestAbandonOnStallMonotone(t *testing.T) {
-	m := DefaultWatchModel()
 	prob := func(stall float64) float64 {
 		rng := rand.New(rand.NewSource(2))
 		hits := 0
 		for i := 0; i < 5000; i++ {
-			if m.AbandonOnStall(rng, stall) {
+			if AbandonOnStall(rng, stall) {
 				hits++
 			}
 		}
 		return float64(hits) / 5000
 	}
-	if m.AbandonOnStall(rand.New(rand.NewSource(1)), 0) {
+	if AbandonOnStall(rand.New(rand.NewSource(1)), 0) {
 		t.Fatal("zero stall should never abandon")
 	}
 	pSmall, pBig := prob(1), prob(30)
@@ -202,12 +200,11 @@ func TestAbandonOnStallMonotone(t *testing.T) {
 }
 
 func TestLeaveAfterChunkQualityCoupling(t *testing.T) {
-	m := DefaultWatchModel()
 	prob := func(ssim float64) float64 {
 		rng := rand.New(rand.NewSource(3))
 		hits := 0
 		for i := 0; i < 200000; i++ {
-			if m.LeaveAfterChunk(rng, ssim) {
+			if LeaveAfterChunk(rng, ssim) {
 				hits++
 			}
 		}
@@ -220,19 +217,17 @@ func TestLeaveAfterChunkQualityCoupling(t *testing.T) {
 }
 
 func TestStartupPatiencePositive(t *testing.T) {
-	m := DefaultWatchModel()
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 100; i++ {
-		if m.StartupPatience(rng) < 0 {
+		if StartupPatience(rng) < 0 {
 			t.Fatal("negative patience")
 		}
 	}
 }
 
 func TestWatchModelDeterministicGivenSeed(t *testing.T) {
-	m := DefaultWatchModel()
-	a := m.IntendedDuration(rand.New(rand.NewSource(9)))
-	b := m.IntendedDuration(rand.New(rand.NewSource(9)))
+	a := IntendedDuration(rand.New(rand.NewSource(9)))
+	b := IntendedDuration(rand.New(rand.NewSource(9)))
 	if a != b {
 		t.Fatal("same seed gave different durations")
 	}

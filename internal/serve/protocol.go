@@ -40,7 +40,7 @@ const (
 )
 
 // maxFrame bounds any frame (wire.ReadFrame's max). A Decide carries at
-// most HistoryLen records plus a LookAhead horizon with a ~10-rung ladder —
+// most HistoryLen records plus a five-chunk horizon with a ~10-rung ladder —
 // a few kilobytes — so 1 MiB is a generous corruption guard.
 const maxFrame = 1 << 20
 

@@ -31,6 +31,7 @@ func decode(t *testing.T, b []byte, v codec) {
 	}
 }
 
+// TestStreamAccGobRoundTrip keeps the gob codec's name; it round-trips the wire layout.
 func TestStreamAccGobRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var a StreamAcc
@@ -53,6 +54,7 @@ func TestStreamAccGobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWeightedAccGobRoundTrip keeps the gob codec's name; it round-trips the wire layout.
 func TestWeightedAccGobRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var a WeightedAcc

@@ -39,9 +39,9 @@ type Conn struct {
 	noGrow  int     // consecutive rounds without >=25% bandwidth growth
 }
 
-// Dial opens a connection over path at absolute time start, charging two
-// RTTs of handshake (TCP + TLS, as on Puffer's WebSocket-over-TLS).
-func Dial(path netem.Path, rng *rand.Rand, start float64) *Conn {
+// Dial opens a connection over path at time 0, charging two RTTs of
+// handshake (TCP + TLS, as on Puffer's WebSocket-over-TLS).
+func Dial(path netem.Path, rng *rand.Rand) *Conn {
 	if err := path.Trace.Validate(); err != nil {
 		panic("tcpsim: " + err.Error())
 	}
@@ -49,7 +49,7 @@ func Dial(path netem.Path, rng *rand.Rand, start float64) *Conn {
 	c := &Conn{
 		path:    path,
 		rng:     rng,
-		now:     start + 2*base,
+		now:     2 * base,
 		minRTT:  base,
 		srtt:    base * 1.1,
 		startup: true,

@@ -36,9 +36,9 @@ func fixedPath(rateBps, rtt float64) netem.Path {
 
 func TestDialChargesHandshake(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := Dial(fixedPath(10e6, 0.040), rng, 100)
-	if c.Now() <= 100.07 || c.Now() > 100.10 {
-		t.Fatalf("post-handshake time = %v, want ~100.08 (two RTTs)", c.Now())
+	c := Dial(fixedPath(10e6, 0.040), rng)
+	if c.Now() <= 0.07 || c.Now() > 0.10 {
+		t.Fatalf("post-handshake time = %v, want ~0.08 (two RTTs)", c.Now())
 	}
 	info := c.Info()
 	if info.MinRTT < 0.040 || info.MinRTT > 0.050 {
@@ -52,7 +52,7 @@ func TestDialChargesHandshake(t *testing.T) {
 func TestTransferApproachesCapacityForLargeChunks(t *testing.T) {
 	// A large transfer on a steady link should achieve close to link rate.
 	rng := rand.New(rand.NewSource(2))
-	c := Dial(fixedPath(8e6, 0.040), rng, 0)
+	c := Dial(fixedPath(8e6, 0.040), rng)
 	warm := 4e6 / 8 // warm up past slow start
 	c.Transfer(warm)
 	size := 10e6 / 8 * 4.0 // 4 seconds worth at link rate
@@ -69,7 +69,7 @@ func TestSmallChunkBoundedByRTTNotThroughput(t *testing.T) {
 	// size/throughput extrapolation from it wildly underestimates a big
 	// chunk's time.
 	rng := rand.New(rand.NewSource(3))
-	c := Dial(fixedPath(50e6, 0.100), rng, 0)
+	c := Dial(fixedPath(50e6, 0.100), rng)
 	tiny := 5 * MSS
 	tTiny := c.Transfer(tiny)
 	if tTiny < 0.05 {
@@ -85,7 +85,7 @@ func TestSlowStartRamp(t *testing.T) {
 	// Back-to-back equal chunks on a fat link: the first (cold cwnd) must
 	// be slower than a later one (warmed up).
 	rng := rand.New(rand.NewSource(4))
-	c := Dial(fixedPath(40e6, 0.060), rng, 0)
+	c := Dial(fixedPath(40e6, 0.060), rng)
 	size := 1.5e6 // bytes
 	t1 := c.Transfer(size)
 	c.Transfer(size)
@@ -99,7 +99,7 @@ func TestDeliveryRateTracksCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := constantTrace(2e6)
 	path := netem.Path{Trace: tr, BaseRTT: 0.040, QueueCapacity: 0.5}
-	c := Dial(path, rng, 0)
+	c := Dial(path, rng)
 	c.Transfer(3e6 / 8 * 5) // five seconds at capacity
 	info := c.Info()
 	if info.DeliveryRate < 1.2e6 || info.DeliveryRate > 2.8e6 {
@@ -111,7 +111,7 @@ func TestQueueInflatesRTTBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	path := fixedPath(1e6, 0.040)
 	path.QueueCapacity = 1.0 // one second of bufferbloat max
-	c := Dial(path, rng, 0)
+	c := Dial(path, rng)
 	c.Transfer(2e6) // 16 seconds at capacity — plenty to fill the queue
 	info := c.Info()
 	if info.RTT <= 0.040 {
@@ -127,7 +127,7 @@ func TestQueueInflatesRTTBounded(t *testing.T) {
 
 func TestWaitDrainsQueue(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := Dial(fixedPath(1e6, 0.040), rng, 0)
+	c := Dial(fixedPath(1e6, 0.040), rng)
 	c.Transfer(1e6)
 	before := c.Info().RTT
 	c.Wait(10)
@@ -141,7 +141,7 @@ func TestWaitDrainsQueue(t *testing.T) {
 
 func TestTransferUpToDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	c := Dial(fixedPath(0.1e6, 0.040), rng, 0) // 100 kbps: 1 MB takes ~80 s
+	c := Dial(fixedPath(0.1e6, 0.040), rng) // 100 kbps: 1 MB takes ~80 s
 	elapsed, completed := c.TransferUpTo(1e6, 5)
 	if completed {
 		t.Fatal("transfer should not complete within 5 s")
@@ -158,7 +158,7 @@ func TestTransferUpToDeadline(t *testing.T) {
 
 func TestTransferZeroSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := Dial(fixedPath(1e6, 0.040), rng, 0)
+	c := Dial(fixedPath(1e6, 0.040), rng)
 	if got := c.Transfer(0); got != 0 {
 		t.Fatalf("Transfer(0) = %v, want 0", got)
 	}
@@ -169,7 +169,7 @@ func TestClockMonotonic(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		sampler := netem.PufferPaths{}
 		path := sampler.Sample(rng, 300)
-		c := Dial(path, rng, 0)
+		c := Dial(path, rng)
 		prev := c.Now()
 		for i := 0; i < 30; i++ {
 			size := 1e4 + rng.Float64()*2e6
@@ -198,7 +198,7 @@ func TestInfoSane(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		path := (netem.PufferPaths{}).Sample(rng, 120)
-		c := Dial(path, rng, 0)
+		c := Dial(path, rng)
 		for i := 0; i < 10; i++ {
 			c.Transfer(1e5 + rng.Float64()*1e6)
 			info := c.Info()
@@ -235,7 +235,7 @@ func TestCapacityDropSlowsTransfers(t *testing.T) {
 	}
 	path := netem.Path{Trace: &netem.Trace{Interval: 1, Rate: rate}, BaseRTT: 0.040, QueueCapacity: 0.5}
 	rng := rand.New(rand.NewSource(10))
-	c := Dial(path, rng, 0)
+	c := Dial(path, rng)
 	size := 0.5e6
 	fast := c.Transfer(size)
 	for c.Now() < 35 {
@@ -252,8 +252,8 @@ func TestColdStartInfoReflectsRTT(t *testing.T) {
 	// is IW/RTT, so low-RTT paths look faster before any data flows.
 	rng1 := rand.New(rand.NewSource(11))
 	rng2 := rand.New(rand.NewSource(11))
-	fast := Dial(fixedPath(50e6, 0.010), rng1, 0)
-	far := Dial(fixedPath(50e6, 0.200), rng2, 0)
+	fast := Dial(fixedPath(50e6, 0.010), rng1)
+	far := Dial(fixedPath(50e6, 0.200), rng2)
 	if fast.Info().DeliveryRate <= far.Info().DeliveryRate {
 		t.Fatal("cold-start delivery rate should be higher on the low-RTT path")
 	}
@@ -265,13 +265,13 @@ func TestDialPanicsOnInvalidTrace(t *testing.T) {
 			t.Fatal("expected panic for invalid trace")
 		}
 	}()
-	Dial(netem.Path{Trace: &netem.Trace{Interval: 0, Rate: nil}}, rand.New(rand.NewSource(1)), 0)
+	Dial(netem.Path{Trace: &netem.Trace{Interval: 0, Rate: nil}}, rand.New(rand.NewSource(1)))
 }
 
 func BenchmarkTransferTwoSecondChunk(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	path := (netem.PufferPaths{}).Sample(rng, 1e7)
-	c := Dial(path, rng, 0)
+	c := Dial(path, rng)
 	size := path.Trace.Mean() / 8 * 1.6 // ~80% utilization chunk
 	b.ReportAllocs()
 	b.ResetTimer()
