@@ -294,8 +294,10 @@ dist-smoke:
 # loader (a loaded index re-appends to the same canonical bytes), and on the
 # fixed-layout decoders of what the program persists or ships between
 # processes: the model file, the dist shard blob and the dist frame payloads
-# (bytes that decode must re-encode to themselves). The committed seeds under
-# internal/{wire,serve,scenario,sweep,core}/testdata/fuzz run in every plain
+# (bytes that decode must re-encode to themselves), and on one kernel: the
+# trainer's live-input affine row, whose assembly bodies must equal the
+# portable oracle bit for bit on any shape, mask and values. The committed
+# seeds under internal/{wire,serve,scenario,sweep,core}/testdata/fuzz run in every plain
 # `go test` as well; this adds fresh mutations on each push. The index loader
 # reads a file and re-appends with fsync for every input (about a
 # millisecond), so its minimizing of each new input is capped at 100 runs:
@@ -312,6 +314,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTTP -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzAffineRowTLive -fuzztime=5s ./internal/nn
 
 # `loc` runs last so every green run ends on the round's tracked number.
 ci: fmt-check vet build cross test bench daily-smoke docs-smoke figures-smoke scenario-smoke sweep-smoke obs-smoke serve-smoke trace-smoke dist-smoke fuzz-smoke loc

@@ -36,7 +36,6 @@ var shadowDefaultAllowlist = map[string]string{
 	"netem.PufferPaths.Sample: p.MedianRate":   "two values are in use: DefaultEnv's zero and the mix drift preset's slow family",
 	"netem.PufferPaths.Sample: p.Sigma":        "two values are in use: DefaultEnv's zero and the mix drift preset's slow family",
 	"netem.FCCPaths.Sample: f.MaxRate":         "two values are in use: emulation's 16 Mbit/s (zero) and Pensieve's training family's 8",
-	"abr.(*MPC).ensureScratch: bufCap":         "core's predictor tests build Observations without a cap; a zero cap plans on Puffer's 15 s grid, not a one-bin one",
 	"core.NewTTP: hidden":                      "nil hidden is DefaultHidden; the benchmark builds its models with nil",
 	"experiment.(*Config).RunSharded: workers": "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",
 	"sweep.Execute: ec.Workers":                "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",

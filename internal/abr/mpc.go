@@ -6,7 +6,6 @@ import (
 	"puffer/internal/media"
 	"puffer/internal/nn"
 	metrics "puffer/internal/obs"
-	"puffer/internal/player"
 )
 
 // Controller stage timers (write-only; see the obs package contract).
@@ -171,9 +170,6 @@ func (m *MPC) distFor(step, q, nQ int) []float64 {
 // the cap, the ladder or a longer horizon did. A session's steady state
 // (and its horizon running out at the end of the stream) does neither.
 func (m *MPC) ensureScratch(bufCap float64, h, nQ int) {
-	if bufCap <= 0 {
-		bufCap = player.DefaultBufferCap
-	}
 	distNeed := h * nQ * NumBins
 	regrid := bufCap != m.bufCap
 	if regrid {

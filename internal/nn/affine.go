@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // The portable bodies of the kernel primitives. amd64 without AVX2 and every
 // other GOARCH run them; on amd64 with AVX2 they are the oracle the assembly
@@ -38,6 +42,87 @@ func affineRowTGo(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
 		}
 		dst[o] = a
 	}
+}
+
+// affineRowTLiveGo is affineRowTGo over the live inputs alone:
+//
+//	dst[o] = bias[o] + Σ_{i live} wt[i*nOut+o]·x[i*xStride]    (o < nOut)
+//
+// where input i is live when bit i%64 of live[i/64] is set; every output
+// still takes its terms in ascending i from its bias, one rounding per
+// multiply and per add. Bits at or past nIn must be clear. The trainer
+// leaves out only terms it has certified to be w·(±0) = ±0 on an
+// accumulator that cannot be -0, which adds them without changing a bit
+// (see Trainer.forward), so it equals affineRowTGo there.
+func affineRowTLiveGo(dst, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int) {
+	words := live[:(nIn+63)/64]
+	o := 0
+	for ; o+4 <= nOut; o += 4 {
+		a0, a1, a2, a3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
+		for k, m := range words {
+			for ; m != 0; m &= m - 1 {
+				i := k*64 + bits.TrailingZeros64(m)
+				xi := x[i*xStride]
+				w := wt[i*nOut+o : i*nOut+o+4]
+				a0 += float64(w[0] * xi)
+				a1 += float64(w[1] * xi)
+				a2 += float64(w[2] * xi)
+				a3 += float64(w[3] * xi)
+			}
+		}
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = a0, a1, a2, a3
+	}
+	for ; o < nOut; o++ {
+		a := bias[o]
+		for k, m := range words {
+			for ; m != 0; m &= m - 1 {
+				i := k*64 + bits.TrailingZeros64(m)
+				a += float64(wt[i*nOut+o] * x[i*xStride])
+			}
+		}
+		dst[o] = a
+	}
+}
+
+// checkLive panics unless live holds the (nIn+63)/64 words of an nIn-input
+// mask with no bit set at or past nIn: the assembly bodies read those words
+// through a bare pointer and trust every set bit to name an input.
+func checkLive(live []uint64, nIn int) {
+	words := (nIn + 63) / 64
+	if words == 0 {
+		return
+	}
+	if len(live) < words || (nIn%64 != 0 && live[words-1]>>(nIn%64) != 0) {
+		panic(fmt.Sprintf("nn: live mask of %d words for %d inputs, or a bit past the last input", len(live), nIn))
+	}
+}
+
+// liveMaskGo writes the live-unit masks of a rows × width matrix z of
+// pre-activations: row s gets (width+63)/64 words at mask[s*words:], bit o
+// set where !(z[s*width+o] <= 0) — z > 0 or NaN, the units whose ReLU
+// output or backward delta may be non-zero — and every other bit clear,
+// those past width included.
+func liveMaskGo(mask []uint64, z []float64, rows, width int) {
+	words := (width + 63) / 64
+	for s := 0; s < rows; s++ {
+		row := mask[s*words : (s+1)*words]
+		clear(row)
+		for o, v := range z[s*width : (s+1)*width] {
+			if !(v <= 0) {
+				row[o/64] |= 1 << (o % 64)
+			}
+		}
+	}
+}
+
+// allFiniteGo reports whether no element of v is ±Inf or NaN.
+func allFiniteGo(v []float64) bool {
+	for _, x := range v {
+		if x-x != 0 { // NaN exactly for ±Inf and NaN
+			return false
+		}
+	}
+	return true
 }
 
 // reluCopyGo writes relu(src) into dst: positives pass through; negatives,

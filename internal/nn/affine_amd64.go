@@ -46,6 +46,33 @@ func affineRowT(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
 	affineRowTAVX2(&dst[0], &bias[0], &x[0], &wt[0], nIn, nOut, xStride)
 }
 
+// affineRowTLiveAVX2 and affineRowTLiveAVX512 are affineRowTLiveGo's
+// contract on affineRowTAVX2's and affineRowTAVX512's blocks and masked
+// passes: each block walks the set bits of live in ascending order in place
+// of every input, with the same VMULPD (wt·x) and VADDPD per term.
+//
+//go:noescape
+func affineRowTLiveAVX2(dst, bias, x, wt *float64, live *uint64, nIn, nOut, xStride int)
+
+//go:noescape
+func affineRowTLiveAVX512(dst, bias, x, wt *float64, live *uint64, nIn, nOut, xStride int)
+
+// affineRowTLive runs one affine row over the live inputs (see
+// affineRowTLiveGo) on the widest supported body.
+func affineRowTLive(dst, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int) {
+	checkLive(live, nIn)
+	if !useAVX2 || nIn == 0 || nOut == 0 {
+		affineRowTLiveGo(dst, bias, x, wt, live, nIn, nOut, xStride)
+		return
+	}
+	_, _, _, _ = dst[nOut-1], bias[nOut-1], x[(nIn-1)*xStride], wt[nIn*nOut-1]
+	if useAVX512 {
+		affineRowTLiveAVX512(&dst[0], &bias[0], &x[0], &wt[0], &live[0], nIn, nOut, xStride)
+		return
+	}
+	affineRowTLiveAVX2(&dst[0], &bias[0], &x[0], &wt[0], &live[0], nIn, nOut, xStride)
+}
+
 // reluVecAVX2 and reluVecAVX512 clamp non-positive entries (and NaN) to +0
 // in place, branchlessly — element-for-element identical to reluInPlace.
 //
@@ -98,6 +125,31 @@ func maskNonPos(d, z []float64) {
 	}
 	_ = d[len(z)-1]
 	maskNonPosAVX2(&d[0], &z[0], len(z))
+}
+
+//go:noescape
+func liveMaskAVX2(mask *uint64, z *float64, rows, width int)
+
+//go:noescape
+func allFiniteAVX2(v *float64, n int) bool
+
+// liveMask writes the live-unit masks of a rows × width matrix (see
+// liveMaskGo).
+func liveMask(mask []uint64, z []float64, rows, width int) {
+	if !useAVX2 || rows == 0 || width == 0 {
+		liveMaskGo(mask, z, rows, width)
+		return
+	}
+	_, _ = mask[rows*((width+63)/64)-1], z[rows*width-1]
+	liveMaskAVX2(&mask[0], &z[0], rows, width)
+}
+
+// allFinite reports whether no element of v is ±Inf or NaN.
+func allFinite(v []float64) bool {
+	if !useAVX2 || len(v) == 0 {
+		return allFiniteGo(v)
+	}
+	return allFiniteAVX2(&v[0], len(v))
 }
 
 // adamStep is one fused Adam pass (see adamStepGo); g, m and v are at least

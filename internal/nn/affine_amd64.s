@@ -11,6 +11,8 @@
 // element still accumulates in ascending input order starting from its
 // bias, with a separate VMULPD and VADDPD rounding per term (no FMA
 // contraction), so results are bitwise identical to the scalar kernels.
+// The live-input bodies (affineRowTLive*) keep that contract over only the
+// inputs set in a bit mask, walked in ascending order.
 // The elementwise kernels (ReLU, ReLU-copy, ReLU mask, Adam) perform per
 // element exactly the scalar code's operations in its order, each with its
 // own rounding, and so do the planner's two (shifted accumulate,
@@ -265,6 +267,318 @@ zdone:
 	VZEROUPPER
 	RET
 
+// func affineRowTLiveAVX2(dst, bias, x, wt *float64, live *uint64, nIn, nOut, xStride int)
+//
+// affineRowTAVX2's blocks of 16 and masked passes of 8 with the input loop
+// replaced by a walk over the set bits of live, word by word (R11 is the
+// word's first input): BSF finds the lowest live input, LEA/AND clears it,
+// and two multiplies turn it into the byte offsets of its weight row and
+// its x. CX, SI and DI step to wt[o], bias[o] and dst[o] block by block;
+// R9 counts the outputs left.
+TEXT ·affineRowTLiveAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ bias+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ wt+24(FP), CX
+	MOVQ live+32(FP), R12
+	MOVQ nIn+40(FP), R8
+	MOVQ nOut+48(FP), R9
+	MOVQ xStride+56(FP), BX
+	SHLQ $3, BX               // x element stride in bytes (xStride*8)
+	MOVQ R9, R10
+	SHLQ $3, R10              // wt row stride in bytes (nOut*8)
+	ADDQ $63, R8
+	ANDQ $-64, R8             // the word walk's end: nIn rounded up to 64
+
+lt16:	// blocks of 16 outputs
+	CMPQ R9, $16
+	JLT  ltr
+	VMOVUPD (SI), Y0          // accumulators start from the bias
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	XORQ R11, R11
+lt16w:
+	CMPQ R11, R8
+	JGE  lts16
+	MOVQ R11, AX
+	SHRQ $6, AX
+	MOVQ (R12)(AX*8), R13     // the word's live bits
+	TESTQ R13, R13
+	JZ    lt16n
+lt16b:
+	XORL R14, R14            // BSF keeps its destination on a zero source: break that dependency
+	BSFQ R13, R14
+	ADDQ R11, R14             // i, the lowest live input
+	MOVQ R14, AX
+	IMULQ R10, AX             // i*nOut*8
+	IMULQ BX, R14             // i*xStride*8
+	VBROADCASTSD (DX)(R14*1), Y4
+	VMOVUPD (CX)(AX*1), Y5
+	VMOVUPD 32(CX)(AX*1), Y6
+	VMOVUPD 64(CX)(AX*1), Y7
+	VMOVUPD 96(CX)(AX*1), Y8
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VMULPD Y4, Y7, Y7
+	VMULPD Y4, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	LEAQ -1(R13), AX
+	ANDQ AX, R13              // clear it; ZF when the word is done
+	JNZ   lt16b
+lt16n:
+	ADDQ $64, R11
+	JMP  lt16w
+lts16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, CX
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $16, R9
+	JMP  lt16
+
+ltr:	// the fewer than 16 outputs left, up to 8 per pass of two VMASKMOVPD
+	// chains (masks in Y12/Y13, built as in affineRowTAVX2)
+	TESTQ R9, R9
+	JZ    ltdone
+	VMOVDQU lanes<>(SB), Y10
+	MOVQ $4, AX
+	VMOVQ AX, X11
+	VPBROADCASTQ X11, Y11
+ltpass:
+	MOVQ R9, AX
+	CMPQ AX, $8
+	JLE  ltmask
+	MOVQ $8, AX
+ltmask:
+	VMOVQ AX, X9
+	VPBROADCASTQ X9, Y9
+	VPCMPGTQ Y10, Y9, Y12
+	VPSUBQ Y11, Y9, Y9
+	VPCMPGTQ Y10, Y9, Y13
+	VMASKMOVPD (SI), Y12, Y0
+	VMASKMOVPD 32(SI), Y13, Y1
+	XORQ R11, R11
+ltrw:
+	CMPQ R11, R8
+	JGE  ltrs
+	MOVQ R11, AX
+	SHRQ $6, AX
+	MOVQ (R12)(AX*8), R13
+	TESTQ R13, R13
+	JZ    ltrn
+ltrb:
+	XORL R14, R14            // BSF keeps its destination on a zero source: break that dependency
+	BSFQ R13, R14
+	ADDQ R11, R14
+	MOVQ R14, AX
+	IMULQ R10, AX
+	IMULQ BX, R14
+	VBROADCASTSD (DX)(R14*1), Y4
+	VMASKMOVPD (CX)(AX*1), Y12, Y5
+	VMASKMOVPD 32(CX)(AX*1), Y13, Y6
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	LEAQ -1(R13), AX
+	ANDQ AX, R13
+	JNZ   ltrb
+ltrn:
+	ADDQ $64, R11
+	JMP  ltrw
+ltrs:
+	VMASKMOVPD Y0, Y12, (DI)
+	VMASKMOVPD Y1, Y13, 32(DI)
+	MOVQ R9, AX
+	CMPQ AX, $8
+	JLE  ltstep
+	MOVQ $8, AX
+ltstep:
+	LEAQ (CX)(AX*8), CX
+	LEAQ (SI)(AX*8), SI
+	LEAQ (DI)(AX*8), DI
+	SUBQ AX, R9
+	JNZ  ltpass
+
+ltdone:
+	VZEROUPPER
+	RET
+
+// func affineRowTLiveAVX512(dst, bias, x, wt *float64, live *uint64, nIn, nOut, xStride int)
+//
+// Blocks of 64 outputs in eight chains, then affineRowTAVX512's K-masked
+// passes of 24, over the live inputs walked as in affineRowTLiveAVX2. The
+// wide block lets the walk's scalar work run beside twice the vector work
+// it has per input in a 32-wide block; a row of 32 to 63 outputs (no
+// trainer shape) takes two or three passes. A pass's lane count (AX) sets
+// bits 0 .. count-1 of R13 through BTS, which leaves CX to the weights.
+TEXT ·affineRowTLiveAVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ bias+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ wt+24(FP), CX
+	MOVQ live+32(FP), R12
+	MOVQ nIn+40(FP), R8
+	MOVQ nOut+48(FP), R9
+	MOVQ xStride+56(FP), BX
+	SHLQ $3, BX
+	MOVQ R9, R10
+	SHLQ $3, R10
+	ADDQ $63, R8
+	ANDQ $-64, R8
+
+lz64:	// blocks of 64 outputs, eight chains: per live input the bit walk's
+	// scalar work then runs beside twice the vector work it does for 32
+	CMPQ R9, $64
+	JLT  lzr
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVUPD 128(SI), Z2
+	VMOVUPD 192(SI), Z3
+	VMOVUPD 256(SI), Z4
+	VMOVUPD 320(SI), Z5
+	VMOVUPD 384(SI), Z6
+	VMOVUPD 448(SI), Z7
+	XORQ R11, R11
+lz64w:
+	CMPQ R11, R8
+	JGE  lzs64
+	MOVQ R11, AX
+	SHRQ $6, AX
+	MOVQ (R12)(AX*8), R13
+	TESTQ R13, R13
+	JZ    lz64n
+lz64b:
+	XORL R14, R14            // BSF keeps its destination on a zero source: break that dependency
+	BSFQ R13, R14
+	ADDQ R11, R14
+	MOVQ R14, AX
+	IMULQ R10, AX
+	IMULQ BX, R14
+	VBROADCASTSD (DX)(R14*1), Z16
+	VMOVUPD (CX)(AX*1), Z8
+	VMOVUPD 64(CX)(AX*1), Z9
+	VMOVUPD 128(CX)(AX*1), Z10
+	VMOVUPD 192(CX)(AX*1), Z11
+	VMOVUPD 256(CX)(AX*1), Z12
+	VMOVUPD 320(CX)(AX*1), Z13
+	VMOVUPD 384(CX)(AX*1), Z14
+	VMOVUPD 448(CX)(AX*1), Z15
+	VMULPD Z16, Z8, Z8
+	VMULPD Z16, Z9, Z9
+	VMULPD Z16, Z10, Z10
+	VMULPD Z16, Z11, Z11
+	VMULPD Z16, Z12, Z12
+	VMULPD Z16, Z13, Z13
+	VMULPD Z16, Z14, Z14
+	VMULPD Z16, Z15, Z15
+	VADDPD Z8, Z0, Z0
+	VADDPD Z9, Z1, Z1
+	VADDPD Z10, Z2, Z2
+	VADDPD Z11, Z3, Z3
+	VADDPD Z12, Z4, Z4
+	VADDPD Z13, Z5, Z5
+	VADDPD Z14, Z6, Z6
+	VADDPD Z15, Z7, Z7
+	LEAQ -1(R13), AX
+	ANDQ AX, R13
+	JNZ   lz64b
+lz64n:
+	ADDQ $64, R11
+	JMP  lz64w
+lzs64:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, CX
+	ADDQ $512, SI
+	ADDQ $512, DI
+	SUBQ $64, R9
+	JMP  lz64
+
+lzr:	// the fewer than 64 outputs left, up to 24 per pass of three chains
+	TESTQ R9, R9
+	JZ    lzdone
+lzpass:
+	MOVQ R9, AX
+	CMPQ AX, $24
+	JLE  lzmask
+	MOVQ $24, AX
+lzmask:
+	XORL R13, R13
+	BTSQ AX, R13
+	DECQ R13                  // bit 8v+l set: lane l of vector v is live
+	KMOVW R13, K1
+	SHRQ $8, R13
+	KMOVW R13, K2
+	SHRQ $8, R13
+	KMOVW R13, K3
+	VMOVUPD.Z (SI), K1, Z0
+	VMOVUPD.Z 64(SI), K2, Z1
+	VMOVUPD.Z 128(SI), K3, Z2
+	XORQ R11, R11
+lzrw:
+	CMPQ R11, R8
+	JGE  lzrs
+	MOVQ R11, AX
+	SHRQ $6, AX
+	MOVQ (R12)(AX*8), R13
+	TESTQ R13, R13
+	JZ    lzrn
+lzrb:
+	XORL R14, R14            // BSF keeps its destination on a zero source: break that dependency
+	BSFQ R13, R14
+	ADDQ R11, R14
+	MOVQ R14, AX
+	IMULQ R10, AX
+	IMULQ BX, R14
+	VBROADCASTSD (DX)(R14*1), Z4
+	VMOVUPD.Z (CX)(AX*1), K1, Z5
+	VMOVUPD.Z 64(CX)(AX*1), K2, Z6
+	VMOVUPD.Z 128(CX)(AX*1), K3, Z7
+	VMULPD Z4, Z5, Z5
+	VMULPD Z4, Z6, Z6
+	VMULPD Z4, Z7, Z7
+	VADDPD Z5, Z0, Z0
+	VADDPD Z6, Z1, Z1
+	VADDPD Z7, Z2, Z2
+	LEAQ -1(R13), AX
+	ANDQ AX, R13
+	JNZ   lzrb
+lzrn:
+	ADDQ $64, R11
+	JMP  lzrw
+lzrs:
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K2, 64(DI)
+	VMOVUPD Z2, K3, 128(DI)
+	MOVQ R9, AX
+	CMPQ AX, $24
+	JLE  lzstep
+	MOVQ $24, AX
+lzstep:
+	LEAQ (CX)(AX*8), CX
+	LEAQ (SI)(AX*8), SI
+	LEAQ (DI)(AX*8), DI
+	SUBQ AX, R9
+	JNZ  lzpass
+
+lzdone:
+	VZEROUPPER
+	RET
+
 // func reluVecAVX2(v *float64, n int)
 //
 // Branchless in-place ReLU: v[i] = v[i] > 0 ? v[i] : +0. VMAXPD with +0 as
@@ -394,6 +708,130 @@ mtail:
 	DECQ CX
 	JMP  mtail
 mdone:
+	VZEROUPPER
+	RET
+
+// func liveMaskAVX2(mask *uint64, z *float64, rows, width int)
+//
+// liveMaskGo eight lanes at a time. VCMPPD's NGE_US predicate on (+0, z) is
+// !(0 >= z) = !(z <= 0), true for z > 0 and for NaN; two VMOVMSKPD give a
+// byte, which shifts into the word being built (R13) from its top, so after
+// eight bytes the first is at bits 0-7. A row's last one to seven lanes load
+// under VMASKMOVPD masks (the masked-off lanes read +0 and come out clear),
+// and a word of fewer than eight bytes shifts down the bytes it lacks
+// (CX). Each word is written whole, once.
+TEXT ·liveMaskAVX2(SB), NOSPLIT, $0-32
+	MOVQ mask+0(FP), DI
+	MOVQ z+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ width+24(FP), R9
+	TESTQ R9, R9
+	JZ    lmdone
+	VXORPD Y1, Y1, Y1
+	VMOVDQU lanes<>(SB), Y2
+	MOVQ $4, AX
+	VMOVQ AX, X4
+	VPBROADCASTQ X4, Y4       // 4 in every lane
+lmrow:
+	TESTQ R8, R8
+	JZ    lmdone
+	MOVQ R9, R10              // elements left in the row
+lmword:
+	XORQ R13, R13
+	MOVQ $8, CX               // bytes still to shift in
+lm8:
+	CMPQ R10, $8
+	JLT  lmtail
+	VCMPPD $9, (SI), Y1, Y0   // !(0 >= z)
+	VCMPPD $9, 32(SI), Y1, Y3
+	VMOVMSKPD Y0, AX
+	VMOVMSKPD Y3, BX
+	SHLQ $4, BX
+	ORQ  BX, AX
+	SHRQ $8, R13
+	SHLQ $56, AX
+	ORQ  AX, R13
+	ADDQ $64, SI
+	SUBQ $8, R10
+	DECQ CX
+	JNZ  lm8
+	MOVQ R13, (DI)            // a whole word
+	ADDQ $8, DI
+	TESTQ R10, R10
+	JNZ  lmword
+	JMP  lmnext
+lmtail:	// 0-7 elements left, and at least one byte of the word to fill
+	TESTQ R10, R10
+	JZ    lmpart
+	VMOVQ R10, X3
+	VPBROADCASTQ X3, Y3
+	VPCMPGTQ Y2, Y3, Y5       // lane < left
+	VPSUBQ Y4, Y3, Y3
+	VPCMPGTQ Y2, Y3, Y6       // lane+4 < left
+	VMASKMOVPD (SI), Y5, Y0
+	VMASKMOVPD 32(SI), Y6, Y3
+	VCMPPD $6, Y1, Y0, Y0     // !(z <= 0)
+	VCMPPD $6, Y1, Y3, Y3
+	VMOVMSKPD Y0, AX
+	VMOVMSKPD Y3, BX
+	SHLQ $4, BX
+	ORQ  BX, AX
+	SHRQ $8, R13
+	SHLQ $56, AX
+	ORQ  AX, R13
+	LEAQ (SI)(R10*8), SI
+	DECQ CX
+lmpart:
+	SHLQ $3, CX
+	SHRQ CX, R13              // the bytes never shifted in
+	MOVQ R13, (DI)
+	ADDQ $8, DI
+lmnext:
+	DECQ R8
+	JMP  lmrow
+lmdone:
+	VZEROUPPER
+	RET
+
+// func allFiniteAVX2(v *float64, n int) bool
+//
+// Integer compares only, so subnormals cost no microcode assist: a lane is
+// ±Inf or NaN when its exponent field (Y5) is all ones; the compares' results
+// OR into Y1, and the answer is whether Y1 stayed zero.
+TEXT ·allFiniteAVX2(SB), NOSPLIT, $0-17
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	VPCMPEQQ Y5, Y5, Y5
+	VPSRLQ $53, Y5, Y5
+	VPSLLQ $52, Y5, Y5        // 0x7FF0000000000000 in every lane
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+af8:
+	CMPQ CX, $8
+	JLT  af1
+	VPAND (SI), Y5, Y3
+	VPAND 32(SI), Y5, Y4
+	VPCMPEQQ Y5, Y3, Y3
+	VPCMPEQQ Y5, Y4, Y4
+	VPOR Y3, Y1, Y1
+	VPOR Y4, Y2, Y2
+	ADDQ $64, SI
+	SUBQ $8, CX
+	JMP  af8
+af1:
+	TESTQ CX, CX
+	JZ    afdone
+	VMOVQ (SI), X3            // zero-extends: the upper lanes test as finite
+	VPAND Y5, Y3, Y3
+	VPCMPEQQ Y5, Y3, Y3
+	VPOR Y3, Y1, Y1
+	ADDQ $8, SI
+	DECQ CX
+	JMP  af1
+afdone:
+	VPOR Y2, Y1, Y1
+	VPTEST Y1, Y1
+	SETEQ ret+16(FP)
 	VZEROUPPER
 	RET
 

@@ -144,3 +144,17 @@ func TestTrainStepsMatchPerSamplePortableBodies(t *testing.T) {
 	checkTrainClassMatchesPerSample(t)
 	checkPolicyGradMatchesPerSample(t)
 }
+
+func init() {
+	ptrBody := func(name string, run func(dst, bias, x, wt *float64, live *uint64, nIn, nOut, xStride int)) liveBody {
+		return liveBody{name, func(dst, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int) {
+			run(&dst[0], &bias[0], &x[0], &wt[0], &live[0], nIn, nOut, xStride)
+		}}
+	}
+	if useAVX2 {
+		liveBodies = append(liveBodies, ptrBody("avx2", affineRowTLiveAVX2))
+	}
+	if useAVX512 {
+		liveBodies = append(liveBodies, ptrBody("avx512", affineRowTLiveAVX512))
+	}
+}

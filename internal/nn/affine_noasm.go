@@ -11,6 +11,11 @@ func affineRowT(dst, bias, x, wt []float64, nIn, nOut, xStride int) {
 	affineRowTGo(dst, bias, x, wt, nIn, nOut, xStride)
 }
 
+func affineRowTLive(dst, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int) {
+	checkLive(live, nIn)
+	affineRowTLiveGo(dst, bias, x, wt, live, nIn, nOut, xStride)
+}
+
 func reluVec(v []float64) { reluInPlace(v) }
 
 // softmaxAVX2 never runs here (useAVX2 is false): Softmax is softmaxGo.
@@ -19,6 +24,10 @@ func softmaxAVX2(dst, x *float64, n int) bool { return false }
 func reluCopy(dst, src []float64) { reluCopyGo(dst, src) }
 
 func maskNonPos(d, z []float64) { maskNonPosGo(d, z) }
+
+func liveMask(mask []uint64, z []float64, rows, width int) { liveMaskGo(mask, z, rows, width) }
+
+func allFinite(v []float64) bool { return allFiniteGo(v) }
 
 func adamStep(p, g, m, v []float64, k *adamConsts) { adamStepGo(p, g, m, v, k) }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -160,6 +161,33 @@ func TestElementwiseKernelsMatchPortable(t *testing.T) {
 			maskNonPos(got, src)
 			sameFloats(t, fmt.Sprintf("maskNonPos n=%d", n), got, want)
 
+			// The live masks of src as rows of n-rep, and of the specials;
+			// allFinite over src and over a finite prefix of it.
+			if width := n - rep; width > 0 {
+				rows := n / width
+				words := rows * ((width + 63) / 64)
+				wantM, gotM := make([]uint64, words), make([]uint64, words)
+				for i := range gotM {
+					gotM[i] = ^uint64(0) // every bit must be written
+				}
+				liveMaskGo(wantM, src, rows, width)
+				liveMask(gotM, src, rows, width)
+				if !slices.Equal(gotM, wantM) {
+					t.Fatalf("liveMask %d×%d: %x, want %x", rows, width, gotM, wantM)
+				}
+			}
+			if got, want := allFinite(src), allFiniteGo(src); got != want {
+				t.Fatalf("allFinite n=%d: %v, want %v", n, got, want)
+			}
+			for i := range src {
+				if math.IsInf(src[i], 0) || math.IsNaN(src[i]) {
+					if !allFinite(src[:i]) || allFinite(src[:i+1]) {
+						t.Fatalf("allFinite n=%d: wrong at the first non-finite element %d", n, i)
+					}
+					break
+				}
+			}
+
 			k := &adamConsts{b1: 0.9, ob1: 1 - 0.9, b2: 0.999, ob2: 1 - 0.999,
 				c1: 1 - math.Pow(0.9, 3), c2: 1 - math.Pow(0.999, 3), lr: 1e-3, eps: 1e-8}
 			p, g, m := mixed(rng, n), mixed(rng, n), mixed(rng, n)
@@ -257,5 +285,143 @@ func TestPlannerKernelsMatchPortable(t *testing.T) {
 		clear(got)
 		MaxPlane(got, base, c, stride)
 		sameFloats(t, "MaxPlane "+what, got, want)
+	})
+}
+
+// liveBody is one body of the live-input affine row, by name, over slices;
+// affine_amd64_test.go appends the assembly bodies this machine can run.
+type liveBody struct {
+	name string
+	run  func(dst, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int)
+}
+
+var liveBodies = []liveBody{{"portable", affineRowTLiveGo}, {"dispatched", affineRowTLive}}
+
+// affineRowTListed is the live row's oracle: affineRowTGo over only the
+// inputs live lists, packed in ascending order into a shorter x and wt.
+func affineRowTListed(dst, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int) {
+	var xs, ws []float64
+	n := 0
+	for i := 0; i < nIn; i++ {
+		if live[i/64]>>(i%64)&1 != 0 {
+			xs = append(xs, x[i*xStride])
+			xs = append(xs, make([]float64, xStride-1)...)
+			ws = append(ws, wt[i*nOut:(i+1)*nOut]...)
+			n++
+		}
+	}
+	affineRowTGo(dst, bias, xs, ws, n, nOut, xStride)
+}
+
+// checkLiveBodies runs every live body on one case against the oracle, each
+// into a destination with a sentinel tail.
+func checkLiveBodies(t *testing.T, what string, bias, x, wt []float64, live []uint64, nIn, nOut, xStride int) {
+	t.Helper()
+	want := make([]float64, nOut)
+	affineRowTListed(want, bias, x, wt, live, nIn, nOut, xStride)
+	for _, body := range liveBodies {
+		got := withSentinel(nOut)
+		body.run(got, bias, x, wt, live, nIn, nOut, xStride)
+		checkSentinel(t, body.name+" "+what, got, nOut)
+		sameFloats(t, body.name+" "+what, got[:nOut], want)
+	}
+}
+
+// TestAffineRowTLiveBodies: every live-input body this machine has against
+// affineRowTGo restricted to the listed inputs, at output widths 1-80 (every
+// block and masked-pass remainder of both vector widths), input counts on
+// both sides of a mask word, x strides 1-3, lists from empty to full, and
+// the float64 specials among the values.
+func TestAffineRowTLiveBodies(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for nOut := 1; nOut <= 80; nOut++ {
+		for _, nIn := range []int{1, 2, 22, 63, 64, 65, 130} {
+			for xStride := 1; xStride <= 3; xStride++ {
+				bias := mixed(rng, nOut)
+				x := mixed(rng, (nIn-1)*xStride+1)
+				wt := mixed(rng, nIn*nOut)
+				words := (nIn + 63) / 64
+				for _, share := range []float64{0, 0.1, 0.5, 0.9, 1} {
+					live := make([]uint64, words)
+					for i := 0; i < nIn; i++ {
+						if rng.Float64() < share || (share == 1) {
+							live[i/64] |= 1 << (i % 64)
+						}
+					}
+					checkLiveBodies(t, fmt.Sprintf("nIn %d nOut %d stride %d live %.1f", nIn, nOut, xStride, share),
+						bias, x, wt, live, nIn, nOut, xStride)
+				}
+			}
+		}
+	}
+}
+
+// TestAffineRowTLiveRejectsStrayBit: a set bit at or past nIn, or too few
+// words, panics before any body reads through it.
+func TestAffineRowTLiveRejectsStrayBit(t *testing.T) {
+	for _, tc := range []struct {
+		live []uint64
+		nIn  int
+	}{{[]uint64{1 << 5}, 5}, {[]uint64{1 << 63}, 63}, {[]uint64{1}, 65}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("live %x for %d inputs: no panic", tc.live, tc.nIn)
+				}
+			}()
+			dst := make([]float64, 1)
+			affineRowTLive(dst, []float64{0}, make([]float64, 128), make([]float64, 128), tc.live, tc.nIn, 1, 1)
+		}()
+	}
+}
+
+// FuzzAffineRowTLive decodes a live-input affine row from the fuzz bytes —
+// nIn 1-130, nOut 1-80 and xStride 1-3 from the first three, then the live
+// mask (bits at or past nIn dropped), then the values, eight bytes each,
+// reused in turn for bias, x and wt — and holds every body this machine
+// has to affineRowTGo over the listed inputs, bit for bit (NaN matching
+// NaN, as sameFloats does), none writing past dst[nOut-1].
+func FuzzAffineRowTLive(f *testing.F) {
+	f.Add([]byte{21, 20, 0, 0xff, 0x0f, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{63, 63, 2, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55,
+		0, 0, 0, 0, 0, 0, 0xf0, 0x7f, // +Inf
+		0, 0, 0, 0, 0, 0, 0xf8, 0x7f, // NaN
+		0, 0, 0, 0, 0, 0, 0, 0x80, // -0
+		1, 0, 0, 0, 0, 0, 0, 0, // the least subnormal
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f}) // 1
+	f.Add(append([]byte{129, 79, 1}, slices.Repeat([]byte{0xff}, 40)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		nIn, nOut, xStride := 1+int(data[0])%130, 1+int(data[1])%80, 1+int(data[2])%3
+		data = data[3:]
+		words := (nIn + 63) / 64
+		live := make([]uint64, words)
+		for i := 0; i < nIn && i/8 < len(data); i++ {
+			if data[i/8]>>(i%8)&1 != 0 {
+				live[i/64] |= 1 << (i % 64)
+			}
+		}
+		data = data[min(len(data), words*8):]
+		vals := []float64{1.5}
+		if len(data) >= 8 {
+			vals = vals[:0]
+			for ; len(data) >= 8; data = data[8:] {
+				vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			}
+		}
+		next := 0
+		fill := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = vals[next%len(vals)]
+				next++
+			}
+			return v
+		}
+		bias, x, wt := fill(nOut), fill((nIn-1)*xStride+1), fill(nIn*nOut)
+		checkLiveBodies(t, fmt.Sprintf("nIn %d nOut %d stride %d live %x", nIn, nOut, xStride, live),
+			bias, x, wt, live, nIn, nOut, xStride)
 	})
 }

@@ -43,6 +43,29 @@
 // one-sample-at-a-time backprop's — which lives beside the tests as their
 // oracle — on any vector width.
 //
+// About half of a hidden layer's units are dead on a given sample (z <= 0),
+// and five of a step's sums multiply by exactly those zeros: the forward
+// rows into every layer after the first (x = relu(z) = +0), the hidden
+// layers' weight-gradient rows (x = a delta column, +0 on the samples where
+// that unit is masked) and the deltas propagated back from them (x = a
+// masked delta row). Those run a fifth primitive, affineRowTLive: affineRowT
+// over only the inputs whose bit is set in a mask — each block walks the set
+// bits in ascending order with the same multiply and add per term. Two
+// more 256-bit passes feed it: liveMask, one compare pass over each hidden
+// layer's z (bit set where !(z <= 0)), whose masks are bit-transposed per
+// unit for the gradient rows, and allFinite for the certificate below.
+// Leaving a term out is exact when it is w·(±0) = ±0 — w finite — and the
+// accumulator cannot be -0, because then acc + (±0) is acc bit for bit;
+// round-to-nearest gives -0 from an add only for (-0) + (-0), so an
+// accumulator that starts at +0 (gradients, propagated deltas) or at a bias
+// that is not -0 never holds -0. The trainer certifies both once per layer
+// per step — the matrix the zeros meet (W, or the layer's input matrix for
+// gradient rows) all finite by allFinite, and no bias -0 or NaN (a
+// signalling NaN would be quieted by the first add) — and any sum whose
+// certificate fails runs all its terms through affineRowT. The counters
+// nn_train_terms_total and nn_train_terms_skipped_total say what share a
+// retrain left out.
+//
 // "Rounds on its own" holds on every GOARCH only because the Go code says
 // so: the compiler may fuse a*b+c into one FMA instruction (arm64 does;
 // amd64 does not, even at GOAMD64=v3), and an explicit conversion,
@@ -97,7 +120,8 @@
 //     optimizer's one elementwise pass exploits.
 //   - Trainer with an Optimizer (Adam): TrainClassBatch, minibatch
 //     supervised training with optional per-sample weights, and
-//     PolicyGradStep, the REINFORCE step.
+//     PolicyGradStep, the REINFORCE step. Both skip dead units' exact-zero
+//     terms (above).
 //   - Softmax, ArgMax, Entropy: the numeric utilities shared by the
 //     predictors.
 //   - ShiftedAccum, MaxPlane: the planner's two vector passes (above).

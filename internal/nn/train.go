@@ -3,7 +3,19 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+
+	"puffer/internal/obs"
+)
+
+// Training-step metrics (write-only; see the obs package contract): the
+// multiply-adds a step's sums hold with every term counted, and how many of
+// them the step left out as exact zeros (Trainer.forward). A retrain that
+// slows because fewer hidden units died shows as a falling skipped share.
+var (
+	trainTermsTotal   = obs.Default.Counter("nn_train_terms_total")
+	trainTermsSkipped = obs.Default.Counter("nn_train_terms_skipped_total")
 )
 
 // Optimizer applies a gradient step to a network's parameters. Gradients are
@@ -70,53 +82,103 @@ type Trainer struct {
 	gradW, gradB [][]float64
 	probs        []float64
 	bt           *batchTrainWS
+	// allTerms runs every sum over all its terms, skipping none: the
+	// reference the tests hold a skipping step to.
+	allTerms bool
 }
 
 // batchTrainWS holds the flat row-major matrices one batched training step
 // needs: the packed input batch, per-layer pre- and post-activations from
 // the forward pass, per-layer deltas for the backward pass, the transposed
-// weights the forward kernel reads, and the two constant vectors that turn
+// weights the forward kernel reads, the two constant vectors that turn
 // affineRowT into a plain sum (a +0 "bias") and a column sum (all-ones
-// "inputs"). It grows to the largest minibatch seen and never allocates
-// afterwards.
+// "inputs"), and each hidden layer's live-unit masks. It grows to the
+// largest minibatch seen and never allocates afterwards; each growth is two
+// slabs (floats, masks) that every buffer is a view of.
 type batchTrainWS struct {
-	rows  int
-	x     []float64
-	zs    [][]float64 // pre-activations per layer (relu mask + logits)
-	acts  [][]float64 // post-activations per layer (inputs to layer l+1)
-	delta [][]float64 // dLoss/dz per layer
-	wt    [][]float64 // input-major weights, re-transposed every step
-	zero  []float64   // +0 per output of the widest layer
-	ones  []float64   // 1 per sample
+	rows   int
+	x      []float64
+	zs     [][]float64 // pre-activations per layer (relu mask + logits)
+	acts   [][]float64 // post-activations per layer (inputs to layer l+1)
+	delta  [][]float64 // dLoss/dz per layer
+	wt     [][]float64 // input-major weights, re-transposed every step
+	zero   []float64   // +0 per output of the widest layer
+	ones   []float64   // 1 per sample
+	hidden []hiddenWS  // per hidden layer (every layer but the last)
+
+	// terms and skipped are this step's multiply-adds with every term
+	// counted and the part it left out.
+	terms, skipped int64
+}
+
+// hiddenWS is one hidden layer's part in a step's dead-unit skip (see
+// Trainer.forward).
+type hiddenWS struct {
+	// live holds one bit per (sample, unit), set where !(z <= 0): the units
+	// whose ReLU output and masked delta can be non-zero. It is
+	// sample-major, (width+63)/64 words a sample; liveT is its bit
+	// transpose, unit-major, (rows+63)/64 words a unit.
+	live, liveT []uint64
+	dead        int64 // the (sample, unit) pairs with z <= 0
+	finiteW     bool  // this step's W is all finite (layers > 0)
+}
+
+// carve cuts the next n elements off *slab.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // ensureBatchWS sizes the batched-training scratch for a rows-sample batch.
 func (t *Trainer) ensureBatchWS(rows int) *batchTrainWS {
-	bt := t.bt
+	net, bt := t.Net, t.bt
+	layers := net.NumLayers()
 	if bt == nil {
-		layers := t.Net.NumLayers()
+		views := make([][]float64, 4*layers)
 		bt = &batchTrainWS{
-			zs:    make([][]float64, layers),
-			acts:  make([][]float64, layers),
-			delta: make([][]float64, layers),
-			wt:    make([][]float64, layers),
+			zs:     views[:layers:layers],
+			acts:   views[layers : 2*layers : 2*layers],
+			delta:  views[2*layers : 3*layers : 3*layers],
+			wt:     views[3*layers:],
+			hidden: make([]hiddenWS, layers-1),
 		}
+		n := slices.Max(net.Sizes)
+		for _, w := range net.W {
+			n += len(w)
+		}
+		slab := make([]float64, n)
 		for l := range bt.wt {
-			bt.wt[l] = make([]float64, len(t.Net.W[l]))
+			bt.wt[l] = carve(&slab, len(net.W[l]))
 		}
-		bt.zero = make([]float64, slices.Max(t.Net.Sizes))
+		bt.zero = slab
 		t.bt = bt
 	}
 	if rows > bt.rows {
 		bt.rows = rows
-		bt.x = make([]float64, rows*t.Net.InputSize())
-		for l := 0; l < t.Net.NumLayers(); l++ {
-			w := rows * t.Net.Sizes[l+1]
-			bt.zs[l] = make([]float64, w)
-			bt.acts[l] = make([]float64, w)
-			bt.delta[l] = make([]float64, w)
+		n, nMask := rows*(net.InputSize()+1), 0
+		for l, width := range net.Sizes[1:] {
+			n += 3 * rows * width
+			if l < layers-1 {
+				nMask += rows*((width+63)/64) + width*((rows+63)/64)
+			}
 		}
-		bt.ones = slices.Repeat([]float64{1}, rows)
+		slab, masks := make([]float64, n), make([]uint64, nMask)
+		bt.x = carve(&slab, rows*net.InputSize())
+		for l, width := range net.Sizes[1:] {
+			bt.zs[l] = carve(&slab, rows*width)
+			bt.acts[l] = carve(&slab, rows*width)
+			bt.delta[l] = carve(&slab, rows*width)
+			if l < layers-1 {
+				h := &bt.hidden[l]
+				h.live = carve(&masks, rows*((width+63)/64))
+				h.liveT = carve(&masks, width*((rows+63)/64))
+			}
+		}
+		bt.ones = slab
+		for i := range bt.ones {
+			bt.ones[i] = 1
+		}
 	}
 	return bt
 }
@@ -151,6 +213,29 @@ func totalWeight(weights []float64, n int) float64 {
 // against hundreds of thousands of multiplies), keeping every layer's z for
 // the backward mask — the last layer's is the logits — and relu(z) as the
 // next layer's input.
+//
+// About half of a hidden layer's units are dead on a given sample (z <= 0),
+// and five of a step's sums broadcast exactly those zeros: the forward rows
+// into every layer after the first (x: relu(z) = +0), and in backward the
+// weight-gradient rows of the hidden layers (x: a delta column, +0 on the
+// samples where that unit is masked) and the deltas propagated back from
+// them (x: a masked delta row). Those sums run affineRowTLive over the live
+// bits of the layer's masks and leave the dead terms out, which changes no
+// bit of any result when:
+//
+//   - the matrix the sum multiplies the zeros by is all finite, so each
+//     dead term is w·(±0) = ±0 (a NaN or ±Inf weight would make it NaN);
+//   - its accumulator can never be -0: round-to-nearest gives -0 from an
+//     add only for (-0) + (-0), so an accumulator that starts at +0 (every
+//     gradient and propagated delta) or at a bias that is not -0 never
+//     holds -0, and acc + (±0) is acc bit for bit. A NaN bias is refused
+//     too: were it signalling, the first add would quiet it.
+//
+// The step certifies both once per layer: forward checks W[l] all finite
+// (for the forward rows and the propagated deltas) and no bias -0 or NaN,
+// backward checks the layer's input matrix all finite (for its gradient
+// rows). Any sum whose certificate fails runs all its terms through
+// affineRowT.
 func (t *Trainer) forward(xs [][]float64) *batchTrainWS {
 	net := t.Net
 	rows := len(xs)
@@ -164,20 +249,56 @@ func (t *Trainer) forward(xs [][]float64) *batchTrainWS {
 	}
 	in := bt.x[:rows*nIn]
 	last := net.NumLayers() - 1
+	bt.terms, bt.skipped = 0, 0
 	for l := 0; l <= last; l++ {
 		nI, width := net.Sizes[l], net.Sizes[l+1]
+		// forward and weight-gradient rows, bias gradient, propagated delta
+		bt.terms += int64(rows) * int64(2*nI*width+width)
+		if l > 0 {
+			bt.terms += int64(rows) * int64(width*nI)
+		}
 		z := bt.zs[l][:rows*width]
 		transposeInto(bt.wt[l], net.W[l], nI, width)
-		for r := 0; r < rows; r++ {
-			affineRowT(z[r*width:], net.B[l], in[r*nI:], bt.wt[l], nI, width, 1)
+		finiteW := l > 0 && !t.allTerms && allFinite(net.W[l])
+		if l < last {
+			bt.hidden[l].finiteW = finiteW
+		}
+		if finiteW && biasSkips(net.B[l]) {
+			below, words := &bt.hidden[l-1], (nI+63)/64
+			for r := 0; r < rows; r++ {
+				affineRowTLive(z[r*width:], net.B[l], in[r*nI:], bt.wt[l], below.live[r*words:], nI, width, 1)
+			}
+			bt.skipped += below.dead * int64(width)
+		} else {
+			for r := 0; r < rows; r++ {
+				affineRowT(z[r*width:], net.B[l], in[r*nI:], bt.wt[l], nI, width, 1)
+			}
 		}
 		if l == last {
 			break
 		}
 		in = bt.acts[l][:rows*width]
 		reluCopy(in, z)
+		h := &bt.hidden[l]
+		live := h.live[:rows*((width+63)/64)]
+		liveMask(live, z, rows, width)
+		h.dead = int64(rows * width)
+		for _, m := range live {
+			h.dead -= int64(bits.OnesCount64(m))
+		}
 	}
 	return bt
+}
+
+// biasSkips reports whether no bias is -0 or NaN, so that a forward row
+// may leave out its ±0 terms (see forward).
+func biasSkips(b []float64) bool {
+	for _, v := range b {
+		if v != v || math.Float64bits(v) == 1<<63 {
+			return false
+		}
+	}
+	return true
 }
 
 // backward turns the output deltas a loss left in bt.delta[last] (rows ×
@@ -188,29 +309,89 @@ func (t *Trainer) forward(xs [][]float64) *batchTrainWS {
 // over samples (x: ones; weights: the delta matrix), and a sample's
 // propagated delta over outputs (weights: W as stored) — then the ReLU mask.
 // A sample whose delta row is all zero adds nothing to any of them, exactly
-// as if it had been skipped.
+// as if it had been skipped. Below the output layer the gradient rows and
+// propagated deltas leave out the masked units' terms where forward's
+// certificates allow.
 func (t *Trainer) backward(rows int) {
 	net, bt := t.Net, t.bt
-	for l := net.NumLayers() - 1; l >= 0; l-- {
+	last := net.NumLayers() - 1
+	for l := last; l >= 0; l-- {
 		nI, nO := net.Sizes[l], net.Sizes[l+1]
 		layerIn := bt.x
 		if l > 0 {
 			layerIn = bt.acts[l-1]
 		}
+		layerIn = layerIn[:rows*nI]
 		d := bt.delta[l][:rows*nO]
 		gw := t.gradW[l]
-		for o := 0; o < nO; o++ {
-			affineRowT(gw[o*nI:], bt.zero, d[o:], layerIn, rows, nI, nO)
+		if l < last && !t.allTerms && allFinite(layerIn) {
+			h, words := &bt.hidden[l], (rows+63)/64
+			transposeBits(h.liveT, h.live, rows, nO)
+			for o := 0; o < nO; o++ {
+				affineRowTLive(gw[o*nI:], bt.zero, d[o:], layerIn, h.liveT[o*words:], rows, nI, nO)
+			}
+			bt.skipped += h.dead * int64(nI)
+		} else {
+			for o := 0; o < nO; o++ {
+				affineRowT(gw[o*nI:], bt.zero, d[o:], layerIn, rows, nI, nO)
+			}
 		}
 		affineRowT(t.gradB[l], bt.zero, bt.ones, d, rows, nO, 1)
 		if l == 0 {
 			break
 		}
 		dp := bt.delta[l-1][:rows*nI]
-		for s := 0; s < rows; s++ {
-			affineRowT(dp[s*nI:], bt.zero, d[s*nO:], net.W[l], nO, nI, 1)
+		if l < last && bt.hidden[l].finiteW {
+			h, words := &bt.hidden[l], (nO+63)/64
+			for s := 0; s < rows; s++ {
+				affineRowTLive(dp[s*nI:], bt.zero, d[s*nO:], net.W[l], h.live[s*words:], nO, nI, 1)
+			}
+			bt.skipped += h.dead * int64(nI)
+		} else {
+			for s := 0; s < rows; s++ {
+				affineRowT(dp[s*nI:], bt.zero, d[s*nO:], net.W[l], nO, nI, 1)
+			}
 		}
 		maskNonPos(dp, bt.zs[l-1][:rows*nI])
+	}
+	trainTermsTotal.Add(bt.terms)
+	trainTermsSkipped.Add(bt.skipped)
+}
+
+// transposeBits writes the bit transpose of a rows × width bit matrix:
+// bit s of dst's unit-major row o ((rows+63)/64 words a row) is bit o of
+// src's row s ((width+63)/64 words a row). It runs in 64×64 tiles.
+func transposeBits(dst, src []uint64, rows, width int) {
+	srcWords, dstWords := (width+63)/64, (rows+63)/64
+	var tile [64]uint64
+	for sb := 0; sb < dstWords; sb++ {
+		n := min(64, rows-sb*64)
+		for ob := 0; ob < srcWords; ob++ {
+			for k := range n {
+				tile[k] = src[(sb*64+k)*srcWords+ob]
+			}
+			clear(tile[n:])
+			transpose64(&tile)
+			for k := range min(64, width-ob*64) {
+				dst[(ob*64+k)*dstWords+sb] = tile[k]
+			}
+		}
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place (bit o of word s
+// becomes bit s of word o) by swapping off-diagonal blocks of halving size
+// (Hacker's Delight, 7-3): 6 rounds of 32 word pairs.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			// k and k+j are below 64; the masks only drop the bounds checks.
+			t := (a[k&63]>>j ^ a[(k+j)&63]) & m
+			a[k&63] ^= t << j
+			a[(k+j)&63] ^= t
+		}
+		m ^= m << (j >> 1)
 	}
 }
 

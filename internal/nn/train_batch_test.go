@@ -455,3 +455,212 @@ func TestAdamSlabMatchesScalarReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTrainShapes times each of a training step's affine call families
+// at the TTP's shape (22 features, two hidden layers of 64, 21 bins) over a
+// 64-sample minibatch, one op being all of a step's calls of that family
+// through the dispatched body: the dense row, and for the five families that
+// skip dead units the live row with every input live and with half of them
+// (a random half per call). ps/madd is per multiply-add run; dense/live100
+// is the list walk's overhead, live50 what half the units dying saves.
+func BenchmarkTrainShapes(b *testing.B) {
+	const rows = 64
+	families := []struct {
+		name                      string
+		calls, nIn, nOut, xStride int
+		xStep, dstStep            int // per call
+		skips                     bool
+	}{
+		{"fwd0-22to64", rows, 22, 64, 1, 22, 64, false},
+		{"fwd1-64to64", rows, 64, 64, 1, 64, 64, true},
+		{"fwd2-64to21", rows, 64, 21, 1, 64, 21, true},
+		{"gradW0-64to22s64", 64, rows, 22, 64, 1, 22, true},
+		{"gradW1-64to64s64", 64, rows, 64, 64, 1, 64, true},
+		{"gradW2-64to64s21", 21, rows, 64, 21, 1, 64, false},
+		{"gradB1-64to64", 1, rows, 64, 1, 0, 0, false},
+		{"prop2-21to64", rows, 21, 64, 1, 21, 64, false},
+		{"prop1-64to64", rows, 64, 64, 1, 64, 64, true},
+	}
+	rng := rand.New(rand.NewSource(36))
+	normals := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	for _, f := range families {
+		x := normals((f.calls-1)*f.xStep + (f.nIn-1)*f.xStride + 1)
+		wt, bias := normals(f.nIn*f.nOut), normals(f.nOut)
+		dst := make([]float64, (f.calls-1)*f.dstStep+f.nOut)
+		madds := float64(f.calls * f.nIn * f.nOut)
+		b.Run(f.name+"/dense", func(b *testing.B) {
+			for b.Loop() {
+				for c := 0; c < f.calls; c++ {
+					affineRowT(dst[c*f.dstStep:], bias, x[c*f.xStep:], wt, f.nIn, f.nOut, f.xStride)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1e3/float64(b.N)/madds, "ps/madd")
+		})
+		if !f.skips {
+			continue
+		}
+		words := (f.nIn + 63) / 64
+		for _, share := range []float64{1, 0.5} {
+			live := make([]uint64, f.calls*words)
+			n := 0
+			for c := 0; c < f.calls; c++ {
+				for _, i := range rng.Perm(f.nIn)[:int(share*float64(f.nIn))] {
+					live[c*words+i/64] |= 1 << (i % 64)
+					n++
+				}
+			}
+			b.Run(fmt.Sprintf("%s/live%.0f", f.name, share*100), func(b *testing.B) {
+				for b.Loop() {
+					for c := 0; c < f.calls; c++ {
+						affineRowTLive(dst[c*f.dstStep:], bias, x[c*f.xStep:], wt, live[c*words:], f.nIn, f.nOut, f.xStride)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1e3/float64(b.N)/float64(n*f.nOut), "ps/madd")
+			})
+		}
+	}
+}
+
+// stepState is everything one training step leaves behind: the loss, the
+// gradient and parameter slabs, and every layer's z, relu(z) and delta rows.
+func stepState(tr *Trainer, loss float64, rows int) [][]float64 {
+	st := [][]float64{{loss}, tr.grad, tr.Net.flat}
+	for l, width := range tr.Net.Sizes[1:] {
+		st = append(st, tr.bt.zs[l][:rows*width], tr.bt.delta[l][:rows*width])
+		if l < len(tr.bt.hidden) {
+			st = append(st, tr.bt.acts[l][:rows*width])
+		}
+	}
+	return st
+}
+
+// TestTrainSkipMatchesAllTerms holds the step that leaves dead units' terms
+// out to the step that runs every term, bit for bit in everything the step
+// writes (z rows included, where a −0 against a +0 shows), over hidden widths
+// 1-80 and minibatches of 1-130 rows with whole rows dead and whole rows
+// live in the first hidden layer. The poisoned cases break one certificate
+// each: a ±Inf or NaN weight above the first layer (a dead term would be
+// NaN), a −0 bias (a row whose inputs are all dead would keep it), an
+// infinite feature (a dead gradient term would be NaN) and a NaN one.
+func TestTrainSkipMatchesAllTerms(t *testing.T) {
+	poisons := []string{"none", "inf-weight", "nan-weight", "negzero-bias", "inf-feature", "nan-feature"}
+	rng := rand.New(rand.NewSource(41))
+	skipped := false
+	for width := 1; width <= 80; width++ {
+		for _, poison := range poisons {
+			rows := 1 + (width*37+len(poison)*11)%130
+			if width%20 == 0 {
+				rows = 130
+			}
+			const nIn, nOut = 6, 5
+			a := NewMLP(rng, nIn, width, width, nOut)
+			for o := 0; o < width; o++ {
+				a.W[0][o*nIn] = 1 // feature 0 = ±1000 makes a row all live or all dead
+			}
+			xs := make([][]float64, rows)
+			for s := range xs {
+				xs[s] = randomBatch(rng, 1, nIn)
+				switch s % 4 {
+				case 1:
+					xs[s][0] = -1000
+				case 2:
+					xs[s][0] = 1000
+				}
+			}
+			l := 1 + rng.Intn(2)
+			switch poison {
+			case "inf-weight":
+				a.W[l][rng.Intn(len(a.W[l]))] = math.Inf(1 - 2*rng.Intn(2))
+			case "nan-weight":
+				a.W[l][rng.Intn(len(a.W[l]))] = math.NaN()
+			case "negzero-bias":
+				for o := range a.B[l] {
+					if o%2 == 0 {
+						a.B[l][o] = math.Copysign(0, -1)
+					}
+				}
+			case "inf-feature":
+				xs[rng.Intn(rows)][1+rng.Intn(nIn-1)] = math.Inf(1)
+			case "nan-feature":
+				xs[rng.Intn(rows)][1+rng.Intn(nIn-1)] = math.NaN()
+			}
+			b := a.Clone()
+			labels := make([]int, rows)
+			for s := range labels {
+				labels[s] = rng.Intn(nOut)
+			}
+			ta, tb := NewTrainer(a, &Adam{LR: 1e-3}), NewTrainer(b, &Adam{LR: 1e-3})
+			tb.allTerms = true
+			for step := 0; step < 2; step++ {
+				got := stepState(ta, ta.TrainClassBatch(xs, labels, nil), rows)
+				want := stepState(tb, tb.TrainClassBatch(xs, labels, nil), rows)
+				for k := range want {
+					sameFloats(t, fmt.Sprintf("width %d rows %d %s step %d state %d", width, rows, poison, step, k), got[k], want[k])
+				}
+				if tb.bt.skipped != 0 || ta.bt.terms != tb.bt.terms {
+					t.Fatalf("width %d %s: the all-terms step skipped %d of %d terms (skipping step: %d)",
+						width, poison, tb.bt.skipped, tb.bt.terms, ta.bt.terms)
+				}
+				skipped = skipped || ta.bt.skipped > 0
+			}
+		}
+	}
+	if !skipped {
+		t.Fatal("no step skipped a term: the comparison proved nothing")
+	}
+}
+
+// TestTrainClassBatchNoAlloc: after warm-up a classification step allocates
+// nothing, at the TTP's shape and at a smaller remainder batch.
+func TestTrainClassBatchNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	net, _, xs, labels, weights := trainFixture(rng, []int{22, 64, 64, 21}, 64)
+	tr := NewTrainer(net, &Adam{LR: 1e-3})
+	tr.TrainClassBatch(xs, labels, weights)
+	for _, rows := range []int{64, 23} {
+		if allocs := testing.AllocsPerRun(20, func() { tr.TrainClassBatch(xs[:rows], labels[:rows], weights[:rows]) }); allocs != 0 {
+			t.Fatalf("TrainClassBatch on %d rows allocates %v times per step, want 0", rows, allocs)
+		}
+	}
+}
+
+// TestTransposeBits: the unit-major masks the gradient rows read against a
+// bit-by-bit transpose, over one and two 64-bit tiles each way.
+func TestTransposeBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, rows := range []int{1, 7, 63, 64, 65, 130} {
+		for _, width := range []int{1, 22, 64, 65, 80} {
+			srcWords, dstWords := (width+63)/64, (rows+63)/64
+			src := make([]uint64, rows*srcWords)
+			for s := 0; s < rows; s++ {
+				for o := 0; o < width; o++ {
+					if rng.Intn(2) == 0 {
+						src[s*srcWords+o/64] |= 1 << (o % 64)
+					}
+				}
+			}
+			dst := make([]uint64, width*dstWords)
+			for i := range dst {
+				dst[i] = ^uint64(0) // every word must be written
+			}
+			transposeBits(dst, src, rows, width)
+			for o := 0; o < width; o++ {
+				for s := 0; s < dstWords*64; s++ {
+					want := uint64(0)
+					if s < rows {
+						want = src[s*srcWords+o/64] >> (o % 64) & 1
+					}
+					if got := dst[o*dstWords+s/64] >> (s % 64) & 1; got != want {
+						t.Fatalf("%d×%d: bit (unit %d, sample %d) = %d, want %d", rows, width, o, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}
