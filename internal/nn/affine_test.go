@@ -161,21 +161,8 @@ func TestElementwiseKernelsMatchPortable(t *testing.T) {
 			maskNonPos(got, src)
 			sameFloats(t, fmt.Sprintf("maskNonPos n=%d", n), got, want)
 
-			// The live masks of src as rows of n-rep, and of the specials;
-			// allFinite over src and over a finite prefix of it.
-			if width := n - rep; width > 0 {
-				rows := n / width
-				words := rows * ((width + 63) / 64)
-				wantM, gotM := make([]uint64, words), make([]uint64, words)
-				for i := range gotM {
-					gotM[i] = ^uint64(0) // every bit must be written
-				}
-				liveMaskGo(wantM, src, rows, width)
-				liveMask(gotM, src, rows, width)
-				if !slices.Equal(gotM, wantM) {
-					t.Fatalf("liveMask %d×%d: %x, want %x", rows, width, gotM, wantM)
-				}
-			}
+			// allFinite over src, and up to and past its first non-finite
+			// element.
 			if got, want := allFinite(src), allFiniteGo(src); got != want {
 				t.Fatalf("allFinite n=%d: %v, want %v", n, got, want)
 			}
@@ -203,6 +190,22 @@ func TestElementwiseKernelsMatchPortable(t *testing.T) {
 			sameFloats(t, fmt.Sprintf("adam p n=%d", n), p2, p)
 			sameFloats(t, fmt.Sprintf("adam m n=%d", n), m2, m)
 			sameFloats(t, fmt.Sprintf("adam v n=%d", n), v2, v)
+		}
+	}
+	// liveMask over three rows of every width 1-80 (one and two mask words,
+	// every eight-lane and four-lane tail) of the mixed values.
+	for width := 1; width <= 80; width++ {
+		const rows = 3
+		z := mixed(rng, rows*width)
+		words := rows * ((width + 63) / 64)
+		want, got := make([]uint64, words), make([]uint64, words)
+		for i := range got {
+			got[i] = ^uint64(0) // every bit must be written
+		}
+		liveMaskGo(want, z, rows, width)
+		liveMask(got, z, rows, width)
+		if !slices.Equal(got, want) {
+			t.Fatalf("liveMask %d×%d: %x, want %x", rows, width, got, want)
 		}
 	}
 }
