@@ -80,7 +80,6 @@ func benchObservations(n int) []*abr.Observation {
 		set[s] = &abr.Observation{
 			ChunkIndex:  len(hist),
 			Buffer:      rng.Float64() * 15,
-			BufferCap:   15,
 			LastQuality: hist[len(hist)-1].Quality,
 			LastSSIM:    hist[len(hist)-1].SSIMdB,
 			History:     hist,

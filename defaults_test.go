@@ -23,7 +23,6 @@ var shadowDefaultAllowlist = map[string]string{
 	"fleet.RunTrial: cfg.Workers": "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",
 	"dist.NewPool: cfg.Workers":   "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",
 	"serve.RunLoad: cfg.Logf":     "nil Logf is the documented silent mode",
-	"pensieve.Train: cfg.Paths":   "nil Paths is the baseline's FCC training family; a test trains on another",
 	// The server's operational limits are no part of any experiment's
 	// outcome; the benchmark builds serve.Config{Plan} and relies on them.
 	"serve.NewServer: cfg.MaxBatch":     "serving limit, not an experiment value; the benchmark relies on it",
@@ -86,8 +85,9 @@ func TestNoShadowDefaults(t *testing.T) {
 			if defaultHomes[name] {
 				continue
 			}
-			// A pointer receiver's own fields are its state (a memo, a
-			// running estimate, a first error), not a caller's config.
+			// A pointer receiver's own unexported fields are its state (a
+			// memo, a running estimate, a first error); an exported one is
+			// a caller's config.
 			state := ""
 			if fn.Recv != nil {
 				recv := fn.Recv.List[0]
@@ -126,7 +126,8 @@ func TestNoShadowDefaults(t *testing.T) {
 					if !strings.Contains(e, ".") {
 						e = copies[e]
 					}
-					if e != "" && !strings.HasPrefix(e, state+".") {
+					field, own := strings.CutPrefix(e, state+".")
+					if e != "" && !(own && !ast.IsExported(field)) {
 						key := name + ": " + e
 						found[key] = append(found[key], fset.Position(x.Pos()).String())
 					}

@@ -31,10 +31,9 @@ func (r ChunkRecord) Throughput() float64 {
 // quality. The ABR scheme runs server-side, as on Puffer.
 type Observation struct {
 	ChunkIndex int
-	// Buffer is the client's playback buffer in seconds.
+	// Buffer is the client's playback buffer in seconds, at most
+	// player.BufferCap.
 	Buffer float64
-	// BufferCap is the client's maximum buffer (15 s on Puffer).
-	BufferCap float64
 	// LastQuality is the rung of the previous chunk, or -1 at stream
 	// start.
 	LastQuality int

@@ -26,7 +26,6 @@ func obsWith(buffer float64, hist []ChunkRecord, horizon []media.Chunk) *Observa
 	return &Observation{
 		ChunkIndex:  len(hist), // one decision per completed chunk
 		Buffer:      buffer,
-		BufferCap:   15,
 		LastQuality: -1,
 		History:     hist,
 		Horizon:     horizon,

@@ -39,7 +39,7 @@ func deferredObs(n int, seed int64) []*Observation {
 			lastSSIM = hist[len(hist)-1].SSIMdB
 		}
 		out[s] = &Observation{
-			ChunkIndex: len(hist), Buffer: rng.Float64() * 15, BufferCap: 15,
+			ChunkIndex: len(hist), Buffer: rng.Float64() * 15,
 			LastQuality: lastQ, LastSSIM: lastSSIM, History: hist, Horizon: horizon,
 		}
 	}
@@ -74,7 +74,7 @@ func TestMPCDeferredSplitEqualsChoose(t *testing.T) {
 // split exactly as by Choose.
 func TestMPCDeferredEmptyHorizon(t *testing.T) {
 	m := NewMPCHM()
-	obs := &Observation{Horizon: nil, BufferCap: 15}
+	obs := &Observation{Horizon: nil}
 	if got := m.Choose(obs); got != 0 {
 		t.Fatalf("Choose on empty horizon = %d, want 0", got)
 	}

@@ -15,10 +15,10 @@
 // same offset — computes the continuation term as a shifted accumulate over
 // contiguous value rows and the maximum over rungs as one vector pass
 // (nn.ShiftedAccum, nn.MaxPlane). The outcome tables behind that depend on
-// the observation's BufferCap alone (the grid step is the constant bufStep,
-// 0.25 s) and are built once per session. The seed
-// planner, a memoized forward recursion over a per-size fill, lives in this
-// package's tests as the differential oracle for all of that.
+// player.BufferCap and the grid step bufStep (0.25 s) alone, both constants,
+// so they are built once per process. The seed planner, a memoized forward
+// recursion over a per-size fill, lives in this package's tests as the
+// differential oracle for all of that.
 //
 // Main entry points:
 //

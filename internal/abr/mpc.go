@@ -6,6 +6,7 @@ import (
 	"puffer/internal/media"
 	"puffer/internal/nn"
 	metrics "puffer/internal/obs"
+	"puffer/internal/player"
 )
 
 // Controller stage timers (write-only; see the obs package contract).
@@ -49,21 +50,12 @@ type MPC struct {
 
 	// Scratch, reused across decisions. Every slice below is a view of
 	// the one slab, carved by ensureScratch.
-	f64    []float64
-	dists  []float64 // predicted distributions, indexed (step*nQ+q)*NumBins
-	sizes  []float64 // candidate sizes for one step's batched fill
-	nBuf   int
-	bufCap float64
+	f64   []float64
+	dists []float64 // predicted distributions, indexed (step*nQ+q)*NumBins
+	sizes []float64 // candidate sizes for one step's batched fill
 	// pendH/pendNQ carry the horizon dimensions from PrepareChoose to
 	// FinishChoose.
 	pendH, pendNQ int
-
-	// Outcome tables over the quantized buffer grid. They depend on
-	// bufCap alone, so a session builds them once.
-	cdBin int            // post-stall buffer bin: one chunk, capped
-	pad   int            // max(off): copies of the top bin kept after each value row
-	lo    [NumBins]int32 // k -> lowest buffer bin from which outcome k does not stall (nBuf: none)
-	off   [NumBins]int32 // k -> successor bin offset: outcome k takes bb >= lo[k] to min(bb+off[k], nBuf-1)
 
 	// factored value-iteration scratch, carved for scrNQ rungs
 	scrNQ  int
@@ -82,7 +74,19 @@ const (
 	planHorizon = 5
 	// bufStep is the buffer discretization, in seconds per bin.
 	bufStep = 0.25
+	// nBuf is the number of buffer bins, 0 through player.BufferCap.
+	nBuf = int(player.BufferCap/bufStep) + 1
 )
+
+// Outcome tables over the quantized buffer grid, filled once by buildGrid.
+var (
+	cdBin int            // post-stall buffer bin: one chunk, capped
+	pad   int            // max(off): copies of the top bin kept after each value row
+	lo    [NumBins]int32 // k -> lowest buffer bin from which outcome k does not stall (nBuf: none)
+	off   [NumBins]int32 // k -> successor bin offset: outcome k takes bb >= lo[k] to min(bb+off[k], nBuf-1)
+)
+
+func init() { buildGrid() }
 
 // NewMPC builds the controller over pred, maximizing Equation 1 over a
 // planHorizon-chunk lookahead on a bufStep-second buffer grid.
@@ -128,7 +132,7 @@ func (m *MPC) PrepareChoose(obs *Observation) {
 	if h == 0 {
 		return
 	}
-	m.ensureScratch(obs.BufferCap, h, nQ)
+	m.ensureScratch(h, nQ)
 	t0 := metrics.Now()
 	m.fillDists(obs, h, nQ)
 	mpcPredictNS.ObserveSince(t0)
@@ -166,21 +170,15 @@ func (m *MPC) distFor(step, q, nQ int) []float64 {
 }
 
 // ensureScratch sizes the planning scratch for this decision's dimensions:
-// the outcome tables when the buffer cap changed, the float64 views when
-// the cap, the ladder or a longer horizon did. A session's steady state
-// (and its horizon running out at the end of the stream) does neither.
-func (m *MPC) ensureScratch(bufCap float64, h, nQ int) {
+// the float64 views when the ladder changed or the horizon grew. A
+// session's steady state (and its horizon running out at the end of the
+// stream) does neither.
+func (m *MPC) ensureScratch(h, nQ int) {
 	distNeed := h * nQ * NumBins
-	regrid := bufCap != m.bufCap
-	if regrid {
-		m.bufCap = bufCap
-		m.nBuf = int(bufCap/bufStep) + 1
-		m.buildGrid()
-	}
-	if regrid || nQ != m.scrNQ || distNeed > cap(m.dists) {
+	if nQ != m.scrNQ || distNeed > cap(m.dists) {
 		m.scrNQ = nQ
-		plane := nQ * (m.nBuf + m.pad)
-		m.f64 = grow(m.f64, 2*plane+nQ*m.nBuf+nQ*nQ+2*nQ+distNeed)
+		plane := nQ * (nBuf + pad)
+		m.f64 = grow(m.f64, 2*plane+nQ*nBuf+nQ*nQ+2*nQ+distNeed)
 		rest := m.f64
 		carve := func(n int) []float64 {
 			v := rest[:n:n]
@@ -188,33 +186,31 @@ func (m *MPC) ensureScratch(bufCap float64, h, nQ int) {
 			return v
 		}
 		m.vCur, m.vNext = carve(plane), carve(plane)
-		m.base, m.qual = carve(nQ*m.nBuf), carve(nQ*nQ)
+		m.base, m.qual = carve(nQ*nBuf), carve(nQ*nQ)
 		m.sumP, m.sizes = carve(nQ), carve(nQ)
 		m.dists = rest // last: a shorter horizon is a shorter view
 	}
 	m.dists = m.dists[:distNeed]
 }
 
-// buildGrid fills the outcome tables for the current bufCap: per
-// outcome bin, the lowest buffer bin from which it does not stall (two
-// pointers; BinValue and the buffer grid are both increasing) and how far it
-// moves the buffer from there. The offset is read off bufBin(nextBuffer(…))
-// at lo[k], the one place the successor bin is computed; see plan for why it
-// holds for every bin above.
-func (m *MPC) buildGrid() {
-	m.cdBin = m.bufBin(m.nextBuffer(0, BinValue(NumBins-1)))
-	m.pad = 0
+// buildGrid fills the outcome tables: per outcome bin, the lowest buffer
+// bin from which it does not stall (two pointers; BinValue and the buffer
+// grid are both increasing) and how far it moves the buffer from there. The
+// offset is read off bufBin(nextBuffer(…)) at lo[k], the one place the
+// successor bin is computed; see plan for why it holds for every bin above.
+func buildGrid() {
+	cdBin = bufBin(nextBuffer(0, BinValue(NumBins-1)))
 	k := 0
-	for bb := 0; bb < m.nBuf; bb++ {
+	for bb := 0; bb < nBuf; bb++ {
 		buf := float64(bb) * bufStep
 		for ; k < NumBins && BinValue(k) <= buf; k++ {
-			m.lo[k] = int32(bb)
-			m.off[k] = int32(m.bufBin(m.nextBuffer(buf, BinValue(k))) - bb)
-			m.pad = max(m.pad, int(m.off[k]))
+			lo[k] = int32(bb)
+			off[k] = int32(bufBin(nextBuffer(buf, BinValue(k))) - bb)
+			pad = max(pad, int(off[k]))
 		}
 	}
 	for ; k < NumBins; k++ {
-		m.lo[k], m.off[k] = int32(m.nBuf), 0 // stalls from every bin
+		lo[k], off[k] = int32(nBuf), 0 // stalls from every bin
 	}
 }
 
@@ -265,7 +261,7 @@ func grow(s []float64, n int) []float64 {
 // order as summing Σ_{k<k0} p[k]·V(next(k,bb)) through a successor table, so
 // the order of the loops changes no bit of the result.
 func (m *MPC) plan(obs *Observation, h, nQ int) int {
-	nBuf, vStride := m.nBuf, m.nBuf+m.pad
+	vStride := nBuf + pad
 
 	// Backward induction: vNext starts as V_h ≡ 0 and after the loop body
 	// for step s holds V_s (value planes indexed prevQ*vStride+bufBin).
@@ -285,7 +281,7 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 			m.sumP[q] = sp
 			vrow := vNext[q*vStride : (q+1)*vStride]
 			brow := m.base[q*nBuf : (q+1)*nBuf]
-			vcd := vrow[m.cdBin]
+			vcd := vrow[cdBin]
 			// The suffix term, by runs of buffer bins that share their
 			// first stalling outcome k0: the bins below lo[k0] and not
 			// below lo[k0-1].
@@ -293,7 +289,7 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 			for k0 := 0; k0 <= NumBins; k0++ {
 				end := nBuf
 				if k0 < NumBins {
-					end = int(m.lo[k0])
+					end = int(lo[k0])
 				}
 				sp, st := m.suffP[k0], m.suffTT[k0]
 				cont := vcd * sp
@@ -302,7 +298,7 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 					brow[bb] = cont - qoeMu*(st-buf*sp)
 				}
 			}
-			nn.ShiftedAccum(brow, vrow, d, m.lo[:], m.off[:])
+			nn.ShiftedAccum(brow, vrow, d, lo[:], off[:])
 		}
 		for pq := 0; pq < nQ; pq++ {
 			sp := obs.Horizon[s-1].Versions[pq].SSIMdB
@@ -331,7 +327,7 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 	var next [NumBins]int
 	for k, tt := range binValues {
 		stall[k] = math.Max(tt-obs.Buffer, 0)
-		next[k] = m.bufBin(m.nextBuffer(obs.Buffer, tt))
+		next[k] = bufBin(nextBuffer(obs.Buffer, tt))
 	}
 	bestQ, bestV := 0, math.Inf(-1)
 	hasPrev := obs.LastQuality >= 0
@@ -355,18 +351,18 @@ func (m *MPC) plan(obs *Observation, h, nQ int) int {
 
 // nextBuffer applies the buffer dynamics: drain during the transfer, then
 // gain one chunk of playable video, capped at the client's maximum.
-func (m *MPC) nextBuffer(buf, transTime float64) float64 {
+func nextBuffer(buf, transTime float64) float64 {
 	b := math.Max(buf-transTime, 0) + media.ChunkDuration
-	if b > m.bufCap {
-		b = m.bufCap
+	if b > player.BufferCap {
+		b = player.BufferCap
 	}
 	return b
 }
 
-func (m *MPC) bufBin(buf float64) int {
+func bufBin(buf float64) int {
 	i := int(buf/bufStep + 0.5)
-	if i >= m.nBuf {
-		i = m.nBuf - 1
+	if i >= nBuf {
+		i = nBuf - 1
 	}
 	if i < 0 {
 		i = 0

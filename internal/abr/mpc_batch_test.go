@@ -45,7 +45,6 @@ func randomObs(rng *rand.Rand) *Observation {
 	return &Observation{
 		ChunkIndex:  nHist,
 		Buffer:      rng.Float64() * 15,
-		BufferCap:   15,
 		LastQuality: lastQ,
 		LastSSIM:    lastSSIM,
 		History:     hist,

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	_ "unsafe" // go:linkname
+
+	"puffer/internal/player"
 )
 
 // The SIMD gates of the nn kernel primitives. nn keeps them unexported and
@@ -32,8 +34,7 @@ func TestPlanPortableBodies(t *testing.T) {
 		m := NewMPC("m", spreadPredictor{})
 		for trial := 0; trial < 60; trial++ {
 			obs := randomObs(rng)
-			obs.BufferCap = plannerBufCaps[rng.Intn(len(plannerBufCaps))]
-			obs.Buffer = rng.Float64() * obs.BufferCap
+			obs.Buffer = rng.Float64() * player.BufferCap
 			rungs = append(rungs, m.Choose(obs))
 			slabs = append(slabs, slices.Clone(m.f64))
 		}

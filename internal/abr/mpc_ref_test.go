@@ -12,10 +12,10 @@ func (m *MPC) ChooseReference(obs *Observation) int {
 	if h == 0 {
 		return 0
 	}
-	m.ensureScratch(obs.BufferCap, h, nQ)
+	m.ensureScratch(h, nQ)
 	memo := &refMemo{
-		value:   make([]float64, h*m.nBuf*nQ),
-		visited: make([]bool, h*m.nBuf*nQ),
+		value:   make([]float64, h*nBuf*nQ),
+		visited: make([]bool, h*nBuf*nQ),
 	}
 
 	for step := 0; step < h; step++ {
@@ -36,7 +36,7 @@ func (m *MPC) ChooseReference(obs *Observation) int {
 			tt := BinValue(k)
 			stall := math.Max(tt-obs.Buffer, 0)
 			qoe := ChunkQoE(enc.SSIMdB, obs.LastSSIM, stall, obs.LastQuality >= 0)
-			next := m.nextBuffer(obs.Buffer, tt)
+			next := nextBuffer(obs.Buffer, tt)
 			v += p * (qoe + m.refValueAt(memo, obs, 1, h, nQ, next, q))
 		}
 		if v > bestV {
@@ -61,8 +61,8 @@ func (m *MPC) refValueAt(memo *refMemo, obs *Observation, step, h, nQ int, buf f
 	if step >= h {
 		return 0
 	}
-	bb := m.bufBin(buf)
-	idx := (step*m.nBuf+bb)*nQ + prevQ
+	bb := bufBin(buf)
+	idx := (step*nBuf+bb)*nQ + prevQ
 	if memo.visited[idx] {
 		return memo.value[idx]
 	}
@@ -80,7 +80,7 @@ func (m *MPC) refValueAt(memo *refMemo, obs *Observation, step, h, nQ int, buf f
 			tt := BinValue(k)
 			stall := math.Max(tt-bufQ, 0)
 			qoe := ChunkQoE(enc.SSIMdB, prevSSIM, stall, true)
-			next := m.nextBuffer(bufQ, tt)
+			next := nextBuffer(bufQ, tt)
 			v += p * (qoe + m.refValueAt(memo, obs, step+1, h, nQ, next, q))
 		}
 		if v > best {

@@ -7,6 +7,7 @@ import (
 
 	"puffer/internal/abr"
 	"puffer/internal/media"
+	"puffer/internal/player"
 	"puffer/internal/tcpsim"
 )
 
@@ -45,7 +46,6 @@ func batchObs(rng *rand.Rand, nQ, horizon int) *abr.Observation {
 	return &abr.Observation{
 		ChunkIndex:  nHist,
 		Buffer:      rng.Float64() * 15,
-		BufferCap:   15,
 		LastQuality: lastQ,
 		LastSSIM:    lastSSIM,
 		History:     hist,
@@ -144,11 +144,7 @@ func refRootValues(t *testing.T, pred abr.Predictor, obs *abr.Observation) []flo
 		}
 	}
 	const bufStep = 0.25
-	bufCap := obs.BufferCap
-	if bufCap <= 0 {
-		bufCap = 15
-	}
-	nBuf := int(bufCap/bufStep) + 1
+	nBuf := int(player.BufferCap/bufStep) + 1
 	bufBin := func(buf float64) int {
 		i := int(buf/bufStep + 0.5)
 		if i >= nBuf {
@@ -161,8 +157,8 @@ func refRootValues(t *testing.T, pred abr.Predictor, obs *abr.Observation) []flo
 	}
 	nextBuffer := func(buf, tt float64) float64 {
 		b := math.Max(buf-tt, 0) + media.ChunkDuration
-		if b > bufCap {
-			b = bufCap
+		if b > player.BufferCap {
+			b = player.BufferCap
 		}
 		return b
 	}

@@ -12,7 +12,6 @@ import (
 
 	"puffer/internal/abr"
 	"puffer/internal/nn"
-	"puffer/internal/player"
 	"puffer/internal/tcpsim"
 	"puffer/internal/wire"
 )
@@ -297,7 +296,7 @@ func TestPredictorProbabilisticSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ttp := NewTTP(rng, DefaultHorizon, nil, DefaultFeatures(), KindTransTime)
 	p := NewPredictor(ttp, ModeProbabilistic)
-	obs := &abr.Observation{BufferCap: player.DefaultBufferCap, TCP: tcpsim.Info{CWND: 10, MinRTT: 0.04, RTT: 0.05, DeliveryRate: 5e6}}
+	obs := &abr.Observation{TCP: tcpsim.Info{CWND: 10, MinRTT: 0.04, RTT: 0.05, DeliveryRate: 5e6}}
 	dist := make([]float64, abr.NumBins)
 	for step := 0; step < DefaultHorizon+2; step++ { // beyond-horizon steps clamp
 		p.PredictDist(obs, step, 1e6, dist)
@@ -318,7 +317,7 @@ func TestPredictorPointEstimateOneHot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ttp := NewTTP(rng, 1, nil, DefaultFeatures(), KindTransTime)
 	p := NewPredictor(ttp, ModePointEstimate)
-	obs := &abr.Observation{BufferCap: player.DefaultBufferCap, TCP: tcpsim.Info{DeliveryRate: 5e6}}
+	obs := &abr.Observation{TCP: tcpsim.Info{DeliveryRate: 5e6}}
 	dist := make([]float64, abr.NumBins)
 	p.PredictDist(obs, 0, 1e6, dist)
 	ones, zeros := 0, 0
@@ -340,7 +339,7 @@ func TestThroughputKindConvertsToTimeDist(t *testing.T) {
 	cfg := FeatureConfig{HistLen: 8, UseTCPInfo: true, UseProposedSize: false}
 	ttp := NewTTP(rng, 1, nil, cfg, KindThroughput)
 	p := NewPredictor(ttp, ModeProbabilistic)
-	obs := &abr.Observation{BufferCap: player.DefaultBufferCap, TCP: tcpsim.Info{DeliveryRate: 5e6}}
+	obs := &abr.Observation{TCP: tcpsim.Info{DeliveryRate: 5e6}}
 	small := make([]float64, abr.NumBins)
 	large := make([]float64, abr.NumBins)
 	p.PredictDist(obs, 0, 1e5, small)

@@ -25,7 +25,7 @@ func stagedObs(rng *rand.Rand) *abr.Observation {
 		hist[i] = abr.ChunkRecord{Size: size, TransTime: size * 8 / 8e6, SSIMdB: 13, Quality: 4}
 	}
 	return &abr.Observation{
-		ChunkIndex: len(hist), Buffer: rng.Float64() * 15, BufferCap: 15,
+		ChunkIndex: len(hist), Buffer: rng.Float64() * 15,
 		LastQuality: 4, LastSSIM: 13, History: hist, Horizon: horizon,
 	}
 }

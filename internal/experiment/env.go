@@ -9,7 +9,7 @@ import (
 
 // Env is the world a session runs in: what varies between experiments.
 // The rest of the world is fixed, as on Puffer: the 15-second client buffer
-// (player.DefaultBufferCap), the viewer model (player's IntendedDuration,
+// (player.BufferCap), the viewer model (player's IntendedDuration,
 // StartupPatience, AbandonOnStall and LeaveAfterChunk), and this package's
 // lookAhead, maxStall, traceDuration and badDecoderProb.
 type Env struct {

@@ -77,7 +77,7 @@ func (p *streamParams) decide(obs *abr.Observation) int {
 // its summary and outcome.
 func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 	src := p.env.newSource(p.rng)
-	buf := &player.Buffer{Cap: player.DefaultBufferCap}
+	buf := &player.Buffer{}
 	builder := telemetry.NewSummaryBuilder(p.session, p.streamIX, p.scheme)
 	p.alg.Reset()
 
@@ -104,7 +104,6 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 		obs := abr.Observation{
 			ChunkIndex:  chunkIX,
 			Buffer:      buf.Level(),
-			BufferCap:   player.DefaultBufferCap,
 			LastQuality: lastQuality,
 			LastSSIM:    lastSSIM,
 			History:     history,

@@ -45,16 +45,12 @@ type DriftSchedule struct {
 	// runs settle at a shifted-down population instead of a dead network
 	// (0 = no floor).
 	RateFactorFloor float64
-	// SigmaWidenPerDay widens the session-mean spread: on day d each
-	// session's capacity is additionally multiplied by a lognormal factor
-	// with log-std-dev d*SigmaWidenPerDay (0 = no widening).
-	SigmaWidenPerDay float64
 	// SlowSharePerDay grows the slow-path population: on day d an extra
 	// min(d*SlowSharePerDay, SlowShareCap) fraction of sessions is
 	// retargeted onto slow paths (session mean capped in the
 	// [0.8, 4.5] Mbit/s band the paper calls "slow"). 0 = no growth.
 	SlowSharePerDay float64
-	// SlowShareCap bounds the extra slow share (0 = default 0.6).
+	// SlowShareCap bounds the extra slow share (0 = no extra share).
 	SlowShareCap float64
 	// OutageRatePerDay ramps up deep outages: on day d an additional
 	// Poisson outage process of rate d*OutageRatePerDay (outages per
@@ -63,11 +59,11 @@ type DriftSchedule struct {
 	// OutageRateCap bounds the ramped rate (outages per second; 0 = no
 	// cap).
 	OutageRateCap float64
-	// OutageDepth multiplies capacity during an overlaid outage
-	// (0 = default 0.05).
+	// OutageDepth multiplies capacity during an overlaid outage (0 = the
+	// link drops to the 1 kbit/s floor).
 	OutageDepth float64
 	// OutageMeanDur is the mean overlaid-outage duration in seconds
-	// (0 = default 4).
+	// (0 = each outage covers only the trace sample it starts in).
 	OutageMeanDur float64
 	// MixWith, when non-nil, interpolates the population toward a second
 	// family: on day d a session is drawn from MixWith instead of the base
@@ -82,13 +78,9 @@ type DriftSchedule struct {
 	MixRampDays int
 }
 
-// Defaults for the zero-valued DriftSchedule knobs.
+// The paper's "slow path" band: session means below 6 Mbit/s carry most of
+// the stalls; retargeted sessions land log-uniformly here.
 const (
-	defaultSlowShareCap  = 0.6
-	defaultOutageDepth   = 0.05
-	defaultOutageMeanDur = 4.0
-	// The paper's "slow path" band: session means below 6 Mbit/s carry
-	// most of the stalls; retargeted sessions land log-uniformly here.
 	slowBandLo = 0.8e6
 	slowBandHi = 4.5e6
 )
@@ -96,7 +88,7 @@ const (
 // IsZero reports whether the schedule configures no drift at all.
 func (s *DriftSchedule) IsZero() bool {
 	return (s.RateFactorPerDay == 0 || s.RateFactorPerDay == 1) &&
-		s.SigmaWidenPerDay == 0 && s.SlowSharePerDay == 0 &&
+		s.SlowSharePerDay == 0 &&
 		s.OutageRatePerDay == 0 && s.MixWith == nil
 }
 
@@ -112,24 +104,12 @@ func (s *DriftSchedule) RateScale(day int) float64 {
 	return f
 }
 
-// SigmaWiden returns the extra lognormal log-std-dev for a day.
-func (s *DriftSchedule) SigmaWiden(day int) float64 {
-	if s.SigmaWidenPerDay <= 0 || day <= 0 {
-		return 0
-	}
-	return s.SigmaWidenPerDay * float64(day)
-}
-
 // SlowShare returns the extra slow-path fraction for a day.
 func (s *DriftSchedule) SlowShare(day int) float64 {
 	if s.SlowSharePerDay <= 0 || day <= 0 {
 		return 0
 	}
-	limit := s.SlowShareCap
-	if limit <= 0 {
-		limit = defaultSlowShareCap
-	}
-	return math.Min(s.SlowSharePerDay*float64(day), limit)
+	return math.Min(s.SlowSharePerDay*float64(day), s.SlowShareCap)
 }
 
 // OutageRate returns the overlaid outage rate (per second) for a day.
@@ -156,25 +136,11 @@ func (s *DriftSchedule) MixWeight(day int) float64 {
 	return math.Min(w, 1)
 }
 
-// outageDepth/outageMeanDur apply the zero-value defaults.
-func (s *DriftSchedule) outageDepth() float64 {
-	if s.OutageDepth <= 0 {
-		return defaultOutageDepth
-	}
-	return s.OutageDepth
-}
-
-func (s *DriftSchedule) outageMeanDur() float64 {
-	if s.OutageMeanDur <= 0 {
-		return defaultOutageMeanDur
-	}
-	return s.OutageMeanDur
-}
-
 // Signature is a compact, deterministic encoding of every knob that shapes
-// results. DriftingSampler.Name embeds it, which is how a drift config
-// participates in the runner's checkpoint-manifest guard: resuming a
-// checkpoint with a different schedule changes the name and is rejected.
+// results. DriftingSampler.Name embeds it, so two schedules that sample
+// differently never share a sampler name. (The checkpoint manifest does not
+// read the name: it pins the spec's GuardHash, which covers the drift
+// preset.)
 func (s *DriftSchedule) Signature() string {
 	if s.IsZero() {
 		return "none"
@@ -184,14 +150,11 @@ func (s *DriftSchedule) Signature() string {
 	if s.RateFactorPerDay > 0 && s.RateFactorPerDay != 1 {
 		add("rate^%g>%g", s.RateFactorPerDay, s.RateFactorFloor)
 	}
-	if s.SigmaWidenPerDay > 0 {
-		add("sigma+%g", s.SigmaWidenPerDay)
-	}
 	if s.SlowSharePerDay > 0 {
 		add("slow+%g<%g", s.SlowSharePerDay, s.SlowShareCap)
 	}
 	if s.OutageRatePerDay > 0 {
-		add("outage+%g<%g:%gx%g", s.OutageRatePerDay, s.OutageRateCap, s.outageDepth(), s.outageMeanDur())
+		add("outage+%g<%g:%gx%g", s.OutageRatePerDay, s.OutageRateCap, s.OutageDepth, s.OutageMeanDur)
 	}
 	if s.MixWith != nil {
 		add("mix(%+v)@%d+%d", s.MixWith, s.MixStartDay, s.MixRampDays)
@@ -208,9 +171,6 @@ func (s *DriftSchedule) Describe(day int) string {
 	var parts []string
 	if f := s.RateScale(day); f != 1 {
 		parts = append(parts, fmt.Sprintf("rate x%.2f", f))
-	}
-	if sig := s.SigmaWiden(day); sig > 0 {
-		parts = append(parts, fmt.Sprintf("sigma +%.2f", sig))
 	}
 	if sh := s.SlowShare(day); sh > 0 {
 		parts = append(parts, fmt.Sprintf("slow +%.0f%%", 100*sh))
@@ -254,7 +214,7 @@ func (d *DriftingSampler) Sample(rng *rand.Rand, duration float64) Path {
 }
 
 // SampleDay implements DaySampler. RNG draws happen in a fixed order —
-// mix choice, base sample, sigma widening, slow retarget, outage overlay —
+// mix choice, base sample, slow retarget, outage overlay —
 // and each post-processing step draws only on days where its knob is
 // active, so determinism per (seed, day) holds for every schedule.
 func (d *DriftingSampler) SampleDay(rng *rand.Rand, duration float64, day int) Path {
@@ -266,9 +226,6 @@ func (d *DriftingSampler) SampleDay(rng *rand.Rand, duration float64, day int) P
 	p := base.Sample(rng, duration)
 
 	scale := sched.RateScale(day)
-	if sig := sched.SigmaWiden(day); sig > 0 {
-		scale *= math.Exp(sig * rng.NormFloat64())
-	}
 	if share := sched.SlowShare(day); share > 0 && rng.Float64() < share {
 		// Retarget this session into the slow band (log-uniform), unless
 		// the drift so far already put it there.
@@ -281,7 +238,7 @@ func (d *DriftingSampler) SampleDay(rng *rand.Rand, duration float64, day int) P
 		scaleTrace(p.Trace, scale)
 	}
 	if orate := sched.OutageRate(day); orate > 0 {
-		overlayOutages(rng, p.Trace, orate, sched.outageDepth(), sched.outageMeanDur())
+		overlayOutages(rng, p.Trace, orate, sched.OutageDepth, sched.OutageMeanDur)
 	}
 	return p
 }

@@ -166,7 +166,7 @@ func TestDriftMixMigratesPopulation(t *testing.T) {
 }
 
 func TestDriftOutageOverlay(t *testing.T) {
-	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: DriftSchedule{OutageRatePerDay: 1.0 / 300}}
+	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: DriftSchedule{OutageRatePerDay: 1.0 / 300, OutageDepth: 0.05, OutageMeanDur: 4}}
 	deepFrac := func(day int) float64 {
 		rng := rand.New(rand.NewSource(21))
 		deep, total := 0, 0

@@ -24,7 +24,6 @@ func testObs(buffer float64, tput float64) *abr.Observation {
 	}
 	return &abr.Observation{
 		Buffer:      buffer,
-		BufferCap:   15,
 		LastQuality: 3,
 		History:     hist,
 		TCP:         tcpsim.Info{DeliveryRate: tput},

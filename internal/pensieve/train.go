@@ -18,14 +18,16 @@ type TrainConfig struct {
 	ChunksPerEp int // chunks per episode (paper: long-running videos)
 	Seed        int64
 	// Paths is the training trace family (the emulation methodology uses
-	// FCC-like paths). Nil means netem.FCCPaths{MaxRate: 8e6}.
+	// FCC-like paths).
 	Paths netem.Sampler
 }
 
 // DefaultTrainConfig mirrors the tuned multi-video training the paper
-// deployed.
+// deployed. Its paths are FCC-like with an 8 Mbit/s ceiling: the
+// FCC/Norway traces Pensieve trained on rarely exceed a few Mbit/s, so its
+// policy never learns what to do with a fat pipe.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Episodes: 2500, ChunksPerEp: 150}
+	return TrainConfig{Episodes: 2500, ChunksPerEp: 150, Paths: netem.FCCPaths{MaxRate: 8e6}}
 }
 
 const (
@@ -57,14 +59,9 @@ type TrainResult struct {
 }
 
 // Train trains a Pensieve policy in the chunk-level emulation simulator and
-// returns a deployable Agent. cfg is used as given apart from Paths: start
-// from DefaultTrainConfig.
+// returns a deployable Agent. cfg is used as given: start from
+// DefaultTrainConfig.
 func Train(cfg TrainConfig) (*Agent, TrainResult) {
-	if cfg.Paths == nil {
-		// The FCC/Norway traces Pensieve trained on rarely exceed a few
-		// Mbit/s; its policy never learns what to do with a fat pipe.
-		cfg.Paths = netem.FCCPaths{MaxRate: 8e6}
-	}
 	clip := trainClip()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -151,7 +148,7 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*abr.Observation) int, reward func(float64)) {
 	path := cfg.Paths.Sample(rng, 700)
 	conn := tcpsim.Dial(path, rng)
-	buf := &player.Buffer{Cap: player.DefaultBufferCap}
+	buf := &player.Buffer{}
 	at := rng.Intn(len(src.Chunks))
 
 	horizon := make([]media.Chunk, 5)
@@ -166,7 +163,6 @@ func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*a
 		obs := abr.Observation{
 			ChunkIndex:  chunk,
 			Buffer:      buf.Level(),
-			BufferCap:   buf.Cap,
 			LastQuality: lastQuality,
 			History:     history,
 			TCP:         conn.Info(),

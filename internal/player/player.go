@@ -5,14 +5,12 @@ import (
 	"math/rand"
 )
 
-// DefaultBufferCap is Puffer's 15-second maximum client buffer.
-const DefaultBufferCap = 15.0
+// BufferCap is Puffer's 15-second maximum client buffer, the cap of every
+// Buffer.
+const BufferCap = 15.0
 
 // Buffer tracks playback-buffer state for one stream.
 type Buffer struct {
-	// Cap is the maximum buffered video in seconds.
-	Cap float64
-
 	level   float64
 	playing bool
 
@@ -38,8 +36,8 @@ func (b *Buffer) Playing() bool { return b.playing }
 // and adds chunkDur seconds of video. It returns the stall time incurred
 // (zero before playback starts — that time is startup delay, not stalling).
 //
-// Invariants: level stays within [0, Cap]; stall is charged only when the
-// transfer outlasted the buffer during playback.
+// Invariants: level stays within [0, BufferCap]; stall is charged only when
+// the transfer outlasted the buffer during playback.
 func (b *Buffer) CompleteChunk(transTime, chunkDur float64) (stall float64) {
 	if transTime < 0 {
 		transTime = 0
@@ -57,8 +55,8 @@ func (b *Buffer) CompleteChunk(transTime, chunkDur float64) (stall float64) {
 		}
 	}
 	b.level += chunkDur
-	if b.level > b.Cap {
-		b.level = b.Cap
+	if b.level > BufferCap {
+		b.level = BufferCap
 	}
 	return stall
 }
@@ -76,7 +74,7 @@ func (b *Buffer) RoomWait(chunkDur float64) float64 {
 	if !b.playing {
 		return 0
 	}
-	excess := b.level + chunkDur - b.Cap
+	excess := b.level + chunkDur - BufferCap
 	if excess <= 0 {
 		return 0
 	}

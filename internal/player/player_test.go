@@ -8,7 +8,7 @@ import (
 )
 
 func TestBufferStartupNotStall(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	// First chunk arrives before playback starts: no stall charged.
 	if stall := b.CompleteChunk(3.0, 2.002); stall != 0 {
 		t.Fatalf("pre-playback chunk charged stall %v", stall)
@@ -23,7 +23,7 @@ func TestBufferStartupNotStall(t *testing.T) {
 }
 
 func TestBufferStallAccounting(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	b.CompleteChunk(1, 2.002)
 	b.StartPlayback(1)
 	// Transfer of 5 s against a 2.002 s buffer: stall of ~2.998.
@@ -45,7 +45,7 @@ func TestBufferStallAccounting(t *testing.T) {
 }
 
 func TestBufferNoStallWhenCovered(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	b.CompleteChunk(0.5, 2.002)
 	b.StartPlayback(0.5)
 	b.CompleteChunk(0.5, 2.002) // level: 2.002-0.5+2.002 = 3.504
@@ -58,19 +58,19 @@ func TestBufferNoStallWhenCovered(t *testing.T) {
 }
 
 func TestBufferCapRespected(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	for i := 0; i < 20; i++ {
 		b.CompleteChunk(0.01, 2.002)
 	}
-	if b.Level() > b.Cap {
-		t.Fatalf("level %v exceeds cap %v", b.Level(), b.Cap)
+	if b.Level() > BufferCap {
+		t.Fatalf("level %v exceeds cap %v", b.Level(), BufferCap)
 	}
 }
 
 func TestBufferInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := &Buffer{Cap: DefaultBufferCap}
+		b := &Buffer{}
 		b.CompleteChunk(rng.Float64()*3, 2.002)
 		b.StartPlayback(1)
 		totalStall := 0.0
@@ -78,7 +78,7 @@ func TestBufferInvariantsProperty(t *testing.T) {
 			tt := rng.ExpFloat64() * 2
 			stall := b.CompleteChunk(tt, 2.002)
 			totalStall += stall
-			if b.Level() < 0 || b.Level() > b.Cap+1e-9 {
+			if b.Level() < 0 || b.Level() > BufferCap+1e-9 {
 				return false
 			}
 			if stall < 0 {
@@ -103,7 +103,7 @@ func TestBufferInvariantsProperty(t *testing.T) {
 }
 
 func TestRoomWait(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	if b.RoomWait(2.002) != 0 {
 		t.Fatal("empty buffer should have room")
 	}
@@ -122,7 +122,7 @@ func TestRoomWait(t *testing.T) {
 }
 
 func TestDrainBeforePlaybackIsNoop(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	b.CompleteChunk(0, 2.002)
 	b.Drain(1)
 	if b.Level() != 2.002 {
@@ -131,7 +131,7 @@ func TestDrainBeforePlaybackIsNoop(t *testing.T) {
 }
 
 func TestPlayedAccounting(t *testing.T) {
-	b := &Buffer{Cap: DefaultBufferCap}
+	b := &Buffer{}
 	b.CompleteChunk(1, 2.002)
 	b.StartPlayback(1)
 	b.CompleteChunk(1.0, 2.002) // plays 1.0

@@ -13,12 +13,13 @@ import (
 	"puffer/internal/abr"
 	"puffer/internal/media"
 	"puffer/internal/obs"
+	"puffer/internal/player"
 	"puffer/internal/tcpsim"
 	"puffer/internal/wire"
 )
 
 // goldenDecide is a well-formed Decide as a Puffer client sends it mid-stream:
-// a 15 s buffer cap, a three-chunk horizon over a two-rung ladder.
+// a three-chunk horizon over a two-rung ladder.
 func goldenDecide() *abr.Observation {
 	ladder := func(scale float64) []media.Encoding {
 		return []media.Encoding{{Size: 1e6 * scale, SSIMdB: 12.5}, {Size: 4e6 * scale, SSIMdB: 18}}
@@ -26,7 +27,6 @@ func goldenDecide() *abr.Observation {
 	return &abr.Observation{
 		ChunkIndex:  2,
 		Buffer:      3.25,
-		BufferCap:   15,
 		LastQuality: 1,
 		LastSSIM:    17.5,
 		History: []abr.ChunkRecord{
@@ -42,23 +42,18 @@ func goldenDecide() *abr.Observation {
 	}
 }
 
-// hostileDecides are the well-framed Decides a handshaken client could kill
-// the daemon with before checkObservation: each decodes without a short read
-// or a trailing byte, and each made an algorithm behind the server panic or
-// allocate without bound.
+// hostileDecides are the well-framed Decides that describe a state no client
+// can be in: each decodes without a short read or a trailing byte, and
+// checkObservation refuses it before any algorithm behind the server sees
+// it.
 var hostileDecides = []struct {
 	name   string
 	mutate func(*abr.Observation)
 }{
-	{"buffer cap NaN", func(o *abr.Observation) { o.BufferCap = math.NaN() }},
-	{"buffer cap +Inf", func(o *abr.Observation) { o.BufferCap = math.Inf(1) }},
-	{"buffer cap 1e15", func(o *abr.Observation) { o.BufferCap = 1e15 }},
-	{"buffer cap 1e7", func(o *abr.Observation) { o.BufferCap = 1e7 }},
-	{"buffer cap zero", func(o *abr.Observation) { o.BufferCap = 0 }},
-	{"buffer cap negative", func(o *abr.Observation) { o.BufferCap = -15 }},
 	{"buffer NaN", func(o *abr.Observation) { o.Buffer = math.NaN() }},
 	{"buffer +Inf", func(o *abr.Observation) { o.Buffer = math.Inf(1) }},
 	{"buffer negative", func(o *abr.Observation) { o.Buffer = -1 }},
+	{"buffer above the cap", func(o *abr.Observation) { o.Buffer = math.Nextafter(player.BufferCap, math.Inf(1)) }},
 	{"ragged horizon", func(o *abr.Observation) { o.Horizon[2].Versions = o.Horizon[2].Versions[:1] }},
 	{"empty ladder", func(o *abr.Observation) {
 		for i := range o.Horizon {

@@ -3,10 +3,10 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"puffer/internal/abr"
 	"puffer/internal/media"
+	"puffer/internal/player"
 	"puffer/internal/wire"
 )
 
@@ -18,7 +18,10 @@ import (
 // 16-byte trace extension (trace id u64, parent span id u64, both zero
 // meaning untraced) joining the client and server halves of one traced
 // decision. An untraced Decide carries no extension.
-const ProtoVersion = 2
+//
+// v3: a Decide no longer carries the client's buffer cap; every client has
+// player.BufferCap.
+const ProtoVersion = 3
 
 // helloFlagTracing marks a session whose client samples decisions for
 // tracing (informational: the server records spans for any Decide whose
@@ -43,11 +46,6 @@ const (
 // most HistoryLen records plus a five-chunk horizon with a ~10-rung ladder —
 // a few kilobytes — so 1 MiB is a generous corruption guard.
 const maxFrame = 1 << 20
-
-// maxBufferCap bounds the client buffer a Decide may claim, in seconds —
-// four times Puffer's 15. The MPC sizes its value planes by it (four bins a
-// second, per rung), so without a bound one frame asks for gigabytes.
-const maxBufferCap = 60
 
 // errBadObservation marks a Decide that decoded cleanly but describes a
 // state no client can be in; an algorithm handed it could index out of range
@@ -100,7 +98,6 @@ func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSp
 	b = wire.AppendF64(b, now)
 	b = wire.AppendI32(b, obs.ChunkIndex)
 	b = wire.AppendF64(b, obs.Buffer)
-	b = wire.AppendF64(b, obs.BufferCap)
 	b = wire.AppendI32(b, obs.LastQuality)
 	b = wire.AppendF64(b, obs.LastSSIM)
 	b = append(b, byte(len(obs.History)))
@@ -145,7 +142,6 @@ func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, p
 	now = r.F64()
 	obs.ChunkIndex = r.I32()
 	obs.Buffer = r.F64()
-	obs.BufferCap = r.F64()
 	obs.LastQuality = r.I32()
 	obs.LastSSIM = r.F64()
 	nh := int(r.U8())
@@ -191,15 +187,13 @@ func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, p
 }
 
 // checkObservation rejects what the algorithms behind the server take on
-// trust from an in-process caller: a buffer and a cap that are finite and in
-// range, a non-empty horizon whose chunks all offer the same non-empty
-// ladder, and a previous rung on that ladder (negative: none yet).
+// trust from an in-process caller: a buffer in [0, player.BufferCap] (the
+// player clamps its level to the cap), a non-empty horizon whose chunks all
+// offer the same non-empty ladder, and a previous rung on that ladder
+// (negative: none yet).
 func checkObservation(obs *abr.Observation) error {
-	if !(obs.BufferCap > 0 && obs.BufferCap <= maxBufferCap) {
-		return fmt.Errorf("%w: buffer cap %v s outside (0, %d]", errBadObservation, obs.BufferCap, maxBufferCap)
-	}
-	if !(obs.Buffer >= 0 && obs.Buffer <= math.MaxFloat64) {
-		return fmt.Errorf("%w: buffer %v s", errBadObservation, obs.Buffer)
+	if !(obs.Buffer >= 0 && obs.Buffer <= player.BufferCap) {
+		return fmt.Errorf("%w: buffer %v s outside [0, %v]", errBadObservation, obs.Buffer, player.BufferCap)
 	}
 	if len(obs.Horizon) == 0 {
 		return fmt.Errorf("%w: empty horizon", errBadObservation)

@@ -112,10 +112,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloFrameGolden pins the bytes of one Hello frame as the parent of
-// the internal/wire change wrote them: framing and payload codec unchanged.
+// TestHelloFrameGolden pins the bytes of one Hello frame: the framing and
+// payload codec as internal/wire writes them, at protocol version 3.
 func TestHelloFrameGolden(t *testing.T) {
-	const want = "000000230100020000000300000007ffffffffffffffd600044675677500066162633132330001"
+	const want = "000000230100030000000300000007ffffffffffffffd600044675677500066162633132330001"
 	var buf bytes.Buffer
 	h := &hello{Version: ProtoVersion, Day: 3, Session: 7, Seed: -42,
 		Scheme: "Fugu", PlanHash: "abc123", Flags: helloFlagTracing}
@@ -131,7 +131,6 @@ func TestDecideRoundTrip(t *testing.T) {
 	obs := abr.Observation{
 		ChunkIndex:  17,
 		Buffer:      3.25,
-		BufferCap:   15,
 		LastQuality: 1,
 		LastSSIM:    0.9812,
 		History: []abr.ChunkRecord{
@@ -160,9 +159,8 @@ func TestDecideRoundTrip(t *testing.T) {
 	// Decoding a smaller observation into the same struct must reuse the
 	// buffers without leaking stale entries.
 	small := abr.Observation{
-		BufferCap: 15,
-		Horizon:   []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
-		TCP:       tcpsim.Info{RTT: 0.05},
+		Horizon: []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
+		TCP:     tcpsim.Info{RTT: 0.05},
 	}
 	payload = encodeDecide(payload[:0], 1, &small, 0, 0)
 	if _, _, _, err := decodeDecide(payload, &got); err != nil {
@@ -184,9 +182,8 @@ func TestDecideRoundTrip(t *testing.T) {
 
 func TestDecideTraceExtension(t *testing.T) {
 	obs := abr.Observation{
-		BufferCap: 15,
-		Horizon:   []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
-		TCP:       tcpsim.Info{RTT: 0.05},
+		Horizon: []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
+		TCP:     tcpsim.Info{RTT: 0.05},
 	}
 	var got abr.Observation
 
@@ -221,14 +218,14 @@ func TestDecideTraceExtension(t *testing.T) {
 // included, round-trips (the server refuses every other version: see
 // TestHandshakeRejections).
 func TestHelloVersionCompat(t *testing.T) {
-	v2 := hello{Version: ProtoVersion, Day: 3, Session: 41, Seed: -12345,
+	in := hello{Version: ProtoVersion, Day: 3, Session: 41, Seed: -12345,
 		Scheme: "Fugu", PlanHash: "abc:day3", Flags: helloFlagTracing}
-	out, err := decodeHello(encodeHello(nil, &v2))
+	out, err := decodeHello(encodeHello(nil, &in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != v2 {
-		t.Fatalf("v2 hello round trip: got %+v want %+v", out, v2)
+	if out != in {
+		t.Fatalf("v%d hello round trip: got %+v want %+v", ProtoVersion, out, in)
 	}
 }
 
