@@ -40,7 +40,8 @@ build:
 # (float64(a*b)), which would break nn's one-rounding-per-operation
 # contract and give telemetry's concurrency means and stats' intervals other
 # bits than amd64's, so the last step fails on any fused op in the listing
-# of nn, telemetry, stats or sweep (-a: a cached build prints none).
+# of nn, telemetry, stats, sweep, experiment or player (-a: a cached build
+# prints none).
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -52,8 +53,11 @@ cross:
 	fi
 
 # The round's tracked size: non-test Go lines outside bench/ (ROADMAP's
-# second aim is that this number goes down).
+# second aim is that this number goes down), printed last. The assembly
+# kernels (internal/nn/*.s) are not in it; their line count is printed
+# first so that they cannot grow unseen.
 loc:
+	@echo "$$(find . -name '*.s' -not -path './bench/*' -exec cat {} + | wc -l) assembly lines (not tracked)"
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 test:

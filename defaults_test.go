@@ -32,9 +32,6 @@ var shadowDefaultAllowlist = map[string]string{
 	"serve.NewServer: cfg.DrainTimeout": "serving limit, not an experiment value; the benchmark relies on it",
 	"serve.NewServer: cfg.Logf":         "nil Logf is the documented silent mode",
 	// Fills of a parameter or of a local copied from a field.
-	"netem.PufferPaths.Sample: p.MedianRate":   "two values are in use: DefaultEnv's zero and the mix drift preset's slow family",
-	"netem.PufferPaths.Sample: p.Sigma":        "two values are in use: DefaultEnv's zero and the mix drift preset's slow family",
-	"netem.FCCPaths.Sample: f.MaxRate":         "two values are in use: emulation's 16 Mbit/s (zero) and Pensieve's training family's 8",
 	"core.NewTTP: hidden":                      "nil hidden is DefaultHidden; the benchmark builds its models with nil",
 	"experiment.(*Config).RunSharded: workers": "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",
 	"sweep.Execute: ec.Workers":                "0 = GOMAXPROCS, the repo-wide worker rule; results do not depend on it",

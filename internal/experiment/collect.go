@@ -43,16 +43,6 @@ func (c *DatasetCollector) Dataset() *core.Dataset {
 	return d
 }
 
-// Merge folds another collector's streams into this one (used when
-// accumulating days of telemetry).
-func (c *DatasetCollector) Merge(other *core.Dataset, keyOffset int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, s := range other.Streams {
-		c.streams[keyOffset+i] = append([]core.ChunkObs(nil), s.Chunks...)
-	}
-}
-
 // CollectDataset runs sessions randomized across the behavior schemes in
 // env and returns the telemetry dataset — how Fugu's training data is
 // gathered "in situ" (from the deployment's own mixture of traffic) or

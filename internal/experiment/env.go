@@ -42,7 +42,7 @@ const (
 // channels.
 func DefaultEnv() Env {
 	return Env{
-		Paths:    netem.PufferPaths{},
+		Paths:    netem.PufferPaths{MedianRate: 12e6, Sigma: 1.1},
 		Channels: media.Channels(),
 	}
 }
@@ -52,7 +52,7 @@ func DefaultEnv() Env {
 // results are comparable per-stream.
 func EmulationEnv() Env {
 	e := DefaultEnv()
-	e.Paths = netem.FCCPaths{}
+	e.Paths = netem.FCCPaths{MaxRate: 16e6}
 	nbc, _ := media.FindProfile("nbc")
 	e.Clip = media.RecordClip(nbc, 600, 600)
 	return e

@@ -188,9 +188,8 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 // SessionResult is one session's streams plus the time-on-site figure used
 // in Figure 10.
 type SessionResult struct {
-	SessionID int
-	Scheme    string
-	Streams   []telemetry.StreamSummary
+	Scheme  string
+	Streams []telemetry.StreamSummary
 	// Duration is the total time on the video player in seconds, from
 	// session start to the last event.
 	Duration float64
@@ -207,7 +206,7 @@ type SessionResult struct {
 // Decide contract, which is what lets the fleet engine interleave sessions
 // in virtual time while staying byte-identical to sequential execution.
 func RunSessionHooked(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int, scheme string, day int, rec Recorder, hook DecideHook) SessionResult {
-	res := SessionResult{SessionID: sessionID, Scheme: scheme}
+	res := SessionResult{Scheme: scheme}
 	path := netem.SampleForDay(env.Paths, rng, traceDuration, day)
 	conn := tcpsim.Dial(path, rng)
 

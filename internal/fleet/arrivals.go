@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -13,8 +12,6 @@ import (
 // starts, but never change what happens inside a session, so aggregate
 // statistics are invariant to the choice of process.
 type ArrivalProcess interface {
-	// Name identifies the process (checkpoint manifests and logs).
-	Name() string
 	// Times returns n arrival times in nondecreasing order drawn from
 	// rng, starting at virtual time 0.
 	Times(rng *rand.Rand, n int) []float64
@@ -28,9 +25,6 @@ type PoissonArrivals struct {
 	// non-positive rate degenerates to all sessions arriving at time 0.
 	Rate float64
 }
-
-// Name implements ArrivalProcess.
-func (p PoissonArrivals) Name() string { return fmt.Sprintf("poisson(%g)", p.Rate) }
 
 // Times implements ArrivalProcess.
 func (p PoissonArrivals) Times(rng *rand.Rand, n int) []float64 {
@@ -55,9 +49,6 @@ type BurstArrivals struct {
 	// Gap is the virtual seconds between bursts.
 	Gap float64
 }
-
-// Name implements ArrivalProcess.
-func (b BurstArrivals) Name() string { return fmt.Sprintf("burst(%d,%g)", b.Burst, b.Gap) }
 
 // Times implements ArrivalProcess.
 func (b BurstArrivals) Times(rng *rand.Rand, n int) []float64 {

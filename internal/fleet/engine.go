@@ -44,7 +44,7 @@ type Config struct {
 	Tick float64
 }
 
-// Stats describes one fleet run: the occupancy record and the inference
+// Stats describes one fleet run: the occupancy summary and the inference
 // service's batching counters. Everything except WallSeconds is
 // deterministic for a deterministic trial.
 type Stats struct {
@@ -54,8 +54,6 @@ type Stats struct {
 	runner.FleetDayStats
 	// Sessions is the trial size.
 	Sessions int
-	// Occupancy counts concurrently live sessions over virtual time.
-	Occupancy telemetry.ConcurrencySeries
 	// WallSeconds is the measured wall-clock time of the run (not
 	// deterministic; excluded from checkpoints).
 	WallSeconds float64
@@ -140,7 +138,6 @@ type session struct {
 // engine coordinates the event loop.
 type engine struct {
 	trial *experiment.Config
-	cfg   Config
 	svc   *InferenceService
 
 	sessions []*session
@@ -233,7 +230,6 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 	n := trial.Sessions
 	e := &engine{
 		trial:    trial,
-		cfg:      cfg,
 		svc:      newInferenceService(cfg.Workers),
 		sessions: make([]*session, n),
 		results:  make([]experiment.SessionResult, n),
@@ -309,11 +305,12 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 	total := experiment.FoldShards(n, cfg.ShardSize, experiment.AllPaths,
 		func(id int) *experiment.SessionResult { return &e.results[id] })
 
-	occ := telemetry.NewConcurrencySeries(arrivals, e.ends)
+	occ := telemetry.ConcurrencyOf(arrivals, e.ends)
 	st := &Stats{
 		FleetDayStats: runner.FleetDayStats{
-			PeakConcurrent: occ.Peak(),
-			MeanConcurrent: occ.Mean(),
+			PeakConcurrent: occ.Peak,
+			MeanConcurrent: occ.Mean,
+			HorizonSeconds: occ.Span,
 			Decisions:      e.decisions,
 			Deferred:       e.staged,
 			Flushes:        e.svc.flushes,
@@ -322,11 +319,7 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 			MaxBatchRows:   e.svc.maxBatch,
 		},
 		Sessions:    n,
-		Occupancy:   occ,
 		WallSeconds: time.Since(start).Seconds(),
-	}
-	if len(occ.Points) > 0 {
-		st.HorizonSeconds = occ.Points[len(occ.Points)-1].Time - occ.Points[0].Time
 	}
 	if st.Batches > 0 {
 		st.MeanBatchRows = float64(st.Rows) / float64(st.Batches)

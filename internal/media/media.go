@@ -10,13 +10,10 @@ import (
 // reflecting the 1/1001 NTSC factor (2.002 s), as on Puffer.
 const ChunkDuration = 2.002
 
-// Rung is one entry of the encoding ladder: a fixed resolution and CRF whose
-// output bitrate varies chunk-by-chunk (VBR).
+// Rung is one entry of the encoding ladder: on Puffer a fixed resolution and
+// CRF, whose output bitrate varies chunk-by-chunk (VBR). The simulation
+// needs only its nominal bitrate and base quality.
 type Rung struct {
-	Name       string
-	Width      int
-	Height     int
-	CRF        int
 	AvgBitrate float64 // nominal mean bitrate, bits per second
 	BaseSSIMdB float64 // SSIM (dB) on typical-complexity content
 }
@@ -27,28 +24,13 @@ type Rung struct {
 // the paper's Figure 3b.
 func DefaultLadder() []Rung {
 	bitrates := []float64{200e3, 400e3, 700e3, 1100e3, 1600e3, 2300e3, 3000e3, 3800e3, 4600e3, 5500e3}
-	names := []string{
-		"240p60-crf26", "360p60-crf26", "480p60-crf24", "480p60-crf22",
-		"720p60-crf24", "720p60-crf22", "720p60-crf20", "1080p60-crf24",
-		"1080p60-crf22", "1080p60-crf20",
-	}
-	widths := []int{426, 640, 854, 854, 1280, 1280, 1280, 1920, 1920, 1920}
-	heights := []int{240, 360, 480, 480, 720, 720, 720, 1080, 1080, 1080}
-	crfs := []int{26, 26, 24, 22, 24, 22, 20, 24, 22, 20}
 	ladder := make([]Rung, len(bitrates))
 	lo, hi := bitrates[0], bitrates[len(bitrates)-1]
 	for i, br := range bitrates {
 		// 10.5 dB at the bottom rung up to 17.5 dB at the top,
 		// logarithmic in bitrate.
 		base := 10.5 + 7.0*math.Log(br/lo)/math.Log(hi/lo)
-		ladder[i] = Rung{
-			Name:       names[i],
-			Width:      widths[i],
-			Height:     heights[i],
-			CRF:        crfs[i],
-			AvgBitrate: br,
-			BaseSSIMdB: base,
-		}
+		ladder[i] = Rung{AvgBitrate: br, BaseSSIMdB: base}
 	}
 	return ladder
 }

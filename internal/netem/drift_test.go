@@ -38,7 +38,7 @@ func presets(t *testing.T) map[string]DriftSchedule {
 // kill-and-resume relies on.
 func TestDriftingSamplerDeterministic(t *testing.T) {
 	for name, sched := range presets(t) {
-		ds := &DriftingSampler{Base: PufferPaths{}, Schedule: sched}
+		ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: sched}
 		for day := 0; day < 5; day++ {
 			a := ds.SampleDay(rand.New(rand.NewSource(99)), 300, day)
 			b := ds.SampleDay(rand.New(rand.NewSource(99)), 300, day)
@@ -53,10 +53,10 @@ func TestDriftingSamplerDeterministic(t *testing.T) {
 // draw-for-draw identical to the base sampler on every day (this is what
 // makes `-drift none` byte-identical to an unwrapped run).
 func TestDriftingSamplerZeroScheduleIdentity(t *testing.T) {
-	ds := &DriftingSampler{Base: PufferPaths{}}
+	ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}}
 	for day := 0; day < 4; day++ {
 		got := ds.SampleDay(rand.New(rand.NewSource(7)), 240, day)
-		want := PufferPaths{}.Sample(rand.New(rand.NewSource(7)), 240)
+		want := PufferPaths{MedianRate: 12e6, Sigma: 1.1}.Sample(rand.New(rand.NewSource(7)), 240)
 		if !pathsEqual(got, want) {
 			t.Fatalf("zero schedule day %d differs from base sampler", day)
 		}
@@ -80,9 +80,9 @@ func TestDriftingSamplerDayZeroUndrifted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := &DriftingSampler{Base: PufferPaths{}, Schedule: sched}
+		ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: sched}
 		got := ds.SampleDay(rand.New(rand.NewSource(3)), 240, 0)
-		want := PufferPaths{}.Sample(rand.New(rand.NewSource(3)), 240)
+		want := PufferPaths{MedianRate: 12e6, Sigma: 1.1}.Sample(rand.New(rand.NewSource(3)), 240)
 		if !pathsEqual(got, want) {
 			t.Fatalf("preset %s: day 0 differs from the base family", name)
 		}
@@ -113,7 +113,7 @@ func slowFraction(ds *DriftingSampler, seed int64, day, n int) float64 {
 
 func TestDriftDecayShrinksCapacity(t *testing.T) {
 	sched, _ := DriftPreset("decay")
-	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: sched}
+	ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: sched}
 	const n = 400
 	prev := meanCapacity(ds, 5, 0, n)
 	for day := 2; day <= 6; day += 2 {
@@ -127,7 +127,7 @@ func TestDriftDecayShrinksCapacity(t *testing.T) {
 
 func TestDriftShiftGrowsSlowShare(t *testing.T) {
 	sched, _ := DriftPreset("shift")
-	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: sched}
+	ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: sched}
 	const n = 600
 	day0 := slowFraction(ds, 9, 0, n)
 	day1 := slowFraction(ds, 9, 1, n)
@@ -144,7 +144,7 @@ func TestDriftShiftGrowsSlowShare(t *testing.T) {
 
 func TestDriftMixMigratesPopulation(t *testing.T) {
 	sched, _ := DriftPreset("mix")
-	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: sched}
+	ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: sched}
 	if w := sched.MixWeight(0); w != 0 {
 		t.Fatalf("mix weight at ramp start = %v, want 0", w)
 	}
@@ -166,7 +166,7 @@ func TestDriftMixMigratesPopulation(t *testing.T) {
 }
 
 func TestDriftOutageOverlay(t *testing.T) {
-	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: DriftSchedule{OutageRatePerDay: 1.0 / 300, OutageDepth: 0.05, OutageMeanDur: 4}}
+	ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: DriftSchedule{OutageRatePerDay: 1.0 / 300, OutageDepth: 0.05, OutageMeanDur: 4}}
 	deepFrac := func(day int) float64 {
 		rng := rand.New(rand.NewSource(21))
 		deep, total := 0, 0
@@ -210,7 +210,7 @@ func TestDriftScheduleSignature(t *testing.T) {
 		t.Fatal("different decay factors share a signature")
 	}
 	decay := ps["decay"]
-	ds := &DriftingSampler{Base: PufferPaths{}, Schedule: decay}
+	ds := &DriftingSampler{Base: PufferPaths{MedianRate: 12e6, Sigma: 1.1}, Schedule: decay}
 	if got := ds.Name(); got != "puffer+drift{"+decay.Signature()+"}" {
 		t.Fatalf("DriftingSampler name %q does not embed base name and signature", got)
 	}
@@ -220,8 +220,8 @@ func TestDriftScheduleSignature(t *testing.T) {
 // exactly the same draws as a direct Sample call on every day.
 func TestSampleForDayStationary(t *testing.T) {
 	for day := 0; day < 3; day++ {
-		got := SampleForDay(PufferPaths{}, rand.New(rand.NewSource(17)), 180, day)
-		want := PufferPaths{}.Sample(rand.New(rand.NewSource(17)), 180)
+		got := SampleForDay(PufferPaths{MedianRate: 12e6, Sigma: 1.1}, rand.New(rand.NewSource(17)), 180, day)
+		want := PufferPaths{MedianRate: 12e6, Sigma: 1.1}.Sample(rand.New(rand.NewSource(17)), 180)
 		if !pathsEqual(got, want) {
 			t.Fatalf("stationary SampleForDay differs from Sample on day %d", day)
 		}

@@ -149,7 +149,7 @@ func TestPufferSamplerSlowPathFraction(t *testing.T) {
 	// The paper: slow paths (mean < 6 Mbit/s) are a meaningful minority
 	// of streams (~20%). Check the sampler is in a plausible band.
 	rng := rand.New(rand.NewSource(11))
-	s := PufferPaths{}
+	s := PufferPaths{MedianRate: 12e6, Sigma: 1.1}
 	slow := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -166,7 +166,7 @@ func TestPufferSamplerSlowPathFraction(t *testing.T) {
 
 func TestFCCSamplerBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	s := FCCPaths{}
+	s := FCCPaths{MaxRate: 16e6}
 	for i := 0; i < 500; i++ {
 		p := s.Sample(rng, 60)
 		if p.BaseRTT != 0.040 {
@@ -181,7 +181,7 @@ func TestFCCSamplerBounded(t *testing.T) {
 
 func TestSamplerPathsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, s := range []Sampler{PufferPaths{}, FCCPaths{}} {
+	for _, s := range []Sampler{PufferPaths{MedianRate: 12e6, Sigma: 1.1}, FCCPaths{MaxRate: 16e6}} {
 		for i := 0; i < 100; i++ {
 			p := s.Sample(rng, 120)
 			if err := p.Trace.Validate(); err != nil {
@@ -201,7 +201,7 @@ func TestSamplerPathsValid(t *testing.T) {
 }
 
 func TestSamplerNames(t *testing.T) {
-	if (PufferPaths{}).Name() != "puffer" || (FCCPaths{}).Name() != "fcc" {
+	if (PufferPaths{MedianRate: 12e6, Sigma: 1.1}).Name() != "puffer" || (FCCPaths{MaxRate: 16e6}).Name() != "fcc" {
 		t.Fatal("sampler names changed; figure code keys off them")
 	}
 }

@@ -35,10 +35,10 @@ type Sampler interface {
 // Calibration targets from the paper: "slow" paths (mean delivery rate under
 // 6 Mbit/s) carry roughly a fifth of streams and most of the stalls.
 type PufferPaths struct {
-	// MedianRate is the median session mean capacity (bits/sec).
-	// Zero means the default 12 Mbit/s.
+	// MedianRate is the median session mean capacity (bits/sec); the
+	// deployment's is 12 Mbit/s (experiment.DefaultEnv).
 	MedianRate float64
-	// Sigma is the lognormal shape. Zero means the default 1.1.
+	// Sigma is the lognormal shape; the deployment's is 1.1.
 	Sigma float64
 }
 
@@ -47,15 +47,7 @@ func (PufferPaths) Name() string { return "puffer" }
 
 // Sample implements Sampler.
 func (p PufferPaths) Sample(rng *rand.Rand, duration float64) Path {
-	median := p.MedianRate
-	if median == 0 {
-		median = 12e6
-	}
-	sigma := p.Sigma
-	if sigma == 0 {
-		sigma = 1.1
-	}
-	mean := median * math.Exp(sigma*rng.NormFloat64())
+	mean := p.MedianRate * math.Exp(p.Sigma*rng.NormFloat64())
 	// Pareto-ish upper tail: a few sessions on very fat pipes.
 	if rng.Float64() < 0.05 {
 		mean *= 1 + rng.ExpFloat64()*3
@@ -76,7 +68,8 @@ func (p PufferPaths) Sample(rng *rand.Rand, duration float64) Path {
 // modest; variation is mild — no heavy tail.
 type FCCPaths struct {
 	// MaxRate is the upper bound of the log-uniform session mean
-	// (bits/sec); the lower bound is fccMinRate. Zero means 16 Mbit/s.
+	// (bits/sec); the lower bound is fccMinRate. The emulation testbed's
+	// is 16 Mbit/s (experiment.EmulationEnv).
 	MaxRate float64
 }
 
@@ -89,11 +82,7 @@ func (FCCPaths) Name() string { return "fcc" }
 
 // Sample implements Sampler.
 func (f FCCPaths) Sample(rng *rand.Rand, duration float64) Path {
-	hi := f.MaxRate
-	if hi == 0 {
-		hi = 16e6
-	}
-	mean := fccMinRate * math.Exp(rng.Float64()*math.Log(hi/fccMinRate))
+	mean := fccMinRate * math.Exp(rng.Float64()*math.Log(f.MaxRate/fccMinRate))
 	tr := GenFCC(rng, mean, duration)
 	return Path{
 		Trace:         tr,

@@ -72,9 +72,6 @@ func newHistogram(name string) *Histogram {
 	return h
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one value (recording must be enabled). Negative values
 // clamp to 0.
 func (h *Histogram) Observe(v int64) {

@@ -68,9 +68,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 // A Gauge is an atomically replaced float64 (last write wins).
 type Gauge struct {
 	name string
@@ -86,9 +83,6 @@ func (g *Gauge) Set(v float64) {
 
 // Value returns the current value (0 before the first Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // A Registry holds named metrics. All methods are safe for concurrent use;
 // lookups get-or-create, so package-level handles can be built at init

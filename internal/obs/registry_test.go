@@ -25,9 +25,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Histogram("c") != r.Histogram("c") {
 		t.Fatal("Histogram is not get-or-create")
 	}
-	if got := r.Counter("a").Name(); got != "a" {
-		t.Fatalf("counter name %q", got)
-	}
 }
 
 // TestSnapshotSortedCanonical: snapshots list every metric sorted by name

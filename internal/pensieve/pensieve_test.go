@@ -154,11 +154,8 @@ func TestTrainingImprovesReward(t *testing.T) {
 	cfg.Episodes = 600
 	cfg.ChunksPerEp = 100
 	cfg.Seed = 7
-	cfg.Paths = netem.FCCPaths{}
-	agent, res := Train(cfg)
-	if res.Episodes != 600 {
-		t.Fatalf("episodes = %d", res.Episodes)
-	}
+	cfg.Paths = netem.FCCPaths{MaxRate: 16e6}
+	agent, _ := Train(cfg)
 
 	clip := trainClip()
 	evalReward := func(choose func(*abr.Observation) int) float64 {

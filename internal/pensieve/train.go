@@ -55,7 +55,6 @@ type TrainResult struct {
 	// MeanReward is the (undiscounted) per-chunk mean reward of the final
 	// tenth of training episodes.
 	MeanReward float64
-	Episodes   int
 }
 
 // Train trains a Pensieve policy in the chunk-level emulation simulator and
@@ -136,7 +135,7 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 		}
 	}
 
-	res := TrainResult{Episodes: cfg.Episodes}
+	var res TrainResult
 	if tailChunks > 0 {
 		res.MeanReward = tailReward / float64(tailChunks)
 	}

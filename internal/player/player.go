@@ -20,8 +20,6 @@ type Buffer struct {
 	// Stalled is the cumulative rebuffering time in seconds, excluding
 	// startup.
 	Stalled float64
-	// Stalls counts distinct stall events.
-	Stalls int
 	// Played is the cumulative video time actually played, seconds.
 	Played float64
 }
@@ -46,7 +44,6 @@ func (b *Buffer) CompleteChunk(transTime, chunkDur float64) (stall float64) {
 		if transTime > b.level {
 			stall = transTime - b.level
 			b.Stalled += stall
-			b.Stalls++
 			b.Played += b.level
 			b.level = 0
 		} else {

@@ -136,7 +136,6 @@ func FromOutcome(out *scenario.Outcome, started time.Time, wallSeconds float64) 
 // (the file is append-only history) but Get answers with the first, so
 // re-appending a cell never changes query results.
 type Index struct {
-	Path    string
 	Records []*Record
 
 	byHash map[string]*Record
@@ -146,7 +145,7 @@ type Index struct {
 // every sweep starts from), not an error. A torn trailing line — a kill
 // mid-append — is ignored; OpenWriter repairs it before the next append.
 func Load(path string) (*Index, error) {
-	ix := &Index{Path: path, byHash: map[string]*Record{}}
+	ix := &Index{byHash: map[string]*Record{}}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return ix, nil
@@ -185,9 +184,6 @@ func (ix *Index) Get(hash string) (*Record, bool) {
 	rec, ok := ix.byHash[hash]
 	return rec, ok
 }
-
-// Len is the number of records (including any duplicate hashes).
-func (ix *Index) Len() int { return len(ix.Records) }
 
 // CanonicalBytes renders the index's deterministic content: every record
 // in file order with the run-circumstance fields zeroed — Timing, Host,

@@ -66,8 +66,8 @@ func TestIndexAppendLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ix.Len())
+	if len(ix.Records) != 3 {
+		t.Fatalf("records = %d, want 3", len(ix.Records))
 	}
 	for i := 0; i < 3; i++ {
 		want := fakeRecord(i)
@@ -92,8 +92,8 @@ func TestLoadMissingFileIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 0 {
-		t.Fatalf("missing file should load empty, got %d records", ix.Len())
+	if len(ix.Records) != 0 {
+		t.Fatalf("missing file should load empty, got %d records", len(ix.Records))
 	}
 }
 
@@ -117,8 +117,8 @@ func TestTornTailRepair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated at load: %v", err)
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (torn line dropped)", ix.Len())
+	if len(ix.Records) != 2 {
+		t.Fatalf("records = %d, want 2 (torn line dropped)", len(ix.Records))
 	}
 
 	appendAll(t, path, fakeRecord(2))
@@ -126,8 +126,8 @@ func TestTornTailRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 3 || ix.Records[2].Hash != "hash-002" {
-		t.Fatalf("repair-then-append produced %d records", ix.Len())
+	if len(ix.Records) != 3 || ix.Records[2].Hash != "hash-002" {
+		t.Fatalf("repair-then-append produced %d records", len(ix.Records))
 	}
 }
 

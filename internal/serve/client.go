@@ -371,9 +371,7 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 	}
 
 	cliSessionsTotal.Inc()
-	if a := ld.active.Add(1); a > ld.peak.Load() {
-		ld.peak.Store(a) // racy max is fine for a high-water mark
-	}
+	raiseTo(&ld.peak, ld.active.Add(1))
 	cliSessionsActive.Set(float64(ld.active.Load()))
 	defer func() {
 		cliSessionsActive.Set(float64(ld.active.Add(-1)))
@@ -410,4 +408,11 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 		wire.ReadFrame(h.br, h.buf, maxFrame)
 	}
 	return res, nil
+}
+
+// raiseTo lifts m to v unless m already holds at least v. A concurrent
+// raiser can never overwrite a higher value with a lower one.
+func raiseTo(m *atomic.Int64, v int64) {
+	for cur := m.Load(); v > cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
+	}
 }

@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -473,5 +477,107 @@ func TestShutdownBeforeServe(t *testing.T) {
 	}
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		t.Fatal("listener still accepting after Serve returned")
+	}
+}
+
+// emfileListener fails its first Accept with EMFILE, the error a process
+// out of file descriptors gets, then accepts normally.
+type emfileListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeRetriesTemporaryAcceptError: an accept that fails for want of a
+// file descriptor is logged and retried, so the server still takes the
+// next session and drains cleanly; it must not return from Serve.
+func TestServeRetriesTemporaryAcceptError(t *testing.T) {
+	plan := warmedPlan(t, 0)
+	var mu sync.Mutex
+	var logs []string
+	srv, err := NewServer(Config{Plan: plan, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(&emfileListener{Listener: ln}) }()
+	defer srv.Shutdown()
+
+	c, br := dialRaw(t, ln.Addr().String())
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteFrame(c, msgHello, encodeHello(nil, &hello{
+		Version: ProtoVersion, Scheme: plan.SchemeNames[0], PlanHash: plan.Hash,
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := wire.ReadFrame(br, nil, maxFrame); err != nil || typ != msgHelloOK {
+		select {
+		case err := <-done:
+			t.Fatalf("Serve returned %v on a temporary accept error", err)
+		default:
+			t.Fatalf("handshake after a temporary accept error: type 0x%02x err %v", typ, err)
+		}
+	}
+	mu.Lock()
+	retried := len(logs) > 0 && strings.Contains(logs[0], "too many open files") && strings.Contains(logs[0], "retrying")
+	mu.Unlock()
+	if !retried {
+		t.Fatalf("the retry was not logged: %q", logs)
+	}
+	srv.Shutdown()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve after Shutdown = %v, want nil", err)
+	}
+}
+
+// TestPeakConcurrentIsAMaximum: raisers racing on one high-water mark
+// never lower it, and leave the largest value any of them offered. Each
+// offer is the next value of a shared counter, so offers race in close
+// succession; an observer checks the mark never moves down meanwhile. Run
+// it under -race too. A load-then-store maximum fails here when a lower
+// store lands after a higher one.
+func TestPeakConcurrentIsAMaximum(t *testing.T) {
+	const workers, each = 4, 50000
+	var next, peak atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				raiseTo(&peak, next.Add(1))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last := int64(0); ; {
+		select {
+		case <-done:
+			if got := peak.Load(); got != workers*each {
+				t.Fatalf("peak %d, want %d", got, workers*each)
+			}
+			return
+		default:
+		}
+		v := peak.Load()
+		if v < last {
+			t.Fatalf("peak fell from %d to %d", last, v)
+		}
+		last = v
 	}
 }

@@ -173,7 +173,11 @@ func NewServer(cfg Config) (*Server, error) {
 
 // Serve accepts connections on ln until Shutdown. It returns nil after a
 // clean drain. A Shutdown that ran before Serve registered ln never saw it,
-// so Serve closes ln itself and returns nil at once.
+// so Serve closes ln itself and returns nil at once. A temporary accept
+// error (EMFILE, ENFILE: the process or host is out of file descriptors) is
+// logged and retried after a pause that doubles from 5 ms up to 1 s, as
+// net/http's server does, so that running out of descriptors under load
+// does not end the server; any other accept error is returned.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -183,14 +187,22 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	var pause time.Duration
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			if s.draining.Load() {
 				return nil
 			}
+			if ne, ok := err.(net.Error); ok && ne.Temporary() {
+				pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+				s.cfg.Logf("serve: accept: %v; retrying in %v", err, pause)
+				time.Sleep(pause)
+				continue
+			}
 			return err
 		}
+		pause = 0
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}

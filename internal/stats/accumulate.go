@@ -29,9 +29,6 @@ func (a *StreamAcc) Add(p StreamPoint) { a.Points = append(a.Points, p) }
 // order.
 func (a *StreamAcc) Merge(b *StreamAcc) { a.Points = append(a.Points, b.Points...) }
 
-// Len returns the number of accumulated streams.
-func (a *StreamAcc) Len() int { return len(a.Points) }
-
 // AppendTo appends the fixed layout: a u32 count, then (watch, stall) per
 // stream.
 func (a *StreamAcc) AppendTo(b []byte) []byte {
@@ -52,9 +49,6 @@ func (a *StreamAcc) Decode(r *wire.Reader) {
 		a.Points = nil
 	}
 }
-
-// StallRatio returns the aggregate stall ratio of the accumulated streams.
-func (a *StreamAcc) StallRatio() float64 { return StallRatio(a.Points) }
 
 // StreamYears returns the accumulated watch time in stream-years.
 func (a *StreamAcc) StreamYears() float64 { return StreamYears(a.Points) }
@@ -88,9 +82,6 @@ func (a *WeightedAcc) Merge(b *WeightedAcc) {
 	a.Values = append(a.Values, b.Values...)
 	a.Weights = append(a.Weights, b.Weights...)
 }
-
-// Len returns the number of accumulated samples.
-func (a *WeightedAcc) Len() int { return len(a.Values) }
 
 // AppendTo appends the fixed layout: the values, then the weights, each a
 // u32 count and the floats.

@@ -45,11 +45,11 @@ func TestStreamAccMergeEqualsSingle(t *testing.T) {
 		merged.Merge(&shard)
 	}
 
-	if single.Len() != merged.Len() {
-		t.Fatalf("lengths differ: %d vs %d", single.Len(), merged.Len())
+	if len(single.Points) != len(merged.Points) {
+		t.Fatalf("lengths differ: %d vs %d", len(single.Points), len(merged.Points))
 	}
-	if single.StallRatio() != merged.StallRatio() {
-		t.Fatalf("stall ratios differ: %v vs %v", single.StallRatio(), merged.StallRatio())
+	if StallRatio(single.Points) != StallRatio(merged.Points) {
+		t.Fatalf("stall ratios differ: %v vs %v", StallRatio(single.Points), StallRatio(merged.Points))
 	}
 	a := single.Bootstrap(rand.New(rand.NewSource(9)), 300, 0.95)
 	b := merged.Bootstrap(rand.New(rand.NewSource(9)), 300, 0.95)

@@ -31,9 +31,6 @@ type Interval struct {
 	Point, Lo, Hi float64
 }
 
-// Width returns Hi - Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // RelativeHalfWidth returns half the width as a fraction of the point
 // estimate (the paper quotes CI widths of +/-10-17% of the mean).
 func (iv Interval) RelativeHalfWidth() float64 {

@@ -87,15 +87,12 @@ func TestIntervalOverlap(t *testing.T) {
 	if a.Overlaps(c) || c.Overlaps(a) {
 		t.Fatal("a and c should not overlap")
 	}
-	if got := a.Width(); got != 1.0 {
-		t.Fatalf("Width = %v", got)
-	}
 }
 
 func TestWeightedMeanSE(t *testing.T) {
 	// All weight on one value: mean equals it, zero variance.
 	iv := WeightedMeanSE([]float64{5, 100}, []float64{1, 0}, 0.95)
-	if iv.Point != 5 || iv.Width() != 0 {
+	if iv.Point != 5 || iv.Hi != iv.Lo {
 		t.Fatalf("degenerate weighted mean = %+v", iv)
 	}
 	// Uniform weights equal the plain mean.
@@ -128,8 +125,8 @@ func TestMeanSEShrinksWithN(t *testing.T) {
 	}
 	small := MeanSE(gen(100), 0.95)
 	large := MeanSE(gen(10000), 0.95)
-	if large.Width() >= small.Width() {
-		t.Fatalf("CI width did not shrink: %v vs %v", large.Width(), small.Width())
+	if large.Hi-large.Lo >= small.Hi-small.Lo {
+		t.Fatalf("CI width did not shrink: %v vs %v", large.Hi-large.Lo, small.Hi-small.Lo)
 	}
 }
 

@@ -18,8 +18,6 @@ type Live struct {
 	Running []string
 	// Done and Failed count finished cells seen in the stream.
 	Done, Failed int
-	// Todo and Indexed echo the last sweep_start split (0 if none seen).
-	Todo, Indexed int
 	// Finished reports whether a sweep_done event closed the stream.
 	Finished bool
 	// LastEvent is the newest event's wall clock (zero for an empty log).
@@ -43,12 +41,6 @@ func LiveFromEvents(evs []obs.Event) Live {
 		case "sweep_start":
 			running = map[string]int{}
 			lv.Finished = false
-			if v, ok := ev.Fields["todo"].(float64); ok {
-				lv.Todo = int(v)
-			}
-			if v, ok := ev.Fields["indexed"].(float64); ok {
-				lv.Indexed = int(v)
-			}
 		case "cell_start":
 			running[name] = order
 			order++

@@ -84,8 +84,8 @@ func TestExecuteRunsMissingCellsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("index after kill holds %d records, want 2", ix.Len())
+	if len(ix.Records) != 2 {
+		t.Fatalf("index after kill holds %d records, want 2", len(ix.Records))
 	}
 
 	// Re-launch: only the two missing cells execute.

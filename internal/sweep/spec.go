@@ -19,10 +19,8 @@ type Spec struct {
 	Name string `json:"name,omitempty"`
 	// Notes is free-form documentation.
 	Notes string `json:"notes,omitempty"`
-	// Scenario names a registered base scenario. Mutually exclusive with
-	// Base; with neither, the base is the all-defaults spec.
-	Scenario string `json:"scenario,omitempty"`
-	// Base is an inline base scenario spec.
+	// Base is the inline base scenario spec; without one, the base is the
+	// all-defaults spec.
 	Base *scenario.Spec `json:"base,omitempty"`
 	// Axes are the sweep dimensions.
 	Axes []Axis `json:"axes"`
@@ -91,9 +89,6 @@ const maxCells = 10000
 // per cell during expansion, through the scenario parser and validator) and
 // returns its cell count, the product of the axis lengths.
 func (s *Spec) validate() (int, error) {
-	if s.Scenario != "" && s.Base != nil {
-		return 0, fmt.Errorf("sweep: set scenario (a registered name) or base (an inline spec), not both")
-	}
 	seen := map[string]bool{}
 	cells := 1
 	for i, a := range s.Axes {
@@ -116,22 +111,6 @@ func (s *Spec) validate() (int, error) {
 	return cells, nil
 }
 
-// base resolves the sweep's base scenario.
-func (s *Spec) base() (scenario.Spec, error) {
-	switch {
-	case s.Scenario != "":
-		spec, ok := scenario.Lookup(s.Scenario)
-		if !ok {
-			return scenario.Spec{}, fmt.Errorf("sweep: unknown base scenario %q (want a registered name; see puffer-daily -list-scenarios)", s.Scenario)
-		}
-		return spec, nil
-	case s.Base != nil:
-		return s.Base.Clone(), nil
-	default:
-		return scenario.Spec{}, nil
-	}
-}
-
 // Expand lowers the sweep into its cells, deterministically: axes in
 // declaration order, the last axis varying fastest, each combination
 // applied to the fully-defaulted base spec through scenario.Spec.Set, a
@@ -144,12 +123,12 @@ func (s Spec) Expand(transform func(scenario.Spec) scenario.Spec) ([]Cell, error
 	if err != nil {
 		return nil, err
 	}
-	base, err := s.base()
-	if err != nil {
-		return nil, err
-	}
 	// Axes apply to the fully-defaulted base, without its own name/notes,
 	// which would otherwise leak into every cell.
+	var base scenario.Spec
+	if s.Base != nil {
+		base = s.Base.Clone()
+	}
 	base = base.WithDefaults()
 	base.Name, base.Notes = "", ""
 

@@ -105,14 +105,13 @@ func TestSweepValidation(t *testing.T) {
 		return `{"field": "` + field + `", "values": [` + strings.Repeat("1,", n-1) + `1]}`
 	}
 	for _, tc := range []struct{ name, blob, want string }{
-		{"both bases", `{"scenario": "stationary", "base": {}, "axes": [{"field": "seed", "values": [1]}]}`, "not both"},
+		{"registered base", `{"scenario": "stationary", "axes": [{"field": "seed", "values": [1]}]}`, `"scenario"`},
 		{"no field", `{"axes": [{"values": [1]}]}`, "field is required"},
 		{"duplicate axis", `{"axes": [{"field": "seed", "values": [1]}, {"field": "seed", "values": [2]}]}`, "duplicate axis"},
 		{"no values", `{"axes": [{"field": "seed"}]}`, "values are required"},
 		{"empty values", `{"axes": [{"field": "seed", "values": []}]}`, "values are required"},
 		{"random axis", `{"axes": [{"field": "seed", "samples": 2, "min": 1, "max": 9}]}`, "samples"},
 		{"sweep seed", `{"seed": 3, "axes": [{"field": "seed", "values": [1]}]}`, "seed"},
-		{"unknown scenario", `{"scenario": "no-such", "axes": [{"field": "seed", "values": [1]}]}`, "no-such"},
 		{"axis product past the cap", `{"axes": [` + longAxis("seed", 101) + `, ` + longAxis("daily.sessions", 100) + `]}`, "more than"},
 		{"unknown sweep field", `{"axes": [], "bogus": 1}`, "bogus"},
 	} {
@@ -126,10 +125,10 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-// TestScenarioBaseAndTransform: a registered-scenario base resolves, and
+// TestScenarioBaseAndTransform: an inline base scenario is inherited, and
 // the transform is applied to each defaulted cell before hashing.
 func TestScenarioBaseAndTransform(t *testing.T) {
-	blob := `{"scenario": "drift-shift", "axes": [{"field": "seed", "values": [3, 4]}]}`
+	blob := `{"base": {"drift": {"preset": "shift"}}, "axes": [{"field": "seed", "values": [3, 4]}]}`
 	shrink := func(s scenario.Spec) scenario.Spec {
 		s.Daily.Days = 2
 		s.Daily.Sessions = 8
@@ -144,7 +143,7 @@ func TestScenarioBaseAndTransform(t *testing.T) {
 			t.Fatalf("transform not applied: %+v", c.Spec.Daily)
 		}
 		if c.Spec.Drift.Preset != "shift" {
-			t.Fatalf("registered base not inherited: %+v", c.Spec.Drift)
+			t.Fatalf("base not inherited: %+v", c.Spec.Drift)
 		}
 		// The hash must describe the transformed spec, or index keys
 		// would never match what ran.

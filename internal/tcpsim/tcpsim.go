@@ -66,9 +66,6 @@ func Dial(path netem.Path, rng *rand.Rand) *Conn {
 // Now returns the connection's current absolute time.
 func (c *Conn) Now() float64 { return c.now }
 
-// Path returns the path this connection runs over.
-func (c *Conn) Path() netem.Path { return c.path }
-
 // Info returns the current tcp_info-equivalent snapshot, with small
 // measurement noise on the delivery-rate estimate.
 func (c *Conn) Info() Info {

@@ -167,7 +167,7 @@ func TestTransferZeroSize(t *testing.T) {
 func TestClockMonotonic(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		sampler := netem.PufferPaths{}
+		sampler := netem.PufferPaths{MedianRate: 12e6, Sigma: 1.1}
 		path := sampler.Sample(rng, 300)
 		c := Dial(path, rng)
 		prev := c.Now()
@@ -197,7 +197,7 @@ func TestClockMonotonic(t *testing.T) {
 func TestInfoSane(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		path := (netem.PufferPaths{}).Sample(rng, 120)
+		path := (netem.PufferPaths{MedianRate: 12e6, Sigma: 1.1}).Sample(rng, 120)
 		c := Dial(path, rng)
 		for i := 0; i < 10; i++ {
 			c.Transfer(1e5 + rng.Float64()*1e6)
@@ -270,7 +270,7 @@ func TestDialPanicsOnInvalidTrace(t *testing.T) {
 
 func BenchmarkTransferTwoSecondChunk(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	path := (netem.PufferPaths{}).Sample(rng, 1e7)
+	path := (netem.PufferPaths{MedianRate: 12e6, Sigma: 1.1}).Sample(rng, 1e7)
 	c := Dial(path, rng)
 	size := path.Trace.Mean() / 8 * 1.6 // ~80% utilization chunk
 	b.ReportAllocs()

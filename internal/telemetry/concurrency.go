@@ -2,24 +2,26 @@ package telemetry
 
 import "sort"
 
-// ConcurrencyPoint is one step of a right-continuous step function counting
-// concurrently active sessions: at Time, the count becomes Active.
-type ConcurrencyPoint struct {
-	Time   float64
-	Active int
+// Concurrency summarises the occupancy of a serving engine: how many
+// sessions were live over virtual time. It is computed from per-session
+// [start, end) intervals, so it is deterministic for a deterministic
+// workload regardless of scheduling.
+type Concurrency struct {
+	// Peak is the maximum number of concurrently live sessions.
+	Peak int
+	// Mean is the time-weighted mean count over Span (zero for an empty or
+	// instantaneous record).
+	Mean float64
+	// Span is the virtual time from the first arrival to the last departure.
+	Span float64
 }
 
-// ConcurrencySeries is the occupancy record of a serving engine: how many
-// sessions were live at every instant of virtual time. It is built from
-// per-session [start, end) intervals, so it is deterministic for a
-// deterministic workload regardless of scheduling.
-type ConcurrencySeries struct {
-	Points []ConcurrencyPoint
-}
-
-// NewConcurrencySeries builds the step function from per-session start and
-// end times (parallel slices; end < start is treated as an empty interval).
-func NewConcurrencySeries(starts, ends []float64) ConcurrencySeries {
+// ConcurrencyOf summarises the occupancy of sessions with the given start
+// and end times (parallel slices; end < start is an empty interval). The
+// count is a right-continuous step function: at an instant where sessions
+// leave and others arrive, departures come first, so a back-to-back handoff
+// does not double-count.
+func ConcurrencyOf(starts, ends []float64) Concurrency {
 	type event struct {
 		t     float64
 		delta int
@@ -35,79 +37,32 @@ func NewConcurrencySeries(starts, ends []float64) ConcurrencySeries {
 		if evs[i].t != evs[j].t {
 			return evs[i].t < evs[j].t
 		}
-		// Departures before arrivals at the same instant, so a
-		// back-to-back handoff does not double-count.
 		return evs[i].delta < evs[j].delta
 	})
-	var ser ConcurrencySeries
-	active := 0
+	// Each distinct instant is one step; area accumulates the count in
+	// force over each step's width, in time order.
+	var c Concurrency
+	active, prev, steps := 0, 0, 0
+	var first, last, area float64
 	for i, e := range evs {
 		active += e.delta
 		if i+1 < len(evs) && evs[i+1].t == e.t {
 			continue
 		}
-		ser.Points = append(ser.Points, ConcurrencyPoint{Time: e.t, Active: active})
-	}
-	return ser
-}
-
-// Peak returns the maximum concurrent session count.
-func (s *ConcurrencySeries) Peak() int {
-	peak := 0
-	for _, p := range s.Points {
-		if p.Active > peak {
-			peak = p.Active
-		}
-	}
-	return peak
-}
-
-// Mean returns the time-weighted mean concurrency over the series' span
-// (zero for an empty or instantaneous series).
-func (s *ConcurrencySeries) Mean() float64 {
-	if len(s.Points) < 2 {
-		return 0
-	}
-	span := s.Points[len(s.Points)-1].Time - s.Points[0].Time
-	if span <= 0 {
-		return 0
-	}
-	area := 0.0
-	for i := 0; i+1 < len(s.Points); i++ {
-		area += float64(float64(s.Points[i].Active) * (s.Points[i+1].Time - s.Points[i].Time))
-	}
-	return area / span
-}
-
-// At returns the active count at time t (0 before the first event).
-func (s *ConcurrencySeries) At(t float64) int {
-	lo, hi := 0, len(s.Points)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.Points[mid].Time <= t {
-			lo = mid + 1
+		if steps == 0 {
+			first = e.t
 		} else {
-			hi = mid
+			area += float64(float64(prev) * (e.t - last))
 		}
+		c.Peak = max(c.Peak, active)
+		prev, last = active, e.t
+		steps++
 	}
-	if lo == 0 {
-		return 0
+	if steps > 0 {
+		c.Span = last - first
 	}
-	return s.Points[lo-1].Active
-}
-
-// Sample downsamples the series to a fixed step for tables and plots: one
-// point per dt of virtual time across the span, each carrying the count in
-// effect at that instant.
-func (s *ConcurrencySeries) Sample(dt float64) []ConcurrencyPoint {
-	if len(s.Points) == 0 || dt <= 0 {
-		return nil
+	if steps > 1 && c.Span > 0 {
+		c.Mean = area / c.Span
 	}
-	t0 := s.Points[0].Time
-	t1 := s.Points[len(s.Points)-1].Time
-	var out []ConcurrencyPoint
-	for t := t0; t <= t1; t += dt {
-		out = append(out, ConcurrencyPoint{Time: t, Active: s.At(t)})
-	}
-	return out
+	return c
 }

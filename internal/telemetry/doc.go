@@ -14,7 +14,7 @@
 //     are sent (running SSIM mean, chunk-to-chunk |dSSIM|, delivered
 //     bitrate, path-rate mean).
 //   - WriteSummariesCSV: the open-data-style export.
-//   - ConcurrencySeries: the serving-side occupancy record (concurrently
-//     live sessions over virtual time), built from per-session intervals
-//     by the fleet engine.
+//   - ConcurrencyOf: the serving-side occupancy summary (peak and
+//     time-weighted mean of concurrently live sessions, and the span they
+//     cover), computed from per-session intervals by the fleet engine.
 package telemetry

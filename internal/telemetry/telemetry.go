@@ -34,16 +34,6 @@ type StreamSummary struct {
 // the denominator convention for time spent stalled.
 func (s StreamSummary) WatchTime() float64 { return s.PlayTime + s.StallTime }
 
-// StallRatio is the stream's own stall fraction; aggregate analyses use
-// total-stall/total-watch across streams instead (see the stats package).
-func (s StreamSummary) StallRatio() float64 {
-	w := s.WatchTime()
-	if w <= 0 {
-		return 0
-	}
-	return s.StallTime / w
-}
-
 // Eligible reports whether the stream enters the primary analysis: it began
 // playing, watched at least 4 seconds, and did not hit the slow-decoder
 // exclusion — the CONSORT criteria of Figure A1.

