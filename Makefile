@@ -298,11 +298,12 @@ dist-smoke:
 # loader (a loaded index re-appends to the same canonical bytes), and on the
 # fixed-layout decoders of what the program persists or ships between
 # processes: the model file, the dist shard blob and the dist frame payloads
-# (bytes that decode must re-encode to themselves), and on one kernel: the
-# trainer's live-input affine row, whose assembly bodies must equal the
-# portable oracle bit for bit on any shape, mask and values. The committed
-# seeds under internal/{wire,serve,scenario,sweep,core}/testdata/fuzz run in every plain
-# `go test` as well; this adds fresh mutations on each push. The index loader
+# (bytes that decode must re-encode to themselves), on the event-log reader
+# (the events it reads, emitted again, read back the same), and on one
+# kernel: the trainer's live-input affine row, whose assembly bodies must
+# equal the portable oracle bit for bit on any shape, mask and values. The
+# committed seeds under internal/{wire,serve,scenario,sweep,core}/testdata/fuzz
+# run in every plain `go test` as well; this adds fresh mutations on each push. The index loader
 # reads a file and re-appends with fsync for every input (about a
 # millisecond), so its minimizing of each new input is capped at 100 runs:
 # at the default 60 s budget it would spend all five seconds minimizing.
@@ -318,6 +319,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTTP -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeShard -fuzztime=5s ./internal/dist
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePayload -fuzztime=5s ./internal/dist
+	$(GO) test -run='^$$' -fuzz=FuzzReadEvents -fuzztime=5s ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzAffineRowTLive -fuzztime=5s ./internal/nn
 
 # `loc` runs last so every green run ends on the round's tracked number.

@@ -53,7 +53,9 @@ type censusPkg struct {
 
 // censusUse says how an object is mentioned. A composite-literal key, the
 // left side of an assignment and an increment write; &x.F both writes and
-// reads; every other mention reads.
+// reads; a selector handed to a wire.Append* encoder, bare or through one
+// conversion, neither reads nor writes (it ships a value that the peer may
+// never read); every other mention reads.
 type censusUse struct {
 	read, write bool
 }
@@ -239,8 +241,16 @@ func (c *census) scan(p *censusPkg, d ast.Decl) {
 			}
 		case *ast.CallExpr:
 			c.handsOver(p.info, n)
-			if encoderCall(callee(p.info, n)) && len(n.Args) > 0 {
+			fn := callee(p.info, n)
+			if encoderCall(fn) && len(n.Args) > 0 {
 				c.encode(p.info.TypeOf(n.Args[0]))
+			}
+			if wireAppend(fn) {
+				for _, a := range n.Args {
+					if sel, ok := unconvert(p.info, a).(*ast.SelectorExpr); ok {
+						written[sel.Sel] = censusUse{} // shipped, not read
+					}
+				}
 			}
 		case *ast.SelectorExpr:
 			c.promoted(p.info, n)
@@ -281,6 +291,23 @@ func encoderCall(obj types.Object) bool {
 		return fn.Name() == "Encode"
 	}
 	return fn.Name() == "Marshal" || fn.Name() == "MarshalIndent"
+}
+
+// wireAppend reports whether obj is one of puffer/internal/wire's Append*
+// encoders.
+func wireAppend(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "puffer/internal/wire" && strings.HasPrefix(fn.Name(), "Append")
+}
+
+// unconvert strips parentheses and one type conversion from e: uint64(x.F)
+// is x.F.
+func unconvert(info *types.Info, e ast.Expr) ast.Expr {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 && info.Types[call.Fun].IsType() {
+		return ast.Unparen(call.Args[0])
+	}
+	return e
 }
 
 // encode marks the fields encoding/json reads from a value of type t.
@@ -555,18 +582,18 @@ func TestNoProductionOrphans(t *testing.T) {
 // the struct fields that stay although no production file reads them, one
 // reason each.
 var readerAllowlist = map[string]string{
-	"figures.Fig2Series": "a figure's returned data: cmd/figures prints the table and discards it; the root benchmarks read it",
-	"figures.Fig3Row":    "a figure's returned rows: cmd/figures prints the table and discards them; the root benchmarks read them",
-	"figures.Sec46Row":   "a figure's returned rows: cmd/figures prints the table and discards them; the root benchmarks read them",
-	"figures.Sec53Row":   "a figure's returned rows: cmd/figures prints the table and discards them; figures_test and the root benchmarks read them",
-	"sweep.Spec.Notes":   "documentation that the committed sweep files carry",
+	"sweep.Spec.Notes":      "documentation that the committed sweep files carry",
+	"serve.session.modelID": "shipped in every HelloOK and DecideOK; the client decodes it back as remote.modelID and checks it",
 }
 
 // TestEveryFieldHasAReader fails when a struct field that a non-test file
 // under internal/ or puffer.go declares is read by no non-test file: a value
 // nobody reads is work and memory for nothing. Writing a field (a literal
-// key, an assignment, an increment) is no read; &x.F is. The exported fields
-// of a type that reaches a JSON encoder are read by it.
+// key, an assignment, an increment) is no read; &x.F is. Nor is passing it to
+// a puffer/internal/wire Append* encoder, directly or through one type
+// conversion: a value shipped is not a value read, so a field the wire
+// carries needs a reader besides its encoder. The exported fields of a
+// type that reaches a JSON encoder are read by it.
 func TestEveryFieldHasAReader(t *testing.T) {
 	c := loadCensus(t)
 	found := map[string]string{}

@@ -120,7 +120,7 @@ func run() error {
 			_, err := suite.Sec34(w)
 			return err
 		case "4.6":
-			_, err := suite.Sec46(w)
+			_, _, err := suite.Sec46(w)
 			return err
 		case "5.3":
 			_, err := suite.Sec53(w)

@@ -48,7 +48,6 @@ func run(args []string) error {
 		addr        = fs.String("addr", "127.0.0.1:9977", "daemon address")
 		virtual     = fs.Bool("virtual", false, "run the deterministic virtual-time twin in-process instead of driving a daemon")
 		timescale   = fs.Float64("timescale", 0, "wall seconds per virtual second: pace arrivals and decisions against real time (0 = as fast as the daemon answers)")
-		concurrency = fs.Int("concurrency", 0, "bound concurrent sessions (0 = 256 unpaced, unlimited paced)")
 		sessions    = fs.Int("sessions", 0, "override the scenario's per-day session count (0 = spec value)")
 		arrivalRate = fs.Float64("arrival-rate", 0, "override the arrival process with poisson at this rate in sessions per virtual second (0 = spec value)")
 		workers     = fs.Int("workers", 0, "warmup/virtual-engine parallelism (0 = GOMAXPROCS)")
@@ -105,11 +104,10 @@ func run(args []string) error {
 
 	logf("driving %s at %s (%d sessions)", plan.Hash, *addr, plan.Sessions)
 	res, err := serve.RunLoad(serve.LoadConfig{
-		Addr:        *addr,
-		Plan:        plan,
-		Timescale:   *timescale,
-		Concurrency: *concurrency,
-		Logf:        logf,
+		Addr:      *addr,
+		Plan:      plan,
+		Timescale: *timescale,
+		Logf:      logf,
 	})
 	if err != nil {
 		return err

@@ -90,7 +90,6 @@ func cmdRun(args []string) error {
 	index := fs.String("index", "results/index.jsonl", "results index to read and append")
 	checkpoint := fs.String("checkpoint", "", "checkpoint root (one dir per cell GuardHash; empty = no checkpointing)")
 	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS); same-guard cells serialize regardless")
-	cellWorkers := fs.Int("cell-workers", 0, "shard workers inside each cell (0 = GOMAXPROCS); never changes results")
 	quiet := fs.Bool("q", false, "suppress progress logging")
 	eventsPath := fs.String("events", "", `per-cell lifecycle event log (JSONL) to append to (default: <index>.events; "none" = off)`)
 	var obsOpts obscli.Options
@@ -137,7 +136,6 @@ func cmdRun(args []string) error {
 		IndexPath:      *index,
 		CheckpointRoot: *checkpoint,
 		Run: sweep.InProcess(scenario.RunOptions{
-			Workers:     *cellWorkers,
 			DistCommand: scenario.SelfDistCommand(),
 			Logf:        logf,
 		}),

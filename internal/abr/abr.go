@@ -15,8 +15,6 @@ const HistoryLen = 8
 type ChunkRecord struct {
 	Size      float64 // bytes
 	TransTime float64 // seconds from send decision to last byte
-	SSIMdB    float64
-	Quality   int // ladder rung index
 }
 
 // Throughput returns the chunk's achieved throughput in bits/s.

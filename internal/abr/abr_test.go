@@ -17,7 +17,7 @@ func testChunks(n int, base float64) []media.Chunk {
 		for q := range vs {
 			vs[q] = media.Encoding{Size: float64(q+1) * base, SSIMdB: 10 + float64(q)}
 		}
-		chunks[i] = media.Chunk{Index: i, Versions: vs}
+		chunks[i] = media.Chunk{Versions: vs}
 	}
 	return chunks
 }
@@ -37,7 +37,7 @@ func histAtThroughput(n int, tputBps float64) []ChunkRecord {
 	h := make([]ChunkRecord, n)
 	for i := range h {
 		size := 1e6 * (0.8 + 0.05*float64(i%3))
-		h[i] = ChunkRecord{Size: size, TransTime: size * 8 / tputBps, SSIMdB: 14, Quality: 5}
+		h[i] = ChunkRecord{Size: size, TransTime: size * 8 / tputBps}
 	}
 	return h
 }

@@ -22,21 +22,15 @@ func deferredObs(n int, seed int64) []*Observation {
 					SSIMdB: 9 + float64(q) + rng.Float64(),
 				}
 			}
-			horizon[i] = media.Chunk{Index: i, Versions: vs}
+			horizon[i] = media.Chunk{Versions: vs}
 		}
 		hist := make([]ChunkRecord, rng.Intn(HistoryLen+1))
-		for i := range hist {
-			size := 2e5 + rng.Float64()*2e6
-			hist[i] = ChunkRecord{
-				Size: size, TransTime: size * 8 / (4e6 + rng.Float64()*2e7),
-				SSIMdB: 11 + 5*rng.Float64(), Quality: rng.Intn(10),
-			}
-		}
 		lastQ := -1
 		lastSSIM := 0.0
-		if len(hist) > 0 {
-			lastQ = hist[len(hist)-1].Quality
-			lastSSIM = hist[len(hist)-1].SSIMdB
+		for i := range hist {
+			size := 2e5 + rng.Float64()*2e6
+			hist[i] = ChunkRecord{Size: size, TransTime: size * 8 / (4e6 + rng.Float64()*2e7)}
+			lastSSIM, lastQ = 11+5*rng.Float64(), rng.Intn(10)
 		}
 		out[s] = &Observation{
 			ChunkIndex: len(hist), Buffer: rng.Float64() * 15,

@@ -21,26 +21,18 @@ func randomObs(rng *rand.Rand) *Observation {
 				SSIMdB: 9 + float64(q) + 2*rng.Float64(),
 			}
 		}
-		horizon[i] = media.Chunk{Index: i, Versions: vs}
+		horizon[i] = media.Chunk{Versions: vs}
 	}
 	nHist := rng.Intn(HistoryLen + 1)
 	hist := make([]ChunkRecord, nHist)
 	tput := 0.3e6 + rng.Float64()*30e6
+	lastQ := -1
+	lastSSIM := 0.0
 	for i := range hist {
 		size := 2e5 + rng.Float64()*2e6
 		factor := 0.5 + rng.Float64()
-		hist[i] = ChunkRecord{
-			Size:      size,
-			TransTime: size * 8 / (tput * factor),
-			SSIMdB:    10 + 5*rng.Float64(),
-			Quality:   rng.Intn(nQ),
-		}
-	}
-	lastQ := -1
-	lastSSIM := 0.0
-	if nHist > 0 {
-		lastQ = hist[nHist-1].Quality
-		lastSSIM = hist[nHist-1].SSIMdB
+		hist[i] = ChunkRecord{Size: size, TransTime: size * 8 / (tput * factor)}
+		lastSSIM, lastQ = 10+5*rng.Float64(), rng.Intn(nQ)
 	}
 	return &Observation{
 		ChunkIndex:  nHist,

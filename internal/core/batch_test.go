@@ -23,25 +23,17 @@ func batchObs(rng *rand.Rand, nQ, horizon int) *abr.Observation {
 				SSIMdB: 10 + float64(q) + rng.Float64(),
 			}
 		}
-		chunks[i] = media.Chunk{Index: i, Versions: vs}
+		chunks[i] = media.Chunk{Versions: vs}
 	}
 	nHist := rng.Intn(abr.HistoryLen + 1)
 	hist := make([]abr.ChunkRecord, nHist)
 	tput := 1e6 + rng.Float64()*20e6
-	for i := range hist {
-		size := 2e5 + rng.Float64()*2e6
-		hist[i] = abr.ChunkRecord{
-			Size:      size,
-			TransTime: size * 8 / (tput * (0.6 + 0.8*rng.Float64())),
-			SSIMdB:    11 + 4*rng.Float64(),
-			Quality:   rng.Intn(nQ),
-		}
-	}
 	lastQ := -1
 	lastSSIM := 0.0
-	if nHist > 0 {
-		lastQ = hist[nHist-1].Quality
-		lastSSIM = hist[nHist-1].SSIMdB
+	for i := range hist {
+		size := 2e5 + rng.Float64()*2e6
+		hist[i] = abr.ChunkRecord{Size: size, TransTime: size * 8 / (tput * (0.6 + 0.8*rng.Float64()))}
+		lastSSIM, lastQ = 11+4*rng.Float64(), rng.Intn(nQ)
 	}
 	return &abr.Observation{
 		ChunkIndex:  nHist,

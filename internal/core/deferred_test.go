@@ -17,12 +17,12 @@ func stagedObs(rng *rand.Rand) *abr.Observation {
 		for q := range vs {
 			vs[q] = media.Encoding{Size: float64(q+1) * 2e5, SSIMdB: 10 + float64(q)}
 		}
-		horizon[i] = media.Chunk{Index: i, Versions: vs}
+		horizon[i] = media.Chunk{Versions: vs}
 	}
 	hist := make([]abr.ChunkRecord, abr.HistoryLen)
 	for i := range hist {
 		size := 3e5 + rng.Float64()*1e6
-		hist[i] = abr.ChunkRecord{Size: size, TransTime: size * 8 / 8e6, SSIMdB: 13, Quality: 4}
+		hist[i] = abr.ChunkRecord{Size: size, TransTime: size * 8 / 8e6}
 	}
 	return &abr.Observation{
 		ChunkIndex: len(hist), Buffer: rng.Float64() * 15,

@@ -164,9 +164,7 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 		}
 
 		// Bookkeeping for the next decision.
-		history = append(history, abr.ChunkRecord{
-			Size: enc.Size, TransTime: elapsed, SSIMdB: enc.SSIMdB, Quality: q,
-		})
+		history = append(history, abr.ChunkRecord{Size: enc.Size, TransTime: elapsed})
 		if len(history) > abr.HistoryLen {
 			history = history[1:]
 		}

@@ -13,9 +13,8 @@ import (
 // Figure 2: a CS2P-style discrete-state session and a typical Puffer
 // session with similar mean throughput.
 type Fig2Series struct {
-	EpochSeconds float64
-	CS2P         []float64 // Mbit/s per epoch
-	Puffer       []float64
+	CS2P   []float64 // Mbit/s per epoch
+	Puffer []float64
 	// DistinctLevels counts capacity plateaus in each series (CS2P should
 	// have a handful; Puffer effectively one per epoch).
 	CS2PLevels, PufferLevels int
@@ -30,7 +29,7 @@ func (s *Suite) Fig2(w io.Writer) (*Fig2Series, error) {
 	cs2p := netem.GenCS2P(rng, 2.6e6, epochs*epoch)
 	puffer := netem.GenPuffer(rng, 2.2e6, epochs*epoch)
 
-	series := &Fig2Series{EpochSeconds: epoch}
+	series := &Fig2Series{}
 	sample := func(tr *netem.Trace) []float64 {
 		out := make([]float64, epochs)
 		for i := range out {
@@ -99,12 +98,11 @@ func mean(xs []float64) float64 {
 
 // Fig3Row is one chunk of the Figure 3 VBR illustration.
 type Fig3Row struct {
-	Chunk      int
-	SizeTopMB  float64 // 5500 kbps rung
-	SizeBotMB  float64 // 200 kbps rung
-	SSIMTopdB  float64
-	SSIMBotdB  float64
-	Complexity float64
+	Chunk     int
+	SizeTopMB float64 // 5500 kbps rung
+	SizeBotMB float64 // 200 kbps rung
+	SSIMTopdB float64
+	SSIMBotdB float64
 }
 
 // Fig3 reproduces Figure 3: within one encoding setting, both compressed
@@ -122,8 +120,7 @@ func (s *Suite) Fig3(w io.Writer) ([]Fig3Row, error) {
 		top := ch.Versions[len(ch.Versions)-1]
 		bot := ch.Versions[0]
 		rows[i] = Fig3Row{
-			Chunk: i, Complexity: ch.Complexity,
-			SizeTopMB: top.Size / 1e6, SizeBotMB: bot.Size / 1e6,
+			Chunk: i, SizeTopMB: top.Size / 1e6, SizeBotMB: bot.Size / 1e6,
 			SSIMTopdB: top.SSIMdB, SSIMBotdB: bot.SSIMdB,
 		}
 	}

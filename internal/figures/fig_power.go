@@ -59,10 +59,11 @@ func (s *Suite) Sec53(w io.Writer) ([]Sec53Row, error) {
 	for _, n := range sec53Sizes {
 		rate := stats.DetectionRate(rng, cfg, n, draw)
 		years := float64(n) * meanWatch / (365.25 * 24 * 3600)
-		rows = append(rows, Sec53Row{StreamsPerScheme: n, StreamYears: years, DetectionRate: rate})
-		line(w, &werr, "%-18d %14.3f %16.2f\n", n, years, rate)
-		s.Logf("  sec5.3 n=%d years=%.3f detect=%.2f", n, years, rate)
-		if rate >= 0.99 {
+		r := Sec53Row{StreamsPerScheme: n, StreamYears: years, DetectionRate: rate}
+		rows = append(rows, r)
+		line(w, &werr, "%-18d %14.3f %16.2f\n", r.StreamsPerScheme, r.StreamYears, r.DetectionRate)
+		s.Logf("  sec5.3 n=%d years=%.3f detect=%.2f", r.StreamsPerScheme, r.StreamYears, r.DetectionRate)
+		if r.DetectionRate >= 0.99 {
 			break
 		}
 	}

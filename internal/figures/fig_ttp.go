@@ -52,21 +52,12 @@ func (s *Suite) Fig7(w io.Writer) ([]Fig7Row, error) {
 	return rows, werr
 }
 
-// Sec46Row summarizes one arm of the stale-model trial.
-type Sec46Row struct {
-	Scheme     string
-	StallPct   float64
-	StallLo    float64
-	StallHi    float64
-	SSIM       float64
-	Overlapped bool
-}
-
 // Sec46 reproduces §4.6's daily-retraining check: a TTP trained on old data
 // ("February") runs head-to-head against one freshly retrained with a
 // warm start ("daily"). In a stationary deployment the two are statistically
-// indistinguishable — the paper's (surprising) result.
-func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
+// indistinguishable — the paper's (surprising) result. It returns both arms'
+// statistics and whether their stall-ratio and SSIM intervals both overlap.
+func (s *Suite) Sec46(w io.Writer) ([]experiment.SchemeStats, bool, error) {
 	// "February" model: the suite's in-situ TTP, trained on day-0 data.
 	feb := s.InSituTTP
 
@@ -79,13 +70,13 @@ func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
 	}
 	fresh, err := experiment.CollectDataset(experiment.DefaultEnv(), behaviorSchemes(s.Seed+419), sessions, s.Seed+420, 150)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	daily := feb.Clone()
 	cfg := trainCfg(s.Seed + 421)
 	cfg.WindowDays = 14
 	if _, err := core.Train(daily, fresh, cfg); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	trial := s.Scale / 2
@@ -102,23 +93,17 @@ func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
 		Seed:     s.Seed + 422,
 	}, experiment.AllPaths)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	st := acc.Analyze(s.Seed + 423)
 	if len(st) != 2 {
-		return nil, errTooFewArms
+		return nil, false, errTooFewArms
 	}
 	overlap := st[0].StallRatio.Overlaps(st[1].StallRatio) && st[0].SSIM.Overlaps(st[1].SSIM)
-	rows := make([]Sec46Row, 0, 2)
 	var werr error
 	line(w, &werr, "Section 4.6: stale TTP vs daily-retrained TTP (stationary deployment)\n")
 	line(w, &werr, "%-12s %22s %10s\n", "Model", "Stalled% [95% CI]", "SSIM dB")
 	for _, r := range st {
-		rows = append(rows, Sec46Row{
-			Scheme: r.Name, StallPct: 100 * r.StallRatio.Point,
-			StallLo: 100 * r.StallRatio.Lo, StallHi: 100 * r.StallRatio.Hi,
-			SSIM: r.SSIM.Point, Overlapped: overlap,
-		})
 		line(w, &werr, "%-12s %7.3f%% [%.3f, %.3f] %7.2f\n",
 			r.Name, 100*r.StallRatio.Point, 100*r.StallRatio.Lo, 100*r.StallRatio.Hi, r.SSIM.Point)
 	}
@@ -127,7 +112,7 @@ func (s *Suite) Sec46(w io.Writer) ([]Sec46Row, error) {
 	} else {
 		line(w, &werr, "CIs do NOT overlap: retraining mattered in this run.\n")
 	}
-	return rows, werr
+	return st, overlap, werr
 }
 
 var errTooFewArms = errString("figures: expected two arms in the stale-model trial")

@@ -46,9 +46,7 @@ func (e Encoding) Bitrate() float64 { return e.Size * 8 / ChunkDuration }
 
 // Chunk is one 2.002-second segment with all ladder versions.
 type Chunk struct {
-	Index      int
-	Complexity float64 // scene complexity that generated it (1.0 = typical)
-	Versions   []Encoding
+	Versions []Encoding
 }
 
 // Profile characterizes a channel's content dynamics.
@@ -97,7 +95,6 @@ type Source struct {
 
 	rng    *rand.Rand
 	logC   float64 // current log-complexity state
-	index  int
 	inited bool
 }
 
@@ -132,11 +129,7 @@ func (s *Source) Next() Chunk {
 	}
 	complexity := math.Exp(s.logC)
 
-	c := Chunk{
-		Index:      s.index,
-		Complexity: complexity,
-		Versions:   make([]Encoding, len(ladder)),
-	}
+	c := Chunk{Versions: make([]Encoding, len(ladder))}
 	// One shared encoder-noise draw per chunk keeps versions correlated;
 	// a small per-rung term adds encoder idiosyncrasy.
 	sharedNoise := s.rng.NormFloat64()
@@ -159,7 +152,6 @@ func (s *Source) Next() Chunk {
 			c.Versions[i].SSIMdB = c.Versions[i-1].SSIMdB
 		}
 	}
-	s.index++
 	return c
 }
 
@@ -188,14 +180,13 @@ func RecordClip(profile Profile, duration float64, seed int64) *Clip {
 }
 
 // At returns chunk i of the clip, looping past the end (re-playing the clip,
-// as the emulation methodology does). The returned chunk's Index is i.
+// as the emulation methodology does): chunk i and chunk i+len(c.Chunks) are
+// the same chunk.
 func (c *Clip) At(i int) Chunk {
 	if len(c.Chunks) == 0 {
 		panic("media: empty clip")
 	}
-	ch := c.Chunks[i%len(c.Chunks)]
-	ch.Index = i
-	return ch
+	return c.Chunks[i%len(c.Chunks)]
 }
 
 // FindProfile returns the channel profile with the given name.

@@ -3,6 +3,7 @@ package media
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,14 +149,14 @@ func TestSSIMVariesWithComplexity(t *testing.T) {
 	// Higher-complexity chunks should have lower SSIM at the same rung.
 	p, _ := FindProfile("fox-sports")
 	src := NewSource(p, 3)
-	chunks := src.Take(2000)
 	var loSum, hiSum float64
 	var loN, hiN int
-	for _, ch := range chunks {
-		if ch.Complexity < 0.8 {
+	for range 2000 {
+		ch := src.Next()
+		if src.logC < math.Log(0.8) {
 			loSum += ch.Versions[9].SSIMdB
 			loN++
-		} else if ch.Complexity > 1.25 {
+		} else if src.logC > math.Log(1.25) {
 			hiSum += ch.Versions[9].SSIMdB
 			hiN++
 		}
@@ -181,9 +182,6 @@ func TestClipLoops(t *testing.T) {
 	if a.Versions[5] != b.Versions[5] {
 		t.Fatal("clip did not loop identically")
 	}
-	if b.Index != 3+n {
-		t.Fatalf("looped chunk Index = %d, want %d", b.Index, 3+n)
-	}
 }
 
 func TestFindProfile(t *testing.T) {
@@ -202,10 +200,10 @@ func TestComplexityAutocorrelation(t *testing.T) {
 	// Log-complexity must be positively autocorrelated (scenes persist).
 	p, _ := FindProfile("pbs")
 	src := NewSource(p, 11)
-	chunks := src.Take(4000)
-	xs := make([]float64, len(chunks))
-	for i, ch := range chunks {
-		xs[i] = math.Log(ch.Complexity)
+	xs := make([]float64, 4000)
+	for i := range xs {
+		src.Next()
+		xs[i] = src.logC
 	}
 	mean := 0.0
 	for _, x := range xs {
@@ -229,9 +227,10 @@ func TestTakeCount(t *testing.T) {
 	if len(chunks) != 17 {
 		t.Fatalf("Take(17) returned %d chunks", len(chunks))
 	}
+	ref := NewSource(Channels()[0], 1)
 	for i, ch := range chunks {
-		if ch.Index != i {
-			t.Fatalf("chunk %d has Index %d", i, ch.Index)
+		if !slices.Equal(ch.Versions, ref.Next().Versions) {
+			t.Fatalf("chunk %d differs from the same source's Next call %d", i, i)
 		}
 	}
 }

@@ -79,7 +79,8 @@ func (l *EventLog) Close() error {
 type Event struct {
 	// Time is the emission wall clock (zero if the line had no valid "t").
 	Time time.Time
-	// Type is the event type ("day_done", "cell_start", ...).
+	// Type is the event type ("day_done", "cell_start", ...; empty if the
+	// line had no string "type").
 	Type string
 	// Fields holds every other key of the line.
 	Fields map[string]any
@@ -110,12 +111,12 @@ func ReadEvents(path string) ([]Event, error) {
 			if ts, err := time.Parse(time.RFC3339Nano, t); err == nil {
 				ev.Time = ts
 			}
-			delete(obj, "t")
 		}
-		if typ, ok := obj["type"].(string); ok {
-			ev.Type = typ
-			delete(obj, "type")
-		}
+		ev.Type, _ = obj["type"].(string)
+		// The reserved keys never reach Fields, whatever their value:
+		// Emit would overwrite them.
+		delete(obj, "t")
+		delete(obj, "type")
 		out = append(out, ev)
 		return nil
 	})

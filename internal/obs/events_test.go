@@ -1,11 +1,16 @@
 package obs
 
 import (
+	"bufio"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"puffer/internal/wire"
 )
 
 // TestEventLogRoundTrip: Emit then ReadEvents recovers type, timestamp,
@@ -167,4 +172,55 @@ func TestEventLogConcurrent(t *testing.T) {
 	if len(evs) != writers*perWriter {
 		t.Fatalf("got %d events, want %d", len(evs), writers*perWriter)
 	}
+}
+
+// FuzzReadEvents: an event log from outside is refused with a
+// *wire.LineError (a malformed line before the last) or bufio.ErrTooLong,
+// or it reads to events that, emitted again through an EventLog and read
+// back, are the same events. Emit stamps its own time, so the round trip
+// holds each event's type and fields.
+func FuzzReadEvents(f *testing.F) {
+	f.Add([]byte("{\"t\":\"2024-05-01T12:00:00.5Z\",\"type\":\"day_done\",\"day\":1,\"wall_s\":2.5}\n{\"type\":\"note\"}\n"))
+	f.Add([]byte("{\"type\":\"a\"}\n{\"type\":\"c\",\"tru"))
+	f.Add([]byte("{\"type\":\"a\"}\ngarbage\n{\"type\":\"d\"}\n"))
+	f.Add([]byte("{\"type\":7,\"t\":[1],\"cell\":{\"k\":[null,true,\"x\"]}}\nnull\n"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.events")
+		if err := os.WriteFile(in, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := ReadEvents(in)
+		if err != nil {
+			var le *wire.LineError
+			if !errors.As(err, &le) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		out := filepath.Join(dir, "out.events")
+		l, err := OpenEventLog(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			l.Emit(ev.Type, ev.Fields)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadEvents(out)
+		if err != nil {
+			t.Fatalf("re-emitted log unreadable: %v", err)
+		}
+		if len(again) != len(evs) {
+			t.Fatalf("%d events read back as %d", len(evs), len(again))
+		}
+		for i := range evs {
+			a, b := evs[i], again[i]
+			if a.Type != b.Type || len(a.Fields) != len(b.Fields) || (len(a.Fields) > 0 && !reflect.DeepEqual(a.Fields, b.Fields)) {
+				t.Fatalf("event %d: read %q %v, read back %q %v", i, a.Type, a.Fields, b.Type, b.Fields)
+			}
+		}
+	})
 }

@@ -182,7 +182,7 @@ func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*a
 		}
 		reward(chunkReward(enc, lastBitrate, stall))
 
-		history = append(history, abr.ChunkRecord{Size: enc.Size, TransTime: elapsed, Quality: q})
+		history = append(history, abr.ChunkRecord{Size: enc.Size, TransTime: elapsed})
 		if len(history) > HistLen {
 			history = history[1:]
 		}

@@ -333,17 +333,14 @@ func (ld *loader) runSession(id int, arrival float64) (res experiment.SessionRes
 		violations: &ld.violations, decisions: &ld.decisions,
 		sessID: int64(id),
 	}
-	var flags uint16
 	if tr := obs.Tracing(); tr != nil && tr.Sampled(int64(id)) {
 		h.traced = true
-		flags |= helloFlagTracing
 	}
 
 	// Handshake.
 	c.SetWriteDeadline(time.Now().Add(replyTimeout))
 	hb := encodeHello(nil, &hello{
-		Version: ProtoVersion, Day: p.Day, Session: id, Seed: p.TrialSeed,
-		Scheme: scheme, PlanHash: p.Hash, Flags: flags,
+		Version: ProtoVersion, Day: p.Day, Session: id, Scheme: scheme, PlanHash: p.Hash,
 	})
 	if err := wire.WriteFrame(h.bw, msgHello, hb); err != nil {
 		return res, fmt.Errorf("hello: %w", err)

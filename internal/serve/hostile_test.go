@@ -30,15 +30,11 @@ func goldenDecide() *abr.Observation {
 		LastQuality: 1,
 		LastSSIM:    17.5,
 		History: []abr.ChunkRecord{
-			{Size: 1.5e6, TransTime: 0.75, SSIMdB: 14.25, Quality: 0},
-			{Size: 2.5e6, TransTime: 1.5, SSIMdB: 17.5, Quality: 1},
+			{Size: 1.5e6, TransTime: 0.75},
+			{Size: 2.5e6, TransTime: 1.5},
 		},
-		TCP: tcpsim.Info{CWND: 48, InFlight: 12, MinRTT: 0.031, RTT: 0.042, DeliveryRate: 1.25e6},
-		Horizon: []media.Chunk{
-			{Index: 2, Complexity: 1.125, Versions: ladder(1)},
-			{Index: 3, Complexity: 0.875, Versions: ladder(0.5)},
-			{Index: 4, Complexity: 1, Versions: ladder(2)},
-		},
+		TCP:     tcpsim.Info{CWND: 48, InFlight: 12, MinRTT: 0.031, RTT: 0.042, DeliveryRate: 1.25e6},
+		Horizon: []media.Chunk{{Versions: ladder(1)}, {Versions: ladder(0.5)}, {Versions: ladder(2)}},
 	}
 }
 
@@ -272,7 +268,7 @@ func FuzzDecodeDecide(f *testing.F) {
 // FuzzDecodeHello: any payload is either refused or decodes to a hello that
 // re-encodes to the same bytes.
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(encodeHello(nil, &hello{Version: ProtoVersion, Scheme: "MPC-HM", PlanHash: "abc123", Flags: helloFlagTracing}))
+	f.Add(encodeHello(nil, &hello{Version: ProtoVersion, Scheme: "MPC-HM", PlanHash: "abc123"}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		h, err := decodeHello(payload)
 		if err != nil {

@@ -21,12 +21,12 @@ import (
 //
 // v3: a Decide no longer carries the client's buffer cap; every client has
 // player.BufferCap.
-const ProtoVersion = 3
-
-// helloFlagTracing marks a session whose client samples decisions for
-// tracing (informational: the server records spans for any Decide whose
-// trace extension is nonzero).
-const helloFlagTracing uint16 = 1 << 0
+//
+// v4: a Decide carries only what the TTP and MPC read: a history record is
+// (size, transmission time) and a horizon chunk is its versions. Hello
+// drops the seed and the flags (a traced decision is marked by its trace
+// extension), and ByeOK carries no payload.
+const ProtoVersion = 4
 
 // decideExtLen is the size of the optional Decide trace extension.
 const decideExtLen = 16
@@ -53,26 +53,22 @@ const maxFrame = 1 << 20
 var errBadObservation = errors.New("serve: invalid observation")
 
 // hello is the session-opening handshake. The plan hash pins the exact
-// (spec, day) identity on both ends; day, seed, and sessions are redundant
-// with it but make mismatch errors actionable.
+// (spec, day) identity on both ends; the day is redundant with it but makes
+// an unknown-scheme error actionable.
 type hello struct {
 	Version  uint16
 	Day      int
 	Session  int
-	Seed     int64
 	Scheme   string
 	PlanHash string
-	Flags    uint16 // helloFlag* bits
 }
 
 func encodeHello(b []byte, h *hello) []byte {
 	b = wire.AppendU16(b, h.Version)
 	b = wire.AppendI32(b, h.Day)
 	b = wire.AppendI32(b, h.Session)
-	b = wire.AppendU64(b, uint64(h.Seed))
 	b = wire.AppendStr(b, h.Scheme)
-	b = wire.AppendStr(b, h.PlanHash)
-	return wire.AppendU16(b, h.Flags)
+	return wire.AppendStr(b, h.PlanHash)
 }
 
 func decodeHello(payload []byte) (hello, error) {
@@ -81,19 +77,19 @@ func decodeHello(payload []byte) (hello, error) {
 		Version:  r.U16(),
 		Day:      r.I32(),
 		Session:  r.I32(),
-		Seed:     int64(r.U64()),
 		Scheme:   r.Str(),
 		PlanHash: r.Str(),
-		Flags:    r.U16(),
 	}
 	return h, r.Done()
 }
 
 // encodeDecide serializes one decision request: the session's virtual
-// `now` plus the full abr.Observation (history, tcp_info snapshot, and the
-// materialized encoding horizon). A nonzero traceID appends the trace
-// extension — the decision's trace id and the client's root span id — so
-// the server's spans join the client's trace; traceID 0 appends nothing.
+// `now` plus what the TTP and MPC read of the abr.Observation (chunk index,
+// buffer, previous rung and SSIM, each past chunk's size and transmission
+// time, the tcp_info snapshot, and the horizon's encodings). A nonzero
+// traceID appends the trace extension — the decision's trace id and the
+// client's root span id — so the server's spans join the client's trace;
+// traceID 0 appends nothing.
 func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSpan uint64) []byte {
 	b = wire.AppendF64(b, now)
 	b = wire.AppendI32(b, obs.ChunkIndex)
@@ -104,8 +100,6 @@ func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSp
 	for _, h := range obs.History {
 		b = wire.AppendF64(b, h.Size)
 		b = wire.AppendF64(b, h.TransTime)
-		b = wire.AppendF64(b, h.SSIMdB)
-		b = wire.AppendI32(b, h.Quality)
 	}
 	b = wire.AppendF64(b, obs.TCP.CWND)
 	b = wire.AppendF64(b, obs.TCP.InFlight)
@@ -114,8 +108,6 @@ func encodeDecide(b []byte, now float64, obs *abr.Observation, traceID, parentSp
 	b = wire.AppendF64(b, obs.TCP.DeliveryRate)
 	b = append(b, byte(len(obs.Horizon)))
 	for _, c := range obs.Horizon {
-		b = wire.AppendI32(b, c.Index)
-		b = wire.AppendF64(b, c.Complexity)
 		b = append(b, byte(len(c.Versions)))
 		for _, v := range c.Versions {
 			b = wire.AppendF64(b, v.Size)
@@ -147,12 +139,7 @@ func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, p
 	nh := int(r.U8())
 	obs.History = obs.History[:0]
 	for i := 0; i < nh && r.Err() == nil; i++ {
-		obs.History = append(obs.History, abr.ChunkRecord{
-			Size:      r.F64(),
-			TransTime: r.F64(),
-			SSIMdB:    r.F64(),
-			Quality:   r.I32(),
-		})
+		obs.History = append(obs.History, abr.ChunkRecord{Size: r.F64(), TransTime: r.F64()})
 	}
 	obs.TCP.CWND = r.F64()
 	obs.TCP.InFlight = r.F64()
@@ -165,7 +152,7 @@ func decodeDecide(payload []byte, obs *abr.Observation) (now float64, traceID, p
 	}
 	obs.Horizon = obs.Horizon[:0]
 	for i := 0; i < nc && r.Err() == nil; i++ {
-		c := media.Chunk{Index: r.I32(), Complexity: r.F64()}
+		var c media.Chunk
 		nv := int(r.U8())
 		if i < len(obs.Horizon[:cap(obs.Horizon)]) {
 			// Reuse the previous decode's Versions backing array.

@@ -94,8 +94,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := hello{Version: ProtoVersion, Day: 3, Session: 41, Seed: -12345,
-		Scheme: "Fugu", PlanHash: "abc:day3"}
+	in := hello{Version: ProtoVersion, Day: 3, Session: 41, Scheme: "Fugu", PlanHash: "abc:day3"}
 	out, err := decodeHello(encodeHello(nil, &in))
 	if err != nil {
 		t.Fatal(err)
@@ -117,12 +116,11 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 // TestHelloFrameGolden pins the bytes of one Hello frame: the framing and
-// payload codec as internal/wire writes them, at protocol version 3.
+// payload codec as internal/wire writes them, at protocol version 4.
 func TestHelloFrameGolden(t *testing.T) {
-	const want = "000000230100030000000300000007ffffffffffffffd600044675677500066162633132330001"
+	const want = "0000001901000400000003000000070004467567750006616263313233"
 	var buf bytes.Buffer
-	h := &hello{Version: ProtoVersion, Day: 3, Session: 7, Seed: -42,
-		Scheme: "Fugu", PlanHash: "abc123", Flags: helloFlagTracing}
+	h := &hello{Version: ProtoVersion, Day: 3, Session: 7, Scheme: "Fugu", PlanHash: "abc123"}
 	if err := wire.WriteFrame(&buf, msgHello, encodeHello(nil, h)); err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +136,13 @@ func TestDecideRoundTrip(t *testing.T) {
 		LastQuality: 1,
 		LastSSIM:    0.9812,
 		History: []abr.ChunkRecord{
-			{Size: 1.5e6, TransTime: 0.75, SSIMdB: 14.25, Quality: 3},
-			{Size: 2.5e6, TransTime: 1.5, SSIMdB: 17.5, Quality: 5},
+			{Size: 1.5e6, TransTime: 0.75},
+			{Size: 2.5e6, TransTime: 1.5},
 		},
 		TCP: tcpsim.Info{CWND: 48, InFlight: 12, MinRTT: 0.031, RTT: 0.042, DeliveryRate: 1.25e6},
 		Horizon: []media.Chunk{
-			{Index: 18, Complexity: 1.125, Versions: []media.Encoding{{Size: 1e6, SSIMdB: 12.5}, {Size: 4e6, SSIMdB: 18}}},
-			{Index: 19, Complexity: 0.875, Versions: []media.Encoding{{Size: 2e6, SSIMdB: 15.5}, {Size: 5e6, SSIMdB: 19}}},
+			{Versions: []media.Encoding{{Size: 1e6, SSIMdB: 12.5}, {Size: 4e6, SSIMdB: 18}}},
+			{Versions: []media.Encoding{{Size: 2e6, SSIMdB: 15.5}, {Size: 5e6, SSIMdB: 19}}},
 		},
 	}
 	payload := encodeDecide(nil, 123.4375, &obs, 0, 0)
@@ -163,7 +161,7 @@ func TestDecideRoundTrip(t *testing.T) {
 	// Decoding a smaller observation into the same struct must reuse the
 	// buffers without leaking stale entries.
 	small := abr.Observation{
-		Horizon: []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
+		Horizon: []media.Chunk{{Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
 		TCP:     tcpsim.Info{RTT: 0.05},
 	}
 	payload = encodeDecide(payload[:0], 1, &small, 0, 0)
@@ -186,7 +184,7 @@ func TestDecideRoundTrip(t *testing.T) {
 
 func TestDecideTraceExtension(t *testing.T) {
 	obs := abr.Observation{
-		Horizon: []media.Chunk{{Index: 20, Complexity: 1, Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
+		Horizon: []media.Chunk{{Versions: []media.Encoding{{Size: 5, SSIMdB: 6}}}},
 		TCP:     tcpsim.Info{RTT: 0.05},
 	}
 	var got abr.Observation
@@ -218,18 +216,44 @@ func TestDecideTraceExtension(t *testing.T) {
 	}
 }
 
-// TestHelloVersionCompat: the one protocol version's Hello, flags
-// included, round-trips (the server refuses every other version: see
-// TestHandshakeRejections).
+// TestHelloVersionCompat: a v3 client's Hello, seed and flags included, is
+// refused with both versions named, although it does not parse as a v4
+// Hello (TestHelloRoundTrip covers the v4 one; TestHandshakeRejections the
+// neighbouring versions in the v4 layout).
 func TestHelloVersionCompat(t *testing.T) {
-	in := hello{Version: ProtoVersion, Day: 3, Session: 41, Seed: -12345,
-		Scheme: "Fugu", PlanHash: "abc:day3", Flags: helloFlagTracing}
-	out, err := decodeHello(encodeHello(nil, &in))
-	if err != nil {
+	plan := warmedPlan(t, 0)
+	_, ln := startServer(t, Config{Plan: plan, Logf: t.Logf})
+	c, br := dialRaw(t, ln.Addr().String())
+	// The v3 layout: version, day, session, seed u64, scheme, plan hash,
+	// flags u16 (tracing).
+	v3 := wire.AppendU16(nil, 3)
+	v3 = wire.AppendI32(v3, 3)
+	v3 = wire.AppendI32(v3, 41)
+	v3 = wire.AppendU64(v3, 12345)
+	v3 = wire.AppendStr(v3, plan.SchemeNames[0])
+	v3 = wire.AppendStr(v3, plan.Hash)
+	v3 = wire.AppendU16(v3, 1)
+	if err := wire.WriteFrame(c, msgHello, v3); err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
-		t.Fatalf("v%d hello round trip: got %+v want %+v", ProtoVersion, out, in)
+	msg := expectError(t, br, "v3 hello")
+	if want := fmt.Sprintf("protocol version 3, server speaks %d", ProtoVersion); !strings.Contains(msg, want) {
+		t.Fatalf("v3 hello: error %q does not say %q", msg, want)
+	}
+}
+
+// TestDecideFrameSize pins the v4 Decide payload at its largest steady
+// state: a full history, a five-chunk horizon and a ten-rung ladder.
+func TestDecideFrameSize(t *testing.T) {
+	o := abr.Observation{History: make([]abr.ChunkRecord, abr.HistoryLen), Horizon: make([]media.Chunk, 5)}
+	for i := range o.Horizon {
+		o.Horizon[i].Versions = make([]media.Encoding, 10)
+	}
+	if n := len(encodeDecide(nil, 1, &o, 0, 0)); n != 1007 {
+		t.Errorf("untraced Decide is %d bytes, want 1007", n)
+	}
+	if n := len(encodeDecide(nil, 1, &o, 1, 2)); n != 1023 {
+		t.Errorf("traced Decide is %d bytes, want 1023", n)
 	}
 }
 

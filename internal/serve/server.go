@@ -117,11 +117,10 @@ type session struct {
 	dec     *fleet.Staged
 	modelID uint32
 
-	obs       abr.Observation
-	lastNow   float64
-	started   bool
-	decisions uint64
-	req       pending
+	obs     abr.Observation
+	lastNow float64
+	started bool
+	req     pending
 }
 
 // pending is the part of a decision request the batcher sees. A connection
@@ -321,13 +320,15 @@ func (s *Server) handle(c net.Conn) {
 		fail("expected Hello")
 		return
 	}
+	// The version leads every Hello layout, so a client of another version
+	// hears that rather than how its Hello fails to parse.
 	h, err := decodeHello(payload)
-	if err != nil {
-		fail(fmt.Sprintf("bad Hello: %v", err))
-		return
-	}
 	if h.Version != ProtoVersion {
 		fail(fmt.Sprintf("protocol version %d, server speaks %d", h.Version, ProtoVersion))
+		return
+	}
+	if err != nil {
+		fail(fmt.Sprintf("bad Hello: %v", err))
 		return
 	}
 	if h.PlanHash != s.plan.Hash {
@@ -407,7 +408,6 @@ func (s *Server) handle(c net.Conn) {
 			if enq != 0 {
 				srvRequestNS.Observe(obs.SinceNS(enq))
 			}
-			sess.decisions++
 			srvDecisionsTotal.Inc()
 			s.decisions.Add(1)
 			out = wire.AppendU32(wire.AppendI32(out[:0], q), sess.modelID)
@@ -438,7 +438,7 @@ func (s *Server) handle(c net.Conn) {
 			s.completed.Add(1)
 			srvCompletedTotal.Inc()
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			wire.WriteFrame(bw, msgByeOK, wire.AppendU64(out[:0], sess.decisions))
+			wire.WriteFrame(bw, msgByeOK, nil)
 			bw.Flush()
 			return
 		default:
