@@ -17,17 +17,19 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // census is one type-checked model of the module's non-test Go files, which
-// the three census tests share: every exported function has a caller
+// the four census tests share: every exported function has a caller
 // (TestNoProductionOrphans), every struct field a reader
-// (TestEveryFieldHasAReader) and every settable value a writer
-// (TestEverySettableValueHasAWriter). Each rule matches by types.Object, so
-// a method is never mistaken for another of the same name.
+// (TestEveryFieldHasAReader), every settable value a writer
+// (TestEverySettableValueHasAWriter) and every parameter two values
+// (TestEveryParameterVaries). Each rule matches by types.Object, so a
+// method is never mistaken for another of the same name.
 type census struct {
 	fset *token.FileSet
 	pkgs []*censusPkg
@@ -826,4 +828,252 @@ func jsonField(t types.Type, key string) *types.Var {
 		}
 	}
 	return nil
+}
+
+// paramAllowlist names, as pkg.Func.param or pkg.Type.Method.param, the
+// parameters that stay although every call passes them the same value, one
+// reason each.
+var paramAllowlist = map[string]string{
+	"nn.MaxPlane.stride":   "a kernel primitive's row stride: the planner's buffer grid width (nBuf), which the abr tables fix, not nn",
+	"obs.Serve.reg":        "the caller names the registry it publishes; every CLI publishes the process-wide obs.Default",
+	"obs.DumpFile.reg":     "the caller names the registry it dumps; every CLI dumps the process-wide obs.Default",
+	"scenario.Named":       "a spec builder option: its value is the spec field's, which bench's base spec sets",
+	"scenario.Shard":       "a spec builder option: its value is the spec field's, which bench's base spec sets",
+	"scenario.RecencyBase": "a spec builder option: its value is the spec field's, which the figures suite's two-day spec sets",
+	"scenario.Bursts":      "a spec builder option: its values are the spec fields', which the registry's fleet-burst scenario sets",
+	"scenario.Tick":        "a spec builder option: its value is the spec field's, which bench's base spec sets",
+}
+
+// TestEveryParameterVaries fails when a parameter of a function or method
+// declared under internal/ receives one value at every non-test call site:
+// a parameter every caller pins is a constant. A function counts only when
+// all its calls are visible: it is never used as a value, implements no
+// interface method and has a body (an assembly stub's signature is the
+// caller's). An argument's value is a constant, nil or one package-level
+// variable; any other argument varies. Interface-typed parameters (test
+// seams) and the []byte buffer of an append-style function are exempt.
+func TestEveryParameterVaries(t *testing.T) {
+	c := loadCensus(t)
+	calls, asValue := c.calls()
+	ifaces := c.interfaces()
+	stubs := map[types.Object]bool{}
+	for _, p := range c.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body == nil {
+					stubs[p.info.Defs[fd.Name]] = true
+				}
+			}
+		}
+	}
+	found := map[string]string{}
+	c.defs(func(key string, obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if !ok || !strings.HasPrefix(c.file(fn), "internal/") || len(calls[fn]) == 0 ||
+			asValue[fn] || stubs[fn] || implements(fn, ifaces) {
+			return
+		}
+		sig := fn.Signature()
+		for i := range sig.Params().Len() {
+			param := sig.Params().At(i)
+			if exemptParam(sig, param) {
+				continue
+			}
+			values := map[string]bool{}
+			for _, v := range calls[fn] {
+				values[v[i]] = true
+			}
+			for v := range values {
+				if len(values) == 1 && v != censusVaries {
+					found[key+"."+param.Name()] = fmt.Sprintf("%s: always %s", c.fset.Position(param.Pos()), v)
+				}
+			}
+		}
+	})
+	checkAllowlist(t, "parameters receive one value at every call site", found, paramAllowlist)
+}
+
+// censusVaries is the value of an argument the census cannot pin.
+const censusVaries = "\x00varies"
+
+// calls returns, per module function (a generic one by its origin), the value
+// each of its parameters receives at each non-test call site, and the
+// functions mentioned other than in a call's function position, whose calls
+// the census cannot see.
+func (c *census) calls() (map[*types.Func][][]string, map[*types.Func]bool) {
+	calls := map[*types.Func][][]string{}
+	asValue := map[*types.Func]bool{}
+	for _, p := range c.pkgs {
+		for _, f := range p.files {
+			called := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				id := calledIdent(call.Fun)
+				if id == nil {
+					return true
+				}
+				fn, ok := p.info.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil || !inModule(fn) {
+					return true
+				}
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isMethodExpr(p.info.Selections[sel]) {
+					return true // T.M(x, ...): the receiver is an argument; counted as a value
+				}
+				called[id] = true
+				fn = fn.Origin()
+				calls[fn] = append(calls[fn], c.argValues(p.info, fn.Signature(), call))
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !called[id] {
+					if fn, ok := p.info.Uses[id].(*types.Func); ok {
+						asValue[fn.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return calls, asValue
+}
+
+// calledIdent returns the identifier naming the function in a call's function
+// position (f, pkg.F, x.M, f[T]), or nil.
+func calledIdent(fun ast.Expr) *ast.Ident {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f
+	case *ast.SelectorExpr:
+		return f.Sel
+	case *ast.IndexExpr:
+		return calledIdent(f.X)
+	case *ast.IndexListExpr:
+		return calledIdent(f.X)
+	}
+	return nil
+}
+
+func isMethodExpr(s *types.Selection) bool { return s != nil && s.Kind() == types.MethodExpr }
+
+// argValues returns the value each parameter of sig receives at call: a
+// constant's exact value, "nil", a package-level variable's name, or
+// censusVaries. A variadic parameter's value is the list of its arguments.
+func (c *census) argValues(info *types.Info, sig *types.Signature, call *ast.CallExpr) []string {
+	n := sig.Params().Len()
+	out := make([]string, n)
+	if len(call.Args) == 1 && n > 1 {
+		for i := range out {
+			out[i] = censusVaries // f(g()) with g returning several values
+		}
+		return out
+	}
+	value := func(e ast.Expr) string {
+		tv := info.Types[e]
+		switch {
+		case tv.Value != nil && tv.Value.Kind() == constant.Float:
+			f, _ := constant.Float64Val(tv.Value)
+			return strconv.FormatFloat(f, 'g', -1, 64)
+		case tv.Value != nil:
+			return tv.Value.ExactString()
+		case tv.IsNil():
+			return "nil"
+		}
+		var id *ast.Ident
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			id = e
+		case *ast.SelectorExpr:
+			id = e.Sel
+		}
+		if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && v.Parent() == v.Pkg().Scope() {
+			return v.Pkg().Name() + "." + v.Name()
+		}
+		return censusVaries
+	}
+	for i := range n {
+		if sig.Variadic() && i == n-1 {
+			if call.Ellipsis.IsValid() {
+				out[i] = value(call.Args[i])
+				continue
+			}
+			var list []string
+			for _, a := range call.Args[i:] {
+				list = append(list, value(a))
+			}
+			out[i] = "[" + strings.Join(list, ", ") + "]"
+			if strings.Contains(out[i], censusVaries) {
+				out[i] = censusVaries
+			}
+			continue
+		}
+		out[i] = value(call.Args[i])
+	}
+	return out
+}
+
+// interfaces returns every interface type the module's non-test files
+// mention or declare, and the ones fmt and errors assert.
+func (c *census) interfaces() []*types.Interface {
+	seen := map[types.Type]bool{}
+	out := asserted()
+	add := func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			out = append(out, it)
+		}
+	}
+	for _, p := range c.pkgs {
+		for _, tv := range p.info.Types {
+			add(tv.Type)
+		}
+		for _, obj := range p.info.Defs {
+			if obj != nil {
+				add(obj.Type())
+			}
+		}
+	}
+	return out
+}
+
+// implements reports whether method fn's receiver type implements an
+// interface with a method of fn's name, so that calls through it are not
+// visible as calls of fn.
+func implements(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return false
+	}
+	for _, it := range ifaces {
+		for m := range it.Methods() {
+			if m.Name() == fn.Name() && (types.Implements(recv.Type(), it) || types.Implements(types.NewPointer(deref(recv.Type())), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// exemptParam reports whether a parameter needs no second value: an interface
+// (a seam a test fills with a fake) or the []byte buffer an append-style
+// function extends and returns.
+func exemptParam(sig *types.Signature, param *types.Var) bool {
+	if types.IsInterface(param.Type()) {
+		return true
+	}
+	buf := types.NewSlice(types.Typ[types.Byte])
+	if !types.Identical(param.Type(), buf) {
+		return false
+	}
+	for r := range sig.Results().Variables() {
+		if types.Identical(r.Type(), buf) {
+			return true
+		}
+	}
+	return false
 }

@@ -117,7 +117,7 @@ func run(args []string) error {
 		"puffer-load: %d sessions (%d failed), %d decisions, peak %d concurrent, %.1fs wall, %.1f sessions/s\n",
 		res.Sessions, res.Failed, res.Decisions, res.PeakConcurrent, res.WallSeconds, res.SessionsPerSec())
 	if tr := obs.Tracing(); tr != nil {
-		if n, qs := obs.TraceQuantiles(tr.Snapshot(), "wire_rtt", []float64{0.5, 0.99, 0.999}); n > 0 {
+		if n, qs := obs.TraceQuantiles(tr.Snapshot(), []float64{0.5, 0.99, 0.999}); n > 0 {
 			fmt.Fprintf(os.Stderr, "puffer-load: wire RTT p50 %v p99 %v p999 %v over %d traced decisions\n",
 				time.Duration(qs[0]), time.Duration(qs[1]), time.Duration(qs[2]), n)
 		}

@@ -44,12 +44,12 @@ func main() {
 		for i := range sample {
 			sample[i] = pool[rng.Intn(len(pool))]
 		}
-		iv := stats.BootstrapStallRatio(rng, sample, 300, 0.95)
+		iv := stats.BootstrapStallRatio(rng, sample, 300)
 		fmt.Printf("%-10d %13.4f%% %17.1f%%\n", n, 100*iv.Point, 100*iv.RelativeHalfWidth())
 	}
 
 	fmt.Printf("\nPower to detect a true 15%% stall-ratio difference:\n")
-	cfg := stats.PowerConfig{Effect: 0.15, Trials: 30, BootstrapIters: 150, Conf: 0.95}
+	cfg := stats.PowerConfig{Effect: 0.15, Trials: 30, BootstrapIters: 150}
 	draw := func(rng *rand.Rand, scale float64) stats.StreamPoint {
 		p := pool[rng.Intn(len(pool))]
 		p.Stall *= scale

@@ -423,7 +423,7 @@ func (p *HarmonicMeanPredictor) PredictDistBatch(obs *Observation, step int, siz
 // estimate returns the (possibly robust-discounted) throughput estimate in
 // bits/s, or 0 if no history exists.
 func (p *HarmonicMeanPredictor) estimate(obs *Observation) float64 {
-	hm := harmonicMeanTail(obs.History, len(obs.History), hmWindow)
+	hm := harmonicMeanTail(obs.History, len(obs.History))
 	if hm <= 0 {
 		return 0
 	}
@@ -435,7 +435,7 @@ func (p *HarmonicMeanPredictor) estimate(obs *Observation) float64 {
 	// samples preceding it.
 	if n := len(obs.History); n > 0 && obs.ChunkIndex > p.lastSeen {
 		p.maxErr *= hmErrDecay
-		pred := harmonicMeanTail(obs.History, n-1, hmWindow)
+		pred := harmonicMeanTail(obs.History, n-1)
 		actual := obs.History[n-1].Throughput()
 		if pred > 0 && actual > 0 {
 			if err := math.Abs(pred-actual) / actual; err > p.maxErr {
@@ -447,10 +447,10 @@ func (p *HarmonicMeanPredictor) estimate(obs *Observation) float64 {
 	return hm / (1 + p.maxErr)
 }
 
-// harmonicMeanTail computes the harmonic mean of the up-to-w throughput
-// samples ending just before index end (exclusive).
-func harmonicMeanTail(hist []ChunkRecord, end, w int) float64 {
-	start := end - w
+// harmonicMeanTail computes the harmonic mean of the up-to-hmWindow
+// throughput samples ending just before index end (exclusive).
+func harmonicMeanTail(hist []ChunkRecord, end int) float64 {
+	start := end - hmWindow
 	if start < 0 {
 		start = 0
 	}

@@ -397,14 +397,14 @@ func TestTrainingImprovesLoss(t *testing.T) {
 	train := synthDataset(rng, 60, 30, 0)
 	test := synthDataset(rng, 20, 30, 0)
 	ttp := NewTTP(rand.New(rand.NewSource(8)), 1, []int{32, 32}, DefaultFeatures(), KindTransTime)
-	before := EvaluateTransTimeMode(ttp, test, 0, ModeProbabilistic)
+	before := EvaluateTransTimeMode(ttp, test, ModeProbabilistic)
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 10
 	res, err := Train(ttp, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := EvaluateTransTimeMode(ttp, test, 0, ModeProbabilistic)
+	after := EvaluateTransTimeMode(ttp, test, ModeProbabilistic)
 	if !(after.CrossEntropy < before.CrossEntropy*0.8) {
 		t.Fatalf("training did not improve held-out CE: %v -> %v", before.CrossEntropy, after.CrossEntropy)
 	}
@@ -431,11 +431,11 @@ func TestFigure7ShapeOnSynthetic(t *testing.T) {
 
 	ce := map[Variant]float64{}
 	for _, v := range []Variant{VariantFull, VariantLinear, VariantThroughput} {
-		ttp := NewVariantTTP(rand.New(rand.NewSource(10)), v, 1)
+		ttp := NewVariantTTP(rand.New(rand.NewSource(10)), v)
 		if _, err := Train(ttp, train, cfg); err != nil {
 			t.Fatal(err)
 		}
-		ce[v] = EvaluateTransTimeMode(ttp, test, 0, ModeProbabilistic).CrossEntropy
+		ce[v] = EvaluateTransTimeMode(ttp, test, ModeProbabilistic).CrossEntropy
 	}
 	if !(ce[VariantFull] < ce[VariantLinear]) {
 		t.Errorf("full TTP CE %.3f not better than linear %.3f", ce[VariantFull], ce[VariantLinear])
@@ -480,7 +480,7 @@ func TestRecencyWeightingFollowsRecentDays(t *testing.T) {
 	hist := []abr.ChunkRecord{{Size: 1e6, TransTime: 4}}
 	ttp.Cfg.Assemble(x, hist, tcpsim.Info{DeliveryRate: 5e6, RTT: 0.05, MinRTT: 0.04, CWND: 40, InFlight: 20}, 1e6)
 	dist := make([]float64, abr.NumBins)
-	pred.PredictFeaturesBatch(0, x, 1, dist)
+	pred.PredictFeaturesBatch(x, 1, dist)
 	slowMass, fastMass := 0.0, 0.0
 	for i, p := range dist {
 		if i >= 6 {
@@ -569,8 +569,8 @@ func TestTrainRefusesIncompleteConfig(t *testing.T) {
 func TestVariantConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, v := range AllVariants() {
-		ttp := NewVariantTTP(rng, v, 2)
-		if ttp.Horizon() != 2 {
+		ttp := NewVariantTTP(rng, v)
+		if ttp.Horizon() != 1 {
 			t.Fatalf("%s: horizon %d", v, ttp.Horizon())
 		}
 		switch v {
@@ -650,6 +650,6 @@ func BenchmarkTTPForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.PredictFeaturesBatch(0, x, 1, dist)
+		p.PredictFeaturesBatch(x, 1, dist)
 	}
 }

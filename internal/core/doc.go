@@ -31,6 +31,7 @@
 //   - Dataset / ChunkObs / StreamObs: training telemetry (AppendTo and
 //     Decode, its fixed layout);
 //     Train / TrainConfig / TrainResult: recency-weighted supervised
-//     training; EvaluateTransTimeMode: held-out scoring.
-//   - Variant / AllVariants / NewVariantTTP: the Figure 7 ablations.
+//     training; EvaluateTransTimeMode: held-out scoring of the first step.
+//   - Variant / AllVariants / NewVariantTTP: the Figure 7 ablations, each a
+//     one-step TTP.
 package core

@@ -12,8 +12,8 @@ import (
 // portableEvalTransTime recomputes EvaluateTransTimeMode one row at a time
 // through Predictor.PredictFeaturesBatch, as the reference the row-block
 // sweep must match bitwise.
-func portableEvalTransTime(t *TTP, data *Dataset, step int, mode Mode) EvalResult {
-	xs, sizes, ttLabels := transTimeExamples(t, data, step)
+func portableEvalTransTime(t *TTP, data *Dataset, mode Mode) EvalResult {
+	xs, sizes, ttLabels := transTimeExamples(t, data)
 	if len(xs) == 0 {
 		return EvalResult{}
 	}
@@ -23,7 +23,7 @@ func portableEvalTransTime(t *TTP, data *Dataset, step int, mode Mode) EvalResul
 	var ce float64
 	var hit, near int
 	for i, x := range xs {
-		pred.PredictFeaturesBatch(step, x, 1, raw)
+		pred.PredictFeaturesBatch(x, 1, raw)
 		pred.finishDist(dist, raw, sizes[i])
 		p := dist[ttLabels[i]]
 		if p < 1e-12 {
@@ -57,13 +57,11 @@ func TestEvaluatePackedMatchesPortable(t *testing.T) {
 		if _, err := Train(ttp, data, cfg); err != nil {
 			t.Fatal(err)
 		}
-		for step := 0; step < ttp.Horizon(); step++ {
-			for _, mode := range []Mode{ModeProbabilistic, ModePointEstimate} {
-				got := EvaluateTransTimeMode(ttp, data, step, mode)
-				want := portableEvalTransTime(ttp, data, step, mode)
-				if got != want {
-					t.Fatalf("kind %d step %d mode %d: EvaluateTransTimeMode = %+v, portable reference = %+v", kind, step, mode, got, want)
-				}
+		for _, mode := range []Mode{ModeProbabilistic, ModePointEstimate} {
+			got := EvaluateTransTimeMode(ttp, data, mode)
+			want := portableEvalTransTime(ttp, data, mode)
+			if got != want {
+				t.Fatalf("kind %d mode %d: EvaluateTransTimeMode = %+v, portable reference = %+v", kind, mode, got, want)
 			}
 		}
 	}

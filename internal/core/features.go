@@ -82,20 +82,20 @@ func (c FeatureConfig) Assemble(dst []float64, hist []abr.ChunkRecord, info tcps
 	}
 	off := c.HistLen - n
 	for i, r := range hist {
-		dst[off+i] = clip(r.Size/sizeScale, 0, 1e3)
-		dst[c.HistLen+off+i] = clip(r.TransTime/timeScale, 0, 20)
+		dst[off+i] = clip(r.Size/sizeScale, 1e3)
+		dst[c.HistLen+off+i] = clip(r.TransTime/timeScale, 20)
 	}
 	k := 2 * c.HistLen
 	if c.UseTCPInfo {
-		dst[k+0] = clip(info.CWND/cwndScale, 0, 1e3)
-		dst[k+1] = clip(info.InFlight/cwndScale, 0, 1e3)
-		dst[k+2] = clip(info.MinRTT/rttScale, 0, 1e2)
-		dst[k+3] = clip(info.RTT/rttScale, 0, 1e2)
-		dst[k+4] = clip(info.DeliveryRate/delivScale, 0, 1e3)
+		dst[k+0] = clip(info.CWND/cwndScale, 1e3)
+		dst[k+1] = clip(info.InFlight/cwndScale, 1e3)
+		dst[k+2] = clip(info.MinRTT/rttScale, 1e2)
+		dst[k+3] = clip(info.RTT/rttScale, 1e2)
+		dst[k+4] = clip(info.DeliveryRate/delivScale, 1e3)
 		k += numTCPFeatures
 	}
 	if c.UseProposedSize {
-		dst[k] = clip(proposedSize/sizeScale, 0, 1e3)
+		dst[k] = clip(proposedSize/sizeScale, 1e3)
 	}
 }
 
@@ -118,14 +118,16 @@ func (c FeatureConfig) AssembleBatch(dst []float64, hist []abr.ChunkRecord, info
 		row := dst[r*dim : (r+1)*dim]
 		copy(row, row0)
 		if c.UseProposedSize {
-			row[dim-1] = clip(sizes[r]/sizeScale, 0, 1e3)
+			row[dim-1] = clip(sizes[r]/sizeScale, 1e3)
 		}
 	}
 }
 
-func clip(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
+// clip bounds a scaled feature to [0, hi]. Its own comparisons, not the
+// builtin max and min: max(-0, 0) is +0, where clip keeps a -0 feature.
+func clip(v, hi float64) float64 {
+	if v < 0 {
+		return 0
 	}
 	if v > hi {
 		return hi

@@ -39,6 +39,16 @@ func mustEqualBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// variantTTP stacks the nets of horizon one-step TTPs of variant v into one
+// TTP of that horizon.
+func variantTTP(rng *rand.Rand, v Variant, horizon int) *TTP {
+	ttp := NewVariantTTP(rng, v)
+	for range horizon - 1 {
+		ttp.Nets = append(ttp.Nets, NewVariantTTP(rng, v).Nets...)
+	}
+	return ttp
+}
+
 // TestPredictorMatchesPortableOracle pins all four Predictor entry points,
 // which run on the nets' packed snapshots, bitwise to the dot-product oracle:
 // both kinds in both modes, every Figure 7 feature config and architecture
@@ -54,11 +64,11 @@ func TestPredictorMatchesPortableOracle(t *testing.T) {
 	var cases []namedPredictor
 	add := func(name string, p *Predictor) { cases = append(cases, namedPredictor{name, p}) }
 	for _, v := range AllVariants() {
-		add(string(v), NewPredictor(NewVariantTTP(rng, v, 3), VariantMode(v)))
+		add(string(v), NewPredictor(variantTTP(rng, v, 3), VariantMode(v)))
 	}
 	// The variants pair the throughput kind with the probabilistic mode
 	// only; the fourth (kind, mode) combination is added by hand.
-	add("throughput point estimate", NewPredictor(NewVariantTTP(rng, VariantThroughput, 2), ModePointEstimate))
+	add("throughput point estimate", NewPredictor(variantTTP(rng, VariantThroughput, 2), ModePointEstimate))
 	dim := DefaultFeatures().Dim()
 	add("mixed shapes", NewPredictor(&TTP{Cfg: DefaultFeatures(), Kind: KindTransTime, Nets: []*nn.MLP{
 		nn.NewMLP(rng, dim, 64, 64, abr.NumBins),
@@ -88,13 +98,16 @@ func TestPredictorMatchesPortableOracle(t *testing.T) {
 						mustEqualBits(t, "PredictDist", one, want[r*abr.NumBins:(r+1)*abr.NumBins])
 					}
 
+					if step > 0 {
+						continue // PredictFeaturesBatch scores the first step
+					}
 					d := p.TTP.Cfg.Dim()
 					feats := make([]float64, b*d)
 					p.TTP.Cfg.AssembleBatch(feats, obs.History, obs.TCP, sizes)
-					p.PredictFeaturesBatch(step, feats, b, got)
+					p.PredictFeaturesBatch(feats, b, got)
 					mustEqualBits(t, "PredictFeaturesBatch", got, wantRaw)
 					for r := 0; r < b; r++ {
-						p.PredictFeaturesBatch(step, feats[r*d:(r+1)*d], 1, one)
+						p.PredictFeaturesBatch(feats[r*d:(r+1)*d], 1, one)
 						mustEqualBits(t, "PredictFeatures", one, wantRaw[r*abr.NumBins:(r+1)*abr.NumBins])
 					}
 				}

@@ -248,10 +248,10 @@ type EvalResult struct {
 // TTP per batched forward pass.
 const evalBatchRows = 256
 
-// forEachDistRow streams the dataset through the predictor's network for
-// `step` in batches and calls visit with each example's index and raw
+// forEachDistRow streams the dataset through the predictor's first-step
+// network in batches and calls visit with each example's index and raw
 // output distribution. The dist slice is reused between calls.
-func forEachDistRow(pred *Predictor, step int, xs [][]float64, visit func(i int, dist []float64)) {
+func forEachDistRow(pred *Predictor, xs [][]float64, visit func(i int, dist []float64)) {
 	rows := evalBatchRows
 	if len(xs) < rows {
 		rows = len(xs)
@@ -270,7 +270,7 @@ func forEachDistRow(pred *Predictor, step int, xs [][]float64, visit func(i int,
 			}
 			copy(buf[r*dim:(r+1)*dim], xs[at+r])
 		}
-		pred.PredictFeaturesBatch(step, buf[:b*dim], b, dists[:b*abr.NumBins])
+		pred.PredictFeaturesBatch(buf[:b*dim], b, dists[:b*abr.NumBins])
 		for r := 0; r < b; r++ {
 			visit(at+r, dists[r*abr.NumBins:(r+1)*abr.NumBins])
 		}
@@ -301,20 +301,20 @@ func (e *evalScore) result(examples int) EvalResult {
 }
 
 // EvaluateTransTimeMode scores any TTP variant on a dataset (typically
-// held-out) at one step, on its ability to predict *transmission time* bins
-// — throughput-kind outputs are converted first — which is the
-// apples-to-apples Figure 7 comparison. The prediction mode is explicit so
-// the "Point Estimate" ablation is scored on the collapsed distribution it
-// actually feeds the controller.
-func EvaluateTransTimeMode(t *TTP, data *Dataset, step int, mode Mode) EvalResult {
-	xs, sizes, ttLabels := transTimeExamples(t, data, step)
+// held-out) at its first step, the next chunk, on its ability to predict
+// *transmission time* bins — throughput-kind outputs are converted first —
+// which is the apples-to-apples Figure 7 comparison. The prediction mode is
+// explicit so the "Point Estimate" ablation is scored on the collapsed
+// distribution it actually feeds the controller.
+func EvaluateTransTimeMode(t *TTP, data *Dataset, mode Mode) EvalResult {
+	xs, sizes, ttLabels := transTimeExamples(t, data)
 	if len(xs) == 0 {
 		return EvalResult{}
 	}
 	pred := NewPredictor(t, mode)
 	dist := make([]float64, abr.NumBins)
 	var score evalScore
-	forEachDistRow(pred, step, xs, func(i int, raw []float64) {
+	forEachDistRow(pred, xs, func(i int, raw []float64) {
 		pred.finishDist(dist, raw, sizes[i])
 		score.add(dist, ttLabels[i])
 	})
@@ -322,9 +322,9 @@ func EvaluateTransTimeMode(t *TTP, data *Dataset, step int, mode Mode) EvalResul
 }
 
 // transTimeExamples builds features plus the proposed sizes and
-// transmission-time labels for step.
-func transTimeExamples(t *TTP, d *Dataset, step int) (xs [][]float64, sizes []float64, labels []int) {
-	xs, targets := d.exampleRows(t.Cfg, step, nil)
+// transmission-time labels for the first step.
+func transTimeExamples(t *TTP, d *Dataset) (xs [][]float64, sizes []float64, labels []int) {
+	xs, targets := d.exampleRows(t.Cfg, 0, nil)
 	sizes = make([]float64, len(xs))
 	labels = make([]int, len(xs))
 	for i, target := range targets {

@@ -294,11 +294,11 @@ func (p *Predictor) finishDist(dist, probs []float64, size float64) {
 }
 
 // PredictFeaturesBatch scores `rows` pre-assembled feature rows (row-major
-// in features) at one horizon step, writing one raw distribution per row
-// into dists. Evaluation code uses it to sweep datasets in large batches.
-func (p *Predictor) PredictFeaturesBatch(step int, features []float64, rows int, dists []float64) {
-	step = p.clampStep(step)
-	p.TTP.Nets[step].Packed().PredictDistBatch(p.ws[step], features, rows, dists)
+// in features) at the first horizon step, writing one raw distribution per
+// row into dists. Figure 7's evaluation uses it to sweep datasets in large
+// batches.
+func (p *Predictor) PredictFeaturesBatch(features []float64, rows int, dists []float64) {
+	p.TTP.Nets[0].Packed().PredictDistBatch(p.ws[0], features, rows, dists)
 }
 
 // NewFugu builds the deployed Fugu scheme: stochastic MPC over the TTP's

@@ -31,10 +31,11 @@ func AllVariants() []Variant {
 	}
 }
 
-// NewVariantTTP constructs the untrained TTP for an ablation variant. The
-// point-estimate variant shares the full TTP's architecture (the collapse
-// happens at prediction time via ModePointEstimate).
-func NewVariantTTP(rng *rand.Rand, v Variant, horizon int) *TTP {
+// NewVariantTTP constructs the untrained one-step TTP for an ablation
+// variant: Figure 7 scores the next chunk's prediction. The point-estimate
+// variant shares the full TTP's architecture (the collapse happens at
+// prediction time via ModePointEstimate).
+func NewVariantTTP(rng *rand.Rand, v Variant) *TTP {
 	cfg := DefaultFeatures()
 	hidden := DefaultHidden
 	kind := KindTransTime
@@ -52,7 +53,7 @@ func NewVariantTTP(rng *rand.Rand, v Variant, horizon int) *TTP {
 	default:
 		panic("core: unknown TTP variant " + string(v))
 	}
-	return NewTTP(rng, horizon, hidden, cfg, kind)
+	return NewTTP(rng, 1, hidden, cfg, kind)
 }
 
 // VariantMode returns the prediction mode a variant uses in the controller.

@@ -91,7 +91,7 @@ func TestWireMergeMatchesFoldShards(t *testing.T) {
 	trial := testTrial(sp, 0, nil)
 	col := experiment.NewDatasetCollector()
 	trial.Recorder = col
-	want := experiment.FoldShards(sp.Sessions, sp.ShardSize, experiment.AllPaths, func(id int) *experiment.SessionResult {
+	want := experiment.FoldShards(sp.Sessions, sp.ShardSize, func(id int) *experiment.SessionResult {
 		r := trial.RunOne(id)
 		return &r
 	})

@@ -213,17 +213,17 @@ func (t *TrialAcc) Analyze(seed int64) []SchemeStats {
 			WatchYears: a.Points.StreamYears(),
 		}
 		rng := rand.New(rand.NewSource(Mix(seed, nameSeed(name))))
-		st.StallRatio = a.Points.Bootstrap(rng, 400, 0.95)
-		st.SSIM = a.SSIM.Interval(0.95)
+		st.StallRatio = a.Points.Bootstrap(rng)
+		st.SSIM = a.SSIM.Interval()
 		if a.VarN > 0 {
 			st.SSIMVar = a.VarSum / float64(a.VarN)
 		}
 		if a.BrN > 0 {
 			st.MeanBitrate = a.BrSum / float64(a.BrN)
 		}
-		st.MeanStartup = a.Startup.Interval(0.95)
-		st.MeanFirstSSIM = a.FirstSSIM.Interval(0.95)
-		st.MeanDuration = a.Duration.Interval(0.95)
+		st.MeanStartup = a.Startup.Interval()
+		st.MeanFirstSSIM = a.FirstSSIM.Interval()
+		st.MeanDuration = a.Duration.Interval()
 		out = append(out, st)
 	}
 	return out
@@ -249,16 +249,16 @@ func ShardRange(n, shardSize, s int) (lo, hi int) {
 	return lo, hi
 }
 
-// FoldShards builds the canonical sharded aggregate every execution engine
-// must replicate for byte-identical pooled statistics: per-shard
-// accumulators fold sessions in ascending-id order (fetched via get, which
-// may compute the session or read a finished result) and merge in shard
-// order.
-func FoldShards(n, shardSize int, filter AnalysisFilter, get func(id int) *SessionResult) *TrialAcc {
-	total := NewTrialAcc(filter)
+// FoldShards builds the canonical sharded aggregate of every stream
+// (AllPaths) that every execution engine must replicate for byte-identical
+// pooled statistics: per-shard accumulators fold sessions in ascending-id
+// order (fetched via get, which may compute the session or read a finished
+// result) and merge in shard order.
+func FoldShards(n, shardSize int, get func(id int) *SessionResult) *TrialAcc {
+	total := NewTrialAcc(AllPaths)
 	for s := 0; s < NumShards(n, shardSize); s++ {
 		lo, hi := ShardRange(n, shardSize, s)
-		acc := NewTrialAcc(filter)
+		acc := NewTrialAcc(AllPaths)
 		for id := lo; id < hi; id++ {
 			acc.AddSession(get(id))
 		}

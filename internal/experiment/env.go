@@ -10,8 +10,9 @@ import (
 // Env is the world a session runs in: what varies between experiments.
 // The rest of the world is fixed, as on Puffer: the 15-second client buffer
 // (player.BufferCap), the viewer model (player's IntendedDuration,
-// StartupPatience, AbandonOnStall and LeaveAfterChunk), and this package's
-// lookAhead, maxStall, traceDuration and badDecoderProb.
+// StartupPatience, AbandonOnStall and LeaveAfterChunk), netem's 900-second
+// session trace (netem.SampleForDay), and this package's lookAhead,
+// maxStall and badDecoderProb.
 type Env struct {
 	// Paths samples each session's network situation.
 	Paths netem.Sampler
@@ -30,9 +31,6 @@ const (
 	// maxStall aborts a stream whose single stall exceeds this many
 	// seconds (the viewer has certainly left).
 	maxStall = 30
-	// traceDuration is how many seconds of capacity trace to synthesize
-	// per session (traces wrap, so sessions may run longer).
-	traceDuration = 900
 	// badDecoderProb is the tiny per-stream probability of the
 	// slow-video-decoder exclusion seen in Figure A1.
 	badDecoderProb = 5e-5
@@ -53,8 +51,7 @@ func DefaultEnv() Env {
 func EmulationEnv() Env {
 	e := DefaultEnv()
 	e.Paths = netem.FCCPaths{MaxRate: 16e6}
-	nbc, _ := media.FindProfile("nbc")
-	e.Clip = media.RecordClip(nbc, 600, 600)
+	e.Clip = media.EmulationClip()
 	return e
 }
 

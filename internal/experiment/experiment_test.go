@@ -163,8 +163,12 @@ func TestSlowPathFilterSelectsSlowStreams(t *testing.T) {
 		}
 	}
 	get := func(id int) *SessionResult { return &sessions[id] }
-	all := FoldShards(cfg.Sessions, 16, AllPaths, get)
-	slow := FoldShards(cfg.Sessions, 16, SlowPaths, get)
+	all := FoldShards(cfg.Sessions, 16, get)
+	// RunSharded applies the filter it is given.
+	slow, err := cfg.RunSharded(16, 2, SlowPaths)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := slow.Schemes["BBA"].Points.Points
 	if len(got) == 0 {
 		t.Fatal("no slow-path streams sampled")
@@ -174,14 +178,6 @@ func TestSlowPathFilterSelectsSlowStreams(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("slow filter kept %d streams, want exactly the %d eligible slow-path ones", len(got), len(want))
-	}
-	// RunSharded applies the filter it is given.
-	sharded, err := cfg.RunSharded(16, 2, SlowPaths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sharded, slow) {
-		t.Fatal("RunSharded(SlowPaths) differs from the slow-path fold")
 	}
 	// Slow paths should have lower SSIM and more stalling, as in Fig. 8.
 	stAll := all.Analyze(1)[0]
@@ -420,8 +416,8 @@ func TestTrialAccMergeMatchesAnalyze(t *testing.T) {
 		sessions[id] = cfg.RunOne(id)
 	}
 	get := func(id int) *SessionResult { return &sessions[id] }
-	want := FoldShards(cfg.Sessions, cfg.Sessions, AllPaths, get).Analyze(5)
-	got := FoldShards(cfg.Sessions, 16, AllPaths, get).Analyze(5)
+	want := FoldShards(cfg.Sessions, cfg.Sessions, get).Analyze(5)
+	got := FoldShards(cfg.Sessions, 16, get).Analyze(5)
 	if len(got) != len(want) {
 		t.Fatalf("scheme counts differ: %d vs %d", len(got), len(want))
 	}

@@ -133,13 +133,13 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 			if !buf.Playing() {
 				outcome = OutcomeNeverPlayed
 			} else {
-				buf.CompleteChunk(elapsed, media.ChunkDuration)
+				buf.CompleteChunk(elapsed)
 				outcome = OutcomeAbandonedStall
 			}
 			break
 		}
 
-		stall := buf.CompleteChunk(elapsed, media.ChunkDuration)
+		stall := buf.CompleteChunk(elapsed)
 		builder.Chunk(enc.SSIMdB, enc.Size, infoAtSend.DeliveryRate)
 
 		if !buf.Playing() {
@@ -173,7 +173,7 @@ func runStream(p streamParams) (telemetry.StreamSummary, Outcome) {
 		horizon[len(horizon)-1] = src.Next()
 
 		// Respect the client's buffer cap: wait for room.
-		if wait := buf.RoomWait(media.ChunkDuration); wait > 0 {
+		if wait := buf.RoomWait(); wait > 0 {
 			p.conn.Wait(wait)
 			buf.Drain(wait)
 		}
@@ -205,7 +205,7 @@ type SessionResult struct {
 // in virtual time while staying byte-identical to sequential execution.
 func RunSessionHooked(env *Env, alg abr.Algorithm, rng *rand.Rand, sessionID int, scheme string, day int, rec Recorder, hook DecideHook) SessionResult {
 	res := SessionResult{Scheme: scheme}
-	path := netem.SampleForDay(env.Paths, rng, traceDuration, day)
+	path := netem.SampleForDay(env.Paths, rng, day)
 	conn := tcpsim.Dial(path, rng)
 
 	// Browse phase: quick channel changes with short intended durations

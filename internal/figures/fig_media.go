@@ -26,7 +26,7 @@ func (s *Suite) Fig2(w io.Writer) (*Fig2Series, error) {
 	const epochs = 200
 	const epoch = 6.0 // seconds, as in both subfigures
 	rng := rand.New(rand.NewSource(s.Seed + 200))
-	cs2p := netem.GenCS2P(rng, 2.6e6, epochs*epoch)
+	cs2p := netem.GenCS2P(rng)
 	puffer := netem.GenPuffer(rng, 2.2e6, epochs*epoch)
 
 	series := &Fig2Series{}
@@ -45,8 +45,8 @@ func (s *Suite) Fig2(w io.Writer) (*Fig2Series, error) {
 	}
 	series.CS2P = sample(cs2p)
 	series.Puffer = sample(puffer)
-	series.CS2PLevels = countLevels(series.CS2P, 0.08)
-	series.PufferLevels = countLevels(series.Puffer, 0.08)
+	series.CS2PLevels = countLevels(series.CS2P)
+	series.PufferLevels = countLevels(series.Puffer)
 
 	var werr error
 	line(w, &werr, "Figure 2: throughput evolution over %d six-second epochs\n", epochs)
@@ -61,15 +61,15 @@ func (s *Suite) Fig2(w io.Writer) (*Fig2Series, error) {
 	return series, werr
 }
 
-// countLevels clusters a series into plateaus: values within relTol of an
+// countLevels clusters a series into plateaus: values within 8% of an
 // existing cluster center join it; the count of clusters approximates the
 // number of discrete states.
-func countLevels(xs []float64, relTol float64) int {
+func countLevels(xs []float64) int {
 	var centers []float64
 outer:
 	for _, x := range xs {
 		for _, c := range centers {
-			if abs(x-c)/c < relTol {
+			if abs(x-c)/c < 0.08 {
 				continue outer
 			}
 		}
@@ -108,11 +108,7 @@ type Fig3Row struct {
 // Fig3 reproduces Figure 3: within one encoding setting, both compressed
 // chunk size and picture quality vary chunk-by-chunk under VBR.
 func (s *Suite) Fig3(w io.Writer) ([]Fig3Row, error) {
-	nbc, err := media.FindProfile("nbc")
-	if err != nil {
-		return nil, err
-	}
-	src := media.NewSource(nbc, s.Seed+300)
+	src := media.NewSource(media.NBC(), s.Seed+300)
 	const n = 32
 	rows := make([]Fig3Row, n)
 	for i := 0; i < n; i++ {

@@ -49,7 +49,7 @@ func (s *Suite) Sec53(w io.Writer) ([]Sec53Row, error) {
 		p.Stall *= scale
 		return p
 	}
-	cfg := stats.PowerConfig{Effect: 0.15, Trials: 25, BootstrapIters: 150, Conf: 0.95}
+	cfg := stats.PowerConfig{Effect: 0.15, Trials: 25, BootstrapIters: 150}
 	rng := rand.New(rand.NewSource(s.Seed + 600))
 
 	rows := make([]Sec53Row, 0, len(sec53Sizes))

@@ -150,7 +150,7 @@ func (s *Suite) Fig10(w io.Writer) ([]Fig10Row, error) {
 		d := a.Duration.Values
 		rows = append(rows, Fig10Row{
 			Scheme:       name,
-			MeanDuration: stats.MeanSE(d, 0.95),
+			MeanDuration: stats.MeanSE(d),
 			TailP:        stats.CCDFAt(d, tail),
 		})
 	}

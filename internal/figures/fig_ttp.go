@@ -29,14 +29,12 @@ func (s *Suite) Fig7(w io.Writer) ([]Fig7Row, error) {
 
 	rows := make([]Fig7Row, 0, len(core.AllVariants()))
 	for _, v := range core.AllVariants() {
-		// Horizon 1 keeps the ablation affordable; step-0 accuracy is
-		// what Figure 7 reports.
-		ttp := core.NewVariantTTP(rand.New(rand.NewSource(s.Seed+400)), v, 1)
+		ttp := core.NewVariantTTP(rand.New(rand.NewSource(s.Seed+400)), v)
 		cfg := trainCfg(s.Seed + 401)
 		if _, err := core.Train(ttp, train, cfg); err != nil {
 			return nil, err
 		}
-		ev := core.EvaluateTransTimeMode(ttp, test, 0, core.VariantMode(v))
+		ev := core.EvaluateTransTimeMode(ttp, test, core.VariantMode(v))
 		rows = append(rows, Fig7Row{
 			Variant: v, CrossEntropy: ev.CrossEntropy,
 			Accuracy: ev.Accuracy, Within1: ev.Within1,

@@ -123,7 +123,7 @@ func TestFig10MeansMatchDurations(t *testing.T) {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
-		want := stats.MeanSE(s.primary.Schemes[r.Scheme].Duration.Values, 0.95)
+		want := stats.MeanSE(s.primary.Schemes[r.Scheme].Duration.Values)
 		if r.MeanDuration != want {
 			t.Errorf("%s: mean duration %+v, want %+v", r.Scheme, r.MeanDuration, want)
 		}

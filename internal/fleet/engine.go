@@ -302,7 +302,7 @@ func RunTrial(trial *experiment.Config, cfg Config) (*experiment.TrialAcc, *Stat
 	// Fold completed sessions through the canonical sharded aggregation
 	// (shared with the session engine), so pooled stats are
 	// byte-identical across engines by construction.
-	total := experiment.FoldShards(n, cfg.ShardSize, experiment.AllPaths,
+	total := experiment.FoldShards(n, cfg.ShardSize,
 		func(id int) *experiment.SessionResult { return &e.results[id] })
 
 	occ := telemetry.ConcurrencyOf(arrivals, e.ends)

@@ -37,7 +37,7 @@ func deployTrial(t *core.TTP, sessions int, seed int64) *experiment.Config {
 // seqShardAcc folds the trial sequentially through the canonical sharded
 // aggregation, computing each session directly (no fleet engine involved).
 func seqShardAcc(trial *experiment.Config, shardSize int) *experiment.TrialAcc {
-	return experiment.FoldShards(trial.Sessions, shardSize, experiment.AllPaths,
+	return experiment.FoldShards(trial.Sessions, shardSize,
 		func(id int) *experiment.SessionResult {
 			sess := trial.RunOne(id)
 			return &sess

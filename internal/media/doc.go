@@ -18,9 +18,9 @@
 //     output for one chunk (size, SSIM dB).
 //   - Chunk: one 2.002 s chunk with all its Versions; ChunkDuration is the
 //     NTSC-timed constant.
-//   - Profile / Channels / FindProfile: the six simulated live stations
-//     with distinct complexity characters.
+//   - Profile / Channels / NBC: the six simulated live stations with
+//     distinct complexity characters.
 //   - Source / NewSource: the per-stream chunk generator; Clip /
-//     RecordClip: a looping pre-recorded clip for the §5.2 emulation
+//     EmulationClip: the looping 10-minute NBC clip of the §5.2 emulation
 //     methodology.
 package media

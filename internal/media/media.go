@@ -1,7 +1,6 @@
 package media
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -51,7 +50,6 @@ type Chunk struct {
 
 // Profile characterizes a channel's content dynamics.
 type Profile struct {
-	Name string
 	// MeanLogComplexity shifts typical content difficulty (0 = typical).
 	MeanLogComplexity float64
 	// ARCoeff is the AR(1) coefficient of log-complexity between chunks
@@ -68,14 +66,18 @@ type Profile struct {
 // spanning calm (news) to volatile (sports) content.
 func Channels() []Profile {
 	return []Profile{
-		{Name: "nbc", MeanLogComplexity: 0.00, ARCoeff: 0.92, Volatility: 0.16, SceneCutProb: 0.03},
-		{Name: "cbs", MeanLogComplexity: -0.05, ARCoeff: 0.93, Volatility: 0.14, SceneCutProb: 0.03},
-		{Name: "abc", MeanLogComplexity: 0.05, ARCoeff: 0.90, Volatility: 0.18, SceneCutProb: 0.04},
-		{Name: "fox-sports", MeanLogComplexity: 0.25, ARCoeff: 0.85, Volatility: 0.30, SceneCutProb: 0.08},
-		{Name: "pbs", MeanLogComplexity: -0.20, ARCoeff: 0.95, Volatility: 0.10, SceneCutProb: 0.02},
-		{Name: "univision", MeanLogComplexity: 0.10, ARCoeff: 0.90, Volatility: 0.20, SceneCutProb: 0.05},
+		{MeanLogComplexity: 0.00, ARCoeff: 0.92, Volatility: 0.16, SceneCutProb: 0.03},  // nbc
+		{MeanLogComplexity: -0.05, ARCoeff: 0.93, Volatility: 0.14, SceneCutProb: 0.03}, // cbs
+		{MeanLogComplexity: 0.05, ARCoeff: 0.90, Volatility: 0.18, SceneCutProb: 0.04},  // abc
+		{MeanLogComplexity: 0.25, ARCoeff: 0.85, Volatility: 0.30, SceneCutProb: 0.08},  // fox-sports
+		{MeanLogComplexity: -0.20, ARCoeff: 0.95, Volatility: 0.10, SceneCutProb: 0.02}, // pbs
+		{MeanLogComplexity: 0.10, ARCoeff: 0.90, Volatility: 0.20, SceneCutProb: 0.05},  // univision
 	}
 }
+
+// NBC returns the NBC-like channel, the first of Channels: the stream of
+// Figure 3 and the source of the §5.2 clip.
+func NBC() Profile { return Channels()[0] }
 
 // sizeExponent couples chunk size to complexity: size grows sublinearly with
 // scene complexity under CRF encoding.
@@ -171,12 +173,11 @@ type Clip struct {
 	Chunks []Chunk
 }
 
-// RecordClip generates a clip of the given duration (seconds) from a channel
-// profile. The clip is deterministic given the seed.
-func RecordClip(profile Profile, duration float64, seed int64) *Clip {
-	n := int(math.Ceil(duration / ChunkDuration))
-	src := NewSource(profile, seed)
-	return &Clip{Chunks: src.Take(n)}
+// EmulationClip records the clip the §5.2 emulation replays: ten minutes
+// (600 s) of the NBC channel, from seed 600. Every call returns the same
+// chunks.
+func EmulationClip() *Clip {
+	return &Clip{Chunks: NewSource(NBC(), 600).Take(int(math.Ceil(600 / ChunkDuration)))}
 }
 
 // At returns chunk i of the clip, looping past the end (re-playing the clip,
@@ -187,14 +188,4 @@ func (c *Clip) At(i int) Chunk {
 		panic("media: empty clip")
 	}
 	return c.Chunks[i%len(c.Chunks)]
-}
-
-// FindProfile returns the channel profile with the given name.
-func FindProfile(name string) (Profile, error) {
-	for _, p := range Channels() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("media: unknown channel %q", name)
 }

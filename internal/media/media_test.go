@@ -36,10 +36,7 @@ func TestDefaultLadderShape(t *testing.T) {
 }
 
 func TestSourceDeterministic(t *testing.T) {
-	p, err := FindProfile("nbc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NBC()
 	a := NewSource(p, 42).Take(50)
 	b := NewSource(p, 42).Take(50)
 	for i := range a {
@@ -65,16 +62,16 @@ func TestSourceDeterministic(t *testing.T) {
 func TestChunkMonotonicity(t *testing.T) {
 	// Property: within every chunk, size strictly increases with rung
 	// and SSIM never decreases. ABR schemes depend on this.
-	for _, p := range Channels() {
+	for c, p := range Channels() {
 		src := NewSource(p, 7)
 		for n := 0; n < 500; n++ {
 			ch := src.Next()
 			for i := 1; i < len(ch.Versions); i++ {
 				if ch.Versions[i].Size <= ch.Versions[i-1].Size {
-					t.Fatalf("%s chunk %d: size not increasing at rung %d", p.Name, n, i)
+					t.Fatalf("channel %d chunk %d: size not increasing at rung %d", c, n, i)
 				}
 				if ch.Versions[i].SSIMdB < ch.Versions[i-1].SSIMdB {
-					t.Fatalf("%s chunk %d: SSIM decreasing at rung %d", p.Name, n, i)
+					t.Fatalf("channel %d chunk %d: SSIM decreasing at rung %d", c, n, i)
 				}
 			}
 		}
@@ -106,7 +103,7 @@ func TestChunkSizesPositiveAndFinite(t *testing.T) {
 func TestVBRSizesVaryWithinStream(t *testing.T) {
 	// The paper's Figure 3a: chunk sizes within one encoding setting vary
 	// substantially. Check coefficient of variation is non-trivial.
-	p, _ := FindProfile("nbc")
+	p := NBC()
 	src := NewSource(p, 99)
 	chunks := src.Take(300)
 	for _, rung := range []int{0, 9} {
@@ -130,7 +127,7 @@ func TestVBRSizesVaryWithinStream(t *testing.T) {
 }
 
 func TestMeanBitrateNearNominal(t *testing.T) {
-	p, _ := FindProfile("nbc")
+	p := NBC()
 	src := NewSource(p, 5)
 	chunks := src.Take(3000)
 	for rung, want := range []float64{200e3, 400e3} {
@@ -147,7 +144,7 @@ func TestMeanBitrateNearNominal(t *testing.T) {
 
 func TestSSIMVariesWithComplexity(t *testing.T) {
 	// Higher-complexity chunks should have lower SSIM at the same rung.
-	p, _ := FindProfile("fox-sports")
+	p := Channels()[3] // fox-sports
 	src := NewSource(p, 3)
 	var loSum, hiSum float64
 	var loN, hiN int
@@ -170,8 +167,7 @@ func TestSSIMVariesWithComplexity(t *testing.T) {
 }
 
 func TestClipLoops(t *testing.T) {
-	p, _ := FindProfile("nbc")
-	clip := RecordClip(p, 600, 1) // 10-minute clip, as in the paper
+	clip := EmulationClip() // 10-minute clip, as in the paper
 	n := len(clip.Chunks)
 	wantN := int(math.Ceil(600 / ChunkDuration))
 	if n != wantN {
@@ -185,11 +181,8 @@ func TestClipLoops(t *testing.T) {
 }
 
 func TestFindProfile(t *testing.T) {
-	if _, err := FindProfile("nbc"); err != nil {
-		t.Fatalf("nbc should exist: %v", err)
-	}
-	if _, err := FindProfile("nope"); err == nil {
-		t.Fatal("expected error for unknown channel")
+	if NBC() != Channels()[0] {
+		t.Fatalf("NBC() = %+v, want the first channel %+v", NBC(), Channels()[0])
 	}
 	if len(Channels()) != 6 {
 		t.Fatalf("want 6 channels like Puffer, got %d", len(Channels()))
@@ -198,7 +191,7 @@ func TestFindProfile(t *testing.T) {
 
 func TestComplexityAutocorrelation(t *testing.T) {
 	// Log-complexity must be positively autocorrelated (scenes persist).
-	p, _ := FindProfile("pbs")
+	p := Channels()[4] // pbs
 	src := NewSource(p, 11)
 	xs := make([]float64, 4000)
 	for i := range xs {

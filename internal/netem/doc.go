@@ -23,15 +23,16 @@
 //
 // Main entry points:
 //
-//   - Trace: the capacity series (RateAt, Mean, Validate);
-//     generators GenPuffer/GenFCC/GenCS2P, each shaped by its family's
-//     fixed constants around a given mean rate.
+//   - Trace: the capacity series, one sample per second (RateAt, Mean,
+//     Validate); generators GenPuffer/GenFCC, each shaped by its family's
+//     fixed constants around a given mean rate, and GenCS2P, Figure 2's
+//     20-minute trace around 2.6 Mbit/s.
 //   - Sampler: draws a per-session Path (trace + base RTT + queue
 //     capacity) from a family; implemented by PufferPaths and FCCPaths.
-//   - DaySampler / SampleForDay: day-indexed sampling. The continual
-//     experiment passes the simulated day to the sampler, so a day-aware
-//     family draws each day's sessions from that day's distribution;
-//     stationary samplers ignore the day.
+//   - DaySampler / SampleForDay: day-indexed sampling of a session's
+//     900-second path. The continual experiment passes the simulated day
+//     to the sampler, so a day-aware family draws each day's sessions from
+//     that day's distribution; stationary samplers ignore the day.
 //   - DriftingSampler / DriftSchedule / DriftPreset: nonstationarity. A
 //     DriftingSampler wraps any base Sampler with a schedule that evolves
 //     the population over days — compounding capacity decay, session

@@ -19,16 +19,20 @@ type DaySampler interface {
 	SampleDay(rng *rand.Rand, duration float64, day int) Path
 }
 
-// SampleForDay draws a path from s for the given experiment day: day-aware
-// samplers draw from that day's distribution, stationary samplers ignore the
-// day. Stationary samplers consume exactly the same RNG draws as a direct
-// Sample call, so threading a day through existing code changes nothing
-// unless drift is configured.
-func SampleForDay(s Sampler, rng *rand.Rand, duration float64, day int) Path {
+// sessionTrace is how many seconds of capacity trace SampleForDay
+// synthesizes per session (traces wrap, so sessions may run longer).
+const sessionTrace = 900
+
+// SampleForDay draws a session's path, sessionTrace seconds long, from s for
+// the given experiment day: day-aware samplers draw from that day's
+// distribution, stationary samplers ignore the day. Stationary samplers
+// consume exactly the same RNG draws as a direct Sample call, so threading a
+// day through existing code changes nothing unless drift is configured.
+func SampleForDay(s Sampler, rng *rand.Rand, day int) Path {
 	if ds, ok := s.(DaySampler); ok {
-		return ds.SampleDay(rng, duration, day)
+		return ds.SampleDay(rng, sessionTrace, day)
 	}
-	return s.Sample(rng, duration)
+	return s.Sample(rng, sessionTrace)
 }
 
 // DriftSchedule describes how a path population evolves over experiment
@@ -263,8 +267,8 @@ func overlayOutages(rng *rand.Rand, tr *Trace, rate, depth, meanDur float64) {
 	left := 0.0
 	for i := range tr.Rate {
 		if left > 0 {
-			left -= tr.Interval
-		} else if rng.Float64() < rate*tr.Interval {
+			left -= traceInterval
+		} else if rng.Float64() < rate*traceInterval {
 			left = rng.ExpFloat64() * meanDur
 		} else {
 			continue

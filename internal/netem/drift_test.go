@@ -8,8 +8,7 @@ import (
 
 // samplePathBytes reduces a path to comparable values.
 func pathsEqual(a, b Path) bool {
-	if a.BaseRTT != b.BaseRTT || a.QueueCapacity != b.QueueCapacity ||
-		a.Trace.Interval != b.Trace.Interval || len(a.Trace.Rate) != len(b.Trace.Rate) {
+	if a.BaseRTT != b.BaseRTT || a.QueueCapacity != b.QueueCapacity || len(a.Trace.Rate) != len(b.Trace.Rate) {
 		return false
 	}
 	for i := range a.Trace.Rate {
@@ -220,8 +219,8 @@ func TestDriftScheduleSignature(t *testing.T) {
 // exactly the same draws as a direct Sample call on every day.
 func TestSampleForDayStationary(t *testing.T) {
 	for day := 0; day < 3; day++ {
-		got := SampleForDay(PufferPaths{MedianRate: 12e6, Sigma: 1.1}, rand.New(rand.NewSource(17)), 180, day)
-		want := PufferPaths{MedianRate: 12e6, Sigma: 1.1}.Sample(rand.New(rand.NewSource(17)), 180)
+		got := SampleForDay(PufferPaths{MedianRate: 12e6, Sigma: 1.1}, rand.New(rand.NewSource(17)), day)
+		want := PufferPaths{MedianRate: 12e6, Sigma: 1.1}.Sample(rand.New(rand.NewSource(17)), sessionTrace)
 		if !pathsEqual(got, want) {
 			t.Fatalf("stationary SampleForDay differs from Sample on day %d", day)
 		}

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 )
 
-// traceInterval is the sample spacing used by all generators (seconds).
-const traceInterval = 1.0
-
 // The deployment-like family: slowly-switching regimes, autocorrelated
 // within-regime wiggle, and rare deep outages — the heavy-tailed behavior
 // the paper observes in the wild.
@@ -24,7 +21,7 @@ const (
 // around a long-run mean capacity (bits/sec).
 func GenPuffer(rng *rand.Rand, meanRate, duration float64) *Trace {
 	n := max(1, int(math.Ceil(duration/traceInterval)))
-	tr := &Trace{Interval: traceInterval, Rate: make([]float64, n)}
+	tr := &Trace{Rate: make([]float64, n)}
 	logMean := math.Log(meanRate)
 	regime := logMean + rng.NormFloat64()*pufferRegimeSigma
 	wiggle := 0.0
@@ -67,7 +64,7 @@ const (
 // (bits/sec).
 func GenFCC(rng *rand.Rand, meanRate, duration float64) *Trace {
 	n := max(1, int(math.Ceil(duration/traceInterval)))
-	tr := &Trace{Interval: traceInterval, Rate: make([]float64, n)}
+	tr := &Trace{Rate: make([]float64, n)}
 	logMean := math.Log(meanRate)
 	wander := 0.0
 	const ar = 0.97
@@ -95,19 +92,25 @@ func GenFCC(rng *rand.Rand, meanRate, duration float64) *Trace {
 const (
 	cs2pMeanDwell = 60   // mean sojourn in one state (s)
 	cs2pJitter    = 0.02 // multiplicative noise std-dev around the state level
+	cs2pDuration  = 1200 // trace length (s): Figure 2's 200 six-second epochs
 )
 
-// cs2pStates are the capacity levels (bits/sec) around a mean rate.
-func cs2pStates(meanRate float64) [4]float64 {
-	return [4]float64{meanRate * 0.55, meanRate * 0.85, meanRate * 1.05, meanRate * 1.35}
+// cs2pMeanRate is the family's mean capacity (bits/sec). A variable, so the
+// state levels are run-time float64 products: a constant expression would
+// fold exactly and could round differently.
+var cs2pMeanRate = 2.6e6
+
+// cs2pStates are the capacity levels (bits/sec) around cs2pMeanRate.
+func cs2pStates() [4]float64 {
+	return [4]float64{cs2pMeanRate * 0.55, cs2pMeanRate * 0.85, cs2pMeanRate * 1.05, cs2pMeanRate * 1.35}
 }
 
-// GenCS2P synthesizes a discrete-state Markov trace around a mean capacity
-// (bits/sec).
-func GenCS2P(rng *rand.Rand, meanRate, duration float64) *Trace {
-	n := max(1, int(math.Ceil(duration/traceInterval)))
-	tr := &Trace{Interval: traceInterval, Rate: make([]float64, n)}
-	states := cs2pStates(meanRate)
+// GenCS2P synthesizes a cs2pDuration-second discrete-state Markov trace
+// around cs2pMeanRate: the CS2P side of Figure 2.
+func GenCS2P(rng *rand.Rand) *Trace {
+	n := max(1, int(math.Ceil(cs2pDuration/traceInterval)))
+	tr := &Trace{Rate: make([]float64, n)}
+	states := cs2pStates()
 	state := rng.Intn(len(states))
 	for i := 0; i < n; i++ {
 		if rng.Float64() < traceInterval/cs2pMeanDwell {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestTraceRateAtWraps(t *testing.T) {
-	tr := &Trace{Interval: 1, Rate: []float64{10, 20, 30}}
+	tr := &Trace{Rate: []float64{10, 20, 30}}
 	cases := []struct {
 		t    float64
 		want float64
@@ -26,36 +26,38 @@ func TestTraceRateAtWraps(t *testing.T) {
 }
 
 func TestTraceSegmentEnd(t *testing.T) {
-	tr := &Trace{Interval: 2, Rate: []float64{1, 2}}
-	if got := tr.SegmentEnd(0); got != 2 {
-		t.Fatalf("SegmentEnd(0) = %v, want 2", got)
+	tr := &Trace{Rate: []float64{1, 2}}
+	if got := tr.SegmentEnd(0); got != 1 {
+		t.Fatalf("SegmentEnd(0) = %v, want 1", got)
 	}
 	if got := tr.SegmentEnd(3.5); got != 4 {
 		t.Fatalf("SegmentEnd(3.5) = %v, want 4", got)
 	}
-	if got := tr.SegmentEnd(4.0); got != 6 {
-		t.Fatalf("SegmentEnd(4.0) = %v, want 6", got)
+	if got := tr.SegmentEnd(4.0); got != 5 {
+		t.Fatalf("SegmentEnd(4.0) = %v, want 5", got)
+	}
+	if got := tr.SegmentEnd(-1); got != 1 {
+		t.Fatalf("SegmentEnd(-1) = %v, want 1", got)
 	}
 }
 
 func TestTraceStats(t *testing.T) {
-	tr := &Trace{Interval: 1, Rate: []float64{10, 20, 30}}
+	tr := &Trace{Rate: []float64{10, 20, 30}}
 	if got := tr.Mean(); got != 20 {
 		t.Fatalf("Mean = %v, want 20", got)
 	}
 }
 
 func TestTraceValidate(t *testing.T) {
-	good := &Trace{Interval: 1, Rate: []float64{1, 2}}
+	good := &Trace{Rate: []float64{1, 2}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	bad := []*Trace{
-		{Interval: 0, Rate: []float64{1}},
-		{Interval: 1, Rate: nil},
-		{Interval: 1, Rate: []float64{-5}},
-		{Interval: 1, Rate: []float64{math.NaN()}},
-		{Interval: 1, Rate: []float64{math.Inf(1)}},
+		{Rate: nil},
+		{Rate: []float64{-5}},
+		{Rate: []float64{math.NaN()}},
+		{Rate: []float64{math.Inf(1)}},
 	}
 	for i, tr := range bad {
 		if err := tr.Validate(); err == nil {
@@ -127,12 +129,12 @@ func TestGenPufferHasHeavierTailThanFCC(t *testing.T) {
 
 func TestGenCS2PHasDiscreteStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tr := GenCS2P(rng, 2.4e6, 1200)
+	tr := GenCS2P(rng)
 	// Nearly all samples should sit within a few percent of one of the
 	// configured state levels.
 	near := 0
 	for _, r := range tr.Rate {
-		for _, s := range cs2pStates(2.4e6) {
+		for _, s := range cs2pStates() {
 			if math.Abs(r-s)/s < 0.10 {
 				near++
 				break
@@ -193,7 +195,7 @@ func TestSamplerPathsValid(t *testing.T) {
 			if p.QueueCapacity <= 0 {
 				t.Fatalf("%s: non-positive queue capacity", s.Name())
 			}
-			if float64(len(p.Trace.Rate))*p.Trace.Interval < 120 {
+			if float64(len(p.Trace.Rate))*traceInterval < 120 {
 				t.Fatalf("%s: trace shorter than requested", s.Name())
 			}
 		}

@@ -5,13 +5,15 @@ import (
 	"math"
 )
 
+// traceInterval is every trace's sample spacing: one second.
+const traceInterval = 1.0
+
 // Trace is a piecewise-constant bottleneck capacity series. Rate[i] applies
-// to the half-open interval [i*Interval, (i+1)*Interval). Reads past the end
-// wrap around, so a finite trace can back an arbitrarily long session (the
-// emulation methodology replays traces the same way).
+// to the half-open interval [i*traceInterval, (i+1)*traceInterval). Reads
+// past the end wrap around, so a finite trace can back an arbitrarily long
+// session (the emulation methodology replays traces the same way).
 type Trace struct {
-	Interval float64   // seconds per sample; must be > 0
-	Rate     []float64 // bits per second; must be non-negative
+	Rate []float64 // bits per second; must be non-negative
 }
 
 // RateAt returns the capacity at absolute time t (seconds), wrapping past
@@ -23,7 +25,7 @@ func (tr *Trace) RateAt(t float64) float64 {
 	if t < 0 {
 		t = 0
 	}
-	i := int(t/tr.Interval) % len(tr.Rate)
+	i := int(t/traceInterval) % len(tr.Rate)
 	return tr.Rate[i]
 }
 
@@ -33,7 +35,7 @@ func (tr *Trace) SegmentEnd(t float64) float64 {
 	if t < 0 {
 		t = 0
 	}
-	return (math.Floor(t/tr.Interval) + 1) * tr.Interval
+	return (math.Floor(t/traceInterval) + 1) * traceInterval
 }
 
 // Mean returns the time-average capacity in bits per second.
@@ -50,9 +52,6 @@ func (tr *Trace) Mean() float64 {
 
 // Validate checks the trace invariants.
 func (tr *Trace) Validate() error {
-	if tr.Interval <= 0 {
-		return fmt.Errorf("netem: trace interval %v, must be > 0", tr.Interval)
-	}
 	if len(tr.Rate) == 0 {
 		return fmt.Errorf("netem: trace has no samples")
 	}

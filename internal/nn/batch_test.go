@@ -70,7 +70,7 @@ func TestForwardBatchMatchesScalar(t *testing.T) {
 			bws := p.NewBatchWorkspace(1)
 			for _, rows := range []int{1, 2, 3, 7, 10, 17} {
 				xs := randomBatch(rng, rows, m.InputSize())
-				out := p.ForwardBatchInto(bws, xs, rows)
+				out := p.forward(bws, xs, rows, affineRowT)
 				for r := 0; r < rows; r++ {
 					want := forwardOne(m, xs[r*m.InputSize():(r+1)*m.InputSize()])
 					got := out[r*m.OutputSize() : (r+1)*m.OutputSize()]
@@ -136,12 +136,12 @@ func TestBatchWorkspaceGrowsAndIsReusable(t *testing.T) {
 	p := NewMLP(rng, 6, 10, 4).Packed()
 	bws := p.NewBatchWorkspace(2)
 	small := randomBatch(rng, 2, 6)
-	first := append([]float64(nil), p.ForwardBatchInto(bws, small, 2)...)
+	first := append([]float64(nil), p.forward(bws, small, 2, affineRowT)...)
 	// A larger batch grows the workspace in place...
 	big := randomBatch(rng, 9, 6)
-	p.ForwardBatchInto(bws, big, 9)
+	p.forward(bws, big, 9, affineRowT)
 	// ...and the original batch still evaluates identically afterwards.
-	again := p.ForwardBatchInto(bws, small, 2)
+	again := p.forward(bws, small, 2, affineRowT)
 	for i := range first {
 		if first[i] != again[i] {
 			t.Fatalf("output %d changed after workspace growth: %v vs %v", i, first[i], again[i])
@@ -155,8 +155,8 @@ func TestBatchWorkspaceSharedAcrossEqualShapeNets(t *testing.T) {
 	b := NewMLP(rng, 8, 16, 5)
 	bws := a.NewBatchWorkspace(4)
 	xs := randomBatch(rng, 4, 8)
-	outA := append([]float64(nil), a.Packed().ForwardBatchInto(bws, xs, 4)...)
-	outB := append([]float64(nil), b.Packed().ForwardBatchInto(bws, xs, 4)...)
+	outA := append([]float64(nil), a.Packed().forward(bws, xs, 4, affineRowT)...)
+	outB := append([]float64(nil), b.Packed().forward(bws, xs, 4, affineRowT)...)
 	for r := 0; r < 4; r++ {
 		wantA := forwardOne(a, xs[r*8:(r+1)*8])
 		wantB := forwardOne(b, xs[r*8:(r+1)*8])
@@ -178,7 +178,7 @@ func TestBatchWorkspaceRejectsWrongShape(t *testing.T) {
 			t.Fatal("expected panic for mismatched workspace shape")
 		}
 	}()
-	b.Packed().ForwardBatchInto(bws, make([]float64, 8), 2)
+	b.Packed().forward(bws, make([]float64, 8), 2, affineRowT)
 }
 
 func TestForwardBatchNoAlloc(t *testing.T) {
@@ -205,7 +205,7 @@ func TestLoadedModelKeepsBatchEquivalence(t *testing.T) {
 	p := loaded.Packed()
 	bws := p.NewBatchWorkspace(6)
 	xs := randomBatch(rng, 6, 22)
-	out := p.ForwardBatchInto(bws, xs, 6)
+	out := p.forward(bws, xs, 6, affineRowT)
 	for r := 0; r < 6; r++ {
 		want := forwardOne(m, xs[r*22:(r+1)*22])
 		for o := range want {

@@ -10,14 +10,15 @@
 // Inference has one entry point and one forward pass: MLP.Packed returns
 // the network's packed snapshot (PackedMLP: transposed weights), built on
 // first use, shared by every caller and dropped by every parameter write in
-// this package (Optimizer.Step). The TTP predictor, the fleet and
-// serve inference service, the evaluation sweeps and the Pensieve agent all
-// run its ForwardBatchInto / PredictDistBatch with a BatchWorkspace of their
-// own. Each row of each layer is one affineRowT (below), the trainer's own
-// primitive: AVX2/AVX-512 assembly on amd64 where the CPU has it, the
-// portable affineRowTGo everywhere else, with the same bits on both. There
-// is no second forward kernel and no one-sample forward pass; the tests'
-// oracle is a plain dot product over W and B in the test files. The cache
+// this package (Optimizer.Step). The TTP predictor, the fleet and serve
+// inference service and the evaluation sweeps run its PredictDistBatch, and
+// the Pensieve agent its ForwardInto (one sample), each with a
+// BatchWorkspace of its own; both are the one batched forward loop. Each
+// row of each layer is one affineRowT (below), the trainer's own primitive:
+// AVX2/AVX-512 assembly on amd64 where the CPU has it, the portable
+// affineRowTGo everywhere else, with the same bits on both. There is no
+// second forward kernel; the tests' oracle is a plain dot product over W
+// and B in the test files. The cache
 // is why MLP's exported fields are read-only outside this package: a weight
 // written from elsewhere is not seen by Packed.
 //

@@ -37,7 +37,7 @@ func forEachLogitRow(net *MLP, xs [][]float64, visit func(s int, logits []float6
 			}
 			copy(buf[r*nIn:(r+1)*nIn], xs[at+r])
 		}
-		logits := packed.ForwardBatchInto(ws, buf[:b*nIn], b)
+		logits := packed.forward(ws, buf[:b*nIn], b, affineRowT)
 		for r := 0; r < b; r++ {
 			visit(at+r, logits[r*nOut:(r+1)*nOut])
 		}

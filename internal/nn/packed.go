@@ -111,25 +111,26 @@ func (p *PackedMLP) NewBatchWorkspace(maxRows int) *BatchWorkspace {
 	return newBatchWorkspace(p.sizes, maxRows)
 }
 
-// ForwardBatchInto runs rows samples through the packed network in one pass
-// per layer. xs is the rows × InputSize input matrix, row-major and flat; it
-// is read but not copied or modified. The returned rows × OutputSize logit
-// matrix aliases the workspace and is valid until the next batched call on
-// the same workspace. Row r of the result is bitwise identical to a call on
-// row r alone.
-func (p *PackedMLP) ForwardBatchInto(ws *BatchWorkspace, xs []float64, rows int) []float64 {
-	return p.forward(ws, xs, rows, affineRowT)
+// ForwardInto is forward on the one sample x: its logits alias the
+// workspace until the next call on it.
+func (p *PackedMLP) ForwardInto(ws *BatchWorkspace, x []float64) []float64 {
+	return p.forward(ws, x, 1, affineRowT)
 }
 
 // rowBody is the signature of affineRowT and its bodies.
 type rowBody func(dst, bias, x, wt []float64, nIn, nOut, xStride int)
 
-// forward is ForwardBatchInto with affine as every row's body: affineRowT
-// in production, affineRowTGo where a caller or test wants the portable
-// body whatever the machine.
+// forward runs rows samples through the packed network in one pass per
+// layer, with affine as every row's body: affineRowT in production,
+// affineRowTGo where a caller or test wants the portable body whatever the
+// machine. xs is the rows × InputSize input matrix, row-major and flat; it
+// is read but not copied or modified. The returned rows × OutputSize logit
+// matrix aliases the workspace and is valid until the next batched call on
+// the same workspace. Row r of the result is bitwise identical to a call on
+// row r alone.
 func (p *PackedMLP) forward(ws *BatchWorkspace, xs []float64, rows int, affine rowBody) []float64 {
 	if rows <= 0 {
-		panic(fmt.Sprintf("nn: ForwardBatchInto rows = %d, want >= 1", rows))
+		panic(fmt.Sprintf("nn: forward rows = %d, want >= 1", rows))
 	}
 	if len(xs) != rows*p.InputSize() {
 		panic(fmt.Sprintf("nn: batch input length %d, want %d rows x %d", len(xs), rows, p.InputSize()))

@@ -34,7 +34,7 @@ func servesCurrentWeights(t *testing.T, what string, net *MLP, probe []float64) 
 		want = append(want, forwardOne(net, probe[r*nIn:(r+1)*nIn])...)
 	}
 	p := net.Packed()
-	got := p.ForwardBatchInto(p.NewBatchWorkspace(rows), probe, rows)
+	got := p.forward(p.NewBatchWorkspace(rows), probe, rows, affineRowT)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: Packed() logit %d = %v, the net's weights give %v (stale snapshot)", what, i, got[i], want[i])

@@ -99,13 +99,13 @@ func TestPackedIsASnapshot(t *testing.T) {
 	p := m.NewPacked()
 	xs := []float64{0.3, -1, 2, 0.5, -0.2, 1.1}
 	ws := p.NewBatchWorkspace(1)
-	before := append([]float64(nil), p.ForwardBatchInto(ws, xs, 1)...)
+	before := append([]float64(nil), p.ForwardInto(ws, xs)...)
 	for l := range m.W {
 		for i := range m.W[l] {
 			m.W[l][i] += 1
 		}
 	}
-	after := p.ForwardBatchInto(ws, xs, 1)
+	after := p.ForwardInto(ws, xs)
 	for i := range before {
 		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
 			t.Fatalf("packed output changed after source mutation at %d", i)
@@ -154,7 +154,7 @@ func BenchmarkForwardPacked(b *testing.B) {
 		b.Run(benchName("packed", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.ForwardBatchInto(ws, xs, rows)
+				p.forward(ws, xs, rows, affineRowT)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})

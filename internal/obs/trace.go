@@ -188,13 +188,16 @@ func (t *Tracer) Snapshot() []Span {
 	return out
 }
 
-// TraceQuantiles computes exact quantiles over the durations of the named
+// WireRTT names a serving client's span around one decision's round trip.
+const WireRTT = "wire_rtt"
+
+// TraceQuantiles computes exact quantiles over the durations of the WireRTT
 // spans in a snapshot (the client RTT summary's source). Returns the
 // matching span count; quantile values are 0 when no span matched.
-func TraceQuantiles(spans []Span, name string, ps []float64) (n int, out []int64) {
+func TraceQuantiles(spans []Span, ps []float64) (n int, out []int64) {
 	var durs []int64
 	for _, s := range spans {
-		if s.Name == name {
+		if s.Name == WireRTT {
 			durs = append(durs, s.Dur)
 		}
 	}

@@ -112,19 +112,19 @@ func TestTracerConcurrentRecord(t *testing.T) {
 func TestTraceQuantiles(t *testing.T) {
 	var spans []Span
 	for i := int64(1); i <= 100; i++ {
-		spans = append(spans, Span{Name: "rtt", Dur: i * 1000})
+		spans = append(spans, Span{Name: WireRTT, Dur: i * 1000})
 	}
 	spans = append(spans, Span{Name: "other", Dur: 1 << 40})
-	n, qs := TraceQuantiles(spans, "rtt", []float64{0.50, 0.99, 1.0})
+	n, qs := TraceQuantiles(spans, []float64{0.50, 0.99, 1.0})
 	if n != 100 {
 		t.Fatalf("matched %d spans, want 100", n)
 	}
 	if qs[0] != 50000 || qs[1] != 99000 || qs[2] != 100000 {
 		t.Fatalf("quantiles = %v, want [50000 99000 100000]", qs)
 	}
-	n, qs = TraceQuantiles(spans, "absent", []float64{0.5})
+	n, qs = TraceQuantiles(spans[100:], []float64{0.5})
 	if n != 0 || qs[0] != 0 {
-		t.Fatalf("absent name: n=%d qs=%v, want 0 and [0]", n, qs)
+		t.Fatalf("no %s span: n=%d qs=%v, want 0 and [0]", WireRTT, n, qs)
 	}
 }
 

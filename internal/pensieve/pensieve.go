@@ -93,7 +93,7 @@ func (a *Agent) Reset() {}
 // Choose implements abr.Algorithm.
 func (a *Agent) Choose(obs *abr.Observation) int {
 	assembleState(a.state, obs)
-	logits := a.policy.Packed().ForwardBatchInto(a.ws, a.state, 1)
+	logits := a.policy.Packed().ForwardInto(a.ws, a.state)
 	q := nn.ArgMax(logits)
 	if len(obs.Horizon) > 0 && q >= len(obs.Horizon[0].Versions) {
 		q = len(obs.Horizon[0].Versions) - 1

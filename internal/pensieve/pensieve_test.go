@@ -157,7 +157,7 @@ func TestTrainingImprovesReward(t *testing.T) {
 	cfg.Paths = netem.FCCPaths{MaxRate: 16e6}
 	agent, _ := Train(cfg)
 
-	clip := trainClip()
+	clip := media.EmulationClip()
 	evalReward := func(choose func(*abr.Observation) int) float64 {
 		rng := rand.New(rand.NewSource(99)) // identical episodes per policy
 		total, n := 0.0, 0

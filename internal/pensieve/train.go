@@ -43,13 +43,6 @@ const (
 // expression would fold exactly and round to a different value.
 var entropyStart, entropyEnd = 0.25, 0.01
 
-// trainClip is the training video: a fixed 10-minute NBC-like clip,
-// mirroring the paper's emulation setup.
-func trainClip() *media.Clip {
-	nbc, _ := media.FindProfile("nbc")
-	return media.RecordClip(nbc, 600, 600)
-}
-
 // TrainResult reports training diagnostics.
 type TrainResult struct {
 	// MeanReward is the (undiscounted) per-chunk mean reward of the final
@@ -61,7 +54,7 @@ type TrainResult struct {
 // returns a deployable Agent. cfg is used as given: start from
 // DefaultTrainConfig.
 func Train(cfg TrainConfig) (*Agent, TrainResult) {
-	clip := trainClip()
+	clip := media.EmulationClip()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	policy := NewUntrainedPolicy(rng)
@@ -96,7 +89,7 @@ func Train(cfg TrainConfig) (*Agent, TrainResult) {
 		runEpisode(cfg, clip, rng, func(obs *abr.Observation) int {
 			s := make([]float64, StateDim)
 			assembleState(s, obs)
-			nn.Softmax(probs, policy.Packed().ForwardBatchInto(rollWS, s, 1))
+			nn.Softmax(probs, policy.Packed().ForwardInto(rollWS, s))
 			a := sample(rng, probs)
 			states = append(states, s)
 			actions = append(actions, a)
@@ -176,7 +169,7 @@ func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*a
 			reward(chunkReward(enc, lastBitrate, 60))
 			return
 		}
-		stall := buf.CompleteChunk(elapsed, media.ChunkDuration)
+		stall := buf.CompleteChunk(elapsed)
 		if !buf.Playing() {
 			buf.StartPlayback(elapsed)
 		}
@@ -192,7 +185,7 @@ func runEpisode(cfg TrainConfig, src *media.Clip, rng *rand.Rand, choose func(*a
 		for i := range horizon {
 			horizon[i] = src.At(at + i)
 		}
-		if wait := buf.RoomWait(media.ChunkDuration); wait > 0 {
+		if wait := buf.RoomWait(); wait > 0 {
 			conn.Wait(wait)
 			buf.Drain(wait)
 		}

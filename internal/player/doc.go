@@ -10,7 +10,8 @@
 //
 //   - Buffer: playback-buffer state for one stream (Level, Playing,
 //     StartPlayback, CompleteChunk with stall accounting, Drain, RoomWait),
-//     every one capped at BufferCap, Puffer's 15-second client maximum.
+//     every chunk one media.ChunkDuration long and the level capped at
+//     BufferCap, Puffer's 15-second client maximum.
 //   - The viewer model, fixed package constants: IntendedDuration
 //     (heavy-tailed watch intents), StartupPatience, AbandonOnStall, and
 //     the per-chunk LeaveAfterChunk hazard that quality modulates.

@@ -3,6 +3,8 @@ package player
 import (
 	"math"
 	"math/rand"
+
+	"puffer/internal/media"
 )
 
 // BufferCap is Puffer's 15-second maximum client buffer, the cap of every
@@ -31,12 +33,12 @@ func (b *Buffer) Level() float64 { return b.level }
 func (b *Buffer) Playing() bool { return b.playing }
 
 // CompleteChunk accounts for a chunk that took transTime seconds to arrive
-// and adds chunkDur seconds of video. It returns the stall time incurred
+// and adds one media.ChunkDuration of video. It returns the stall time incurred
 // (zero before playback starts — that time is startup delay, not stalling).
 //
 // Invariants: level stays within [0, BufferCap]; stall is charged only when
 // the transfer outlasted the buffer during playback.
-func (b *Buffer) CompleteChunk(transTime, chunkDur float64) (stall float64) {
+func (b *Buffer) CompleteChunk(transTime float64) (stall float64) {
 	if transTime < 0 {
 		transTime = 0
 	}
@@ -51,7 +53,7 @@ func (b *Buffer) CompleteChunk(transTime, chunkDur float64) (stall float64) {
 			b.Played += transTime
 		}
 	}
-	b.level += chunkDur
+	b.level += media.ChunkDuration
 	if b.level > BufferCap {
 		b.level = BufferCap
 	}
@@ -65,13 +67,13 @@ func (b *Buffer) StartPlayback(startupDelay float64) {
 }
 
 // RoomWait returns how long the server must wait before sending the next
-// chunk of duration chunkDur so the client has room, given that the buffer
+// chunk so the client has room for its media.ChunkDuration, given that the buffer
 // drains at 1 s/s during playback. Zero if there is already room.
-func (b *Buffer) RoomWait(chunkDur float64) float64 {
+func (b *Buffer) RoomWait() float64 {
 	if !b.playing {
 		return 0
 	}
-	excess := b.level + chunkDur - BufferCap
+	excess := b.level + media.ChunkDuration - BufferCap
 	if excess <= 0 {
 		return 0
 	}

@@ -10,7 +10,7 @@ import (
 func TestBufferStartupNotStall(t *testing.T) {
 	b := &Buffer{}
 	// First chunk arrives before playback starts: no stall charged.
-	if stall := b.CompleteChunk(3.0, 2.002); stall != 0 {
+	if stall := b.CompleteChunk(3.0); stall != 0 {
 		t.Fatalf("pre-playback chunk charged stall %v", stall)
 	}
 	if b.Level() != 2.002 {
@@ -24,10 +24,10 @@ func TestBufferStartupNotStall(t *testing.T) {
 
 func TestBufferStallAccounting(t *testing.T) {
 	b := &Buffer{}
-	b.CompleteChunk(1, 2.002)
+	b.CompleteChunk(1)
 	b.StartPlayback(1)
 	// Transfer of 5 s against a 2.002 s buffer: stall of ~2.998.
-	stall := b.CompleteChunk(5, 2.002)
+	stall := b.CompleteChunk(5)
 	want := 5 - 2.002
 	if math.Abs(stall-want) > 1e-9 {
 		t.Fatalf("stall = %v, want %v", stall, want)
@@ -43,9 +43,9 @@ func TestBufferStallAccounting(t *testing.T) {
 
 func TestBufferNoStallWhenCovered(t *testing.T) {
 	b := &Buffer{}
-	b.CompleteChunk(0.5, 2.002)
+	b.CompleteChunk(0.5)
 	b.StartPlayback(0.5)
-	b.CompleteChunk(0.5, 2.002) // level: 2.002-0.5+2.002 = 3.504
+	b.CompleteChunk(0.5) // level: 2.002-0.5+2.002 = 3.504
 	if b.Stalled != 0 {
 		t.Fatal("unexpected stall")
 	}
@@ -57,7 +57,7 @@ func TestBufferNoStallWhenCovered(t *testing.T) {
 func TestBufferCapRespected(t *testing.T) {
 	b := &Buffer{}
 	for i := 0; i < 20; i++ {
-		b.CompleteChunk(0.01, 2.002)
+		b.CompleteChunk(0.01)
 	}
 	if b.Level() > BufferCap {
 		t.Fatalf("level %v exceeds cap %v", b.Level(), BufferCap)
@@ -68,12 +68,12 @@ func TestBufferInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := &Buffer{}
-		b.CompleteChunk(rng.Float64()*3, 2.002)
+		b.CompleteChunk(rng.Float64() * 3)
 		b.StartPlayback(1)
 		totalStall := 0.0
 		for i := 0; i < 200; i++ {
 			tt := rng.ExpFloat64() * 2
-			stall := b.CompleteChunk(tt, 2.002)
+			stall := b.CompleteChunk(tt)
 			totalStall += stall
 			if b.Level() < 0 || b.Level() > BufferCap+1e-9 {
 				return false
@@ -81,13 +81,13 @@ func TestBufferInvariantsProperty(t *testing.T) {
 			if stall < 0 {
 				return false
 			}
-			if w := b.RoomWait(2.002); w > 0 {
+			if w := b.RoomWait(); w > 0 {
 				before := b.Level()
 				b.Drain(w)
 				if b.Level() > before {
 					return false
 				}
-				if b.RoomWait(2.002) > 1e-9 {
+				if b.RoomWait() > 1e-9 {
 					return false
 				}
 			}
@@ -101,26 +101,26 @@ func TestBufferInvariantsProperty(t *testing.T) {
 
 func TestRoomWait(t *testing.T) {
 	b := &Buffer{}
-	if b.RoomWait(2.002) != 0 {
+	if b.RoomWait() != 0 {
 		t.Fatal("empty buffer should have room")
 	}
 	for i := 0; i < 10; i++ {
-		b.CompleteChunk(0, 2.002)
+		b.CompleteChunk(0)
 	}
 	b.StartPlayback(0)
-	w := b.RoomWait(2.002)
+	w := b.RoomWait()
 	if w <= 0 {
 		t.Fatal("full buffer should require waiting")
 	}
 	b.Drain(w)
-	if got := b.RoomWait(2.002); math.Abs(got) > 1e-9 {
+	if got := b.RoomWait(); math.Abs(got) > 1e-9 {
 		t.Fatalf("after draining RoomWait, want 0, got %v", got)
 	}
 }
 
 func TestDrainBeforePlaybackIsNoop(t *testing.T) {
 	b := &Buffer{}
-	b.CompleteChunk(0, 2.002)
+	b.CompleteChunk(0)
 	b.Drain(1)
 	if b.Level() != 2.002 {
 		t.Fatalf("drain before playback changed level to %v", b.Level())
@@ -129,10 +129,10 @@ func TestDrainBeforePlaybackIsNoop(t *testing.T) {
 
 func TestPlayedAccounting(t *testing.T) {
 	b := &Buffer{}
-	b.CompleteChunk(1, 2.002)
+	b.CompleteChunk(1)
 	b.StartPlayback(1)
-	b.CompleteChunk(1.0, 2.002) // plays 1.0
-	b.Drain(0.5)                // plays 0.5
+	b.CompleteChunk(1.0) // plays 1.0
+	b.Drain(0.5)         // plays 0.5
 	want := 1.5
 	if math.Abs(b.Played-want) > 1e-9 {
 		t.Fatalf("played = %v, want %v", b.Played, want)

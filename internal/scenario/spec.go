@@ -208,16 +208,28 @@ func (s Spec) WithDefaults() Spec {
 
 // withEngineDefaults resolves an EngineSpec's defaults — shared by
 // WithDefaults and by GuardHash, which substitutes the canonical engine
-// block because engine choice never changes results.
+// block because engine choice never changes results. It clears what the
+// kind or process never reads (dist_workers outside dist, a burst's rate, a
+// Poisson's burst and gap), so one experiment has one canonical form; a
+// negative dist_workers stays for Validate to refuse.
 func (e EngineSpec) withEngineDefaults() EngineSpec {
 	if e.Kind == "" {
 		e.Kind = "session"
 	}
+	if e.Kind != "dist" && e.DistWorkers > 0 {
+		e.DistWorkers = 0
+	}
 	if e.Arrival.Process == "" {
 		e.Arrival.Process = "poisson"
 	}
-	if e.Arrival.Rate == 0 && e.Arrival.Process == "poisson" {
-		e.Arrival.Rate = defaultRate
+	switch e.Arrival.Process {
+	case "poisson":
+		e.Arrival.Burst, e.Arrival.Gap = 0, 0
+		if e.Arrival.Rate == 0 {
+			e.Arrival.Rate = defaultRate
+		}
+	case "burst":
+		e.Arrival.Rate = 0
 	}
 	if e.Tick == 0 {
 		e.Tick = defaultTick

@@ -82,6 +82,46 @@ func TestHashStableAcrossFieldOrder(t *testing.T) {
 	}
 }
 
+// TestCanonicalEngineBlock: an engine field the chosen kind or arrival
+// process never reads does not reach the canonical form, so the spec hashes
+// as the one without it. The first two pairs are what puffer-daily builds
+// for -dist-workers 4 -engine fleet and for -scenario fleet-burst
+// -arrival-rate 4.
+func TestCanonicalEngineBlock(t *testing.T) {
+	pairs := [][2]string{
+		{`{"engine":{"kind":"fleet","dist_workers":4}}`, `{"engine":{"kind":"fleet"}}`},
+		{`{"engine":{"kind":"fleet","arrival":{"process":"poisson","rate":4,"burst":50,"gap":20}}}`,
+			`{"engine":{"kind":"fleet","arrival":{"rate":4}}}`},
+		{`{"engine":{"kind":"fleet","arrival":{"process":"burst","rate":4,"burst":50,"gap":20}}}`,
+			`{"engine":{"kind":"fleet","arrival":{"process":"burst","burst":50,"gap":20}}}`},
+		{`{"engine":{"dist_workers":3}}`, `{}`},
+	}
+	for _, p := range pairs {
+		a, err := Parse([]byte(p[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Parse([]byte(p[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		da, db := a.WithDefaults(), b.WithDefaults()
+		if !bytes.Equal(da.CanonicalJSON(), db.CanonicalJSON()) || a.Hash() != b.Hash() {
+			t.Errorf("%s resolves to\n%s\nbut %s to\n%s", p[0], da.CanonicalJSON(), p[1], db.CanonicalJSON())
+		}
+	}
+	// dist_workers stays where the dist engine reads it, and a negative one
+	// stays for Validate to refuse.
+	d := New(Engine("dist"), DistWorkers(4)).WithDefaults()
+	if d.Engine.DistWorkers != 4 {
+		t.Fatalf("dist engine lost dist_workers: %+v", d.Engine)
+	}
+	bad := New(Engine("fleet"), DistWorkers(-1)).WithDefaults()
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "engine.dist_workers") {
+		t.Fatalf("negative dist_workers under fleet: Validate = %v", err)
+	}
+}
+
 // TestParseRejectsUnknownFieldsAndTrailingData: typos must not silently run
 // a different experiment, and neither may a field the format no longer has
 // (the raw drift knobs and the path-family override became presets): each
@@ -346,16 +386,25 @@ func TestGuardHashScope(t *testing.T) {
 
 // FuzzParseSpec: any input yields an error or a spec, and a spec that
 // validates has a canonical form that re-parses to itself byte for byte
-// with both hashes unchanged. Seeds live in testdata/fuzz/FuzzParseSpec
-// (the committed scenario files and the golden specs).
+// with both hashes unchanged, and an engine block that carries no field its
+// kind or arrival process ignores. Seeds live in testdata/fuzz/FuzzParseSpec
+// (the committed scenario files, the golden specs, and the two CLI specs
+// that once kept an ignored engine field).
 func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := Parse(blob)
 		if err != nil {
 			return
 		}
-		if d := s.WithDefaults(); d.Validate() != nil {
+		d := s.WithDefaults()
+		if d.Validate() != nil {
 			return
+		}
+		e := d.Engine
+		if e.Kind != "dist" && e.DistWorkers != 0 ||
+			e.Arrival.Process == "poisson" && (e.Arrival.Burst != 0 || e.Arrival.Gap != 0) ||
+			e.Arrival.Process == "burst" && e.Arrival.Rate != 0 {
+			t.Fatalf("engine block keeps a field its kind or process ignores: %+v", e)
 		}
 		canon := s.CanonicalJSON()
 		re, err := Parse(canon)

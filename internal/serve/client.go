@@ -191,7 +191,7 @@ func (r *remote) decide(o *abr.Observation, now float64) (int, error) {
 		cliRTTNS.Observe(obs.SinceNS(t0))
 	}
 	if trace != 0 {
-		tr.Record(obs.Span{Trace: trace, ID: root, Name: "wire_rtt",
+		tr.Record(obs.Span{Trace: trace, ID: root, Name: obs.WireRTT,
 			Start: t0, Dur: obs.SinceNS(t0),
 			Attrs: []obs.Attr{
 				{Key: "session", Val: r.sessID},
@@ -303,7 +303,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			res.Failed++
 		}
 	}
-	acc := experiment.FoldShards(n, p.ShardSize, experiment.AllPaths,
+	acc := experiment.FoldShards(n, p.ShardSize,
 		func(id int) *experiment.SessionResult { return &results[id] })
 	res.Stats = acc.Analyze(p.AnalysisSeed)
 	return res, nil

@@ -54,10 +54,10 @@ func (a *StreamAcc) Decode(r *wire.Reader) {
 func (a *StreamAcc) StreamYears() float64 { return StreamYears(a.Points) }
 
 // Bootstrap is the merge-then-bootstrap path: a percentile-bootstrap CI on
-// the aggregate stall ratio over the merged streams. Identical to calling
-// BootstrapStallRatio on the concatenated points.
-func (a *StreamAcc) Bootstrap(rng *rand.Rand, iters int, conf float64) Interval {
-	return BootstrapStallRatio(rng, a.Points, iters, conf)
+// the aggregate stall ratio over the merged streams, from 400 resamples.
+// Identical to calling BootstrapStallRatio on the concatenated points.
+func (a *StreamAcc) Bootstrap(rng *rand.Rand) Interval {
+	return BootstrapStallRatio(rng, a.Points, 400)
 }
 
 // WeightedAcc is a mergeable accumulator of weighted scalar samples, feeding
@@ -101,6 +101,6 @@ func (a *WeightedAcc) Decode(r *wire.Reader) {
 
 // Interval returns the weighted mean with its conf-level interval over the
 // merged samples, exactly as WeightedMeanSE on the concatenated series.
-func (a *WeightedAcc) Interval(conf float64) Interval {
-	return WeightedMeanSE(a.Values, a.Weights, conf)
+func (a *WeightedAcc) Interval() Interval {
+	return WeightedMeanSE(a.Values, a.Weights)
 }

@@ -51,12 +51,12 @@ func TestStreamAccMergeEqualsSingle(t *testing.T) {
 	if StallRatio(single.Points) != StallRatio(merged.Points) {
 		t.Fatalf("stall ratios differ: %v vs %v", StallRatio(single.Points), StallRatio(merged.Points))
 	}
-	a := single.Bootstrap(rand.New(rand.NewSource(9)), 300, 0.95)
-	b := merged.Bootstrap(rand.New(rand.NewSource(9)), 300, 0.95)
+	a := single.Bootstrap(rand.New(rand.NewSource(9)))
+	b := merged.Bootstrap(rand.New(rand.NewSource(9)))
 	if a != b {
 		t.Fatalf("bootstrap intervals differ: %+v vs %+v", a, b)
 	}
-	if c := BootstrapStallRatio(rand.New(rand.NewSource(9)), pts, 300, 0.95); a != c {
+	if c := BootstrapStallRatio(rand.New(rand.NewSource(9)), pts, 400); a != c {
 		t.Fatalf("merge-then-bootstrap %+v != direct bootstrap %+v", a, c)
 	}
 }
@@ -79,7 +79,7 @@ func TestWeightedAccMergeEqualsSingle(t *testing.T) {
 	if !reflect.DeepEqual(single, merged) {
 		t.Fatal("merged accumulator state differs from single-pass state")
 	}
-	if single.Interval(0.95) != merged.Interval(0.95) {
+	if single.Interval() != merged.Interval() {
 		t.Fatal("merged interval differs from single-pass interval")
 	}
 }
@@ -88,11 +88,11 @@ func TestWeightedAccUnit(t *testing.T) {
 	var a WeightedAcc
 	a.AddUnit(1)
 	a.AddUnit(3)
-	iv := a.Interval(0.95)
+	iv := a.Interval()
 	if iv.Point != 2 {
 		t.Fatalf("unit-weight mean = %v, want 2", iv.Point)
 	}
-	if got := MeanSE([]float64{1, 3}, 0.95); iv != got {
+	if got := MeanSE([]float64{1, 3}); iv != got {
 		t.Fatalf("AddUnit interval %+v != MeanSE %+v", iv, got)
 	}
 }

@@ -112,7 +112,7 @@ func TestStreamAccWireMergeOrder(t *testing.T) {
 		t.Fatal("wire-merged StreamAcc is not byte-identical to the locally built whole")
 	}
 	rngA, rngB := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-	if merged.Bootstrap(rngA, 200, 0.95) != whole.Bootstrap(rngB, 200, 0.95) {
+	if merged.Bootstrap(rngA) != whole.Bootstrap(rngB) {
 		t.Fatal("wire-merged bootstrap differs from the locally built whole")
 	}
 }

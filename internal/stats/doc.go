@@ -14,7 +14,7 @@
 // Main entry points:
 //
 //   - StallRatio / StreamYears over StreamPoint: the headline aggregate
-//     estimators; BootstrapStallRatio and Interval: the §3.4 CIs.
+//     estimators; BootstrapStallRatio and Interval: the §3.4 CIs, every one at 95%.
 //   - StreamAcc / WeightedAcc: the mergeable accumulators
 //     (Add/Merge/Bootstrap, weighted means with WeightedMeanSE-style CIs).
 //   - Quantile / CCDFAt: distribution readouts for the figures.

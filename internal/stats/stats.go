@@ -46,11 +46,18 @@ func (iv Interval) Overlaps(other Interval) bool {
 	return iv.Lo <= other.Hi && other.Lo <= iv.Hi
 }
 
-// BootstrapStallRatio computes a percentile-bootstrap CI on the aggregate
-// stall ratio by resampling streams with replacement (the paper's §3.4
-// procedure: streams are the resampling unit because stalls are rare and
-// heavily stream-correlated).
-func BootstrapStallRatio(rng *rand.Rand, points []StreamPoint, iters int, conf float64) Interval {
+// conf is every interval's two-sided level, the paper's 95%; z is its
+// normal quantile. conf is a variable so that (1-conf)/2 is run-time float64
+// arithmetic: a constant expression would fold exactly, to other bits.
+var conf = 0.95
+
+const z = 1.96
+
+// BootstrapStallRatio computes a percentile-bootstrap conf-level CI on the
+// aggregate stall ratio by resampling streams with replacement (the paper's
+// §3.4 procedure: streams are the resampling unit because stalls are rare
+// and heavily stream-correlated).
+func BootstrapStallRatio(rng *rand.Rand, points []StreamPoint, iters int) Interval {
 	point := StallRatio(points)
 	if len(points) == 0 || iters <= 0 {
 		return Interval{Point: point, Lo: point, Hi: point}
@@ -75,7 +82,7 @@ func BootstrapStallRatio(rng *rand.Rand, points []StreamPoint, iters int, conf f
 // WeightedMeanSE returns the weighted mean of values and a conf-level
 // normal-approximation interval using the weighted standard error — the
 // paper's estimator for average SSIM, weighting each stream by its duration.
-func WeightedMeanSE(values, weights []float64, conf float64) Interval {
+func WeightedMeanSE(values, weights []float64) Interval {
 	if len(values) != len(weights) {
 		panic("stats: values/weights length mismatch")
 	}
@@ -95,36 +102,16 @@ func WeightedMeanSE(values, weights []float64, conf float64) Interval {
 		num += float64(weights[i] * weights[i] * d * d)
 	}
 	se := math.Sqrt(num) / sumW
-	z := zFor(conf)
 	return Interval{Point: mean, Lo: mean - float64(z*se), Hi: mean + float64(z*se)}
 }
 
 // MeanSE is WeightedMeanSE with unit weights.
-func MeanSE(values []float64, conf float64) Interval {
+func MeanSE(values []float64) Interval {
 	w := make([]float64, len(values))
 	for i := range w {
 		w[i] = 1
 	}
-	return WeightedMeanSE(values, w, conf)
-}
-
-// zFor returns the standard-normal quantile for a two-sided confidence
-// level; exact for the common levels, interpolated otherwise.
-func zFor(conf float64) float64 {
-	switch {
-	case conf >= 0.999:
-		return 3.29
-	case conf >= 0.99:
-		return 2.576
-	case conf >= 0.95:
-		return 1.96
-	case conf >= 0.90:
-		return 1.645
-	case conf >= 0.80:
-		return 1.282
-	default:
-		return 1.0
-	}
+	return WeightedMeanSE(values, w)
 }
 
 // quantileSorted returns the q-quantile of ascending xs by linear
@@ -178,8 +165,6 @@ type PowerConfig struct {
 	Trials int
 	// BootstrapIters per CI.
 	BootstrapIters int
-	// Conf is the confidence level (e.g. 0.95).
-	Conf float64
 }
 
 // DetectionRate estimates the probability that two schemes whose true stall
@@ -197,8 +182,8 @@ func DetectionRate(rng *rand.Rand, cfg PowerConfig, n int, draw func(rng *rand.R
 			a[i] = draw(rng, 1.0)
 			b[i] = draw(rng, 1.0-cfg.Effect)
 		}
-		ia := BootstrapStallRatio(rng, a, cfg.BootstrapIters, cfg.Conf)
-		ib := BootstrapStallRatio(rng, b, cfg.BootstrapIters, cfg.Conf)
+		ia := BootstrapStallRatio(rng, a, cfg.BootstrapIters)
+		ib := BootstrapStallRatio(rng, b, cfg.BootstrapIters)
 		if !ia.Overlaps(ib) {
 			detected++
 		}

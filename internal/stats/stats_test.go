@@ -35,7 +35,7 @@ func TestBootstrapCoversTruth(t *testing.T) {
 			}
 			pts[i] = StreamPoint{Watch: w, Stall: s}
 		}
-		iv := BootstrapStallRatio(rng, pts, 200, 0.95)
+		iv := BootstrapStallRatio(rng, pts, 200)
 		actual := StallRatio(pts)
 		if iv.Lo <= actual && actual <= iv.Hi {
 			covered++
@@ -63,15 +63,15 @@ func TestBootstrapWidthShrinksWithData(t *testing.T) {
 		}
 		return pts
 	}
-	small := BootstrapStallRatio(rng, gen(200), 300, 0.95)
-	large := BootstrapStallRatio(rng, gen(5000), 300, 0.95)
+	small := BootstrapStallRatio(rng, gen(200), 300)
+	large := BootstrapStallRatio(rng, gen(5000), 300)
 	if large.RelativeHalfWidth() >= small.RelativeHalfWidth() {
 		t.Fatalf("more data did not shrink CI: %v vs %v", large.RelativeHalfWidth(), small.RelativeHalfWidth())
 	}
 }
 
 func TestBootstrapDegenerate(t *testing.T) {
-	iv := BootstrapStallRatio(rand.New(rand.NewSource(3)), nil, 100, 0.95)
+	iv := BootstrapStallRatio(rand.New(rand.NewSource(3)), nil, 100)
 	if iv.Point != 0 || iv.Lo != 0 || iv.Hi != 0 {
 		t.Fatalf("empty bootstrap = %+v", iv)
 	}
@@ -91,12 +91,12 @@ func TestIntervalOverlap(t *testing.T) {
 
 func TestWeightedMeanSE(t *testing.T) {
 	// All weight on one value: mean equals it, zero variance.
-	iv := WeightedMeanSE([]float64{5, 100}, []float64{1, 0}, 0.95)
+	iv := WeightedMeanSE([]float64{5, 100}, []float64{1, 0})
 	if iv.Point != 5 || iv.Hi != iv.Lo {
 		t.Fatalf("degenerate weighted mean = %+v", iv)
 	}
 	// Uniform weights equal the plain mean.
-	iv2 := WeightedMeanSE([]float64{1, 2, 3}, []float64{1, 1, 1}, 0.95)
+	iv2 := WeightedMeanSE([]float64{1, 2, 3}, []float64{1, 1, 1})
 	if math.Abs(iv2.Point-2) > 1e-12 {
 		t.Fatalf("mean = %v, want 2", iv2.Point)
 	}
@@ -111,7 +111,7 @@ func TestWeightedMeanSEPanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	WeightedMeanSE([]float64{1}, []float64{1, 2}, 0.95)
+	WeightedMeanSE([]float64{1}, []float64{1, 2})
 }
 
 func TestMeanSEShrinksWithN(t *testing.T) {
@@ -123,8 +123,8 @@ func TestMeanSEShrinksWithN(t *testing.T) {
 		}
 		return xs
 	}
-	small := MeanSE(gen(100), 0.95)
-	large := MeanSE(gen(10000), 0.95)
+	small := MeanSE(gen(100))
+	large := MeanSE(gen(10000))
 	if large.Hi-large.Lo >= small.Hi-small.Lo {
 		t.Fatalf("CI width did not shrink: %v vs %v", large.Hi-large.Lo, small.Hi-small.Lo)
 	}
@@ -209,9 +209,9 @@ func heavyDraw(rng *rand.Rand, scale float64) StreamPoint {
 
 func TestDetectionRateRisesWithEffectAndData(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	cfg := PowerConfig{Effect: 0.15, Trials: 20, BootstrapIters: 120, Conf: 0.95}
+	cfg := PowerConfig{Effect: 0.15, Trials: 20, BootstrapIters: 120}
 	smallN := DetectionRate(rng, cfg, 200, heavyDraw)
-	bigEffect := PowerConfig{Effect: 0.9, Trials: 20, BootstrapIters: 120, Conf: 0.95}
+	bigEffect := PowerConfig{Effect: 0.9, Trials: 20, BootstrapIters: 120}
 	bigE := DetectionRate(rng, bigEffect, 200, heavyDraw)
 	if bigE < smallN {
 		t.Fatalf("larger effect should be easier to detect: %v vs %v", bigE, smallN)
@@ -238,10 +238,11 @@ func TestQuantileSortedInterpolates(t *testing.T) {
 }
 
 func TestZForLevels(t *testing.T) {
-	if zFor(0.95) != 1.96 || zFor(0.99) != 2.576 {
-		t.Fatal("z quantiles wrong")
-	}
-	if !(zFor(0.5) < zFor(0.95)) {
-		t.Fatal("z must grow with confidence")
+	// Every normal-approximation interval is 95%: mean ± 1.96 standard
+	// errors. {1, 2, 3} has mean 2 and standard error sqrt(2)/3.
+	iv := MeanSE([]float64{1, 2, 3})
+	se := math.Sqrt(2) / 3
+	if math.Abs(iv.Hi-iv.Point-1.96*se) > 1e-12 || math.Abs(iv.Point-iv.Lo-1.96*se) > 1e-12 {
+		t.Fatalf("interval %+v is not mean ± 1.96 se (se %v)", iv, se)
 	}
 }

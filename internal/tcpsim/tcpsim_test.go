@@ -19,7 +19,7 @@ func (c *Conn) Transfer(size float64) float64 {
 
 // constantTrace is an hour of fixed capacity in one-second samples.
 func constantTrace(rateBps float64) *netem.Trace {
-	tr := &netem.Trace{Interval: 1, Rate: make([]float64, 3600)}
+	tr := &netem.Trace{Rate: make([]float64, 3600)}
 	for i := range tr.Rate {
 		tr.Rate[i] = rateBps
 	}
@@ -233,7 +233,7 @@ func TestCapacityDropSlowsTransfers(t *testing.T) {
 			rate[i] = 0.5e6
 		}
 	}
-	path := netem.Path{Trace: &netem.Trace{Interval: 1, Rate: rate}, BaseRTT: 0.040, QueueCapacity: 0.5}
+	path := netem.Path{Trace: &netem.Trace{Rate: rate}, BaseRTT: 0.040, QueueCapacity: 0.5}
 	rng := rand.New(rand.NewSource(10))
 	c := Dial(path, rng)
 	size := 0.5e6
@@ -265,7 +265,7 @@ func TestDialPanicsOnInvalidTrace(t *testing.T) {
 			t.Fatal("expected panic for invalid trace")
 		}
 	}()
-	Dial(netem.Path{Trace: &netem.Trace{Interval: 0, Rate: nil}}, rand.New(rand.NewSource(1)))
+	Dial(netem.Path{Trace: &netem.Trace{Rate: nil}}, rand.New(rand.NewSource(1)))
 }
 
 func BenchmarkTransferTwoSecondChunk(b *testing.B) {
